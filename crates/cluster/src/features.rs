@@ -495,69 +495,24 @@ pub fn extract(dataset: &Dataset) -> ClientFeatures {
     extract_threaded(dataset, 1)
 }
 
-/// Threaded extraction: shard on `day_aligned_ranges`, fold each shard,
-/// merge in shard (= day) order. Join order is merge order, so the result
-/// is bit-identical for any `threads`; stores that are not day-ordered
-/// fall back to one serial fold over a start-sorted order index, exactly
-/// like `Aggregates::compute_threaded`.
+/// Threaded extraction: a per-shard [`FeatureFold`] through
+/// `SessionStore::map_day_shards`, merged in shard (= day) order — so the
+/// result is bit-identical for any `threads`, exactly like
+/// `Aggregates::compute_threaded`.
 pub fn extract_threaded(dataset: &Dataset, threads: usize) -> ClientFeatures {
     let _span = hf_obs::span!("cluster.extract");
     let store = &dataset.sessions;
     let mut heads = HeadMap::new();
     heads.sync(&store.commands);
-    let heads = &heads;
 
-    if !store.is_day_ordered() {
-        let mut order: Vec<u32> = (0..store.len() as u32).collect();
-        order.sort_by_key(|&i| store.rows()[i as usize].start_secs);
+    let shards = store.map_day_shards(threads, |rows| {
+        hf_obs::counter!("cluster.rows_folded", rows.len() as u64);
         let mut fold = FeatureFold::new();
-        for &idx in &order {
-            fold.ingest(&dataset.plan, heads, &store.view(idx as usize));
+        for row in rows {
+            fold.ingest(&dataset.plan, &heads, &store.view_row(row));
         }
-        hf_obs::counter!("cluster.rows_folded", store.len() as u64);
-        return fold.finish(dataset.plan.len());
-    }
-
-    let ranges = store.day_aligned_ranges(threads.max(1));
-    let shards: Vec<FeatureFold> = if ranges.len() <= 1 {
-        ranges
-            .into_iter()
-            .map(|r| {
-                hf_obs::counter!("cluster.rows_folded", r.len() as u64);
-                let mut fold = FeatureFold::new();
-                for v in store.iter_range(r) {
-                    fold.ingest(&dataset.plan, heads, &v);
-                }
-                fold
-            })
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|r| {
-                    scope.spawn(move || {
-                        hf_obs::counter!("cluster.rows_folded", r.len() as u64);
-                        let mut fold = FeatureFold::new();
-                        for v in store.iter_range(r) {
-                            fold.ingest(&dataset.plan, heads, &v);
-                        }
-                        hf_obs::flush();
-                        fold
-                    })
-                })
-                .collect();
-            // Joining in spawn order *is* the day-ordered merge; a shard
-            // panic is re-raised with its original payload.
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        })
-    };
+        fold
+    });
     let mut merged = FeatureFold::new();
     for shard in shards {
         merged.merge(shard);

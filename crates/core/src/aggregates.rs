@@ -11,10 +11,11 @@
 //! [`Aggregates`] is an *associative partial state*: two aggregates computed
 //! over day-disjoint row ranges combine exactly with [`Aggregates::merge`],
 //! the same discipline as `TagDb::merge` in the parallel simulation engine.
-//! [`Aggregates::compute_threaded`] shards the store into contiguous
-//! **day-aligned** row ranges (`SessionStore::day_aligned_ranges`), folds
-//! each range on its own scoped worker, then merges the partial states in
-//! shard order. Day alignment is the invariant that makes the merge exact:
+//! [`Aggregates::compute_threaded`] hands `SessionStore::map_day_shards` a
+//! per-shard fold: the store cuts itself into contiguous **day-aligned** row
+//! ranges, folds each range on its own scoped worker, and returns the
+//! partial states in shard order to be merged front to back. Day alignment
+//! is the invariant that makes the merge exact:
 //!
 //! * per-day matrices and counters occupy disjoint day slots across shards,
 //!   so elementwise addition is a disjoint union;
@@ -338,73 +339,16 @@ impl Aggregates {
             .map(|d| d + 1)
             .unwrap_or(1);
 
-        // Day-grouped streaming state needs day-ordered rows. Collector
-        // output always is; hand-built stores fall back to one serial fold
-        // over a sorted order index.
-        if !store.is_day_ordered() {
+        let parts = store.map_day_shards(threads, |rows| {
             hf_obs::counter!("analysis.shards_folded", 1);
-            hf_obs::counter!("analysis.rows_folded", store.len() as u64);
-            let _fold_span = hf_obs::span!("analysis.shard_fold");
-            let mut order: Vec<u32> = (0..store.len() as u32).collect();
-            order.sort_by_key(|&i| store.rows()[i as usize].start_secs);
+            hf_obs::counter!("analysis.rows_folded", rows.len() as u64);
+            let _span = hf_obs::span!("analysis.shard_fold");
             let mut fold = ShardFold::new(n_days, n_honeypots);
-            for &idx in &order {
-                fold.ingest(&dataset.plan, &store.view(idx as usize));
+            for row in rows {
+                fold.ingest(&dataset.plan, &store.view_row(row));
             }
-            return Self::assemble(n_days, n_honeypots, vec![fold.finish()]);
-        }
-
-        let ranges = store.day_aligned_ranges(threads.max(1));
-        let parts: Vec<(Aggregates, Vec<(u32, u32)>)> = if ranges.len() <= 1 {
-            ranges
-                .into_iter()
-                .map(|r| {
-                    hf_obs::counter!("analysis.shards_folded", 1);
-                    hf_obs::counter!("analysis.rows_folded", r.len() as u64);
-                    let _span = hf_obs::span!("analysis.shard_fold");
-                    let mut fold = ShardFold::new(n_days, n_honeypots);
-                    for v in store.iter_range(r) {
-                        fold.ingest(&dataset.plan, &v);
-                    }
-                    fold.finish()
-                })
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .map(|r| {
-                        scope.spawn(move || {
-                            // Fold, then flush this worker's metrics buffer
-                            // before the thread exits (span drops first so
-                            // its sample is included).
-                            hf_obs::counter!("analysis.shards_folded", 1);
-                            hf_obs::counter!("analysis.rows_folded", r.len() as u64);
-                            let out = {
-                                let _span = hf_obs::span!("analysis.shard_fold");
-                                let mut fold = ShardFold::new(n_days, n_honeypots);
-                                for v in store.iter_range(r) {
-                                    fold.ingest(&dataset.plan, &v);
-                                }
-                                fold.finish()
-                            };
-                            hf_obs::flush();
-                            out
-                        })
-                    })
-                    .collect();
-                // Joining in spawn order *is* the ordered merge. A shard
-                // panic is re-raised with its original payload so the
-                // failing assertion/message isn't masked by a join error.
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    })
-                    .collect()
-            })
-        };
+            fold.finish()
+        });
         Self::assemble(n_days, n_honeypots, parts)
     }
 

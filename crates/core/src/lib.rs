@@ -26,7 +26,7 @@
 //!
 //! let out = Simulation::run(SimConfig::default());
 //! let agg = Aggregates::compute(&out.dataset);
-//! let report = Report::build(&out.dataset, &agg);
+//! let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);
 //! println!("{}", report.table1);
 //! ```
 

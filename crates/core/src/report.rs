@@ -1,9 +1,9 @@
 //! Per-table and per-figure reproducers.
 //!
 //! Every table (T1–T6) and figure (F1–F24) of the paper has a builder here
-//! returning typed rows/series; [`Report::build`] assembles them all and
-//! [`Report::write_dir`] dumps TSV files plus a human-readable summary — the
-//! "same rows/series the paper reports".
+//! returning typed rows/series; [`Report::build_with_tags`] assembles them
+//! all and [`Report::write_dir`] dumps TSV files plus a human-readable
+//! summary — the "same rows/series the paper reports".
 
 pub mod figures;
 pub mod render;
@@ -196,16 +196,6 @@ impl Report {
             fig21,
             fig22,
         }
-    }
-
-    /// Convenience wrapper using an empty tag database.
-    pub fn build(dataset: &Dataset, agg: &Aggregates) -> Report {
-        Self::build_with_tags(dataset, agg, &TagDb::new())
-    }
-
-    /// Convenience wrapper: concurrent build with an empty tag database.
-    pub fn build_threaded(dataset: &Dataset, agg: &Aggregates, threads: usize) -> Report {
-        Self::build_with_tags_threaded(dataset, agg, &TagDb::new(), threads)
     }
 
     /// Write every table/figure as TSV plus `summary.md` into a directory.

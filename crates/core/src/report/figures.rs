@@ -4,8 +4,8 @@
 //! session rows. Builders that used to duplicate work expose fused variants
 //! ([`fig_bands_with`] / [`fig_cat_bands_with`] share one top-5% selection,
 //! [`client_ecdfs`] builds Figs. 12 and 13 in a single pass over clients)
-//! which `Report::build` uses. TSV rendering goes through `write_tsv`
-//! writers; `to_tsv` is the in-memory convenience wrapper.
+//! which `Report::build_with_tags` uses. TSV rendering goes through
+//! `write_tsv` writers; `to_tsv` is the in-memory convenience wrapper.
 
 use std::io;
 
@@ -508,8 +508,9 @@ pub struct FigClientEcdf {
 }
 
 /// Build Figs. 12 and 13 together in ONE pass over the client map (the
-/// per-client filtering dominates both builders; `Report::build` uses this
-/// fused form). `Ecdf::from_samples` sorts, so sample order is irrelevant.
+/// per-client filtering dominates both builders; `Report::build_with_tags`
+/// uses this fused form). `Ecdf::from_samples` sorts, so sample order is
+/// irrelevant.
 pub fn client_ecdfs(agg: &Aggregates) -> (FigClientEcdf, FigClientEcdf) {
     let n = agg.clients.len();
     let mut hp_overall = Vec::with_capacity(n);

@@ -4,8 +4,7 @@
 //! lists per row. But honeypot traffic is massively repetitive — a campaign
 //! replays the same password and the same command script from thousands of
 //! clients — so pooling turns per-session variable-size data into fixed-size
-//! u32 handles. DESIGN.md lists "interned ids vs string keys" as an ablation;
-//! `hf-bench` measures it.
+//! u32 handles (DESIGN.md §4, "interned ids vs string keys").
 
 use std::collections::HashMap;
 

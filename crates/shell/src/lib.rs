@@ -39,7 +39,6 @@ pub use interp::{
     CommandRecord, ExecResult, FileEvent, FileOp, NullFetcher, QuietExec, RemoteFetcher,
     SessionEvents, ShellSession, SyntheticFetcher,
 };
-pub use lexer::reference::Lexer;
 pub use lexer::{
     for_each_command_head, split_statements, LineBuf, Redirection, SimpleCommand, Statement,
 };

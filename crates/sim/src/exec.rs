@@ -97,10 +97,8 @@ impl ScriptCache {
     /// read the cache immutably — from any number of worker threads —
     /// via [`execute_plan_prepared`] without locks.
     ///
-    /// Visiting plans in order makes this byte-equivalent to the lazy fill
-    /// [`execute_plan_cached`] performs: each cache key is computed against
-    /// the honeypot profile of the first plan that needs it, exactly as the
-    /// lazy path would.
+    /// Plans are visited in order, so each cache key is computed against
+    /// the honeypot profile of the first plan that needs it.
     pub fn precompute_day(&mut self, ctx: &ExecCtx<'_>, plans: &[SessionPlan]) {
         for plan in plans {
             match plan.behavior {
@@ -116,7 +114,7 @@ impl ScriptCache {
                         });
                 }
                 Behavior::Recon { variant } => {
-                    let key = variant as u64 ^ (plan.seed % 8);
+                    let key = recon_key(plan, variant);
                     self.recon.entry(key).or_insert_with(|| {
                         compute_outcome(
                             ctx,
@@ -221,7 +219,7 @@ impl PreparedScripts {
                         });
                 }
                 Behavior::Recon { variant } => {
-                    let key = variant as u64 ^ (plan.seed % 8);
+                    let key = recon_key(plan, variant);
                     self.recon
                         .entry(key)
                         .or_insert_with(|| prepare_lines(&recon_script(key)));
@@ -319,46 +317,6 @@ pub fn build_configs(plan: &FarmPlan) -> Vec<HoneypotConfig> {
         .collect()
 }
 
-/// Execute a plan through the script cache: shell content comes from the
-/// cache (computed once per distinct script); auth, timing, and timeout
-/// semantics still run through the real [`SessionDriver`].
-pub fn execute_plan_cached(
-    ctx: &ExecCtx<'_>,
-    plan: &SessionPlan,
-    tags: &mut TagDb,
-    cache: &mut ScriptCache,
-) -> SessionRecord {
-    // Only shell-script behaviours benefit; everything else is identical.
-    let (outcome, tag_info): (&ScriptOutcome, Option<(&str, &str)>) = match plan.behavior {
-        Behavior::Script { campaign } => {
-            let spec = ctx.catalog.get(campaign);
-            let variant = spec.variant_on(plan.day);
-            let outcome = cache
-                .campaigns
-                .entry((campaign.0, variant))
-                .or_insert_with(|| {
-                    let fetcher = Box::new(CampaignFetcher::new(spec.payload_bytes(variant)));
-                    compute_outcome(ctx, plan.honeypot, &spec.script(variant), fetcher)
-                });
-            (&*outcome, Some((spec.tag.label(), spec.name.as_str())))
-        }
-        Behavior::Recon { variant } => {
-            let key = variant as u64 ^ (plan.seed % 8);
-            let outcome = cache.recon.entry(key).or_insert_with(|| {
-                compute_outcome(
-                    ctx,
-                    plan.honeypot,
-                    &recon_script(key),
-                    Box::new(hf_shell::NullFetcher),
-                )
-            });
-            (&*outcome, None)
-        }
-        _ => return execute_plan(ctx, plan, tags),
-    };
-    replay_cached(ctx, plan, outcome, tag_info, tags)
-}
-
 /// Execute a plan against a *read-only* script cache, pre-filled for the
 /// day by [`ScriptCache::precompute_day`]. This is the form the parallel
 /// day loop uses: the cache is shared immutably across worker threads, so
@@ -384,7 +342,7 @@ pub fn execute_plan_prepared(
             (outcome, Some((spec.tag.label(), spec.name.as_str())))
         }
         Behavior::Recon { variant } => {
-            let key = variant as u64 ^ (plan.seed % 8);
+            let key = recon_key(plan, variant);
             let outcome = cache
                 .recon
                 .get(&key)
@@ -408,139 +366,47 @@ pub fn execute_plan_full(
     tags: &mut TagDb,
     prepared: &PreparedScripts,
 ) -> Result<SessionRecord, SimError> {
-    let mut rng = SmallRng::seed_from_u64(plan.seed);
-    let client = ctx.pool.get(plan.client);
-    let start = SimInstant::from_day_and_secs(plan.day, plan.start_secs.min(86_399));
-    let config = ctx.configs[plan.honeypot as usize].clone();
-
-    // Fetcher: campaign payload for scripts, unreachable host otherwise.
-    let fetcher: Box<dyn RemoteFetcher> = match plan.behavior {
+    let (lines, fetcher): (&[PreparedLine], Box<dyn RemoteFetcher>) = match plan.behavior {
         Behavior::Script { campaign } => {
-            let spec = ctx.catalog.get(campaign);
-            let variant = spec.variant_on(plan.day);
+            let variant = ctx.catalog.get(campaign).variant_on(plan.day);
             let script = prepared.campaigns.get(&(campaign.0, variant)).ok_or(
                 SimError::MissingPreparedScript {
                     campaign: campaign.0,
                     variant,
                 },
             )?;
-            Box::new(CampaignFetcher {
+            let fetcher = CampaignFetcher {
                 body: Arc::clone(&script.body),
                 digest: script.digest,
-            })
-        }
-        _ => Box::new(hf_shell::NullFetcher),
-    };
-
-    let mut driver = SessionDriver::accept(
-        config,
-        plan.honeypot,
-        plan.protocol,
-        client.ip,
-        rng.gen_range(1024..65_535),
-        start,
-        fetcher,
-    );
-
-    if plan.protocol == Protocol::Ssh {
-        driver.client_banner(CLIENT_BANNERS[rng.gen_range(0..CLIENT_BANNERS.len())]);
-    }
-
-    match plan.behavior {
-        Behavior::Scan { linger_secs } => {
-            if driver.advance(linger_secs as u32) {
-                driver.client_close();
-            }
-        }
-        Behavior::Scout { attempts } => {
-            for _ in 0..attempts {
-                let c = ctx.creds.failed(&mut rng);
-                driver.offer_credentials(c, rng.gen_range(1..5));
-                if driver.finished() {
-                    break;
-                }
-            }
-            driver.client_close();
-        }
-        Behavior::LoginIdle { idle_to_timeout } => {
-            login(&mut driver, ctx, None, &mut rng);
-            if idle_to_timeout {
-                // Wait out the 3-minute idle timer.
-                driver.advance(200);
-            } else {
-                driver.advance(rng.gen_range(3..50));
-                driver.client_close();
-            }
+            };
+            (&script.lines, Box::new(fetcher))
         }
         Behavior::Recon { variant } => {
-            let key = variant as u64 ^ (plan.seed % 8);
+            let key = recon_key(plan, variant);
             let lines = prepared
                 .recon
                 .get(&key)
                 .ok_or(SimError::MissingPreparedRecon { key })?;
-            login(&mut driver, ctx, None, &mut rng);
-            for line in lines {
-                if driver
-                    .run_parsed_quiet(&line.buf, rng.gen_range(1..6))
-                    .is_none()
-                {
-                    break;
-                }
-            }
-            // A substantial share of CMD sessions end in the idle timeout
-            // (Fig. 7); the rest close promptly.
-            if !driver.finished() {
-                if rng.gen_range(0..100) < 35 {
-                    driver.advance(200);
-                } else {
-                    driver.client_close();
-                }
-            }
+            (lines, Box::new(hf_shell::NullFetcher))
         }
-        Behavior::Script { campaign } => {
-            let spec = ctx.catalog.get(campaign);
-            let variant = spec.variant_on(plan.day);
-            let script = prepared
-                .campaigns
-                .get(&(campaign.0, variant))
-                .expect("checked when building the fetcher");
-            login(&mut driver, ctx, spec.fixed_password, &mut rng);
-            for line in &script.lines {
-                if driver
-                    .run_parsed_quiet(&line.buf, rng.gen_range(1..5))
-                    .is_none()
-                {
-                    break;
-                }
-                for _ in 0..line.transfers {
-                    // Transfer time; resets the idle timer (CMD+URI sessions
-                    // may legitimately exceed the 3-minute cap).
-                    driver.external_transfer(rng.gen_range(2..120));
-                }
-            }
-            if !driver.finished() {
-                if rng.gen_range(0..100) < 20 {
-                    driver.advance(200);
-                } else {
-                    driver.client_close();
-                }
-            }
-            let record = driver.into_record();
-            for h in record
-                .file_hashes
-                .iter()
-                .chain(record.download_hashes.iter())
-            {
-                tags.record(*h, spec.tag.label(), &spec.name);
-            }
-            return Ok(record);
-        }
-    }
-    Ok(driver.into_record())
+        _ => (&[], Box::new(hf_shell::NullFetcher)),
+    };
+    Ok(run_session(
+        ctx,
+        plan,
+        tags,
+        fetcher,
+        lines,
+        |driver, line, think_secs| {
+            driver
+                .run_parsed_quiet(&line.buf, think_secs)
+                .map(|_| line.transfers)
+        },
+    ))
 }
 
-/// Shared tail of the cached paths: drive a real [`SessionDriver`] through
-/// auth and timing, injecting the cached shell outcome. Byte-identical to
+/// The cached path's session: drive a real [`SessionDriver`] through auth
+/// and timing, injecting the cached shell outcome. Byte-identical to
 /// what the slow path records for the same plan, minus shell re-emulation.
 fn replay_cached(
     ctx: &ExecCtx<'_>,
@@ -584,43 +450,64 @@ fn replay_cached(
     for _ in 0..outcome.transfers {
         driver.external_transfer(rng.gen_range(2..120));
     }
-    if !driver.finished() {
-        if rng.gen_range(0..100) < 25 {
-            driver.advance(200);
-        } else {
-            driver.client_close();
-        }
-    }
+    close_or_idle_out(&mut driver, &mut rng, 25);
     let record = driver.into_record();
     if let Some((tag, campaign)) = tag_info {
-        for h in record
-            .file_hashes
-            .iter()
-            .chain(record.download_hashes.iter())
-        {
-            tags.record(*h, tag, campaign);
-        }
+        tag_hashes(tags, &record, tag, campaign);
     }
     record
 }
 
 /// Execute a single plan, returning the finished record and tagging any
-/// produced hashes in `tags`.
+/// produced hashes in `tags`. The reference line executor: every script
+/// line is lexed and rendered as the session types it, transfers are
+/// counted on the fly, and the campaign payload is hashed per session.
 pub fn execute_plan(ctx: &ExecCtx<'_>, plan: &SessionPlan, tags: &mut TagDb) -> SessionRecord {
+    let (lines, fetcher): (Vec<String>, Box<dyn RemoteFetcher>) = match plan.behavior {
+        Behavior::Script { campaign } => {
+            let spec = ctx.catalog.get(campaign);
+            let variant = spec.variant_on(plan.day);
+            let fetcher = CampaignFetcher::new(spec.payload_bytes(variant));
+            (spec.script(variant), Box::new(fetcher))
+        }
+        Behavior::Recon { variant } => (
+            recon_script(recon_key(plan, variant)),
+            Box::new(hf_shell::NullFetcher),
+        ),
+        _ => (Vec::new(), Box::new(hf_shell::NullFetcher)),
+    };
+    run_session(
+        ctx,
+        plan,
+        tags,
+        fetcher,
+        &lines,
+        |driver, line, think_secs| {
+            let transfers = transfer_count(line);
+            driver.run_command(line, think_secs).map(|_| transfers)
+        },
+    )
+}
+
+/// The one session skeleton: RNG draw order, the five [`Behavior`] arms,
+/// the close/timeout tail, and hash tagging. `lines` is the script a
+/// `Recon`/`Script` plan types (empty otherwise) in whatever form the
+/// caller holds it; `run_line` executes one line after `think_secs` and
+/// returns the number of transfers it started, or `None` once the session
+/// has ended. That is the only part [`execute_plan`] and
+/// [`execute_plan_full`] do differently.
+fn run_session<L>(
+    ctx: &ExecCtx<'_>,
+    plan: &SessionPlan,
+    tags: &mut TagDb,
+    fetcher: Box<dyn RemoteFetcher>,
+    lines: &[L],
+    run_line: impl Fn(&mut SessionDriver, &L, u32) -> Option<u32>,
+) -> SessionRecord {
     let mut rng = SmallRng::seed_from_u64(plan.seed);
     let client = ctx.pool.get(plan.client);
     let start = SimInstant::from_day_and_secs(plan.day, plan.start_secs.min(86_399));
     let config = ctx.configs[plan.honeypot as usize].clone();
-
-    // Fetcher: campaign payload for scripts, unreachable host otherwise.
-    let fetcher: Box<dyn RemoteFetcher> = match plan.behavior {
-        Behavior::Script { campaign } => {
-            let spec = ctx.catalog.get(campaign);
-            let variant = spec.variant_on(plan.day);
-            Box::new(CampaignFetcher::new(spec.payload_bytes(variant)))
-        }
-        _ => Box::new(hf_shell::NullFetcher),
-    };
 
     let mut driver = SessionDriver::accept(
         config,
@@ -662,57 +549,65 @@ pub fn execute_plan(ctx: &ExecCtx<'_>, plan: &SessionPlan, tags: &mut TagDb) -> 
                 driver.client_close();
             }
         }
-        Behavior::Recon { variant } => {
+        Behavior::Recon { .. } => {
             login(&mut driver, ctx, None, &mut rng);
-            for line in recon_script(variant as u64 ^ (plan.seed % 8)) {
-                if driver.run_command(&line, rng.gen_range(1..6)).is_none() {
+            for line in lines {
+                if run_line(&mut driver, line, rng.gen_range(1..6)).is_none() {
                     break;
                 }
             }
             // A substantial share of CMD sessions end in the idle timeout
             // (Fig. 7); the rest close promptly.
-            if !driver.finished() {
-                if rng.gen_range(0..100) < 35 {
-                    driver.advance(200);
-                } else {
-                    driver.client_close();
-                }
-            }
+            close_or_idle_out(&mut driver, &mut rng, 35);
         }
         Behavior::Script { campaign } => {
             let spec = ctx.catalog.get(campaign);
-            let variant = spec.variant_on(plan.day);
             login(&mut driver, ctx, spec.fixed_password, &mut rng);
-            for line in spec.script(variant) {
-                let transfers = transfer_count(&line);
-                if driver.run_command(&line, rng.gen_range(1..5)).is_none() {
+            for line in lines {
+                let Some(transfers) = run_line(&mut driver, line, rng.gen_range(1..5)) else {
                     break;
-                }
+                };
                 for _ in 0..transfers {
                     // Transfer time; resets the idle timer (CMD+URI sessions
                     // may legitimately exceed the 3-minute cap).
                     driver.external_transfer(rng.gen_range(2..120));
                 }
             }
-            if !driver.finished() {
-                if rng.gen_range(0..100) < 20 {
-                    driver.advance(200);
-                } else {
-                    driver.client_close();
-                }
-            }
+            close_or_idle_out(&mut driver, &mut rng, 20);
             let record = driver.into_record();
-            for h in record
-                .file_hashes
-                .iter()
-                .chain(record.download_hashes.iter())
-            {
-                tags.record(*h, spec.tag.label(), &spec.name);
-            }
+            tag_hashes(tags, &record, spec.tag.label(), &spec.name);
             return record;
         }
     }
     driver.into_record()
+}
+
+/// Recon template selector: the planned variant perturbed by the plan seed.
+fn recon_key(plan: &SessionPlan, variant: u16) -> u64 {
+    variant as u64 ^ (plan.seed % 8)
+}
+
+/// End a shell session that is still open: `timeout_pct` percent sit out
+/// the idle timer, the rest close promptly.
+fn close_or_idle_out(driver: &mut SessionDriver, rng: &mut SmallRng, timeout_pct: u32) {
+    if !driver.finished() {
+        if rng.gen_range(0..100) < timeout_pct {
+            driver.advance(200);
+        } else {
+            driver.client_close();
+        }
+    }
+}
+
+/// Attribute every hash a session produced to its campaign.
+fn tag_hashes(tags: &mut TagDb, record: &SessionRecord, tag: &str, campaign: &str) {
+    for h in record
+        .file_hashes
+        .iter()
+        .chain(record.download_hashes.iter())
+    {
+        tags.record(*h, tag, campaign);
+    }
 }
 
 /// Log in, possibly with a preceding failed attempt (NO_CMD sessions "might
@@ -965,39 +860,6 @@ mod tests {
     fn is_transfer_line_wraps_count() {
         assert!(is_transfer_line("wget http://a/x"));
         assert!(!is_transfer_line("echo wget"));
-    }
-
-    #[test]
-    fn prepared_matches_cached_execution() {
-        let f = fixture();
-        let c = ctx(&f, true);
-        let h5 = f.eco.catalog.by_name("H5").unwrap().id;
-        let plans = vec![
-            plan_with(Behavior::Script { campaign: h5 }, Protocol::Telnet),
-            plan_with(Behavior::Recon { variant: 3 }, Protocol::Ssh),
-            plan_with(Behavior::Scan { linger_secs: 5 }, Protocol::Telnet),
-        ];
-        let mut lazy_cache = ScriptCache::new();
-        let mut lazy_tags = TagDb::new();
-        let lazy: Vec<_> = plans
-            .iter()
-            .map(|p| execute_plan_cached(&c, p, &mut lazy_tags, &mut lazy_cache))
-            .collect();
-
-        let mut pre_cache = ScriptCache::new();
-        pre_cache.precompute_day(&c, &plans);
-        assert_eq!(pre_cache.len(), lazy_cache.len());
-        let mut pre_tags = TagDb::new();
-        let prepared: Vec<_> = plans
-            .iter()
-            .map(|p| execute_plan_prepared(&c, p, &mut pre_tags, &pre_cache).unwrap())
-            .collect();
-
-        assert_eq!(lazy, prepared);
-        assert_eq!(lazy_tags.len(), pre_tags.len());
-        for (h, e) in lazy_tags.iter() {
-            assert_eq!(pre_tags.tag(h), Some(e.tag.as_str()));
-        }
     }
 
     #[test]

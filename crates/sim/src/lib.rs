@@ -19,8 +19,8 @@ pub mod runner;
 
 pub use error::SimError;
 pub use exec::{
-    execute_plan, execute_plan_cached, execute_plan_full, execute_plan_prepared, ExecCtx,
-    PreparedScripts, ScriptCache, ScriptOutcome,
+    execute_plan, execute_plan_full, execute_plan_prepared, ExecCtx, PreparedScripts, ScriptCache,
+    ScriptOutcome,
 };
-pub use parallel::{execute_day_sharded, DayMode, DayStats};
+pub use parallel::{DayMode, DayStats};
 pub use runner::{FoldOutput, SimConfig, SimOutput, Simulation};

@@ -17,11 +17,12 @@
 //!    [`TagDb`] shard. Workers share nothing mutable — both [`DayMode`]s
 //!    carry day state that was pre-filled serially (pre-parsed scripts or
 //!    pre-computed outcomes) and is read immutably.
-//! 3. Shards are merged *in chunk order*: record vectors are concatenated
-//!    (which reproduces the serial ingest order exactly, because
-//!    concatenating in-order chunks of an ordered sequence yields the
-//!    sequence), and tag shards are folded with [`TagDb::merge`], whose
-//!    keep-existing rule makes "first shard wins" equal "first plan wins".
+//! 3. Shards come back from [`hf_obs::map_ordered`] and are merged *in chunk
+//!    order*: record vectors are concatenated (which reproduces the serial
+//!    ingest order exactly, because concatenating in-order chunks of an
+//!    ordered sequence yields the sequence), and tag shards are folded with
+//!    [`TagDb::merge`], whose keep-existing rule makes "first shard wins"
+//!    equal "first plan wins".
 //!
 //! The result: `threads = N` produces byte-identical output to `threads = 1`
 //! for every N, and the scheduler's interleaving of workers is invisible.
@@ -131,8 +132,9 @@ fn execute_chunk(
 /// execution exactly while skipping the whole-day record concatenation the
 /// old single-vector API paid. The `mode`'s day state must already cover
 /// these plans (see [`DayMode`]); a gap surfaces as `Err(SimError)` naming
-/// the missing key. A worker panic (a bug, not a coverage gap) is resumed
-/// on the caller's thread.
+/// the missing key. Shards fan out through [`hf_obs::map_ordered`], so a
+/// single shard runs inline and a worker panic (a bug, not a coverage gap)
+/// is resumed on the caller's thread.
 pub fn execute_day_shards(
     ctx: &ExecCtx<'_>,
     plans: &[SessionPlan],
@@ -142,65 +144,19 @@ pub fn execute_day_shards(
     let threads = threads.max(1);
     let max_useful = plans.len().div_ceil(mode.min_shard_plans()).max(1);
     let shards_n = threads.min(max_useful);
-    if shards_n == 1 {
-        // One shard: run inline, no spawn/join round-trip.
+    // One shard is the whole day, even an empty one.
+    let chunks: Vec<&[SessionPlan]> = if shards_n == 1 {
+        vec![plans]
+    } else {
+        plans.chunks(plans.len().div_ceil(shards_n)).collect()
+    };
+    hf_obs::map_ordered(chunks, |chunk| {
         hf_obs::counter!("sim.shards_executed", 1);
         let _span = hf_obs::span!("sim.shard_execute");
-        return Ok(vec![execute_chunk(ctx, plans, mode)?]);
-    }
-    let chunk_len = plans.len().div_ceil(shards_n).max(1);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    // Workers record into thread-local buffers and flush
-                    // before exiting (the span must drop first so its
-                    // sample is in the buffer the flush drains).
-                    hf_obs::counter!("sim.shards_executed", 1);
-                    let out = {
-                        let _span = hf_obs::span!("sim.shard_execute");
-                        execute_chunk(ctx, chunk, mode)
-                    };
-                    hf_obs::flush();
-                    out
-                })
-            })
-            .collect();
-        // Joining in spawn order *is* the ordered merge: chunk i's results
-        // land before chunk i+1's regardless of which finished first. A
-        // panicking worker re-raises its payload here instead of being
-        // swallowed into a generic join error.
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
+        execute_chunk(ctx, chunk, mode)
     })
-}
-
-/// Execute one day's plans across `threads` workers, returning the finished
-/// records in plan order plus the day's merged tag shard.
-///
-/// Convenience wrapper over [`execute_day_shards`] that concatenates the
-/// shards. Output is byte-identical for any `threads >= 1` — see the
-/// module docs for why.
-pub fn execute_day_sharded(
-    ctx: &ExecCtx<'_>,
-    plans: &[SessionPlan],
-    threads: usize,
-    mode: DayMode<'_>,
-) -> Result<(Vec<SessionRecord>, TagDb), SimError> {
-    let mut records = Vec::with_capacity(plans.len());
-    let mut tags = TagDb::new();
-    for (shard_records, shard_tags) in execute_day_shards(ctx, plans, threads, mode)? {
-        records.extend(shard_records);
-        tags.merge(shard_tags);
-    }
-    Ok((records, tags))
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -209,6 +165,23 @@ mod tests {
     use crate::exec::build_configs;
     use hf_agents::{Ecosystem, EcosystemConfig, Scale};
     use hf_simclock::StudyWindow;
+
+    /// One day's records in plan order plus the merged tag shard — the
+    /// shards of [`execute_day_shards`] consumed the way the runner does.
+    fn execute_day_sharded(
+        ctx: &ExecCtx<'_>,
+        plans: &[SessionPlan],
+        threads: usize,
+        mode: DayMode<'_>,
+    ) -> Result<(Vec<SessionRecord>, TagDb), SimError> {
+        let mut records = Vec::with_capacity(plans.len());
+        let mut tags = TagDb::new();
+        for (shard_records, shard_tags) in execute_day_shards(ctx, plans, threads, mode)? {
+            records.extend(shard_records);
+            tags.merge(shard_tags);
+        }
+        Ok((records, tags))
+    }
 
     fn day_plans() -> (Ecosystem, Vec<SessionPlan>) {
         let mut eco = Ecosystem::new(EcosystemConfig {

@@ -206,9 +206,9 @@ pub struct Simulation;
 
 impl Simulation {
     /// Run the full window, panicking on an internal coverage bug (see
-    /// [`Simulation::try_run`] for the fallible form).
+    /// [`Simulation::try_run_with_progress`] for the fallible form).
     pub fn run(config: SimConfig) -> SimOutput {
-        Self::try_run(config).unwrap_or_else(|e| panic!("simulation failed: {e}"))
+        Self::run_with_progress(config, |_| {})
     }
 
     /// Run with a per-day progress callback receiving a [`DayStats`]
@@ -218,14 +218,10 @@ impl Simulation {
             .unwrap_or_else(|e| panic!("simulation failed: {e}"))
     }
 
-    /// Fallible form of [`Simulation::run`]: a day pre-pass coverage gap
-    /// (a `prepare_day`/`precompute_day` bug) surfaces as a typed
-    /// [`SimError`] naming the missing key instead of a panic mid-shard.
-    pub fn try_run(config: SimConfig) -> Result<SimOutput, SimError> {
-        Self::try_run_with_progress(config, |_| {})
-    }
-
-    /// Fallible form of [`Simulation::run_with_progress`].
+    /// Fallible form of [`Simulation::run_with_progress`]: a day pre-pass
+    /// coverage gap (a `prepare_day`/`precompute_day` bug) surfaces as a
+    /// typed [`SimError`] naming the missing key instead of a panic
+    /// mid-shard.
     pub fn try_run_with_progress(
         config: SimConfig,
         mut progress: impl FnMut(&DayStats),
@@ -244,24 +240,12 @@ impl Simulation {
     /// whole window. Panics on internal coverage bugs like
     /// [`Simulation::run`].
     pub fn run_fold(config: SimConfig) -> FoldOutput {
-        Self::try_run_fold(config).unwrap_or_else(|e| panic!("simulation failed: {e}"))
-    }
-
-    /// [`Simulation::run_fold`] with a per-day [`DayStats`] callback.
-    pub fn run_fold_with_progress(
-        config: SimConfig,
-        progress: impl FnMut(&DayStats),
-    ) -> FoldOutput {
-        Self::try_run_fold_with_progress(config, progress)
+        Self::try_run_fold_with_progress(config, |_| {})
             .unwrap_or_else(|e| panic!("simulation failed: {e}"))
     }
 
-    /// Fallible form of [`Simulation::run_fold`].
-    pub fn try_run_fold(config: SimConfig) -> Result<FoldOutput, SimError> {
-        Self::try_run_fold_with_progress(config, |_| {})
-    }
-
-    /// Fallible form of [`Simulation::run_fold_with_progress`].
+    /// Fallible form of [`Simulation::run_fold`], with a per-day
+    /// [`DayStats`] callback.
     ///
     /// The fold hook runs after each day's ingest: it scans the day's rows
     /// into a [`StreamingFold`] (same per-row ingest as

@@ -6,8 +6,9 @@
 //!     persist the collected run as an hfstore snapshot. With `--fold`,
 //!     run out-of-core: each completed day is folded into the aggregates
 //!     and its rows retired, so peak memory is bounded by one day's
-//!     traffic instead of the whole window (no snapshot is written; the
-//!     report is identical to the in-memory path).
+//!     traffic instead of the whole window (no snapshot is written, so
+//!     `--fold --snapshot FILE` is a usage error; the report is identical
+//!     to the in-memory path).
 //! hfarm report   [--snapshot FILE] [--out DIR] [--streaming]
 //!     Load a snapshot and run the full report pipeline without
 //!     re-simulating; output is byte-identical to the producing simulate.
@@ -19,8 +20,9 @@
 //!     (credentials, command n-grams, timing, ident, geography, taxonomy
 //!     mix), normalize with the fixed DESIGN.md §15 scaling, and run the
 //!     deterministic seeded k-means with its silhouette sweep. Reads a
-//!     live sim by default, a snapshot with `--snapshot`, or folds the
-//!     snapshot chunk-at-a-time with `--streaming` (bounded RSS). Writes
+//!     live sim by default, a snapshot with `--snapshot`, or folds that
+//!     snapshot chunk-at-a-time with `--streaming` (bounded RSS; a usage
+//!     error without `--snapshot`). Writes
 //!     `cluster_assignments.tsv` + `cluster_summary.tsv` into `--out` and
 //!     prints the per-cluster summary; output is bit-identical across
 //!     thread counts and ingest paths. `--k` pins k and skips the sweep.
@@ -202,44 +204,164 @@ fn sim_config(c: &Common) -> SimConfig {
     }
 }
 
-fn simulate(c: &Common) -> (SimOutput, Aggregates) {
+/// Where a command's sessions come from. Every command that analyses a run
+/// picks its source here, so flag conflicts are rejected in one place.
+enum Source {
+    /// Simulate in memory; `simulate` also persists the run as a snapshot.
+    Sim { persist: bool },
+    /// Simulate out-of-core, folding and retiring each day's rows.
+    SimFold,
+    /// Read the `--snapshot` file and materialize its rows.
+    Snapshot,
+    /// Fold the `--snapshot` file chunk by chunk, never holding all rows.
+    SnapshotStream,
+}
+
+fn source(cmd: &str, c: &Common) -> Source {
+    match cmd {
+        "simulate" if c.fold && c.snapshot_explicit => usage(
+            "--fold retires rows day by day and writes no snapshot: drop --snapshot or --fold",
+        ),
+        "simulate" if c.fold => Source::SimFold,
+        "cluster" if c.streaming && !c.snapshot_explicit => {
+            usage("--streaming folds an existing snapshot: name it with --snapshot FILE")
+        }
+        "report" | "cluster" if c.streaming => Source::SnapshotStream,
+        "report" => Source::Snapshot,
+        "cluster" if c.snapshot_explicit => Source::Snapshot,
+        _ => Source::Sim {
+            persist: cmd == "simulate",
+        },
+    }
+}
+
+/// Build the sim config and print the run banner (`mode` is empty or a
+/// `", …"` suffix naming the execution mode).
+fn announce_sim(c: &Common, mode: &str) -> SimConfig {
     let config = sim_config(c);
     eprintln!(
-        "simulating {} days at scale {} (seed {}, {} thread{}) …",
+        "simulating {} days at scale {} (seed {}, {} thread{}{mode}) …",
         config.window.num_days(),
         c.scale,
         c.seed,
         c.threads,
         if c.threads == 1 { "" } else { "s" }
     );
-    let out = Simulation::run(config);
-    eprintln!(
-        "{} sessions / {} clients / {} hashes",
-        out.dataset.len(),
-        out.n_clients,
-        out.tags.len()
-    );
-    let agg = Aggregates::compute_threaded(&out.dataset, c.threads);
-    (out, agg)
+    config
 }
 
-/// Write the report dir + claims for a collected run — shared by
-/// `simulate` (fresh run) and `report` (snapshot reload), so both paths
-/// produce byte-identical output from identical data. Builder groups run
-/// across `threads` workers (output is thread-count invariant).
-fn write_report(dataset: &Dataset, tags: &TagDb, agg: &Aggregates, out_dir: &Path, threads: usize) {
-    let report = Report::build_with_tags_threaded(dataset, agg, tags, threads);
-    report.write_dir(out_dir).expect("write report");
-    let claims = Claims::compute(agg);
-    std::fs::write(out_dir.join("claims.json"), claims.to_json()).expect("claims");
+fn snapshot_error(doing: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("error {doing} snapshot: {e}");
+    std::process::exit(1)
+}
+
+/// Read and materialize the `--snapshot` file.
+fn load_snapshot(c: &Common) -> (honeyfarm::farm::SnapshotMeta, SimOutput) {
+    eprintln!("loading snapshot {} …", c.snapshot.display());
+    let snap = Snapshot::read_file(&c.snapshot).unwrap_or_else(|e| snapshot_error("loading", e));
+    (snap.meta, SimOutput::from_snapshot(snap))
+}
+
+/// Open the `--snapshot` file for a chunk-at-a-time fold.
+fn open_snapshot_stream(c: &Common) -> std::io::BufReader<std::fs::File> {
+    eprintln!("streaming snapshot {} …", c.snapshot.display());
+    let file = std::fs::File::open(&c.snapshot).unwrap_or_else(|e| snapshot_error("opening", e));
+    std::io::BufReader::new(file)
+}
+
+fn report_peak_rss() {
+    if let Some(kb) = honeyfarm::obs::peak_rss_kb() {
+        eprintln!("peak RSS: {} MB", kb / 1024);
+    }
+}
+
+/// The one loader behind `simulate`, `report`, `claims` and `birth`: run or
+/// read `cmd`'s [`Source`] and return the run together with its aggregates. The
+/// dataset keeps its rows for the two materialized sources and is rowless
+/// for the two folded ones; nothing downstream reads rows, which is why all
+/// four yield byte-identical reports from identical data.
+fn load(cmd: &str, c: &Common) -> FoldOutput {
+    let materialized = |out: SimOutput| FoldOutput {
+        aggregates: Aggregates::compute_threaded(&out.dataset, c.threads),
+        dataset: out.dataset,
+        tags: out.tags,
+        n_clients: out.n_clients,
+    };
+    let folded = |fold: FoldOutput| {
+        eprintln!(
+            "{} sessions folded / {} clients / {} hashes",
+            fold.aggregates.total_sessions,
+            fold.n_clients,
+            fold.tags.len()
+        );
+        fold
+    };
+    match source(cmd, c) {
+        Source::Sim { persist } => {
+            let config = announce_sim(c, "");
+            let out = Simulation::run(config.clone());
+            eprintln!(
+                "{} sessions / {} clients / {} hashes",
+                out.dataset.len(),
+                out.n_clients,
+                out.tags.len()
+            );
+            if persist {
+                if let Some(dir) = c.snapshot.parent() {
+                    std::fs::create_dir_all(dir).expect("snapshot dir");
+                }
+                if let Err(e) = out.to_snapshot(&config).write_file(&c.snapshot) {
+                    snapshot_error("writing", e);
+                }
+                eprintln!("snapshot written to {}", c.snapshot.display());
+            }
+            materialized(out)
+        }
+        Source::SimFold => {
+            let fold = folded(Simulation::run_fold(announce_sim(c, ", out-of-core fold")));
+            eprintln!("fold mode retires rows as it goes; no snapshot written");
+            report_peak_rss();
+            fold
+        }
+        Source::Snapshot => {
+            let (meta, out) = load_snapshot(c);
+            eprintln!(
+                "{} sessions / {} clients / {} hashes (seed {}, scale {}, {} days)",
+                out.dataset.len(),
+                out.n_clients,
+                out.tags.len(),
+                meta.seed,
+                meta.scale_volume,
+                meta.days
+            );
+            materialized(out)
+        }
+        Source::SnapshotStream => {
+            let fold = FoldOutput::from_snapshot_stream(open_snapshot_stream(c))
+                .unwrap_or_else(|e| snapshot_error("streaming", e));
+            let fold = folded(fold);
+            report_peak_rss();
+            fold
+        }
+    }
+}
+
+/// Write the report dir + claims for a loaded run. Builder groups run
+/// across `--threads` workers (output is thread-count invariant).
+fn write_report(run: &FoldOutput, c: &Common) {
+    let report =
+        Report::build_with_tags_threaded(&run.dataset, &run.aggregates, &run.tags, c.threads);
+    report.write_dir(&c.out).expect("write report");
+    let claims = Claims::compute(&run.aggregates);
+    std::fs::write(c.out.join("claims.json"), claims.to_json()).expect("claims");
     println!("{}", report.summary());
-    println!("report written to {}", out_dir.display());
+    println!("report written to {}", c.out.display());
 }
 
 /// `hfarm cluster` — per-client feature extraction + seeded k-means, from
 /// a live sim, a materialized snapshot, or a bounded-RSS streaming read.
 /// All three paths produce bit-identical TSVs from the same data (held by
-/// `tests/cluster_invariance.rs` and the CI streaming smoke's `diff`).
+/// `tests/cluster_invariance.rs` and `tests/cli_sources.rs`).
 fn cluster_cmd(c: &Common) {
     use honeyfarm::cluster;
 
@@ -247,44 +369,22 @@ fn cluster_cmd(c: &Common) {
         force_k: c.k,
         ..cluster::KMeansConfig::default()
     };
-    let run = if c.snapshot_explicit && c.streaming {
-        eprintln!("streaming snapshot {} …", c.snapshot.display());
-        let file = std::fs::File::open(&c.snapshot).unwrap_or_else(|e| {
-            eprintln!("error opening snapshot: {e}");
-            std::process::exit(1);
-        });
-        let (_plan, feats) = cluster::features_from_snapshot_stream(std::io::BufReader::new(file))
-            .unwrap_or_else(|e| {
-                eprintln!("error streaming snapshot: {e}");
-                std::process::exit(1);
-            });
-        eprintln!("{} clients folded (streaming)", feats.len());
-        if let Some(kb) = honeyfarm::obs::peak_rss_kb() {
-            eprintln!("peak RSS: {} MB", kb / 1024);
+    let run = match source("cluster", c) {
+        Source::SnapshotStream => {
+            let (_plan, feats) = cluster::features_from_snapshot_stream(open_snapshot_stream(c))
+                .unwrap_or_else(|e| snapshot_error("streaming", e));
+            eprintln!("{} clients folded (streaming)", feats.len());
+            report_peak_rss();
+            ClusterRun::finish(feats, &cfg)
         }
-        ClusterRun::finish(feats, &cfg)
-    } else if c.snapshot_explicit {
-        eprintln!("loading snapshot {} …", c.snapshot.display());
-        let snap = Snapshot::read_file(&c.snapshot).unwrap_or_else(|e| {
-            eprintln!("error loading snapshot: {e}");
-            std::process::exit(1);
-        });
-        let out = SimOutput::from_snapshot(snap);
-        eprintln!("{} sessions / {} clients", out.dataset.len(), out.n_clients);
-        ClusterRun::over(&out.dataset, c.threads, &cfg)
-    } else {
-        let config = sim_config(c);
-        eprintln!(
-            "simulating {} days at scale {} (seed {}, {} thread{}) …",
-            config.window.num_days(),
-            c.scale,
-            c.seed,
-            c.threads,
-            if c.threads == 1 { "" } else { "s" }
-        );
-        let out = Simulation::run(config);
-        eprintln!("{} sessions / {} clients", out.dataset.len(), out.n_clients);
-        ClusterRun::over(&out.dataset, c.threads, &cfg)
+        materialized => {
+            let out = match materialized {
+                Source::Snapshot => load_snapshot(c).1,
+                _ => Simulation::run(announce_sim(c, "")),
+            };
+            eprintln!("{} sessions / {} clients", out.dataset.len(), out.n_clients);
+            ClusterRun::over(&out.dataset, c.threads, &cfg)
+        }
     };
     std::fs::create_dir_all(&c.out).expect("out dir");
     let assignments = cluster::assignments_tsv(&run.features, &run.matrix, &run.output);
@@ -400,108 +500,19 @@ fn main() {
         honeyfarm::obs::enable();
     }
     match cmd.as_str() {
-        "simulate" if c.fold => {
-            let config = sim_config(&c);
-            eprintln!(
-                "simulating {} days at scale {} (seed {}, {} thread{}, out-of-core fold) …",
-                config.window.num_days(),
-                c.scale,
-                c.seed,
-                c.threads,
-                if c.threads == 1 { "" } else { "s" }
-            );
-            let fold = Simulation::run_fold(config);
-            eprintln!(
-                "{} sessions folded / {} clients / {} hashes",
-                fold.aggregates.total_sessions,
-                fold.n_clients,
-                fold.tags.len()
-            );
-            eprintln!("fold mode retires rows as it goes; no snapshot written");
-            if let Some(kb) = honeyfarm::obs::peak_rss_kb() {
-                eprintln!("peak RSS: {} MB", kb / 1024);
-            }
-            write_report(
-                &fold.dataset,
-                &fold.tags,
-                &fold.aggregates,
-                &c.out,
-                c.threads,
-            );
-            emit_metrics(&c, "hfarm simulate");
-        }
-        "simulate" => {
-            let config = sim_config(&c);
-            let (out, agg) = simulate(&c);
-            if let Some(dir) = c.snapshot.parent() {
-                std::fs::create_dir_all(dir).expect("snapshot dir");
-            }
-            if let Err(e) = out.to_snapshot(&config).write_file(&c.snapshot) {
-                eprintln!("error writing snapshot: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("snapshot written to {}", c.snapshot.display());
-            write_report(&out.dataset, &out.tags, &agg, &c.out, c.threads);
-            emit_metrics(&c, "hfarm simulate");
-        }
-        "report" if c.streaming => {
-            eprintln!("streaming snapshot {} …", c.snapshot.display());
-            let file = std::fs::File::open(&c.snapshot).unwrap_or_else(|e| {
-                eprintln!("error opening snapshot: {e}");
-                std::process::exit(1);
-            });
-            let fold = FoldOutput::from_snapshot_stream(std::io::BufReader::new(file))
-                .unwrap_or_else(|e| {
-                    eprintln!("error streaming snapshot: {e}");
-                    std::process::exit(1);
-                });
-            eprintln!(
-                "{} sessions folded / {} clients / {} hashes",
-                fold.aggregates.total_sessions,
-                fold.n_clients,
-                fold.tags.len()
-            );
-            if let Some(kb) = honeyfarm::obs::peak_rss_kb() {
-                eprintln!("peak RSS: {} MB", kb / 1024);
-            }
-            write_report(
-                &fold.dataset,
-                &fold.tags,
-                &fold.aggregates,
-                &c.out,
-                c.threads,
-            );
-            emit_metrics(&c, "hfarm report");
-        }
-        "report" => {
-            eprintln!("loading snapshot {} …", c.snapshot.display());
-            let snap = Snapshot::read_file(&c.snapshot).unwrap_or_else(|e| {
-                eprintln!("error loading snapshot: {e}");
-                std::process::exit(1);
-            });
-            let meta = snap.meta;
-            let out = SimOutput::from_snapshot(snap);
-            eprintln!(
-                "{} sessions / {} clients / {} hashes (seed {}, scale {}, {} days)",
-                out.dataset.len(),
-                out.n_clients,
-                out.tags.len(),
-                meta.seed,
-                meta.scale_volume,
-                meta.days
-            );
-            let agg = Aggregates::compute_threaded(&out.dataset, c.threads);
-            write_report(&out.dataset, &out.tags, &agg, &c.out, c.threads);
-            emit_metrics(&c, "hfarm report");
+        "simulate" | "report" => {
+            let run = load(cmd, &c);
+            write_report(&run, &c);
+            emit_metrics(&c, &format!("hfarm {cmd}"));
         }
         "cluster" => cluster_cmd(&c),
         "claims" => {
-            let (_, agg) = simulate(&c);
-            println!("{}", Claims::compute(&agg));
+            let run = load(cmd, &c);
+            println!("{}", Claims::compute(&run.aggregates));
         }
         "birth" => {
-            let (_, agg) = simulate(&c);
-            println!("{}", birth_report(&agg));
+            let run = load(cmd, &c);
+            println!("{}", birth_report(&run.aggregates));
         }
         "serve" => serve(&c),
         "loadgen" => loadgen(&c),
@@ -752,8 +763,7 @@ fn serve(c: &Common) -> ! {
             std::fs::create_dir_all(dir).expect("snapshot dir");
         }
         if let Err(e) = out.to_snapshot().write_file(&c.snapshot) {
-            eprintln!("error writing snapshot: {e}");
-            std::process::exit(1);
+            snapshot_error("writing", e);
         }
         eprintln!("snapshot written to {}", c.snapshot.display());
     }
