@@ -133,11 +133,6 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Is the campaign active on `day`?
-    pub fn active_on(&self, day: u32) -> bool {
-        self.active_days.binary_search(&day).is_ok()
-    }
-
     /// Sessions to emit on `day` (0 if inactive). The total is spread evenly
     /// over the active days; when there are fewer sessions than active days
     /// the sessions land on evenly spaced days across the whole life (so a

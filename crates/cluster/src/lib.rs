@@ -40,7 +40,7 @@ pub use report::{assignments_tsv, summary_text, summary_tsv};
 
 use std::io::Read;
 
-use hf_farm::{FarmPlan, SnapshotError, SnapshotReader};
+use hf_farm::{DayOrder, FarmPlan, SnapshotError, SnapshotReader};
 
 /// A complete clustering run: the integer accumulators, the normalized
 /// matrix, and the k-means output. Bundles what the CLI, the claims table,
@@ -85,22 +85,12 @@ pub fn features_from_snapshot_stream<R: Read + Send>(
     let reader = SnapshotReader::open(r)?;
     let mut heads = HeadMap::new();
     let mut fold = FeatureFold::new();
-    let mut last_day = 0u32;
+    let mut order = DayOrder::new("streaming feature extraction");
     let (_meta, plan, _sessions, _tags) = reader.fold_chunks(|store, plan, rows| {
         heads.sync(&store.commands);
         for row in rows {
             let v = store.view_row(row);
-            let day = v.day();
-            if day < last_day {
-                return Err(SnapshotError::Corrupt {
-                    section: "rows",
-                    detail: format!(
-                        "streaming feature extraction requires day-ordered rows; \
-                         a day-{day} row follows day {last_day}"
-                    ),
-                });
-            }
-            last_day = day;
+            order.check(v.day())?;
             fold.ingest(plan, &heads, &v);
         }
         hf_obs::counter!("cluster.rows_folded", rows.len() as u64);

@@ -17,8 +17,10 @@
 //! partial states in shard order to be merged front to back. Day alignment
 //! is the invariant that makes the merge exact:
 //!
-//! * per-day matrices and counters occupy disjoint day slots across shards,
-//!   so elementwise addition is a disjoint union;
+//! * every fold starts zero days wide and grows as days appear, and the
+//!   merge first widens the earlier state to the later shard's span; per-day
+//!   matrices and counters then occupy disjoint day slots across shards, so
+//!   elementwise addition is a disjoint union;
 //! * per-entity "distinct active days" counts add, because an entity's days
 //!   in different shards are different days;
 //! * a hash's first sighting is the first shard's first sighting, and the
@@ -34,12 +36,11 @@
 //! # Out-of-core folding
 //!
 //! The same algebra powers the streaming path: [`StreamingFold`] wraps one
-//! shard fold whose day-indexed vectors grow as days appear, so the sim
-//! runner (or a chunked snapshot reader) can ingest each completed day and
-//! retire its rows immediately. Freshness is drained incrementally at day
-//! boundaries through the same serial [`FreshnessSeries`] replay, making
-//! the finished state bit-identical to a materialized
-//! [`Aggregates::compute`] over the concatenated rows.
+//! shard fold, so the sim runner (or a chunked snapshot reader) can ingest
+//! each completed day and retire its rows immediately. Freshness is drained
+//! incrementally at day boundaries through the same serial
+//! [`FreshnessSeries`] replay, making the finished state bit-identical to a
+//! materialized [`Aggregates::compute`] over the concatenated rows.
 //!
 //! # Overflow discipline
 //!
@@ -262,19 +263,20 @@ pub struct Aggregates {
 }
 
 impl Aggregates {
-    /// The identity element of [`Aggregates::merge`] for a given shape.
-    fn empty(n_days: u32, n_honeypots: usize) -> Self {
-        let nd = n_days as usize;
+    /// The identity element of [`Aggregates::merge`]: zero days wide. Every
+    /// fold starts here and widens with [`Aggregates::grow_days`] as days
+    /// appear, so nothing pre-scans for the maximum day.
+    fn empty(n_honeypots: usize) -> Self {
         Aggregates {
-            n_days,
+            n_days: 0,
             n_honeypots,
-            day_hp_sessions: vec![0; nd * n_honeypots],
-            day_hp_by_cat: std::array::from_fn(|_| vec![0; nd * n_honeypots]),
-            day_total: vec![0; nd],
-            day_by_cat: std::array::from_fn(|_| vec![0; nd]),
-            day_unique_ips: vec![[0; 6]; nd],
-            day_combo_clients: vec![[0; 8]; nd],
-            day_region_combos: vec![[[0; 8]; 6]; nd],
+            day_hp_sessions: Vec::new(),
+            day_hp_by_cat: Default::default(),
+            day_total: Vec::new(),
+            day_by_cat: Default::default(),
+            day_unique_ips: Vec::new(),
+            day_combo_clients: Vec::new(),
+            day_region_combos: Vec::new(),
             cat_totals: [0; 5],
             cat_ssh: [0; 5],
             cat_end_reasons: [[0; 3]; 5],
@@ -299,8 +301,7 @@ impl Aggregates {
     }
 
     /// Extend every day-indexed vector to cover `n_days` (append-only:
-    /// existing day slots keep their values). The streaming fold grows its
-    /// window as days appear instead of pre-scanning for the maximum day.
+    /// existing day slots keep their values).
     fn grow_days(&mut self, n_days: u32) {
         if n_days <= self.n_days {
             return;
@@ -332,24 +333,17 @@ impl Aggregates {
         let _span = hf_obs::span!("analysis.aggregates");
         let store = &dataset.sessions;
         let n_honeypots = dataset.plan.len();
-        let n_days = store
-            .iter()
-            .map(|v| v.day())
-            .max()
-            .map(|d| d + 1)
-            .unwrap_or(1);
-
         let parts = store.map_day_shards(threads, |rows| {
             hf_obs::counter!("analysis.shards_folded", 1);
             hf_obs::counter!("analysis.rows_folded", rows.len() as u64);
             let _span = hf_obs::span!("analysis.shard_fold");
-            let mut fold = ShardFold::new(n_days, n_honeypots);
+            let mut fold = ShardFold::new(n_honeypots);
             for row in rows {
                 fold.ingest(&dataset.plan, &store.view_row(row));
             }
             fold.finish()
         });
-        Self::assemble(n_days, n_honeypots, parts)
+        Self::assemble(n_honeypots, parts)
     }
 
     /// Fold one contiguous, day-ordered row range into a partial state:
@@ -361,9 +355,8 @@ impl Aggregates {
     pub fn partial(
         dataset: &Dataset,
         range: std::ops::Range<usize>,
-        n_days: u32,
     ) -> (Aggregates, Vec<(u32, u32)>) {
-        let mut fold = ShardFold::new(n_days, dataset.plan.len());
+        let mut fold = ShardFold::new(dataset.plan.len());
         for v in dataset.sessions.iter_range(range) {
             fold.ingest(&dataset.plan, &v);
         }
@@ -372,11 +365,7 @@ impl Aggregates {
 
     /// Fold shard results in shard order and replay their freshness
     /// observations through one serial series.
-    pub fn assemble(
-        n_days: u32,
-        n_honeypots: usize,
-        parts: Vec<(Aggregates, Vec<(u32, u32)>)>,
-    ) -> Self {
+    pub fn assemble(n_honeypots: usize, parts: Vec<(Aggregates, Vec<(u32, u32)>)>) -> Self {
         let mut fresh = FreshnessSeries::new();
         let mut acc: Option<Aggregates> = None;
         for (part, pairs) in parts {
@@ -394,23 +383,34 @@ impl Aggregates {
                 }
             });
         }
-        let mut agg = acc.unwrap_or_else(|| Aggregates::empty(n_days, n_honeypots));
-        agg.freshness = fresh.finish();
-        agg
+        acc.unwrap_or_else(|| Aggregates::empty(n_honeypots))
+            .sealed(fresh)
+    }
+
+    /// Finish a fold: attach the replayed freshness series and apply the
+    /// one shape rule for a fold that saw no rows — it is one empty day
+    /// wide, not zero.
+    fn sealed(mut self, fresh: FreshnessSeries) -> Self {
+        if self.n_days == 0 {
+            self.grow_days(1);
+        }
+        self.freshness = fresh.finish();
+        self
     }
 
     /// Merge `other` — the partial aggregates of the *next* contiguous,
     /// day-disjoint row shard — into `self`.
     ///
     /// Exactness contract: `other` must cover rows whose days are all
-    /// strictly later than `self`'s (day-aligned sharding guarantees it).
+    /// strictly later than `self`'s (day-aligned sharding guarantees it),
+    /// so `self` first widens to `other`'s day span.
     /// Then per-day slots are disjoint (addition = union), per-entity
     /// distinct-day counts add, first-sightings keep `self`'s, and
     /// last-sightings take `other`'s. Freshness is *not* merged here — it
     /// needs cross-shard window state and is replayed by the caller.
     pub fn merge(&mut self, other: Aggregates) {
-        debug_assert_eq!(self.n_days, other.n_days);
         debug_assert_eq!(self.n_honeypots, other.n_honeypots);
+        self.grow_days(other.n_days);
 
         // u32 cells are per-day/per-honeypot and provably can't overflow at
         // paper scale (see the module's overflow discipline) — but a wrap
@@ -590,9 +590,9 @@ struct ShardFold {
 }
 
 impl ShardFold {
-    fn new(n_days: u32, n_honeypots: usize) -> Self {
+    fn new(n_honeypots: usize) -> Self {
         ShardFold {
-            agg: Aggregates::empty(n_days, n_honeypots),
+            agg: Aggregates::empty(n_honeypots),
             day_state: DayState::default(),
             current_day: 0,
             fresh_seen: IdSet::default(),
@@ -613,9 +613,6 @@ impl ShardFold {
             self.current_day = day;
         }
         if day >= self.agg.n_days {
-            // Fixed-shape folds (compute_threaded pre-scans the day span)
-            // never hit this; the streaming fold starts at zero days and
-            // grows one day at a time.
             self.agg.grow_days(day + 1);
         }
 
@@ -789,11 +786,10 @@ pub struct StreamingFold {
 }
 
 impl StreamingFold {
-    /// Empty fold for a farm of `n_honeypots` nodes. The day window starts
-    /// at zero and grows with the data, so no day-count pre-scan is needed.
+    /// Empty fold for a farm of `n_honeypots` nodes.
     pub fn new(n_honeypots: usize) -> Self {
         StreamingFold {
-            fold: ShardFold::new(0, n_honeypots),
+            fold: ShardFold::new(n_honeypots),
             fresh: FreshnessSeries::new(),
         }
     }
@@ -833,15 +829,11 @@ impl StreamingFold {
     /// single-empty-day shape as [`Aggregates::compute`] on an empty store.
     pub fn finish(mut self) -> Aggregates {
         self.drain_freshness();
-        let (mut agg, pairs) = self.fold.finish();
+        let (agg, pairs) = self.fold.finish();
         for (day, hid) in pairs {
             self.fresh.observe(hid, day);
         }
-        if agg.n_days == 0 {
-            agg.grow_days(1);
-        }
-        agg.freshness = self.fresh.finish();
-        agg
+        agg.sealed(self.fresh)
     }
 }
 
@@ -1084,8 +1076,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "u32 aggregate cell overflow")]
     fn merge_refuses_to_wrap_u32_cells() {
-        let mut a = Aggregates::empty(1, 1);
-        let mut b = Aggregates::empty(1, 1);
+        let mut a = Aggregates::empty(1);
+        let mut b = Aggregates::empty(1);
+        a.grow_days(1);
+        b.grow_days(1);
         a.day_hp_sessions[0] = u32::MAX;
         b.day_hp_sessions[0] = 1;
         a.merge(b);
@@ -1096,8 +1090,8 @@ mod tests {
     fn merge_refuses_first_sighting_underflow() {
         // Both sides claim hash 0, but the left side never credited a
         // first sighting — the retraction must refuse to wrap.
-        let mut a = Aggregates::empty(1, 1);
-        let mut b = Aggregates::empty(1, 1);
+        let mut a = Aggregates::empty(1);
+        let mut b = Aggregates::empty(1);
         let ha = HashAgg {
             sessions: 1,
             first_honeypot: 0,
@@ -1109,16 +1103,37 @@ mod tests {
     }
 
     #[test]
+    fn merge_grows_to_the_later_shards_width() {
+        // The earlier shard saw only day 0, the later one day 2: the merge
+        // widens `a` and every day slot lands where it was folded.
+        let mut a = Aggregates::empty(2);
+        let mut b = Aggregates::empty(2);
+        a.grow_days(1);
+        b.grow_days(3);
+        a.day_total[0] = 5;
+        a.day_hp_sessions[1] = 5;
+        b.day_total[2] = 7;
+        b.day_hp_sessions[2 * 2] = 7;
+        b.day_unique_ips[2][5] = 3;
+        a.merge(b);
+        assert_eq!(a.n_days, 3);
+        assert_eq!(a.day_total, vec![5, 0, 7]);
+        assert_eq!(a.day_hp_sessions, vec![0, 5, 0, 0, 7, 0]);
+        assert_eq!(a.day_unique_ips[2][5], 3);
+        assert_eq!(a.day_region_combos.len(), 3);
+    }
+
+    #[test]
     fn partial_ranges_assemble_to_compute() {
         let ds = small();
         let serial = Aggregates::compute(&ds);
-        let n_days = serial.n_days;
         let ranges = ds.sessions.day_aligned_ranges(3);
         let parts: Vec<_> = ranges
             .into_iter()
-            .map(|r| Aggregates::partial(&ds, r, n_days))
+            .map(|r| Aggregates::partial(&ds, r))
             .collect();
-        let assembled = Aggregates::assemble(n_days, ds.plan.len(), parts);
+        let assembled = Aggregates::assemble(ds.plan.len(), parts);
+        assert_eq!(assembled.n_days, serial.n_days);
         assert_agg_eq(&serial, &assembled, "partial/assemble");
     }
 
@@ -1126,7 +1141,7 @@ mod tests {
     fn merge_identity_on_empty() {
         let ds = small();
         let agg = Aggregates::compute(&ds);
-        let mut base = Aggregates::empty(agg.n_days, agg.n_honeypots);
+        let mut base = Aggregates::empty(agg.n_honeypots);
         let mut other = Aggregates::compute(&ds);
         other.freshness.clear(); // merge() takes partial (pre-replay) states
         base.merge(other);

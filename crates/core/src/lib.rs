@@ -44,4 +44,4 @@ pub use birth::{birth_report, BirthReport};
 pub use claims::Claims;
 pub use classify::{classify, BehaviorClass, Category};
 pub use federation::{federate, FarmSightings, FederationReport};
-pub use report::Report;
+pub use report::{Report, Tsv};

@@ -9,7 +9,7 @@ pub mod figures;
 pub mod render;
 pub mod tables;
 
-use std::io::{BufWriter, Write as _};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use hf_farm::{Dataset, TagDb};
@@ -17,6 +17,7 @@ use hf_farm::{Dataset, TagDb};
 use crate::aggregates::Aggregates;
 
 pub use figures::*;
+pub use render::Tsv;
 pub use tables::*;
 
 /// The full reproduction report.
@@ -78,93 +79,44 @@ pub struct Report {
 }
 
 impl Report {
-    /// Build every table and figure from the aggregates, serially.
+    /// Build every table and figure from the aggregates.
     ///
     /// Fused scans: the top-5% honeypot selection is computed once and
     /// shared by Figs. 3/4/8/9, and Figs. 12/13 come from one pass over
-    /// the client map ([`figures::client_ecdfs`]).
+    /// the client map ([`figures::client_ecdfs`]). The three expensive
+    /// groups (matrix quantiles, hash-table sorts, client-map passes) each
+    /// time themselves under their own span.
     pub fn build_with_tags(dataset: &Dataset, agg: &Aggregates, tags: &TagDb) -> Report {
-        Self::build_with_tags_threaded(dataset, agg, tags, 1)
-    }
-
-    /// Build the report, running independent builder groups concurrently.
-    ///
-    /// Every builder consumes the shared immutable [`Aggregates`], so the
-    /// groups are data-independent; results are assembled into the struct
-    /// in a fixed order, making the output identical for any `threads`.
-    /// `threads <= 1` runs everything on the calling thread.
-    pub fn build_with_tags_threaded(
-        dataset: &Dataset,
-        agg: &Aggregates,
-        tags: &TagDb,
-        threads: usize,
-    ) -> Report {
         let _span = hf_obs::span!("report.build");
-        // The three expensive groups (matrix quantiles, hash-table sorts,
-        // client-map passes) and the cheap remainder. Each group times
-        // itself and, when run on a scoped worker, flushes its metrics
-        // buffer before the thread exits; an extra flush on the calling
-        // thread (threads <= 1) is harmless.
-        let bands = || {
-            let out = {
-                let _g = hf_obs::span!("report.bands");
-                let sel = figures::top5pct_honeypots(agg);
-                (
-                    figures::fig_bands_with(agg, Some(&sel)),
-                    figures::fig_bands_with(agg, None),
-                    figures::fig_cat_bands_with(agg, None),
-                    figures::fig_cat_bands_with(agg, Some(&sel)),
-                )
-            };
-            hf_obs::flush();
-            out
+        let (fig3, fig4, fig8, fig9) = {
+            let _g = hf_obs::span!("report.bands");
+            let sel = figures::top5pct_honeypots(agg);
+            (
+                figures::fig_bands_with(agg, Some(&sel)),
+                figures::fig_bands_with(agg, None),
+                figures::fig_cat_bands_with(agg, None),
+                figures::fig_cat_bands_with(agg, Some(&sel)),
+            )
         };
-        let hashes = || {
-            let out = {
-                let _g = hf_obs::span!("report.hashes");
-                (
-                    tables::hash_table(dataset, agg, tags, HashSortKey::Sessions, 20),
-                    tables::hash_table(dataset, agg, tags, HashSortKey::Clients, 20),
-                    tables::hash_table(dataset, agg, tags, HashSortKey::Days, 20),
-                    figures::fig18(agg),
-                    figures::fig20(agg),
-                    figures::fig22(dataset, agg, tags),
-                )
-            };
-            hf_obs::flush();
-            out
+        let (table4, table5, table6, fig18, fig20, fig22) = {
+            let _g = hf_obs::span!("report.hashes");
+            (
+                tables::hash_table(dataset, agg, tags, HashSortKey::Sessions, 20),
+                tables::hash_table(dataset, agg, tags, HashSortKey::Clients, 20),
+                tables::hash_table(dataset, agg, tags, HashSortKey::Days, 20),
+                figures::fig18(agg),
+                figures::fig20(agg),
+                figures::fig22(dataset, agg, tags),
+            )
         };
-        let clients = || {
-            let out = {
-                let _g = hf_obs::span!("report.clients");
-                (
-                    figures::client_ecdfs(agg),
-                    figures::fig10(agg),
-                    figures::fig14(agg),
-                    figures::fig21(agg),
-                )
-            };
-            hf_obs::flush();
-            out
-        };
-
-        let (
-            (fig3, fig4, fig8, fig9),
-            (table4, table5, table6, fig18, fig20, fig22),
-            ((fig12, fig13), fig10, fig14, fig21),
-        ) = if threads <= 1 {
-            (bands(), hashes(), clients())
-        } else {
-            std::thread::scope(|scope| {
-                let hb = scope.spawn(bands);
-                let hh = scope.spawn(hashes);
-                let hc = scope.spawn(clients);
-                (
-                    hb.join().expect("bands builder panicked"),
-                    hh.join().expect("hash builder panicked"),
-                    hc.join().expect("client builder panicked"),
-                )
-            })
+        let ((fig12, fig13), fig10, fig14, fig21) = {
+            let _g = hf_obs::span!("report.clients");
+            (
+                figures::client_ecdfs(agg),
+                figures::fig10(agg),
+                figures::fig14(agg),
+                figures::fig21(agg),
+            )
         };
 
         Report {
@@ -198,59 +150,60 @@ impl Report {
         }
     }
 
-    /// Write every table/figure as TSV plus `summary.md` into a directory.
-    ///
-    /// Artifacts stream through a `BufWriter` via their `write_tsv`
-    /// methods — no intermediate per-file `String`.
+    /// The 27 TSV artifacts — file name and renderer — in output order.
+    /// The one list `write_dir`, the report oracle and the golden tests
+    /// iterate.
+    pub fn artifacts(&self) -> [(&'static str, &dyn Tsv); 27] {
+        [
+            ("table1.tsv", &self.table1),
+            ("table2.tsv", &self.table2),
+            ("table3.tsv", &self.table3),
+            ("table4.tsv", &self.table4),
+            ("table5.tsv", &self.table5),
+            ("table6.tsv", &self.table6),
+            ("fig01_deployment.tsv", &self.fig1),
+            ("fig02_sessions_per_honeypot.tsv", &self.fig2),
+            ("fig03_bands_top5.tsv", &self.fig3),
+            ("fig04_bands_all.tsv", &self.fig4),
+            ("fig05_flow.tsv", &self.fig5),
+            ("fig06_category_timeseries.tsv", &self.fig6),
+            ("fig07_duration_ecdf.tsv", &self.fig7),
+            ("fig08_category_bands_all.tsv", &self.fig8),
+            ("fig09_category_bands_top5.tsv", &self.fig9),
+            ("fig10_23_client_countries.tsv", &self.fig10),
+            ("fig11_daily_ips.tsv", &self.fig11),
+            ("fig12_spread_ecdf.tsv", &self.fig12),
+            ("fig13_days_ecdf.tsv", &self.fig13),
+            ("fig14_clients_per_honeypot.tsv", &self.fig14),
+            ("fig15_multirole.tsv", &self.fig15),
+            ("fig16_24_regional.tsv", &self.fig16),
+            ("fig17_freshness.tsv", &self.fig17),
+            ("fig18_19_hashes_per_honeypot.tsv", &self.fig18),
+            ("fig20_clients_per_hash.tsv", &self.fig20),
+            ("fig21_hashes_per_client.tsv", &self.fig21),
+            ("fig22_campaign_length.tsv", &self.fig22),
+        ]
+    }
+
+    /// Write every artifact as TSV plus `summary.md` into a directory,
+    /// each streamed through a `BufWriter` — no intermediate per-file
+    /// `String`.
     pub fn write_dir(&self, dir: &Path) -> std::io::Result<()> {
         let _span = hf_obs::span!("report.render");
         std::fs::create_dir_all(dir)?;
         let write = |name: &str,
-                     f: &dyn Fn(&mut BufWriter<std::fs::File>) -> std::io::Result<()>|
+                     render: &dyn Fn(&mut dyn Write) -> std::io::Result<()>|
          -> std::io::Result<()> {
             let mut w = BufWriter::new(std::fs::File::create(dir.join(name))?);
-            f(&mut w)?;
+            render(&mut w)?;
             w.flush()?;
             hf_obs::counter!("report.artifacts_written", 1);
             Ok(())
         };
-        write("table1.tsv", &|w| self.table1.write_tsv(w))?;
-        write("table2.tsv", &|w| self.table2.write_tsv(w))?;
-        write("table3.tsv", &|w| self.table3.write_tsv(w))?;
-        write("table4.tsv", &|w| self.table4.write_tsv(w))?;
-        write("table5.tsv", &|w| self.table5.write_tsv(w))?;
-        write("table6.tsv", &|w| self.table6.write_tsv(w))?;
-        write("fig01_deployment.tsv", &|w| self.fig1.write_tsv(w))?;
-        write("fig02_sessions_per_honeypot.tsv", &|w| {
-            self.fig2.write_tsv(w)
-        })?;
-        write("fig03_bands_top5.tsv", &|w| self.fig3.write_tsv(w))?;
-        write("fig04_bands_all.tsv", &|w| self.fig4.write_tsv(w))?;
-        write("fig05_flow.tsv", &|w| self.fig5.write_tsv(w))?;
-        write("fig06_category_timeseries.tsv", &|w| self.fig6.write_tsv(w))?;
-        write("fig07_duration_ecdf.tsv", &|w| self.fig7.write_tsv(w))?;
-        write("fig08_category_bands_all.tsv", &|w| self.fig8.write_tsv(w))?;
-        write("fig09_category_bands_top5.tsv", &|w| self.fig9.write_tsv(w))?;
-        write("fig10_23_client_countries.tsv", &|w| {
-            self.fig10.write_tsv(w)
-        })?;
-        write("fig11_daily_ips.tsv", &|w| self.fig11.write_tsv(w))?;
-        write("fig12_spread_ecdf.tsv", &|w| self.fig12.write_tsv(w))?;
-        write("fig13_days_ecdf.tsv", &|w| self.fig13.write_tsv(w))?;
-        write("fig14_clients_per_honeypot.tsv", &|w| {
-            self.fig14.write_tsv(w)
-        })?;
-        write("fig15_multirole.tsv", &|w| self.fig15.write_tsv(w))?;
-        write("fig16_24_regional.tsv", &|w| self.fig16.write_tsv(w))?;
-        write("fig17_freshness.tsv", &|w| self.fig17.write_tsv(w))?;
-        write("fig18_19_hashes_per_honeypot.tsv", &|w| {
-            self.fig18.write_tsv(w)
-        })?;
-        write("fig20_clients_per_hash.tsv", &|w| self.fig20.write_tsv(w))?;
-        write("fig21_hashes_per_client.tsv", &|w| self.fig21.write_tsv(w))?;
-        write("fig22_campaign_length.tsv", &|w| self.fig22.write_tsv(w))?;
-        write("summary.md", &|w| w.write_all(self.summary().as_bytes()))?;
-        Ok(())
+        for (name, art) in self.artifacts() {
+            write(name, &|w| art.write_tsv(w))?;
+        }
+        write("summary.md", &|w| w.write_all(self.summary().as_bytes()))
     }
 
     /// Human-readable summary of the headline tables.
@@ -259,5 +212,36 @@ impl Report {
             "# Honeyfarm reproduction report\n\n## Table 1\n{}\n## Table 2\n{}\n## Table 4 (top hashes by sessions)\n{}\n## Fig. 2\n{}\n",
             self.table1, self.table2, self.table4, self.fig2
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hf_sim::{SimConfig, Simulation};
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn artifacts_are_the_27_files_write_dir_leaves() {
+        let out = Simulation::run(SimConfig::test(3));
+        let agg = Aggregates::compute(&out.dataset);
+        let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);
+
+        let listed: BTreeSet<String> = report
+            .artifacts()
+            .iter()
+            .map(|(name, _)| name.to_string())
+            .collect();
+        assert_eq!(listed.len(), 27, "file names are distinct");
+
+        let dir = std::env::temp_dir().join(format!("hf_report_artifacts_{}", std::process::id()));
+        report.write_dir(&dir).expect("write_dir");
+        let mut written: BTreeSet<String> = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(written.remove("summary.md"));
+        assert_eq!(written, listed);
     }
 }

@@ -4,8 +4,8 @@
 //! session rows. Builders that used to duplicate work expose fused variants
 //! ([`fig_bands_with`] / [`fig_cat_bands_with`] share one top-5% selection,
 //! [`client_ecdfs`] builds Figs. 12 and 13 in a single pass over clients)
-//! which `Report::build_with_tags` uses. TSV rendering goes through
-//! `write_tsv` writers; `to_tsv` is the in-memory convenience wrapper.
+//! which `Report::build_with_tags` uses. Every artifact renders through
+//! its [`Tsv`] impl.
 
 use std::io;
 
@@ -18,7 +18,7 @@ use crate::metrics::bands::BandSeries;
 use crate::metrics::ecdf::Ecdf;
 use crate::metrics::freshness::FreshnessPoint;
 use crate::metrics::ranks::{self, rank_series};
-use crate::report::render::{pct, to_string, write_header};
+use crate::report::render::{pct, write_header, Tsv};
 
 /// Top-5% honeypots by total sessions (the selection of Figs. 3 and 9).
 pub fn top5pct_honeypots(agg: &Aggregates) -> Vec<u16> {
@@ -50,19 +50,13 @@ pub fn fig1(dataset: &Dataset) -> Fig1 {
     }
 }
 
-impl Fig1 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig1 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["country", "honeypots"])?;
         for (c, n) in &self.rows {
             writeln!(w, "{c}\t{n}")?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -89,19 +83,13 @@ pub fn fig2(agg: &Aggregates) -> Fig2 {
     }
 }
 
-impl Fig2 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig2 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["rank", "sessions"])?;
         for (r, s) in &self.series {
             writeln!(w, "{r}\t{s}")?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -144,9 +132,8 @@ pub fn fig_bands_with(agg: &Aggregates, sel: Option<&[u16]>) -> FigBands {
     }
 }
 
-impl FigBands {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for FigBands {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["day", "p5", "q25", "median", "q75", "p95"])?;
         for p in &self.bands.points {
             writeln!(
@@ -156,11 +143,6 @@ impl FigBands {
             )?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -193,9 +175,8 @@ pub fn fig5(agg: &Aggregates) -> Fig5 {
     }
 }
 
-impl Fig5 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig5 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["edge", "sessions"])?;
         for (e, n) in [
             ("total", self.total),
@@ -207,11 +188,6 @@ impl Fig5 {
             writeln!(w, "{e}\t{n}")?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -241,9 +217,8 @@ pub fn fig6(agg: &Aggregates) -> Fig6 {
     }
 }
 
-impl Fig6 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig6 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(
             w,
             &[
@@ -258,11 +233,6 @@ impl Fig6 {
             writeln!(w, "\t{}", self.totals[d])?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -291,9 +261,8 @@ pub fn fig7(agg: &Aggregates) -> Fig7 {
     }
 }
 
-impl Fig7 {
-    /// Streamed TSV rendering (downsampled points).
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig7 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["category", "duration_s", "F"])?;
         for (c, e) in &self.ecdfs {
             for (v, fr) in e.points(100) {
@@ -301,11 +270,6 @@ impl Fig7 {
             }
         }
         Ok(())
-    }
-
-    /// TSV rendering (downsampled points).
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -348,9 +312,8 @@ pub fn fig_cat_bands_with(agg: &Aggregates, sel: Option<&[u16]>) -> FigCatBands 
     }
 }
 
-impl FigCatBands {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for FigCatBands {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["category", "day", "p5", "q25", "median", "q75", "p95"])?;
         for (c, series) in &self.bands {
             for p in &series.points {
@@ -368,11 +331,6 @@ impl FigCatBands {
             }
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -431,9 +389,8 @@ pub fn fig10(agg: &Aggregates) -> Fig10 {
     }
 }
 
-impl Fig10 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig10 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["category", "country", "clients"])?;
         for (c, n) in &self.overall {
             writeln!(w, "ALL\t{c}\t{n}")?;
@@ -444,11 +401,6 @@ impl Fig10 {
             }
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -468,9 +420,8 @@ pub fn fig11(agg: &Aggregates) -> Fig11 {
     }
 }
 
-impl Fig11 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig11 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(
             w,
             &[
@@ -485,11 +436,6 @@ impl Fig11 {
             writeln!(w)?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -562,9 +508,8 @@ pub fn fig13(agg: &Aggregates) -> FigClientEcdf {
     client_ecdfs(agg).1
 }
 
-impl FigClientEcdf {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for FigClientEcdf {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["category", self.metric, "F"])?;
         for (v, fr) in self.overall.points(200) {
             writeln!(w, "ALL\t{v}\t{fr:.4}")?;
@@ -575,11 +520,6 @@ impl FigClientEcdf {
             }
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -632,9 +572,8 @@ pub fn fig14(agg: &Aggregates) -> Fig14 {
     }
 }
 
-impl Fig14 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig14 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(
             w,
             &[
@@ -657,11 +596,6 @@ impl Fig14 {
             writeln!(w)?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -696,9 +630,8 @@ pub fn fig15(agg: &Aggregates) -> Fig15 {
     }
 }
 
-impl Fig15 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig15 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(
             w,
             &[
@@ -720,19 +653,6 @@ impl Fig15 {
             writeln!(w)?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
-    }
-
-    /// Total clients ever counted in more than one role (for claims).
-    pub fn multi_role_total(&self) -> u64 {
-        self.daily
-            .iter()
-            .map(|row| row[3] as u64 + row[5] as u64 + row[6] as u64 + row[7] as u64)
-            .sum()
     }
 }
 
@@ -791,9 +711,10 @@ impl Fig16 {
             num as f64 / den as f64
         }
     }
+}
 
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig16 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         let slots = ["ALL", "NO_CRED", "FAIL_LOG", "NO_CMD", "CMD", "CMD+URI"];
         write_header(
             w,
@@ -826,11 +747,6 @@ impl Fig16 {
         }
         Ok(())
     }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -849,9 +765,8 @@ pub fn fig17(agg: &Aggregates) -> Fig17 {
     }
 }
 
-impl Fig17 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig17 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["day", "unique", "fresh_ever", "fresh_30d", "fresh_7d"])?;
         for p in &self.points {
             writeln!(
@@ -861,11 +776,6 @@ impl Fig17 {
             )?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -927,9 +837,8 @@ pub fn fig18(agg: &Aggregates) -> Fig18 {
     }
 }
 
-impl Fig18 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig18 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(
             w,
             &[
@@ -954,11 +863,6 @@ impl Fig18 {
             )?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -999,19 +903,13 @@ pub fn fig21(agg: &Aggregates) -> FigRank {
     }
 }
 
-impl FigRank {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for FigRank {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["rank", self.metric])?;
         for (r, v) in &self.series {
             writeln!(w, "{r}\t{v}")?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -1048,9 +946,8 @@ pub fn fig22(dataset: &Dataset, agg: &Aggregates, tags: &TagDb) -> Fig22 {
     }
 }
 
-impl Fig22 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Fig22 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["tag", "days", "F"])?;
         for (v, fr) in self.all.points(100) {
             writeln!(w, "ALL\t{v}\t{fr:.4}")?;
@@ -1061,11 +958,6 @@ impl Fig22 {
             }
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 

@@ -1,11 +1,23 @@
 //! Small rendering helpers shared by table/figure types.
 //!
-//! Artifacts implement `write_tsv(&mut impl io::Write)` writing cells
-//! directly with `write!` — no per-cell `String` allocation — and get their
-//! `to_tsv() -> String` via [`to_string`]. `Report::write_dir` streams the
-//! same writers through a `BufWriter` straight to disk.
+//! Every artifact implements [`Tsv`]: `write_tsv` writes cells directly with
+//! `write!` — no per-cell `String` allocation — and `to_tsv` is provided.
+//! `Report::write_dir` streams the same writers through a `BufWriter`
+//! straight to disk.
 
 use std::io::{self, Write};
+
+/// A table or figure that renders as tab-separated values. Object-safe, so
+/// `Report::artifacts` can list all 27 behind one `&dyn Tsv`.
+pub trait Tsv {
+    /// Stream the TSV rendering into `w`.
+    fn write_tsv(&self, w: &mut dyn Write) -> io::Result<()>;
+
+    /// The TSV rendering as an in-memory `String`.
+    fn to_tsv(&self) -> String {
+        to_string(|w| self.write_tsv(w))
+    }
+}
 
 /// Render rows of string cells as TSV with a header.
 pub fn tsv(header: &[&str], rows: impl IntoIterator<Item = Vec<String>>) -> String {
@@ -20,7 +32,7 @@ pub fn tsv(header: &[&str], rows: impl IntoIterator<Item = Vec<String>>) -> Stri
 }
 
 /// Write a TSV header row.
-pub fn write_header<W: Write>(w: &mut W, header: &[&str]) -> io::Result<()> {
+pub fn write_header(w: &mut dyn Write, header: &[&str]) -> io::Result<()> {
     for (i, h) in header.iter().enumerate() {
         if i > 0 {
             w.write_all(b"\t")?;
@@ -47,6 +59,15 @@ pub fn pct(x: f64) -> String {
 mod tests {
     use super::*;
 
+    struct Pair;
+
+    impl Tsv for Pair {
+        fn write_tsv(&self, w: &mut dyn Write) -> io::Result<()> {
+            write_header(w, &["a", "b"])?;
+            writeln!(w, "1\t2")
+        }
+    }
+
     #[test]
     fn tsv_shape() {
         let s = tsv(&["a", "b"], vec![vec!["1".into(), "2".into()]]);
@@ -55,12 +76,8 @@ mod tests {
 
     #[test]
     fn writer_matches_string_path() {
-        let via_writer = to_string(|w| {
-            write_header(w, &["a", "b"])?;
-            writeln!(w, "1\t2")
-        });
         assert_eq!(
-            via_writer,
+            Pair.to_tsv(),
             tsv(&["a", "b"], vec![vec!["1".into(), "2".into()]])
         );
     }

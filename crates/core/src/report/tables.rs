@@ -6,7 +6,7 @@ use hf_farm::{Dataset, TagDb};
 
 use crate::aggregates::{bit_count, Aggregates};
 use crate::classify::Category;
-use crate::report::render::{pct, to_string, write_header};
+use crate::report::render::{pct, write_header, Tsv};
 
 // ---------------------------------------------------------------------------
 // Table 1 — session categories × protocol
@@ -80,9 +80,8 @@ pub fn table1(agg: &Aggregates) -> Table1 {
     }
 }
 
-impl Table1 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Table1 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(
             w,
             &[
@@ -105,11 +104,6 @@ impl Table1 {
             )?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -177,19 +171,13 @@ pub fn table2(dataset: &Dataset, agg: &Aggregates) -> Table2 {
     Table2 { rows }
 }
 
-impl Table2 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Table2 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["password", "count"])?;
         for (p, c) in &self.rows {
             writeln!(w, "{p}\t{c}")?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -225,19 +213,13 @@ pub fn table3(dataset: &Dataset, agg: &Aggregates) -> Table3 {
     Table3 { rows }
 }
 
-impl Table3 {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for Table3 {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(w, &["command", "count"])?;
         for (cmd, c) in &self.rows {
             writeln!(w, "{cmd}\t{c}")?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 
@@ -332,9 +314,8 @@ pub fn hash_table(
     HashTable { key, rows }
 }
 
-impl HashTable {
-    /// Streamed TSV rendering.
-    pub fn write_tsv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+impl Tsv for HashTable {
+    fn write_tsv(&self, w: &mut dyn io::Write) -> io::Result<()> {
         write_header(
             w,
             &[
@@ -355,11 +336,6 @@ impl HashTable {
             )?;
         }
         Ok(())
-    }
-
-    /// TSV rendering.
-    pub fn to_tsv(&self) -> String {
-        to_string(|w| self.write_tsv(w))
     }
 }
 

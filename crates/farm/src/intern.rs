@@ -218,11 +218,6 @@ impl ListPool {
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }
-
-    /// Total flattened size (for memory accounting).
-    pub fn arena_len(&self) -> usize {
-        self.arena.len()
-    }
 }
 
 #[cfg(test)]

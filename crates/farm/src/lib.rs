@@ -29,6 +29,6 @@ pub mod tags;
 pub use collector::{Collector, Dataset};
 pub use deployment::{FarmPlan, HoneypotNode};
 pub use intern::{DigestPool, ListPool, StringPool};
-pub use snapshot::{Snapshot, SnapshotError, SnapshotMeta, SnapshotReader};
+pub use snapshot::{DayOrder, Snapshot, SnapshotError, SnapshotMeta, SnapshotReader};
 pub use store::{Row, SessionStore, SessionView};
 pub use tags::{TagDb, TagEntry};

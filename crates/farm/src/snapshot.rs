@@ -67,7 +67,6 @@ use std::sync::{mpsc, OnceLock};
 use hf_geo::{Asn, CountryId, Ip4, NetworkClass};
 use hf_hash::{Digest, Sha256};
 use hf_honeypot::ArtifactStore;
-use hf_simclock::SimInstant;
 
 use crate::collector::Dataset;
 use crate::deployment::{FarmPlan, HoneypotNode};
@@ -409,21 +408,12 @@ impl Snapshot {
         Snapshot::read_from(&mut r)
     }
 
-    /// Rebuild the artifact store by replaying stored rows in order —
-    /// exactly the observation sequence [`crate::Collector::ingest`]
-    /// performed (file hashes then download hashes, per session, at the
-    /// session's start), so `first_seen` / `last_seen` / `occurrences`
-    /// match the live collector's.
+    /// Rebuild the artifact store by replaying stored rows in order (see
+    /// [`crate::SessionView::replay_artifacts`]).
     pub fn rebuild_artifacts(&self) -> ArtifactStore {
         let mut artifacts = ArtifactStore::new();
-        for row in self.sessions.rows() {
-            let at = SimInstant(row.start_secs as u64);
-            for &id in self.sessions.lists.get(row.hash_list_id) {
-                artifacts.observe_hash(self.sessions.digests.get(id), 0, at);
-            }
-            for &id in self.sessions.lists.get(row.dl_list_id) {
-                artifacts.observe_hash(self.sessions.digests.get(id), 0, at);
-            }
+        for v in self.sessions.iter() {
+            v.replay_artifacts(&mut artifacts);
         }
         artifacts
     }
@@ -450,6 +440,41 @@ impl Snapshot {
         buf.extend_from_slice(&self.meta.days.to_le_bytes());
         buf.extend_from_slice(&self.meta.n_clients.to_le_bytes());
         buf.extend_from_slice(&(self.sessions.len() as u64).to_le_bytes());
+    }
+}
+
+/// The "rows must be day-ordered" rule of every incremental consumer of
+/// [`SnapshotReader::fold_chunks`]: a day-windowed fold cannot go back a
+/// day, so a row that precedes its predecessor's day is reported as
+/// [`SnapshotError::Corrupt`] instead of being folded into wrong results.
+/// Every runner-produced snapshot is day-ordered.
+pub struct DayOrder {
+    consumer: &'static str,
+    last_day: u32,
+}
+
+impl DayOrder {
+    /// A guard whose error names `consumer` (e.g. `"streaming fold"`).
+    pub fn new(consumer: &'static str) -> Self {
+        DayOrder {
+            consumer,
+            last_day: 0,
+        }
+    }
+
+    /// Admit the next row's day, or refuse it if it goes backwards.
+    pub fn check(&mut self, day: u32) -> Result<(), SnapshotError> {
+        if day < self.last_day {
+            return Err(SnapshotError::Corrupt {
+                section: "rows",
+                detail: format!(
+                    "{} requires day-ordered rows; a day-{day} row follows day {}",
+                    self.consumer, self.last_day
+                ),
+            });
+        }
+        self.last_day = day;
+        Ok(())
     }
 }
 
@@ -1546,6 +1571,7 @@ mod tests {
     use hf_proto::creds::Credentials;
     use hf_proto::Protocol;
     use hf_shell::CommandRecord;
+    use hf_simclock::SimInstant;
 
     fn sample_record(hp: u16, day: u32, n: u64) -> SessionRecord {
         SessionRecord {
@@ -1700,6 +1726,19 @@ mod tests {
             assert_eq!(r.last_seen, meta.last_seen);
             assert_eq!(r.occurrences, meta.occurrences);
         }
+    }
+
+    #[test]
+    fn day_order_refuses_a_backward_day_and_names_the_consumer() {
+        let mut order = DayOrder::new("streaming fold");
+        for day in [0, 3, 3] {
+            order.check(day).expect("non-decreasing days pass");
+        }
+        let err = order.check(2).expect_err("day 2 after day 3").to_string();
+        assert!(
+            err.contains("streaming fold requires day-ordered rows; a day-2 row follows day 3"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use hf_geo::{Asn, CountryId, Ip4};
 use hf_hash::Digest;
-use hf_honeypot::{EndReason, SessionRecord};
+use hf_honeypot::{ArtifactStore, EndReason, SessionRecord};
 use hf_proto::Protocol;
 use hf_simclock::SimInstant;
 
@@ -277,11 +277,6 @@ impl SessionStore {
             .map(move |row| SessionView { store: self, row })
     }
 
-    /// Raw rows of a contiguous range (the unit of work of sharded scans).
-    pub fn rows_range(&self, range: std::ops::Range<usize>) -> &[Row] {
-        &self.rows[range]
-    }
-
     /// Iterate typed views over a contiguous row range.
     pub fn iter_range(
         &self,
@@ -508,6 +503,18 @@ impl<'a> SessionView<'a> {
         self.store.lists.get(self.row.dl_list_id)
     }
 
+    /// Replay this session's artifact observations exactly as
+    /// [`crate::Collector::ingest`] made them — file hashes, then download
+    /// hashes, each at the session's start — so a store rebuilt from rows
+    /// has the live collector's `first_seen` / `last_seen` / `occurrences`.
+    pub fn replay_artifacts(&self, artifacts: &mut ArtifactStore) {
+        for ids in [self.hash_ids(), self.download_hash_ids()] {
+            for &id in ids {
+                artifacts.observe_hash(self.store.digests.get(id), 0, self.start());
+            }
+        }
+    }
+
     /// The raw compact row (for analyses that count by interned id without
     /// resolving strings).
     pub fn raw(&self) -> &'a Row {
@@ -650,7 +657,6 @@ mod tests {
         for d in 0..10 {
             s.ingest(&record((d % 3) as u16, d, Protocol::Ssh), None);
         }
-        assert_eq!(s.rows_range(2..5), &s.rows()[2..5]);
         let days: Vec<u32> = s.iter_range(3..7).map(|v| v.day()).collect();
         assert_eq!(days, vec![3, 4, 5, 6]);
     }

@@ -14,8 +14,7 @@
 //!    a sharded registry in any order with identical results, so counters
 //!    derived from deterministic work are thread-count invariant.
 //! 3. **Off means off.** Disabled at runtime (the default), every
-//!    recording call is one relaxed atomic load; compiled with the `noop`
-//!    feature, calls route through [`NoopRecorder`] and vanish entirely.
+//!    recording call is one relaxed atomic load.
 //!
 //! ## Recording
 //!
@@ -60,88 +59,6 @@ pub use metrics::{
 };
 pub use span::SpanGuard;
 
-// ------------------------------------------------------------- recorders --
-
-/// A recording backend. Two implementations exist: [`ThreadLocalRecorder`]
-/// (the real one) and [`NoopRecorder`] (selected by the `noop` cargo
-/// feature, compiling every call to nothing). Dispatch is static — the
-/// active recorder is a `const`, so the disabled path has no vtable and
-/// the noop path optimizes out.
-pub trait Recorder {
-    /// Add `n` to the named counter.
-    fn counter_add(&self, name: Name, n: u64);
-    /// Raise the named high-water-mark gauge to at least `v`.
-    fn gauge_set(&self, name: Name, v: i64);
-    /// Record one histogram sample.
-    fn observe(&self, name: Name, v: u64);
-    /// Open a span guard.
-    fn span(&self, name: Name) -> SpanGuard;
-    /// Drain the calling thread's buffer into the global registry.
-    fn flush(&self);
-}
-
-/// The compiled-out backend: every method is an empty inline function.
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline(always)]
-    fn counter_add(&self, _name: Name, _n: u64) {}
-    #[inline(always)]
-    fn gauge_set(&self, _name: Name, _v: i64) {}
-    #[inline(always)]
-    fn observe(&self, _name: Name, _v: u64) {}
-    #[inline(always)]
-    fn span(&self, _name: Name) -> SpanGuard {
-        SpanGuard::inert()
-    }
-    #[inline(always)]
-    fn flush(&self) {}
-}
-
-/// The real backend: thread-local buffering, explicit flush into the
-/// sharded global [`MetricsRegistry`].
-pub struct ThreadLocalRecorder;
-
-impl Recorder for ThreadLocalRecorder {
-    fn counter_add(&self, name: Name, n: u64) {
-        if enabled() {
-            LOCAL.with(|l| l.borrow_mut().counter_add(name, n));
-        }
-    }
-
-    fn gauge_set(&self, name: Name, v: i64) {
-        if enabled() {
-            LOCAL.with(|l| l.borrow_mut().gauge_set(name, v));
-        }
-    }
-
-    fn observe(&self, name: Name, v: u64) {
-        if enabled() {
-            LOCAL.with(|l| l.borrow_mut().observe(name, v));
-        }
-    }
-
-    fn span(&self, name: Name) -> SpanGuard {
-        if enabled() {
-            SpanGuard::begin(name)
-        } else {
-            SpanGuard::inert()
-        }
-    }
-
-    fn flush(&self) {
-        let buf = LOCAL.with(|l| std::mem::take(&mut *l.borrow_mut()));
-        if !buf.is_empty() {
-            registry().absorb(buf);
-        }
-    }
-}
-
-#[cfg(not(feature = "noop"))]
-const RECORDER: ThreadLocalRecorder = ThreadLocalRecorder;
-#[cfg(feature = "noop")]
-const RECORDER: NoopRecorder = NoopRecorder;
-
 // ---------------------------------------------------------- global state --
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -167,11 +84,8 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Is recording on? (With the `noop` feature: always false.)
+/// Is recording on?
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        return false;
-    }
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -179,30 +93,40 @@ pub fn enabled() -> bool {
 
 /// Add `n` to the named counter (thread-local until [`flush`]).
 pub fn counter_add(name: &'static str, n: u64) {
-    RECORDER.counter_add(Name::Borrowed(name), n);
+    if enabled() {
+        LOCAL.with(|l| l.borrow_mut().counter_add(Name::Borrowed(name), n));
+    }
 }
 
 /// Raise the named high-water-mark gauge to at least `v`.
 pub fn gauge_set(name: &'static str, v: i64) {
-    RECORDER.gauge_set(Name::Borrowed(name), v);
+    if enabled() {
+        LOCAL.with(|l| l.borrow_mut().gauge_set(Name::Borrowed(name), v));
+    }
 }
 
 /// Record one sample into the named log2 histogram.
 pub fn observe(name: &'static str, v: u64) {
-    RECORDER.observe(Name::Borrowed(name), v);
+    if enabled() {
+        LOCAL.with(|l| l.borrow_mut().observe(Name::Borrowed(name), v));
+    }
 }
 
 /// Open a span over a static name; timing is recorded when the returned
 /// guard drops.
 pub fn span(name: &'static str) -> SpanGuard {
-    RECORDER.span(Name::Borrowed(name))
+    span_named(|| Name::Borrowed(name))
 }
 
 /// Open a span over a dynamically composed name. The closure only runs
 /// when recording is enabled, so the disabled path allocates nothing.
 pub fn span_owned_with(name: impl FnOnce() -> String) -> SpanGuard {
+    span_named(|| Name::Owned(name()))
+}
+
+fn span_named(name: impl FnOnce() -> Name) -> SpanGuard {
     if enabled() {
-        RECORDER.span(Name::Owned(name()))
+        SpanGuard::begin(name())
     } else {
         SpanGuard::inert()
     }
@@ -211,7 +135,10 @@ pub fn span_owned_with(name: impl FnOnce() -> String) -> SpanGuard {
 /// Drain the calling thread's buffer into the global registry. Worker
 /// threads call this before exiting; cheap when nothing is buffered.
 pub fn flush() {
-    RECORDER.flush();
+    let buf = LOCAL.with(|l| std::mem::take(&mut *l.borrow_mut()));
+    if !buf.is_empty() {
+        registry().absorb(buf);
+    }
 }
 
 /// Current span nesting depth on the calling thread.

@@ -150,11 +150,6 @@ impl SpanStats {
         self.cpu_ns = self.cpu_ns.saturating_add(other.cpu_ns);
         self.max_wall_ns = self.max_wall_ns.max(other.max_wall_ns);
     }
-
-    /// Mean wall-clock nanoseconds per execution (0 when empty).
-    pub fn mean_wall_ns(&self) -> u64 {
-        self.wall_ns.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 /// Metric names: `&'static str` on the hot recording path, owned only for

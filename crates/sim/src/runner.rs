@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use hf_agents::{Ecosystem, EcosystemConfig, Scale};
 use hf_core::{Aggregates, StreamingFold};
-use hf_farm::{Collector, Dataset, Snapshot, SnapshotError, SnapshotMeta, TagDb};
+use hf_farm::{Collector, Dataset, DayOrder, Snapshot, SnapshotError, SnapshotMeta, TagDb};
 use hf_honeypot::ArtifactStore;
 use hf_simclock::StudyWindow;
 
@@ -139,9 +139,10 @@ impl FoldOutput {
     /// Stream an hfstore snapshot through the incremental fold without ever
     /// materializing the rows section: chunks are decoded, folded, and
     /// dropped (`hfarm report --streaming`). The artifact store is replayed
-    /// per row exactly like the live collector (file hashes then download
-    /// hashes, in row order), so `dataset.artifacts` matches a materialized
-    /// [`SimOutput::from_snapshot`] load of the same bytes.
+    /// per row exactly like the live collector
+    /// ([`hf_farm::SessionView::replay_artifacts`]), so `dataset.artifacts`
+    /// matches a materialized [`SimOutput::from_snapshot`] load of the same
+    /// bytes.
     ///
     /// The incremental freshness series requires day-ordered rows (which
     /// every runner-produced snapshot has); an unordered store surfaces as
@@ -160,27 +161,12 @@ impl FoldOutput {
         let reader = hf_farm::SnapshotReader::open(r)?;
         let mut fold = StreamingFold::new(reader.plan().len());
         let mut artifacts = ArtifactStore::new();
-        let mut last_day = 0u32;
+        let mut order = DayOrder::new("streaming fold");
         let (meta, plan, sessions, tags) = reader.fold_chunks(|store, plan, rows| {
             for row in rows {
                 let v = store.view_row(row);
-                let day = v.day();
-                if day < last_day {
-                    return Err(SnapshotError::Corrupt {
-                        section: "rows",
-                        detail: format!(
-                            "streaming fold requires day-ordered rows; \
-                             a day-{day} row follows day {last_day}"
-                        ),
-                    });
-                }
-                last_day = day;
-                for h in v.file_hashes() {
-                    artifacts.observe_hash(h, 0, v.start());
-                }
-                for &id in v.download_hash_ids() {
-                    artifacts.observe_hash(store.digests.get(id), 0, v.start());
-                }
+                order.check(v.day())?;
+                v.replay_artifacts(&mut artifacts);
                 fold.ingest(plan, &v);
             }
             fold.drain_freshness();
@@ -205,33 +191,23 @@ impl FoldOutput {
 pub struct Simulation;
 
 impl Simulation {
-    /// Run the full window, panicking on an internal coverage bug (see
-    /// [`Simulation::try_run_with_progress`] for the fallible form).
+    /// Run the full window. A day pre-pass coverage gap (a `prepare_day` /
+    /// `precompute_day` bug) panics with the typed [`SimError`] naming the
+    /// missing key.
     pub fn run(config: SimConfig) -> SimOutput {
         Self::run_with_progress(config, |_| {})
     }
 
     /// Run with a per-day progress callback receiving a [`DayStats`]
     /// throughput report after each simulated day.
-    pub fn run_with_progress(config: SimConfig, progress: impl FnMut(&DayStats)) -> SimOutput {
-        Self::try_run_with_progress(config, progress)
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`Simulation::run_with_progress`]: a day pre-pass
-    /// coverage gap (a `prepare_day`/`precompute_day` bug) surfaces as a
-    /// typed [`SimError`] naming the missing key instead of a panic
-    /// mid-shard.
-    pub fn try_run_with_progress(
-        config: SimConfig,
-        mut progress: impl FnMut(&DayStats),
-    ) -> Result<SimOutput, SimError> {
-        let (collector, tags, n_clients) = Self::run_loop(&config, &mut progress, &mut |_| {})?;
-        Ok(SimOutput {
+    pub fn run_with_progress(config: SimConfig, mut progress: impl FnMut(&DayStats)) -> SimOutput {
+        let (collector, tags, n_clients) = Self::run_loop(&config, &mut progress, &mut |_| {})
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
+        SimOutput {
             dataset: collector.finish(),
             tags,
             n_clients,
-        })
+        }
     }
 
     /// Out-of-core form of [`Simulation::run`]: fold each completed day into
@@ -239,13 +215,6 @@ impl Simulation {
     /// bounded by one day of sessions (plus the interning pools), not the
     /// whole window. Panics on internal coverage bugs like
     /// [`Simulation::run`].
-    pub fn run_fold(config: SimConfig) -> FoldOutput {
-        Self::try_run_fold_with_progress(config, |_| {})
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`Simulation::run_fold`], with a per-day
-    /// [`DayStats`] callback.
     ///
     /// The fold hook runs after each day's ingest: it scans the day's rows
     /// into a [`StreamingFold`] (same per-row ingest as
@@ -253,24 +222,21 @@ impl Simulation {
     /// bit-identical), drains completed days into the freshness series, and
     /// retires the rows. Peak RSS is sampled once per day into the
     /// `process.peak_rss_kb` gauge for the run manifest.
-    pub fn try_run_fold_with_progress(
-        config: SimConfig,
-        mut progress: impl FnMut(&DayStats),
-    ) -> Result<FoldOutput, SimError> {
+    pub fn run_fold(config: SimConfig) -> FoldOutput {
         let mut fold: Option<StreamingFold> = None;
-        let (collector, tags, n_clients) =
-            Self::run_loop(&config, &mut progress, &mut |collector| {
-                let f = fold.get_or_insert_with(|| StreamingFold::new(collector.plan().len()));
-                let store = collector.sessions();
-                let plan = collector.plan();
-                for i in 0..store.len() {
-                    f.ingest(plan, &store.view(i));
-                }
-                f.drain_freshness();
-                hf_obs::counter!("analysis.rows_folded", store.len() as u64);
-                collector.retire_rows();
-                hf_obs::sample_peak_rss();
-            })?;
+        let (collector, tags, n_clients) = Self::run_loop(&config, &mut |_| {}, &mut |collector| {
+            let f = fold.get_or_insert_with(|| StreamingFold::new(collector.plan().len()));
+            let store = collector.sessions();
+            let plan = collector.plan();
+            for i in 0..store.len() {
+                f.ingest(plan, &store.view(i));
+            }
+            f.drain_freshness();
+            hf_obs::counter!("analysis.rows_folded", store.len() as u64);
+            collector.retire_rows();
+            hf_obs::sample_peak_rss();
+        })
+        .unwrap_or_else(|e| panic!("simulation failed: {e}"));
         // Rowless: every day was folded and retired; pools/artifacts remain.
         let dataset = collector.finish();
         let aggregates = match fold {
@@ -279,12 +245,12 @@ impl Simulation {
             // empty aggregates (one all-zero day, like `compute`).
             None => StreamingFold::new(dataset.plan.len()).finish(),
         };
-        Ok(FoldOutput {
+        FoldOutput {
             dataset,
             tags,
             n_clients,
             aggregates,
-        })
+        }
     }
 
     /// The shared day loop. `after_day` runs once per simulated day after

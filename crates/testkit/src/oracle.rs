@@ -510,36 +510,8 @@ pub fn diff_reports(
 ) -> DiffReport {
     let mut report = DiffReport::new(left, right);
     let mut budget = MAX_DETAIL;
-    let pairs: [(&str, String, String); 27] = [
-        ("table1", a.table1.to_tsv(), b.table1.to_tsv()),
-        ("table2", a.table2.to_tsv(), b.table2.to_tsv()),
-        ("table3", a.table3.to_tsv(), b.table3.to_tsv()),
-        ("table4", a.table4.to_tsv(), b.table4.to_tsv()),
-        ("table5", a.table5.to_tsv(), b.table5.to_tsv()),
-        ("table6", a.table6.to_tsv(), b.table6.to_tsv()),
-        ("fig1", a.fig1.to_tsv(), b.fig1.to_tsv()),
-        ("fig2", a.fig2.to_tsv(), b.fig2.to_tsv()),
-        ("fig3", a.fig3.to_tsv(), b.fig3.to_tsv()),
-        ("fig4", a.fig4.to_tsv(), b.fig4.to_tsv()),
-        ("fig5", a.fig5.to_tsv(), b.fig5.to_tsv()),
-        ("fig6", a.fig6.to_tsv(), b.fig6.to_tsv()),
-        ("fig7", a.fig7.to_tsv(), b.fig7.to_tsv()),
-        ("fig8", a.fig8.to_tsv(), b.fig8.to_tsv()),
-        ("fig9", a.fig9.to_tsv(), b.fig9.to_tsv()),
-        ("fig10", a.fig10.to_tsv(), b.fig10.to_tsv()),
-        ("fig11", a.fig11.to_tsv(), b.fig11.to_tsv()),
-        ("fig12", a.fig12.to_tsv(), b.fig12.to_tsv()),
-        ("fig13", a.fig13.to_tsv(), b.fig13.to_tsv()),
-        ("fig14", a.fig14.to_tsv(), b.fig14.to_tsv()),
-        ("fig15", a.fig15.to_tsv(), b.fig15.to_tsv()),
-        ("fig16", a.fig16.to_tsv(), b.fig16.to_tsv()),
-        ("fig17", a.fig17.to_tsv(), b.fig17.to_tsv()),
-        ("fig18", a.fig18.to_tsv(), b.fig18.to_tsv()),
-        ("fig20", a.fig20.to_tsv(), b.fig20.to_tsv()),
-        ("fig21", a.fig21.to_tsv(), b.fig21.to_tsv()),
-        ("fig22", a.fig22.to_tsv(), b.fig22.to_tsv()),
-    ];
-    for (name, ta, tb) in pairs {
+    for ((name, art_a), (_, art_b)) in a.artifacts().into_iter().zip(b.artifacts()) {
+        let (ta, tb) = (art_a.to_tsv(), art_b.to_tsv());
         if ta == tb {
             continue;
         }
@@ -560,7 +532,7 @@ pub fn diff_reports(
                     tb.lines().count()
                 )
             });
-        report.push(format!("report.{name}.tsv"), line);
+        report.push(format!("report.{name}"), line);
     }
     report
 }

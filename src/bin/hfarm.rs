@@ -1,7 +1,8 @@
 //! `hfarm` — command-line front door to the honeyfarm reproduction suite.
 //!
 //! ```text
-//! hfarm simulate [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE] [--fold]
+//! hfarm simulate [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE] [--fast]
+//!                [--threads N] [--fold] [--metrics DIR]
 //!     Simulate the study window, write every table/figure + claims, and
 //!     persist the collected run as an hfstore snapshot. With `--fold`,
 //!     run out-of-core: each completed day is folded into the aggregates
@@ -9,13 +10,14 @@
 //!     traffic instead of the whole window (no snapshot is written, so
 //!     `--fold --snapshot FILE` is a usage error; the report is identical
 //!     to the in-memory path).
-//! hfarm report   [--snapshot FILE] [--out DIR] [--streaming]
+//! hfarm report   [--out DIR] [--snapshot FILE] [--threads N] [--streaming] [--metrics DIR]
 //!     Load a snapshot and run the full report pipeline without
 //!     re-simulating; output is byte-identical to the producing simulate.
 //!     With `--streaming`, rows are folded chunk-by-chunk as they are read
-//!     instead of materializing the whole store.
-//! hfarm cluster  [--scale F] [--days N] [--seed S] [--threads N] [--out DIR]
-//!                [--snapshot FILE] [--streaming] [--k N]
+//!     instead of materializing the whole store (one serial fold, so
+//!     `--threads` applies to the materialized read only).
+//! hfarm cluster  [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE] [--fast]
+//!                [--threads N] [--streaming] [--metrics DIR] [--k N]
 //!     Cluster attackers: extract per-client behavioural features
 //!     (credentials, command n-grams, timing, ident, geography, taxonomy
 //!     mix), normalize with the fixed DESIGN.md §15 scaling, and run the
@@ -26,46 +28,55 @@
 //!     `cluster_assignments.tsv` + `cluster_summary.tsv` into `--out` and
 //!     prints the per-cluster summary; output is bit-identical across
 //!     thread counts and ingest paths. `--k` pins k and skips the sweep.
-//! hfarm claims   [--scale F] [--days N] [--seed S]
+//!     `--scale`, `--days`, `--seed` and `--fast` shape the live sim and
+//!     mean nothing with `--snapshot`; `--threads` means nothing with
+//!     `--streaming`.
+//! hfarm claims   [--scale F] [--days N] [--seed S] [--fast] [--threads N]
 //!     Print the headline findings only.
-//! hfarm birth    [--scale F] [--days N] [--seed S]
+//! hfarm birth    [--scale F] [--days N] [--seed S] [--fast] [--threads N]
 //!     Print the farm-discovery timeline (Section 9).
-//! hfarm serve    [--nodes N] [--ssh-port P] [--telnet-port P] [--per-ip-cap N]
-//!                [--wall-timeout S] [--virtual-time] [--snapshot FILE]
+//! hfarm serve    [--snapshot FILE] [--nodes N] [--metrics DIR] [--ssh-port P]
+//!                [--telnet-port P] [--per-ip-cap N] [--wall-timeout S] [--virtual-time]
 //!     Run the live TCP honeyfarm: every node's SSH+Telnet listener bound
 //!     on its own 127.18/127.19 mirror address, all multiplexed through
 //!     one epoll reactor into the collector. Prints one `node <id> ssh
 //!     <addr> telnet <addr>` line per node and then `ready`; stops on
 //!     Ctrl-C or stdin EOF, prints a final `accounting …` line, and (with
 //!     --snapshot) writes the collected run as an hfstore snapshot.
-//! hfarm loadgen  [--sessions N] [--concurrent N] [--hold-all] [--spawn-serve]
-//!                [--scenarios DIR] [--nodes N]
+//! hfarm loadgen  [--nodes N] [--scenarios DIR] [--metrics DIR] [--sessions N]
+//!                [--concurrent N] [--hold-all] [--spawn-serve]
 //!     Replay the scenario corpus over real loopback TCP against a live
 //!     farm (in-process by default; --spawn-serve drives a child `hfarm
 //!     serve` so client and server each get their own fd budget) and
 //!     enforce the ingest-accounting invariant: every driven connection is
 //!     either ingested or rejected, none lost.
-//! hfarm verify   [--claims] [--md] [--scenarios DIR] [--scale F] [--days N]
+//! hfarm verify   [--scale F] [--days N] [--seed S] [--fast] [--threads N] [--claims] [--md]
+//!                [--scenarios DIR] [--metrics DIR]
 //!     Run the correctness oracles end-to-end: thread-count differential
 //!     (1 vs 2 vs 8), snapshot round-trip equivalence, optional scenario
 //!     golden checks, and (with --claims) the full declarative
-//!     paper-claims table. `--md` prints the claims table as markdown.
+//!     paper-claims table. `--md` prints the claims table as markdown;
+//!     it and `--threads` apply to the `--claims` fixture run only.
 //! hfarm metrics DIR
 //!     Parse and summarize a metrics manifest directory previously
 //!     emitted with --metrics (schema check + spans.tsv cross-check).
 //! ```
 //!
-//! `simulate`, `report`, and `verify` additionally accept
-//! `--metrics DIR`: enable the hf-obs observability layer for the run and
-//! write `metrics.json` + `spans.tsv` into DIR at exit. Recording never
-//! changes any simulation, snapshot, or report byte (enforced by
-//! `tests/obs_invariance.rs`).
+//! A subcommand rejects (exit 2, nothing written) any flag it does not
+//! read and any value out of range: `--days`, `--threads`, `--k` and
+//! `--nodes` are at least 1, `--scale` is in (0, 1]. `--metrics DIR`
+//! enables the hf-obs observability layer for the run and writes
+//! `metrics.json` + `spans.tsv` into DIR at exit. Recording never changes
+//! any simulation, snapshot, or report byte (enforced by
+//! `tests/obs_invariance.rs`). The synopsis above is checked against
+//! [`FLAGS`] by a unit test.
 
 use std::path::{Path, PathBuf};
 
 use honeyfarm::core::birth::birth_report;
 use honeyfarm::prelude::*;
 
+#[derive(Default)]
 struct Common {
     scale: f64,
     days: u32,
@@ -94,98 +105,183 @@ struct Common {
     k: Option<usize>,
 }
 
-fn parse(args: &[String]) -> Common {
-    let mut c = Common {
-        scale: 0.005,
-        days: 486,
-        seed: 0x0e0e_fa20,
-        out: PathBuf::from("out/report"),
-        snapshot: PathBuf::from("out/farm.hfstore"),
-        nodes: 3,
-        fast: false,
-        threads: 1,
-        claims: false,
-        md: false,
-        fold: false,
-        streaming: false,
-        scenarios: None,
-        metrics: None,
-        snapshot_explicit: false,
-        ssh_port: 0,
-        telnet_port: 0,
-        per_ip_cap: 1024,
-        wall_timeout: 30,
-        virtual_time: false,
-        sessions: 1000,
-        concurrent: 100,
-        hold_all: false,
-        spawn_serve: false,
-        k: None,
-    };
+/// One row of [`FLAGS`].
+struct Flag {
+    name: &'static str,
+    /// Placeholder naming the value in the usage text; empty for a switch.
+    arg: &'static str,
+    default: Option<&'static str>,
+    /// The subcommands that read the flag; every other one rejects it.
+    cmds: &'static [&'static str],
+    /// Validate the value and store it (a switch ignores the value).
+    set: fn(&mut Common, &str) -> Result<(), String>,
+}
+
+/// The subcommands that take flags, in usage order (`metrics DIR` takes none).
+const COMMANDS: [&str; 8] = [
+    "simulate", "report", "cluster", "claims", "birth", "serve", "loadgen", "verify",
+];
+/// The subcommands that can run a simulation.
+const SIMS: &[&str] = &["simulate", "cluster", "claims", "birth", "verify"];
+
+/// Every flag, stated once: parsing, defaults, per-subcommand rejection,
+/// range validation and the usage text all derive from this table.
+#[rustfmt::skip]
+const FLAGS: [Flag; 24] = [
+    Flag { name: "--scale", arg: "F", default: Some("0.005"), cmds: SIMS,
+           set: |c, v| scale(v).map(|x| c.scale = x) },
+    Flag { name: "--days", arg: "N", default: Some("486"), cmds: SIMS,
+           set: |c, v| at_least(v, 1).map(|n| c.days = n) },
+    // 0x0e0e_fa20, `SimConfig::default().seed`.
+    Flag { name: "--seed", arg: "S", default: Some("235862560"), cmds: SIMS,
+           set: |c, v| at_least(v, 0).map(|n| c.seed = n) },
+    Flag { name: "--out", arg: "DIR", default: Some("out/report"),
+           cmds: &["simulate", "report", "cluster"],
+           set: |c, v| store(&mut c.out, v.into()) },
+    Flag { name: "--snapshot", arg: "FILE", default: Some("out/farm.hfstore"),
+           cmds: &["simulate", "report", "cluster", "serve"],
+           set: |c, v| { c.snapshot_explicit = true; store(&mut c.snapshot, v.into()) } },
+    Flag { name: "--nodes", arg: "N", default: Some("3"), cmds: &["serve", "loadgen"],
+           set: |c, v| at_least(v, 1).map(|n| c.nodes = n) },
+    Flag { name: "--fast", arg: "", default: None, cmds: SIMS,
+           set: |c, _| store(&mut c.fast, true) },
+    Flag { name: "--threads", arg: "N", default: Some("1"),
+           cmds: &["simulate", "report", "cluster", "claims", "birth", "verify"],
+           set: |c, v| at_least(v, 1).map(|n| c.threads = n) },
+    Flag { name: "--claims", arg: "", default: None, cmds: &["verify"],
+           set: |c, _| store(&mut c.claims, true) },
+    Flag { name: "--md", arg: "", default: None, cmds: &["verify"],
+           set: |c, _| store(&mut c.md, true) },
+    Flag { name: "--fold", arg: "", default: None, cmds: &["simulate"],
+           set: |c, _| store(&mut c.fold, true) },
+    Flag { name: "--streaming", arg: "", default: None, cmds: &["report", "cluster"],
+           set: |c, _| store(&mut c.streaming, true) },
+    Flag { name: "--scenarios", arg: "DIR", default: None, cmds: &["loadgen", "verify"],
+           set: |c, v| store(&mut c.scenarios, Some(v.into())) },
+    Flag { name: "--metrics", arg: "DIR", default: None,
+           cmds: &["simulate", "report", "cluster", "serve", "loadgen", "verify"],
+           set: |c, v| store(&mut c.metrics, Some(v.into())) },
+    Flag { name: "--ssh-port", arg: "P", default: Some("0"), cmds: &["serve"],
+           set: |c, v| at_least(v, 0).map(|n| c.ssh_port = n) },
+    Flag { name: "--telnet-port", arg: "P", default: Some("0"), cmds: &["serve"],
+           set: |c, v| at_least(v, 0).map(|n| c.telnet_port = n) },
+    Flag { name: "--per-ip-cap", arg: "N", default: Some("1024"), cmds: &["serve"],
+           set: |c, v| at_least(v, 0).map(|n| c.per_ip_cap = n) },
+    Flag { name: "--wall-timeout", arg: "S", default: Some("30"), cmds: &["serve"],
+           set: |c, v| at_least(v, 0).map(|n| c.wall_timeout = n) },
+    Flag { name: "--virtual-time", arg: "", default: None, cmds: &["serve"],
+           set: |c, _| store(&mut c.virtual_time, true) },
+    Flag { name: "--sessions", arg: "N", default: Some("1000"), cmds: &["loadgen"],
+           set: |c, v| at_least(v, 0).map(|n| c.sessions = n) },
+    Flag { name: "--concurrent", arg: "N", default: Some("100"), cmds: &["loadgen"],
+           set: |c, v| at_least(v, 0).map(|n| c.concurrent = n) },
+    Flag { name: "--hold-all", arg: "", default: None, cmds: &["loadgen"],
+           set: |c, _| store(&mut c.hold_all, true) },
+    Flag { name: "--spawn-serve", arg: "", default: None, cmds: &["loadgen"],
+           set: |c, _| store(&mut c.spawn_serve, true) },
+    Flag { name: "--k", arg: "N", default: None, cmds: &["cluster"],
+           set: |c, v| at_least(v, 1).map(|n| c.k = Some(n)) },
+];
+
+/// Store a value that needs no validation (a switch, a path).
+fn store<T>(slot: &mut T, v: T) -> Result<(), String> {
+    *slot = v;
+    Ok(())
+}
+
+/// Parse `v` as an integer of the field's type, no smaller than `min`.
+fn at_least<T>(v: &str, min: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    match v.parse::<T>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!(
+            "needs a {} of at least {min}, got {v}",
+            std::any::type_name::<T>()
+        )),
+    }
+}
+
+/// Parse `v` as a volume scale: finite, in (0, 1].
+fn scale(v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(x) if x > 0.0 && x <= 1.0 => Ok(x),
+        _ => Err(format!("needs a number in (0, 1], got {v}")),
+    }
+}
+
+/// Parse `cmd`'s flags over the table defaults. Anything the table does
+/// not allow — an unknown flag, one `cmd` does not read, a missing or
+/// out-of-range value — is a usage error before anything runs.
+fn parse(cmd: &str, args: &[String]) -> Common {
+    if !COMMANDS.contains(&cmd) {
+        no_subcommand(&format!("unknown subcommand {cmd}"));
+    }
+    let mut c = Common::default();
+    for f in &FLAGS {
+        if let Some(d) = f.default {
+            (f.set)(&mut c, d).expect("table defaults are valid");
+        }
+    }
+    // Only a `--snapshot` on the command line names a source or sink.
+    c.snapshot_explicit = false;
     let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+    while let Some(name) = it.next() {
+        let Some(f) = FLAGS.iter().find(|f| f.name == name) else {
+            usage(cmd, &format!("unknown flag {name}"))
         };
-        match flag.as_str() {
-            "--scale" => c.scale = val().parse().unwrap_or_else(|_| usage("--scale f64")),
-            "--days" => c.days = val().parse().unwrap_or_else(|_| usage("--days u32")),
-            "--seed" => c.seed = val().parse().unwrap_or_else(|_| usage("--seed u64")),
-            "--out" => c.out = PathBuf::from(val()),
-            "--snapshot" => {
-                c.snapshot = PathBuf::from(val());
-                c.snapshot_explicit = true;
-            }
-            "--nodes" => c.nodes = val().parse().unwrap_or_else(|_| usage("--nodes u16")),
-            "--fast" => c.fast = true,
-            "--threads" => c.threads = val().parse().unwrap_or_else(|_| usage("--threads usize")),
-            "--claims" => c.claims = true,
-            "--md" => c.md = true,
-            "--fold" => c.fold = true,
-            "--streaming" => c.streaming = true,
-            "--scenarios" => c.scenarios = Some(PathBuf::from(val())),
-            "--metrics" => c.metrics = Some(PathBuf::from(val())),
-            "--ssh-port" => c.ssh_port = val().parse().unwrap_or_else(|_| usage("--ssh-port u16")),
-            "--telnet-port" => {
-                c.telnet_port = val().parse().unwrap_or_else(|_| usage("--telnet-port u16"))
-            }
-            "--per-ip-cap" => {
-                c.per_ip_cap = val().parse().unwrap_or_else(|_| usage("--per-ip-cap u32"))
-            }
-            "--wall-timeout" => {
-                c.wall_timeout = val()
-                    .parse()
-                    .unwrap_or_else(|_| usage("--wall-timeout u32"))
-            }
-            "--virtual-time" => c.virtual_time = true,
-            "--sessions" => {
-                c.sessions = val().parse().unwrap_or_else(|_| usage("--sessions usize"))
-            }
-            "--concurrent" => {
-                c.concurrent = val()
-                    .parse()
-                    .unwrap_or_else(|_| usage("--concurrent usize"))
-            }
-            "--hold-all" => c.hold_all = true,
-            "--spawn-serve" => c.spawn_serve = true,
-            "--k" => c.k = Some(val().parse().unwrap_or_else(|_| usage("--k usize"))),
-            other => usage(&format!("unknown flag {other}")),
+        if !f.cmds.contains(&cmd) {
+            usage(cmd, &format!("{cmd} does not read {name}"));
+        }
+        let value = match f.arg {
+            "" => "",
+            _ => it
+                .next()
+                .unwrap_or_else(|| usage(cmd, &format!("{name} needs a value"))),
+        };
+        if let Err(why) = (f.set)(&mut c, value) {
+            usage(cmd, &format!("{name} {why}"));
         }
     }
     c
 }
 
-fn usage(msg: &str) -> ! {
+impl Flag {
+    /// `[--flag]` or `[--flag ARG]`, as the usage text and the `//!`
+    /// synopsis spell it.
+    fn token(&self) -> String {
+        match self.arg {
+            "" => format!("[{}]", self.name),
+            arg => format!("[{} {arg}]", self.name),
+        }
+    }
+}
+
+/// The synopsis of one subcommand: every table flag it reads.
+fn usage_line(cmd: &str) -> String {
+    let mut line = format!("hfarm {cmd}");
+    for f in FLAGS.iter().filter(|f| f.cmds.contains(&cmd)) {
+        line += " ";
+        line += &f.token();
+    }
+    line
+}
+
+/// Reject `cmd`'s command line with one line: the problem, then what `cmd`
+/// accepts.
+fn usage(cmd: &str, msg: &str) -> ! {
+    eprintln!("{msg} (usage: {})", usage_line(cmd));
+    std::process::exit(2)
+}
+
+/// Reject a command line that names no subcommand: list them all.
+fn no_subcommand(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!(
-        "usage: hfarm <simulate|report|cluster|claims|birth|serve|loadgen|verify|metrics> \
-         [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE] [--nodes N] [--fast] \
-         [--threads N] [--claims] [--md] [--fold] [--streaming] [--scenarios DIR] \
-         [--metrics DIR] [--ssh-port P] [--telnet-port P] [--per-ip-cap N] \
-         [--wall-timeout S] [--virtual-time] [--sessions N] [--concurrent N] \
-         [--hold-all] [--spawn-serve] [--k N]"
-    );
+    for cmd in COMMANDS {
+        eprintln!("usage: {}", usage_line(cmd));
+    }
+    eprintln!("usage: hfarm metrics DIR");
     std::process::exit(2)
 }
 
@@ -220,12 +316,14 @@ enum Source {
 fn source(cmd: &str, c: &Common) -> Source {
     match cmd {
         "simulate" if c.fold && c.snapshot_explicit => usage(
+            cmd,
             "--fold retires rows day by day and writes no snapshot: drop --snapshot or --fold",
         ),
         "simulate" if c.fold => Source::SimFold,
-        "cluster" if c.streaming && !c.snapshot_explicit => {
-            usage("--streaming folds an existing snapshot: name it with --snapshot FILE")
-        }
+        "cluster" if c.streaming && !c.snapshot_explicit => usage(
+            cmd,
+            "--streaming folds an existing snapshot: name it with --snapshot FILE",
+        ),
         "report" | "cluster" if c.streaming => Source::SnapshotStream,
         "report" => Source::Snapshot,
         "cluster" if c.snapshot_explicit => Source::Snapshot,
@@ -253,6 +351,17 @@ fn announce_sim(c: &Common, mode: &str) -> SimConfig {
 fn snapshot_error(doing: &str, e: impl std::fmt::Display) -> ! {
     eprintln!("error {doing} snapshot: {e}");
     std::process::exit(1)
+}
+
+/// Write `snap` to the `--snapshot` file, creating its directory.
+fn write_snapshot(c: &Common, snap: &Snapshot) {
+    if let Some(dir) = c.snapshot.parent() {
+        std::fs::create_dir_all(dir).expect("snapshot dir");
+    }
+    if let Err(e) = snap.write_file(&c.snapshot) {
+        snapshot_error("writing", e);
+    }
+    eprintln!("snapshot written to {}", c.snapshot.display());
 }
 
 /// Read and materialize the `--snapshot` file.
@@ -307,13 +416,7 @@ fn load(cmd: &str, c: &Common) -> FoldOutput {
                 out.tags.len()
             );
             if persist {
-                if let Some(dir) = c.snapshot.parent() {
-                    std::fs::create_dir_all(dir).expect("snapshot dir");
-                }
-                if let Err(e) = out.to_snapshot(&config).write_file(&c.snapshot) {
-                    snapshot_error("writing", e);
-                }
-                eprintln!("snapshot written to {}", c.snapshot.display());
+                write_snapshot(c, &out.to_snapshot(&config));
             }
             materialized(out)
         }
@@ -346,11 +449,9 @@ fn load(cmd: &str, c: &Common) -> FoldOutput {
     }
 }
 
-/// Write the report dir + claims for a loaded run. Builder groups run
-/// across `--threads` workers (output is thread-count invariant).
+/// Write the report dir + claims for a loaded run.
 fn write_report(run: &FoldOutput, c: &Common) {
-    let report =
-        Report::build_with_tags_threaded(&run.dataset, &run.aggregates, &run.tags, c.threads);
+    let report = Report::build_with_tags(&run.dataset, &run.aggregates, &run.tags);
     report.write_dir(&c.out).expect("write report");
     let claims = Claims::compute(&run.aggregates);
     std::fs::write(c.out.join("claims.json"), claims.to_json()).expect("claims");
@@ -487,15 +588,15 @@ fn metrics_summary(dir: &Path) -> ! {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
-        usage("missing subcommand")
+        no_subcommand("missing subcommand")
     };
     if cmd == "metrics" {
         let [dir] = rest else {
-            usage("metrics takes exactly one argument: the manifest directory")
+            no_subcommand("metrics takes exactly one argument: the manifest directory")
         };
         metrics_summary(Path::new(dir));
     }
-    let c = parse(rest);
+    let c = parse(cmd, rest);
     if c.metrics.is_some() {
         honeyfarm::obs::enable();
     }
@@ -517,7 +618,7 @@ fn main() {
         "serve" => serve(&c),
         "loadgen" => loadgen(&c),
         "verify" => verify(&c),
-        other => usage(&format!("unknown subcommand {other}")),
+        _ => unreachable!("parse admits only COMMANDS"),
     }
 }
 
@@ -600,13 +701,7 @@ fn verify(c: &Common) -> ! {
 
     // 3. Scenario goldens, if a directory was given.
     if let Some(dir) = &c.scenarios {
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-            .unwrap_or_else(|e| usage(&format!("--scenarios {}: {e}", dir.display())))
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "hfs"))
-            .collect();
-        paths.sort();
-        for path in paths {
+        for path in scenario_paths("verify", dir) {
             let name = path
                 .file_stem()
                 .unwrap_or_default()
@@ -759,13 +854,7 @@ fn serve(c: &Common) -> ! {
         accounting_line(&out.stats, out.dataset.len(), out.n_clients)
     );
     if c.snapshot_explicit {
-        if let Some(dir) = c.snapshot.parent() {
-            std::fs::create_dir_all(dir).expect("snapshot dir");
-        }
-        if let Err(e) = out.to_snapshot().write_file(&c.snapshot) {
-            snapshot_error("writing", e);
-        }
-        eprintln!("snapshot written to {}", c.snapshot.display());
+        write_snapshot(c, &out.to_snapshot());
     }
     emit_metrics(c, "hfarm serve");
     if !out.stats.accounting_balanced() {
@@ -775,27 +864,35 @@ fn serve(c: &Common) -> ! {
     std::process::exit(0)
 }
 
+/// The `.hfs` files of a scenario directory, sorted by path.
+fn scenario_paths(cmd: &str, dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| usage(cmd, &format!("--scenarios {}: {e}", dir.display())))
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "hfs"))
+        .collect();
+    paths.sort();
+    paths
+}
+
 /// Load the `.hfs` corpus for load generation.
 fn load_corpus(c: &Common) -> Vec<honeyfarm::testkit::Scenario> {
     let dir = c
         .scenarios
         .clone()
         .unwrap_or_else(|| PathBuf::from("tests/scenarios"));
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| usage(&format!("--scenarios {}: {e}", dir.display())))
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "hfs"))
-        .collect();
-    paths.sort();
-    let scenarios: Vec<_> = paths
+    let scenarios: Vec<_> = scenario_paths("loadgen", &dir)
         .iter()
         .map(|p| {
             honeyfarm::testkit::Scenario::load(p)
-                .unwrap_or_else(|e| usage(&format!("{}: {e}", p.display())))
+                .unwrap_or_else(|e| usage("loadgen", &format!("{}: {e}", p.display())))
         })
         .collect();
     if scenarios.is_empty() {
-        usage(&format!("no .hfs scenarios in {}", dir.display()));
+        usage(
+            "loadgen",
+            &format!("no .hfs scenarios in {}", dir.display()),
+        );
     }
     scenarios
 }
@@ -943,4 +1040,44 @@ fn loadgen_against_child(
     let status = child.wait().expect("child wait");
     assert!(status.success(), "serve child failed: {status}");
     (report, accepted, ingested, rejected)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `//!` synopsis block of `cmd`: its `hfarm <cmd>` line up to the
+    /// next subcommand's.
+    fn synopsis(cmd: &str) -> String {
+        include_str!("hfarm.rs")
+            .lines()
+            .take_while(|l| l.starts_with("//!"))
+            .skip_while(|l| !l.starts_with(&format!("//! hfarm {cmd} ")))
+            .enumerate()
+            .take_while(|(i, l)| *i == 0 || !l.starts_with("//! hfarm "))
+            .map(|(_, l)| l)
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    #[test]
+    fn usage_and_synopsis_list_exactly_the_flags_each_subcommand_reads() {
+        for f in &FLAGS {
+            assert!(f.cmds.iter().all(|c| COMMANDS.contains(c)), "{}", f.name);
+            for cmd in COMMANDS {
+                let reads = f.cmds.contains(&cmd);
+                let t = f.token();
+                assert_eq!(usage_line(cmd).contains(&t), reads, "usage: {cmd} {t}");
+                assert_eq!(synopsis(cmd).contains(&t), reads, "//! synopsis: {cmd} {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_defaults_parse_and_match_the_library() {
+        let c = parse("simulate", &[]);
+        assert_eq!(c.seed, SimConfig::default().seed);
+        assert_eq!((c.days, c.threads, c.nodes), (486, 1, 3));
+        assert!(!c.snapshot_explicit && c.k.is_none());
+    }
 }

@@ -59,7 +59,7 @@ pub use hf_wire as wire;
 pub mod prelude {
     pub use hf_agents::{Ecosystem, EcosystemConfig, Scale};
     pub use hf_cluster::{ClusterRun, KMeansConfig};
-    pub use hf_core::{Aggregates, Claims, Report};
+    pub use hf_core::{Aggregates, Claims, Report, Tsv};
     pub use hf_farm::{Collector, Dataset, FarmPlan, Snapshot, SnapshotError, TagDb};
     pub use hf_honeypot::{HoneypotConfig, SessionDriver, SessionRecord};
     pub use hf_sim::{DayStats, FoldOutput, SimConfig, SimOutput, Simulation};

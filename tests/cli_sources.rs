@@ -1,8 +1,10 @@
 //! The `hfarm` binary reaches the same data through four sources — live
 //! sim, out-of-core folded sim, materialized snapshot, streamed snapshot —
 //! and all of them go through one loader. Whatever the source, the files
-//! written must be byte-identical, and flag combinations that name no
-//! source must be rejected before anything is written.
+//! written must be byte-identical, and a command line the flag table does
+//! not allow — a combination that names no source, a value out of range, a
+//! flag the subcommand does not read — must be rejected before anything is
+//! written.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -122,5 +124,58 @@ fn flags_that_name_no_source_exit_2_and_write_nothing() {
         "unknown flag --no-such-flag",
     );
 
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Every range the flag table validates, and one flag per subcommand that
+/// the subcommand does not read: exit 2, one line on stderr naming the
+/// flag, and nothing created. (Out-of-range `--days` / `--scale` used to
+/// die in a library assert; unread flags used to be silently ignored.)
+#[test]
+fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
+    let dir = workdir("table");
+    let out_dir = dir.join("out");
+    let snap = dir.join("never.hfstore");
+    let cases: [(&[&str], &str); 14] = [
+        (&["simulate", "--days", "0"], "--days"),
+        (&["simulate", "--scale", "0"], "--scale"),
+        (&["simulate", "--scale", "-1"], "--scale"),
+        (&["simulate", "--scale", "nan"], "--scale"),
+        (&["simulate", "--scale", "1.5"], "--scale"),
+        (&["simulate", "--threads", "0"], "--threads"),
+        (&["cluster", "--k", "0"], "--k"),
+        (&["serve", "--nodes", "0"], "--nodes"),
+        (
+            &["report", "--scale", "0.001"],
+            "report does not read --scale",
+        ),
+        (&["report", "--fold"], "report does not read --fold"),
+        (&["simulate", "--k", "3"], "simulate does not read --k"),
+        (&["cluster", "--fold"], "cluster does not read --fold"),
+        (&["serve", "--days", "5"], "serve does not read --days"),
+        (
+            &["loadgen", "--snapshot", "x"],
+            "loadgen does not read --snapshot",
+        ),
+    ];
+    for (args, needle) in cases {
+        // Name the output paths wherever the subcommand reads them, so a
+        // run that got past parsing would leave something behind.
+        let paths: &[(&str, &Path)] = match args[0] {
+            "simulate" | "cluster" => &[("--out", &out_dir), ("--snapshot", &snap)],
+            "report" => &[("--out", &out_dir)],
+            "serve" => &[("--snapshot", &snap)],
+            _ => &[],
+        };
+        let out = hfarm(args, paths);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "hfarm {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "hfarm {args:?}: {stderr}");
+        assert!(stderr.starts_with(needle), "hfarm {args:?}: {stderr}");
+        assert!(stderr.contains("usage: hfarm"), "hfarm {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "hfarm {args:?} printed to stdout");
+        assert!(!out_dir.exists(), "hfarm {args:?} touched --out");
+        assert!(!snap.exists(), "hfarm {args:?} wrote a snapshot");
+    }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

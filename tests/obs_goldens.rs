@@ -45,7 +45,7 @@ fn manifest_structure_is_golden_pinned() {
         Snapshot::read_from(&mut &snapshot_bytes[..]).expect("snapshot decode"),
     );
     let agg = Aggregates::compute_threaded(&out.dataset, 1);
-    let report = Report::build_with_tags_threaded(&out.dataset, &agg, &out.tags, 1);
+    let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);
     let render_dir = std::env::temp_dir().join(format!("hf-obs-goldens-{}", std::process::id()));
     report.write_dir(&render_dir).expect("render report");
 

@@ -75,7 +75,7 @@ fn run_pipeline(threads: usize, label: &str) -> PipelineRun {
         Snapshot::read_from(&mut &snapshot_bytes[..]).expect("snapshot decode"),
     );
     let agg = Aggregates::compute_threaded(&out.dataset, threads);
-    let report = Report::build_with_tags_threaded(&out.dataset, &agg, &out.tags, threads);
+    let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);
 
     let dir = std::env::temp_dir().join(format!(
         "hf-obs-invariance-{}-t{threads}-{label}",

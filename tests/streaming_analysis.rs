@@ -117,18 +117,12 @@ fn snapshot_stream_fold_matches_materialized_load() {
 
 /// Shared fixture for the partition property: one materialized run plus
 /// its day-boundary row indices.
-fn partition_fixture() -> &'static (SimOutput, Aggregates, Vec<usize>, u32) {
-    static FIXTURE: OnceLock<(SimOutput, Aggregates, Vec<usize>, u32)> = OnceLock::new();
+fn partition_fixture() -> &'static (SimOutput, Aggregates, Vec<usize>) {
+    static FIXTURE: OnceLock<(SimOutput, Aggregates, Vec<usize>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let out = Simulation::run(SimConfig::test(12));
         let agg = Aggregates::compute(&out.dataset);
         let store = &out.dataset.sessions;
-        let n_days = store
-            .iter()
-            .map(|v| v.day())
-            .max()
-            .map(|d| d + 1)
-            .unwrap_or(1);
         // Row indices where a new day starts — the only legal cut points.
         let mut boundaries = Vec::new();
         let mut last_day = u32::MAX;
@@ -140,7 +134,7 @@ fn partition_fixture() -> &'static (SimOutput, Aggregates, Vec<usize>, u32) {
             }
         }
         assert!(boundaries.len() > 4, "fixture needs several days");
-        (out, agg, boundaries, n_days)
+        (out, agg, boundaries)
     })
 }
 
@@ -153,7 +147,7 @@ proptest! {
     /// one-shot materialized pass.
     #[test]
     fn day_window_partitions_assemble_identically(cut_mask in prop::collection::vec(any::<bool>(), 16..64)) {
-        let (out, agg, boundaries, n_days) = partition_fixture();
+        let (out, agg, boundaries) = partition_fixture();
         let store = &out.dataset.sessions;
 
         // Cut points: always row 0, plus any selected interior boundary.
@@ -167,9 +161,9 @@ proptest! {
 
         let parts: Vec<_> = cuts
             .windows(2)
-            .map(|w| Aggregates::partial(&out.dataset, w[0]..w[1], *n_days))
+            .map(|w| Aggregates::partial(&out.dataset, w[0]..w[1]))
             .collect();
-        let assembled = Aggregates::assemble(*n_days, out.dataset.plan.len(), parts);
+        let assembled = Aggregates::assemble(out.dataset.plan.len(), parts);
         diff_aggregates("one-shot", agg, "partitioned", &assembled).assert_identical();
     }
 }
