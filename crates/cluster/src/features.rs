@@ -135,11 +135,6 @@ impl HeadMap {
         let (s, e) = self.spans[cmd_id as usize];
         &self.ids[s as usize..e as usize]
     }
-
-    /// Distinct head words seen so far.
-    pub fn n_heads(&self) -> usize {
-        self.intern.len()
-    }
 }
 
 /// Integer accumulator for one client. All fields merge exactly — see the
@@ -587,7 +582,7 @@ mod tests {
         heads.sync(&pool);
         assert_eq!(heads.heads(a), &[0]); // wget
         assert_eq!(heads.heads(b), &[1, 0]); // cd, wget
-        assert_eq!(heads.n_heads(), 2);
+
         // Syncing again is a no-op; ids are stable.
         heads.sync(&pool);
         assert_eq!(heads.heads(b), &[1, 0]);

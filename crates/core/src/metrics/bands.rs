@@ -85,11 +85,6 @@ impl BandSeries {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Maximum median across days (used in summaries).
-    pub fn peak_median(&self) -> f64 {
-        self.points.iter().map(|p| p.median).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +118,6 @@ mod tests {
             assert!(p.q75 <= p.p95);
         }
         assert_eq!(s.points[2].median, 7.0);
-        assert_eq!(s.peak_median(), 7.0);
     }
 
     #[test]

@@ -19,18 +19,6 @@ pub trait Tsv {
     }
 }
 
-/// Render rows of string cells as TSV with a header.
-pub fn tsv(header: &[&str], rows: impl IntoIterator<Item = Vec<String>>) -> String {
-    let mut out = String::new();
-    out.push_str(&header.join("\t"));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join("\t"));
-        out.push('\n');
-    }
-    out
-}
-
 /// Write a TSV header row.
 pub fn write_header(w: &mut dyn Write, header: &[&str]) -> io::Result<()> {
     for (i, h) in header.iter().enumerate() {
@@ -69,17 +57,8 @@ mod tests {
     }
 
     #[test]
-    fn tsv_shape() {
-        let s = tsv(&["a", "b"], vec![vec!["1".into(), "2".into()]]);
-        assert_eq!(s, "a\tb\n1\t2\n");
-    }
-
-    #[test]
     fn writer_matches_string_path() {
-        assert_eq!(
-            Pair.to_tsv(),
-            tsv(&["a", "b"], vec![vec!["1".into(), "2".into()]])
-        );
+        assert_eq!(Pair.to_tsv(), "a\tb\n1\t2\n");
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl Ip4 {
         }
         Some(Ip4::new(octs[0], octs[1], octs[2], octs[3]))
     }
-
-    /// Convert to the std type (for the live network front-end).
-    pub fn to_std(self) -> std::net::Ipv4Addr {
-        std::net::Ipv4Addr::from(self.0)
-    }
 }
 
 impl From<std::net::Ipv4Addr> for Ip4 {
@@ -97,12 +92,6 @@ mod tests {
         ] {
             assert_eq!(Ip4::parse(s), None, "should reject {s:?}");
         }
-    }
-
-    #[test]
-    fn std_conversion() {
-        let ip = Ip4::new(203, 0, 113, 9);
-        assert_eq!(Ip4::from(ip.to_std()), ip);
     }
 
     proptest! {

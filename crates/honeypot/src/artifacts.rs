@@ -2,9 +2,7 @@
 //! has seen, keyed by SHA-256.
 //!
 //! The real farm stores the files themselves; the analyses only ever use the
-//! hash, first-seen time, and occurrence counts, so that is what we keep
-//! (plus optional bytes for small artifacts, useful in the live front-end
-//! and the forensics example).
+//! hash, first-seen time, and occurrence counts, so that is what we keep.
 
 use std::collections::HashMap;
 
@@ -22,58 +20,22 @@ pub struct ArtifactMeta {
     pub last_seen: SimInstant,
     /// Number of observations.
     pub occurrences: u64,
-    /// The content itself, if retained.
-    pub bytes: Option<Vec<u8>>,
 }
 
 /// Store of artifacts by hash.
 #[derive(Debug, Clone, Default)]
 pub struct ArtifactStore {
     items: HashMap<Digest, ArtifactMeta>,
-    /// Retain bodies at most this large (0 = never retain).
-    retain_limit: usize,
 }
 
 impl ArtifactStore {
-    /// Metadata-only store.
+    /// An empty store.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Store that retains bodies up to `limit` bytes.
-    pub fn with_retention(limit: usize) -> Self {
-        ArtifactStore {
-            items: HashMap::new(),
-            retain_limit: limit,
-        }
-    }
-
-    /// Record an observation of content. Returns `true` if the hash is new.
-    pub fn observe(&mut self, content: &[u8], hash: Digest, at: SimInstant) -> bool {
-        match self.items.get_mut(&hash) {
-            Some(meta) => {
-                meta.occurrences += 1;
-                meta.last_seen = meta.last_seen.max(at);
-                false
-            }
-            None => {
-                self.items.insert(
-                    hash,
-                    ArtifactMeta {
-                        size: content.len(),
-                        first_seen: at,
-                        last_seen: at,
-                        occurrences: 1,
-                        bytes: (content.len() <= self.retain_limit && self.retain_limit > 0)
-                            .then(|| content.to_vec()),
-                    },
-                );
-                true
-            }
-        }
-    }
-
-    /// Record an observation when only the hash is known (size unknown).
+    /// Record an observation of the content with this hash and size.
+    /// Returns `true` if the hash is new.
     pub fn observe_hash(&mut self, hash: Digest, size: usize, at: SimInstant) -> bool {
         match self.items.get_mut(&hash) {
             Some(meta) => {
@@ -89,7 +51,6 @@ impl ArtifactStore {
                         first_seen: at,
                         last_seen: at,
                         occurrences: 1,
-                        bytes: None,
                     },
                 );
                 true
@@ -127,25 +88,13 @@ mod tests {
     fn observe_counts_and_first_seen() {
         let mut s = ArtifactStore::new();
         let h = Sha256::digest(b"mal");
-        assert!(s.observe(b"mal", h, SimInstant(100)));
-        assert!(!s.observe(b"mal", h, SimInstant(500)));
-        assert!(!s.observe(b"mal", h, SimInstant(300)));
+        assert!(s.observe_hash(h, 3, SimInstant(100)));
+        assert!(!s.observe_hash(h, 3, SimInstant(500)));
+        assert!(!s.observe_hash(h, 3, SimInstant(300)));
         let m = s.get(&h).unwrap();
         assert_eq!(m.occurrences, 3);
         assert_eq!(m.first_seen, SimInstant(100));
         assert_eq!(m.last_seen, SimInstant(500));
-        assert_eq!(m.bytes, None, "metadata-only store retains nothing");
-    }
-
-    #[test]
-    fn retention_limit() {
-        let mut s = ArtifactStore::with_retention(4);
-        let small = Sha256::digest(b"ab");
-        let large = Sha256::digest(b"abcdefgh");
-        s.observe(b"ab", small, SimInstant(0));
-        s.observe(b"abcdefgh", large, SimInstant(0));
-        assert_eq!(s.get(&small).unwrap().bytes.as_deref(), Some(&b"ab"[..]));
-        assert_eq!(s.get(&large).unwrap().bytes, None);
     }
 
     #[test]

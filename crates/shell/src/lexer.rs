@@ -104,8 +104,6 @@ pub enum Chain {
     Or,
 }
 
-pub use reference::Lexer;
-
 // ---------------------------------------------------------------------------
 // Borrowed, allocation-free parse: LineBuf and its views
 
@@ -589,17 +587,6 @@ impl<'a> Words<'a> {
         }
     }
 
-    /// Value following a `flag` word (e.g. `-n 5`), if present.
-    pub fn value_of(&self, flag: &str) -> Option<&'a str> {
-        let mut it = self.iter();
-        while let Some(w) = it.next() {
-            if w == flag {
-                return it.next();
-            }
-        }
-        None
-    }
-
     /// Does any word equal `w`?
     pub fn contains(&self, w: &str) -> bool {
         self.iter().any(|a| a == w)
@@ -1000,7 +987,6 @@ mod tests {
         let cmd = stmt.commands().next().unwrap();
         assert_eq!(cmd.name(), Some("tail"));
         assert_eq!(cmd.argv().len(), 4);
-        assert_eq!(cmd.argv().value_of("-n"), Some("5"));
         assert_eq!(cmd.argv().tail(1).first(), Some("-n"));
         assert!(cmd.argv().contains("/var/log/wtmp"));
         assert_eq!(cmd.redirs().next(), Some(RedirView::Err("/dev/null")));

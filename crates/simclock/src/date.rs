@@ -47,11 +47,6 @@ impl Date {
             day: d,
         }
     }
-
-    /// `YYYY-MM` key, used for monthly aggregation in figures.
-    pub fn month_key(&self) -> String {
-        format!("{:04}-{:02}", self.year, self.month)
-    }
 }
 
 impl std::fmt::Display for Date {
@@ -142,10 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn display_and_month_key() {
+    fn display() {
         let d = Date::new(2022, 9, 5);
         assert_eq!(d.to_string(), "2022-09-05");
-        assert_eq!(d.month_key(), "2022-09");
     }
 
     #[test]

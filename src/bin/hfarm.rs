@@ -10,31 +10,28 @@
 //!     traffic instead of the whole window (no snapshot is written, so
 //!     `--fold --snapshot FILE` is a usage error; the report is identical
 //!     to the in-memory path).
-//! hfarm report   [--out DIR] [--snapshot FILE] [--threads N] [--streaming] [--metrics DIR]
-//!     Load a snapshot and run the full report pipeline without
-//!     re-simulating; output is byte-identical to the producing simulate.
-//!     With `--streaming`, rows are folded chunk-by-chunk as they are read
-//!     instead of materializing the whole store (one serial fold, so
-//!     `--threads` applies to the materialized read only).
+//! hfarm report   [--out DIR] [--snapshot FILE] [--metrics DIR]
+//!     Run the full report pipeline over a snapshot without re-simulating,
+//!     folding its rows chunk by chunk as they are read (one serial fold,
+//!     memory bounded by a chunk plus the aggregates); output is
+//!     byte-identical to the producing simulate.
 //! hfarm cluster  [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE] [--fast]
-//!                [--threads N] [--streaming] [--metrics DIR] [--k N]
+//!                [--threads N] [--metrics DIR] [--k N]
 //!     Cluster attackers: extract per-client behavioural features
 //!     (credentials, command n-grams, timing, ident, geography, taxonomy
 //!     mix), normalize with the fixed DESIGN.md §15 scaling, and run the
 //!     deterministic seeded k-means with its silhouette sweep. Reads a
-//!     live sim by default, a snapshot with `--snapshot`, or folds that
-//!     snapshot chunk-at-a-time with `--streaming` (bounded RSS; a usage
-//!     error without `--snapshot`). Writes
+//!     live sim by default, or folds the `--snapshot` file chunk by chunk
+//!     (bounded RSS). Writes
 //!     `cluster_assignments.tsv` + `cluster_summary.tsv` into `--out` and
 //!     prints the per-cluster summary; output is bit-identical across
 //!     thread counts and ingest paths. `--k` pins k and skips the sweep.
-//!     `--scale`, `--days`, `--seed` and `--fast` shape the live sim and
-//!     mean nothing with `--snapshot`; `--threads` means nothing with
-//!     `--streaming`.
+//!     `--scale`, `--days`, `--seed`, `--fast` and `--threads` shape the
+//!     live sim and mean nothing with `--snapshot`.
 //! hfarm claims   [--scale F] [--days N] [--seed S] [--fast] [--threads N]
-//!     Print the headline findings only.
+//!     Print the headline findings only (out-of-core, like `simulate --fold`).
 //! hfarm birth    [--scale F] [--days N] [--seed S] [--fast] [--threads N]
-//!     Print the farm-discovery timeline (Section 9).
+//!     Print the farm-discovery timeline (Section 9; out-of-core likewise).
 //! hfarm serve    [--snapshot FILE] [--nodes N] [--metrics DIR] [--ssh-port P]
 //!                [--telnet-port P] [--per-ip-cap N] [--wall-timeout S] [--virtual-time]
 //!     Run the live TCP honeyfarm: every node's SSH+Telnet listener bound
@@ -89,7 +86,6 @@ struct Common {
     claims: bool,
     md: bool,
     fold: bool,
-    streaming: bool,
     scenarios: Option<PathBuf>,
     metrics: Option<PathBuf>,
     snapshot_explicit: bool,
@@ -127,7 +123,7 @@ const SIMS: &[&str] = &["simulate", "cluster", "claims", "birth", "verify"];
 /// Every flag, stated once: parsing, defaults, per-subcommand rejection,
 /// range validation and the usage text all derive from this table.
 #[rustfmt::skip]
-const FLAGS: [Flag; 24] = [
+const FLAGS: [Flag; 23] = [
     Flag { name: "--scale", arg: "F", default: Some("0.005"), cmds: SIMS,
            set: |c, v| scale(v).map(|x| c.scale = x) },
     Flag { name: "--days", arg: "N", default: Some("486"), cmds: SIMS,
@@ -145,8 +141,7 @@ const FLAGS: [Flag; 24] = [
            set: |c, v| at_least(v, 1).map(|n| c.nodes = n) },
     Flag { name: "--fast", arg: "", default: None, cmds: SIMS,
            set: |c, _| store(&mut c.fast, true) },
-    Flag { name: "--threads", arg: "N", default: Some("1"),
-           cmds: &["simulate", "report", "cluster", "claims", "birth", "verify"],
+    Flag { name: "--threads", arg: "N", default: Some("1"), cmds: SIMS,
            set: |c, v| at_least(v, 1).map(|n| c.threads = n) },
     Flag { name: "--claims", arg: "", default: None, cmds: &["verify"],
            set: |c, _| store(&mut c.claims, true) },
@@ -154,8 +149,6 @@ const FLAGS: [Flag; 24] = [
            set: |c, _| store(&mut c.md, true) },
     Flag { name: "--fold", arg: "", default: None, cmds: &["simulate"],
            set: |c, _| store(&mut c.fold, true) },
-    Flag { name: "--streaming", arg: "", default: None, cmds: &["report", "cluster"],
-           set: |c, _| store(&mut c.streaming, true) },
     Flag { name: "--scenarios", arg: "DIR", default: None, cmds: &["loadgen", "verify"],
            set: |c, v| store(&mut c.scenarios, Some(v.into())) },
     Flag { name: "--metrics", arg: "DIR", default: None,
@@ -300,15 +293,16 @@ fn sim_config(c: &Common) -> SimConfig {
     }
 }
 
-/// Where a command's sessions come from. Every command that analyses a run
-/// picks its source here, so flag conflicts are rejected in one place.
+/// Where a command's sessions come from. A command keeps rows only when
+/// something downstream reads rows — `simulate` writing its snapshot,
+/// `cluster` extracting features from a live sim — and folds otherwise.
+/// Every command that analyses a run picks its source here, so flag
+/// conflicts are rejected in one place.
 enum Source {
-    /// Simulate in memory; `simulate` also persists the run as a snapshot.
-    Sim { persist: bool },
+    /// Simulate in memory, keeping every row.
+    Sim,
     /// Simulate out-of-core, folding and retiring each day's rows.
     SimFold,
-    /// Read the `--snapshot` file and materialize its rows.
-    Snapshot,
     /// Fold the `--snapshot` file chunk by chunk, never holding all rows.
     SnapshotStream,
 }
@@ -319,17 +313,10 @@ fn source(cmd: &str, c: &Common) -> Source {
             cmd,
             "--fold retires rows day by day and writes no snapshot: drop --snapshot or --fold",
         ),
-        "simulate" if c.fold => Source::SimFold,
-        "cluster" if c.streaming && !c.snapshot_explicit => usage(
-            cmd,
-            "--streaming folds an existing snapshot: name it with --snapshot FILE",
-        ),
-        "report" | "cluster" if c.streaming => Source::SnapshotStream,
-        "report" => Source::Snapshot,
-        "cluster" if c.snapshot_explicit => Source::Snapshot,
-        _ => Source::Sim {
-            persist: cmd == "simulate",
-        },
+        "simulate" if !c.fold => Source::Sim,
+        "cluster" if !c.snapshot_explicit => Source::Sim,
+        "report" | "cluster" => Source::SnapshotStream,
+        _ => Source::SimFold,
     }
 }
 
@@ -348,33 +335,37 @@ fn announce_sim(c: &Common, mode: &str) -> SimConfig {
     config
 }
 
-fn snapshot_error(doing: &str, e: impl std::fmt::Display) -> ! {
-    eprintln!("error {doing} snapshot: {e}");
+/// An operation on the outside world failed after the flags were accepted:
+/// one line, exit 1.
+fn fail(doing: impl std::fmt::Display, e: impl std::fmt::Display) -> ! {
+    eprintln!("error {doing}: {e}");
     std::process::exit(1)
 }
 
 /// Write `snap` to the `--snapshot` file, creating its directory.
 fn write_snapshot(c: &Common, snap: &Snapshot) {
     if let Some(dir) = c.snapshot.parent() {
-        std::fs::create_dir_all(dir).expect("snapshot dir");
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| fail(format_args!("creating {}", dir.display()), e));
     }
     if let Err(e) = snap.write_file(&c.snapshot) {
-        snapshot_error("writing", e);
+        fail("writing snapshot", e);
     }
     eprintln!("snapshot written to {}", c.snapshot.display());
 }
 
-/// Read and materialize the `--snapshot` file.
-fn load_snapshot(c: &Common) -> (honeyfarm::farm::SnapshotMeta, SimOutput) {
-    eprintln!("loading snapshot {} …", c.snapshot.display());
-    let snap = Snapshot::read_file(&c.snapshot).unwrap_or_else(|e| snapshot_error("loading", e));
-    (snap.meta, SimOutput::from_snapshot(snap))
+/// Write one file into the `--out` directory, creating the directory.
+fn write_out(c: &Common, name: &str, contents: &str) {
+    let path = c.out.join(name);
+    std::fs::create_dir_all(&c.out)
+        .and_then(|()| std::fs::write(&path, contents))
+        .unwrap_or_else(|e| fail(format_args!("writing {}", path.display()), e));
 }
 
 /// Open the `--snapshot` file for a chunk-at-a-time fold.
 fn open_snapshot_stream(c: &Common) -> std::io::BufReader<std::fs::File> {
     eprintln!("streaming snapshot {} …", c.snapshot.display());
-    let file = std::fs::File::open(&c.snapshot).unwrap_or_else(|e| snapshot_error("opening", e));
+    let file = std::fs::File::open(&c.snapshot).unwrap_or_else(|e| fail("opening snapshot", e));
     std::io::BufReader::new(file)
 }
 
@@ -385,17 +376,11 @@ fn report_peak_rss() {
 }
 
 /// The one loader behind `simulate`, `report`, `claims` and `birth`: run or
-/// read `cmd`'s [`Source`] and return the run together with its aggregates. The
-/// dataset keeps its rows for the two materialized sources and is rowless
-/// for the two folded ones; nothing downstream reads rows, which is why all
-/// four yield byte-identical reports from identical data.
+/// read `cmd`'s [`Source`] and return the run together with its aggregates.
+/// The dataset keeps its rows for `simulate`, which persists them, and is
+/// rowless for the folded sources; nothing downstream reads rows, which is
+/// why all three yield byte-identical reports from identical data.
 fn load(cmd: &str, c: &Common) -> FoldOutput {
-    let materialized = |out: SimOutput| FoldOutput {
-        aggregates: Aggregates::compute_threaded(&out.dataset, c.threads),
-        dataset: out.dataset,
-        tags: out.tags,
-        n_clients: out.n_clients,
-    };
     let folded = |fold: FoldOutput| {
         eprintln!(
             "{} sessions folded / {} clients / {} hashes",
@@ -406,7 +391,7 @@ fn load(cmd: &str, c: &Common) -> FoldOutput {
         fold
     };
     match source(cmd, c) {
-        Source::Sim { persist } => {
+        Source::Sim => {
             let config = announce_sim(c, "");
             let out = Simulation::run(config.clone());
             eprintln!(
@@ -415,33 +400,25 @@ fn load(cmd: &str, c: &Common) -> FoldOutput {
                 out.n_clients,
                 out.tags.len()
             );
-            if persist {
-                write_snapshot(c, &out.to_snapshot(&config));
+            write_snapshot(c, &out.to_snapshot(&config));
+            FoldOutput {
+                aggregates: Aggregates::compute_threaded(&out.dataset, c.threads),
+                dataset: out.dataset,
+                tags: out.tags,
+                n_clients: out.n_clients,
             }
-            materialized(out)
         }
         Source::SimFold => {
             let fold = folded(Simulation::run_fold(announce_sim(c, ", out-of-core fold")));
-            eprintln!("fold mode retires rows as it goes; no snapshot written");
+            if cmd == "simulate" {
+                eprintln!("fold mode retires rows as it goes; no snapshot written");
+            }
             report_peak_rss();
             fold
         }
-        Source::Snapshot => {
-            let (meta, out) = load_snapshot(c);
-            eprintln!(
-                "{} sessions / {} clients / {} hashes (seed {}, scale {}, {} days)",
-                out.dataset.len(),
-                out.n_clients,
-                out.tags.len(),
-                meta.seed,
-                meta.scale_volume,
-                meta.days
-            );
-            materialized(out)
-        }
         Source::SnapshotStream => {
             let fold = FoldOutput::from_snapshot_stream(open_snapshot_stream(c))
-                .unwrap_or_else(|e| snapshot_error("streaming", e));
+                .unwrap_or_else(|e| fail("streaming snapshot", e));
             let fold = folded(fold);
             report_peak_rss();
             fold
@@ -452,16 +429,18 @@ fn load(cmd: &str, c: &Common) -> FoldOutput {
 /// Write the report dir + claims for a loaded run.
 fn write_report(run: &FoldOutput, c: &Common) {
     let report = Report::build_with_tags(&run.dataset, &run.aggregates, &run.tags);
-    report.write_dir(&c.out).expect("write report");
+    report
+        .write_dir(&c.out)
+        .unwrap_or_else(|e| fail(format_args!("writing report to {}", c.out.display()), e));
     let claims = Claims::compute(&run.aggregates);
-    std::fs::write(c.out.join("claims.json"), claims.to_json()).expect("claims");
+    write_out(c, "claims.json", &claims.to_json());
     println!("{}", report.summary());
     println!("report written to {}", c.out.display());
 }
 
 /// `hfarm cluster` — per-client feature extraction + seeded k-means, from
-/// a live sim, a materialized snapshot, or a bounded-RSS streaming read.
-/// All three paths produce bit-identical TSVs from the same data (held by
+/// a live sim or a bounded-RSS chunk-at-a-time read of a snapshot. Both
+/// paths produce bit-identical TSVs from the same data (held by
 /// `tests/cluster_invariance.rs` and `tests/cli_sources.rs`).
 fn cluster_cmd(c: &Common) {
     use honeyfarm::cluster;
@@ -473,25 +452,20 @@ fn cluster_cmd(c: &Common) {
     let run = match source("cluster", c) {
         Source::SnapshotStream => {
             let (_plan, feats) = cluster::features_from_snapshot_stream(open_snapshot_stream(c))
-                .unwrap_or_else(|e| snapshot_error("streaming", e));
+                .unwrap_or_else(|e| fail("streaming snapshot", e));
             eprintln!("{} clients folded (streaming)", feats.len());
             report_peak_rss();
             ClusterRun::finish(feats, &cfg)
         }
-        materialized => {
-            let out = match materialized {
-                Source::Snapshot => load_snapshot(c).1,
-                _ => Simulation::run(announce_sim(c, "")),
-            };
+        _ => {
+            let out = Simulation::run(announce_sim(c, ""));
             eprintln!("{} sessions / {} clients", out.dataset.len(), out.n_clients);
             ClusterRun::over(&out.dataset, c.threads, &cfg)
         }
     };
-    std::fs::create_dir_all(&c.out).expect("out dir");
     let assignments = cluster::assignments_tsv(&run.features, &run.matrix, &run.output);
-    std::fs::write(c.out.join("cluster_assignments.tsv"), assignments).expect("assignments tsv");
-    let summary = cluster::summary_tsv(&run.output);
-    std::fs::write(c.out.join("cluster_summary.tsv"), summary).expect("summary tsv");
+    write_out(c, "cluster_assignments.tsv", &assignments);
+    write_out(c, "cluster_summary.tsv", &cluster::summary_tsv(&run.output));
     print!("{}", cluster::summary_text(&run.features, &run.output));
     println!("cluster tables written to {}", c.out.display());
     emit_metrics(c, "hfarm cluster");
@@ -506,8 +480,7 @@ fn emit_metrics(c: &Common, tool: &str) {
     honeyfarm::obs::sample_peak_rss();
     let manifest = honeyfarm::obs::manifest(tool);
     if let Err(e) = manifest.write_dir(dir) {
-        eprintln!("error writing metrics manifest: {e}");
-        std::process::exit(1);
+        fail("writing metrics manifest", e);
     }
     match honeyfarm::obs::RunManifest::load_dir(dir) {
         Ok(m) => eprintln!(
@@ -810,10 +783,8 @@ fn accounting_line(stats: &honeyfarm::wire::FarmStats, sessions: usize, clients:
 fn serve(c: &Common) -> ! {
     use std::io::{BufRead, Write};
 
-    let farm = honeyfarm::wire::LiveFarm::start(wire_config(c)).unwrap_or_else(|e| {
-        eprintln!("error starting live farm: {e}");
-        std::process::exit(1);
-    });
+    let farm = honeyfarm::wire::LiveFarm::start(wire_config(c))
+        .unwrap_or_else(|e| fail("starting live farm", e));
     {
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
@@ -930,10 +901,7 @@ fn loadgen(c: &Common) -> ! {
             wall_timeout_secs: 600,
             ..honeyfarm::wire::FarmConfig::default()
         })
-        .unwrap_or_else(|e| {
-            eprintln!("error starting live farm: {e}");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|e| fail("starting live farm", e));
         let report = honeyfarm::wire::loadgen::run(farm.nodes(), &scenarios, &cfg);
         let out = farm.shutdown();
         let s = &out.stats;
@@ -993,10 +961,7 @@ fn loadgen_against_child(
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .spawn()
-        .unwrap_or_else(|e| {
-            eprintln!("error spawning serve child: {e}");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|e| fail("spawning serve child", e));
     let stdout = child.stdout.take().expect("child stdout");
     let mut lines = std::io::BufReader::new(stdout).lines();
     let mut node_addrs = Vec::new();

@@ -1,10 +1,11 @@
-//! The `hfarm` binary reaches the same data through four sources — live
-//! sim, out-of-core folded sim, materialized snapshot, streamed snapshot —
-//! and all of them go through one loader. Whatever the source, the files
-//! written must be byte-identical, and a command line the flag table does
-//! not allow — a combination that names no source, a value out of range, a
-//! flag the subcommand does not read — must be rejected before anything is
-//! written.
+//! The `hfarm` binary reaches the same data through three sources — live
+//! sim, out-of-core folded sim, snapshot folded chunk by chunk — and picks
+//! among them itself: it keeps rows only where something downstream reads
+//! them. Whatever the source, the files written must be byte-identical (and
+//! `claims`/`birth` equal to the library's materialized reference), and a
+//! command line the flag table does not allow — a combination that names no
+//! source, a value out of range, a flag the subcommand does not read — must
+//! be rejected before anything is written.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -72,21 +73,93 @@ fn every_source_writes_the_same_report_and_clusters() {
         &[("--out", &at("fold"))],
     );
     ok(&["report"], &[("--out", &at("rep")), ("--snapshot", &snap)]);
-    ok(
-        &["report", "--streaming"],
-        &[("--out", &at("stream")), ("--snapshot", &snap)],
-    );
-    for other in ["fold", "rep", "stream"] {
+    for other in ["fold", "rep"] {
         assert_same_files(&at("sim"), &at(other));
     }
 
+    let live = [&["cluster"][..], &RUN].concat();
+    ok(&live, &[("--out", &at("cl_live"))]);
     ok(&["cluster"], &[("--out", &at("cl")), ("--snapshot", &snap)]);
-    ok(
-        &["cluster", "--streaming"],
-        &[("--out", &at("cl_stream")), ("--snapshot", &snap)],
-    );
-    assert_same_files(&at("cl"), &at("cl_stream"));
+    assert_same_files(&at("cl_live"), &at("cl"));
 
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// `claims` and `birth` only ever fold; their stdout must stay what the
+/// library's materialized reference renders, at any thread count.
+#[test]
+fn claims_and_birth_print_the_materialized_reference() {
+    use honeyfarm::core::birth::birth_report;
+    use honeyfarm::prelude::*;
+
+    let reference = Aggregates::compute(
+        &Simulation::run(SimConfig {
+            seed: 42,
+            scale: Scale::of(0.001),
+            window: StudyWindow::first_days(5),
+            ..SimConfig::default()
+        })
+        .dataset,
+    );
+    let expected = [
+        ("claims", format!("{}\n", Claims::compute(&reference))),
+        ("birth", format!("{}\n", birth_report(&reference))),
+    ];
+    for (cmd, expected) in expected {
+        for threads in ["1", "2"] {
+            let args = [&[cmd][..], &RUN, &["--threads", threads]].concat();
+            let out = hfarm(&args, &[]);
+            assert!(out.status.success(), "hfarm {args:?}");
+            assert!(
+                String::from_utf8_lossy(&out.stdout) == expected,
+                "hfarm {args:?} differs from the materialized reference"
+            );
+        }
+    }
+}
+
+/// A path that cannot be written is found only after the analysis has run:
+/// exit 1 with one `error …` line naming the path, never a panic.
+#[test]
+fn unwritable_output_paths_exit_1_without_a_panic() {
+    let dir = workdir("unwritable");
+    let snap = dir.join("run.hfstore");
+    let file = dir.join("file");
+    std::fs::write(&file, "not a directory").expect("write file");
+    let under_file = file.join("out");
+    let sim_args = [&["simulate"][..], &RUN].concat();
+    ok(
+        &sim_args,
+        &[("--out", &dir.join("sim")), ("--snapshot", &snap)],
+    );
+
+    let fails = |args: &[&str], paths: &[(&str, &Path)]| {
+        let out = hfarm(args, paths);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "hfarm {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "hfarm {args:?}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error ")).collect();
+        assert_eq!(errors.len(), 1, "hfarm {args:?}: {stderr}");
+        assert!(
+            errors[0].contains(&*under_file.to_string_lossy()),
+            "hfarm {args:?}: {stderr}"
+        );
+    };
+    fails(
+        &["report"],
+        &[("--snapshot", &snap), ("--out", &under_file)],
+    );
+    fails(
+        &["cluster"],
+        &[("--snapshot", &snap), ("--out", &under_file)],
+    );
+    fails(
+        &sim_args,
+        &[
+            ("--snapshot", &under_file.join("s.hfstore")),
+            ("--out", &dir.join("sim")),
+        ],
+    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -105,13 +178,6 @@ fn flags_that_name_no_source_exit_2_and_write_nothing() {
         assert!(!snap.exists(), "hfarm {args:?} wrote a snapshot");
     };
 
-    // `--streaming` folds a snapshot; without one there is nothing to fold
-    // (and it must not fall through to a full simulation).
-    rejected(
-        &[&["cluster", "--streaming"][..], &RUN].concat(),
-        &[("--out", &out_dir)],
-        "--streaming folds an existing snapshot",
-    );
     // `--fold` never writes a snapshot, so it must not accept a path for one.
     rejected(
         &[&["simulate", "--fold"][..], &RUN].concat(),
@@ -136,7 +202,7 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
     let dir = workdir("table");
     let out_dir = dir.join("out");
     let snap = dir.join("never.hfstore");
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 17] = [
         (&["simulate", "--days", "0"], "--days"),
         (&["simulate", "--scale", "0"], "--scale"),
         (&["simulate", "--scale", "-1"], "--scale"),
@@ -150,6 +216,12 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
             "report does not read --scale",
         ),
         (&["report", "--fold"], "report does not read --fold"),
+        (
+            &["report", "--threads", "2"],
+            "report does not read --threads",
+        ),
+        (&["report", "--streaming"], "unknown flag --streaming"),
+        (&["cluster", "--streaming"], "unknown flag --streaming"),
         (&["simulate", "--k", "3"], "simulate does not read --k"),
         (&["cluster", "--fold"], "cluster does not read --fold"),
         (&["serve", "--days", "5"], "serve does not read --days"),
