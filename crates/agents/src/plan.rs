@@ -34,21 +34,6 @@ pub enum Behavior {
     Recon { variant: u16 },
 }
 
-impl Behavior {
-    /// Does this behavior attempt a login?
-    pub fn attempts_login(&self) -> bool {
-        !matches!(self, Behavior::Scan { .. })
-    }
-
-    /// Does this behavior log in successfully?
-    pub fn logs_in(&self) -> bool {
-        matches!(
-            self,
-            Behavior::LoginIdle { .. } | Behavior::Script { .. } | Behavior::Recon { .. }
-        )
-    }
-}
-
 /// One planned session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionPlan {
@@ -66,24 +51,4 @@ pub struct SessionPlan {
     pub behavior: Behavior,
     /// Seed for per-session execution details.
     pub seed: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn behavior_predicates() {
-        assert!(!Behavior::Scan { linger_secs: 5 }.attempts_login());
-        assert!(Behavior::Scout { attempts: 2 }.attempts_login());
-        assert!(!Behavior::Scout { attempts: 2 }.logs_in());
-        assert!(Behavior::LoginIdle {
-            idle_to_timeout: true
-        }
-        .logs_in());
-        assert!(Behavior::Script {
-            campaign: CampaignId(0)
-        }
-        .logs_in());
-    }
 }

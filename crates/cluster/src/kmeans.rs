@@ -2,7 +2,7 @@
 //!
 //! Everything here is serial and fully ordered: clients enter in ascending
 //! IP order (the matrix row order), k-means++ seeding draws from a
-//! SplitMix64 stream owned by the config seed, distance ties assign to the
+//! SplitMix64 stream with a fixed seed, distance ties assign to the
 //! lowest centroid index, the sweep breaks score ties toward the smaller
 //! k, and the final labels are canonicalized by (size desc, lowest member
 //! IP asc). Given the same [`FeatureMatrix`] the output is bit-identical —
@@ -11,33 +11,23 @@
 
 use crate::features::{FeatureMatrix, N_FEATURES};
 
-/// Clustering parameters. The defaults are the documented fixture used by
-/// `hfarm cluster`, the goldens, and the claims table.
-#[derive(Clone, Copy, Debug)]
-pub struct KMeansConfig {
-    /// Seed for the k-means++ draws.
-    pub seed: u64,
-    /// Smallest k the silhouette sweep tries.
-    pub k_min: usize,
-    /// Largest k the sweep tries (clamped to the number of clients).
-    pub k_max: usize,
-    /// Lloyd iteration cap per k.
-    pub max_iters: usize,
-    /// Skip the sweep and force this k (still clamped to the client
-    /// count). `None` sweeps `k_min..=k_max`.
-    pub force_k: Option<usize>,
-}
+/// Seed for the k-means++ draws.
+const SEED: u64 = 0x00C1_A57E;
+/// Smallest and largest k the silhouette sweep tries (clamped to the
+/// number of clients).
+const K_MIN: usize = 2;
+const K_MAX: usize = 8;
+/// Lloyd iteration cap per k.
+const MAX_ITERS: usize = 64;
 
-impl Default for KMeansConfig {
-    fn default() -> Self {
-        KMeansConfig {
-            seed: 0x00C1_A57E,
-            k_min: 2,
-            k_max: 8,
-            max_iters: 64,
-            force_k: None,
-        }
-    }
+/// Clustering parameters. The default (sweep) is the documented fixture
+/// used by `hfarm cluster`, the goldens, and the claims table; the seed,
+/// the sweep range and the iteration cap are fixed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KMeansConfig {
+    /// Skip the sweep and force this k (still clamped to the client
+    /// count). `None` sweeps `K_MIN..=K_MAX` (2..=8).
+    pub force_k: Option<usize>,
 }
 
 /// Finished clustering, canonically labelled.
@@ -88,10 +78,10 @@ fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// One Lloyd run at a fixed k. Returns `(assignments, centroids)`.
-fn lloyd(m: &FeatureMatrix, k: usize, cfg: &KMeansConfig) -> (Vec<u32>, Vec<[f64; N_FEATURES]>) {
+fn lloyd(m: &FeatureMatrix, k: usize) -> (Vec<u32>, Vec<[f64; N_FEATURES]>) {
     let n = m.len();
     debug_assert!(k >= 1 && k <= n);
-    let mut rng = SplitMix64(cfg.seed);
+    let mut rng = SplitMix64(SEED);
 
     // k-means++ seeding: first center uniform, the rest D²-weighted. When
     // the remaining mass is zero (all points coincide with a chosen
@@ -130,7 +120,7 @@ fn lloyd(m: &FeatureMatrix, k: usize, cfg: &KMeansConfig) -> (Vec<u32>, Vec<[f64
     // (strict `<` keeps the first minimum); centroid sums run in row (=
     // client IP) order, so both halves are order-fixed.
     let mut assign = vec![0u32; n];
-    for _ in 0..cfg.max_iters {
+    for _ in 0..MAX_ITERS {
         let mut changed = false;
         for (i, slot) in assign.iter_mut().enumerate() {
             let mut best = 0u32;
@@ -230,13 +220,13 @@ pub fn cluster(m: &FeatureMatrix, cfg: &KMeansConfig) -> ClusterOutput {
     let candidates: Vec<usize> = match cfg.force_k {
         Some(k) => vec![k.clamp(1, n)],
         None if n == 1 => vec![1],
-        None => (cfg.k_min.min(n)..=cfg.k_max.min(n)).collect(),
+        None => (K_MIN.min(n)..=K_MAX.min(n)).collect(),
     };
 
     let mut best: Option<Candidate> = None;
     let mut sweep = Vec::with_capacity(candidates.len());
     for &k in &candidates {
-        let (assign, centroids) = lloyd(m, k, cfg);
+        let (assign, centroids) = lloyd(m, k);
         let score = silhouette(m, &assign, &centroids);
         sweep.push((k, score));
         // Strictly-greater keeps the first (smallest) k on ties.
@@ -368,13 +358,7 @@ mod tests {
     #[test]
     fn force_k_skips_the_sweep() {
         let rows = vec![point(0.1, 0.1), point(0.9, 0.9), point(0.5, 0.5)];
-        let out = cluster(
-            &matrix(&rows),
-            &KMeansConfig {
-                force_k: Some(3),
-                ..KMeansConfig::default()
-            },
-        );
+        let out = cluster(&matrix(&rows), &KMeansConfig { force_k: Some(3) });
         assert_eq!(out.sweep.len(), 1);
         assert_eq!(out.k, 3);
     }

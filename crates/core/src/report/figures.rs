@@ -1,7 +1,7 @@
 //! Figures 1–24.
 //!
 //! Every figure consumes the one shared [`Aggregates`] pass; none re-scans
-//! session rows. Builders that used to duplicate work expose fused variants
+//! session rows. Builders that used to duplicate work are fused
 //! ([`fig_bands_with`] / [`fig_cat_bands_with`] share one top-5% selection,
 //! [`client_ecdfs`] builds Figs. 12 and 13 in a single pass over clients)
 //! which `Report::build_with_tags` uses. Every artifact renders through
@@ -117,14 +117,8 @@ pub struct FigBands {
     pub bands: BandSeries,
 }
 
-/// Build Fig. 3 (`top5 = true`) or Fig. 4 (`top5 = false`).
-pub fn fig_bands(agg: &Aggregates, top5: bool) -> FigBands {
-    let sel = top5.then(|| top5pct_honeypots(agg));
-    fig_bands_with(agg, sel.as_deref())
-}
-
-/// Build a band figure from a pre-computed honeypot selection (`None` =
-/// all honeypots), letting callers share one [`top5pct_honeypots`] sort.
+/// Build Fig. 3 (`sel` = the [`top5pct_honeypots`]) or Fig. 4 (`None` =
+/// all honeypots); callers share one selection sort across figures.
 pub fn fig_bands_with(agg: &Aggregates, sel: Option<&[u16]>) -> FigBands {
     FigBands {
         top5_only: sel.is_some(),
@@ -284,14 +278,8 @@ pub struct FigCatBands {
     pub bands: Vec<(Category, BandSeries)>,
 }
 
-/// Build Fig. 8 (`top5 = false`) or Fig. 9 (`top5 = true`).
-pub fn fig_cat_bands(agg: &Aggregates, top5: bool) -> FigCatBands {
-    let sel = top5.then(|| top5pct_honeypots(agg));
-    fig_cat_bands_with(agg, sel.as_deref())
-}
-
-/// Build per-category bands from a pre-computed honeypot selection
-/// (`None` = all honeypots).
+/// Build Fig. 8 (`None` = all honeypots) or Fig. 9 (`sel` = the
+/// [`top5pct_honeypots`]).
 pub fn fig_cat_bands_with(agg: &Aggregates, sel: Option<&[u16]>) -> FigCatBands {
     FigCatBands {
         top5_only: sel.is_some(),
@@ -1060,20 +1048,6 @@ mod tests {
         assert_eq!(f13.overall.total(), f.agg.n_clients() as u64);
         assert_eq!(f12.to_tsv(), fig12(&f.agg).to_tsv());
         assert_eq!(f13.to_tsv(), fig13(&f.agg).to_tsv());
-    }
-
-    #[test]
-    fn shared_selection_matches_internal_selection() {
-        let f = fx();
-        let sel = top5pct_honeypots(&f.agg);
-        assert_eq!(
-            fig_bands_with(&f.agg, Some(&sel)).to_tsv(),
-            fig_bands(&f.agg, true).to_tsv()
-        );
-        assert_eq!(
-            fig_cat_bands_with(&f.agg, None).to_tsv(),
-            fig_cat_bands(&f.agg, false).to_tsv()
-        );
     }
 
     #[test]

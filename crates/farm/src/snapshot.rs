@@ -103,20 +103,83 @@ const _: () = assert!(std::mem::size_of::<Row>() == ROW_BYTES);
 /// 32-byte chunk digest.
 const CHUNK_HEADER_LEN: usize = 4 + 32;
 
-/// Chunks the overlapped reader/writer stages keep in flight: the helper
-/// stage works on chunk `k + 1` while the main thread consumes chunk `k`,
-/// double-buffered through a recycle channel (two buffers total, so the
-/// overlap never holds more than two decoded-size chunks).
+/// Chunks [`overlapped`] keeps in flight: the helper stage works on chunk
+/// `k + 1` while the calling thread consumes chunk `k`, double-buffered
+/// through a recycle channel (two buffers total).
 const OVERLAP_DEPTH: usize = 2;
 
-/// `HF_SNAPSHOT_NO_OVERLAP=1` disables the helper-thread prefetch in
-/// [`SnapshotReader::fold_chunks`] and the encode-ahead stage in the rows
-/// writer, forcing the bit-identical serial paths (checked once, like
-/// `HF_HASH_FORCE_SCALAR`).
+/// `HF_SNAPSHOT_NO_OVERLAP=1` keeps [`overlapped`] on its bit-identical
+/// serial arm (checked once, like `HF_HASH_FORCE_SCALAR`).
 fn overlap_disabled() -> bool {
     static DISABLED: OnceLock<bool> = OnceLock::new();
     *DISABLED.get_or_init(|| {
         std::env::var_os("HF_SNAPSHOT_NO_OVERLAP").is_some_and(|v| !v.is_empty() && v != "0")
+    })
+}
+
+/// The one chunk pipeline of the reader and the writer: `produce` fills a
+/// buffer with chunk `k + 1` (returning its tag, or `None` after the last
+/// chunk) while `consume` works on chunk `k`. With at most one of `chunks`
+/// left, or under `HF_SNAPSHOT_NO_OVERLAP`, both run on the calling thread
+/// over `bufs[0]`; otherwise `produce` runs on a helper thread and the
+/// buffers rotate through a recycle channel. Chunks are consumed strictly
+/// in production order, so `consume` sees the same bytes in the same order
+/// on either arm, and the first error — from either closure — is the one
+/// the serial arm would have hit first.
+///
+/// Time the calling thread spends blocked on the helper is recorded in the
+/// `snapshot.chunk_wait` span: a large share of the wall time means the
+/// producer (disk, hash or encode) is the bottleneck; near zero, the
+/// consumer is.
+fn overlapped<T: Send>(
+    chunks: usize,
+    bufs: [Vec<u8>; OVERLAP_DEPTH],
+    mut produce: impl FnMut(&mut Vec<u8>) -> Result<Option<T>, SnapshotError> + Send,
+    mut consume: impl FnMut(T, &[u8]) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    if chunks <= 1 || overlap_disabled() {
+        let [mut buf, _] = bufs;
+        while let Some(tag) = produce(&mut buf)? {
+            consume(tag, &buf)?;
+        }
+        return Ok(());
+    }
+    std::thread::scope(|s| {
+        let (full_tx, full_rx) =
+            mpsc::sync_channel::<Result<(T, Vec<u8>), SnapshotError>>(OVERLAP_DEPTH);
+        let (free_tx, free_rx) = mpsc::channel::<Vec<u8>>();
+        for buf in bufs {
+            let _ = free_tx.send(buf);
+        }
+        s.spawn(move || {
+            // Either channel closing means the consumer bailed: stop.
+            while let Ok(mut buf) = free_rx.recv() {
+                let msg = match produce(&mut buf) {
+                    Ok(Some(tag)) => Ok((tag, buf)),
+                    Ok(None) => break, // dropping full_tx ends the consumer
+                    Err(e) => Err(e),
+                };
+                let failed = msg.is_err();
+                if full_tx.send(msg).is_err() || failed {
+                    break;
+                }
+            }
+            // What `produce` recorded (hash throughput) is on this thread.
+            hf_obs::flush();
+        });
+        // Returning, early or not, drops both channel ends, which unblocks
+        // a helper that is mid-send or waiting for a buffer; the scope then
+        // joins it.
+        loop {
+            let msg = {
+                let _wait = hf_obs::span!("snapshot.chunk_wait");
+                full_rx.recv()
+            };
+            let Ok(msg) = msg else { return Ok(()) };
+            let (tag, buf) = msg?;
+            consume(tag, &buf)?;
+            let _ = free_tx.send(buf);
+        }
     })
 }
 
@@ -784,34 +847,21 @@ impl<R: Read> SnapshotReader<R> {
     /// returns. `fold` receives the pools-only store, the plan, and one
     /// fully-validated chunk of rows per call, in file order.
     ///
-    /// Unless `HF_SNAPSHOT_NO_OVERLAP` is set (or the file has at most one
-    /// chunk), a helper thread reads and checksums chunk `k + 1` while the
-    /// calling thread decodes, validates, and folds chunk `k` — the read +
-    /// SHA-256 side of the stream runs entirely in the shadow of the fold.
-    /// Buffers rotate through a bounded recycle channel ([`OVERLAP_DEPTH`]
-    /// chunks in flight), and chunks are delivered strictly in order, so
-    /// results — and the *first* error, should one surface — are identical
-    /// to the serial path's.
-    ///
-    /// Time the calling thread spends blocked on the prefetcher is recorded
-    /// in the `snapshot.chunk_wait` span: if it is a large share of the
-    /// fold wall time, the disk (or the hash) is the bottleneck; if near
-    /// zero, the fold is.
+    /// The stream goes through [`overlapped`]: unless
+    /// `HF_SNAPSHOT_NO_OVERLAP` is set (or at most one chunk remains), a
+    /// helper thread reads and checksums chunk `k + 1` while the calling
+    /// thread decodes, validates, and folds chunk `k` — the read + SHA-256
+    /// side of the stream runs in the shadow of the fold, and results (and
+    /// the *first* error, should one surface) are identical to the serial
+    /// arm's.
     pub fn fold_chunks<F>(
-        mut self,
+        self,
         mut fold: F,
     ) -> Result<(SnapshotMeta, FarmPlan, SessionStore, TagDb), SnapshotError>
     where
         R: Send,
         F: FnMut(&SessionStore, &FarmPlan, &[Row]) -> Result<(), SnapshotError>,
     {
-        if self.raw.n_chunks - self.raw.chunks_read <= 1 || overlap_disabled() {
-            let mut rows = Vec::new();
-            while self.next_chunk(&mut rows)? {
-                fold(&self.store, &self.plan, &rows)?;
-            }
-            return self.finish();
-        }
         let SnapshotReader {
             mut raw,
             meta,
@@ -822,72 +872,17 @@ impl<R: Read> SnapshotReader<R> {
             ..
         } = self;
         let mut rows: Vec<Row> = Vec::new();
-        let mut first_err: Option<SnapshotError> = None;
-        let mut raw = std::thread::scope(|s| {
-            let (full_tx, full_rx) =
-                mpsc::sync_channel::<Result<(u32, Vec<u8>), SnapshotError>>(OVERLAP_DEPTH);
-            let (free_tx, free_rx) = mpsc::channel::<Vec<u8>>();
-            for buf in [data_buf, Vec::new()] {
-                let _ = free_tx.send(buf);
-            }
-            let prefetcher = s.spawn(move || {
-                loop {
-                    let mut buf = free_rx.recv().unwrap_or_default();
-                    match raw.next_raw(&mut buf) {
-                        Ok(Some(n)) => {
-                            if full_tx.send(Ok((n, buf))).is_err() {
-                                break; // consumer bailed; stop reading
-                            }
-                        }
-                        Ok(None) => break, // dropping full_tx ends the fold
-                        Err(e) => {
-                            let _ = full_tx.send(Err(e));
-                            break;
-                        }
-                    }
-                }
-                // Hash throughput counters were recorded on this thread.
-                hf_obs::flush();
-                raw
-            });
-            // Chunks are processed strictly in delivery order, so the first
-            // error observed here — whether it came over the channel or
-            // from decode/validate/fold below — is the same error the
-            // serial path would have hit first.
-            loop {
-                let msg = {
-                    let _wait = hf_obs::span!("snapshot.chunk_wait");
-                    full_rx.recv()
-                };
-                let Ok(msg) = msg else { break };
-                match msg {
-                    Ok((chunk_rows, buf)) => {
-                        rows.clear();
-                        let step = decode_row_chunk(&buf, chunk_rows as usize, &mut rows)
-                            .and_then(|()| validate_rows(&rows, &store, &mut memo))
-                            .and_then(|()| fold(&store, &plan, &rows));
-                        let _ = free_tx.send(buf);
-                        if let Err(e) = step {
-                            first_err = Some(e);
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            // On early exit these drops unblock a prefetcher mid-send.
-            drop(full_rx);
-            drop(free_tx);
-            prefetcher
-                .join()
-                .expect("snapshot prefetch thread panicked")
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        overlapped(
+            (raw.n_chunks - raw.chunks_read) as usize,
+            [data_buf, Vec::new()],
+            |buf| raw.next_raw(buf),
+            |chunk_rows, buf| {
+                rows.clear();
+                decode_row_chunk(buf, chunk_rows as usize, &mut rows)?;
+                validate_rows(&rows, &store, &mut memo)?;
+                fold(&store, &plan, &rows)
+            },
+        )?;
         let tags = read_decoded_section(&mut raw.r, 9, decode_tags)?;
         hf_obs::counter!("snapshot.rows_loaded", raw.rows_read);
         Ok((meta.public, plan, store, tags))
@@ -1015,56 +1010,6 @@ fn rows_manifest(rows: &[Row], rows_per_chunk: u32) -> Vec<u8> {
     manifest
 }
 
-/// Drive `f` over `(chunk_index, encoded_bytes)` for every chunk of `rows`.
-/// Serial (one reused buffer) when overlap is off or there is at most one
-/// chunk; otherwise a helper thread encodes chunk `k + 1` into a recycled
-/// buffer while `f` — checksumming or file write-out — consumes chunk `k`.
-/// Either way `f` sees identical bytes in identical order.
-fn for_each_encoded_chunk(
-    rows: &[Row],
-    rows_per_chunk: u32,
-    mut f: impl FnMut(usize, &[u8]) -> Result<(), SnapshotError>,
-) -> Result<(), SnapshotError> {
-    let size = rows_per_chunk as usize;
-    if rows.len() <= size || overlap_disabled() {
-        let mut buf = Vec::new();
-        for (i, chunk) in rows.chunks(size).enumerate() {
-            buf.clear();
-            encode_row_chunk(chunk, &mut buf);
-            f(i, &buf)?;
-        }
-        return Ok(());
-    }
-    std::thread::scope(|s| {
-        let (full_tx, full_rx) = mpsc::sync_channel::<(usize, Vec<u8>)>(OVERLAP_DEPTH);
-        let (free_tx, free_rx) = mpsc::channel::<Vec<u8>>();
-        for _ in 0..OVERLAP_DEPTH {
-            let _ = free_tx.send(Vec::new());
-        }
-        s.spawn(move || {
-            for (i, chunk) in rows.chunks(size).enumerate() {
-                let mut buf = free_rx.recv().unwrap_or_default();
-                buf.clear();
-                encode_row_chunk(chunk, &mut buf);
-                if full_tx.send((i, buf)).is_err() {
-                    return; // consumer bailed
-                }
-            }
-        });
-        let mut result = Ok(());
-        while let Ok((i, buf)) = full_rx.recv() {
-            result = f(i, &buf);
-            if result.is_err() {
-                break;
-            }
-            let _ = free_tx.send(buf);
-        }
-        // Dropping the channel ends unblocks the encoder if we bailed
-        // early; the scope then joins it.
-        result
-    })
-}
-
 /// Write the framed rows section: header, prologue, then one chunk at a
 /// time — peak memory is a couple of encoded chunks (3 MiB each) plus the
 /// manifest, regardless of row count. Returns the payload length.
@@ -1073,9 +1018,8 @@ fn for_each_encoded_chunk(
 /// before any row byte can be written, so checksumming cannot overlap the
 /// write-out of the *same* pass. Instead each pass overlaps with encoding:
 /// the digest pass pairs chunks through the multi-buffer hash backend
-/// ([`rows_manifest`]), and the write pass encodes chunk `k + 1` on a
-/// helper thread while chunk `k` drains to the file
-/// ([`for_each_encoded_chunk`]).
+/// ([`rows_manifest`]), and the write pass encodes chunk `k + 1` while
+/// chunk `k` drains to the file ([`overlapped`]).
 fn write_rows_section<W: Write>(
     w: &mut W,
     id: u32,
@@ -1088,12 +1032,23 @@ fn write_rows_section<W: Write>(
     w.write_all(&payload_len.to_le_bytes())?;
     w.write_all(&Sha256::digest(&manifest).0)?;
     w.write_all(&manifest[..ROWS_PROLOGUE_LEN])?;
-    for_each_encoded_chunk(rows, rows_per_chunk, |i, buf| {
-        let h = ROWS_PROLOGUE_LEN + i * CHUNK_HEADER_LEN;
-        w.write_all(&manifest[h..h + CHUNK_HEADER_LEN])?;
-        w.write_all(buf)?;
-        Ok(())
-    })?;
+    let mut chunks = rows.chunks(rows_per_chunk as usize);
+    let mut headers = manifest[ROWS_PROLOGUE_LEN..].chunks_exact(CHUNK_HEADER_LEN);
+    overlapped(
+        chunks.len(),
+        [Vec::new(), Vec::new()],
+        |buf| {
+            Ok(chunks.next().map(|chunk| {
+                buf.clear();
+                encode_row_chunk(chunk, buf);
+            }))
+        },
+        |(), buf| {
+            w.write_all(headers.next().expect("one manifest header per chunk"))?;
+            w.write_all(buf)?;
+            Ok(())
+        },
+    )?;
     Ok(payload_len)
 }
 
@@ -1812,6 +1767,9 @@ mod tests {
         let mut bytes = Vec::new();
         snap.write_to_chunked(&mut bytes, 4).expect("write");
         let reader = SnapshotReader::open(bytes.as_slice()).expect("open");
+        // Unless HF_SNAPSHOT_NO_OVERLAP is set this is the overlapped arm,
+        // with chunks still unread when the fold bails at the second one.
+        assert!(reader.raw.n_chunks - reader.raw.chunks_read > 2);
         let mut calls = 0u32;
         let err = reader
             .fold_chunks(|_, _, _| {
@@ -1834,5 +1792,42 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         }
         assert_eq!(calls, 2, "the fold must stop at the first error");
+    }
+
+    /// Accepts `left` bytes, then fails every write.
+    struct FailAfter {
+        left: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_writer_is_a_typed_io_error_and_the_encoder_is_joined() {
+        let snap = sample_snapshot(64);
+        let mut bytes = Vec::new();
+        snap.write_to_chunked(&mut bytes, 4).expect("write");
+        // 16 chunks. Cutting the output at every 97th byte lands in each of
+        // them: the writer bails while the encoder is ahead of it, blocked
+        // on a full channel, or already finished. Returning at all means
+        // the encoder was joined.
+        for left in (0..bytes.len()).step_by(97) {
+            match snap.write_to_chunked(&mut FailAfter { left }, 4) {
+                Err(SnapshotError::Io(e)) => assert_eq!(e.to_string(), "disk full"),
+                other => panic!("expected Io at byte {left}, got {other:?}"),
+            }
+        }
     }
 }

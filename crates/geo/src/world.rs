@@ -156,11 +156,6 @@ impl World {
         NetworkClass::ALL[4]
     }
 
-    /// Number of ASes in the world.
-    pub fn as_count(&self) -> usize {
-        self.ases.len()
-    }
-
     /// Info for an AS (panics on unknown synthetic ASN).
     pub fn as_info(&self, asn: Asn) -> &AsInfo {
         &self.ases[(asn.0 - FIRST_ASN) as usize]
@@ -283,7 +278,8 @@ mod tests {
     fn as_country_distribution_mirrors_mix() {
         let w = World::build(11, &WorldConfig::default());
         let cn = country::by_code("CN").unwrap();
-        let frac = w.ases().iter().filter(|a| a.country == cn).count() as f64 / w.as_count() as f64;
+        let frac =
+            w.ases().iter().filter(|a| a.country == cn).count() as f64 / w.ases().len() as f64;
         assert!((frac - 0.31).abs() < 0.02, "CN AS fraction {frac}");
     }
 

@@ -17,10 +17,6 @@ pub struct HoneypotConfig {
     /// Seconds an authenticated client may idle before timeout — the paper's
     /// "three minutes" (the upper dashed line in Fig. 7).
     pub idle_timeout_secs: u32,
-    /// Whether a pending download resets the idle timer (the paper observes
-    /// CMD+URI sessions crossing the timeout "due to the reset of the timeout
-    /// period while waiting for the external resource").
-    pub download_resets_timeout: bool,
     /// Machine identity shown by the shell.
     pub profile: SystemProfile,
 }
@@ -38,7 +34,6 @@ impl HoneypotConfig {
             auth: AuthPolicy::paper(),
             preauth_timeout_secs: 60,
             idle_timeout_secs: 180,
-            download_resets_timeout: true,
             profile,
         }
     }
@@ -54,6 +49,5 @@ mod tests {
         assert_eq!(c.idle_timeout_secs, 180);
         assert_eq!(c.preauth_timeout_secs, 60);
         assert_eq!(c.auth.max_attempts, 3);
-        assert!(c.download_resets_timeout);
     }
 }

@@ -73,11 +73,6 @@ impl SessionRecord {
         self.logins.iter().any(|l| l.accepted)
     }
 
-    /// Were any commands executed?
-    pub fn executed_commands(&self) -> bool {
-        !self.commands.is_empty()
-    }
-
     /// Did any command reference a URI?
     pub fn accessed_uri(&self) -> bool {
         !self.uris.is_empty()
@@ -121,7 +116,7 @@ mod tests {
         let r = base_record();
         assert!(!r.attempted_login());
         assert!(!r.login_succeeded());
-        assert!(!r.executed_commands());
+        assert!(r.commands.is_empty());
         assert!(!r.accessed_uri());
         assert_eq!(r.day(), 10);
         assert_eq!(r.end().delta_secs(r.start), 42);

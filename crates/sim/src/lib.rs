@@ -22,5 +22,5 @@ pub use exec::{
     execute_plan, execute_plan_full, execute_plan_prepared, ExecCtx, PreparedScripts, ScriptCache,
     ScriptOutcome,
 };
-pub use parallel::{DayMode, DayStats};
+pub use parallel::DayMode;
 pub use runner::{FoldOutput, SimConfig, SimOutput, Simulation};

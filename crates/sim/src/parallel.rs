@@ -27,8 +27,6 @@
 //! The result: `threads = N` produces byte-identical output to `threads = 1`
 //! for every N, and the scheduler's interleaving of workers is invisible.
 
-use std::time::Duration;
-
 use hf_agents::SessionPlan;
 use hf_farm::TagDb;
 use hf_honeypot::SessionRecord;
@@ -60,36 +58,6 @@ impl DayMode<'_> {
         match self {
             DayMode::Full(_) => MIN_SHARD_PLANS,
             DayMode::Cached(_) => MIN_SHARD_PLANS_CACHED,
-        }
-    }
-}
-
-/// Per-day throughput report, passed to the progress callback after each
-/// simulated day completes.
-#[derive(Debug, Clone)]
-pub struct DayStats {
-    /// Days completed so far (1-based: the day just finished).
-    pub day: u32,
-    /// Total days in the study window.
-    pub days_total: u32,
-    /// Sessions executed on this day.
-    pub day_sessions: usize,
-    /// Sessions executed since the run started.
-    pub total_sessions: usize,
-    /// Worker threads used for this day.
-    pub threads: usize,
-    /// Wall-clock time spent on this day (planning + execution + ingest).
-    pub day_wall: Duration,
-}
-
-impl DayStats {
-    /// This day's throughput in sessions per wall-clock second.
-    pub fn sessions_per_sec(&self) -> f64 {
-        let secs = self.day_wall.as_secs_f64();
-        if secs > 0.0 {
-            self.day_sessions as f64 / secs
-        } else {
-            0.0
         }
     }
 }
@@ -297,23 +265,5 @@ mod tests {
         let empty = PreparedScripts::new();
         let err = execute_day_sharded(&ctx, &plans, 4, DayMode::Full(&empty));
         assert!(err.is_err(), "empty prepared set must be a typed error");
-    }
-
-    #[test]
-    fn day_stats_throughput() {
-        let s = DayStats {
-            day: 1,
-            days_total: 10,
-            day_sessions: 500,
-            total_sessions: 500,
-            threads: 2,
-            day_wall: Duration::from_millis(250),
-        };
-        assert!((s.sessions_per_sec() - 2000.0).abs() < 1e-6);
-        let zero = DayStats {
-            day_wall: Duration::ZERO,
-            ..s
-        };
-        assert_eq!(zero.sessions_per_sec(), 0.0);
     }
 }

@@ -15,7 +15,6 @@
 //!   `tests/streaming_analysis.rs`).
 
 use std::io::Read;
-use std::time::Instant;
 
 use hf_agents::{Ecosystem, EcosystemConfig, Scale};
 use hf_core::{Aggregates, StreamingFold};
@@ -25,7 +24,7 @@ use hf_simclock::StudyWindow;
 
 use crate::error::SimError;
 use crate::exec::{build_configs, ExecCtx, PreparedScripts, ScriptCache};
-use crate::parallel::{execute_day_shards, DayMode, DayStats};
+use crate::parallel::{execute_day_shards, DayMode};
 
 /// Simulation configuration (mirrors [`EcosystemConfig`]).
 #[derive(Debug, Clone)]
@@ -138,7 +137,7 @@ pub struct FoldOutput {
 impl FoldOutput {
     /// Stream an hfstore snapshot through the incremental fold without ever
     /// materializing the rows section: chunks are decoded, folded, and
-    /// dropped (`hfarm report --streaming`). The artifact store is replayed
+    /// dropped (`hfarm report`). The artifact store is replayed
     /// per row exactly like the live collector
     /// ([`hf_farm::SessionView::replay_artifacts`]), so `dataset.artifacts`
     /// matches a materialized [`SimOutput::from_snapshot`] load of the same
@@ -195,13 +194,7 @@ impl Simulation {
     /// `precompute_day` bug) panics with the typed [`SimError`] naming the
     /// missing key.
     pub fn run(config: SimConfig) -> SimOutput {
-        Self::run_with_progress(config, |_| {})
-    }
-
-    /// Run with a per-day progress callback receiving a [`DayStats`]
-    /// throughput report after each simulated day.
-    pub fn run_with_progress(config: SimConfig, mut progress: impl FnMut(&DayStats)) -> SimOutput {
-        let (collector, tags, n_clients) = Self::run_loop(&config, &mut progress, &mut |_| {})
+        let (collector, tags, n_clients) = Self::run_loop(&config, &mut |_| {})
             .unwrap_or_else(|e| panic!("simulation failed: {e}"));
         SimOutput {
             dataset: collector.finish(),
@@ -224,7 +217,7 @@ impl Simulation {
     /// `process.peak_rss_kb` gauge for the run manifest.
     pub fn run_fold(config: SimConfig) -> FoldOutput {
         let mut fold: Option<StreamingFold> = None;
-        let (collector, tags, n_clients) = Self::run_loop(&config, &mut |_| {}, &mut |collector| {
+        let (collector, tags, n_clients) = Self::run_loop(&config, &mut |collector| {
             let f = fold.get_or_insert_with(|| StreamingFold::new(collector.plan().len()));
             let store = collector.sessions();
             let plan = collector.plan();
@@ -254,12 +247,10 @@ impl Simulation {
     }
 
     /// The shared day loop. `after_day` runs once per simulated day after
-    /// the day's records are ingested (and before the progress callback);
-    /// the materialized path passes a no-op, the fold path scans and
-    /// retires the day's rows.
+    /// the day's records are ingested; the materialized path passes a
+    /// no-op, the fold path scans and retires the day's rows.
     fn run_loop(
         config: &SimConfig,
-        progress: &mut dyn FnMut(&DayStats),
         after_day: &mut dyn FnMut(&mut Collector),
     ) -> Result<(Collector, TagDb, usize), SimError> {
         let mut eco = Ecosystem::new(EcosystemConfig {
@@ -280,10 +271,8 @@ impl Simulation {
         let threads = config.threads.max(1);
         hf_obs::gauge!("sim.threads", threads);
         hf_obs::gauge!("sim.days", days);
-        let mut total_sessions = 0usize;
         for day in 0..days {
             let _day_span = hf_obs::span!("sim.day");
-            let day_start = Instant::now();
             let plans = eco.plan_day(day);
             hf_obs::counter!("sim.days_executed", 1);
             hf_obs::counter!("sim.sessions_executed", plans.len() as u64);
@@ -313,16 +302,7 @@ impl Simulation {
                 collector.ingest_batch(&records);
                 tags.merge(day_tags);
             }
-            total_sessions += plans.len();
             after_day(&mut collector);
-            progress(&DayStats {
-                day: day + 1,
-                days_total: days,
-                day_sessions: plans.len(),
-                total_sessions,
-                threads,
-                day_wall: day_start.elapsed(),
-            });
         }
         Ok((collector, tags, eco.n_clients()))
     }
@@ -534,18 +514,5 @@ mod tests {
         }
         assert_eq!(fold.aggregates.total_sessions, agg.total_sessions);
         assert_eq!(fold.aggregates.day_total, agg.day_total);
-    }
-
-    #[test]
-    fn progress_reports_every_day() {
-        let mut seen = Vec::new();
-        Simulation::run_with_progress(SimConfig::test(4), |s| {
-            seen.push((s.day, s.days_total, s.day_sessions, s.threads));
-        });
-        assert_eq!(seen.len(), 4);
-        assert_eq!(seen.last().unwrap().0, 4);
-        assert!(seen
-            .iter()
-            .all(|&(_, total, n, t)| total == 4 && n > 0 && t == 1));
     }
 }

@@ -65,17 +65,6 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> SlidingDayWindow<K, S> {
         fresh
     }
 
-    /// Whether `key` would be considered fresh if observed on `day`.
-    pub fn is_fresh(&self, key: &K, day: u32) -> bool {
-        match self.last_seen.get(key) {
-            None => true,
-            Some(&last) => match self.n_days {
-                None => false,
-                Some(n) => day.saturating_sub(last) >= n,
-            },
-        }
-    }
-
     /// Number of distinct keys ever inserted (live map size).
     pub fn len(&self) -> usize {
         self.last_seen.len()
@@ -128,26 +117,15 @@ mod tests {
     }
 
     #[test]
-    fn is_fresh_does_not_mutate() {
-        let mut w = W::with_days(30);
-        w.observe("x", 5);
-        assert!(!w.is_fresh(&"x", 20));
-        assert!(w.is_fresh(&"x", 35));
-        assert!(w.is_fresh(&"y", 0));
-        // observing again still reports per the pre-observation state
-        assert!(w.observe("x", 40));
-    }
-
-    #[test]
     fn compact_preserves_semantics() {
         let mut w = W::with_days(7);
         w.observe("old", 0);
         w.observe("new", 99);
         w.compact();
         // "old" was expired but would be fresh anyway; "new" must survive.
-        assert!(w.is_fresh(&"old", 100));
-        assert!(!w.is_fresh(&"new", 100));
         assert_eq!(w.len(), 1);
+        assert!(w.observe("old", 100));
+        assert!(!w.observe("new", 100));
     }
 
     #[test]

@@ -117,8 +117,6 @@ pub struct ConnParams {
     pub peer_ip: Ip4,
     /// Real peer port.
     pub peer_port: u16,
-    /// Session-clock origin for sessions that don't script their own start.
-    pub clock_base: SimInstant,
 }
 
 enum ProtoState {
@@ -149,7 +147,6 @@ pub struct SessionConn {
     stats: FarmStats,
     peer_ip: Ip4,
     peer_port: u16,
-    clock_base: SimInstant,
     started: std::time::Instant,
     think: u32,
     pending_start: Option<SimInstant>,
@@ -198,14 +195,13 @@ impl SessionConn {
             stats: params.stats,
             peer_ip: params.peer_ip,
             peer_port: params.peer_port,
-            clock_base: params.clock_base,
             started: std::time::Instant::now(),
             think: 1,
             pending_start: None,
             pending_client: None,
             pending_fetcher: FetcherChoice::Synthetic,
             driver: None,
-            driver_start: params.clock_base,
+            driver_start: SimInstant::EPOCH,
             lines: LineAssembler::new(),
             proto,
             finished: false,
@@ -248,7 +244,7 @@ impl SessionConn {
 
     fn ensure_driver(&mut self) -> &mut SessionDriver {
         if self.driver.is_none() {
-            let start = self.pending_start.unwrap_or(self.clock_base);
+            let start = self.pending_start.unwrap_or(SimInstant::EPOCH);
             let (ip, port) = self
                 .pending_client
                 .unwrap_or((self.peer_ip, self.peer_port));
@@ -629,7 +625,6 @@ mod tests {
             stats: FarmStats::new(),
             peer_ip: Ip4::new(203, 0, 113, 9),
             peer_port: 50222,
-            clock_base: SimInstant::EPOCH,
         }
     }
 
@@ -803,7 +798,6 @@ mod tests {
             stats: FarmStats::new(),
             peer_ip: Ip4::new(127, 0, 0, 1),
             peer_port: 9,
-            clock_base: SimInstant::EPOCH,
         });
         let script = crate::script::wire_script(&sc);
         let mut out = Vec::new();

@@ -9,7 +9,7 @@
 //!   [`SessionConn`] state machines in a slab; reads, writes, per-IP caps,
 //!   and read deadlines are all driven level-triggered off one `epoll_wait`
 //!   tick. A finished session's record is pushed into the collector channel
-//!   *synchronously*: when the channel (bounded, `channel_capacity`) is
+//!   *synchronously*: when the channel (bounded, `CHANNEL_CAPACITY`) is
 //!   full, the reactor blocks — accept/read stop draining their backlogs,
 //!   TCP receive windows fill, and the clients slow down. That stall *is*
 //!   the backpressure mechanism.
@@ -53,7 +53,6 @@ use hf_geo::{Ip4, World, WorldConfig};
 use hf_honeypot::{HoneypotConfig, SessionRecord};
 use hf_proto::Protocol;
 use hf_shell::SystemProfile;
-use hf_simclock::SimInstant;
 
 use crate::conn::{ConnParams, SessionConn, Timing};
 use crate::epoll::{self, Epoll};
@@ -66,6 +65,10 @@ const TICK_MS: i32 = 25;
 const READS_PER_WAKE: u32 = 8;
 /// How long a draining connection may take to flush its final bytes.
 const DRAIN_SECS: u64 = 5;
+
+/// Depth of the bounded collector channel: a full channel blocks the
+/// reactor's send, which is the backpressure.
+const CHANNEL_CAPACITY: usize = 1024;
 
 const LISTENER_FLAG: u64 = 1 << 63;
 
@@ -85,23 +88,15 @@ pub struct FarmConfig {
     /// per-node profile — required for bit-identical comparison against
     /// `Scenario::replay()`, which runs `HoneypotConfig::default()`.
     pub uniform_profile: bool,
-    /// Override the honeypot pre-auth timeout (seconds).
-    pub preauth_timeout_secs: Option<u32>,
-    /// Override the honeypot idle timeout (seconds).
-    pub idle_timeout_secs: Option<u32>,
     /// Read deadline for [`Timing::Virtual`] connections (a slow-client
     /// guard; wall-timing connections use the honeypot's own limits).
     pub wall_timeout_secs: u32,
     /// Max concurrently open connections per client IP; the excess is
     /// closed at accept without a record.
     pub per_ip_cap: u32,
-    /// Bounded collector-channel depth (the backpressure knob).
-    pub channel_capacity: usize,
     /// Also keep raw [`SessionRecord`]s in [`FarmOutput::records`]
     /// (conformance tests want field-level diffs, not just the store).
     pub keep_records: bool,
-    /// Session-clock origin for wall timing and unscripted sessions.
-    pub clock_base: SimInstant,
 }
 
 impl Default for FarmConfig {
@@ -112,13 +107,9 @@ impl Default for FarmConfig {
             telnet_port: 0,
             timing: Timing::Wall,
             uniform_profile: false,
-            preauth_timeout_secs: None,
-            idle_timeout_secs: None,
             wall_timeout_secs: 30,
             per_ip_cap: 1024,
-            channel_capacity: 1024,
             keep_records: false,
-            clock_base: SimInstant::EPOCH,
         }
     }
 }
@@ -238,7 +229,7 @@ impl LiveFarm {
             });
         }
 
-        let (tx, rx) = std::sync::mpsc::sync_channel::<SessionRecord>(config.channel_capacity);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<SessionRecord>(CHANNEL_CAPACITY);
 
         let collector = {
             let stats = stats.clone();
@@ -382,14 +373,7 @@ impl Reactor {
                 } else {
                     SystemProfile::for_node(honeypot as u32)
                 };
-                let mut c = HoneypotConfig::paper(profile);
-                if let Some(t) = cfg.preauth_timeout_secs {
-                    c.preauth_timeout_secs = t;
-                }
-                if let Some(t) = cfg.idle_timeout_secs {
-                    c.idle_timeout_secs = t;
-                }
-                c
+                HoneypotConfig::paper(profile)
             })
             .clone()
     }
@@ -465,7 +449,6 @@ impl Reactor {
                 stats: self.stats.clone(),
                 peer_ip,
                 peer_port: peer.port(),
-                clock_base: self.config.clock_base,
             });
             self.stats.conn_opened();
             let deadline = Instant::now()

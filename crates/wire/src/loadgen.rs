@@ -36,6 +36,9 @@ use crate::epoll::{self, Epoll};
 use crate::farm::NodeAddrs;
 use crate::script::wire_script_as;
 
+/// Per-session inactivity limit before a session counts as failed.
+const IO_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// Load-generation parameters.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
@@ -46,8 +49,6 @@ pub struct LoadgenConfig {
     /// Hold every session open until all are connected, then release
     /// (concurrency proof mode; `concurrency` is ignored).
     pub hold_all: bool,
-    /// Per-session inactivity limit before it counts as failed.
-    pub io_timeout: Duration,
 }
 
 impl Default for LoadgenConfig {
@@ -56,7 +57,6 @@ impl Default for LoadgenConfig {
             sessions: 100,
             concurrency: 32,
             hold_all: false,
-            io_timeout: Duration::from_secs(60),
         }
     }
 }
@@ -273,7 +273,7 @@ pub fn run(nodes: &[NodeAddrs], scenarios: &[Scenario], cfg: &LoadgenConfig) -> 
         for (slot, entry) in conns.iter_mut().enumerate() {
             let timed_out = entry
                 .as_ref()
-                .is_some_and(|c| !matches!(c.state, CState::Held) && now - c.last > cfg.io_timeout);
+                .is_some_and(|c| !matches!(c.state, CState::Held) && now - c.last > IO_TIMEOUT);
             if timed_out {
                 let conn = entry.take().expect("checked");
                 if matches!(conn.state, CState::Writing) {

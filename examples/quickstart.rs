@@ -21,17 +21,7 @@ fn main() {
         config.seed
     );
     let t0 = std::time::Instant::now();
-    let out = Simulation::run_with_progress(config, |s| {
-        if s.day % 10 == 0 || s.day == s.days_total {
-            eprintln!(
-                "  day {}/{} ({} sessions, {:.0}/s)",
-                s.day,
-                s.days_total,
-                s.total_sessions,
-                s.sessions_per_sec()
-            );
-        }
-    });
+    let out = Simulation::run(config);
     println!(
         "done in {:.1}s: {} sessions from {} client IPs, {} distinct hashes\n",
         t0.elapsed().as_secs_f64(),

@@ -27,7 +27,7 @@
 //!     prints the per-cluster summary; output is bit-identical across
 //!     thread counts and ingest paths. `--k` pins k and skips the sweep.
 //!     `--scale`, `--days`, `--seed`, `--fast` and `--threads` shape the
-//!     live sim and mean nothing with `--snapshot`.
+//!     live sim; each is a usage error with `--snapshot`.
 //! hfarm claims   [--scale F] [--days N] [--seed S] [--fast] [--threads N]
 //!     Print the headline findings only (out-of-core, like `simulate --fold`).
 //! hfarm birth    [--scale F] [--days N] [--seed S] [--fast] [--threads N]
@@ -53,20 +53,21 @@
 //!     (1 vs 2 vs 8), snapshot round-trip equivalence, optional scenario
 //!     golden checks, and (with --claims) the full declarative
 //!     paper-claims table. `--md` prints the claims table as markdown;
-//!     it and `--threads` apply to the `--claims` fixture run only.
+//!     it and `--threads` apply to the `--claims` fixture run only and
+//!     are usage errors without it.
 //! hfarm metrics DIR
 //!     Parse and summarize a metrics manifest directory previously
 //!     emitted with --metrics (schema check + spans.tsv cross-check).
 //! ```
 //!
 //! A subcommand rejects (exit 2, nothing written) any flag it does not
-//! read and any value out of range: `--days`, `--threads`, `--k` and
-//! `--nodes` are at least 1, `--scale` is in (0, 1]. `--metrics DIR`
-//! enables the hf-obs observability layer for the run and writes
-//! `metrics.json` + `spans.tsv` into DIR at exit. Recording never changes
-//! any simulation, snapshot, or report byte (enforced by
-//! `tests/obs_invariance.rs`). The synopsis above is checked against
-//! [`FLAGS`] by a unit test.
+//! read and any value out of range: `--days` is in 1..=486 (the paper's
+//! window), `--threads`, `--k` and `--nodes` are at least 1, `--scale` is
+//! in (0, 1]. `--metrics DIR` enables the hf-obs observability layer for
+//! the run and writes `metrics.json` + `spans.tsv` into DIR at exit.
+//! Recording never changes any simulation, snapshot, or report byte
+//! (enforced by `tests/obs_invariance.rs`). The synopsis above is checked
+//! against [`FLAGS`] by a unit test.
 
 use std::path::{Path, PathBuf};
 
@@ -88,7 +89,8 @@ struct Common {
     fold: bool,
     scenarios: Option<PathBuf>,
     metrics: Option<PathBuf>,
-    snapshot_explicit: bool,
+    /// The flags named on the command line (defaults are not in it).
+    given: Vec<&'static str>,
     ssh_port: u16,
     telnet_port: u16,
     per_ip_cap: u32,
@@ -127,7 +129,7 @@ const FLAGS: [Flag; 23] = [
     Flag { name: "--scale", arg: "F", default: Some("0.005"), cmds: SIMS,
            set: |c, v| scale(v).map(|x| c.scale = x) },
     Flag { name: "--days", arg: "N", default: Some("486"), cmds: SIMS,
-           set: |c, v| at_least(v, 1).map(|n| c.days = n) },
+           set: |c, v| days(v).map(|n| c.days = n) },
     // 0x0e0e_fa20, `SimConfig::default().seed`.
     Flag { name: "--seed", arg: "S", default: Some("235862560"), cmds: SIMS,
            set: |c, v| at_least(v, 0).map(|n| c.seed = n) },
@@ -136,7 +138,7 @@ const FLAGS: [Flag; 23] = [
            set: |c, v| store(&mut c.out, v.into()) },
     Flag { name: "--snapshot", arg: "FILE", default: Some("out/farm.hfstore"),
            cmds: &["simulate", "report", "cluster", "serve"],
-           set: |c, v| { c.snapshot_explicit = true; store(&mut c.snapshot, v.into()) } },
+           set: |c, v| store(&mut c.snapshot, v.into()) },
     Flag { name: "--nodes", arg: "N", default: Some("3"), cmds: &["serve", "loadgen"],
            set: |c, v| at_least(v, 1).map(|n| c.nodes = n) },
     Flag { name: "--fast", arg: "", default: None, cmds: SIMS,
@@ -204,6 +206,15 @@ fn scale(v: &str) -> Result<f64, String> {
     }
 }
 
+/// Parse `v` as a day count within the paper's 486-day study window.
+fn days(v: &str) -> Result<u32, String> {
+    let max = StudyWindow::paper().num_days();
+    match v.parse::<u32>() {
+        Ok(n) if (1..=max).contains(&n) => Ok(n),
+        _ => Err(format!("needs a day count in 1..={max}, got {v}")),
+    }
+}
+
 /// Parse `cmd`'s flags over the table defaults. Anything the table does
 /// not allow — an unknown flag, one `cmd` does not read, a missing or
 /// out-of-range value — is a usage error before anything runs.
@@ -217,8 +228,6 @@ fn parse(cmd: &str, args: &[String]) -> Common {
             (f.set)(&mut c, d).expect("table defaults are valid");
         }
     }
-    // Only a `--snapshot` on the command line names a source or sink.
-    c.snapshot_explicit = false;
     let mut it = args.iter();
     while let Some(name) = it.next() {
         let Some(f) = FLAGS.iter().find(|f| f.name == name) else {
@@ -236,8 +245,30 @@ fn parse(cmd: &str, args: &[String]) -> Common {
         if let Err(why) = (f.set)(&mut c, value) {
             usage(cmd, &format!("{name} {why}"));
         }
+        c.given.push(f.name);
+    }
+    if cmd == "verify" && !c.claims {
+        if let Some(name) = c.first_given(&["--md", "--threads"]) {
+            usage(
+                cmd,
+                &format!("{name} applies to the --claims fixture run only: add --claims"),
+            );
+        }
     }
     c
+}
+
+impl Common {
+    /// Was `name` on the command line? A defaulted `--snapshot`, for one,
+    /// names no source or sink.
+    fn given(&self, name: &str) -> bool {
+        self.given.contains(&name)
+    }
+
+    /// The first of `names` that was on the command line.
+    fn first_given(&self, names: &[&'static str]) -> Option<&'static str> {
+        names.iter().copied().find(|n| self.given(n))
+    }
 }
 
 impl Flag {
@@ -279,15 +310,10 @@ fn no_subcommand(msg: &str) -> ! {
 }
 
 fn sim_config(c: &Common) -> SimConfig {
-    let window = if c.days >= 486 {
-        StudyWindow::paper()
-    } else {
-        StudyWindow::first_days(c.days)
-    };
     SimConfig {
         seed: c.seed,
         scale: Scale::of(c.scale),
-        window,
+        window: StudyWindow::first_days(c.days),
         use_script_cache: c.fast,
         threads: c.threads,
     }
@@ -309,13 +335,20 @@ enum Source {
 
 fn source(cmd: &str, c: &Common) -> Source {
     match cmd {
-        "simulate" if c.fold && c.snapshot_explicit => usage(
+        "simulate" if c.fold && c.given("--snapshot") => usage(
             cmd,
             "--fold retires rows day by day and writes no snapshot: drop --snapshot or --fold",
         ),
         "simulate" if !c.fold => Source::Sim,
-        "cluster" if !c.snapshot_explicit => Source::Sim,
-        "report" | "cluster" => Source::SnapshotStream,
+        "cluster" if !c.given("--snapshot") => Source::Sim,
+        "cluster" => match c.first_given(&["--scale", "--days", "--seed", "--fast", "--threads"]) {
+            Some(name) => usage(
+                cmd,
+                &format!("{name} shapes the live sim and --snapshot reads a file: drop one"),
+            ),
+            None => Source::SnapshotStream,
+        },
+        "report" => Source::SnapshotStream,
         _ => Source::SimFold,
     }
 }
@@ -445,10 +478,7 @@ fn write_report(run: &FoldOutput, c: &Common) {
 fn cluster_cmd(c: &Common) {
     use honeyfarm::cluster;
 
-    let cfg = cluster::KMeansConfig {
-        force_k: c.k,
-        ..cluster::KMeansConfig::default()
-    };
+    let cfg = cluster::KMeansConfig { force_k: c.k };
     let run = match source("cluster", c) {
         Source::SnapshotStream => {
             let (_plan, feats) = cluster::features_from_snapshot_stream(open_snapshot_stream(c))
@@ -824,7 +854,7 @@ fn serve(c: &Common) -> ! {
         "{}",
         accounting_line(&out.stats, out.dataset.len(), out.n_clients)
     );
-    if c.snapshot_explicit {
+    if c.given("--snapshot") {
         write_snapshot(c, &out.to_snapshot());
     }
     emit_metrics(c, "hfarm serve");
@@ -878,7 +908,6 @@ fn loadgen(c: &Common) -> ! {
         sessions: c.sessions,
         concurrency: c.concurrent,
         hold_all: c.hold_all,
-        io_timeout: std::time::Duration::from_secs(120),
     };
     eprintln!(
         "loadgen: {} sessions over {} scenarios against {} nodes ({})",
@@ -1043,6 +1072,7 @@ mod tests {
         let c = parse("simulate", &[]);
         assert_eq!(c.seed, SimConfig::default().seed);
         assert_eq!((c.days, c.threads, c.nodes), (486, 1, 3));
-        assert!(!c.snapshot_explicit && c.k.is_none());
+        assert!(c.given.is_empty() && c.k.is_none());
+        assert_eq!(sim_config(&c).window, StudyWindow::paper());
     }
 }

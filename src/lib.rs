@@ -62,7 +62,7 @@ pub mod prelude {
     pub use hf_core::{Aggregates, Claims, Report, Tsv};
     pub use hf_farm::{Collector, Dataset, FarmPlan, Snapshot, SnapshotError, TagDb};
     pub use hf_honeypot::{HoneypotConfig, SessionDriver, SessionRecord};
-    pub use hf_sim::{DayStats, FoldOutput, SimConfig, SimOutput, Simulation};
+    pub use hf_sim::{FoldOutput, SimConfig, SimOutput, Simulation};
     pub use hf_simclock::StudyWindow;
     pub use hf_wire::{FarmConfig as WireFarmConfig, LiveFarm};
 }

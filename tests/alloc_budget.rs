@@ -12,7 +12,7 @@
 //! parallel doesn't perturb the windows.
 
 use honeyfarm::agents::{Ecosystem, EcosystemConfig, Scale};
-use honeyfarm::shell::{NullFetcher, ShellSession, SystemProfile};
+use honeyfarm::shell::{LineBuf, NullFetcher, ShellSession, SystemProfile};
 use honeyfarm::sim::exec::{build_configs, execute_plan_full, ExecCtx, PreparedScripts};
 use honeyfarm::simclock::StudyWindow;
 use honeyfarm::testkit::alloc::{allocated_bytes, allocation_count, CountingAlloc};
@@ -39,9 +39,11 @@ const WORKLOAD: &[&str] = &[
     "sh -c \"echo nested; uname\"",
 ];
 
-fn run_workload(sh: &mut ShellSession) {
+/// Parse into a reused [`LineBuf`], then run the simulator's executor.
+fn run_workload(sh: &mut ShellSession, buf: &mut LineBuf) {
     for line in WORKLOAD {
-        sh.execute_quiet(line);
+        buf.parse(line);
+        sh.execute_parsed_quiet(buf);
     }
 }
 
@@ -51,12 +53,13 @@ fn run_workload(sh: &mut ShellSession) {
 #[test]
 fn steady_state_shell_pipeline_allocates_nothing() {
     let mut sh = ShellSession::new(SystemProfile::default(), Box::new(NullFetcher));
+    let mut buf = LineBuf::new();
     // Warmup: grows the line buffers, event arena, and path scratch.
-    run_workload(&mut sh);
+    run_workload(&mut sh, &mut buf);
     let _ = sh.take_events(); // clears the arena, keeps capacity
 
     let before = allocation_count();
-    run_workload(&mut sh);
+    run_workload(&mut sh, &mut buf);
     let delta = allocation_count() - before;
     assert_eq!(
         delta,

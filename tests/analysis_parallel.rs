@@ -57,26 +57,28 @@ fn fused_report_matches_prefusion_reference() {
     let agg = Aggregates::compute(&out.dataset);
     let serial = Report::build_with_tags(&out.dataset, &agg, &out.tags);
 
-    // Pre-fusion reference: each figure built on its own, with its own
-    // top-5% selection / clients pass, must equal the fused output.
+    // Pre-fusion reference: each figure built on its own, from a top-5%
+    // selection computed here / its own clients pass, must equal the fused
+    // output.
+    let sel = figures::top5pct_honeypots(&agg);
     assert_eq!(
         serial.fig3.to_tsv(),
-        figures::fig_bands(&agg, true).to_tsv(),
+        figures::fig_bands_with(&agg, Some(&sel)).to_tsv(),
         "fig3 (top-5% bands) drifted from the standalone builder"
     );
     assert_eq!(
         serial.fig4.to_tsv(),
-        figures::fig_bands(&agg, false).to_tsv(),
+        figures::fig_bands_with(&agg, None).to_tsv(),
         "fig4 (all-honeypot bands) drifted from the standalone builder"
     );
     assert_eq!(
         serial.fig8.to_tsv(),
-        figures::fig_cat_bands(&agg, false).to_tsv(),
+        figures::fig_cat_bands_with(&agg, None).to_tsv(),
         "fig8 drifted from the standalone builder"
     );
     assert_eq!(
         serial.fig9.to_tsv(),
-        figures::fig_cat_bands(&agg, true).to_tsv(),
+        figures::fig_cat_bands_with(&agg, Some(&sel)).to_tsv(),
         "fig9 drifted from the standalone builder"
     );
     assert_eq!(

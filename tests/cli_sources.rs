@@ -193,17 +193,21 @@ fn flags_that_name_no_source_exit_2_and_write_nothing() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// Every range the flag table validates, and one flag per subcommand that
-/// the subcommand does not read: exit 2, one line on stderr naming the
-/// flag, and nothing created. (Out-of-range `--days` / `--scale` used to
-/// die in a library assert; unread flags used to be silently ignored.)
+/// Every range the flag table validates, one flag per subcommand that the
+/// subcommand does not read, and every flag that is read but means nothing
+/// next to another (`cluster --snapshot` with a sim-shaping flag, `verify`
+/// fixture flags without `--claims`): exit 2, one line on stderr naming
+/// the flag, and nothing created. (Out-of-range `--days` / `--scale` used
+/// to die in a library assert or be clamped; the rest used to be silently
+/// ignored.)
 #[test]
 fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
     let dir = workdir("table");
     let out_dir = dir.join("out");
     let snap = dir.join("never.hfstore");
-    let cases: [(&[&str], &str); 17] = [
+    let cases: [(&[&str], &str); 25] = [
         (&["simulate", "--days", "0"], "--days"),
+        (&["simulate", "--days", "487"], "--days"),
         (&["simulate", "--scale", "0"], "--scale"),
         (&["simulate", "--scale", "-1"], "--scale"),
         (&["simulate", "--scale", "nan"], "--scale"),
@@ -224,6 +228,23 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
         (&["cluster", "--streaming"], "unknown flag --streaming"),
         (&["simulate", "--k", "3"], "simulate does not read --k"),
         (&["cluster", "--fold"], "cluster does not read --fold"),
+        // Below, `cluster` is also handed `--snapshot`: a file is no sim.
+        (
+            &["cluster", "--scale", "0.001"],
+            "--scale shapes the live sim",
+        ),
+        (&["cluster", "--days", "5"], "--days shapes the live sim"),
+        (&["cluster", "--seed", "1"], "--seed shapes the live sim"),
+        (&["cluster", "--fast"], "--fast shapes the live sim"),
+        (
+            &["cluster", "--threads", "2"],
+            "--threads shapes the live sim",
+        ),
+        (&["verify", "--md"], "--md applies to the --claims"),
+        (
+            &["verify", "--threads", "2"],
+            "--threads applies to the --claims",
+        ),
         (&["serve", "--days", "5"], "serve does not read --days"),
         (
             &["loadgen", "--snapshot", "x"],
