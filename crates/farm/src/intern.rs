@@ -153,8 +153,10 @@ impl DigestPool {
 }
 
 /// Deduplicating pool of u32 lists, stored flattened (arena + ranges).
-#[derive(Debug, Default, Clone)]
+/// The empty list is always id [`ListPool::EMPTY`], and never hashed.
+#[derive(Debug, Clone)]
 pub struct ListPool {
+    /// Every non-empty list.
     by_list: HashMap<Vec<u32>, u32>,
     /// Flattened contents.
     arena: Vec<u32>,
@@ -162,19 +164,32 @@ pub struct ListPool {
     ranges: Vec<(u32, u32)>,
 }
 
+impl Default for ListPool {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ListPool {
     /// Empty pool with the empty list pre-interned as id 0.
     pub fn new() -> Self {
-        let mut p = ListPool::default();
-        p.intern(&[]);
-        p
+        ListPool {
+            by_list: HashMap::new(),
+            arena: Vec::new(),
+            ranges: vec![(0, 0)],
+        }
     }
 
     /// Id of the empty list.
     pub const EMPTY: u32 = 0;
 
-    /// Intern a list (capped at [`MAX_POOL_LEN`] distinct lists).
+    /// Intern a list (capped at [`MAX_POOL_LEN`] distinct lists). The empty
+    /// list — most sessions' URI, file-hash and download lists — returns
+    /// [`ListPool::EMPTY`] without a hash lookup.
     pub fn intern(&mut self, list: &[u32]) -> u32 {
+        if list.is_empty() {
+            return Self::EMPTY;
+        }
         if let Some(&id) = self.by_list.get(list) {
             return id;
         }
@@ -262,6 +277,15 @@ mod tests {
         assert_eq!(p.get(a), &[1, 2, 3]);
         assert_eq!(p.get(b), &[1, 2]);
         assert_eq!(p.len(), 3); // empty + two lists
+    }
+
+    #[test]
+    fn default_list_pool_reserves_id_0_for_the_empty_list() {
+        let mut p = ListPool::default();
+        assert_eq!(p.intern(&[7]), 1);
+        assert_eq!(p.intern(&[]), ListPool::EMPTY);
+        assert_eq!(p.get(ListPool::EMPTY), &[] as &[u32]);
+        assert_eq!(p.len(), 2);
     }
 
     #[test]

@@ -62,7 +62,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
-use std::sync::{mpsc, OnceLock};
+use std::sync::OnceLock;
 
 use hf_geo::{Asn, CountryId, Ip4, NetworkClass};
 use hf_hash::{Digest, Sha256};
@@ -103,84 +103,20 @@ const _: () = assert!(std::mem::size_of::<Row>() == ROW_BYTES);
 /// 32-byte chunk digest.
 const CHUNK_HEADER_LEN: usize = 4 + 32;
 
-/// Chunks [`overlapped`] keeps in flight: the helper stage works on chunk
-/// `k + 1` while the calling thread consumes chunk `k`, double-buffered
-/// through a recycle channel (two buffers total).
-const OVERLAP_DEPTH: usize = 2;
-
-/// `HF_SNAPSHOT_NO_OVERLAP=1` keeps [`overlapped`] on its bit-identical
-/// serial arm (checked once, like `HF_HASH_FORCE_SCALAR`).
-fn overlap_disabled() -> bool {
+/// How many chunks the reader and the writer tell [`hf_obs::overlapped`]
+/// about: all of them, or at most one under `HF_SNAPSHOT_NO_OVERLAP=1`,
+/// which keeps the chunk pipeline on its bit-identical serial arm (the
+/// variable is read once, like `HF_HASH_FORCE_SCALAR`).
+fn pipeline_chunks(chunks: usize) -> usize {
     static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| {
+    let disabled = *DISABLED.get_or_init(|| {
         std::env::var_os("HF_SNAPSHOT_NO_OVERLAP").is_some_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
-/// The one chunk pipeline of the reader and the writer: `produce` fills a
-/// buffer with chunk `k + 1` (returning its tag, or `None` after the last
-/// chunk) while `consume` works on chunk `k`. With at most one of `chunks`
-/// left, or under `HF_SNAPSHOT_NO_OVERLAP`, both run on the calling thread
-/// over `bufs[0]`; otherwise `produce` runs on a helper thread and the
-/// buffers rotate through a recycle channel. Chunks are consumed strictly
-/// in production order, so `consume` sees the same bytes in the same order
-/// on either arm, and the first error — from either closure — is the one
-/// the serial arm would have hit first.
-///
-/// Time the calling thread spends blocked on the helper is recorded in the
-/// `snapshot.chunk_wait` span: a large share of the wall time means the
-/// producer (disk, hash or encode) is the bottleneck; near zero, the
-/// consumer is.
-fn overlapped<T: Send>(
-    chunks: usize,
-    bufs: [Vec<u8>; OVERLAP_DEPTH],
-    mut produce: impl FnMut(&mut Vec<u8>) -> Result<Option<T>, SnapshotError> + Send,
-    mut consume: impl FnMut(T, &[u8]) -> Result<(), SnapshotError>,
-) -> Result<(), SnapshotError> {
-    if chunks <= 1 || overlap_disabled() {
-        let [mut buf, _] = bufs;
-        while let Some(tag) = produce(&mut buf)? {
-            consume(tag, &buf)?;
-        }
-        return Ok(());
+    });
+    if disabled {
+        chunks.min(1)
+    } else {
+        chunks
     }
-    std::thread::scope(|s| {
-        let (full_tx, full_rx) =
-            mpsc::sync_channel::<Result<(T, Vec<u8>), SnapshotError>>(OVERLAP_DEPTH);
-        let (free_tx, free_rx) = mpsc::channel::<Vec<u8>>();
-        for buf in bufs {
-            let _ = free_tx.send(buf);
-        }
-        s.spawn(move || {
-            // Either channel closing means the consumer bailed: stop.
-            while let Ok(mut buf) = free_rx.recv() {
-                let msg = match produce(&mut buf) {
-                    Ok(Some(tag)) => Ok((tag, buf)),
-                    Ok(None) => break, // dropping full_tx ends the consumer
-                    Err(e) => Err(e),
-                };
-                let failed = msg.is_err();
-                if full_tx.send(msg).is_err() || failed {
-                    break;
-                }
-            }
-            // What `produce` recorded (hash throughput) is on this thread.
-            hf_obs::flush();
-        });
-        // Returning, early or not, drops both channel ends, which unblocks
-        // a helper that is mid-send or waiting for a buffer; the scope then
-        // joins it.
-        loop {
-            let msg = {
-                let _wait = hf_obs::span!("snapshot.chunk_wait");
-                full_rx.recv()
-            };
-            let Ok(msg) = msg else { return Ok(()) };
-            let (tag, buf) = msg?;
-            consume(tag, &buf)?;
-            let _ = free_tx.send(buf);
-        }
-    })
 }
 
 /// Bytes of ROWS-payload prologue: u64 row count + u32 rows-per-chunk +
@@ -847,7 +783,7 @@ impl<R: Read> SnapshotReader<R> {
     /// returns. `fold` receives the pools-only store, the plan, and one
     /// fully-validated chunk of rows per call, in file order.
     ///
-    /// The stream goes through [`overlapped`]: unless
+    /// The stream goes through [`hf_obs::overlapped`]: unless
     /// `HF_SNAPSHOT_NO_OVERLAP` is set (or at most one chunk remains), a
     /// helper thread reads and checksums chunk `k + 1` while the calling
     /// thread decodes, validates, and folds chunk `k` — the read + SHA-256
@@ -872,8 +808,9 @@ impl<R: Read> SnapshotReader<R> {
             ..
         } = self;
         let mut rows: Vec<Row> = Vec::new();
-        overlapped(
-            (raw.n_chunks - raw.chunks_read) as usize,
+        hf_obs::overlapped(
+            pipeline_chunks((raw.n_chunks - raw.chunks_read) as usize),
+            "snapshot.chunk_wait",
             [data_buf, Vec::new()],
             |buf| raw.next_raw(buf),
             |chunk_rows, buf| {
@@ -1019,7 +956,7 @@ fn rows_manifest(rows: &[Row], rows_per_chunk: u32) -> Vec<u8> {
 /// write-out of the *same* pass. Instead each pass overlaps with encoding:
 /// the digest pass pairs chunks through the multi-buffer hash backend
 /// ([`rows_manifest`]), and the write pass encodes chunk `k + 1` while
-/// chunk `k` drains to the file ([`overlapped`]).
+/// chunk `k` drains to the file ([`hf_obs::overlapped`]).
 fn write_rows_section<W: Write>(
     w: &mut W,
     id: u32,
@@ -1034,11 +971,12 @@ fn write_rows_section<W: Write>(
     w.write_all(&manifest[..ROWS_PROLOGUE_LEN])?;
     let mut chunks = rows.chunks(rows_per_chunk as usize);
     let mut headers = manifest[ROWS_PROLOGUE_LEN..].chunks_exact(CHUNK_HEADER_LEN);
-    overlapped(
-        chunks.len(),
+    hf_obs::overlapped(
+        pipeline_chunks(chunks.len()),
+        "snapshot.chunk_wait",
         [Vec::new(), Vec::new()],
         |buf| {
-            Ok(chunks.next().map(|chunk| {
+            Ok::<_, SnapshotError>(chunks.next().map(|chunk| {
                 buf.clear();
                 encode_row_chunk(chunk, buf);
             }))

@@ -86,16 +86,7 @@ struct IngestScratch {
 impl SessionStore {
     /// Empty store.
     pub fn new() -> Self {
-        SessionStore {
-            rows: Vec::new(),
-            creds: StringPool::new(),
-            commands: StringPool::new(),
-            uris: StringPool::new(),
-            ssh_versions: StringPool::new(),
-            digests: DigestPool::new(),
-            lists: ListPool::new(),
-            scratch: IngestScratch::default(),
-        }
+        Self::default()
     }
 
     /// Rows the eager [`SessionStore::with_capacity`] hint may reserve

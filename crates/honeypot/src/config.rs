@@ -1,13 +1,17 @@
 //! Honeypot instance configuration.
 
+use std::sync::Arc;
+
 use hf_proto::creds::AuthPolicy;
 use hf_shell::SystemProfile;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one honeypot instance. All 221 instances in the paper's
 /// farm are "identically configured" — the only thing that varies here is the
 /// presented machine profile (hostname etc.), which does not affect policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Sessions share their node's config and its profile by reference count
+/// (`SessionDriver::accept` takes an `Arc`), so starting one copies nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HoneypotConfig {
     /// Authentication policy (paper: root / anything-but-"root", 3 attempts).
     pub auth: AuthPolicy,
@@ -18,7 +22,7 @@ pub struct HoneypotConfig {
     /// "three minutes" (the upper dashed line in Fig. 7).
     pub idle_timeout_secs: u32,
     /// Machine identity shown by the shell.
-    pub profile: SystemProfile,
+    pub profile: Arc<SystemProfile>,
 }
 
 impl Default for HoneypotConfig {
@@ -34,7 +38,7 @@ impl HoneypotConfig {
             auth: AuthPolicy::paper(),
             preauth_timeout_secs: 60,
             idle_timeout_secs: 180,
-            profile,
+            profile: Arc::new(profile),
         }
     }
 }

@@ -7,6 +7,8 @@
 //! this same type, so the record schema and edge-case behaviour (e.g. which
 //! end-reason a stalled NO_CMD session gets) are identical in both worlds.
 
+use std::sync::Arc;
+
 use hf_geo::Ip4;
 use hf_proto::creds::{AuthOutcome, Credentials};
 use hf_proto::Protocol;
@@ -39,7 +41,7 @@ enum Phase {
 
 /// One live session.
 pub struct SessionDriver {
-    config: HoneypotConfig,
+    config: Arc<HoneypotConfig>,
     phase: Phase,
     clock: SimInstant,
     /// Idle seconds accumulated since the last client activity.
@@ -51,10 +53,10 @@ pub struct SessionDriver {
 }
 
 impl SessionDriver {
-    /// Accept a new connection.
+    /// Accept a new connection. `config` is the node's shared config.
     #[allow(clippy::too_many_arguments)]
     pub fn accept(
-        config: HoneypotConfig,
+        config: impl Into<Arc<HoneypotConfig>>,
         honeypot: u16,
         protocol: Protocol,
         client_ip: Ip4,
@@ -78,7 +80,7 @@ impl SessionDriver {
             download_hashes: Vec::new(),
         };
         SessionDriver {
-            config,
+            config: config.into(),
             phase: Phase::PreAuth,
             clock: start,
             idle_secs: 0,
@@ -201,7 +203,7 @@ impl SessionDriver {
     fn shell_mut(&mut self) -> &mut ShellSession {
         if self.shell.is_none() {
             let fetcher = self.fetcher.take().expect("fetcher consumed once");
-            self.shell = Some(ShellSession::new(self.config.profile.clone(), fetcher));
+            self.shell = Some(ShellSession::new(Arc::clone(&self.config.profile), fetcher));
         }
         self.shell.as_mut().expect("just created")
     }

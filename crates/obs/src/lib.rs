@@ -35,9 +35,9 @@
 //! ```
 //!
 //! Worker threads buffer locally and must [`flush`] before they exit
-//! ([`map_ordered`], the fan-out every sharded stage goes through, does it
-//! for them); the thread calling [`snapshot`]/[`manifest`] flushes itself
-//! automatically.
+//! ([`map_ordered`], the fan-out every sharded stage goes through, and
+//! [`overlapped`], the two-stage pipeline, do it for them); the thread
+//! calling [`snapshot`]/[`manifest`] flushes itself automatically.
 
 #![warn(missing_docs)]
 
@@ -48,7 +48,7 @@ pub mod span;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 
 pub use clock::{set_zero_clock, zero_clock};
 pub use manifest::{
@@ -206,6 +206,90 @@ pub fn map_ordered<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             })
             .collect()
+    })
+}
+
+/// Buffers [`overlapped`] rotates: the helper fills one while the caller
+/// works on the other, so at most two items are alive at once.
+const OVERLAP_DEPTH: usize = 2;
+
+/// The one two-stage pipeline — the snapshot codec's chunk reader and
+/// writer and the simulator's day loop all run through it: `produce` fills
+/// a buffer with item `k + 1` (returning its tag, or `None` after the last
+/// item) while `consume` works on item `k`. Five guarantees:
+///
+/// 1. With `items <= 1` both closures run on the calling thread over
+///    `bufs[0]`, alternating, with no spawn. `items` only chooses the arm:
+///    the number of items `produce` will yield, or any lower bound on it.
+/// 2. Otherwise `produce` runs on one scoped helper thread and the two
+///    buffers rotate through a recycle channel: `consume` hands each one
+///    back and `produce` refills it, so `produce` can free what a buffer
+///    owns on the thread that allocated it. The helper [`flush`]es its
+///    metrics before it exits.
+/// 3. Items are consumed strictly in production order, so `consume` sees
+///    the same items in the same order on either arm.
+/// 4. The first error wins, whichever closure raises it: it is the error
+///    the serial arm would have hit first. A `consume` error stops the
+///    helper, which is joined before this returns.
+/// 5. A `produce` panic is re-raised on the caller with its own payload.
+///
+/// Time the calling thread spends blocked on the helper is recorded in the
+/// `wait_span` span: a large share of the wall time means the producer is
+/// the bottleneck; near zero, the consumer is.
+pub fn overlapped<B: Send, T: Send, E: Send>(
+    items: usize,
+    wait_span: &'static str,
+    bufs: [B; OVERLAP_DEPTH],
+    mut produce: impl FnMut(&mut B) -> Result<Option<T>, E> + Send,
+    mut consume: impl FnMut(T, &mut B) -> Result<(), E>,
+) -> Result<(), E> {
+    if items <= 1 {
+        let [mut buf, _] = bufs;
+        while let Some(tag) = produce(&mut buf)? {
+            consume(tag, &mut buf)?;
+        }
+        return Ok(());
+    }
+    std::thread::scope(|s| {
+        let (full_tx, full_rx) = mpsc::sync_channel::<Result<(T, B), E>>(OVERLAP_DEPTH);
+        let (free_tx, free_rx) = mpsc::channel::<B>();
+        for buf in bufs {
+            let _ = free_tx.send(buf);
+        }
+        let helper = s.spawn(move || {
+            // Either channel closing means the consumer stopped: stop too.
+            while let Ok(mut buf) = free_rx.recv() {
+                let msg = match produce(&mut buf) {
+                    Ok(Some(tag)) => Ok((tag, buf)),
+                    Ok(None) => break, // dropping full_tx ends the consumer
+                    Err(e) => Err(e),
+                };
+                let failed = msg.is_err();
+                if full_tx.send(msg).is_err() || failed {
+                    break;
+                }
+            }
+            flush();
+        });
+        let result = (|| loop {
+            let msg = {
+                let _wait = span(wait_span);
+                full_rx.recv()
+            };
+            // Closed: the helper produced its last item, or panicked.
+            let Ok(msg) = msg else { return Ok(()) };
+            let (tag, mut buf) = msg?;
+            consume(tag, &mut buf)?;
+            let _ = free_tx.send(buf);
+        })();
+        // Dropping both ends unblocks a helper that is mid-send or waiting
+        // for a buffer, so the join below cannot hang.
+        drop(full_rx);
+        drop(free_tx);
+        match helper.join() {
+            Ok(()) => result,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     })
 }
 
@@ -414,6 +498,174 @@ mod tests {
         reset();
         assert_eq!(snap.counters["unit.fanout_events"], 6);
         assert_eq!(snap.spans["unit.fanout_shard"].count, 3);
+    }
+
+    /// Drive [`overlapped`] over `0..n` with one `Vec<u32>` per item: the
+    /// producer writes item `k` into the buffer it was handed, `consume`
+    /// sees `(k, buffer)`.
+    fn pipeline<E: Send>(
+        n: u32,
+        mut produce: impl FnMut(u32) -> Result<(), E> + Send,
+        mut consume: impl FnMut(u32, &[u32]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut next = 0;
+        overlapped(
+            n as usize,
+            "unit.pipeline_wait",
+            [Vec::new(), Vec::new()],
+            |buf: &mut Vec<u32>| {
+                if next == n {
+                    return Ok(None);
+                }
+                produce(next)?;
+                buf.clear();
+                buf.push(next);
+                next += 1;
+                Ok(Some(next - 1))
+            },
+            |k, buf| consume(k, buf),
+        )
+    }
+
+    #[test]
+    fn overlapped_consumes_in_production_order_under_a_slow_consumer() {
+        let _g = LOCK.lock().unwrap();
+        // The consumer does not finish item k before the producer has
+        // started item k + 1, so it always trails the producer.
+        let (started_tx, started_rx) = mpsc::channel();
+        let mut started = 0;
+        let mut seen = Vec::new();
+        pipeline::<()>(
+            12,
+            move |k| {
+                started_tx.send(k).expect("the consumer is waiting");
+                Ok(())
+            },
+            |k, buf| {
+                while started < (k + 2).min(12) {
+                    assert_eq!(started_rx.recv().expect("producer runs"), started);
+                    started += 1;
+                }
+                assert_eq!(
+                    buf,
+                    [k],
+                    "each item arrives in the buffer it was produced into"
+                );
+                seen.push(k);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(seen, (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn overlapped_first_error_wins_whichever_side_raises_it() {
+        let _g = LOCK.lock().unwrap();
+        // Producer fails at 5, consumer at `c`: the serial order decides.
+        for c in [3, 5, 7] {
+            let mut consumed = 0;
+            let err = pipeline(
+                10,
+                |k| if k == 5 { Err(("produce", k)) } else { Ok(()) },
+                |k, _| {
+                    consumed += 1;
+                    if k == c {
+                        Err(("consume", k))
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
+            .unwrap_err();
+            let want = if c < 5 {
+                ("consume", c)
+            } else {
+                ("produce", 5)
+            };
+            assert_eq!(err, want, "consumer fails at {c}");
+            assert_eq!(consumed, c.min(5) + u32::from(c < 5));
+        }
+    }
+
+    #[test]
+    fn overlapped_joins_the_helper_when_the_consumer_bails_at_any_item() {
+        let _g = LOCK.lock().unwrap();
+        // The consumer stops while the producer is ahead of it, blocked on
+        // a full channel, or already finished. Returning at all means the
+        // helper was joined.
+        for stop in 0..8 {
+            let produced = std::sync::atomic::AtomicU32::new(0);
+            let err = pipeline(
+                8,
+                |_| {
+                    produced.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                },
+                |k, _| if k == stop { Err(k) } else { Ok(()) },
+            );
+            assert_eq!(err, Err(stop));
+            // Two buffers bound how far the producer can run ahead.
+            assert!(produced.load(Ordering::Relaxed) <= stop + 3);
+        }
+    }
+
+    #[test]
+    fn overlapped_reraises_the_producers_own_panic_payload() {
+        let _g = LOCK.lock().unwrap();
+        let err = std::panic::catch_unwind(|| {
+            pipeline::<()>(
+                4,
+                |k| {
+                    if k == 2 {
+                        panic!("producer boom");
+                    }
+                    Ok(())
+                },
+                |_, _| Ok(()),
+            )
+        })
+        .expect_err("the producer panic must reach the caller");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"producer boom"));
+    }
+
+    #[test]
+    fn overlapped_runs_one_item_or_fewer_on_the_calling_thread() {
+        let _g = LOCK.lock().unwrap();
+        let here = std::thread::current().id();
+        for n in [0, 1] {
+            let mut threads = Vec::new();
+            let mut consumed = 0;
+            let mut next = 0;
+            overlapped::<(), _, ()>(
+                n,
+                "unit.pipeline_wait",
+                [(), ()],
+                |_| {
+                    threads.push(std::thread::current().id());
+                    next += 1;
+                    Ok((next <= n).then_some(()))
+                },
+                |(), _| {
+                    consumed += 1;
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(consumed, n);
+            assert!(threads.iter().all(|&id| id == here));
+        }
+        let mut producer = None;
+        pipeline::<()>(
+            2,
+            |_| {
+                producer = Some(std::thread::current().id());
+                Ok(())
+            },
+            |_, _| Ok(()),
+        )
+        .unwrap();
+        assert_ne!(producer, Some(here), "two items overlap on a helper");
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use std::cell::RefCell;
 use std::mem;
+use std::sync::Arc;
 
 use hf_hash::{Digest, Sha256};
 use serde::{Deserialize, Serialize};
@@ -215,7 +216,8 @@ fn scratch_to_pool(scratch: SessionScratch) {
 pub struct ShellSession {
     vfs: Vfs,
     cwd: String,
-    profile: SystemProfile,
+    /// Shared with the node's config: starting a session copies no string.
+    profile: Arc<SystemProfile>,
     fetcher: Box<dyn RemoteFetcher>,
     events: EventLog,
     exited: bool,
@@ -226,7 +228,8 @@ pub struct ShellSession {
 
 impl ShellSession {
     /// Start a session on a freshly seeded filesystem.
-    pub fn new(profile: SystemProfile, fetcher: Box<dyn RemoteFetcher>) -> Self {
+    pub fn new(profile: impl Into<Arc<SystemProfile>>, fetcher: Box<dyn RemoteFetcher>) -> Self {
+        let profile = profile.into();
         let vfs = Vfs::seeded_cached(&profile);
         let mut scratch = scratch_from_pool();
         let events = mem::take(&mut scratch.spare_events);

@@ -237,7 +237,7 @@ fn compute_outcome(
     lines: &[String],
     fetcher: Box<dyn RemoteFetcher>,
 ) -> ScriptOutcome {
-    let profile = ctx.configs[honeypot as usize].profile.clone();
+    let profile = Arc::clone(&ctx.configs[honeypot as usize].profile);
     let mut shell = hf_shell::ShellSession::new(profile, fetcher);
     let mut transfers = 0u32;
     for line in lines {
@@ -299,8 +299,9 @@ fn is_transfer_line(line: &str) -> bool {
 pub struct ExecCtx<'a> {
     /// Farm deployment: honeypot profiles.
     pub plan: &'a FarmPlan,
-    /// Per-honeypot configs, pre-built (index = honeypot id).
-    pub configs: &'a [HoneypotConfig],
+    /// Per-honeypot configs, pre-built (index = honeypot id) and shared
+    /// with every session started on that node.
+    pub configs: &'a [Arc<HoneypotConfig>],
     /// Campaign catalog for scripts/payloads.
     pub catalog: &'a CampaignCatalog,
     /// Credential model (Table 2).
@@ -309,11 +310,11 @@ pub struct ExecCtx<'a> {
     pub pool: &'a ClientPool,
 }
 
-/// Build the per-honeypot configs once.
-pub fn build_configs(plan: &FarmPlan) -> Vec<HoneypotConfig> {
+/// Build the per-honeypot configs once; sessions share them.
+pub fn build_configs(plan: &FarmPlan) -> Vec<Arc<HoneypotConfig>> {
     plan.nodes
         .iter()
-        .map(|n| HoneypotConfig::paper(n.profile()))
+        .map(|n| Arc::new(HoneypotConfig::paper(n.profile())))
         .collect()
 }
 
@@ -418,7 +419,7 @@ fn replay_cached(
     let mut rng = SmallRng::seed_from_u64(plan.seed);
     let client = ctx.pool.get(plan.client);
     let start = SimInstant::from_day_and_secs(plan.day, plan.start_secs.min(86_399));
-    let config = ctx.configs[plan.honeypot as usize].clone();
+    let config = Arc::clone(&ctx.configs[plan.honeypot as usize]);
     let fixed_password = match plan.behavior {
         Behavior::Script { campaign } => ctx.catalog.get(campaign).fixed_password,
         _ => None,
@@ -507,7 +508,7 @@ fn run_session<L>(
     let mut rng = SmallRng::seed_from_u64(plan.seed);
     let client = ctx.pool.get(plan.client);
     let start = SimInstant::from_day_and_secs(plan.day, plan.start_secs.min(86_399));
-    let config = ctx.configs[plan.honeypot as usize].clone();
+    let config = Arc::clone(&ctx.configs[plan.honeypot as usize]);
 
     let mut driver = SessionDriver::accept(
         config,
@@ -637,7 +638,7 @@ mod tests {
 
     struct Fixture {
         eco: Ecosystem,
-        configs: Vec<HoneypotConfig>,
+        configs: Vec<Arc<HoneypotConfig>>,
     }
 
     fn fixture() -> Fixture {

@@ -16,10 +16,11 @@
 
 use std::io::Read;
 
-use hf_agents::{Ecosystem, EcosystemConfig, Scale};
+use hf_agents::{Ecosystem, EcosystemConfig, Scale, SessionPlan};
 use hf_core::{Aggregates, StreamingFold};
+use hf_farm::snapshot::ROWS_PER_CHUNK;
 use hf_farm::{Collector, Dataset, DayOrder, Snapshot, SnapshotError, SnapshotMeta, TagDb};
-use hf_honeypot::ArtifactStore;
+use hf_honeypot::{ArtifactStore, SessionRecord};
 use hf_simclock::StudyWindow;
 
 use crate::error::SimError;
@@ -40,12 +41,15 @@ pub struct SimConfig {
     /// command-heavy runs; session *content* is identical, only per-session
     /// timing randomness differs from the reference path. Default off.
     pub use_script_cache: bool,
-    /// Worker threads for day execution. `1` (the default) executes each
-    /// day's plans inline in plan order; `N > 1` shards them across `N`
+    /// Worker threads that execute each batch of plans. `1` (the default)
+    /// executes a batch inline in plan order; `N > 1` shards it across `N`
     /// scoped workers with an ordered merge. Both run the same prepared
     /// pipeline (scripts parsed once per campaign variant per day, not once
     /// per session) and produce byte-identical output for every thread
-    /// count (see `crate::parallel`).
+    /// count (see `crate::parallel`). Independently of this, a window of
+    /// more than one day runs as a two-stage pipeline: planning and
+    /// execution on one helper thread, ingest and the fold on the calling
+    /// thread (see [`Simulation::run`]), so `1` keeps two threads busy.
     pub threads: usize,
 }
 
@@ -186,6 +190,17 @@ impl FoldOutput {
     }
 }
 
+/// Plans per day-loop batch, the snapshot codec's chunk size. A batch is
+/// one item of the day loop's two-stage pipeline, and at most two are alive
+/// at once: at scale 1.0 that is less than the one whole day the serial
+/// loop held.
+const BATCH_PLANS: usize = ROWS_PER_CHUNK as usize;
+
+/// One batch: the records and tag shard of each execution shard, in plan
+/// order. The buffer returns to the producer, which frees the records on
+/// the thread that allocated them.
+type Batch = Vec<(Vec<SessionRecord>, TagDb)>;
+
 /// The simulator.
 pub struct Simulation;
 
@@ -193,8 +208,18 @@ impl Simulation {
     /// Run the full window. A day pre-pass coverage gap (a `prepare_day` /
     /// `precompute_day` bug) panics with the typed [`SimError`] naming the
     /// missing key.
+    ///
+    /// The day loop is a two-stage [`hf_obs::overlapped`] pipeline over
+    /// batches of at most 65,536 plans, each from one day. The
+    /// producer — a helper thread whenever the window has more than one
+    /// day — plans each day, runs its script pre-pass, and executes the
+    /// day's batches through [`execute_day_shards`]. The calling thread
+    /// ingests each batch's records and tags in plan order, then runs the
+    /// per-day hook after a day's last batch. Records reach the collector
+    /// in the serial loop's order, so the output is identical on either
+    /// arm; `sim.execute_wait` records how long ingest waited on execution.
     pub fn run(config: SimConfig) -> SimOutput {
-        let (collector, tags, n_clients) = Self::run_loop(&config, &mut |_| {})
+        let (collector, tags, n_clients) = Self::run_loop(&config, BATCH_PLANS, true, &mut |_| {})
             .unwrap_or_else(|e| panic!("simulation failed: {e}"));
         SimOutput {
             dataset: collector.finish(),
@@ -217,19 +242,20 @@ impl Simulation {
     /// `process.peak_rss_kb` gauge for the run manifest.
     pub fn run_fold(config: SimConfig) -> FoldOutput {
         let mut fold: Option<StreamingFold> = None;
-        let (collector, tags, n_clients) = Self::run_loop(&config, &mut |collector| {
-            let f = fold.get_or_insert_with(|| StreamingFold::new(collector.plan().len()));
-            let store = collector.sessions();
-            let plan = collector.plan();
-            for i in 0..store.len() {
-                f.ingest(plan, &store.view(i));
-            }
-            f.drain_freshness();
-            hf_obs::counter!("analysis.rows_folded", store.len() as u64);
-            collector.retire_rows();
-            hf_obs::sample_peak_rss();
-        })
-        .unwrap_or_else(|e| panic!("simulation failed: {e}"));
+        let (collector, tags, n_clients) =
+            Self::run_loop(&config, BATCH_PLANS, true, &mut |collector| {
+                let f = fold.get_or_insert_with(|| StreamingFold::new(collector.plan().len()));
+                let store = collector.sessions();
+                let plan = collector.plan();
+                for i in 0..store.len() {
+                    f.ingest(plan, &store.view(i));
+                }
+                f.drain_freshness();
+                hf_obs::counter!("analysis.rows_folded", store.len() as u64);
+                collector.retire_rows();
+                hf_obs::sample_peak_rss();
+            })
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
         // Rowless: every day was folded and retired; pools/artifacts remain.
         let dataset = collector.finish();
         let aggregates = match fold {
@@ -246,11 +272,15 @@ impl Simulation {
         }
     }
 
-    /// The shared day loop. `after_day` runs once per simulated day after
+    /// The shared day loop (see [`Simulation::run`]) over batches of at
+    /// most `batch` plans. `after_day` runs once per simulated day after
     /// the day's records are ingested; the materialized path passes a
-    /// no-op, the fold path scans and retires the day's rows.
+    /// no-op, the fold path scans and retires the day's rows. `overlap:
+    /// false` keeps both stages on the calling thread.
     fn run_loop(
         config: &SimConfig,
+        batch: usize,
+        overlap: bool,
         after_day: &mut dyn FnMut(&mut Collector),
     ) -> Result<(Collector, TagDb, usize), SimError> {
         let mut eco = Ecosystem::new(EcosystemConfig {
@@ -271,39 +301,82 @@ impl Simulation {
         let threads = config.threads.max(1);
         hf_obs::gauge!("sim.threads", threads);
         hf_obs::gauge!("sim.days", days);
-        for day in 0..days {
-            let _day_span = hf_obs::span!("sim.day");
-            let plans = eco.plan_day(day);
-            hf_obs::counter!("sim.days_executed", 1);
-            hf_obs::counter!("sim.sessions_executed", plans.len() as u64);
-            hf_obs::observe!("sim.day_sessions", plans.len());
-            let ctx = ExecCtx {
-                plan: &eco.plan,
-                configs: &configs,
-                catalog: &eco.catalog,
-                creds: &eco.creds,
-                pool: eco.pool_ref(),
-            };
-            // Serial pre-pass: parse each distinct campaign/recon script
-            // once (or pre-compute its cached outcome), then execute the
-            // day's plans through the shard machinery. With `threads == 1`
-            // the single shard runs inline — same plan order, no spawn.
-            let mode = if config.use_script_cache {
-                cache.precompute_day(&ctx, &plans);
-                DayMode::Cached(&cache)
-            } else {
-                prepared.prepare_day(&ctx, &plans);
-                DayMode::Full(&prepared)
-            };
-            // Ingest shard-by-shard in shard order — same row/tag order
-            // as a serial loop without concatenating the whole day's
-            // records into one intermediate vector first.
-            for (records, day_tags) in execute_day_shards(&ctx, &plans, threads, mode)? {
-                collector.ingest_batch(&records);
-                tags.merge(day_tags);
-            }
-            after_day(&mut collector);
-        }
+        // Producer state: the day being executed, its plans, the first plan
+        // of its next batch (`None` between days) and its span, which
+        // closes when the day's last batch has executed.
+        let mut day = 0;
+        let mut plans: Vec<SessionPlan> = Vec::new();
+        let mut next: Option<usize> = None;
+        let mut day_span = None;
+        hf_obs::overlapped(
+            if overlap { days as usize } else { 1 },
+            "sim.execute_wait",
+            [Batch::new(), Batch::new()],
+            |shards: &mut Batch| {
+                // The batch the consumer handed back dies here, on the
+                // thread that allocated it.
+                shards.clear();
+                let start = match next {
+                    Some(start) => start,
+                    None if day == days => return Ok(None),
+                    None => {
+                        day_span = Some(hf_obs::span!("sim.day"));
+                        plans = eco.plan_day(day);
+                        hf_obs::counter!("sim.days_executed", 1);
+                        hf_obs::counter!("sim.sessions_executed", plans.len() as u64);
+                        hf_obs::observe!("sim.day_sessions", plans.len());
+                        0
+                    }
+                };
+                let ctx = ExecCtx {
+                    plan: &eco.plan,
+                    configs: &configs,
+                    catalog: &eco.catalog,
+                    creds: &eco.creds,
+                    pool: eco.pool_ref(),
+                };
+                // Serial pre-pass, once per day: parse each distinct
+                // campaign/recon script once (or pre-compute its cached
+                // outcome), then execute the batch through the shard
+                // machinery. With `threads == 1` the single shard runs
+                // inline — same plan order, no spawn.
+                if start == 0 {
+                    if config.use_script_cache {
+                        cache.precompute_day(&ctx, &plans);
+                    } else {
+                        prepared.prepare_day(&ctx, &plans);
+                    }
+                }
+                let mode = if config.use_script_cache {
+                    DayMode::Cached(&cache)
+                } else {
+                    DayMode::Full(&prepared)
+                };
+                let end = plans.len().min(start + batch);
+                shards.extend(execute_day_shards(&ctx, &plans[start..end], threads, mode)?);
+                let day_done = end == plans.len();
+                if day_done {
+                    next = None;
+                    day += 1;
+                    day_span = None;
+                } else {
+                    next = Some(end);
+                }
+                Ok(Some(day_done))
+            },
+            |day_done, shards| {
+                // Ingest shard by shard in shard order — the serial loop's
+                // row and tag order.
+                for (records, shard_tags) in shards.iter_mut() {
+                    collector.ingest_batch(records);
+                    tags.merge(std::mem::take(shard_tags));
+                }
+                if day_done {
+                    after_day(&mut collector);
+                }
+                Ok(())
+            },
+        )?;
         Ok((collector, tags, eco.n_clients()))
     }
 }
@@ -311,6 +384,90 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hf_farm::SessionStore;
+
+    /// One run of the private day loop: the dataset, tags, client count and
+    /// the row count the per-day hook saw at each day's end.
+    type Arm = (Dataset, TagDb, usize, Vec<usize>);
+
+    fn run_arm(threads: usize, batch: usize, overlap: bool) -> Arm {
+        let config = SimConfig {
+            threads,
+            ..SimConfig::test(8)
+        };
+        let mut day_ends = Vec::new();
+        let (collector, tags, n_clients) =
+            Simulation::run_loop(&config, batch, overlap, &mut |c| day_ends.push(c.len()))
+                .expect("day loop");
+        (collector.finish(), tags, n_clients, day_ends)
+    }
+
+    fn assert_same_arm(a: &Arm, b: &Arm, what: &str) {
+        let ((da, ta, na, ea), (db, tb, nb, eb)) = (a, b);
+        assert_eq!(da.sessions.rows(), db.sessions.rows(), "{what}: rows");
+        let strings = |s: &SessionStore| {
+            [&s.creds, &s.commands, &s.uris, &s.ssh_versions].map(|p| {
+                p.iter()
+                    .map(|(i, v)| (i, v.to_string()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(
+            strings(&da.sessions),
+            strings(&db.sessions),
+            "{what}: string pools"
+        );
+        let digests = |s: &SessionStore| s.digests.iter().collect::<Vec<_>>();
+        assert_eq!(
+            digests(&da.sessions),
+            digests(&db.sessions),
+            "{what}: digests"
+        );
+        let lists = |s: &SessionStore| {
+            s.lists
+                .iter()
+                .map(|(i, l)| (i, l.to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lists(&da.sessions), lists(&db.sessions), "{what}: lists");
+        assert_eq!(ta.len(), tb.len(), "{what}: tags");
+        for (h, e) in ta.iter() {
+            assert_eq!(tb.tag(h), Some(e.tag.as_str()), "{what}: tag");
+            assert_eq!(
+                tb.campaign(h),
+                Some(e.campaign.as_str()),
+                "{what}: campaign"
+            );
+        }
+        assert_eq!(da.artifacts.len(), db.artifacts.len(), "{what}: artifacts");
+        for (h, meta) in da.artifacts.iter() {
+            assert_eq!(db.artifacts.get(h), Some(meta), "{what}: artifact");
+        }
+        assert_eq!(da.plan, db.plan, "{what}: plan");
+        assert_eq!(na, nb, "{what}: clients");
+        assert_eq!(ea, eb, "{what}: per-day hook");
+    }
+
+    #[test]
+    fn overlapped_day_loop_matches_the_serial_loop() {
+        // One batch per day on the calling thread: the loop as it was
+        // before it was staged.
+        let serial = run_arm(1, BATCH_PLANS, false);
+        assert_eq!(serial.3.len(), 8, "the hook runs once per day");
+        let small = 128;
+        let mut prev = 0;
+        for &end in &serial.3 {
+            assert!(end - prev > 2 * small, "each day splits into ≥ 3 batches");
+            prev = end;
+        }
+        for threads in [1, 2] {
+            for (batch, overlap) in [(BATCH_PLANS, true), (small, false), (small, true)] {
+                let arm = run_arm(threads, batch, overlap);
+                let what = format!("threads={threads} batch={batch} overlap={overlap}");
+                assert_same_arm(&serial, &arm, &what);
+            }
+        }
+    }
 
     #[test]
     fn short_run_produces_consistent_dataset() {

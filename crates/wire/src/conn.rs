@@ -53,6 +53,8 @@
 //! A partial (unterminated) line pending at EOF is discarded, matching the
 //! old Tokio servers' line-oriented readers.
 
+use std::sync::Arc;
+
 use bytes::BytesMut;
 use hf_geo::Ip4;
 use hf_honeypot::{AuthResult, HoneypotConfig, SessionDriver, SessionRecord};
@@ -107,8 +109,9 @@ pub struct ConnParams {
     pub honeypot: u16,
     /// Which wire protocol this listener speaks.
     pub protocol: Protocol,
-    /// Honeypot policy + system profile for this node.
-    pub config: HoneypotConfig,
+    /// Honeypot policy + system profile for this node, shared by every
+    /// connection the node accepts.
+    pub config: Arc<HoneypotConfig>,
     /// Wall or virtual timing (see module docs).
     pub timing: Timing,
     /// Farm-wide counters.
@@ -141,8 +144,7 @@ enum TelnetPhase {
 pub struct SessionConn {
     honeypot: u16,
     protocol: Protocol,
-    hostname: String,
-    config: HoneypotConfig,
+    config: Arc<HoneypotConfig>,
     timing: Timing,
     stats: FarmStats,
     peer_ip: Ip4,
@@ -164,7 +166,7 @@ impl SessionConn {
     /// immediately after accept (SSH ident line / telnet negotiation+login
     /// banner).
     pub fn new(params: ConnParams) -> (SessionConn, Vec<u8>) {
-        let hostname = params.config.profile.hostname.clone();
+        let hostname = &params.config.profile.hostname;
         let greeting = match params.protocol {
             Protocol::Ssh => server_ident().wire_bytes().to_vec(),
             Protocol::Telnet => {
@@ -189,7 +191,6 @@ impl SessionConn {
         let mut conn = SessionConn {
             honeypot: params.honeypot,
             protocol: params.protocol,
-            hostname,
             config: params.config,
             timing: params.timing,
             stats: params.stats,
@@ -250,7 +251,7 @@ impl SessionConn {
                 .unwrap_or((self.peer_ip, self.peer_port));
             self.driver_start = start;
             self.driver = Some(SessionDriver::accept(
-                self.config.clone(),
+                Arc::clone(&self.config),
                 self.honeypot,
                 self.protocol,
                 ip,
@@ -544,7 +545,8 @@ impl SessionConn {
 
     fn handle_telnet_line(&mut self, line: String, out: &mut Vec<u8>) -> Option<SessionRecord> {
         let think = self.think_secs();
-        let hostname = self.hostname.clone();
+        let config = Arc::clone(&self.config);
+        let hostname = &config.profile.hostname;
         let current = match &mut self.proto {
             ProtoState::Telnet { phase, .. } => std::mem::replace(phase, TelnetPhase::Username),
             ProtoState::Ssh { .. } => unreachable!("telnet line on ssh state"),
@@ -620,7 +622,7 @@ mod tests {
         ConnParams {
             honeypot: 3,
             protocol,
-            config: HoneypotConfig::paper(SystemProfile::default()),
+            config: Arc::new(HoneypotConfig::paper(SystemProfile::default())),
             timing,
             stats: FarmStats::new(),
             peer_ip: Ip4::new(203, 0, 113, 9),
@@ -793,7 +795,7 @@ mod tests {
         let (mut c, _) = SessionConn::new(ConnParams {
             honeypot: sc.honeypot,
             protocol: sc.protocol,
-            config: HoneypotConfig::default(),
+            config: Arc::new(HoneypotConfig::default()),
             timing: Timing::Virtual,
             stats: FarmStats::new(),
             peer_ip: Ip4::new(127, 0, 0, 1),

@@ -329,7 +329,7 @@ struct Reactor {
     ep: Epoll,
     listeners: Vec<ListenerEntry>,
     config: FarmConfig,
-    configs: HashMap<u16, HoneypotConfig>,
+    configs: HashMap<u16, Arc<HoneypotConfig>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u32,
@@ -362,8 +362,9 @@ impl Reactor {
         }
     }
 
-    /// Per-node honeypot config, built once per node on first accept.
-    fn node_config(&mut self, honeypot: u16) -> HoneypotConfig {
+    /// Per-node honeypot config, built once per node on first accept and
+    /// shared with every connection the node accepts.
+    fn node_config(&mut self, honeypot: u16) -> Arc<HoneypotConfig> {
         let cfg = &self.config;
         self.configs
             .entry(honeypot)
@@ -373,7 +374,7 @@ impl Reactor {
                 } else {
                     SystemProfile::for_node(honeypot as u32)
                 };
-                HoneypotConfig::paper(profile)
+                Arc::new(HoneypotConfig::paper(profile))
             })
             .clone()
     }

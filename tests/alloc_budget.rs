@@ -105,12 +105,14 @@ fn full_scale_collector_construction_stays_under_64mb() {
 
 /// The full simulator driver path (honeypot state machine + prepared
 /// scripts + record materialization) stays within a pinned per-session
-/// allocation budget once warm. The budget is deliberately loose — records
-/// and tag strings legitimately allocate — but it catches order-of-magnitude
-/// regressions like per-line parsing or per-session VFS seeding coming back.
+/// allocation budget once warm. Records and tag strings legitimately
+/// allocate; the budget is what this fixture measures (11.9 per session)
+/// plus 2, so a per-session copy of the node's config (nine allocations:
+/// six profile strings and the auth policy) fails it, as do per-line
+/// parsing or per-session VFS seeding coming back.
 #[test]
 fn full_driver_stays_within_per_session_budget() {
-    const BUDGET_PER_SESSION: u64 = 60;
+    const BUDGET_PER_SESSION: u64 = 14;
 
     let mut eco = Ecosystem::new(EcosystemConfig {
         seed: 0x5ca1e,

@@ -23,7 +23,9 @@ use honeyfarm::farm::Snapshot;
 use honeyfarm::prelude::*;
 use honeyfarm::proto::ssh_ident::SshIdent;
 use honeyfarm::proto::telnet::{LineAssembler, TelnetDecoder, TelnetEvent};
-use honeyfarm::shell::{extract_uris, split_statements, ShellSession, SyntheticFetcher};
+use honeyfarm::shell::{
+    extract_uris, split_statements, ShellSession, SyntheticFetcher, SystemProfile,
+};
 use honeyfarm::testkit::{
     command_line, render_statements, snapshot_mutation, ssh_ident_line, telnet_stream,
     uri_command_line,
@@ -59,7 +61,7 @@ fn normalize(events: Vec<TelnetEvent>) -> Vec<TelnetEvent> {
 }
 
 fn shell() -> ShellSession {
-    ShellSession::new(Default::default(), Box::new(SyntheticFetcher))
+    ShellSession::new(SystemProfile::default(), Box::new(SyntheticFetcher))
 }
 
 proptest! {
