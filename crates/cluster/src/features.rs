@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 use hf_core::aggregates::{bit_count, bit_set, bit_union, HpBitset};
 use hf_core::classify::classify;
 use hf_core::idhash::{BuildIdHasher, IdMap, IdSet};
-use hf_farm::{Dataset, FarmPlan, SessionView, StringPool};
+use hf_farm::{Dataset, FarmPlan, Row, SessionStore, SessionView, StringPool};
 use hf_geo::{CountryId, RegionRelation, World};
 use hf_proto::Protocol;
 use hf_shell::lexer::{for_each_command_head, LineBuf};
@@ -310,7 +310,7 @@ impl ClientAcc {
 
 /// Streaming per-shard fold: ingest day-ordered rows, merge shards in day
 /// order, finish into [`ClientFeatures`]. The same type serves the serial,
-/// threaded, and chunk-at-a-time paths.
+/// threaded, chunk-at-a-time and day-at-a-time paths.
 #[derive(Default)]
 pub struct FeatureFold {
     clients: IdMap<ClientAcc>,
@@ -328,6 +328,22 @@ impl FeatureFold {
             .entry(v.raw().client_ip)
             .or_default()
             .ingest(plan, heads, v);
+    }
+
+    /// Fold a run of day-ordered rows resolved against `store`'s pools (a day
+    /// shard, a snapshot chunk, one simulated day); `heads` must cover
+    /// `store.commands`. The one row loop of every extraction path.
+    pub fn ingest_rows(
+        &mut self,
+        store: &SessionStore,
+        plan: &FarmPlan,
+        heads: &HeadMap,
+        rows: &[Row],
+    ) {
+        for row in rows {
+            self.ingest(plan, heads, &store.view_row(row));
+        }
+        hf_obs::counter!("cluster.rows_folded", rows.len() as u64);
     }
 
     /// Merge a later shard into this one. `other` must cover strictly
@@ -356,6 +372,7 @@ impl FeatureFold {
     /// Finish: sort clients by IP and freeze. `n_honeypots` fixes the
     /// denominator of the farm-coverage feature.
     pub fn finish(self, n_honeypots: usize) -> ClientFeatures {
+        hf_obs::counter!("cluster.clients", self.len() as u64);
         let mut clients: Vec<(u32, ClientAcc)> = self.clients.into_iter().collect();
         clients.sort_unstable_by_key(|&(ip, _)| ip);
         ClientFeatures {
@@ -501,18 +518,14 @@ pub fn extract_threaded(dataset: &Dataset, threads: usize) -> ClientFeatures {
     heads.sync(&store.commands);
 
     let shards = store.map_day_shards(threads, |rows| {
-        hf_obs::counter!("cluster.rows_folded", rows.len() as u64);
         let mut fold = FeatureFold::new();
-        for row in rows {
-            fold.ingest(&dataset.plan, &heads, &store.view_row(row));
-        }
+        fold.ingest_rows(store, &dataset.plan, &heads, rows);
         fold
     });
     let mut merged = FeatureFold::new();
     for shard in shards {
         merged.merge(shard);
     }
-    hf_obs::counter!("cluster.clients", merged.len() as u64);
     merged.finish(dataset.plan.len())
 }
 

@@ -20,10 +20,14 @@
 //!    over `k = 2..=8`; every tie-break is documented and keyed by client
 //!    IP or column order.
 //!
-//! `hfarm cluster` drives all three from a live sim, a snapshot, or a
-//! bounded-RSS streaming read; `hf-testkit` ships `diff_features` /
-//! `diff_clusters` field-level oracles, and `tests/cluster_goldens.rs`
-//! pins the TSV output byte-for-byte.
+//! `hfarm cluster` folds either source through [`FeatureFold::ingest_rows`]
+//! and never holds more than a day or a chunk of rows: a live sim's day loop
+//! hands it each finished day before retiring the rows, and
+//! [`features_from_snapshot_stream`] hands it each verified chunk.
+//! [`extract_threaded`] and [`ClusterRun::over`] remain the materialized
+//! reference the differential tests compare against. `hf-testkit` ships
+//! `diff_features` / `diff_clusters` field-level oracles, and
+//! `tests/cluster_goldens.rs` pins the TSV output byte-for-byte.
 
 #![warn(missing_docs)]
 
@@ -87,16 +91,13 @@ pub fn features_from_snapshot_stream<R: Read + Send>(
     let mut fold = FeatureFold::new();
     let mut order = DayOrder::new("streaming feature extraction");
     let (_meta, plan, _sessions, _tags) = reader.fold_chunks(|store, plan, rows| {
-        heads.sync(&store.commands);
         for row in rows {
-            let v = store.view_row(row);
-            order.check(v.day())?;
-            fold.ingest(plan, &heads, &v);
+            order.check(store.view_row(row).day())?;
         }
-        hf_obs::counter!("cluster.rows_folded", rows.len() as u64);
+        heads.sync(&store.commands);
+        fold.ingest_rows(store, plan, &heads, rows);
         Ok(())
     })?;
-    hf_obs::counter!("cluster.clients", fold.len() as u64);
     let n_honeypots = plan.len();
     Ok((plan, fold.finish(n_honeypots)))
 }

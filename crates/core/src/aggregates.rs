@@ -54,7 +54,7 @@
 //! first-sighting retraction is `checked_sub`, so a hypothetical overflow
 //! panics loudly instead of corrupting totals silently.
 
-use hf_farm::{Dataset, FarmPlan, SessionView};
+use hf_farm::{Dataset, FarmPlan, Row, SessionStore, SessionView};
 use hf_geo::World;
 use hf_honeypot::EndReason;
 use hf_proto::Protocol;
@@ -799,6 +799,17 @@ impl StreamingFold {
     /// pass). `plan` resolves honeypot geography.
     pub fn ingest(&mut self, plan: &FarmPlan, v: &SessionView<'_>) {
         self.fold.ingest(plan, v);
+    }
+
+    /// Fold a run of day-ordered rows resolved against `store`'s pools (a
+    /// snapshot chunk, or one finished simulated day), then drain the
+    /// freshness series: the one row loop of every fold-as-you-go caller.
+    pub fn ingest_rows(&mut self, store: &SessionStore, plan: &FarmPlan, rows: &[Row]) {
+        for row in rows {
+            self.fold.ingest(plan, &store.view_row(row));
+        }
+        self.drain_freshness();
+        hf_obs::counter!("analysis.rows_folded", rows.len() as u64);
     }
 
     /// Drain the freshness sightings of every *completed* day (strictly

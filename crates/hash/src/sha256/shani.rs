@@ -95,6 +95,8 @@ macro_rules! quad_sched {
 /// Load `[a, b, c, d, e, f, g, h]` words into the (ABEF, CDGH) register pair
 /// the SHA instructions operate on.
 #[inline(always)]
+// SAFETY: callers are the `target_feature` fns below (so the CPU has `ssse3`
+// and `sse4.1`); both unaligned 16-byte loads stay inside `state`.
 unsafe fn load_state(state: &[u32; 8]) -> (__m128i, __m128i) {
     let mut tmp = _mm_loadu_si128(state.as_ptr() as *const __m128i);
     let mut efgh = _mm_loadu_si128(state.as_ptr().add(4) as *const __m128i);
@@ -107,6 +109,7 @@ unsafe fn load_state(state: &[u32; 8]) -> (__m128i, __m128i) {
 
 /// Inverse of [`load_state`].
 #[inline(always)]
+// SAFETY: as for `load_state`, with stores.
 unsafe fn store_state(state: &mut [u32; 8], abef: __m128i, cdgh: __m128i) {
     let tmp = _mm_shuffle_epi32::<0x1B>(abef); // FEBA
     let rev = _mm_shuffle_epi32::<0xB1>(cdgh); // DCHG
@@ -119,6 +122,8 @@ unsafe fn store_state(state: &mut [u32; 8], abef: __m128i, cdgh: __m128i) {
 /// One 64-byte block, single stream. `p` must point at 64 readable bytes.
 #[inline]
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+// SAFETY: callers have checked `available()` and pass a `p` valid for 64
+// bytes of reads (a whole message block, or `padded_block_ptr`'s scratch).
 unsafe fn block1(s0: &mut __m128i, s1: &mut __m128i, p: *const u8, mask: __m128i) {
     let mut a0 = *s0;
     let mut a1 = *s1;
@@ -153,6 +158,7 @@ unsafe fn block1(s0: &mut __m128i, s1: &mut __m128i, p: *const u8, mask: __m128i
 #[inline]
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 #[allow(clippy::too_many_arguments)]
+// SAFETY: as for `block1`; `pa` and `pb` are each valid for 64 bytes.
 unsafe fn block2(
     s0a: &mut __m128i,
     s1a: &mut __m128i,
@@ -217,6 +223,8 @@ unsafe fn block2(
 }
 
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+// SAFETY: the caller has checked `available()`; `chunks_exact(64)` hands
+// `block1` only whole blocks.
 unsafe fn compress_blocks_ni(state: &mut [u32; 8], data: &[u8]) {
     let mask = _mm_set_epi64x(BSWAP_HI, BSWAP_LO);
     let (mut s0, mut s1) = load_state(state);
@@ -227,6 +235,8 @@ unsafe fn compress_blocks_ni(state: &mut [u32; 8], data: &[u8]) {
 }
 
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+// SAFETY: the caller has checked `available()`; `padded_block_ptr` points
+// into the message or at the 64-byte `ta`/`tb` scratch.
 unsafe fn digest_pair_ni(a: &[u8], b: &[u8]) -> (Digest, Digest) {
     let mask = _mm_set_epi64x(BSWAP_HI, BSWAP_LO);
     let (mut s0a, mut s1a) = load_state(&H0);

@@ -11,8 +11,9 @@
 //!    and reports to a metrics-off run at 1, 2, and 8 threads.
 //! 2. **Every aggregate is an associative, commutative merge** (the same
 //!    discipline as `Aggregates::merge`): thread-local buffers flush into
-//!    a sharded registry in any order with identical results, so counters
-//!    derived from deterministic work are thread-count invariant.
+//!    one process-wide [`MetricsSnapshot`] in any order with identical
+//!    results, so counters derived from deterministic work are
+//!    thread-count invariant.
 //! 3. **Off means off.** Disabled at runtime (the default), every
 //!    recording call is one relaxed atomic load.
 //!
@@ -48,29 +49,29 @@ pub mod span;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::{mpsc, Mutex, MutexGuard};
 
 pub use clock::{set_zero_clock, zero_clock};
 pub use manifest::{
     ManifestError, RunManifest, METRICS_FILE, SCHEMA_NAME, SCHEMA_VERSION, SPANS_FILE,
 };
-pub use metrics::{
-    Histogram, LocalBuf, MetricsRegistry, MetricsSnapshot, Name, SpanStats, N_BUCKETS,
-};
+pub use metrics::{Histogram, LocalBuf, MetricsSnapshot, Name, SpanStats, N_BUCKETS};
 pub use span::SpanGuard;
 
 // ---------------------------------------------------------- global state --
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
+/// Everything flushed so far. A flush happens once per worker or helper
+/// thread exit and once per manifest, so one lock serves without contention.
+static REGISTRY: Mutex<MetricsSnapshot> = Mutex::new(MetricsSnapshot::new());
 
 thread_local! {
     static LOCAL: RefCell<LocalBuf> = RefCell::new(LocalBuf::default());
     static SPAN_STACK: RefCell<Vec<Name>> = const { RefCell::new(Vec::new()) };
 }
 
-fn registry() -> &'static MetricsRegistry {
-    REGISTRY.get_or_init(MetricsRegistry::new)
+fn registry() -> MutexGuard<'static, MetricsSnapshot> {
+    REGISTRY.lock().expect("metrics registry poisoned")
 }
 
 /// Turn recording on (process-wide).
@@ -137,7 +138,8 @@ fn span_named(name: impl FnOnce() -> Name) -> SpanGuard {
 pub fn flush() {
     let buf = LOCAL.with(|l| std::mem::take(&mut *l.borrow_mut()));
     if !buf.is_empty() {
-        registry().absorb(buf);
+        let buf = buf.into_snapshot();
+        registry().merge(&buf);
     }
 }
 
@@ -320,11 +322,10 @@ pub fn sample_peak_rss() {
 
 // ------------------------------------------------------------ harvesting --
 
-/// Flush the calling thread, then fold every registry shard into one
-/// sorted snapshot.
+/// Flush the calling thread, then copy out everything flushed so far.
 pub fn snapshot() -> MetricsSnapshot {
     flush();
-    registry().snapshot()
+    registry().clone()
 }
 
 /// Flush the calling thread and package everything recorded so far as a
@@ -337,7 +338,7 @@ pub fn manifest(tool: &str) -> RunManifest {
 /// buffers of other live threads are untouched).
 pub fn reset() {
     LOCAL.with(|l| *l.borrow_mut() = LocalBuf::default());
-    registry().reset();
+    *registry() = MetricsSnapshot::new();
 }
 
 // ---------------------------------------------------------------- macros --
@@ -378,7 +379,6 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     /// The registry is process-global; unit tests touching it serialize.
     static LOCK: Mutex<()> = Mutex::new(());
@@ -493,7 +493,7 @@ mod tests {
         });
         // No flush by the caller: each worker drained its own buffer, after
         // its span dropped.
-        let snap = registry().snapshot();
+        let snap = registry().clone();
         disable();
         reset();
         assert_eq!(snap.counters["unit.fanout_events"], 6);

@@ -1,11 +1,11 @@
 //! The metrics algebra: counters, gauges, log2 histograms, span stats, and
-//! the sharded global registry they fold into.
+//! the [`MetricsSnapshot`] they fold into.
 //!
 //! Every aggregate here is a commutative monoid under [`merge`]-style
 //! combination — the same design discipline as `Aggregates::merge` in
 //! `hf-core`. That is what makes the whole subsystem order-insensitive:
-//! thread-local buffers can flush in any interleaving, registry shards can
-//! be folded in any order, and the final [`MetricsSnapshot`] is identical.
+//! thread-local buffers can flush into the process-wide snapshot in any
+//! interleaving, and the final [`MetricsSnapshot`] is identical.
 //!
 //! * counters: saturating `u64` addition (associative, commutative, id 0);
 //! * gauges: `i64` maximum (associative, commutative, id `i64::MIN` — a
@@ -18,7 +18,6 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const N_BUCKETS: usize = 65;
@@ -157,7 +156,7 @@ impl SpanStats {
 pub type Name = Cow<'static, str>;
 
 /// A thread-local recording buffer. All recording lands here first; the
-/// sharded registry is only touched on [`crate::flush`], so the hot path
+/// process-wide store is only touched on [`crate::flush`], so the hot path
 /// never takes a lock.
 #[derive(Debug, Default)]
 pub struct LocalBuf {
@@ -192,10 +191,26 @@ impl LocalBuf {
             && self.histograms.is_empty()
             && self.spans.is_empty()
     }
+
+    /// The buffer as a name-sorted snapshot, the form the process-wide
+    /// store merges in. Each name appears once in a buffer, so nothing
+    /// combines here.
+    pub(crate) fn into_snapshot(self) -> MetricsSnapshot {
+        fn owned<V>(m: HashMap<Name, V>) -> BTreeMap<String, V> {
+            m.into_iter().map(|(k, v)| (k.into_owned(), v)).collect()
+        }
+        MetricsSnapshot {
+            counters: owned(self.counters),
+            gauges: owned(self.gauges),
+            histograms: owned(self.histograms),
+            spans: owned(self.spans),
+        }
+    }
 }
 
 /// One fully folded, name-sorted view of every metric — what manifests are
-/// built from. Also the carrier of the merge algebra the proptest suite
+/// built from, and the process-wide store every [`crate::flush`] merges
+/// into. Also the carrier of the merge algebra the proptest suite
 /// exercises.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
@@ -210,6 +225,16 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The empty snapshot (merge identity), usable in a `static`.
+    pub const fn new() -> Self {
+        MetricsSnapshot {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            spans: BTreeMap::new(),
+        }
+    }
+
     /// Fold `other` in. Associative and commutative over every section:
     /// counters add (saturating), gauges take the max, histograms and
     /// spans merge elementwise.
@@ -236,113 +261,6 @@ impl MetricsSnapshot {
             && self.gauges.is_empty()
             && self.histograms.is_empty()
             && self.spans.is_empty()
-    }
-}
-
-/// FNV-1a over the metric name — the shard selector.
-fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Shard count: enough to keep concurrent flushes from serializing, small
-/// enough that the snapshot fold is trivial.
-const N_SHARDS: usize = 16;
-
-#[derive(Debug, Default)]
-struct Shard {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
-    spans: BTreeMap<String, SpanStats>,
-}
-
-/// The process-wide metrics store. Thread-local [`LocalBuf`]s flush into
-/// it; [`MetricsRegistry::snapshot`] folds all shards into one
-/// [`MetricsSnapshot`]. Shard assignment is by name hash, so a given
-/// metric always lands in the same shard and the fold never double-counts.
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    shards: Vec<Mutex<Shard>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetricsRegistry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry {
-            shards: (0..N_SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, name: &str) -> &Mutex<Shard> {
-        &self.shards[(fnv1a(name) % N_SHARDS as u64) as usize]
-    }
-
-    /// Fold a drained thread-local buffer in. Takes each affected shard's
-    /// lock once per metric; buffers are pre-aggregated so this is cheap.
-    pub fn absorb(&self, buf: LocalBuf) {
-        for (name, v) in buf.counters {
-            let mut s = self.shard(&name).lock().expect("metrics shard poisoned");
-            let c = s.counters.entry(name.into_owned()).or_insert(0);
-            *c = c.saturating_add(v);
-        }
-        for (name, v) in buf.gauges {
-            let mut s = self.shard(&name).lock().expect("metrics shard poisoned");
-            let g = s.gauges.entry(name.into_owned()).or_insert(i64::MIN);
-            *g = (*g).max(v);
-        }
-        for (name, h) in buf.histograms {
-            let mut s = self.shard(&name).lock().expect("metrics shard poisoned");
-            s.histograms.entry(name.into_owned()).or_default().merge(&h);
-        }
-        for (name, sp) in buf.spans {
-            let mut s = self.shard(&name).lock().expect("metrics shard poisoned");
-            s.spans.entry(name.into_owned()).or_default().merge(&sp);
-        }
-    }
-
-    /// Fold every shard into one sorted snapshot. Shards partition names,
-    /// so the fold is a disjoint union and its order is irrelevant.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::default();
-        for shard in &self.shards {
-            let s = shard.lock().expect("metrics shard poisoned");
-            for (k, v) in &s.counters {
-                let c = out.counters.entry(k.clone()).or_insert(0);
-                *c = c.saturating_add(*v);
-            }
-            for (k, v) in &s.gauges {
-                let g = out.gauges.entry(k.clone()).or_insert(i64::MIN);
-                *g = (*g).max(*v);
-            }
-            for (k, v) in &s.histograms {
-                out.histograms.entry(k.clone()).or_default().merge(v);
-            }
-            for (k, v) in &s.spans {
-                out.spans.entry(k.clone()).or_default().merge(v);
-            }
-        }
-        out
-    }
-
-    /// Clear every shard (test use).
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("metrics shard poisoned");
-            *s = Shard::default();
-        }
     }
 }
 
@@ -384,25 +302,28 @@ mod tests {
 
     #[test]
     fn registry_absorbs_and_folds() {
-        let reg = MetricsRegistry::new();
+        // The process-wide store's shape: one snapshot behind one lock, each
+        // flushed buffer merged in.
+        let reg = std::sync::Mutex::new(MetricsSnapshot::new());
+        let absorb = |buf: LocalBuf| reg.lock().unwrap().merge(&buf.into_snapshot());
         let mut buf = LocalBuf::default();
         buf.counter_add(Cow::Borrowed("a"), 2);
         buf.counter_add(Cow::Borrowed("a"), 3);
         buf.gauge_set(Cow::Borrowed("g"), 7);
         buf.observe(Cow::Borrowed("h"), 42);
         buf.span_record(Cow::Borrowed("s"), 10, 5);
-        reg.absorb(buf);
+        absorb(buf);
         let mut buf2 = LocalBuf::default();
         buf2.counter_add(Cow::Borrowed("a"), 1);
         buf2.gauge_set(Cow::Borrowed("g"), 3);
-        reg.absorb(buf2);
-        let snap = reg.snapshot();
+        absorb(buf2);
+        let snap = reg.lock().unwrap().clone();
         assert_eq!(snap.counters["a"], 6);
         assert_eq!(snap.gauges["g"], 7);
         assert_eq!(snap.histograms["h"].count, 1);
         assert_eq!(snap.spans["s"].count, 1);
-        reg.reset();
-        assert!(reg.snapshot().is_empty());
+        *reg.lock().unwrap() = MetricsSnapshot::new();
+        assert!(reg.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -23,4 +23,4 @@ pub use exec::{
     ScriptOutcome,
 };
 pub use parallel::DayMode;
-pub use runner::{FoldOutput, SimConfig, SimOutput, Simulation};
+pub use runner::{DayRows, FoldOutput, SimConfig, SimOutput, Simulation};

@@ -1,25 +1,34 @@
 //! The day-loop runner: ecosystem → plans → honeypot execution → collector.
 //!
-//! Two terminal modes share one day loop:
+//! One day loop, one per-day hook. [`Simulation::run_days`] hands the hook
+//! the rows of each finished day — `FnMut(&SessionStore, &FarmPlan, &[Row])`,
+//! the shape [`hf_farm::SnapshotReader::fold_chunks`] hands a chunk in — and
+//! then keeps or retires them as its [`DayRows`] argument says:
 //!
-//! - **Materialized** ([`Simulation::run`]): every session row accumulates in
-//!   the collector's [`hf_farm::SessionStore`]; analyses run afterwards over
-//!   the full store. Memory grows with the window (~19 GB of rows at scale
-//!   1.0).
-//! - **Out-of-core fold** ([`Simulation::run_fold`]): after each completed
-//!   day, the day's rows are folded straight into an incremental
-//!   [`StreamingFold`] and then retired. Peak RSS is bounded by the largest
-//!   single day plus the interning pools, independent of window length; the
-//!   resulting [`Aggregates`] are bit-identical to
+//! - **Rows kept** ([`Simulation::run`]: a no-op hook): every session row
+//!   accumulates in the collector's [`hf_farm::SessionStore`]. Memory grows
+//!   with the window (~19 GB of rows at scale 1.0); only a run that persists
+//!   its rows as a snapshot needs this.
+//! - **Rows retired** ([`Simulation::run_fold`]: a [`StreamingFold`] hook):
+//!   each day is folded and then dropped, so peak RSS is bounded by the
+//!   largest single day plus the interning pools, independent of window
+//!   length. The resulting [`Aggregates`] are bit-identical to
 //!   [`Aggregates::compute`] over the materialized store (proven by
 //!   `tests/streaming_analysis.rs`).
+//!
+//! Any fold that takes rows a day at a time rides the same hook: `hfarm
+//! simulate` folds a [`StreamingFold`] while keeping rows for its snapshot,
+//! and `hfarm cluster` folds per-client features while retiring them.
 
 use std::io::Read;
 
 use hf_agents::{Ecosystem, EcosystemConfig, Scale, SessionPlan};
 use hf_core::{Aggregates, StreamingFold};
 use hf_farm::snapshot::ROWS_PER_CHUNK;
-use hf_farm::{Collector, Dataset, DayOrder, Snapshot, SnapshotError, SnapshotMeta, TagDb};
+use hf_farm::{
+    Collector, Dataset, DayOrder, FarmPlan, Row, SessionStore, Snapshot, SnapshotError,
+    SnapshotMeta, TagDb,
+};
 use hf_honeypot::{ArtifactStore, SessionRecord};
 use hf_simclock::StudyWindow;
 
@@ -170,10 +179,8 @@ impl FoldOutput {
                 let v = store.view_row(row);
                 order.check(v.day())?;
                 v.replay_artifacts(&mut artifacts);
-                fold.ingest(plan, &v);
             }
-            fold.drain_freshness();
-            hf_obs::counter!("analysis.rows_folded", rows.len() as u64);
+            fold.ingest_rows(store, plan, rows);
             Ok(())
         })?;
         hf_obs::sample_peak_rss();
@@ -201,13 +208,58 @@ const BATCH_PLANS: usize = ROWS_PER_CHUNK as usize;
 /// the thread that allocated them.
 type Batch = Vec<(Vec<SessionRecord>, TagDb)>;
 
+/// What the day loop does with a finished day's rows once the per-day hook
+/// of [`Simulation::run_days`] has seen them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DayRows {
+    /// Keep them: the output dataset holds every row of the window.
+    Keep,
+    /// Retire them: the output dataset is rowless (its pools, artifacts and
+    /// plan still cover the whole run), and peak memory is one day of rows.
+    Retire,
+}
+
 /// The simulator.
 pub struct Simulation;
 
 impl Simulation {
-    /// Run the full window. A day pre-pass coverage gap (a `prepare_day` /
-    /// `precompute_day` bug) panics with the typed [`SimError`] naming the
-    /// missing key.
+    /// Run the full window, keeping every row. A day pre-pass coverage gap
+    /// (a `prepare_day` / `precompute_day` bug) panics with the typed
+    /// [`SimError`] naming the missing key.
+    pub fn run(config: SimConfig) -> SimOutput {
+        Self::run_days(config, DayRows::Keep, |_, _, _| {})
+    }
+
+    /// Out-of-core form of [`Simulation::run`]: fold each finished day into
+    /// a [`StreamingFold`] and retire its rows, so peak memory is bounded by
+    /// one day of sessions (plus the interning pools), not the whole window.
+    /// The fold sees the same rows in the same order as
+    /// [`Aggregates::compute`] over the materialized store, so the result is
+    /// bit-identical. Panics on internal coverage bugs like
+    /// [`Simulation::run`].
+    pub fn run_fold(config: SimConfig) -> FoldOutput {
+        let mut fold: Option<StreamingFold> = None;
+        let out = Self::run_days(config, DayRows::Retire, |store, plan, rows| {
+            fold.get_or_insert_with(|| StreamingFold::new(plan.len()))
+                .ingest_rows(store, plan, rows)
+        });
+        // Zero-day window: an empty fold still yields the canonical empty
+        // aggregates (one all-zero day, like `compute`).
+        let fold = fold.unwrap_or_else(|| StreamingFold::new(out.dataset.plan.len()));
+        FoldOutput {
+            aggregates: fold.finish(),
+            dataset: out.dataset,
+            tags: out.tags,
+            n_clients: out.n_clients,
+        }
+    }
+
+    /// Run the full window and hand `after_day` the rows of each finished
+    /// day — exactly that day's rows, in collector order, resolved against
+    /// the store's pools — then keep or retire them as `rows` says. With
+    /// [`DayRows::Retire`], peak RSS is sampled once per day into the
+    /// `process.peak_rss_kb` gauge. Panics on internal coverage bugs like
+    /// [`Simulation::run`].
     ///
     /// The day loop is a two-stage [`hf_obs::overlapped`] pipeline over
     /// batches of at most 65,536 plans, each from one day. The
@@ -215,12 +267,17 @@ impl Simulation {
     /// day — plans each day, runs its script pre-pass, and executes the
     /// day's batches through [`execute_day_shards`]. The calling thread
     /// ingests each batch's records and tags in plan order, then runs the
-    /// per-day hook after a day's last batch. Records reach the collector
-    /// in the serial loop's order, so the output is identical on either
-    /// arm; `sim.execute_wait` records how long ingest waited on execution.
-    pub fn run(config: SimConfig) -> SimOutput {
-        let (collector, tags, n_clients) = Self::run_loop(&config, BATCH_PLANS, true, &mut |_| {})
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
+    /// hook after a day's last batch. Records reach the collector in the
+    /// serial loop's order, so the output is identical on either arm;
+    /// `sim.execute_wait` records how long ingest waited on execution.
+    pub fn run_days(
+        config: SimConfig,
+        rows: DayRows,
+        mut after_day: impl FnMut(&SessionStore, &FarmPlan, &[Row]),
+    ) -> SimOutput {
+        let (collector, tags, n_clients) =
+            Self::run_loop(&config, BATCH_PLANS, true, rows, &mut after_day)
+                .unwrap_or_else(|e| panic!("simulation failed: {e}"));
         SimOutput {
             dataset: collector.finish(),
             tags,
@@ -228,60 +285,15 @@ impl Simulation {
         }
     }
 
-    /// Out-of-core form of [`Simulation::run`]: fold each completed day into
-    /// incremental [`Aggregates`] and retire its rows, so peak memory is
-    /// bounded by one day of sessions (plus the interning pools), not the
-    /// whole window. Panics on internal coverage bugs like
-    /// [`Simulation::run`].
-    ///
-    /// The fold hook runs after each day's ingest: it scans the day's rows
-    /// into a [`StreamingFold`] (same per-row ingest as
-    /// [`Aggregates::compute`], same row order, so the result is
-    /// bit-identical), drains completed days into the freshness series, and
-    /// retires the rows. Peak RSS is sampled once per day into the
-    /// `process.peak_rss_kb` gauge for the run manifest.
-    pub fn run_fold(config: SimConfig) -> FoldOutput {
-        let mut fold: Option<StreamingFold> = None;
-        let (collector, tags, n_clients) =
-            Self::run_loop(&config, BATCH_PLANS, true, &mut |collector| {
-                let f = fold.get_or_insert_with(|| StreamingFold::new(collector.plan().len()));
-                let store = collector.sessions();
-                let plan = collector.plan();
-                for i in 0..store.len() {
-                    f.ingest(plan, &store.view(i));
-                }
-                f.drain_freshness();
-                hf_obs::counter!("analysis.rows_folded", store.len() as u64);
-                collector.retire_rows();
-                hf_obs::sample_peak_rss();
-            })
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
-        // Rowless: every day was folded and retired; pools/artifacts remain.
-        let dataset = collector.finish();
-        let aggregates = match fold {
-            Some(f) => f.finish(),
-            // Zero-day window: an empty fold still yields the canonical
-            // empty aggregates (one all-zero day, like `compute`).
-            None => StreamingFold::new(dataset.plan.len()).finish(),
-        };
-        FoldOutput {
-            dataset,
-            tags,
-            n_clients,
-            aggregates,
-        }
-    }
-
-    /// The shared day loop (see [`Simulation::run`]) over batches of at
-    /// most `batch` plans. `after_day` runs once per simulated day after
-    /// the day's records are ingested; the materialized path passes a
-    /// no-op, the fold path scans and retires the day's rows. `overlap:
-    /// false` keeps both stages on the calling thread.
+    /// The day loop of [`Simulation::run_days`] over batches of at most
+    /// `batch` plans. `overlap: false` keeps both stages on the calling
+    /// thread.
     fn run_loop(
         config: &SimConfig,
         batch: usize,
         overlap: bool,
-        after_day: &mut dyn FnMut(&mut Collector),
+        rows: DayRows,
+        after_day: &mut dyn FnMut(&SessionStore, &FarmPlan, &[Row]),
     ) -> Result<(Collector, TagDb, usize), SimError> {
         let mut eco = Ecosystem::new(EcosystemConfig {
             seed: config.seed,
@@ -308,6 +320,8 @@ impl Simulation {
         let mut plans: Vec<SessionPlan> = Vec::new();
         let mut next: Option<usize> = None;
         let mut day_span = None;
+        // Consumer state: the first row of the day being ingested.
+        let mut day_start = 0;
         hf_obs::overlapped(
             if overlap { days as usize } else { 1 },
             "sim.execute_wait",
@@ -372,7 +386,15 @@ impl Simulation {
                     tags.merge(std::mem::take(shard_tags));
                 }
                 if day_done {
-                    after_day(&mut collector);
+                    let store = collector.sessions();
+                    after_day(store, collector.plan(), &store.rows()[day_start..]);
+                    match rows {
+                        DayRows::Keep => day_start = store.len(),
+                        DayRows::Retire => {
+                            collector.retire_rows();
+                            hf_obs::sample_peak_rss();
+                        }
+                    }
                 }
                 Ok(())
             },
@@ -384,27 +406,41 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hf_farm::SessionStore;
 
     /// One run of the private day loop: the dataset, tags, client count and
-    /// the row count the per-day hook saw at each day's end.
-    type Arm = (Dataset, TagDb, usize, Vec<usize>);
+    /// the rows the per-day hook was handed, one slice per call.
+    type Arm = (Dataset, TagDb, usize, Vec<Vec<Row>>);
 
-    fn run_arm(threads: usize, batch: usize, overlap: bool) -> Arm {
+    fn run_arm(threads: usize, batch: usize, overlap: bool, rows: DayRows) -> Arm {
         let config = SimConfig {
             threads,
             ..SimConfig::test(8)
         };
-        let mut day_ends = Vec::new();
+        let mut slices = Vec::new();
+        let mut days = Vec::new();
         let (collector, tags, n_clients) =
-            Simulation::run_loop(&config, batch, overlap, &mut |c| day_ends.push(c.len()))
-                .expect("day loop");
-        (collector.finish(), tags, n_clients, day_ends)
+            Simulation::run_loop(&config, batch, overlap, rows, &mut |store, _, day_rows| {
+                let day = store.view_row(&day_rows[0]).day();
+                assert!(
+                    day_rows.iter().all(|r| store.view_row(r).day() == day),
+                    "a slice holds exactly one day"
+                );
+                days.push(day);
+                slices.push(day_rows.to_vec());
+            })
+            .expect("day loop");
+        assert_eq!(days, (0..8).collect::<Vec<_>>(), "days arrive in order");
+        let dataset = collector.finish();
+        match rows {
+            DayRows::Keep => assert_eq!(dataset.sessions.rows(), slices.concat(), "rows kept"),
+            DayRows::Retire => assert!(dataset.sessions.is_empty(), "rows retired"),
+        }
+        (dataset, tags, n_clients, slices)
     }
 
     fn assert_same_arm(a: &Arm, b: &Arm, what: &str) {
         let ((da, ta, na, ea), (db, tb, nb, eb)) = (a, b);
-        assert_eq!(da.sessions.rows(), db.sessions.rows(), "{what}: rows");
+        assert_eq!(ea, eb, "{what}: the rows handed to the per-day hook");
         let strings = |s: &SessionStore| {
             [&s.creds, &s.commands, &s.uris, &s.ssh_versions].map(|p| {
                 p.iter()
@@ -445,26 +481,27 @@ mod tests {
         }
         assert_eq!(da.plan, db.plan, "{what}: plan");
         assert_eq!(na, nb, "{what}: clients");
-        assert_eq!(ea, eb, "{what}: per-day hook");
     }
 
     #[test]
     fn overlapped_day_loop_matches_the_serial_loop() {
-        // One batch per day on the calling thread: the loop as it was
-        // before it was staged.
-        let serial = run_arm(1, BATCH_PLANS, false);
-        assert_eq!(serial.3.len(), 8, "the hook runs once per day");
+        // The serial reference: one batch per day on the calling thread, rows
+        // kept. Its hook slices concatenate to its rows (checked in
+        // `run_arm`), so every arm that matches its slices matches its rows
+        // too, whether it kept them or retired them.
+        let serial = run_arm(1, BATCH_PLANS, false, DayRows::Keep);
         let small = 128;
-        let mut prev = 0;
-        for &end in &serial.3 {
-            assert!(end - prev > 2 * small, "each day splits into ≥ 3 batches");
-            prev = end;
+        for day in &serial.3 {
+            assert!(day.len() > 2 * small, "each day splits into ≥ 3 batches");
         }
         for threads in [1, 2] {
             for (batch, overlap) in [(BATCH_PLANS, true), (small, false), (small, true)] {
-                let arm = run_arm(threads, batch, overlap);
-                let what = format!("threads={threads} batch={batch} overlap={overlap}");
-                assert_same_arm(&serial, &arm, &what);
+                for rows in [DayRows::Keep, DayRows::Retire] {
+                    let arm = run_arm(threads, batch, overlap, rows);
+                    let what =
+                        format!("threads={threads} batch={batch} overlap={overlap} {rows:?}");
+                    assert_same_arm(&serial, &arm, &what);
+                }
             }
         }
     }

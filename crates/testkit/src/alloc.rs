@@ -72,22 +72,27 @@ impl Default for CountingAlloc {
 // update is a thread-local Cell write, which cannot unwind or re-enter the
 // allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the caller's non-zero-size `layout` is all `System.alloc` needs.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
         BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         System.alloc(layout)
     }
 
+    // SAFETY: the caller's `ptr` came from this allocator, so from `System`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
 
+    // SAFETY: as for `alloc`: the caller's `layout` has a non-zero size.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
         BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         System.alloc_zeroed(layout)
     }
 
+    // SAFETY: the caller's `ptr` came from `System` for `layout`, and its
+    // `new_size` is non-zero and fits `isize` at `layout.align()`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
         BYTES.with(|c| c.set(c.get() + new_size as u64));

@@ -72,6 +72,7 @@ pub struct Epoll {
 impl Epoll {
     /// Create a new instance (CLOEXEC).
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: no pointer crosses the call, and the flag is valid.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -84,6 +85,8 @@ impl Epoll {
             events: interest,
             data: token,
         };
+        // SAFETY: `self.fd` is our open epoll fd, and `ev` is a live
+        // `epoll_event` in the kernel's layout, which the kernel only copies.
         let rc = unsafe { epoll_ctl(self.fd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -104,6 +107,7 @@ impl Epoll {
     /// Deregister an fd.
     pub fn del(&self, fd: RawFd) -> io::Result<()> {
         let mut ev = Event { events: 0, data: 0 };
+        // SAFETY: as in `ctl`.
         let rc = unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -114,6 +118,8 @@ impl Epoll {
     /// Wait up to `timeout_ms` for readiness; fills `events` and returns the
     /// number of ready entries. EINTR is mapped to zero events.
     pub fn wait(&self, events: &mut [Event], timeout_ms: i32) -> io::Result<usize> {
+        // SAFETY: `self.fd` is our open epoll fd; the kernel writes at most
+        // `maxevents <= events.len()` entries into the borrowed buffer.
         let n = unsafe {
             epoll_wait(
                 self.fd,
@@ -135,6 +141,8 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` is our epoll fd; drop runs once, so it is closed
+        // exactly once and never used after.
         unsafe {
             let _ = close(self.fd);
         }

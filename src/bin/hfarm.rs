@@ -4,12 +4,12 @@
 //! hfarm simulate [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE] [--fast]
 //!                [--threads N] [--fold] [--metrics DIR]
 //!     Simulate the study window, write every table/figure + claims, and
-//!     persist the collected run as an hfstore snapshot. With `--fold`,
-//!     run out-of-core: each completed day is folded into the aggregates
-//!     and its rows retired, so peak memory is bounded by one day's
-//!     traffic instead of the whole window (no snapshot is written, so
-//!     `--fold --snapshot FILE` is a usage error; the report is identical
-//!     to the in-memory path).
+//!     persist the collected run as an hfstore snapshot. Each finished day
+//!     is folded into the aggregates as the loop runs; the rows are kept
+//!     only for the snapshot. With `--fold`, they are retired as well, so
+//!     peak memory is bounded by one day's traffic instead of the whole
+//!     window (no snapshot is written, so `--fold --snapshot FILE` is a
+//!     usage error; the report is identical either way).
 //! hfarm report   [--out DIR] [--snapshot FILE] [--metrics DIR]
 //!     Run the full report pipeline over a snapshot without re-simulating,
 //!     folding its rows chunk by chunk as they are read (one serial fold,
@@ -20,12 +20,12 @@
 //!     Cluster attackers: extract per-client behavioural features
 //!     (credentials, command n-grams, timing, ident, geography, taxonomy
 //!     mix), normalize with the fixed DESIGN.md §15 scaling, and run the
-//!     deterministic seeded k-means with its silhouette sweep. Reads a
-//!     live sim by default, or folds the `--snapshot` file chunk by chunk
-//!     (bounded RSS). Writes
-//!     `cluster_assignments.tsv` + `cluster_summary.tsv` into `--out` and
-//!     prints the per-cluster summary; output is bit-identical across
-//!     thread counts and ingest paths. `--k` pins k and skips the sweep.
+//!     deterministic seeded k-means with its silhouette sweep. Folds a
+//!     live sim day by day, retiring each day's rows, or folds the
+//!     `--snapshot` file chunk by chunk: either way RSS stays bounded.
+//!     Writes `cluster_assignments.tsv` + `cluster_summary.tsv` into
+//!     `--out` and prints the per-cluster summary; output is bit-identical
+//!     across thread counts and sources. `--k` pins k and skips the sweep.
 //!     `--scale`, `--days`, `--seed`, `--fast` and `--threads` shape the
 //!     live sim; each is a usage error with `--snapshot`.
 //! hfarm claims   [--scale F] [--days N] [--seed S] [--fast] [--threads N]
@@ -63,7 +63,9 @@
 //! A subcommand rejects (exit 2, nothing written) any flag it does not
 //! read and any value out of range: `--days` is in 1..=486 (the paper's
 //! window), `--threads`, `--k` and `--nodes` are at least 1, `--scale` is
-//! in (0, 1]. `--metrics DIR` enables the hf-obs observability layer for
+//! in (0, 1]. `--threads` shapes simulator execution only: every analysis
+//! folds on the calling thread as rows arrive, a day or a chunk at a time.
+//! `--metrics DIR` enables the hf-obs observability layer for
 //! the run and writes `metrics.json` + `spans.tsv` into DIR at exit.
 //! Recording never changes any simulation, snapshot, or report byte
 //! (enforced by `tests/obs_invariance.rs`). The synopsis above is checked
@@ -72,7 +74,9 @@
 use std::path::{Path, PathBuf};
 
 use honeyfarm::core::birth::birth_report;
+use honeyfarm::core::StreamingFold;
 use honeyfarm::prelude::*;
+use honeyfarm::sim::DayRows;
 
 #[derive(Default)]
 struct Common {
@@ -319,13 +323,12 @@ fn sim_config(c: &Common) -> SimConfig {
     }
 }
 
-/// Where a command's sessions come from. A command keeps rows only when
-/// something downstream reads rows — `simulate` writing its snapshot,
-/// `cluster` extracting features from a live sim — and folds otherwise.
-/// Every command that analyses a run picks its source here, so flag
-/// conflicts are rejected in one place.
+/// Where a command's sessions come from. Every analysis folds its rows as
+/// they arrive; the simulator keeps them only for `simulate` to write its
+/// snapshot. Every command that analyses a run picks its source here, so
+/// flag conflicts are rejected in one place.
 enum Source {
-    /// Simulate in memory, keeping every row.
+    /// Simulate, folding each day's rows and keeping them for the snapshot.
     Sim,
     /// Simulate out-of-core, folding and retiring each day's rows.
     SimFold,
@@ -340,7 +343,7 @@ fn source(cmd: &str, c: &Common) -> Source {
             "--fold retires rows day by day and writes no snapshot: drop --snapshot or --fold",
         ),
         "simulate" if !c.fold => Source::Sim,
-        "cluster" if !c.given("--snapshot") => Source::Sim,
+        "cluster" if !c.given("--snapshot") => Source::SimFold,
         "cluster" => match c.first_given(&["--scale", "--days", "--seed", "--fast", "--threads"]) {
             Some(name) => usage(
                 cmd,
@@ -409,54 +412,41 @@ fn report_peak_rss() {
 }
 
 /// The one loader behind `simulate`, `report`, `claims` and `birth`: run or
-/// read `cmd`'s [`Source`] and return the run together with its aggregates.
-/// The dataset keeps its rows for `simulate`, which persists them, and is
-/// rowless for the folded sources; nothing downstream reads rows, which is
-/// why all three yield byte-identical reports from identical data.
+/// read `cmd`'s [`Source`] and return the run together with its aggregates,
+/// which every source folds with the same [`StreamingFold`]. The dataset
+/// keeps its rows for `simulate`, which persists them, and is rowless
+/// otherwise; nothing downstream reads rows, which is why all three yield
+/// byte-identical reports from identical data.
 fn load(cmd: &str, c: &Common) -> FoldOutput {
-    let folded = |fold: FoldOutput| {
-        eprintln!(
-            "{} sessions folded / {} clients / {} hashes",
-            fold.aggregates.total_sessions,
-            fold.n_clients,
-            fold.tags.len()
-        );
-        fold
-    };
-    match source(cmd, c) {
+    let run = match source(cmd, c) {
         Source::Sim => {
             let config = announce_sim(c, "");
-            let out = Simulation::run(config.clone());
-            eprintln!(
-                "{} sessions / {} clients / {} hashes",
-                out.dataset.len(),
-                out.n_clients,
-                out.tags.len()
-            );
+            let mut fold: Option<StreamingFold> = None;
+            let out = Simulation::run_days(config.clone(), DayRows::Keep, |store, plan, rows| {
+                fold.get_or_insert_with(|| StreamingFold::new(plan.len()))
+                    .ingest_rows(store, plan, rows)
+            });
             write_snapshot(c, &out.to_snapshot(&config));
+            let fold = fold.unwrap_or_else(|| StreamingFold::new(out.dataset.plan.len()));
             FoldOutput {
-                aggregates: Aggregates::compute_threaded(&out.dataset, c.threads),
+                aggregates: fold.finish(),
                 dataset: out.dataset,
                 tags: out.tags,
                 n_clients: out.n_clients,
             }
         }
-        Source::SimFold => {
-            let fold = folded(Simulation::run_fold(announce_sim(c, ", out-of-core fold")));
-            if cmd == "simulate" {
-                eprintln!("fold mode retires rows as it goes; no snapshot written");
-            }
-            report_peak_rss();
-            fold
-        }
-        Source::SnapshotStream => {
-            let fold = FoldOutput::from_snapshot_stream(open_snapshot_stream(c))
-                .unwrap_or_else(|e| fail("streaming snapshot", e));
-            let fold = folded(fold);
-            report_peak_rss();
-            fold
-        }
-    }
+        Source::SimFold => Simulation::run_fold(announce_sim(c, ", out-of-core fold")),
+        Source::SnapshotStream => FoldOutput::from_snapshot_stream(open_snapshot_stream(c))
+            .unwrap_or_else(|e| fail("streaming snapshot", e)),
+    };
+    eprintln!(
+        "{} sessions folded / {} clients / {} hashes",
+        run.aggregates.total_sessions,
+        run.n_clients,
+        run.tags.len()
+    );
+    report_peak_rss();
+    run
 }
 
 /// Write the report dir + claims for a loaded run.
@@ -471,28 +461,35 @@ fn write_report(run: &FoldOutput, c: &Common) {
     println!("report written to {}", c.out.display());
 }
 
-/// `hfarm cluster` — per-client feature extraction + seeded k-means, from
-/// a live sim or a bounded-RSS chunk-at-a-time read of a snapshot. Both
-/// paths produce bit-identical TSVs from the same data (held by
+/// `hfarm cluster` — per-client feature extraction + seeded k-means. The
+/// features fold a live sim a day at a time (rows retired) or a snapshot a
+/// chunk at a time, so RSS stays bounded either way. Both sources produce
+/// bit-identical TSVs from the same data (held by
 /// `tests/cluster_invariance.rs` and `tests/cli_sources.rs`).
 fn cluster_cmd(c: &Common) {
     use honeyfarm::cluster;
 
     let cfg = cluster::KMeansConfig { force_k: c.k };
-    let run = match source("cluster", c) {
+    let feats = match source("cluster", c) {
         Source::SnapshotStream => {
-            let (_plan, feats) = cluster::features_from_snapshot_stream(open_snapshot_stream(c))
-                .unwrap_or_else(|e| fail("streaming snapshot", e));
-            eprintln!("{} clients folded (streaming)", feats.len());
-            report_peak_rss();
-            ClusterRun::finish(feats, &cfg)
+            cluster::features_from_snapshot_stream(open_snapshot_stream(c))
+                .unwrap_or_else(|e| fail("streaming snapshot", e))
+                .1
         }
         _ => {
-            let out = Simulation::run(announce_sim(c, ""));
-            eprintln!("{} sessions / {} clients", out.dataset.len(), out.n_clients);
-            ClusterRun::over(&out.dataset, c.threads, &cfg)
+            let mut heads = cluster::HeadMap::new();
+            let mut fold = cluster::FeatureFold::new();
+            let config = announce_sim(c, ", out-of-core fold");
+            let out = Simulation::run_days(config, DayRows::Retire, |store, plan, rows| {
+                heads.sync(&store.commands);
+                fold.ingest_rows(store, plan, &heads, rows);
+            });
+            fold.finish(out.dataset.plan.len())
         }
     };
+    eprintln!("{} clients folded", feats.len());
+    report_peak_rss();
+    let run = ClusterRun::finish(feats, &cfg);
     let assignments = cluster::assignments_tsv(&run.features, &run.matrix, &run.output);
     write_out(c, "cluster_assignments.tsv", &assignments);
     write_out(c, "cluster_summary.tsv", &cluster::summary_tsv(&run.output));
@@ -834,6 +831,8 @@ fn serve(c: &Common) -> ! {
         farm.nodes().len(),
         farm.nodes().len() * 2
     );
+    // SAFETY: a valid signal number and a `'static` `extern "C" fn(i32)`
+    // handler that only stores to an atomic (async-signal-safe).
     unsafe {
         signal(SIGINT, on_sigint as *const () as usize);
     }

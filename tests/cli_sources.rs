@@ -1,11 +1,13 @@
-//! The `hfarm` binary reaches the same data through three sources — live
-//! sim, out-of-core folded sim, snapshot folded chunk by chunk — and picks
-//! among them itself: it keeps rows only where something downstream reads
-//! them. Whatever the source, the files written must be byte-identical (and
-//! `claims`/`birth` equal to the library's materialized reference), and a
-//! command line the flag table does not allow — a combination that names no
-//! source, a value out of range, a flag the subcommand does not read — must
-//! be rejected before anything is written.
+//! The `hfarm` binary reaches the same data from two sources — the
+//! simulator's day loop and a snapshot read chunk by chunk — and every
+//! analysis folds the rows as they arrive: the report through the
+//! aggregates fold, the clusters through the feature fold. Whatever the
+//! source and thread count, the files written must be byte-identical to
+//! what the library's materialized reference renders over the whole kept
+//! dataset (and `claims`/`birth` must print it), and a command line the
+//! flag table does not allow — a combination that names no source, a value
+//! out of range, a flag the subcommand does not read — must be rejected
+//! before anything is written.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -60,27 +62,80 @@ fn assert_same_files(a: &Path, b: &Path) {
     }
 }
 
+/// The library's materialized reference for `RUN`: `Simulation::run`, then
+/// `Aggregates::compute` for the report and `claims.json`, and
+/// `ClusterRun::over` for the two cluster tables.
+fn write_reference(report_dir: &Path, cluster_dir: &Path) {
+    use honeyfarm::cluster;
+    use honeyfarm::prelude::*;
+
+    let out = Simulation::run(SimConfig {
+        seed: 42,
+        scale: Scale::of(0.001),
+        window: StudyWindow::first_days(5),
+        ..SimConfig::default()
+    });
+    let agg = Aggregates::compute(&out.dataset);
+    Report::build_with_tags(&out.dataset, &agg, &out.tags)
+        .write_dir(report_dir)
+        .expect("reference report");
+    std::fs::write(
+        report_dir.join("claims.json"),
+        Claims::compute(&agg).to_json(),
+    )
+    .expect("reference claims");
+    let run = ClusterRun::over(&out.dataset, 1, &KMeansConfig::default());
+    std::fs::create_dir_all(cluster_dir).expect("reference cluster dir");
+    let tables = [
+        (
+            "cluster_assignments.tsv",
+            cluster::assignments_tsv(&run.features, &run.matrix, &run.output),
+        ),
+        ("cluster_summary.tsv", cluster::summary_tsv(&run.output)),
+    ];
+    for (name, tsv) in tables {
+        std::fs::write(cluster_dir.join(name), tsv).expect("reference cluster table");
+    }
+}
+
 #[test]
 fn every_source_writes_the_same_report_and_clusters() {
     let dir = workdir("sources");
-    let snap = dir.join("run.hfstore");
     let at = |name: &str| dir.join(name);
+    write_reference(&at("ref_report"), &at("ref_cluster"));
 
-    let sim_args = [&["simulate"][..], &RUN].concat();
-    ok(&sim_args, &[("--out", &at("sim")), ("--snapshot", &snap)]);
-    ok(
-        &[&sim_args[..], &["--fold"]].concat(),
-        &[("--out", &at("fold"))],
-    );
-    ok(&["report"], &[("--out", &at("rep")), ("--snapshot", &snap)]);
-    for other in ["fold", "rep"] {
-        assert_same_files(&at("sim"), &at(other));
+    for threads in ["1", "2"] {
+        let snap = at(&format!("run{threads}.hfstore"));
+        let out = |name: &str| at(&format!("{name}{threads}"));
+        let sim_args = [&["simulate"][..], &RUN, &["--threads", threads]].concat();
+        ok(&sim_args, &[("--out", &out("sim")), ("--snapshot", &snap)]);
+        ok(
+            &[&sim_args[..], &["--fold"]].concat(),
+            &[("--out", &out("fold"))],
+        );
+        ok(
+            &["report"],
+            &[("--out", &out("rep")), ("--snapshot", &snap)],
+        );
+        for report in ["sim", "fold", "rep"] {
+            assert_same_files(&at("ref_report"), &out(report));
+        }
+
+        let live = [&["cluster"][..], &RUN, &["--threads", threads]].concat();
+        ok(&live, &[("--out", &out("cl_live"))]);
+        ok(
+            &["cluster"],
+            &[("--out", &out("cl")), ("--snapshot", &snap)],
+        );
+        for clusters in ["cl_live", "cl"] {
+            assert_same_files(&at("ref_cluster"), &out(clusters));
+        }
     }
-
-    let live = [&["cluster"][..], &RUN].concat();
-    ok(&live, &[("--out", &at("cl_live"))]);
-    ok(&["cluster"], &[("--out", &at("cl")), ("--snapshot", &snap)]);
-    assert_same_files(&at("cl_live"), &at("cl"));
+    assert!(
+        std::fs::read(at("run1.hfstore")).expect("read")
+            == std::fs::read(at("run2.hfstore")).expect("read"),
+        "the snapshot depends on --threads"
+    );
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
