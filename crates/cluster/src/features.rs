@@ -9,17 +9,17 @@
 //! # Determinism
 //!
 //! Everything accumulated during the pass is an integer, a bitset, or an
-//! id-set — all of which merge exactly (addition, union, min/max). Floats
-//! only appear in [`ClientFeatures::matrix`], computed per client from the
-//! *final* integer state with a fixed expression. Shard boundaries can
-//! therefore never change a feature bit: the same store produces the same
-//! matrix for any thread count, for streaming chunk-at-a-time ingest, and
-//! after a snapshot round-trip. `tests/cluster_invariance.rs` holds this
-//! with field-level oracles.
+//! id-set, updated row by row with no state that ends with an ingest call.
+//! Floats only appear in [`ClientFeatures::matrix`], computed per client
+//! from the *final* integer state with a fixed expression. Where the rows
+//! are cut into [`FeatureFold::ingest_rows`] calls can therefore never
+//! change a feature bit: the same store produces the same matrix in one
+//! call, a day or a chunk at a time, and after a snapshot round-trip.
+//! `tests/cluster_invariance.rs` holds this with field-level oracles.
 
 use std::collections::{HashMap, HashSet};
 
-use hf_core::aggregates::{bit_count, bit_set, bit_union, HpBitset};
+use hf_core::aggregates::{bit_count, bit_set, HpBitset};
 use hf_core::classify::classify;
 use hf_core::idhash::{BuildIdHasher, IdMap, IdSet};
 use hf_farm::{Dataset, FarmPlan, Row, SessionStore, SessionView, StringPool};
@@ -82,8 +82,8 @@ fn log_unit(n: u64, cap: f64) -> f64 {
 /// Lazily-built map from interned command id to the head words (command
 /// names) the shell lexer finds in that line. Head ids are assigned in
 /// command-id order, so the numbering is a pure function of the pool —
-/// identical across thread counts and across materialized vs streaming
-/// ingest (pools grow append-only; see `SnapshotReader::fold_chunks`).
+/// identical across materialized and streaming ingest (pools grow
+/// append-only; see `SnapshotReader::fold_chunks`).
 #[derive(Default)]
 pub struct HeadMap {
     /// Per command id: span into `ids`.
@@ -137,8 +137,9 @@ impl HeadMap {
     }
 }
 
-/// Integer accumulator for one client. All fields merge exactly — see the
-/// module docs for why that is the whole determinism argument.
+/// Integer accumulator for one client. Every field is an integer, bitset
+/// or id-set — see the module docs for why that is the whole determinism
+/// argument.
 #[derive(Clone)]
 pub struct ClientAcc {
     /// Sessions by this client.
@@ -214,8 +215,8 @@ impl Default for ClientAcc {
 }
 
 impl ClientAcc {
-    /// Fold one session. Rows must arrive day-ordered within a shard (the
-    /// distinct-day count relies on it), exactly like `ClientAgg`.
+    /// Fold one session. Rows must arrive day-ordered (the distinct-day
+    /// count relies on it), exactly like `ClientAgg`.
     fn ingest(&mut self, plan: &FarmPlan, heads: &HeadMap, v: &SessionView<'_>) {
         let row = v.raw();
         self.sessions += 1;
@@ -274,43 +275,11 @@ impl ClientAcc {
         };
         self.geo[geo_idx] += 1;
     }
-
-    /// Merge `other` into `self`. Contract (same as the aggregates fold):
-    /// `other` covers strictly later day-aligned rows, so the two distinct
-    /// day sets are disjoint and the counts add.
-    fn merge(&mut self, other: &ClientAcc) {
-        self.sessions += other.sessions;
-        self.first_start = self.first_start.min(other.first_start);
-        self.last_start = self.last_start.max(other.last_start);
-        self.total_duration += other.total_duration;
-        bit_union(&mut self.honeypots, &other.honeypots);
-        self.days += other.days;
-        if other.last_day != u32::MAX {
-            self.last_day = other.last_day;
-        }
-        for (a, b) in self.cat_sessions.iter_mut().zip(&other.cat_sessions) {
-            *a += b;
-        }
-        self.login_attempts += other.login_attempts;
-        self.login_successes += other.login_successes;
-        self.cred_ids.extend(&other.cred_ids);
-        self.commands += other.commands;
-        self.cmd_ids.extend(&other.cmd_ids);
-        self.head_ids.extend(&other.head_ids);
-        self.bigrams.extend(&other.bigrams);
-        self.ssh_sessions += other.ssh_sessions;
-        self.ident_ids.extend(&other.ident_ids);
-        self.uri_sessions += other.uri_sessions;
-        self.hash_ids.extend(&other.hash_ids);
-        for (a, b) in self.geo.iter_mut().zip(&other.geo) {
-            *a += b;
-        }
-    }
 }
 
-/// Streaming per-shard fold: ingest day-ordered rows, merge shards in day
-/// order, finish into [`ClientFeatures`]. The same type serves the serial,
-/// threaded, chunk-at-a-time and day-at-a-time paths.
+/// The feature fold: ingest day-ordered rows, finish into
+/// [`ClientFeatures`]. The same type serves the whole-store,
+/// chunk-at-a-time and day-at-a-time paths.
 #[derive(Default)]
 pub struct FeatureFold {
     clients: IdMap<ClientAcc>,
@@ -330,8 +299,8 @@ impl FeatureFold {
             .ingest(plan, heads, v);
     }
 
-    /// Fold a run of day-ordered rows resolved against `store`'s pools (a day
-    /// shard, a snapshot chunk, one simulated day); `heads` must cover
+    /// Fold a run of day-ordered rows resolved against `store`'s pools (a
+    /// whole store, a snapshot chunk, one simulated day); `heads` must cover
     /// `store.commands`. The one row loop of every extraction path.
     pub fn ingest_rows(
         &mut self,
@@ -344,19 +313,6 @@ impl FeatureFold {
             self.ingest(plan, heads, &store.view_row(row));
         }
         hf_obs::counter!("cluster.rows_folded", rows.len() as u64);
-    }
-
-    /// Merge a later shard into this one. `other` must cover strictly
-    /// later day-aligned rows (the `day_aligned_ranges` contract).
-    pub fn merge(&mut self, other: FeatureFold) {
-        for (ip, acc) in other.clients {
-            match self.clients.entry(ip) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(&acc),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(acc);
-                }
-            }
-        }
     }
 
     /// Clients folded so far.
@@ -502,31 +458,17 @@ impl FeatureMatrix {
     }
 }
 
-/// Serial extraction over a materialized dataset.
+/// Extraction over a materialized dataset: one [`FeatureFold`] over the
+/// store's rows in day order (`SessionStore::day_ordered_rows`), exactly
+/// like `Aggregates::compute`.
 pub fn extract(dataset: &Dataset) -> ClientFeatures {
-    extract_threaded(dataset, 1)
-}
-
-/// Threaded extraction: a per-shard [`FeatureFold`] through
-/// `SessionStore::map_day_shards`, merged in shard (= day) order — so the
-/// result is bit-identical for any `threads`, exactly like
-/// `Aggregates::compute_threaded`.
-pub fn extract_threaded(dataset: &Dataset, threads: usize) -> ClientFeatures {
     let _span = hf_obs::span!("cluster.extract");
     let store = &dataset.sessions;
     let mut heads = HeadMap::new();
     heads.sync(&store.commands);
-
-    let shards = store.map_day_shards(threads, |rows| {
-        let mut fold = FeatureFold::new();
-        fold.ingest_rows(store, &dataset.plan, &heads, rows);
-        fold
-    });
-    let mut merged = FeatureFold::new();
-    for shard in shards {
-        merged.merge(shard);
-    }
-    merged.finish(dataset.plan.len())
+    let mut fold = FeatureFold::new();
+    fold.ingest_rows(store, &dataset.plan, &heads, &store.day_ordered_rows());
+    fold.finish(dataset.plan.len())
 }
 
 #[cfg(test)]
@@ -554,36 +496,6 @@ mod tests {
         let m = feats.matrix();
         assert!(m.row(0).iter().all(|x| x.is_finite()));
         assert!(m.row(0).iter().all(|&x| (0.0..=1.0).contains(&x)));
-    }
-
-    #[test]
-    fn merge_is_exact_on_disjoint_days() {
-        let mut a = ClientAcc {
-            sessions: 2,
-            first_start: 100,
-            last_start: 90_000,
-            days: 2,
-            last_day: 1,
-            ..ClientAcc::default()
-        };
-        a.cred_ids.insert(7);
-        let mut b = ClientAcc {
-            sessions: 1,
-            first_start: 200_000,
-            last_start: 200_000,
-            days: 1,
-            last_day: 2,
-            ..ClientAcc::default()
-        };
-        b.cred_ids.insert(7);
-        b.cred_ids.insert(9);
-        a.merge(&b);
-        assert_eq!(a.sessions, 3);
-        assert_eq!(a.days, 3);
-        assert_eq!(a.last_day, 2);
-        assert_eq!(a.first_start, 100);
-        assert_eq!(a.last_start, 200_000);
-        assert_eq!(a.cred_ids.len(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! lowest centroid index, the sweep breaks score ties toward the smaller
 //! k, and the final labels are canonicalized by (size desc, lowest member
 //! IP asc). Given the same [`FeatureMatrix`] the output is bit-identical —
-//! the threading question is settled entirely upstream, in the integer
+//! how the rows reached it is settled entirely upstream, in the integer
 //! feature fold.
 
 use crate::features::{FeatureMatrix, N_FEATURES};

@@ -9,11 +9,10 @@
 //!
 //! The pipeline is three pure stages, each deterministic on its own:
 //!
-//! 1. [`extract`] / [`extract_threaded`] / [`FeatureFold`] — one pass over
-//!    the session store accumulating *integers only* per client (counts,
-//!    bitsets, id-sets). Integer merges are exact, so sharding by
-//!    `day_aligned_ranges` or streaming chunk-at-a-time cannot change the
-//!    result (DESIGN.md §15 has the full argument).
+//! 1. [`extract`] / [`FeatureFold`] — one pass over the session store
+//!    accumulating *integers only* per client (counts, bitsets, id-sets),
+//!    so folding the whole store at once, a day at a time or a chunk at a
+//!    time cannot change the result (DESIGN.md §15 has the full argument).
 //! 2. [`ClientFeatures::matrix`] — fixed, documented normalization into
 //!    `[0, 1]` floats, computed from final integer state only.
 //! 3. [`cluster`] — serial seeded k-means++ with a fixed silhouette sweep
@@ -24,10 +23,11 @@
 //! and never holds more than a day or a chunk of rows: a live sim's day loop
 //! hands it each finished day before retiring the rows, and
 //! [`features_from_snapshot_stream`] hands it each verified chunk.
-//! [`extract_threaded`] and [`ClusterRun::over`] remain the materialized
-//! reference the differential tests compare against. `hf-testkit` ships
-//! `diff_features` / `diff_clusters` field-level oracles, and
-//! `tests/cluster_goldens.rs` pins the TSV output byte-for-byte.
+//! [`extract`] and [`ClusterRun::over`] run the same fold over a
+//! materialized dataset, the reference the differential tests compare
+//! against. `hf-testkit` ships `diff_features` / `diff_clusters`
+//! field-level oracles, and `tests/cluster_goldens.rs` pins the TSV output
+//! byte-for-byte.
 
 #![warn(missing_docs)]
 
@@ -36,8 +36,8 @@ pub mod kmeans;
 pub mod report;
 
 pub use features::{
-    extract, extract_threaded, unit01, ClientAcc, ClientFeatures, FeatureFold, FeatureMatrix,
-    HeadMap, FEATURE_NAMES, N_FEATURES,
+    extract, unit01, ClientAcc, ClientFeatures, FeatureFold, FeatureMatrix, HeadMap, FEATURE_NAMES,
+    N_FEATURES,
 };
 pub use kmeans::{cluster, silhouette, ClusterOutput, KMeansConfig};
 pub use report::{assignments_tsv, summary_text, summary_tsv};
@@ -59,10 +59,15 @@ pub struct ClusterRun {
 }
 
 impl ClusterRun {
-    /// Extract, normalize, and cluster a materialized dataset.
+    /// Extract, normalize, and cluster a materialized dataset. `threads`
+    /// must be 1: extraction is one serial fold, and the argument stays
+    /// only until the benchmark's own drivers stop passing it.
     pub fn over(dataset: &hf_farm::Dataset, threads: usize, cfg: &KMeansConfig) -> ClusterRun {
-        let features = extract_threaded(dataset, threads);
-        ClusterRun::finish(features, cfg)
+        assert_eq!(
+            threads, 1,
+            "ClusterRun::over extracts with one serial fold; ROADMAP item 1(b) drops `threads`"
+        );
+        ClusterRun::finish(extract(dataset), cfg)
     }
 
     /// Normalize and cluster already-extracted features.

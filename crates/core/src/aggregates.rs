@@ -6,53 +6,39 @@
 //! interned ids, and process day-grouped state (daily unique clients,
 //! freshness, regional diversity) with a flush at each day boundary.
 //!
-//! # Parallelism model
+//! # One fold
 //!
-//! [`Aggregates`] is an *associative partial state*: two aggregates computed
-//! over day-disjoint row ranges combine exactly with [`Aggregates::merge`],
-//! the same discipline as `TagDb::merge` in the parallel simulation engine.
-//! [`Aggregates::compute_threaded`] hands `SessionStore::map_day_shards` a
-//! per-shard fold: the store cuts itself into contiguous **day-aligned** row
-//! ranges, folds each range on its own scoped worker, and returns the
-//! partial states in shard order to be merged front to back. Day alignment
-//! is the invariant that makes the merge exact:
+//! [`StreamingFold`] is the only fold. It takes day-ordered rows in any
+//! number of [`StreamingFold::ingest_rows`] calls — one per finished
+//! simulated day (the sim runner's day hook), one per verified snapshot
+//! chunk, or one over a whole materialized store ([`Aggregates::compute`])
+//! — and where the calls cut the rows never reaches the result:
 //!
-//! * every fold starts zero days wide and grows as days appear, and the
-//!   merge first widens the earlier state to the later shard's span; per-day
-//!   matrices and counters then occupy disjoint day slots across shards, so
-//!   elementwise addition is a disjoint union;
-//! * per-entity "distinct active days" counts add, because an entity's days
-//!   in different shards are different days;
-//! * a hash's first sighting is the first shard's first sighting, and the
-//!   later shard's first-sighting credit is retracted during the merge;
-//! * the freshness series needs cross-shard sliding windows, so shards
-//!   record their per-day-unique `(day, hash)` observations and the merge
-//!   replays them — in shard order, which is day order — through one serial
-//!   [`FreshnessSeries`].
+//! * day-grouped state is flushed when the first row of a *later* day
+//!   arrives, not at the end of a call, so a cut inside a day leaves that
+//!   day's buffers open for the next call;
+//! * freshness sightings are deduplicated per day by a set that is likewise
+//!   cleared only on a day change;
+//! * [`StreamingFold::drain_freshness`], run at the end of every call,
+//!   replays a prefix of the pending sightings — those of days strictly
+//!   before the current one — into the serial [`FreshnessSeries`], in
+//!   observation order.
 //!
-//! The merge order is fixed (shard index), so the result is bit-identical
-//! for any thread count, including `threads = 1`.
-//!
-//! # Out-of-core folding
-//!
-//! The same algebra powers the streaming path: [`StreamingFold`] wraps one
-//! shard fold, so the sim runner (or a chunked snapshot reader) can ingest
-//! each completed day and retire its rows immediately. Freshness is drained
-//! incrementally at day boundaries through the same serial
-//! [`FreshnessSeries`] replay, making the finished state bit-identical to a
-//! materialized [`Aggregates::compute`] over the concatenated rows.
+//! Every cut therefore produces the state and the observation sequence of
+//! a single call (DESIGN.md §9 has the full argument). Rows must be
+//! day-ordered across all calls; `compute` takes them from
+//! `SessionStore::day_ordered_rows`, which sorts a hand-built unordered
+//! store first.
 //!
 //! # Overflow discipline
 //!
 //! Whole-run totals are `u64`. The `u32` accumulators that remain are all
 //! bounded by something much smaller than a scale-1.0 run's 402 M sessions:
-//! per-`(day, honeypot)` and per-day cells (no single day slot can absorb
-//! the whole run thanks to day-aligned sharding), per-entity distinct-day
-//! counts (≤ the 486-day window), and per-honeypot first-sighting counts
-//! (≤ the digest pool size, capped at 2³¹). [`Aggregates::merge`] still
-//! refuses to wrap: every `u32` cell add is `checked_add` and the
-//! first-sighting retraction is `checked_sub`, so a hypothetical overflow
-//! panics loudly instead of corrupting totals silently.
+//! per-`(day, honeypot)` and per-day cells (one day's sessions), per-entity
+//! distinct-day counts (≤ the 486-day window), and per-honeypot
+//! first-sighting counts (≤ the digest pool size, capped at 2³¹). The
+//! busiest cell, sessions per `(day, honeypot)`, carries a debug assertion
+//! against wrapping.
 
 use hf_farm::{Dataset, FarmPlan, Row, SessionStore, SessionView};
 use hf_geo::World;
@@ -70,13 +56,6 @@ pub type HpBitset = [u64; 4];
 /// extractor) can share the farm-sized bitset type and its helpers.
 pub fn bit_set(b: &mut HpBitset, i: u16) {
     b[(i >> 6) as usize] |= 1u64 << (i & 63);
-}
-
-/// Union `other` into `b`.
-pub fn bit_union(b: &mut HpBitset, other: &HpBitset) {
-    for (w, o) in b.iter_mut().zip(other) {
-        *w |= *o;
-    }
 }
 
 /// Count set bits.
@@ -121,37 +100,6 @@ impl Default for ClientAgg {
             sessions: 0,
             hashes: IdSet::default(),
             country: u16::MAX,
-        }
-    }
-}
-
-impl ClientAgg {
-    /// Fold in the same client's partial state from the next day-disjoint
-    /// shard. Distinct-day counts add exactly because the shards' day
-    /// ranges are disjoint; the country keeps the earlier shard's first
-    /// sighting (first-wins, like the serial pass).
-    fn merge(&mut self, other: ClientAgg) {
-        bit_union(&mut self.honeypots, &other.honeypots);
-        for (b, o) in self
-            .honeypots_by_cat
-            .iter_mut()
-            .zip(&other.honeypots_by_cat)
-        {
-            bit_union(b, o);
-        }
-        self.days += other.days;
-        self.last_day = other.last_day;
-        for ci in 0..5 {
-            self.days_by_cat[ci] += other.days_by_cat[ci];
-            if other.last_day_by_cat[ci] != u32::MAX {
-                self.last_day_by_cat[ci] = other.last_day_by_cat[ci];
-            }
-        }
-        self.cats |= other.cats;
-        self.sessions += other.sessions;
-        self.hashes.extend(other.hashes);
-        if self.country == u16::MAX {
-            self.country = other.country;
         }
     }
 }
@@ -255,17 +203,16 @@ pub struct Aggregates {
     /// Distinct client AS numbers observed (§7.1 breadth). Tracked here so
     /// row-free (fold-mode) outputs can still answer the claims table.
     pub asns: IdSet,
-    /// Daily hash freshness (Fig. 17). Empty on partial (pre-merge) states;
-    /// filled once by the final freshness replay.
+    /// Daily hash freshness (Fig. 17), filled by [`StreamingFold::finish`].
     pub freshness: Vec<FreshnessPoint>,
     /// Total sessions.
     pub total_sessions: u64,
 }
 
 impl Aggregates {
-    /// The identity element of [`Aggregates::merge`]: zero days wide. Every
-    /// fold starts here and widens with [`Aggregates::grow_days`] as days
-    /// appear, so nothing pre-scans for the maximum day.
+    /// Zero days wide: the fold starts here and widens with
+    /// [`Aggregates::grow_days`] as days appear, so nothing pre-scans for
+    /// the maximum day.
     fn empty(n_honeypots: usize) -> Self {
         Aggregates {
             n_days: 0,
@@ -321,212 +268,14 @@ impl Aggregates {
         self.n_days = n_days;
     }
 
-    /// Run the pass serially (equivalent to `compute_threaded(dataset, 1)`).
+    /// Run the pass over a materialized dataset: one [`StreamingFold`] over
+    /// the store's rows in day order ([`SessionStore::day_ordered_rows`]).
     pub fn compute(dataset: &Dataset) -> Self {
-        Self::compute_threaded(dataset, 1)
-    }
-
-    /// Run the pass across `threads` scoped workers over day-aligned row
-    /// shards with an ordered merge. Bit-identical output for every thread
-    /// count — see the module docs for the argument.
-    pub fn compute_threaded(dataset: &Dataset, threads: usize) -> Self {
         let _span = hf_obs::span!("analysis.aggregates");
         let store = &dataset.sessions;
-        let n_honeypots = dataset.plan.len();
-        let parts = store.map_day_shards(threads, |rows| {
-            hf_obs::counter!("analysis.shards_folded", 1);
-            hf_obs::counter!("analysis.rows_folded", rows.len() as u64);
-            let _span = hf_obs::span!("analysis.shard_fold");
-            let mut fold = ShardFold::new(n_honeypots);
-            for row in rows {
-                fold.ingest(&dataset.plan, &store.view_row(row));
-            }
-            fold.finish()
-        });
-        Self::assemble(n_honeypots, parts)
-    }
-
-    /// Fold one contiguous, day-ordered row range into a partial state:
-    /// the mergeable [`Aggregates`] plus the range's per-day-unique
-    /// `(day, hash)` freshness sightings in observation order. Partials of
-    /// consecutive day-disjoint ranges combine with [`Aggregates::merge`] /
-    /// [`Aggregates::assemble`] — the building block the partition
-    /// properties in `tests/streaming_analysis.rs` exercise directly.
-    pub fn partial(
-        dataset: &Dataset,
-        range: std::ops::Range<usize>,
-    ) -> (Aggregates, Vec<(u32, u32)>) {
-        let mut fold = ShardFold::new(dataset.plan.len());
-        for v in dataset.sessions.iter_range(range) {
-            fold.ingest(&dataset.plan, &v);
-        }
+        let mut fold = StreamingFold::new(dataset.plan.len());
+        fold.ingest_rows(store, &dataset.plan, &store.day_ordered_rows());
         fold.finish()
-    }
-
-    /// Fold shard results in shard order and replay their freshness
-    /// observations through one serial series.
-    pub fn assemble(n_honeypots: usize, parts: Vec<(Aggregates, Vec<(u32, u32)>)>) -> Self {
-        let mut fresh = FreshnessSeries::new();
-        let mut acc: Option<Aggregates> = None;
-        for (part, pairs) in parts {
-            // Shard order is day order, and each pair is a per-day-unique
-            // first sighting, so this replays exactly the serial pass's
-            // effective observation sequence.
-            for (day, hid) in pairs {
-                fresh.observe(hid, day);
-            }
-            acc = Some(match acc {
-                None => part,
-                Some(mut a) => {
-                    a.merge(part);
-                    a
-                }
-            });
-        }
-        acc.unwrap_or_else(|| Aggregates::empty(n_honeypots))
-            .sealed(fresh)
-    }
-
-    /// Finish a fold: attach the replayed freshness series and apply the
-    /// one shape rule for a fold that saw no rows — it is one empty day
-    /// wide, not zero.
-    fn sealed(mut self, fresh: FreshnessSeries) -> Self {
-        if self.n_days == 0 {
-            self.grow_days(1);
-        }
-        self.freshness = fresh.finish();
-        self
-    }
-
-    /// Merge `other` — the partial aggregates of the *next* contiguous,
-    /// day-disjoint row shard — into `self`.
-    ///
-    /// Exactness contract: `other` must cover rows whose days are all
-    /// strictly later than `self`'s (day-aligned sharding guarantees it),
-    /// so `self` first widens to `other`'s day span.
-    /// Then per-day slots are disjoint (addition = union), per-entity
-    /// distinct-day counts add, first-sightings keep `self`'s, and
-    /// last-sightings take `other`'s. Freshness is *not* merged here — it
-    /// needs cross-shard window state and is replayed by the caller.
-    pub fn merge(&mut self, other: Aggregates) {
-        debug_assert_eq!(self.n_honeypots, other.n_honeypots);
-        self.grow_days(other.n_days);
-
-        // u32 cells are per-day/per-honeypot and provably can't overflow at
-        // paper scale (see the module's overflow discipline) — but a wrap
-        // here would silently corrupt every downstream total, so refuse it.
-        fn add_u32s(a: &mut [u32], b: &[u32]) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = x.checked_add(*y).expect("u32 aggregate cell overflow");
-            }
-        }
-        fn add_u64s(a: &mut [u64], b: &[u64]) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += *y;
-            }
-        }
-
-        add_u32s(&mut self.day_hp_sessions, &other.day_hp_sessions);
-        for ci in 0..5 {
-            add_u32s(&mut self.day_hp_by_cat[ci], &other.day_hp_by_cat[ci]);
-        }
-        add_u64s(&mut self.day_total, &other.day_total);
-        for ci in 0..5 {
-            add_u64s(&mut self.day_by_cat[ci], &other.day_by_cat[ci]);
-        }
-        for (a, b) in self.day_unique_ips.iter_mut().zip(&other.day_unique_ips) {
-            add_u32s(a, b);
-        }
-        for (a, b) in self
-            .day_combo_clients
-            .iter_mut()
-            .zip(&other.day_combo_clients)
-        {
-            add_u32s(a, b);
-        }
-        for (a, b) in self
-            .day_region_combos
-            .iter_mut()
-            .zip(&other.day_region_combos)
-        {
-            for (x, y) in a.iter_mut().zip(b) {
-                add_u32s(x, y);
-            }
-        }
-        for ci in 0..5 {
-            self.cat_totals[ci] += other.cat_totals[ci];
-            self.cat_ssh[ci] += other.cat_ssh[ci];
-            add_u64s(&mut self.cat_end_reasons[ci], &other.cat_end_reasons[ci]);
-            add_u64s(&mut self.dur_hist[ci], &other.dur_hist[ci]);
-        }
-        add_u64s(&mut self.hp_sessions, &other.hp_sessions);
-        for (a, b) in self.hp_clients.iter_mut().zip(other.hp_clients) {
-            a.extend(b);
-        }
-        for (a, b) in self
-            .hp_clients_by_cat
-            .iter_mut()
-            .zip(other.hp_clients_by_cat)
-        {
-            for (x, y) in a.iter_mut().zip(b) {
-                x.extend(y);
-            }
-        }
-        for (a, b) in self.hp_hashes.iter_mut().zip(other.hp_hashes) {
-            a.extend(b);
-        }
-        add_u32s(&mut self.hp_first_hashes, &other.hp_first_hashes);
-
-        for (ip, c) in other.clients {
-            match self.clients.entry(ip) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(c);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(c),
-            }
-        }
-
-        if self.hashes.len() < other.hashes.len() {
-            self.hashes.resize(other.hashes.len(), HashAgg::default());
-        }
-        for (hid, h) in other.hashes.into_iter().enumerate() {
-            if h.sessions == 0 {
-                continue;
-            }
-            let a = &mut self.hashes[hid];
-            if a.sessions == 0 {
-                *a = h;
-                continue;
-            }
-            // Both shards sighted this hash: the earlier shard's first
-            // sighting stands, so retract the later shard's credit (the
-            // blind add of hp_first_hashes above counted both).
-            self.hp_first_hashes[h.first_honeypot as usize] = self.hp_first_hashes
-                [h.first_honeypot as usize]
-                .checked_sub(1)
-                .expect("first-sighting retraction underflow");
-            a.sessions += h.sessions;
-            a.clients.extend(h.clients);
-            a.days += h.days;
-            a.last_day = h.last_day;
-            bit_union(&mut a.honeypots, &h.honeypots);
-        }
-
-        for (k, v) in other.password_counts {
-            *self.password_counts.entry(k).or_default() += v;
-        }
-        for (k, v) in other.command_counts {
-            *self.command_counts.entry(k).or_default() += v;
-        }
-        for (k, v) in other.ssh_version_counts {
-            *self.ssh_version_counts.entry(k).or_default() += v;
-        }
-        self.file_sessions.0 += other.file_sessions.0;
-        self.file_sessions.1 += other.file_sessions.1;
-        self.file_sessions.2 += other.file_sessions.2;
-        self.asns.extend(other.asns);
-        self.total_sessions += other.total_sessions;
-        debug_assert!(other.freshness.is_empty(), "merge partial states only");
     }
 
     fn flush_day(&mut self, day: u32, state: &mut DayState) {
@@ -572,40 +321,50 @@ impl Aggregates {
     }
 }
 
-/// The per-shard fold: a partial [`Aggregates`] plus the streaming state
-/// that doesn't survive the shard boundary (day flush buffers, the per-day
-/// freshness dedupe set, scratch).
-struct ShardFold {
+/// The analysis fold over day-ordered sessions (see the module docs).
+///
+/// The [`Aggregates`] under construction plus the state that lives only
+/// until the current day ends (day flush buffers, the per-day freshness
+/// dedupe set) and the serial [`FreshnessSeries`]. The sim runner ingests
+/// each completed day and retires its rows, a streaming snapshot reader
+/// folds each verified chunk as it arrives, and [`Aggregates::compute`]
+/// folds a whole materialized store in one call; the same rows in the same
+/// order give the same [`Aggregates`] however they are cut.
+pub struct StreamingFold {
     agg: Aggregates,
     day_state: DayState,
     current_day: u32,
     /// Hashes already recorded for `current_day` (per-day dedupe of the
     /// freshness observations).
     fresh_seen: IdSet,
-    /// Per-day-unique `(day, hash)` sightings, in observation order —
-    /// replayed through the global [`FreshnessSeries`] after the merge.
+    /// Per-day-unique `(day, hash)` sightings not yet replayed through
+    /// `fresh`, in observation order.
     fresh_pairs: Vec<(u32, u32)>,
     /// Scratch for per-session hash dedupe.
     session_hashes: Vec<u32>,
+    fresh: FreshnessSeries,
 }
 
-impl ShardFold {
-    fn new(n_honeypots: usize) -> Self {
-        ShardFold {
+impl StreamingFold {
+    /// Empty fold for a farm of `n_honeypots` nodes.
+    pub fn new(n_honeypots: usize) -> Self {
+        StreamingFold {
             agg: Aggregates::empty(n_honeypots),
             day_state: DayState::default(),
             current_day: 0,
             fresh_seen: IdSet::default(),
             fresh_pairs: Vec::new(),
             session_hashes: Vec::new(),
+            fresh: FreshnessSeries::new(),
         }
     }
 
-    /// Ingest one session. Rows must arrive in non-decreasing day order.
-    /// `plan` resolves honeypot geography; everything else comes through
-    /// the view's pools, so external row chunks (streamed snapshots,
-    /// about-to-be-retired day shards) fold exactly like stored rows.
-    fn ingest(&mut self, plan: &FarmPlan, v: &SessionView<'_>) {
+    /// Ingest one session view. Rows must arrive in non-decreasing day
+    /// order across *all* ingest calls. `plan` resolves honeypot geography;
+    /// everything else comes through the view's pools, so external row
+    /// chunks (streamed snapshots, about-to-be-retired days) fold exactly
+    /// like stored rows.
+    pub fn ingest(&mut self, plan: &FarmPlan, v: &SessionView<'_>) {
         let day = v.day();
         if day != self.current_day {
             self.agg.flush_day(self.current_day, &mut self.day_state);
@@ -765,48 +524,12 @@ impl ShardFold {
         }
     }
 
-    /// Flush the trailing day and hand back the partial state.
-    fn finish(mut self) -> (Aggregates, Vec<(u32, u32)>) {
-        self.agg.flush_day(self.current_day, &mut self.day_state);
-        (self.agg, self.fresh_pairs)
-    }
-}
-
-/// Incremental out-of-core fold over day-ordered sessions.
-///
-/// One shard fold whose day window grows as days appear, plus the serial
-/// [`FreshnessSeries`] fed at day boundaries — the pieces a fold-as-you-go
-/// runner needs to ingest each completed day's rows and retire them, or a
-/// streaming snapshot reader needs to fold verified chunks as they arrive.
-/// Feeding the same rows in the same order as a materialized store yields
-/// an [`Aggregates`] bit-identical to [`Aggregates::compute`].
-pub struct StreamingFold {
-    fold: ShardFold,
-    fresh: FreshnessSeries,
-}
-
-impl StreamingFold {
-    /// Empty fold for a farm of `n_honeypots` nodes.
-    pub fn new(n_honeypots: usize) -> Self {
-        StreamingFold {
-            fold: ShardFold::new(n_honeypots),
-            fresh: FreshnessSeries::new(),
-        }
-    }
-
-    /// Ingest one session view. Rows must arrive in non-decreasing day
-    /// order across *all* ingest calls (the same contract as the serial
-    /// pass). `plan` resolves honeypot geography.
-    pub fn ingest(&mut self, plan: &FarmPlan, v: &SessionView<'_>) {
-        self.fold.ingest(plan, v);
-    }
-
     /// Fold a run of day-ordered rows resolved against `store`'s pools (a
-    /// snapshot chunk, or one finished simulated day), then drain the
-    /// freshness series: the one row loop of every fold-as-you-go caller.
+    /// snapshot chunk, one finished simulated day, or a whole store), then
+    /// drain the freshness series: the one row loop of every caller.
     pub fn ingest_rows(&mut self, store: &SessionStore, plan: &FarmPlan, rows: &[Row]) {
         for row in rows {
-            self.fold.ingest(plan, &store.view_row(row));
+            self.ingest(plan, &store.view_row(row));
         }
         self.drain_freshness();
         hf_obs::counter!("analysis.rows_folded", rows.len() as u64);
@@ -815,36 +538,41 @@ impl StreamingFold {
     /// Drain the freshness sightings of every *completed* day (strictly
     /// before the fold's current day) into the sliding-window series, so
     /// the pending-pair buffer stays bounded by one day's unique hashes.
-    /// Safe to call at any point; callers typically do so after each
-    /// simulated day or each snapshot chunk.
+    /// The current day's sightings stay pending, as more of its rows may
+    /// come (the series dedupes within a day, so replaying them early would
+    /// be equally exact). Safe to call at any point; callers typically do
+    /// so after each simulated day or each snapshot chunk.
     pub fn drain_freshness(&mut self) {
-        let current = self.fold.current_day;
-        let pairs = &mut self.fold.fresh_pairs;
-        let cut = pairs
+        let current = self.current_day;
+        let cut = self
+            .fresh_pairs
             .iter()
             .position(|&(day, _)| day >= current)
-            .unwrap_or(pairs.len());
-        for &(day, hid) in &pairs[..cut] {
+            .unwrap_or(self.fresh_pairs.len());
+        for (day, hid) in self.fresh_pairs.drain(..cut) {
             self.fresh.observe(hid, day);
         }
-        pairs.drain(..cut);
     }
 
     /// Sessions folded so far.
     pub fn total_sessions(&self) -> u64 {
-        self.fold.agg.total_sessions
+        self.agg.total_sessions
     }
 
     /// Flush the trailing day, replay the remaining freshness sightings,
-    /// and return the finished aggregates. An empty fold yields the same
-    /// single-empty-day shape as [`Aggregates::compute`] on an empty store.
+    /// and return the finished aggregates. A fold that saw no rows is one
+    /// empty day wide, not zero.
     pub fn finish(mut self) -> Aggregates {
-        self.drain_freshness();
-        let (agg, pairs) = self.fold.finish();
-        for (day, hid) in pairs {
+        self.agg.flush_day(self.current_day, &mut self.day_state);
+        for (day, hid) in self.fresh_pairs.drain(..) {
             self.fresh.observe(hid, day);
         }
-        agg.sealed(self.fresh)
+        let mut agg = self.agg;
+        if agg.n_days == 0 {
+            agg.grow_days(1);
+        }
+        agg.freshness = self.fresh.finish();
+        agg
     }
 }
 
@@ -1018,31 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_fold_is_thread_count_invariant() {
-        let ds = small();
-        let serial = Aggregates::compute(&ds);
-        for threads in [2usize, 3, 5, 8, 64] {
-            let par = Aggregates::compute_threaded(&ds, threads);
-            assert_agg_eq(&serial, &par, &format!("threads={threads}"));
-        }
-    }
-
-    #[test]
-    fn unordered_store_falls_back_to_sorted_serial() {
-        // Hand-build a store with out-of-order days; the fold must sort.
-        use hf_farm::Collector;
-        let out = Simulation::run(SimConfig::test(6));
-        let world = hf_geo::World::build(1, &hf_geo::WorldConfig::tiny());
-        let mut col = Collector::new(&world, out.dataset.plan.clone());
-        // Re-ingest a few sessions in reverse day order via raw records is
-        // not possible from views; instead check the guard directly.
-        let _ = &mut col;
-        assert!(out.dataset.sessions.is_day_ordered());
-        let agg = Aggregates::compute_threaded(&out.dataset, 4);
-        assert_eq!(agg.total_sessions, out.dataset.len() as u64);
-    }
-
-    #[test]
     fn streaming_fold_matches_materialized_compute() {
         let ds = small();
         let materialized = Aggregates::compute(&ds);
@@ -1082,86 +785,5 @@ mod tests {
             .collect();
         assert!(!agg.asns.is_empty());
         assert_eq!(agg.asns, from_rows);
-    }
-
-    #[test]
-    #[should_panic(expected = "u32 aggregate cell overflow")]
-    fn merge_refuses_to_wrap_u32_cells() {
-        let mut a = Aggregates::empty(1);
-        let mut b = Aggregates::empty(1);
-        a.grow_days(1);
-        b.grow_days(1);
-        a.day_hp_sessions[0] = u32::MAX;
-        b.day_hp_sessions[0] = 1;
-        a.merge(b);
-    }
-
-    #[test]
-    #[should_panic(expected = "first-sighting retraction underflow")]
-    fn merge_refuses_first_sighting_underflow() {
-        // Both sides claim hash 0, but the left side never credited a
-        // first sighting — the retraction must refuse to wrap.
-        let mut a = Aggregates::empty(1);
-        let mut b = Aggregates::empty(1);
-        let ha = HashAgg {
-            sessions: 1,
-            first_honeypot: 0,
-            ..HashAgg::default()
-        };
-        a.hashes = vec![ha.clone()];
-        b.hashes = vec![ha];
-        a.merge(b);
-    }
-
-    #[test]
-    fn merge_grows_to_the_later_shards_width() {
-        // The earlier shard saw only day 0, the later one day 2: the merge
-        // widens `a` and every day slot lands where it was folded.
-        let mut a = Aggregates::empty(2);
-        let mut b = Aggregates::empty(2);
-        a.grow_days(1);
-        b.grow_days(3);
-        a.day_total[0] = 5;
-        a.day_hp_sessions[1] = 5;
-        b.day_total[2] = 7;
-        b.day_hp_sessions[2 * 2] = 7;
-        b.day_unique_ips[2][5] = 3;
-        a.merge(b);
-        assert_eq!(a.n_days, 3);
-        assert_eq!(a.day_total, vec![5, 0, 7]);
-        assert_eq!(a.day_hp_sessions, vec![0, 5, 0, 0, 7, 0]);
-        assert_eq!(a.day_unique_ips[2][5], 3);
-        assert_eq!(a.day_region_combos.len(), 3);
-    }
-
-    #[test]
-    fn partial_ranges_assemble_to_compute() {
-        let ds = small();
-        let serial = Aggregates::compute(&ds);
-        let ranges = ds.sessions.day_aligned_ranges(3);
-        let parts: Vec<_> = ranges
-            .into_iter()
-            .map(|r| Aggregates::partial(&ds, r))
-            .collect();
-        let assembled = Aggregates::assemble(ds.plan.len(), parts);
-        assert_eq!(assembled.n_days, serial.n_days);
-        assert_agg_eq(&serial, &assembled, "partial/assemble");
-    }
-
-    #[test]
-    fn merge_identity_on_empty() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        let mut base = Aggregates::empty(agg.n_honeypots);
-        let mut other = Aggregates::compute(&ds);
-        other.freshness.clear(); // merge() takes partial (pre-replay) states
-        base.merge(other);
-        // Merging into the identity element reproduces every mergeable
-        // field (freshness is replay-only, so compare the rest).
-        assert_eq!(base.total_sessions, agg.total_sessions);
-        assert_eq!(base.day_hp_sessions, agg.day_hp_sessions);
-        assert_eq!(base.cat_totals, agg.cat_totals);
-        assert_eq!(base.hp_first_hashes, agg.hp_first_hashes);
-        assert_eq!(base.n_clients(), agg.n_clients());
     }
 }

@@ -6,6 +6,8 @@
 //! fits comfortably in memory, and scans are cache-friendly (DESIGN.md §4,
 //! "columnar vs row-of-structs").
 
+use std::borrow::Cow;
+
 use hf_geo::{Asn, CountryId, Ip4};
 use hf_hash::Digest;
 use hf_honeypot::{ArtifactStore, EndReason, SessionRecord};
@@ -268,16 +270,6 @@ impl SessionStore {
             .map(move |row| SessionView { store: self, row })
     }
 
-    /// Iterate typed views over a contiguous row range.
-    pub fn iter_range(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = SessionView<'_>> {
-        self.rows[range]
-            .iter()
-            .map(move |row| SessionView { store: self, row })
-    }
-
     /// Are the rows ordered by day (non-decreasing)? Collector-produced
     /// stores always are — the runner ingests day by day — but hand-built
     /// stores may not be, and day-grouped streaming analyses must check.
@@ -287,61 +279,18 @@ impl SessionStore {
             .all(|w| w[0].start_secs / 86_400 <= w[1].start_secs / 86_400)
     }
 
-    /// Split the rows into at most `shards` contiguous ranges whose
-    /// boundaries fall on day boundaries: each range ends after the last row
-    /// of some day, so no day's rows span two ranges. Requires day-ordered
-    /// rows (see [`SessionStore::is_day_ordered`]). The ranges cover
-    /// `0..len` in order; fewer than `shards` ranges come back when the
-    /// store is small or single days are large.
-    ///
-    /// Day alignment is what makes sharded day-grouped analyses exact: any
-    /// per-day statistic (daily unique clients, per-day freshness, distinct
-    /// active days per entity) is computed entirely within one shard, so an
-    /// ordered merge of per-shard partial states reproduces the serial scan
-    /// bit for bit — for *any* shard count.
-    pub fn day_aligned_ranges(&self, shards: usize) -> Vec<std::ops::Range<usize>> {
-        let len = self.rows.len();
-        if len == 0 {
-            return Vec::new();
+    /// The rows in the day order every analysis fold requires: borrowed as
+    /// stored when they are day-ordered (the collector's always are), else a
+    /// copy stably sorted by start time (a hand-built store), so the fold of
+    /// an unordered store equals the fold of the same records ingested in
+    /// day order. Resolve them with [`SessionStore::view_row`].
+    pub fn day_ordered_rows(&self) -> Cow<'_, [Row]> {
+        if self.is_day_ordered() {
+            return Cow::Borrowed(&self.rows);
         }
-        let target = len.div_ceil(shards.max(1));
-        let mut ranges = Vec::with_capacity(shards.max(1));
-        let mut start = 0usize;
-        while start < len {
-            let mut end = (start + target).min(len);
-            if end < len {
-                // Snap forward past the tail of the day the target split in.
-                let day = self.rows[end - 1].start_secs / 86_400;
-                while end < len && self.rows[end].start_secs / 86_400 == day {
-                    end += 1;
-                }
-            }
-            ranges.push(start..end);
-            start = end;
-        }
-        ranges
-    }
-
-    /// The day-shard driver behind every sharded analysis: cut the rows
-    /// into at most `shards` day-aligned ranges, run `fold` over each range
-    /// through [`hf_obs::map_ordered`], and return the per-shard results in
-    /// shard (= day) order for the caller to merge front to back. Resolve
-    /// the rows `fold` receives with [`SessionStore::view_row`].
-    ///
-    /// A store that is not day-ordered (hand-built; the collector's always
-    /// is) cannot be cut on day boundaries, so it is folded as a single
-    /// shard over a start-sorted copy of its rows instead.
-    pub fn map_day_shards<T: Send>(
-        &self,
-        shards: usize,
-        fold: impl Fn(&[Row]) -> T + Sync,
-    ) -> Vec<T> {
-        if !self.is_day_ordered() {
-            let mut sorted = self.rows.clone();
-            sorted.sort_by_key(|r| r.start_secs);
-            return vec![fold(&sorted)];
-        }
-        hf_obs::map_ordered(self.day_aligned_ranges(shards), |r| fold(&self.rows[r]))
+        let mut sorted = self.rows.clone();
+        sorted.sort_by_key(|r| r.start_secs);
+        Cow::Owned(sorted)
     }
 }
 
@@ -643,16 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn range_accessors_match_full_iteration() {
-        let mut s = SessionStore::new();
-        for d in 0..10 {
-            s.ingest(&record((d % 3) as u16, d, Protocol::Ssh), None);
-        }
-        let days: Vec<u32> = s.iter_range(3..7).map(|v| v.day()).collect();
-        assert_eq!(days, vec![3, 4, 5, 6]);
-    }
-
-    #[test]
     fn day_ordered_detection() {
         let mut s = SessionStore::new();
         s.ingest(&record(0, 3, Protocol::Ssh), None);
@@ -664,40 +603,26 @@ mod tests {
     }
 
     #[test]
-    fn day_aligned_ranges_cover_and_never_split_a_day() {
+    fn day_ordered_rows_borrow_ordered_stores_and_stably_sort_the_rest() {
         let mut s = SessionStore::new();
-        // 5 days with uneven per-day counts: 1, 4, 2, 7, 3 rows.
-        for (day, n) in [(0u32, 1usize), (1, 4), (2, 2), (3, 7), (4, 3)] {
-            for _ in 0..n {
-                s.ingest(&record(0, day, Protocol::Ssh), None);
-            }
+        for day in [1, 1, 4] {
+            s.ingest(&record(0, day, Protocol::Ssh), None);
         }
-        for shards in 1..=8 {
-            let ranges = s.day_aligned_ranges(shards);
-            assert!(ranges.len() <= shards.max(1));
-            // Contiguous cover of 0..len.
-            assert_eq!(ranges.first().unwrap().start, 0);
-            assert_eq!(ranges.last().unwrap().end, s.len());
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-            // No day spans two ranges.
-            for w in ranges.windows(2) {
-                let last = s.view(w[0].end - 1).day();
-                let first = s.view(w[1].start).day();
-                assert!(last < first, "shards {shards}: day {last} split");
-            }
-        }
-        assert!(SessionStore::new().day_aligned_ranges(4).is_empty());
-    }
+        let rows = s.day_ordered_rows();
+        assert!(matches!(rows, Cow::Borrowed(_)));
+        assert_eq!(rows.as_ptr(), s.rows().as_ptr());
 
-    #[test]
-    fn one_giant_day_collapses_to_one_range() {
+        // Out of day order: a copy sorted by start, ties (same start) in
+        // ingest order, so the honeypots come out as 1, 3, 0, 2.
         let mut s = SessionStore::new();
-        for _ in 0..100 {
-            s.ingest(&record(0, 7, Protocol::Ssh), None);
+        for (hp, day) in [(0u16, 3u32), (1, 1), (2, 3), (3, 1)] {
+            s.ingest(&record(hp, day, Protocol::Ssh), None);
         }
-        assert_eq!(s.day_aligned_ranges(8), vec![0..100]);
+        let rows = s.day_ordered_rows();
+        assert!(matches!(rows, Cow::Owned(_)));
+        let order: Vec<u16> = rows.iter().map(|r| r.honeypot).collect();
+        assert_eq!(order, vec![1, 3, 0, 2]);
+        assert_eq!(s.rows()[0].honeypot, 0, "the store itself is untouched");
     }
 
     #[test]

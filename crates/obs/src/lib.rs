@@ -36,7 +36,7 @@
 //! ```
 //!
 //! Worker threads buffer locally and must [`flush`] before they exit
-//! ([`map_ordered`], the fan-out every sharded stage goes through, and
+//! ([`map_ordered`], the fan-out the sharded stage goes through, and
 //! [`overlapped`], the two-stage pipeline, do it for them); the thread
 //! calling [`snapshot`]/[`manifest`] flushes itself automatically.
 
@@ -170,9 +170,8 @@ pub(crate) fn record_span(name: Name, wall_ns: u64, cpu_ns: u64) {
 // --------------------------------------------------------------- fan-out --
 
 /// Map `items` through `f` on scoped worker threads and return the results
-/// in item order — the one ordered fan-out behind every sharded stage (the
-/// `hf-sim` day shards and, through `SessionStore::map_day_shards`, the
-/// `hf-core` and `hf-cluster` folds). Four guarantees:
+/// in item order — the one ordered fan-out behind the sharded stage (the
+/// `hf-sim` day shards). Four guarantees:
 ///
 /// 1. A single item runs inline on the calling thread: no spawn/join
 ///    round-trip, and its metrics stay in the caller's buffer.
@@ -182,7 +181,7 @@ pub(crate) fn record_span(name: Name, wall_ns: u64, cpu_ns: u64) {
 /// 3. Workers are joined in spawn order, so result `i` is `f(items[i])`
 ///    whichever worker finished first. Callers that merge the results
 ///    front to back therefore merge in item order: join order *is* merge
-///    order, which is what makes the sharded stages thread-count invariant.
+///    order, which is what makes the sharded stage thread-count invariant.
 /// 4. A worker panic is re-raised on the caller with its original payload,
 ///    not masked by a generic join error.
 pub fn map_ordered<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {

@@ -12,8 +12,9 @@
 //! - **Rows retired** ([`Simulation::run_fold`]: a [`StreamingFold`] hook):
 //!   each day is folded and then dropped, so peak RSS is bounded by the
 //!   largest single day plus the interning pools, independent of window
-//!   length. The resulting [`Aggregates`] are bit-identical to
-//!   [`Aggregates::compute`] over the materialized store (proven by
+//!   length. [`Aggregates::compute`] runs the same fold over a whole
+//!   materialized store in one call, and where the rows are cut never
+//!   reaches the result, so the two are bit-identical (proven by
 //!   `tests/streaming_analysis.rs`).
 //!
 //! Any fold that takes rows a day at a time rides the same hook: `hfarm
@@ -234,9 +235,9 @@ impl Simulation {
     /// a [`StreamingFold`] and retire its rows, so peak memory is bounded by
     /// one day of sessions (plus the interning pools), not the whole window.
     /// The fold sees the same rows in the same order as
-    /// [`Aggregates::compute`] over the materialized store, so the result is
-    /// bit-identical. Panics on internal coverage bugs like
-    /// [`Simulation::run`].
+    /// [`Aggregates::compute`] over the materialized store, only cut at day
+    /// ends, so the result is bit-identical. Panics on internal coverage
+    /// bugs like [`Simulation::run`].
     pub fn run_fold(config: SimConfig) -> FoldOutput {
         let mut fold: Option<StreamingFold> = None;
         let out = Self::run_days(config, DayRows::Retire, |store, plan, rows| {

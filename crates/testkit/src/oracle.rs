@@ -294,8 +294,9 @@ pub fn assert_outputs_identical(left: &str, a: &SimOutput, right: &str, b: &SimO
 }
 
 /// Diff two [`Aggregates`] across every public field — the oracle behind
-/// the "parallel fold is field-identical to the serial fold" guarantee of
-/// `Aggregates::compute_threaded`.
+/// the guarantee that the one analysis fold gives the same result however
+/// its rows arrive: a day at a time from the simulator, a chunk at a time
+/// from a snapshot, or cut anywhere, against `Aggregates::compute`.
 ///
 /// Scalars and per-day/per-honeypot vectors are compared elementwise with
 /// the first diverging index named; per-client and per-hash states are

@@ -1,16 +1,12 @@
-//! Parallel analysis engine conformance: the sharded `Aggregates` fold and
-//! the fused `Report::build_with_tags` must be indistinguishable from their
-//! serial, unfused predecessors.
+//! Report-build conformance: the fused `Report::build_with_tags` must be
+//! indistinguishable from its unfused predecessors.
 //!
-//! Three surfaces are pinned:
+//! Two surfaces are pinned:
 //!
-//! 1. `Aggregates::compute_threaded` at 2 and 8 workers is field-identical
-//!    to the serial fold, proven by the testkit's `diff_aggregates` oracle
-//!    (which names the diverging field instead of a bare assert).
-//! 2. The fused report builders (shared top-5% selection, one-pass client
+//! 1. The fused report builders (shared top-5% selection, one-pass client
 //!    ECDFs) render byte-identical TSVs to the individually-built
 //!    per-figure artifacts.
-//! 3. Every file `write_dir` leaves is byte-identical to its artifact's
+//! 2. Every file `write_dir` leaves is byte-identical to its artifact's
 //!    in-memory `to_tsv`, and the rendered report matches a checked-in
 //!    golden byte-for-byte. Regenerate after an intended change with
 //!    `UPDATE_GOLDENS=1 cargo test --test analysis_parallel`.
@@ -19,7 +15,7 @@ use std::path::PathBuf;
 
 use honeyfarm::core::report::figures;
 use honeyfarm::prelude::*;
-use honeyfarm::testkit::{assert_golden, diff_aggregates};
+use honeyfarm::testkit::assert_golden;
 
 fn run_small() -> SimOutput {
     Simulation::run(SimConfig {
@@ -29,25 +25,6 @@ fn run_small() -> SimOutput {
         use_script_cache: false,
         threads: 1,
     })
-}
-
-/// The sharded fold is field-identical to the serial one at every thread
-/// count, including more workers than the day-aligned split can use.
-#[test]
-fn parallel_aggregates_identical_to_serial() {
-    let out = run_small();
-    let serial = Aggregates::compute(&out.dataset);
-    assert!(serial.total_sessions > 0, "fixture must not be empty");
-    for threads in [2usize, 8] {
-        let parallel = Aggregates::compute_threaded(&out.dataset, threads);
-        diff_aggregates(
-            "threads=1",
-            &serial,
-            &format!("threads={threads}"),
-            &parallel,
-        )
-        .assert_identical();
-    }
 }
 
 /// The fused builders match the individual per-figure paths they replaced.

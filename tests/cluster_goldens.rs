@@ -85,7 +85,7 @@ fn corpus_summary_matches_golden() {
 fn sim_fixture_summary_matches_golden() {
     let out = Simulation::run(SimConfig::test(12));
     assert!(out.dataset.len() > 100, "fixture must be non-trivial");
-    let run = ClusterRun::over(&out.dataset, 2, &KMeansConfig::default());
+    let run = ClusterRun::over(&out.dataset, 1, &KMeansConfig::default());
     assert_golden(
         &golden("cluster_sim_summary.tsv.golden"),
         &summary_tsv(&run.output),

@@ -1,18 +1,15 @@
 //! Differential invariance suite for the attacker-clustering pipeline
 //! (ISSUE 10 tentpole), proven with the testkit's `diff_features` /
-//! `diff_clusters` oracles. Four equivalences, all **bit-for-bit**:
+//! `diff_clusters` oracles. Three equivalences, all **bit-for-bit**:
 //!
-//! * `extract_threaded` across thread counts {1, 2, 8} — the integer
-//!   accumulators merge exactly, so sharding cannot move a single bit of
-//!   the normalized matrix or the clustering built on it.
 //! * Streaming feature extraction from a snapshot
 //!   (`features_from_snapshot_stream`, chunk-at-a-time, rows never
 //!   materialized) against extraction over the materialized dataset.
 //! * Snapshot write→load round-trip: clustering the reloaded dataset
 //!   equals clustering the original.
-//! * A proptest that *any* day-aligned partition of the row range, folded
-//!   segment-by-segment and merged in order, finishes to the same matrix
-//!   as the one-shot pass — the associativity the whole design rests on.
+//! * A proptest that cutting the rows *anywhere* — mid-day included — into
+//!   `FeatureFold::ingest_rows` calls finishes to the same matrix as the
+//!   one-shot `extract`: the property the whole design rests on.
 //!
 //! Plus the pinned edge cases: empty store, single client, all-identical
 //! clients (k collapse), and degenerate columns through the NaN guard.
@@ -20,17 +17,14 @@
 use std::sync::OnceLock;
 
 use honeyfarm::cluster::{
-    assignments_tsv, cluster, extract, extract_threaded, features_from_snapshot_stream,
-    summary_text, summary_tsv, unit01, ClusterRun, FeatureFold, FeatureMatrix, HeadMap,
-    KMeansConfig, N_FEATURES,
+    assignments_tsv, cluster, extract, features_from_snapshot_stream, summary_text, summary_tsv,
+    unit01, ClusterRun, FeatureFold, FeatureMatrix, HeadMap, KMeansConfig, N_FEATURES,
 };
 use honeyfarm::farm::SessionStore;
 use honeyfarm::honeypot::ArtifactStore;
 use honeyfarm::prelude::*;
 use honeyfarm::testkit::{diff_clusters, diff_features, Scenario};
 use proptest::prelude::*;
-
-const SECS_PER_DAY: u32 = 86_400;
 
 fn fixture_config() -> SimConfig {
     SimConfig::test(16)
@@ -42,77 +36,24 @@ fn fixture() -> &'static SimOutput {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-count invariance
-// ---------------------------------------------------------------------------
-
-#[test]
-fn feature_extraction_thread_invariant() {
-    let out = fixture();
-    assert!(out.dataset.len() > 100, "fixture must be non-trivial");
-    let serial = extract(&out.dataset).matrix();
-    for threads in [2usize, 8] {
-        let parallel = extract_threaded(&out.dataset, threads).matrix();
-        diff_features(
-            &serial,
-            &parallel,
-            "threads=1",
-            &format!("threads={threads}"),
-        )
-        .assert_identical();
-    }
-}
-
-#[test]
-fn clustering_thread_invariant() {
-    let out = fixture();
-    let cfg = KMeansConfig::default();
-    let serial = ClusterRun::over(&out.dataset, 1, &cfg);
-    assert!(serial.output.k >= 2, "fixture must actually cluster");
-    for threads in [2usize, 8] {
-        let parallel = ClusterRun::over(&out.dataset, threads, &cfg);
-        diff_clusters(
-            &serial.output,
-            &parallel.output,
-            "threads=1",
-            &format!("threads={threads}"),
-        )
-        .assert_identical();
-    }
-}
-
-/// The rendered TSVs — what `hfarm cluster` writes and the goldens pin —
-/// must also be byte-identical across thread counts.
-#[test]
-fn rendered_tsvs_thread_invariant() {
-    let out = fixture();
-    let cfg = KMeansConfig::default();
-    let render = |threads: usize| {
-        let run = ClusterRun::over(&out.dataset, threads, &cfg);
-        (
-            assignments_tsv(&run.features, &run.matrix, &run.output),
-            summary_tsv(&run.output),
-        )
-    };
-    let one = render(1);
-    assert_eq!(one, render(2), "threads=2 TSVs diverged from threads=1");
-    assert_eq!(one, render(8), "threads=8 TSVs diverged from threads=1");
-}
-
-// ---------------------------------------------------------------------------
 // Streaming-vs-materialized and snapshot round-trip
 // ---------------------------------------------------------------------------
 
+/// The fixture in 97-row chunks: many chunks, most ending mid-day, so the
+/// reader's overlapped arm runs (the serial arm under
+/// `HF_SNAPSHOT_NO_OVERLAP`).
 fn snapshot_bytes() -> Vec<u8> {
     let mut bytes = Vec::new();
     fixture()
         .to_snapshot(&fixture_config())
-        .write_to(&mut bytes)
+        .write_to_chunked(&mut bytes, 97)
         .expect("write snapshot");
     bytes
 }
 
 #[test]
 fn streaming_features_match_materialized() {
+    assert!(fixture().dataset.len() > 100, "fixture must be non-trivial");
     let bytes = snapshot_bytes();
     let materialized = extract(&fixture().dataset);
     let (plan, streamed) =
@@ -128,6 +69,7 @@ fn streaming_features_match_materialized() {
 
     let cfg = KMeansConfig::default();
     let mat_run = ClusterRun::finish(materialized, &cfg);
+    assert!(mat_run.output.k >= 2, "fixture must actually cluster");
     let stream_run = ClusterRun::finish(streamed, &cfg);
     diff_clusters(
         &mat_run.output,
@@ -152,58 +94,41 @@ fn snapshot_roundtrip_clusters_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// Partition associativity (proptest)
+// Arbitrary cuts (proptest)
 // ---------------------------------------------------------------------------
-
-/// Row indices where a new day starts (candidate cut points).
-fn day_boundaries(store: &SessionStore) -> Vec<usize> {
-    let rows = store.rows();
-    let mut cuts = Vec::new();
-    for i in 1..rows.len() {
-        if rows[i].start_secs / SECS_PER_DAY != rows[i - 1].start_secs / SECS_PER_DAY {
-            cuts.push(i);
-        }
-    }
-    cuts
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Fold any day-aligned partition of the fixture's rows segment by
-    /// segment, merge the shards in order, and the finished matrix must be
-    /// bit-identical to the one-shot extraction.
+    /// Cut the fixture's rows at arbitrary row indices and fold each piece
+    /// with its own `ingest_rows` call: the finished matrix must be
+    /// bit-identical to the one-shot extraction. Cuts come from every row
+    /// index, so they fall mid-day the way 64 Ki-row snapshot chunk
+    /// boundaries do, and every partition has at least one such cut.
     #[test]
     fn any_day_partition_folds_to_the_same_features(
-        cut_mask in prop::collection::vec(any::<bool>(), 8..32)
+        mut cuts in prop::collection::vec(1..fixture().dataset.len(), 1..12)
     ) {
         let dataset = &fixture().dataset;
         let store = &dataset.sessions;
-        prop_assert!(store.is_day_ordered());
-
-        let boundaries = day_boundaries(store);
-        let cuts: Vec<usize> = boundaries
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *cut_mask.get(i % cut_mask.len()).unwrap_or(&false))
-            .map(|(_, &b)| b)
-            .collect();
+        let rows = store.rows();
+        cuts.sort_unstable();
+        cuts.dedup();
+        prop_assert!(
+            cuts.iter().any(|&c| store.view(c - 1).day() == store.view(c).day()),
+            "no cut falls inside a day: {cuts:?}"
+        );
 
         let mut heads = HeadMap::new();
         heads.sync(&store.commands);
-
-        let mut merged = FeatureFold::new();
-        let mut start = 0usize;
-        for end in cuts.into_iter().chain(std::iter::once(store.len())) {
-            let mut shard = FeatureFold::new();
-            for v in store.iter_range(start..end) {
-                shard.ingest(&dataset.plan, &heads, &v);
-            }
-            merged.merge(shard);
+        let mut fold = FeatureFold::new();
+        let mut start = 0;
+        for end in cuts.into_iter().chain([rows.len()]) {
+            fold.ingest_rows(store, &dataset.plan, &heads, &rows[start..end]);
             start = end;
         }
 
-        let partitioned = merged.finish(dataset.plan.len()).matrix();
+        let partitioned = fold.finish(dataset.plan.len()).matrix();
         let one_shot = extract(dataset).matrix();
         diff_features(&one_shot, &partitioned, "one-shot", "partitioned").assert_identical();
     }
@@ -223,7 +148,7 @@ fn empty_dataset() -> Dataset {
 
 #[test]
 fn empty_store_yields_empty_defined_output() {
-    let run = ClusterRun::over(&empty_dataset(), 4, &KMeansConfig::default());
+    let run = ClusterRun::over(&empty_dataset(), 1, &KMeansConfig::default());
     assert!(run.matrix.is_empty());
     assert_eq!(run.output.k, 0);
     assert!(run.output.assignments.is_empty());

@@ -44,7 +44,7 @@ fn manifest_structure_is_golden_pinned() {
     let _reloaded = SimOutput::from_snapshot(
         Snapshot::read_from(&mut &snapshot_bytes[..]).expect("snapshot decode"),
     );
-    let agg = Aggregates::compute_threaded(&out.dataset, 1);
+    let agg = Aggregates::compute(&out.dataset);
     let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);
     let render_dir = std::env::temp_dir().join(format!("hf-obs-goldens-{}", std::process::id()));
     report.write_dir(&render_dir).expect("render report");

@@ -29,8 +29,8 @@ static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Counter/histogram names whose values are pure functions of the input —
 /// the thread-count-invariant subset the cross-thread comparison keeps.
-/// (Span timings, `sim.shards_executed`, `analysis.shards_folded`, the
-/// `sim.threads` gauge, and per-batch histograms legitimately vary.)
+/// (Span timings, `sim.shards_executed`, the `sim.threads` gauge, and
+/// per-batch histograms legitimately vary.)
 const INVARIANT: &[&str] = &[
     "sim.days_executed",
     "sim.sessions_executed",
@@ -74,7 +74,7 @@ fn run_pipeline(threads: usize, label: &str) -> PipelineRun {
     let reloaded = SimOutput::from_snapshot(
         Snapshot::read_from(&mut &snapshot_bytes[..]).expect("snapshot decode"),
     );
-    let agg = Aggregates::compute_threaded(&out.dataset, threads);
+    let agg = Aggregates::compute(&out.dataset);
     let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);
 
     let dir = std::env::temp_dir().join(format!(

