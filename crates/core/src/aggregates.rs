@@ -17,12 +17,9 @@
 //! * day-grouped state is flushed when the first row of a *later* day
 //!   arrives, not at the end of a call, so a cut inside a day leaves that
 //!   day's buffers open for the next call;
-//! * freshness sightings are deduplicated per day by a set that is likewise
-//!   cleared only on a day change;
-//! * [`StreamingFold::drain_freshness`], run at the end of every call,
-//!   replays a prefix of the pending sightings — those of days strictly
-//!   before the current one — into the serial [`FreshnessSeries`], in
-//!   observation order.
+//! * every hash sighting goes straight into the serial [`FreshnessSeries`],
+//!   in row order, and the series dedupes within a day on its own, so a
+//!   call boundary never reaches it.
 //!
 //! Every cut therefore produces the state and the observation sequence of
 //! a single call (DESIGN.md §9 has the full argument). Rows must be
@@ -324,22 +321,16 @@ impl Aggregates {
 /// The analysis fold over day-ordered sessions (see the module docs).
 ///
 /// The [`Aggregates`] under construction plus the state that lives only
-/// until the current day ends (day flush buffers, the per-day freshness
-/// dedupe set) and the serial [`FreshnessSeries`]. The sim runner ingests
-/// each completed day and retires its rows, a streaming snapshot reader
-/// folds each verified chunk as it arrives, and [`Aggregates::compute`]
+/// until the current day ends (day flush buffers) and the serial
+/// [`FreshnessSeries`]. The sim runner ingests each completed day and
+/// retires its rows, a streaming snapshot reader folds each verified chunk
+/// as it arrives, and [`Aggregates::compute`]
 /// folds a whole materialized store in one call; the same rows in the same
 /// order give the same [`Aggregates`] however they are cut.
 pub struct StreamingFold {
     agg: Aggregates,
     day_state: DayState,
     current_day: u32,
-    /// Hashes already recorded for `current_day` (per-day dedupe of the
-    /// freshness observations).
-    fresh_seen: IdSet,
-    /// Per-day-unique `(day, hash)` sightings not yet replayed through
-    /// `fresh`, in observation order.
-    fresh_pairs: Vec<(u32, u32)>,
     /// Scratch for per-session hash dedupe.
     session_hashes: Vec<u32>,
     fresh: FreshnessSeries,
@@ -352,8 +343,6 @@ impl StreamingFold {
             agg: Aggregates::empty(n_honeypots),
             day_state: DayState::default(),
             current_day: 0,
-            fresh_seen: IdSet::default(),
-            fresh_pairs: Vec::new(),
             session_hashes: Vec::new(),
             fresh: FreshnessSeries::new(),
         }
@@ -368,7 +357,6 @@ impl StreamingFold {
         let day = v.day();
         if day != self.current_day {
             self.agg.flush_day(self.current_day, &mut self.day_state);
-            self.fresh_seen.clear();
             self.current_day = day;
         }
         if day >= self.agg.n_days {
@@ -487,9 +475,7 @@ impl StreamingFold {
                 agg.hp_first_hashes[hp as usize] += 1;
             }
             agg.hp_hashes[hp as usize].insert(hid);
-            if self.fresh_seen.insert(hid) {
-                self.fresh_pairs.push((day, hid));
-            }
+            self.fresh.observe(hid, day);
         }
         if !session_hashes.is_empty() {
             let client = agg.clients.entry(ip).or_default();
@@ -525,48 +511,30 @@ impl StreamingFold {
     }
 
     /// Fold a run of day-ordered rows resolved against `store`'s pools (a
-    /// snapshot chunk, one finished simulated day, or a whole store), then
-    /// drain the freshness series: the one row loop of every caller.
+    /// snapshot chunk, one finished simulated day, or a whole store): the
+    /// one row loop of every caller.
     pub fn ingest_rows(&mut self, store: &SessionStore, plan: &FarmPlan, rows: &[Row]) {
         for row in rows {
             self.ingest(plan, &store.view_row(row));
         }
-        self.drain_freshness();
         hf_obs::counter!("analysis.rows_folded", rows.len() as u64);
     }
 
-    /// Drain the freshness sightings of every *completed* day (strictly
-    /// before the fold's current day) into the sliding-window series, so
-    /// the pending-pair buffer stays bounded by one day's unique hashes.
-    /// The current day's sightings stay pending, as more of its rows may
-    /// come (the series dedupes within a day, so replaying them early would
-    /// be equally exact). Safe to call at any point; callers typically do
-    /// so after each simulated day or each snapshot chunk.
-    pub fn drain_freshness(&mut self) {
-        let current = self.current_day;
-        let cut = self
-            .fresh_pairs
-            .iter()
-            .position(|&(day, _)| day >= current)
-            .unwrap_or(self.fresh_pairs.len());
-        for (day, hid) in self.fresh_pairs.drain(..cut) {
-            self.fresh.observe(hid, day);
-        }
-    }
+    /// Does nothing: [`StreamingFold::ingest`] feeds every hash sighting to
+    /// the freshness series as it folds the row, so nothing is ever
+    /// pending. Kept only for callers that still call it between days or
+    /// chunks (ROADMAP 1(b) deletes it).
+    pub fn drain_freshness(&mut self) {}
 
     /// Sessions folded so far.
     pub fn total_sessions(&self) -> u64 {
         self.agg.total_sessions
     }
 
-    /// Flush the trailing day, replay the remaining freshness sightings,
-    /// and return the finished aggregates. A fold that saw no rows is one
-    /// empty day wide, not zero.
+    /// Flush the trailing day and return the finished aggregates. A fold
+    /// that saw no rows is one empty day wide, not zero.
     pub fn finish(mut self) -> Aggregates {
         self.agg.flush_day(self.current_day, &mut self.day_state);
-        for (day, hid) in self.fresh_pairs.drain(..) {
-            self.fresh.observe(hid, day);
-        }
         let mut agg = self.agg;
         if agg.n_days == 0 {
             agg.grow_days(1);
@@ -749,15 +717,9 @@ mod tests {
     fn streaming_fold_matches_materialized_compute() {
         let ds = small();
         let materialized = Aggregates::compute(&ds);
-        // Replay the store day by day through the streaming fold, draining
-        // freshness at each day boundary like the fold-mode runner does.
+        // Replay the store row by row through the streaming fold.
         let mut fold = StreamingFold::new(ds.plan.len());
-        let mut last_day = 0;
         for v in ds.sessions.iter() {
-            if v.day() != last_day {
-                fold.drain_freshness();
-                last_day = v.day();
-            }
             fold.ingest(&ds.plan, &v);
         }
         let streamed = fold.finish();

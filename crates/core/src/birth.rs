@@ -139,8 +139,7 @@ mod tests {
             seed: 9,
             scale: hf_agents::Scale::of(0.001),
             window: StudyWindow::first_days(140),
-            use_script_cache: false,
-            threads: 1,
+            ..SimConfig::default()
         });
         let agg = Aggregates::compute(&out.dataset);
         let rep = birth_report(&agg);
@@ -164,8 +163,7 @@ mod tests {
             seed: 10,
             scale: hf_agents::Scale::tiny(),
             window: StudyWindow::first_days(100),
-            use_script_cache: false,
-            threads: 1,
+            ..SimConfig::default()
         });
         let agg = Aggregates::compute(&out.dataset);
         let rep = birth_report(&agg);

@@ -150,8 +150,7 @@ mod tests {
             seed,
             scale: hf_agents::Scale::tiny(),
             window: StudyWindow::first_days(25),
-            use_script_cache: false,
-            threads: 1,
+            ..SimConfig::default()
         });
         FarmSightings::from_dataset(&format!("farm-{seed}"), &out.dataset)
     }

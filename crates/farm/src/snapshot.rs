@@ -501,27 +501,26 @@ fn read_decoded_section<R: Read, T>(
 
 /// Streaming hfstore reader: the small, row-count-independent sections
 /// (meta, plan, pools) are materialized by [`SnapshotReader::open`]; the
-/// rows section is then consumed one verified chunk at a time through
-/// [`SnapshotReader::next_chunk`]; [`SnapshotReader::finish`] reads the
-/// tags and hands back the pools-only [`SessionStore`] shell. Peak memory
-/// is the pools plus a single chunk — never the whole rows section.
+/// rows section is then folded one verified chunk at a time by
+/// [`SnapshotReader::fold_chunks`], which reads the tags last and hands
+/// back the pools-only [`SessionStore`] shell. Peak memory is the pools
+/// plus two chunks — never the whole rows section.
 ///
-/// Rows handed out by `next_chunk` are already fully validated (chunk
-/// checksum, enum bytes, interned ids against the pools), so
-/// [`SessionStore::view_row`] against [`SnapshotReader::store`] is safe:
+/// Rows handed to the fold are already fully validated (chunk checksum,
+/// enum bytes, interned ids against the pools), so
+/// [`SessionStore::view_row`] against the store it is handed is safe:
 ///
 /// ```no_run
 /// # fn main() -> Result<(), hf_farm::SnapshotError> {
 /// # let file = std::io::empty();
-/// let mut reader = hf_farm::SnapshotReader::open(file)?;
-/// let mut rows = Vec::new();
-/// while reader.next_chunk(&mut rows)? {
-///     for row in &rows {
-///         let _view = reader.store().view_row(row);
+/// let reader = hf_farm::SnapshotReader::open(file)?;
+/// let (meta, plan, shell, tags) = reader.fold_chunks(|store, _plan, rows| {
+///     for row in rows {
+///         let _view = store.view_row(row);
 ///         // … fold the session …
 ///     }
-/// }
-/// let (meta, plan, shell, tags) = reader.finish()?;
+///     Ok(())
+/// })?;
 /// # Ok(()) }
 /// ```
 pub struct SnapshotReader<R: Read> {
@@ -537,9 +536,6 @@ pub struct SnapshotReader<R: Read> {
     /// Already-validated interned ids, so repeated list references cost a
     /// bit test instead of a pool walk.
     memo: ValidationMemo,
-    /// Reusable raw-bytes buffer for one chunk.
-    data_buf: Vec<u8>,
-    rows_done: bool,
 }
 
 /// The raw, row-agnostic half of the streaming reader: reads one chunk at
@@ -724,14 +720,7 @@ impl<R: Read> SnapshotReader<R> {
                 lists,
             ),
             memo,
-            data_buf: Vec::new(),
-            rows_done: false,
         })
-    }
-
-    /// Run-level metadata.
-    pub fn meta(&self) -> &SnapshotMeta {
-        &self.meta.public
     }
 
     /// The deployment plan.
@@ -739,53 +728,17 @@ impl<R: Read> SnapshotReader<R> {
         &self.plan
     }
 
-    /// The pools-only store shell rows from [`SnapshotReader::next_chunk`]
-    /// resolve against (via [`SessionStore::view_row`]).
-    pub fn store(&self) -> &SessionStore {
-        &self.store
-    }
-
-    /// Total rows the snapshot declares.
-    pub fn n_rows(&self) -> u64 {
-        self.meta.n_rows
-    }
-
-    /// Rows verified and handed out so far.
-    pub fn rows_read(&self) -> u64 {
-        self.raw.rows_read
-    }
-
-    /// Read the next rows chunk into `rows` (replacing its contents).
-    /// Returns `false` once every chunk has been consumed and the chunk
-    /// manifest has verified against the section checksum. Each returned
-    /// chunk is fully validated: chunk checksum, per-row enum bytes, and
-    /// every interned id resolved against the pools.
-    pub fn next_chunk(&mut self, rows: &mut Vec<Row>) -> Result<bool, SnapshotError> {
-        rows.clear();
-        if self.rows_done {
-            return Ok(false);
-        }
-        match self.raw.next_raw(&mut self.data_buf)? {
-            None => {
-                self.rows_done = true;
-                Ok(false)
-            }
-            Some(chunk_rows) => {
-                decode_row_chunk(&self.data_buf, chunk_rows as usize, rows)?;
-                validate_rows(rows, &self.store, &mut self.memo)?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Consume the reader, driving `fold` over every remaining rows chunk,
-    /// then read the tags section and return what [`SnapshotReader::finish`]
-    /// returns. `fold` receives the pools-only store, the plan, and one
-    /// fully-validated chunk of rows per call, in file order.
+    /// Consume the reader, driving `fold` over every rows chunk, then read
+    /// the tags section and return the metadata, plan, pools-only store
+    /// shell and tags. `fold` receives the pools-only store, the plan, and
+    /// one chunk of rows per call, in file order, each fully validated:
+    /// chunk checksum, per-row enum bytes, and every interned id resolved
+    /// against the pools. The chunk manifest is verified against the
+    /// section checksum after the last chunk.
     ///
     /// The stream goes through [`hf_obs::overlapped`]: unless
-    /// `HF_SNAPSHOT_NO_OVERLAP` is set (or at most one chunk remains), a
-    /// helper thread reads and checksums chunk `k + 1` while the calling
+    /// `HF_SNAPSHOT_NO_OVERLAP` is set (or the file has at most one chunk),
+    /// a helper thread reads and checksums chunk `k + 1` while the calling
     /// thread decodes, validates, and folds chunk `k` — the read + SHA-256
     /// side of the stream runs in the shadow of the fold, and results (and
     /// the *first* error, should one surface) are identical to the serial
@@ -804,14 +757,12 @@ impl<R: Read> SnapshotReader<R> {
             plan,
             store,
             mut memo,
-            data_buf,
-            ..
         } = self;
         let mut rows: Vec<Row> = Vec::new();
         hf_obs::overlapped(
-            pipeline_chunks((raw.n_chunks - raw.chunks_read) as usize),
+            pipeline_chunks(raw.n_chunks as usize),
             "snapshot.chunk_wait",
-            [data_buf, Vec::new()],
+            [Vec::new(), Vec::new()],
             |buf| raw.next_raw(buf),
             |chunk_rows, buf| {
                 rows.clear();
@@ -823,19 +774,6 @@ impl<R: Read> SnapshotReader<R> {
         let tags = read_decoded_section(&mut raw.r, 9, decode_tags)?;
         hf_obs::counter!("snapshot.rows_loaded", raw.rows_read);
         Ok((meta.public, plan, store, tags))
-    }
-
-    /// Finish the stream: drain (and verify) any rows chunks the caller
-    /// did not consume, read the tags section, and return the metadata,
-    /// plan, pools-only store shell, and tags.
-    pub fn finish(
-        mut self,
-    ) -> Result<(SnapshotMeta, FarmPlan, SessionStore, TagDb), SnapshotError> {
-        let mut rest = Vec::new();
-        while self.next_chunk(&mut rest)? {}
-        let tags = read_decoded_section(&mut self.raw.r, 9, decode_tags)?;
-        hf_obs::counter!("snapshot.rows_loaded", self.raw.rows_read);
-        Ok((self.meta.public, self.plan, self.store, tags))
     }
 }
 
@@ -1707,7 +1645,7 @@ mod tests {
         let reader = SnapshotReader::open(bytes.as_slice()).expect("open");
         // Unless HF_SNAPSHOT_NO_OVERLAP is set this is the overlapped arm,
         // with chunks still unread when the fold bails at the second one.
-        assert!(reader.raw.n_chunks - reader.raw.chunks_read > 2);
+        assert!(reader.raw.n_chunks > 2);
         let mut calls = 0u32;
         let err = reader
             .fold_chunks(|_, _, _| {

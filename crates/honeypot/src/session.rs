@@ -220,37 +220,6 @@ impl SessionDriver {
         self.idle_secs = 0;
     }
 
-    /// Bulk-append pre-computed shell results to the session — the
-    /// simulator's script-cache fast path. The honeypot semantics (must be
-    /// authenticated, clock advances, idle timer resets) are preserved; only
-    /// the per-command shell emulation is skipped. `exec_secs` is the total
-    /// simulated time the script took.
-    #[allow(clippy::too_many_arguments)]
-    pub fn inject_scripted_results(
-        &mut self,
-        commands: &[hf_shell::CommandRecord],
-        file_hashes: &[hf_hash::Digest],
-        uris: &[String],
-        download_hashes: &[hf_hash::Digest],
-        exec_secs: u32,
-    ) -> bool {
-        if self.finished() || self.phase != Phase::Shell {
-            return false;
-        }
-        if !self.advance_activity(exec_secs) {
-            return false;
-        }
-        self.record.commands.extend_from_slice(commands);
-        self.record.file_hashes.extend_from_slice(file_hashes);
-        self.record.uris.extend_from_slice(uris);
-        self.record
-            .download_hashes
-            .extend_from_slice(download_hashes);
-        self.record.uris.sort();
-        self.record.uris.dedup();
-        true
-    }
-
     /// Client closed the connection.
     pub fn client_close(&mut self) {
         if !self.finished() {

@@ -1,10 +1,9 @@
 //! Typed simulation errors.
 //!
-//! The day loop's prepared paths (pre-parsed scripts for full emulation,
-//! pre-computed outcomes for the script cache) rely on a coverage contract:
-//! the serial pre-pass must visit every plan the workers will execute. A gap
-//! is a caller bug, but it should fail loudly with the missing key — not
-//! panic mid-shard where the unwind obscures which plan was uncovered.
+//! The day loop's prepared scripts rely on a coverage contract: the serial
+//! pre-pass must visit every plan the workers will execute. A gap is a
+//! caller bug, but it should fail loudly with the missing key — not panic
+//! mid-shard where the unwind obscures which plan was uncovered.
 
 /// A simulation-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,12 +28,12 @@ impl std::fmt::Display for SimError {
             SimError::MissingPreparedScript { campaign, variant } => write!(
                 f,
                 "day pre-pass did not prepare campaign {campaign} variant {variant} \
-                 (prepare_day/precompute_day must cover every plan executed)"
+                 (prepare_day must cover every plan executed)"
             ),
             SimError::MissingPreparedRecon { key } => write!(
                 f,
                 "day pre-pass did not prepare recon template {key} \
-                 (prepare_day/precompute_day must cover every plan executed)"
+                 (prepare_day must cover every plan executed)"
             ),
         }
     }

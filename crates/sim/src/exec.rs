@@ -29,6 +29,7 @@ struct CampaignFetcher {
     digest: Digest,
 }
 
+#[cfg(test)]
 impl CampaignFetcher {
     fn new(body: Vec<u8>) -> Self {
         let digest = Sha256::digest(&body);
@@ -46,87 +47,6 @@ impl RemoteFetcher for CampaignFetcher {
 
     fn digest_hint(&self, _uri: &str) -> Option<Digest> {
         Some(self.digest)
-    }
-}
-
-/// Cached outcome of running a fixed script through the shell once: the
-/// content of a session's shell phase, independent of per-session timing.
-#[derive(Debug, Clone, Default)]
-pub struct ScriptOutcome {
-    /// Commands as the shell records them (with redirections, known flags).
-    pub commands: Vec<hf_shell::CommandRecord>,
-    /// File hashes produced.
-    pub file_hashes: Vec<hf_hash::Digest>,
-    /// URIs referenced.
-    pub uris: Vec<String>,
-    /// Download-body hashes.
-    pub download_hashes: Vec<hf_hash::Digest>,
-    /// Number of transfer commands (each adds transfer time + timer reset).
-    pub transfers: u32,
-}
-
-/// Script-result cache: identical campaign variants (and recon templates)
-/// produce identical shell outcomes, so the emulation runs once per distinct
-/// script instead of once per session. DESIGN.md's "shell fast-path"
-/// ablation; disabled by default so timing distributions stay identical to
-/// the reference configuration.
-#[derive(Debug, Default)]
-pub struct ScriptCache {
-    campaigns: std::collections::HashMap<(u32, u32), ScriptOutcome>,
-    recon: std::collections::HashMap<u64, ScriptOutcome>,
-}
-
-impl ScriptCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached outcomes.
-    pub fn len(&self) -> usize {
-        self.campaigns.len() + self.recon.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Serial pre-pass for a day's plans: compute (in plan order) every
-    /// distinct script outcome the plans will need, so that execution can
-    /// read the cache immutably — from any number of worker threads —
-    /// via [`execute_plan_prepared`] without locks.
-    ///
-    /// Plans are visited in order, so each cache key is computed against
-    /// the honeypot profile of the first plan that needs it.
-    pub fn precompute_day(&mut self, ctx: &ExecCtx<'_>, plans: &[SessionPlan]) {
-        for plan in plans {
-            match plan.behavior {
-                Behavior::Script { campaign } => {
-                    let spec = ctx.catalog.get(campaign);
-                    let variant = spec.variant_on(plan.day);
-                    self.campaigns
-                        .entry((campaign.0, variant))
-                        .or_insert_with(|| {
-                            let fetcher =
-                                Box::new(CampaignFetcher::new(spec.payload_bytes(variant)));
-                            compute_outcome(ctx, plan.honeypot, &spec.script(variant), fetcher)
-                        });
-                }
-                Behavior::Recon { variant } => {
-                    let key = recon_key(plan, variant);
-                    self.recon.entry(key).or_insert_with(|| {
-                        compute_outcome(
-                            ctx,
-                            plan.honeypot,
-                            &recon_script(key),
-                            Box::new(hf_shell::NullFetcher),
-                        )
-                    });
-                }
-                _ => {}
-            }
-        }
     }
 }
 
@@ -175,8 +95,8 @@ pub struct PreparedScript {
 /// (campaign, variant) per study, not once per session.
 ///
 /// Entries persist across days (variants repeat), so [`PreparedScripts::prepare_day`]
-/// only fills gaps. Like [`ScriptCache::precompute_day`], the pre-pass runs
-/// serially before workers fan out; the map is then read immutably.
+/// only fills gaps. The pre-pass runs serially before workers fan out; the
+/// map is then read immutably.
 #[derive(Debug, Default)]
 pub struct PreparedScripts {
     campaigns: std::collections::HashMap<(u32, u32), PreparedScript>,
@@ -227,30 +147,6 @@ impl PreparedScripts {
                 _ => {}
             }
         }
-    }
-}
-
-/// Run a command list through a fresh shell and capture its outcome.
-fn compute_outcome(
-    ctx: &ExecCtx<'_>,
-    honeypot: u16,
-    lines: &[String],
-    fetcher: Box<dyn RemoteFetcher>,
-) -> ScriptOutcome {
-    let profile = Arc::clone(&ctx.configs[honeypot as usize].profile);
-    let mut shell = hf_shell::ShellSession::new(profile, fetcher);
-    let mut transfers = 0u32;
-    for line in lines {
-        transfers += transfer_count(line);
-        shell.execute(line);
-    }
-    let ev = shell.take_events();
-    ScriptOutcome {
-        commands: ev.commands,
-        file_hashes: ev.file_events.iter().map(|e| e.sha256).collect(),
-        uris: ev.uris,
-        download_hashes: ev.downloads.iter().map(|(_, h)| *h).collect(),
-        transfers,
     }
 }
 
@@ -318,49 +214,12 @@ pub fn build_configs(plan: &FarmPlan) -> Vec<Arc<HoneypotConfig>> {
         .collect()
 }
 
-/// Execute a plan against a *read-only* script cache, pre-filled for the
-/// day by [`ScriptCache::precompute_day`]. This is the form the parallel
-/// day loop uses: the cache is shared immutably across worker threads, so
-/// a missing entry is a caller bug (the pre-pass must cover every plan it
-/// hands out) and surfaces as a typed [`SimError`] naming the missing key
-/// instead of panicking mid-shard.
-pub fn execute_plan_prepared(
-    ctx: &ExecCtx<'_>,
-    plan: &SessionPlan,
-    tags: &mut TagDb,
-    cache: &ScriptCache,
-) -> Result<SessionRecord, SimError> {
-    let (outcome, tag_info): (&ScriptOutcome, Option<(&str, &str)>) = match plan.behavior {
-        Behavior::Script { campaign } => {
-            let spec = ctx.catalog.get(campaign);
-            let variant = spec.variant_on(plan.day);
-            let outcome = cache.campaigns.get(&(campaign.0, variant)).ok_or(
-                SimError::MissingPreparedScript {
-                    campaign: campaign.0,
-                    variant,
-                },
-            )?;
-            (outcome, Some((spec.tag.label(), spec.name.as_str())))
-        }
-        Behavior::Recon { variant } => {
-            let key = recon_key(plan, variant);
-            let outcome = cache
-                .recon
-                .get(&key)
-                .ok_or(SimError::MissingPreparedRecon { key })?;
-            (outcome, None)
-        }
-        _ => return Ok(execute_plan(ctx, plan, tags)),
-    };
-    Ok(replay_cached(ctx, plan, outcome, tag_info, tags))
-}
-
 /// Execute a plan with full shell emulation against day-prepared scripts:
 /// the real per-session shell runs (fresh VFS, real events, real timing),
 /// but script lines come pre-parsed from [`PreparedScripts::prepare_day`]
-/// and campaign payload digests are pre-computed. Byte-identical to
-/// [`execute_plan`] for the same plan; a missing entry is a pre-pass
-/// coverage bug surfaced as a typed [`SimError`].
+/// and campaign payload digests are pre-computed. Byte-identical to the
+/// test-only reference `execute_plan` for the same plan; a missing entry is
+/// a pre-pass coverage bug surfaced as a typed [`SimError`].
 pub fn execute_plan_full(
     ctx: &ExecCtx<'_>,
     plan: &SessionPlan,
@@ -406,64 +265,13 @@ pub fn execute_plan_full(
     ))
 }
 
-/// The cached path's session: drive a real [`SessionDriver`] through auth
-/// and timing, injecting the cached shell outcome. Byte-identical to
-/// what the slow path records for the same plan, minus shell re-emulation.
-fn replay_cached(
-    ctx: &ExecCtx<'_>,
-    plan: &SessionPlan,
-    outcome: &ScriptOutcome,
-    tag_info: Option<(&str, &str)>,
-    tags: &mut TagDb,
-) -> SessionRecord {
-    let mut rng = SmallRng::seed_from_u64(plan.seed);
-    let client = ctx.pool.get(plan.client);
-    let start = SimInstant::from_day_and_secs(plan.day, plan.start_secs.min(86_399));
-    let config = Arc::clone(&ctx.configs[plan.honeypot as usize]);
-    let fixed_password = match plan.behavior {
-        Behavior::Script { campaign } => ctx.catalog.get(campaign).fixed_password,
-        _ => None,
-    };
-    let mut driver = SessionDriver::accept(
-        config,
-        plan.honeypot,
-        plan.protocol,
-        client.ip,
-        rng.gen_range(1024..65_535),
-        start,
-        Box::new(hf_shell::NullFetcher),
-    );
-    if plan.protocol == Protocol::Ssh {
-        driver.client_banner(CLIENT_BANNERS[rng.gen_range(0..CLIENT_BANNERS.len())]);
-    }
-    login(&mut driver, ctx, fixed_password, &mut rng);
-    // Script time: per-command think plus transfer time, like the slow path.
-    let exec_secs: u32 = (0..outcome.commands.len())
-        .map(|_| rng.gen_range(1..5))
-        .sum();
-    driver.inject_scripted_results(
-        &outcome.commands,
-        &outcome.file_hashes,
-        &outcome.uris,
-        &outcome.download_hashes,
-        exec_secs.min(170),
-    );
-    for _ in 0..outcome.transfers {
-        driver.external_transfer(rng.gen_range(2..120));
-    }
-    close_or_idle_out(&mut driver, &mut rng, 25);
-    let record = driver.into_record();
-    if let Some((tag, campaign)) = tag_info {
-        tag_hashes(tags, &record, tag, campaign);
-    }
-    record
-}
-
 /// Execute a single plan, returning the finished record and tagging any
-/// produced hashes in `tags`. The reference line executor: every script
-/// line is lexed and rendered as the session types it, transfers are
-/// counted on the fly, and the campaign payload is hashed per session.
-pub fn execute_plan(ctx: &ExecCtx<'_>, plan: &SessionPlan, tags: &mut TagDb) -> SessionRecord {
+/// produced hashes in `tags`. The reference line executor, kept only for
+/// the tests that hold [`execute_plan_full`] to it: every script line is
+/// lexed and rendered as the session types it, transfers are counted on the
+/// fly, and the campaign payload is hashed per session.
+#[cfg(test)]
+fn execute_plan(ctx: &ExecCtx<'_>, plan: &SessionPlan, tags: &mut TagDb) -> SessionRecord {
     let (lines, fetcher): (Vec<String>, Box<dyn RemoteFetcher>) = match plan.behavior {
         Behavior::Script { campaign } => {
             let spec = ctx.catalog.get(campaign);
@@ -495,8 +303,8 @@ pub fn execute_plan(ctx: &ExecCtx<'_>, plan: &SessionPlan, tags: &mut TagDb) -> 
 /// `Recon`/`Script` plan types (empty otherwise) in whatever form the
 /// caller holds it; `run_line` executes one line after `think_secs` and
 /// returns the number of transfers it started, or `None` once the session
-/// has ended. That is the only part [`execute_plan`] and
-/// [`execute_plan_full`] do differently.
+/// has ended. That is the only part [`execute_plan_full`] and its test-only
+/// reference `execute_plan` do differently.
 fn run_session<L>(
     ctx: &ExecCtx<'_>,
     plan: &SessionPlan,
@@ -926,12 +734,11 @@ mod tests {
             crate::error::SimError::MissingPreparedScript { campaign, .. } if campaign == h1.0
         ));
 
-        let empty_cache = ScriptCache::new();
-        let err = execute_plan_prepared(
+        let err = execute_plan_full(
             &c,
             &plan_with(Behavior::Recon { variant: 3 }, Protocol::Ssh),
             &mut tags,
-            &empty_cache,
+            &empty,
         )
         .unwrap_err();
         assert!(matches!(

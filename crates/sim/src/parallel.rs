@@ -1,8 +1,8 @@
 //! Deterministic parallel day execution.
 //!
 //! The simulation's unit of work is one planned session: given the immutable
-//! [`ExecCtx`] and a [`SessionPlan`], `execute_plan*` derives everything else
-//! from the plan's own seed. Sessions within a day therefore have no data
+//! [`ExecCtx`] and a [`SessionPlan`], `execute_plan_full` derives everything
+//! else from the plan's own seed. Sessions within a day therefore have no data
 //! dependencies on each other — the only cross-session state is *recording*
 //! (the collector's ingest order and the tag database's first-wins rule),
 //! and both are functions of plan order alone.
@@ -14,9 +14,8 @@
 //!    unique key; see `Ecosystem::plan_day`).
 //! 2. The plan slice is split into `threads` *contiguous* chunks. Each worker
 //!    executes its chunk in order into a private record vector and a private
-//!    [`TagDb`] shard. Workers share nothing mutable — both [`DayMode`]s
-//!    carry day state that was pre-filled serially (pre-parsed scripts or
-//!    pre-computed outcomes) and is read immutably.
+//!    [`TagDb`] shard. Workers share nothing mutable — the day's scripts
+//!    were pre-parsed serially ([`DayMode`]) and are read immutably.
 //! 3. Shards come back from [`hf_obs::map_ordered`] and are merged *in chunk
 //!    order*: record vectors are concatenated (which reproduces the serial
 //!    ingest order exactly, because concatenating in-order chunks of an
@@ -32,62 +31,36 @@ use hf_farm::TagDb;
 use hf_honeypot::SessionRecord;
 
 use crate::error::SimError;
-use crate::exec::{
-    execute_plan_full, execute_plan_prepared, ExecCtx, PreparedScripts, ScriptCache,
-};
+use crate::exec::{execute_plan_full, ExecCtx, PreparedScripts};
 
-/// How a day's sessions are executed. Both variants borrow day state that a
-/// serial pre-pass filled (and that workers read immutably), so the choice
-/// here is purely fidelity-vs-speed:
-///
-/// * [`DayMode::Full`] drives the real honeypot state machine and shell
-///   emulator per session, with scripts pre-parsed once per
-///   `(campaign, variant)` by [`PreparedScripts::prepare_day`].
-/// * [`DayMode::Cached`] replays pre-computed script outcomes filled by
-///   [`ScriptCache::precompute_day`], skipping shell execution entirely.
+/// The day state a day's sessions execute against: full shell emulation
+/// per session, with scripts pre-parsed once per `(campaign, variant)` by
+/// [`PreparedScripts::prepare_day`]. A one-variant enum only so
+/// `DayMode::Full(&prepared)` call sites outside the workspace keep
+/// compiling (ROADMAP 1(b) collapses it into a plain `&PreparedScripts`).
 #[derive(Clone, Copy, Debug)]
 pub enum DayMode<'a> {
     /// Full shell emulation over pre-parsed scripts.
     Full(&'a PreparedScripts),
-    /// Script-cache replay fast path.
-    Cached(&'a ScriptCache),
 }
 
-impl DayMode<'_> {
-    fn min_shard_plans(&self) -> usize {
-        match self {
-            DayMode::Full(_) => MIN_SHARD_PLANS,
-            DayMode::Cached(_) => MIN_SHARD_PLANS_CACHED,
-        }
-    }
-}
-
-/// Minimum plans per worker shard (full shell emulation). Below this,
-/// thread spawn/join overhead outweighs the work — on short days, 8
-/// workers on a few hundred plans ran *slower* than 4 (the old 8-thread
-/// regression). The effective shard count is capped so each shard gets at
-/// least this many plans; the cap never changes output, only how the
-/// (order-preserving) split is cut.
+/// Minimum plans per worker shard. Below this, thread spawn/join overhead
+/// outweighs the work — on short days, 8 workers on a few hundred plans
+/// ran *slower* than 4 (the old 8-thread regression). The effective shard
+/// count is capped so each shard gets at least this many plans; the cap
+/// never changes output, only how the (order-preserving) split is cut.
 pub const MIN_SHARD_PLANS: usize = 192;
-
-/// Minimum plans per worker shard on the script-cache fast path, where
-/// per-session work is much lighter and the same spawn/merge overhead
-/// needs more plans to amortize.
-pub const MIN_SHARD_PLANS_CACHED: usize = 384;
 
 fn execute_chunk(
     ctx: &ExecCtx<'_>,
     chunk: &[SessionPlan],
     mode: DayMode<'_>,
 ) -> Result<(Vec<SessionRecord>, TagDb), SimError> {
+    let DayMode::Full(prepared) = mode;
     let mut records = Vec::with_capacity(chunk.len());
     let mut tags = TagDb::new();
     for plan in chunk {
-        let rec = match mode {
-            DayMode::Full(prepared) => execute_plan_full(ctx, plan, &mut tags, prepared)?,
-            DayMode::Cached(cache) => execute_plan_prepared(ctx, plan, &mut tags, cache)?,
-        };
-        records.push(rec);
+        records.push(execute_plan_full(ctx, plan, &mut tags, prepared)?);
     }
     Ok((records, tags))
 }
@@ -98,11 +71,11 @@ fn execute_chunk(
 /// Callers consume shards in order (ingest shard 0's records, then shard
 /// 1's, …; fold tags with [`TagDb::merge`]) which reproduces the serial
 /// execution exactly while skipping the whole-day record concatenation the
-/// old single-vector API paid. The `mode`'s day state must already cover
-/// these plans (see [`DayMode`]); a gap surfaces as `Err(SimError)` naming
-/// the missing key. Shards fan out through [`hf_obs::map_ordered`], so a
-/// single shard runs inline and a worker panic (a bug, not a coverage gap)
-/// is resumed on the caller's thread.
+/// old single-vector API paid. The `mode`'s prepared scripts must already
+/// cover these plans (see [`DayMode`]); a gap surfaces as `Err(SimError)`
+/// naming the missing key. Shards fan out through [`hf_obs::map_ordered`],
+/// so a single shard runs inline and a worker panic (a bug, not a coverage
+/// gap) is resumed on the caller's thread.
 pub fn execute_day_shards(
     ctx: &ExecCtx<'_>,
     plans: &[SessionPlan],
@@ -110,7 +83,7 @@ pub fn execute_day_shards(
     mode: DayMode<'_>,
 ) -> Result<Vec<(Vec<SessionRecord>, TagDb)>, SimError> {
     let threads = threads.max(1);
-    let max_useful = plans.len().div_ceil(mode.min_shard_plans()).max(1);
+    let max_useful = plans.len().div_ceil(MIN_SHARD_PLANS).max(1);
     let shards_n = threads.min(max_useful);
     // One shard is the whole day, even an empty one.
     let chunks: Vec<&[SessionPlan]> = if shards_n == 1 {
@@ -161,7 +134,7 @@ mod tests {
         (eco, plans)
     }
 
-    fn run(threads: usize, use_cache: bool) -> (Vec<SessionRecord>, TagDb) {
+    fn run(threads: usize) -> (Vec<SessionRecord>, TagDb) {
         let (eco, plans) = day_plans();
         let configs = build_configs(&eco.plan);
         let ctx = ExecCtx {
@@ -171,15 +144,9 @@ mod tests {
             creds: &eco.creds,
             pool: eco.pool_ref(),
         };
-        if use_cache {
-            let mut cache = ScriptCache::new();
-            cache.precompute_day(&ctx, &plans);
-            execute_day_sharded(&ctx, &plans, threads, DayMode::Cached(&cache)).unwrap()
-        } else {
-            let mut prepared = PreparedScripts::new();
-            prepared.prepare_day(&ctx, &plans);
-            execute_day_sharded(&ctx, &plans, threads, DayMode::Full(&prepared)).unwrap()
-        }
+        let mut prepared = PreparedScripts::new();
+        prepared.prepare_day(&ctx, &plans);
+        execute_day_sharded(&ctx, &plans, threads, DayMode::Full(&prepared)).unwrap()
     }
 
     fn assert_same(a: &(Vec<SessionRecord>, TagDb), b: &(Vec<SessionRecord>, TagDb)) {
@@ -193,18 +160,10 @@ mod tests {
 
     #[test]
     fn sharded_execution_is_thread_count_invariant() {
-        let one = run(1, false);
+        let one = run(1);
         assert!(!one.0.is_empty());
         for threads in [2, 3, 4, 7] {
-            assert_same(&run(threads, false), &one);
-        }
-    }
-
-    #[test]
-    fn sharded_execution_with_cache_is_thread_count_invariant() {
-        let one = run(1, true);
-        for threads in [2, 4] {
-            assert_same(&run(threads, true), &one);
+            assert_same(&run(threads), &one);
         }
     }
 

@@ -34,7 +34,7 @@ use hf_honeypot::{ArtifactStore, SessionRecord};
 use hf_simclock::StudyWindow;
 
 use crate::error::SimError;
-use crate::exec::{build_configs, ExecCtx, PreparedScripts, ScriptCache};
+use crate::exec::{build_configs, ExecCtx, PreparedScripts};
 use crate::parallel::{execute_day_shards, DayMode};
 
 /// Simulation configuration (mirrors [`EcosystemConfig`]).
@@ -46,10 +46,10 @@ pub struct SimConfig {
     pub scale: Scale,
     /// Observation window.
     pub window: StudyWindow,
-    /// Use the script-result cache (shell content computed once per distinct
-    /// campaign variant / recon template). Roughly halves simulation time on
-    /// command-heavy runs; session *content* is identical, only per-session
-    /// timing randomness differs from the reference path. Default off.
+    /// No longer an option: must be `false`, or the run panics. Every
+    /// session runs its script through the real shell. The field stays only
+    /// so exhaustive `SimConfig` literals outside the workspace keep
+    /// compiling; ROADMAP 1(b) deletes it. Write `..SimConfig::default()`.
     pub use_script_cache: bool,
     /// Worker threads that execute each batch of plans. `1` (the default)
     /// executes a batch inline in plan order; `N > 1` shards it across `N`
@@ -225,8 +225,8 @@ pub struct Simulation;
 
 impl Simulation {
     /// Run the full window, keeping every row. A day pre-pass coverage gap
-    /// (a `prepare_day` / `precompute_day` bug) panics with the typed
-    /// [`SimError`] naming the missing key.
+    /// (a `prepare_day` bug) panics with the typed [`SimError`] naming the
+    /// missing key.
     pub fn run(config: SimConfig) -> SimOutput {
         Self::run_days(config, DayRows::Keep, |_, _, _| {})
     }
@@ -296,6 +296,12 @@ impl Simulation {
         rows: DayRows,
         after_day: &mut dyn FnMut(&SessionStore, &FarmPlan, &[Row]),
     ) -> Result<(Collector, TagDb, usize), SimError> {
+        assert!(
+            !config.use_script_cache,
+            "SimConfig::use_script_cache is no longer an option: the script cache \
+             was deleted and every session runs through the shell; leave it false \
+             (ROADMAP 1(b) removes the field)"
+        );
         let mut eco = Ecosystem::new(EcosystemConfig {
             seed: config.seed,
             scale: config.scale,
@@ -305,10 +311,9 @@ impl Simulation {
         let mut collector =
             Collector::with_capacity(&eco.world, eco.plan.clone(), eco.estimated_sessions());
         let mut tags = TagDb::new();
-        // Both per-day pre-passes persist across days: campaign variants
-        // repeat day after day, so parse/outcome work amortizes across the
-        // whole window, not just within one day.
-        let mut cache = ScriptCache::new();
+        // The per-day pre-pass persists across days: campaign variants
+        // repeat day after day, so parsing amortizes across the whole
+        // window, not just within one day.
         let mut prepared = PreparedScripts::new();
         let days = config.window.num_days();
         let threads = config.threads.max(1);
@@ -351,23 +356,14 @@ impl Simulation {
                     pool: eco.pool_ref(),
                 };
                 // Serial pre-pass, once per day: parse each distinct
-                // campaign/recon script once (or pre-compute its cached
-                // outcome), then execute the batch through the shard
-                // machinery. With `threads == 1` the single shard runs
-                // inline — same plan order, no spawn.
+                // campaign/recon script once, then execute the batch
+                // through the shard machinery. With `threads == 1` the
+                // single shard runs inline — same plan order, no spawn.
                 if start == 0 {
-                    if config.use_script_cache {
-                        cache.precompute_day(&ctx, &plans);
-                    } else {
-                        prepared.prepare_day(&ctx, &plans);
-                    }
+                    prepared.prepare_day(&ctx, &plans);
                 }
-                let mode = if config.use_script_cache {
-                    DayMode::Cached(&cache)
-                } else {
-                    DayMode::Full(&prepared)
-                };
                 let end = plans.len().min(start + batch);
+                let mode = DayMode::Full(&prepared);
                 shards.extend(execute_day_shards(&ctx, &plans[start..end], threads, mode)?);
                 let day_done = end == plans.len();
                 if day_done {
@@ -580,40 +576,12 @@ mod tests {
     }
 
     #[test]
-    fn script_cache_preserves_session_content() {
-        let mut slow_cfg = SimConfig::test(8);
-        let mut fast_cfg = SimConfig::test(8);
-        slow_cfg.use_script_cache = false;
-        fast_cfg.use_script_cache = true;
-        let slow = Simulation::run(slow_cfg);
-        let fast = Simulation::run(fast_cfg);
-        // Same session count and identical hash/command/URI universes; only
-        // per-session timing randomness differs between the paths.
-        assert_eq!(slow.dataset.len(), fast.dataset.len());
-        let digests = |out: &SimOutput| {
-            let mut v: Vec<_> = out
-                .dataset
-                .sessions
-                .digests
-                .iter()
-                .map(|(_, d)| d)
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(digests(&slow), digests(&fast));
-        assert_eq!(slow.tags.len(), fast.tags.len());
-        let cmd_count = |out: &SimOutput| {
-            out.dataset
-                .sessions
-                .iter()
-                .map(|v| v.n_commands())
-                .sum::<usize>()
-        };
-        assert_eq!(cmd_count(&slow), cmd_count(&fast));
-        let uri_sessions =
-            |out: &SimOutput| out.dataset.sessions.iter().filter(|v| v.has_uri()).count();
-        assert_eq!(uri_sessions(&slow), uri_sessions(&fast));
+    #[should_panic(expected = "use_script_cache is no longer an option")]
+    fn script_cache_is_refused() {
+        Simulation::run(SimConfig {
+            use_script_cache: true,
+            ..SimConfig::test(2)
+        });
     }
 
     #[test]

@@ -18,8 +18,7 @@ fn main() {
         seed: 7,
         scale: Scale::of(0.002),
         window: StudyWindow::first_days(240),
-        use_script_cache: false,
-        threads: 1,
+        ..SimConfig::default()
     };
     eprintln!("simulating 240 days …");
     let out = Simulation::run(config);

@@ -18,8 +18,7 @@ fn run_farm(name: &str, seed: u64) -> FarmSightings {
         seed,
         scale: Scale::of(0.002),
         window: StudyWindow::first_days(180),
-        use_script_cache: false,
-        threads: 1,
+        ..SimConfig::default()
     });
     println!(
         "{name}: {} sessions, {} hashes",

@@ -13,8 +13,7 @@ fn main() {
         seed: 42,
         scale: Scale::of(0.002),
         window: StudyWindow::first_days(60),
-        use_script_cache: false,
-        threads: 1,
+        ..SimConfig::default()
     };
     println!(
         "simulating 60 days of honeyfarm traffic (seed {}) …",

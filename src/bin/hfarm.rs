@@ -1,7 +1,7 @@
 //! `hfarm` — command-line front door to the honeyfarm reproduction suite.
 //!
 //! ```text
-//! hfarm simulate [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE] [--fast]
+//! hfarm simulate [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE]
 //!                [--threads N] [--fold] [--metrics DIR]
 //!     Simulate the study window, write every table/figure + claims, and
 //!     persist the collected run as an hfstore snapshot. Each finished day
@@ -15,7 +15,7 @@
 //!     folding its rows chunk by chunk as they are read (one serial fold,
 //!     memory bounded by a chunk plus the aggregates); output is
 //!     byte-identical to the producing simulate.
-//! hfarm cluster  [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE] [--fast]
+//! hfarm cluster  [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE]
 //!                [--threads N] [--metrics DIR] [--k N]
 //!     Cluster attackers: extract per-client behavioural features
 //!     (credentials, command n-grams, timing, ident, geography, taxonomy
@@ -26,11 +26,11 @@
 //!     Writes `cluster_assignments.tsv` + `cluster_summary.tsv` into
 //!     `--out` and prints the per-cluster summary; output is bit-identical
 //!     across thread counts and sources. `--k` pins k and skips the sweep.
-//!     `--scale`, `--days`, `--seed`, `--fast` and `--threads` shape the
-//!     live sim; each is a usage error with `--snapshot`.
-//! hfarm claims   [--scale F] [--days N] [--seed S] [--fast] [--threads N]
+//!     `--scale`, `--days`, `--seed` and `--threads` shape the live sim;
+//!     each is a usage error with `--snapshot`.
+//! hfarm claims   [--scale F] [--days N] [--seed S] [--threads N]
 //!     Print the headline findings only (out-of-core, like `simulate --fold`).
-//! hfarm birth    [--scale F] [--days N] [--seed S] [--fast] [--threads N]
+//! hfarm birth    [--scale F] [--days N] [--seed S] [--threads N]
 //!     Print the farm-discovery timeline (Section 9; out-of-core likewise).
 //! hfarm serve    [--snapshot FILE] [--nodes N] [--metrics DIR] [--ssh-port P]
 //!                [--telnet-port P] [--per-ip-cap N] [--wall-timeout S] [--virtual-time]
@@ -47,7 +47,7 @@
 //!     serve` so client and server each get their own fd budget) and
 //!     enforce the ingest-accounting invariant: every driven connection is
 //!     either ingested or rejected, none lost.
-//! hfarm verify   [--scale F] [--days N] [--seed S] [--fast] [--threads N] [--claims] [--md]
+//! hfarm verify   [--scale F] [--days N] [--seed S] [--threads N] [--claims] [--md]
 //!                [--scenarios DIR] [--metrics DIR]
 //!     Run the correctness oracles end-to-end: thread-count differential
 //!     (1 vs 2 vs 8), snapshot round-trip equivalence, optional scenario
@@ -86,7 +86,6 @@ struct Common {
     out: PathBuf,
     snapshot: PathBuf,
     nodes: u16,
-    fast: bool,
     threads: usize,
     claims: bool,
     md: bool,
@@ -129,7 +128,7 @@ const SIMS: &[&str] = &["simulate", "cluster", "claims", "birth", "verify"];
 /// Every flag, stated once: parsing, defaults, per-subcommand rejection,
 /// range validation and the usage text all derive from this table.
 #[rustfmt::skip]
-const FLAGS: [Flag; 23] = [
+const FLAGS: [Flag; 22] = [
     Flag { name: "--scale", arg: "F", default: Some("0.005"), cmds: SIMS,
            set: |c, v| scale(v).map(|x| c.scale = x) },
     Flag { name: "--days", arg: "N", default: Some("486"), cmds: SIMS,
@@ -145,8 +144,6 @@ const FLAGS: [Flag; 23] = [
            set: |c, v| store(&mut c.snapshot, v.into()) },
     Flag { name: "--nodes", arg: "N", default: Some("3"), cmds: &["serve", "loadgen"],
            set: |c, v| at_least(v, 1).map(|n| c.nodes = n) },
-    Flag { name: "--fast", arg: "", default: None, cmds: SIMS,
-           set: |c, _| store(&mut c.fast, true) },
     Flag { name: "--threads", arg: "N", default: Some("1"), cmds: SIMS,
            set: |c, v| at_least(v, 1).map(|n| c.threads = n) },
     Flag { name: "--claims", arg: "", default: None, cmds: &["verify"],
@@ -318,8 +315,8 @@ fn sim_config(c: &Common) -> SimConfig {
         seed: c.seed,
         scale: Scale::of(c.scale),
         window: StudyWindow::first_days(c.days),
-        use_script_cache: c.fast,
         threads: c.threads,
+        ..SimConfig::default()
     }
 }
 
@@ -344,7 +341,7 @@ fn source(cmd: &str, c: &Common) -> Source {
         ),
         "simulate" if !c.fold => Source::Sim,
         "cluster" if !c.given("--snapshot") => Source::SimFold,
-        "cluster" => match c.first_given(&["--scale", "--days", "--seed", "--fast", "--threads"]) {
+        "cluster" => match c.first_given(&["--scale", "--days", "--seed", "--threads"]) {
             Some(name) => usage(
                 cmd,
                 &format!("{name} shapes the live sim and --snapshot reads a file: drop one"),
@@ -644,8 +641,7 @@ fn verify(c: &Common) -> ! {
         seed: c.seed,
         scale: Scale::of(c.scale),
         window: StudyWindow::first_days(days),
-        use_script_cache: c.fast,
-        threads: 1,
+        ..SimConfig::default()
     };
     eprintln!(
         "verify: differential run over {days} days at scale {} …",
@@ -729,8 +725,8 @@ fn verify(c: &Common) -> ! {
             seed: 0x0e0e_fa20,
             scale: Scale::of(0.002),
             window: StudyWindow::paper(),
-            use_script_cache: false,
             threads: c.threads,
+            ..SimConfig::default()
         });
         let ctx = claims_oracle::ClaimCtx::new(&out);
         let results = claims_oracle::evaluate(&ctx);

@@ -171,28 +171,32 @@ fn chunked_snapshot(rows_per_chunk: u32) -> Vec<u8> {
 
 /// Steady-state chunk decode allocates nothing: after the first chunk has
 /// grown the reader's scratch (row buffer, raw-chunk buffer — the manifest
-/// is pre-reserved at open), every further `next_chunk` reuses it. This is
-/// the zero-copy codec contract: fixed-offset field views over one reused
-/// byte buffer, no per-row or per-field allocation.
+/// is pre-reserved at open), every further chunk `fold_chunks` reads,
+/// verifies, decodes and validates reuses it. This is the zero-copy codec
+/// contract: fixed-offset field views over one reused byte buffer, no
+/// per-row or per-field allocation. The count runs from inside the fold
+/// closure, on the serial arm (`chunked_snapshot` turns overlap off), from
+/// the end of the first chunk to the end of the last.
 #[test]
 fn steady_state_chunk_reads_allocate_nothing() {
     let bytes = chunked_snapshot(64);
-    let mut reader = honeyfarm::farm::SnapshotReader::open(&bytes[..]).expect("open snapshot");
-    let mut rows = Vec::new();
-
-    // Warmup: the first chunk sizes rows + the raw chunk buffer.
-    assert!(reader.next_chunk(&mut rows).expect("first chunk"));
-    let mut chunks = 1u32;
-
-    let before = allocation_count();
-    while reader.next_chunk(&mut rows).expect("next chunk") {
-        chunks += 1;
-    }
-    let delta = allocation_count() - before;
+    let reader = honeyfarm::farm::SnapshotReader::open(&bytes[..]).expect("open snapshot");
+    let (mut chunks, mut first, mut last) = (0u32, 0u64, 0u64);
+    reader
+        .fold_chunks(|_, _, _| {
+            chunks += 1;
+            last = allocation_count();
+            if chunks == 1 {
+                first = last;
+            }
+            Ok(())
+        })
+        .expect("stream snapshot");
+    let delta = last - first;
     assert!(chunks > 10, "want a many-chunk stream, got {chunks}");
     assert_eq!(
         delta, 0,
-        "steady-state next_chunk must not allocate \
+        "steady-state chunk reads must not allocate \
          (got {delta} allocations over {chunks} chunks)"
     );
 }

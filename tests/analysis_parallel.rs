@@ -22,8 +22,7 @@ fn run_small() -> SimOutput {
         seed: 0xa11a,
         scale: Scale::of(0.001),
         window: StudyWindow::first_days(30),
-        use_script_cache: false,
-        threads: 1,
+        ..SimConfig::default()
     })
 }
 

@@ -260,7 +260,7 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
     let dir = workdir("table");
     let out_dir = dir.join("out");
     let snap = dir.join("never.hfstore");
-    let cases: [(&[&str], &str); 25] = [
+    let cases: [(&[&str], &str); 29] = [
         (&["simulate", "--days", "0"], "--days"),
         (&["simulate", "--days", "487"], "--days"),
         (&["simulate", "--scale", "0"], "--scale"),
@@ -281,6 +281,11 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
         ),
         (&["report", "--streaming"], "unknown flag --streaming"),
         (&["cluster", "--streaming"], "unknown flag --streaming"),
+        (&["simulate", "--fast"], "unknown flag --fast"),
+        (&["cluster", "--fast"], "unknown flag --fast"),
+        (&["claims", "--fast"], "unknown flag --fast"),
+        (&["birth", "--fast"], "unknown flag --fast"),
+        (&["verify", "--fast"], "unknown flag --fast"),
         (&["simulate", "--k", "3"], "simulate does not read --k"),
         (&["cluster", "--fold"], "cluster does not read --fold"),
         // Below, `cluster` is also handed `--snapshot`: a file is no sim.
@@ -290,7 +295,6 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
         ),
         (&["cluster", "--days", "5"], "--days shapes the live sim"),
         (&["cluster", "--seed", "1"], "--seed shapes the live sim"),
-        (&["cluster", "--fast"], "--fast shapes the live sim"),
         (
             &["cluster", "--threads", "2"],
             "--threads shapes the live sim",

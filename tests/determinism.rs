@@ -1,27 +1,27 @@
 //! Parallel-execution determinism, proven with the testkit's differential
 //! oracles: `threads = N` must be bit-identical to `threads = 1` — same
 //! session rows in the same order, same digest universe, same artifact
-//! metadata, same tag database — within each script-cache setting, and the
-//! collector must be invariant to ingest batching. On divergence the oracle
-//! names the exact field (`rows[i].client_port: 2 != 999`) instead of
-//! failing on an opaque struct comparison.
+//! metadata, same tag database — and the collector must be invariant to
+//! ingest batching. On divergence the oracle names the exact field
+//! (`rows[i].client_port: 2 != 999`) instead of failing on an opaque struct
+//! comparison.
 
 use honeyfarm::prelude::*;
 use honeyfarm::testkit::{assert_outputs_identical, diff_sim_outputs};
 
-fn run(threads: usize, use_script_cache: bool) -> SimOutput {
-    let mut cfg = SimConfig::test(8);
-    cfg.threads = threads;
-    cfg.use_script_cache = use_script_cache;
-    Simulation::run(cfg)
+fn run(threads: usize) -> SimOutput {
+    Simulation::run(SimConfig {
+        threads,
+        ..SimConfig::test(8)
+    })
 }
 
 #[test]
 fn thread_counts_bit_identical() {
-    let serial = run(1, false);
+    let serial = run(1);
     assert!(serial.dataset.len() > 100, "fixture must be non-trivial");
-    for threads in [2usize, 8] {
-        let parallel = run(threads, false);
+    for threads in [2usize, 4, 8] {
+        let parallel = run(threads);
         assert_outputs_identical(
             "threads=1",
             &serial,
@@ -32,17 +32,10 @@ fn thread_counts_bit_identical() {
 }
 
 #[test]
-fn four_threads_bit_identical_to_one_with_script_cache() {
-    let serial = run(1, true);
-    let parallel = run(4, true);
-    assert_outputs_identical("threads=1+cache", &serial, "threads=4+cache", &parallel);
-}
-
-#[test]
 fn repeat_runs_bit_identical() {
     // Same config, fresh process state: the engine has no hidden
     // nondeterminism (hash-map iteration, time, &c.).
-    let report = diff_sim_outputs("first", &run(1, false), "second", &run(1, false));
+    let report = diff_sim_outputs("first", &run(1), "second", &run(1));
     assert!(report.is_identical(), "{}", report.render());
 }
 

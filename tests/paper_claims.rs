@@ -21,8 +21,7 @@ fn fixture() -> &'static SimOutput {
             seed: 0x0e0e_fa20,
             scale: Scale::of(0.002),
             window: StudyWindow::paper(),
-            use_script_cache: false,
-            threads: 1,
+            ..SimConfig::default()
         };
         let serial = Simulation::run(base.clone());
         let parallel = Simulation::run(SimConfig { threads: 8, ..base });

@@ -9,8 +9,7 @@ fn run_small() -> (SimOutput, Aggregates) {
         seed: 1234,
         scale: Scale::of(0.001),
         window: StudyWindow::first_days(45),
-        use_script_cache: false,
-        threads: 1,
+        ..SimConfig::default()
     });
     let agg = Aggregates::compute(&out.dataset);
     (out, agg)

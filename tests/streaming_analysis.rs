@@ -36,8 +36,7 @@ fn assert_fold_matches(scale: f64, days: u32, threads: usize) {
         seed: 0x57e4,
         scale: Scale::of(scale),
         window: StudyWindow::first_days(days),
-        use_script_cache: false,
-        threads: 1,
+        ..SimConfig::default()
     };
     let out = Simulation::run(config.clone());
     let agg = Aggregates::compute(&out.dataset);
