@@ -177,9 +177,9 @@ impl Ecosystem {
     /// The returned vector is in a *total* deterministic order — sorted by
     /// `(start_secs, honeypot, client, seed)`, a key that is unique per plan
     /// in practice — not merely chronological. Downstream consumers rely on
-    /// this: `hf-sim` shards the vector into contiguous chunks for parallel
-    /// execution and merges results back in chunk order, which is only
-    /// reproducible because the order here is already fully determined.
+    /// this: `hf-sim` executes the vector in batches and ingests them in
+    /// order, which is only reproducible because the order here is already
+    /// fully determined.
     pub fn plan_day(&mut self, day: u32) -> Vec<SessionPlan> {
         let mut out = Vec::new();
         let seed = self.config.seed;

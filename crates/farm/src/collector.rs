@@ -81,9 +81,8 @@ impl Collector {
     /// Ingest a batch of finished sessions in slice order.
     ///
     /// Order matters: artifact `first_seen` and store row order follow
-    /// ingest order, so callers merging per-worker outputs must concatenate
-    /// them in plan order before calling this (see `hf-sim`'s parallel
-    /// day execution).
+    /// ingest order, so callers must hand batches over in plan order (see
+    /// `hf-sim`'s day loop).
     pub fn ingest_batch(&mut self, recs: &[SessionRecord]) {
         let _span = hf_obs::span!("farm.ingest_batch");
         hf_obs::observe!("farm.batch_sessions", recs.len());

@@ -43,12 +43,12 @@ impl TagDb {
 
     /// Absorb another database, keeping existing entries on conflict.
     ///
-    /// Combined with first-wins [`TagDb::record`], merging per-shard
+    /// Combined with first-wins [`TagDb::record`], merging per-batch
     /// databases in plan order reproduces exactly the database a serial run
-    /// records: an entry present in several shards keeps the earliest
-    /// shard's association, which is the earliest plan's. Within one merge
+    /// records: an entry present in several batches keeps the earliest
+    /// batch's association, which is the earliest plan's. Within one merge
     /// the iteration order of `other` is irrelevant — each hash occurs at
-    /// most once per shard.
+    /// most once per batch.
     pub fn merge(&mut self, other: TagDb) {
         if self.map.is_empty() {
             self.map = other.map;

@@ -118,20 +118,24 @@ impl SessionDriver {
         if self.finished() {
             return false;
         }
-        self.clock = self.clock.add_secs(secs as u64);
-        self.idle_secs += secs;
         let limit = match self.phase {
             Phase::PreAuth => self.config.preauth_timeout_secs,
             Phase::Shell => self.config.idle_timeout_secs,
             Phase::Done(_) => return false,
         };
-        if self.idle_secs >= limit {
-            // Clamp the overshoot: the honeypot fires the timer at the limit.
-            let overshoot = self.idle_secs - limit;
-            self.clock = SimInstant(self.clock.0 - overshoot as u64);
+        // Saturate: idle gaps come from untrusted input (`@hfs idle` over
+        // the wire), and their sum must time the session out, not wrap.
+        let idle = self.idle_secs.saturating_add(secs);
+        if idle >= limit {
+            // The honeypot fires the timer at the limit: only the part of
+            // the gap before it elapses (a live session is under its limit).
+            self.clock = self.clock.add_secs((limit - self.idle_secs) as u64);
+            self.idle_secs = limit;
             self.end(EndReason::Timeout);
             return false;
         }
+        self.clock = self.clock.add_secs(secs as u64);
+        self.idle_secs = idle;
         true
     }
 
@@ -313,6 +317,16 @@ mod tests {
         let r = d.into_record();
         assert_eq!(r.ended_by, EndReason::Timeout);
         assert_eq!(r.duration_secs, 60, "timeout fires exactly at the limit");
+    }
+
+    #[test]
+    fn idle_gaps_summing_past_u32_max_time_out() {
+        let mut d = driver();
+        assert!(d.advance(30));
+        assert!(!d.advance(u32::MAX), "a huge gap times the session out");
+        let r = d.into_record();
+        assert_eq!(r.ended_by, EndReason::Timeout);
+        assert_eq!(r.duration_secs, 60, "the timer fires at the limit");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!    observes: no RNG, no ordering influence, no feedback into any
 //!    simulated or analyzed value. `tests/obs_invariance.rs` proves that a
 //!    metrics-on run produces bit-identical simulation output, snapshots,
-//!    and reports to a metrics-off run at 1, 2, and 8 threads.
+//!    and reports to a metrics-off run.
 //! 2. **Every aggregate is an associative, commutative merge** (the same
 //!    discipline as `Aggregates::merge`): thread-local buffers flush into
 //!    one process-wide [`MetricsSnapshot`] in any order with identical
@@ -36,9 +36,8 @@
 //! ```
 //!
 //! Worker threads buffer locally and must [`flush`] before they exit
-//! ([`map_ordered`], the fan-out the sharded stage goes through, and
-//! [`overlapped`], the two-stage pipeline, do it for them); the thread
-//! calling [`snapshot`]/[`manifest`] flushes itself automatically.
+//! ([`overlapped`], the two-stage pipeline, does it for its helper); the
+//! thread calling [`snapshot`]/[`manifest`] flushes itself automatically.
 
 #![warn(missing_docs)]
 
@@ -167,48 +166,7 @@ pub(crate) fn record_span(name: Name, wall_ns: u64, cpu_ns: u64) {
     LOCAL.with(|l| l.borrow_mut().span_record(name, wall_ns, cpu_ns));
 }
 
-// --------------------------------------------------------------- fan-out --
-
-/// Map `items` through `f` on scoped worker threads and return the results
-/// in item order — the one ordered fan-out behind the sharded stage (the
-/// `hf-sim` day shards). Four guarantees:
-///
-/// 1. A single item runs inline on the calling thread: no spawn/join
-///    round-trip, and its metrics stay in the caller's buffer.
-/// 2. More items run one worker each, and every worker [`flush`]es its
-///    metrics buffer after `f` returns — after every span `f` opened has
-///    dropped — so nothing recorded inside `f` dies with the thread.
-/// 3. Workers are joined in spawn order, so result `i` is `f(items[i])`
-///    whichever worker finished first. Callers that merge the results
-///    front to back therefore merge in item order: join order *is* merge
-///    order, which is what makes the sharded stage thread-count invariant.
-/// 4. A worker panic is re-raised on the caller with its original payload,
-///    not masked by a generic join error.
-pub fn map_ordered<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    if items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| {
-                scope.spawn(move || {
-                    let out = f(item);
-                    flush();
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
-}
+// -------------------------------------------------------------- pipeline --
 
 /// Buffers [`overlapped`] rotates: the helper fills one while the caller
 /// works on the other, so at most two items are alive at once.
@@ -435,68 +393,6 @@ mod tests {
             }
             None => assert!(m.peak_rss_kb().is_none()),
         }
-    }
-
-    #[test]
-    fn map_ordered_keeps_item_order_when_later_items_finish_first() {
-        // Item 0 cannot return until item 1 has: the channel forces the
-        // interleaving where the later item finishes first.
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let items = vec![(0, Some(rx), None), (1, None, Some(tx)), (2, None, None)];
-        let out = map_ordered(items, |(i, wait, done)| {
-            if let Some(rx) = wait {
-                rx.recv().expect("item 1 signals before returning");
-            }
-            if let Some(tx) = done {
-                tx.send(()).expect("item 0 is waiting");
-            }
-            i * 10
-        });
-        assert_eq!(out, vec![0, 10, 20]);
-        assert_eq!(map_ordered(Vec::<u8>::new(), |b| b), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn map_ordered_runs_a_single_item_on_the_calling_thread() {
-        let here = std::thread::current().id();
-        assert_eq!(
-            map_ordered(vec![()], |()| std::thread::current().id()),
-            [here]
-        );
-        let spawned = map_ordered(vec![(), ()], |()| std::thread::current().id());
-        assert!(spawned.iter().all(|&id| id != here));
-    }
-
-    #[test]
-    fn map_ordered_reraises_the_workers_own_panic_payload() {
-        let err = std::panic::catch_unwind(|| {
-            map_ordered(vec![0, 1, 2], |i| {
-                if i == 1 {
-                    panic!("boom");
-                }
-                i
-            })
-        })
-        .expect_err("the worker panic must reach the caller");
-        assert_eq!(err.downcast_ref::<&str>(), Some(&"boom"));
-    }
-
-    #[test]
-    fn map_ordered_workers_flush_their_own_metrics() {
-        let _g = LOCK.lock().unwrap();
-        reset();
-        enable();
-        map_ordered(vec![1u64, 2, 3], |n| {
-            counter!("unit.fanout_events", n);
-            let _s = span!("unit.fanout_shard");
-        });
-        // No flush by the caller: each worker drained its own buffer, after
-        // its span dropped.
-        let snap = registry().clone();
-        disable();
-        reset();
-        assert_eq!(snap.counters["unit.fanout_events"], 6);
-        assert_eq!(snap.spans["unit.fanout_shard"].count, 3);
     }
 
     /// Drive [`overlapped`] over `0..n` with one `Vec<u32>` per item: the

@@ -792,7 +792,7 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("sim.sessions_executed".into(), 1234);
         snap.counters.insert("farm.sessions_ingested".into(), 1234);
-        snap.gauges.insert("sim.threads".into(), 8);
+        snap.gauges.insert("sim.days".into(), 8);
         snap.gauges.insert("neg".into(), -3);
         let mut h = Histogram::new();
         h.record(0);

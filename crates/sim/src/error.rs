@@ -1,9 +1,9 @@
 //! Typed simulation errors.
 //!
-//! The day loop's prepared scripts rely on a coverage contract: the serial
-//! pre-pass must visit every plan the workers will execute. A gap is a
-//! caller bug, but it should fail loudly with the missing key — not panic
-//! mid-shard where the unwind obscures which plan was uncovered.
+//! The day loop's prepared scripts rely on a coverage contract: the day's
+//! pre-pass must visit every plan the day's batches will execute. A gap is
+//! a caller bug, but it should fail loudly with the missing key — not panic
+//! mid-batch where the unwind obscures which plan was uncovered.
 
 /// A simulation-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -95,8 +95,8 @@ pub struct PreparedScript {
 /// (campaign, variant) per study, not once per session.
 ///
 /// Entries persist across days (variants repeat), so [`PreparedScripts::prepare_day`]
-/// only fills gaps. The pre-pass runs serially before workers fan out; the
-/// map is then read immutably.
+/// only fills gaps. The pre-pass runs before the day's first batch
+/// executes; execution then reads the map immutably.
 #[derive(Debug, Default)]
 pub struct PreparedScripts {
     campaigns: std::collections::HashMap<(u32, u32), PreparedScript>,

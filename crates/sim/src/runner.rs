@@ -35,7 +35,7 @@ use hf_simclock::StudyWindow;
 
 use crate::error::SimError;
 use crate::exec::{build_configs, ExecCtx, PreparedScripts};
-use crate::parallel::{execute_day_shards, DayMode};
+use crate::parallel::execute_batch;
 
 /// Simulation configuration (mirrors [`EcosystemConfig`]).
 #[derive(Debug, Clone)]
@@ -51,15 +51,11 @@ pub struct SimConfig {
     /// so exhaustive `SimConfig` literals outside the workspace keep
     /// compiling; ROADMAP 1(b) deletes it. Write `..SimConfig::default()`.
     pub use_script_cache: bool,
-    /// Worker threads that execute each batch of plans. `1` (the default)
-    /// executes a batch inline in plan order; `N > 1` shards it across `N`
-    /// scoped workers with an ordered merge. Both run the same prepared
-    /// pipeline (scripts parsed once per campaign variant per day, not once
-    /// per session) and produce byte-identical output for every thread
-    /// count (see `crate::parallel`). Independently of this, a window of
-    /// more than one day runs as a two-stage pipeline: planning and
-    /// execution on one helper thread, ingest and the fold on the calling
-    /// thread (see [`Simulation::run`]), so `1` keeps two threads busy.
+    /// No longer an option: must be `1`, or the run panics. A window of
+    /// more than one day already runs as a two-stage pipeline (see
+    /// [`Simulation::run_days`]); there is no further fan-out. The field
+    /// stays only so exhaustive `SimConfig` literals outside the workspace
+    /// keep compiling; ROADMAP 1(b) deletes it.
     pub threads: usize,
 }
 
@@ -204,10 +200,10 @@ impl FoldOutput {
 /// loop held.
 const BATCH_PLANS: usize = ROWS_PER_CHUNK as usize;
 
-/// One batch: the records and tag shard of each execution shard, in plan
-/// order. The buffer returns to the producer, which frees the records on
-/// the thread that allocated them.
-type Batch = Vec<(Vec<SessionRecord>, TagDb)>;
+/// One batch: its records in plan order and its tag shard. The buffer
+/// returns to the producer, which frees the records on the thread that
+/// allocated them.
+type Batch = (Vec<SessionRecord>, TagDb);
 
 /// What the day loop does with a finished day's rows once the per-day hook
 /// of [`Simulation::run_days`] has seen them.
@@ -266,11 +262,11 @@ impl Simulation {
     /// batches of at most 65,536 plans, each from one day. The
     /// producer — a helper thread whenever the window has more than one
     /// day — plans each day, runs its script pre-pass, and executes the
-    /// day's batches through [`execute_day_shards`]. The calling thread
-    /// ingests each batch's records and tags in plan order, then runs the
-    /// hook after a day's last batch. Records reach the collector in the
-    /// serial loop's order, so the output is identical on either arm;
-    /// `sim.execute_wait` records how long ingest waited on execution.
+    /// day's batches one after another in plan order. The calling thread
+    /// ingests each batch's records and tags, then runs the hook after a
+    /// day's last batch. Records reach the collector in the serial loop's
+    /// order, so the output is identical on either arm; `sim.execute_wait`
+    /// records how long ingest waited on execution.
     pub fn run_days(
         config: SimConfig,
         rows: DayRows,
@@ -302,6 +298,11 @@ impl Simulation {
              was deleted and every session runs through the shell; leave it false \
              (ROADMAP 1(b) removes the field)"
         );
+        assert_eq!(
+            config.threads, 1,
+            "SimConfig::threads is no longer an option: the day loop's two-stage \
+             pipeline is the only concurrency; leave it 1 (ROADMAP 1(b) removes the field)"
+        );
         let mut eco = Ecosystem::new(EcosystemConfig {
             seed: config.seed,
             scale: config.scale,
@@ -316,8 +317,6 @@ impl Simulation {
         // window, not just within one day.
         let mut prepared = PreparedScripts::new();
         let days = config.window.num_days();
-        let threads = config.threads.max(1);
-        hf_obs::gauge!("sim.threads", threads);
         hf_obs::gauge!("sim.days", days);
         // Producer state: the day being executed, its plans, the first plan
         // of its next batch (`None` between days) and its span, which
@@ -331,11 +330,11 @@ impl Simulation {
         hf_obs::overlapped(
             if overlap { days as usize } else { 1 },
             "sim.execute_wait",
-            [Batch::new(), Batch::new()],
-            |shards: &mut Batch| {
-                // The batch the consumer handed back dies here, on the
-                // thread that allocated it.
-                shards.clear();
+            [Batch::default(), Batch::default()],
+            |batch_out: &mut Batch| {
+                // The records the consumer handed back die here, on the
+                // thread that allocated them.
+                batch_out.0.clear();
                 let start = match next {
                     Some(start) => start,
                     None if day == days => return Ok(None),
@@ -355,16 +354,13 @@ impl Simulation {
                     creds: &eco.creds,
                     pool: eco.pool_ref(),
                 };
-                // Serial pre-pass, once per day: parse each distinct
-                // campaign/recon script once, then execute the batch
-                // through the shard machinery. With `threads == 1` the
-                // single shard runs inline — same plan order, no spawn.
+                // Pre-pass, once per day: parse each distinct
+                // campaign/recon script once, then execute the batch.
                 if start == 0 {
                     prepared.prepare_day(&ctx, &plans);
                 }
                 let end = plans.len().min(start + batch);
-                let mode = DayMode::Full(&prepared);
-                shards.extend(execute_day_shards(&ctx, &plans[start..end], threads, mode)?);
+                execute_batch(&ctx, &plans[start..end], &prepared, batch_out)?;
                 let day_done = end == plans.len();
                 if day_done {
                     next = None;
@@ -375,13 +371,11 @@ impl Simulation {
                 }
                 Ok(Some(day_done))
             },
-            |day_done, shards| {
-                // Ingest shard by shard in shard order — the serial loop's
-                // row and tag order.
-                for (records, shard_tags) in shards.iter_mut() {
-                    collector.ingest_batch(records);
-                    tags.merge(std::mem::take(shard_tags));
-                }
+            |day_done, (records, batch_tags)| {
+                // Batches arrive in plan order: the serial loop's row order,
+                // and `merge` keeps the first tag of each hash.
+                collector.ingest_batch(records);
+                tags.merge(std::mem::take(batch_tags));
                 if day_done {
                     let store = collector.sessions();
                     after_day(store, collector.plan(), &store.rows()[day_start..]);
@@ -408,11 +402,8 @@ mod tests {
     /// the rows the per-day hook was handed, one slice per call.
     type Arm = (Dataset, TagDb, usize, Vec<Vec<Row>>);
 
-    fn run_arm(threads: usize, batch: usize, overlap: bool, rows: DayRows) -> Arm {
-        let config = SimConfig {
-            threads,
-            ..SimConfig::test(8)
-        };
+    fn run_arm(batch: usize, overlap: bool, rows: DayRows) -> Arm {
+        let config = SimConfig::test(8);
         let mut slices = Vec::new();
         let mut days = Vec::new();
         let (collector, tags, n_clients) =
@@ -486,19 +477,16 @@ mod tests {
         // kept. Its hook slices concatenate to its rows (checked in
         // `run_arm`), so every arm that matches its slices matches its rows
         // too, whether it kept them or retired them.
-        let serial = run_arm(1, BATCH_PLANS, false, DayRows::Keep);
+        let serial = run_arm(BATCH_PLANS, false, DayRows::Keep);
         let small = 128;
         for day in &serial.3 {
             assert!(day.len() > 2 * small, "each day splits into ≥ 3 batches");
         }
-        for threads in [1, 2] {
-            for (batch, overlap) in [(BATCH_PLANS, true), (small, false), (small, true)] {
-                for rows in [DayRows::Keep, DayRows::Retire] {
-                    let arm = run_arm(threads, batch, overlap, rows);
-                    let what =
-                        format!("threads={threads} batch={batch} overlap={overlap} {rows:?}");
-                    assert_same_arm(&serial, &arm, &what);
-                }
+        for (batch, overlap) in [(BATCH_PLANS, true), (small, false), (small, true)] {
+            for rows in [DayRows::Keep, DayRows::Retire] {
+                let arm = run_arm(batch, overlap, rows);
+                let what = format!("batch={batch} overlap={overlap} {rows:?}");
+                assert_same_arm(&serial, &arm, &what);
             }
         }
     }
@@ -580,6 +568,15 @@ mod tests {
     fn script_cache_is_refused() {
         Simulation::run(SimConfig {
             use_script_cache: true,
+            ..SimConfig::test(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "SimConfig::threads is no longer an option")]
+    fn more_than_one_thread_is_refused() {
+        Simulation::run(SimConfig {
+            threads: 2,
             ..SimConfig::test(2)
         });
     }

@@ -32,9 +32,11 @@
 //! @hfs transfer <n>           a completed external transfer of n seconds
 //! ```
 //!
-//! Malformed control lines are ignored. Under [`Timing::Wall`] the prefix is
-//! not special: such lines flow through the ordinary protocol paths, exactly
-//! like any other attacker input.
+//! Malformed control lines are ignored, among them a `start` whose `<secs>`
+//! is not below 86400 and an `idle`, `think` or `transfer` whose `<n>` is
+//! not a `u32`. Under [`Timing::Wall`] the prefix is not special: such
+//! lines flow through the ordinary protocol paths, exactly like any other
+//! attacker input.
 //!
 //! # Fault policy
 //!
@@ -65,7 +67,7 @@ use hf_proto::telnet::{
 };
 use hf_proto::Protocol;
 use hf_shell::{NullFetcher, RemoteFetcher, SyntheticFetcher};
-use hf_simclock::SimInstant;
+use hf_simclock::{SimInstant, SECS_PER_DAY};
 
 use crate::stats::FarmStats;
 
@@ -435,8 +437,11 @@ impl SessionConn {
         match word {
             "start" if self.driver.is_none() => {
                 if let Some((d, s)) = args.split_once(char::is_whitespace) {
-                    if let (Ok(day), Ok(secs)) = (d.trim().parse(), s.trim().parse()) {
-                        self.pending_start = Some(SimInstant::from_day_and_secs(day, secs));
+                    if let (Ok(day), Ok(secs)) = (d.trim().parse(), s.trim().parse::<u32>()) {
+                        // A second of day past the day's end is malformed.
+                        if u64::from(secs) < SECS_PER_DAY {
+                            self.pending_start = Some(SimInstant::from_day_and_secs(day, secs));
+                        }
                     }
                 }
             }
@@ -726,6 +731,16 @@ mod tests {
             .expect("preauth timeout");
         assert_eq!(rec.ended_by, EndReason::Timeout);
         assert_eq!(rec.duration_secs, 60, "overshoot clamped to the limit");
+    }
+
+    #[test]
+    fn control_start_past_the_end_of_the_day_is_ignored() {
+        let (mut c, _) = SessionConn::new(params(Protocol::Ssh, Timing::Virtual));
+        let mut out = Vec::new();
+        c.on_input(b"@hfs start 5 86400\n@hfs start 5 86399\n", &mut out);
+        c.on_input(b"@hfs start 6 4294967295\n", &mut out);
+        let rec = c.on_eof();
+        assert_eq!(rec.start, SimInstant::from_day_and_secs(5, 86_399));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hfarm simulate [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE]
-//!                [--threads N] [--fold] [--metrics DIR]
+//!                [--fold] [--metrics DIR]
 //!     Simulate the study window, write every table/figure + claims, and
 //!     persist the collected run as an hfstore snapshot. Each finished day
 //!     is folded into the aggregates as the loop runs; the rows are kept
@@ -16,7 +16,7 @@
 //!     memory bounded by a chunk plus the aggregates); output is
 //!     byte-identical to the producing simulate.
 //! hfarm cluster  [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE]
-//!                [--threads N] [--metrics DIR] [--k N]
+//!                [--metrics DIR] [--k N]
 //!     Cluster attackers: extract per-client behavioural features
 //!     (credentials, command n-grams, timing, ident, geography, taxonomy
 //!     mix), normalize with the fixed DESIGN.md §15 scaling, and run the
@@ -25,12 +25,12 @@
 //!     `--snapshot` file chunk by chunk: either way RSS stays bounded.
 //!     Writes `cluster_assignments.tsv` + `cluster_summary.tsv` into
 //!     `--out` and prints the per-cluster summary; output is bit-identical
-//!     across thread counts and sources. `--k` pins k and skips the sweep.
-//!     `--scale`, `--days`, `--seed` and `--threads` shape the live sim;
-//!     each is a usage error with `--snapshot`.
-//! hfarm claims   [--scale F] [--days N] [--seed S] [--threads N]
+//!     across sources. `--k` pins k and skips the sweep. `--scale`,
+//!     `--days` and `--seed` shape the live sim; each is a usage error with
+//!     `--snapshot`.
+//! hfarm claims   [--scale F] [--days N] [--seed S]
 //!     Print the headline findings only (out-of-core, like `simulate --fold`).
-//! hfarm birth    [--scale F] [--days N] [--seed S] [--threads N]
+//! hfarm birth    [--scale F] [--days N] [--seed S]
 //!     Print the farm-discovery timeline (Section 9; out-of-core likewise).
 //! hfarm serve    [--snapshot FILE] [--nodes N] [--metrics DIR] [--ssh-port P]
 //!                [--telnet-port P] [--per-ip-cap N] [--wall-timeout S] [--virtual-time]
@@ -47,14 +47,13 @@
 //!     serve` so client and server each get their own fd budget) and
 //!     enforce the ingest-accounting invariant: every driven connection is
 //!     either ingested or rejected, none lost.
-//! hfarm verify   [--scale F] [--days N] [--seed S] [--threads N] [--claims] [--md]
+//! hfarm verify   [--scale F] [--days N] [--seed S] [--claims] [--md]
 //!                [--scenarios DIR] [--metrics DIR]
-//!     Run the correctness oracles end-to-end: thread-count differential
-//!     (1 vs 2 vs 8), snapshot round-trip equivalence, optional scenario
-//!     golden checks, and (with --claims) the full declarative
-//!     paper-claims table. `--md` prints the claims table as markdown;
-//!     it and `--threads` apply to the `--claims` fixture run only and
-//!     are usage errors without it.
+//!     Run the correctness oracles end-to-end: repeat-run differential
+//!     (two runs of one config must be identical), snapshot round-trip
+//!     equivalence, optional scenario golden checks, and (with --claims)
+//!     the full declarative paper-claims table. `--md` prints the claims
+//!     table as markdown; it is a usage error without `--claims`.
 //! hfarm metrics DIR
 //!     Parse and summarize a metrics manifest directory previously
 //!     emitted with --metrics (schema check + spans.tsv cross-check).
@@ -62,11 +61,10 @@
 //!
 //! A subcommand rejects (exit 2, nothing written) any flag it does not
 //! read and any value out of range: `--days` is in 1..=486 (the paper's
-//! window), `--threads`, `--k` and `--nodes` are at least 1, `--scale` is
-//! in (0, 1]. `--threads` shapes simulator execution only: every analysis
-//! folds on the calling thread as rows arrive, a day or a chunk at a time.
-//! `--metrics DIR` enables the hf-obs observability layer for
-//! the run and writes `metrics.json` + `spans.tsv` into DIR at exit.
+//! window), `--k` and `--nodes` are at least 1, `--scale` is in (0, 1].
+//! Every analysis folds on the calling thread as rows arrive, a day or a
+//! chunk at a time. `--metrics DIR` enables the hf-obs observability layer
+//! for the run and writes `metrics.json` + `spans.tsv` into DIR at exit.
 //! Recording never changes any simulation, snapshot, or report byte
 //! (enforced by `tests/obs_invariance.rs`). The synopsis above is checked
 //! against [`FLAGS`] by a unit test.
@@ -86,7 +84,6 @@ struct Common {
     out: PathBuf,
     snapshot: PathBuf,
     nodes: u16,
-    threads: usize,
     claims: bool,
     md: bool,
     fold: bool,
@@ -128,7 +125,7 @@ const SIMS: &[&str] = &["simulate", "cluster", "claims", "birth", "verify"];
 /// Every flag, stated once: parsing, defaults, per-subcommand rejection,
 /// range validation and the usage text all derive from this table.
 #[rustfmt::skip]
-const FLAGS: [Flag; 22] = [
+const FLAGS: [Flag; 21] = [
     Flag { name: "--scale", arg: "F", default: Some("0.005"), cmds: SIMS,
            set: |c, v| scale(v).map(|x| c.scale = x) },
     Flag { name: "--days", arg: "N", default: Some("486"), cmds: SIMS,
@@ -144,8 +141,6 @@ const FLAGS: [Flag; 22] = [
            set: |c, v| store(&mut c.snapshot, v.into()) },
     Flag { name: "--nodes", arg: "N", default: Some("3"), cmds: &["serve", "loadgen"],
            set: |c, v| at_least(v, 1).map(|n| c.nodes = n) },
-    Flag { name: "--threads", arg: "N", default: Some("1"), cmds: SIMS,
-           set: |c, v| at_least(v, 1).map(|n| c.threads = n) },
     Flag { name: "--claims", arg: "", default: None, cmds: &["verify"],
            set: |c, _| store(&mut c.claims, true) },
     Flag { name: "--md", arg: "", default: None, cmds: &["verify"],
@@ -248,13 +243,11 @@ fn parse(cmd: &str, args: &[String]) -> Common {
         }
         c.given.push(f.name);
     }
-    if cmd == "verify" && !c.claims {
-        if let Some(name) = c.first_given(&["--md", "--threads"]) {
-            usage(
-                cmd,
-                &format!("{name} applies to the --claims fixture run only: add --claims"),
-            );
-        }
+    if cmd == "verify" && !c.claims && c.given("--md") {
+        usage(
+            cmd,
+            "--md applies to the --claims fixture run only: add --claims",
+        );
     }
     c
 }
@@ -315,7 +308,6 @@ fn sim_config(c: &Common) -> SimConfig {
         seed: c.seed,
         scale: Scale::of(c.scale),
         window: StudyWindow::first_days(c.days),
-        threads: c.threads,
         ..SimConfig::default()
     }
 }
@@ -341,7 +333,7 @@ fn source(cmd: &str, c: &Common) -> Source {
         ),
         "simulate" if !c.fold => Source::Sim,
         "cluster" if !c.given("--snapshot") => Source::SimFold,
-        "cluster" => match c.first_given(&["--scale", "--days", "--seed", "--threads"]) {
+        "cluster" => match c.first_given(&["--scale", "--days", "--seed"]) {
             Some(name) => usage(
                 cmd,
                 &format!("{name} shapes the live sim and --snapshot reads a file: drop one"),
@@ -358,12 +350,10 @@ fn source(cmd: &str, c: &Common) -> Source {
 fn announce_sim(c: &Common, mode: &str) -> SimConfig {
     let config = sim_config(c);
     eprintln!(
-        "simulating {} days at scale {} (seed {}, {} thread{}{mode}) …",
+        "simulating {} days at scale {} (seed {}{mode}) …",
         config.window.num_days(),
         c.scale,
         c.seed,
-        c.threads,
-        if c.threads == 1 { "" } else { "s" }
     );
     config
 }
@@ -634,7 +624,7 @@ fn verify(c: &Common) -> ! {
         }
     };
 
-    // 1. Thread-count differential: threads ∈ {1, 2, 8} must agree
+    // 1. Repeat-run differential: two runs of the same config must agree
     //    bit-for-bit on a small window.
     let days = c.days.min(30);
     let base = SimConfig {
@@ -647,32 +637,21 @@ fn verify(c: &Common) -> ! {
         "verify: differential run over {days} days at scale {} …",
         c.scale
     );
-    let serial = Simulation::run(base.clone());
-    for threads in [2usize, 8] {
-        let parallel = Simulation::run(SimConfig {
-            threads,
-            ..base.clone()
-        });
-        let report = diff_sim_outputs(
-            "threads=1",
-            &serial,
-            &format!("threads={threads}"),
-            &parallel,
-        );
-        check(
-            &format!("thread differential (1 vs {threads})"),
-            (!report.is_identical()).then(|| report.render()),
-        );
-    }
+    let first = Simulation::run(base.clone());
+    let report = diff_sim_outputs("first", &first, "second", &Simulation::run(base.clone()));
+    check(
+        "repeat-run differential",
+        (!report.is_identical()).then(|| report.render()),
+    );
 
     // 2. Snapshot round-trip: write → load must reproduce the output, and
     //    writing twice must be byte-identical.
     let mut bytes = Vec::new();
-    match serial.to_snapshot(&base).write_to(&mut bytes) {
+    match first.to_snapshot(&base).write_to(&mut bytes) {
         Err(e) => check("snapshot write", Some(format!("  {e}"))),
         Ok(()) => {
             let mut again = Vec::new();
-            serial
+            first
                 .to_snapshot(&base)
                 .write_to(&mut again)
                 .expect("second snapshot write");
@@ -685,7 +664,7 @@ fn verify(c: &Common) -> ! {
                 Ok(snap) => {
                     let reloaded = SimOutput::from_snapshot(snap);
                     let report =
-                        diff_sim_outputs("simulated", &serial, "snapshot-reloaded", &reloaded);
+                        diff_sim_outputs("simulated", &first, "snapshot-reloaded", &reloaded);
                     check(
                         "snapshot round-trip equivalence",
                         (!report.is_identical()).then(|| report.render()),
@@ -725,7 +704,6 @@ fn verify(c: &Common) -> ! {
             seed: 0x0e0e_fa20,
             scale: Scale::of(0.002),
             window: StudyWindow::paper(),
-            threads: c.threads,
             ..SimConfig::default()
         });
         let ctx = claims_oracle::ClaimCtx::new(&out);
@@ -1066,7 +1044,7 @@ mod tests {
     fn table_defaults_parse_and_match_the_library() {
         let c = parse("simulate", &[]);
         assert_eq!(c.seed, SimConfig::default().seed);
-        assert_eq!((c.days, c.threads, c.nodes), (486, 1, 3));
+        assert_eq!((c.days, c.nodes), (486, 3));
         assert!(c.given.is_empty() && c.k.is_none());
         assert_eq!(sim_config(&c).window, StudyWindow::paper());
     }

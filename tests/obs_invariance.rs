@@ -4,15 +4,15 @@
 //!
 //! Two families of proof, both via the testkit oracles:
 //!
-//! 1. **Metrics-off vs metrics-on** at threads ∈ {1, 2, 8}: the full
-//!    pipeline (simulate → snapshot encode/decode → aggregates → report)
-//!    produces bit-identical results whether or not recording is enabled.
-//! 2. **Thread-count invariance of the deterministic counters**: the
-//!    subset of metrics that count *work done* (sessions executed and
-//!    ingested, rows written/loaded/folded, artifacts written) must not
-//!    depend on the thread count, even though scheduling does. Manifests
-//!    are restricted to that subset with [`RunManifest::filtered`] and
-//!    compared field-by-field with `diff_manifests`.
+//! 1. **Metrics-off vs metrics-on**: the full pipeline (simulate → snapshot
+//!    encode/decode → aggregates → report) produces bit-identical results
+//!    whether or not recording is enabled.
+//! 2. **Scheduling invariance of the deterministic counters**: the subset
+//!    of metrics that count *work done* (sessions executed and ingested,
+//!    rows written/loaded/folded, artifacts written) must not depend on how
+//!    the day loop's two threads interleave. Manifests are restricted to
+//!    that subset with [`RunManifest::filtered`] and compared
+//!    field-by-field with `diff_manifests`.
 //!
 //! The obs registry is process-global, so every test serializes on one
 //! mutex and starts from `obs::reset()`.
@@ -20,17 +20,18 @@
 use std::sync::Mutex;
 
 use honeyfarm::core::{Aggregates, Report};
+use honeyfarm::farm::{Row, SessionStore};
 use honeyfarm::obs::{self, RunManifest};
 use honeyfarm::prelude::*;
+use honeyfarm::sim::DayRows;
 use honeyfarm::testkit::{diff_aggregates, diff_manifests, diff_reports, diff_sim_outputs};
 
 /// Serializes tests within this process: obs state is process-global.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Counter/histogram names whose values are pure functions of the input —
-/// the thread-count-invariant subset the cross-thread comparison keeps.
-/// (Span timings, `sim.shards_executed`, the `sim.threads` gauge, and
-/// per-batch histograms legitimately vary.)
+/// the scheduling-invariant subset the comparison keeps. (Span timings
+/// legitimately vary.)
 const INVARIANT: &[&str] = &[
     "sim.days_executed",
     "sim.sessions_executed",
@@ -44,11 +45,12 @@ const INVARIANT: &[&str] = &[
     "sim.day_sessions",
 ];
 
-fn config(threads: usize) -> SimConfig {
-    let mut cfg = SimConfig::test(6);
-    cfg.threads = threads;
-    cfg
+fn config() -> SimConfig {
+    SimConfig::test(6)
 }
+
+/// The day loop's per-day hook: a no-op for [`Simulation::run`]'s shape.
+fn no_hook(_: &SessionStore, _: &FarmPlan, _: &[Row]) {}
 
 /// Everything one pipeline run observes: outputs at each stage, the exact
 /// snapshot encoding, and every rendered report artifact byte-for-byte.
@@ -61,12 +63,15 @@ struct PipelineRun {
     artifacts: std::collections::BTreeMap<String, Vec<u8>>,
 }
 
-/// Simulate, encode + decode the snapshot, aggregate, build the report,
-/// and render it, all at the given thread count. `label` keeps the
+/// Simulate with `after_day` as the day loop's hook, encode + decode the
+/// snapshot, aggregate, build the report, and render it. `label` keeps the
 /// scratch render directories of concurrent test processes apart.
-fn run_pipeline(threads: usize, label: &str) -> PipelineRun {
-    let cfg = config(threads);
-    let out = Simulation::run(cfg.clone());
+fn run_pipeline(
+    label: &str,
+    after_day: impl FnMut(&SessionStore, &FarmPlan, &[Row]),
+) -> PipelineRun {
+    let cfg = config();
+    let out = Simulation::run_days(cfg.clone(), DayRows::Keep, after_day);
     let mut snapshot_bytes = Vec::new();
     out.to_snapshot(&cfg)
         .write_to(&mut snapshot_bytes)
@@ -77,10 +82,8 @@ fn run_pipeline(threads: usize, label: &str) -> PipelineRun {
     let agg = Aggregates::compute(&out.dataset);
     let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);
 
-    let dir = std::env::temp_dir().join(format!(
-        "hf-obs-invariance-{}-t{threads}-{label}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("hf-obs-invariance-{}-{label}", std::process::id()));
     report.write_dir(&dir).expect("render report");
     let mut artifacts = std::collections::BTreeMap::new();
     for entry in std::fs::read_dir(&dir).expect("read render dir") {
@@ -102,48 +105,48 @@ fn run_pipeline(threads: usize, label: &str) -> PipelineRun {
 
 /// Run the pipeline with recording on and return the run plus its
 /// manifest. Caller must hold `OBS_LOCK`.
-fn run_with_metrics(threads: usize) -> (PipelineRun, RunManifest) {
+fn run_with_metrics(
+    label: &str,
+    after_day: impl FnMut(&SessionStore, &FarmPlan, &[Row]),
+) -> (PipelineRun, RunManifest) {
     obs::reset();
     obs::enable();
-    let run = run_pipeline(threads, "on");
-    let manifest = obs::manifest(&format!("obs_invariance threads={threads}"));
+    let run = run_pipeline(label, after_day);
+    let manifest = obs::manifest(&format!("obs_invariance {label}"));
     obs::disable();
     obs::reset();
     (run, manifest)
 }
 
 /// Metrics-on and metrics-off runs must agree byte-for-byte at every
-/// pipeline stage, for every supported thread count.
+/// pipeline stage.
 #[test]
 fn metrics_never_perturb_pipeline_output() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for threads in [1usize, 2, 8] {
-        obs::disable();
-        obs::reset();
-        let off = run_pipeline(threads, "off");
-        let (on, manifest) = run_with_metrics(threads);
+    obs::disable();
+    obs::reset();
+    let off = run_pipeline("off", no_hook);
+    let (on, manifest) = run_with_metrics("on", no_hook);
 
-        let l = format!("metrics-off t={threads}");
-        let r = format!("metrics-on t={threads}");
-        diff_sim_outputs(&l, &off.out, &r, &on.out).assert_identical();
-        assert_eq!(
-            off.snapshot_bytes, on.snapshot_bytes,
-            "snapshot bytes diverged at threads={threads}"
-        );
-        diff_sim_outputs(&l, &off.reloaded, &r, &on.reloaded).assert_identical();
-        diff_aggregates(&l, &off.agg, &r, &on.agg).assert_identical();
-        diff_reports(&l, &off.report, &r, &on.report).assert_identical();
-        assert_eq!(
-            off.artifacts, on.artifacts,
-            "rendered report artifacts diverged at threads={threads}"
-        );
+    let (l, r) = ("metrics-off", "metrics-on");
+    diff_sim_outputs(l, &off.out, r, &on.out).assert_identical();
+    assert_eq!(
+        off.snapshot_bytes, on.snapshot_bytes,
+        "snapshot bytes diverged"
+    );
+    diff_sim_outputs(l, &off.reloaded, r, &on.reloaded).assert_identical();
+    diff_aggregates(l, &off.agg, r, &on.agg).assert_identical();
+    diff_reports(l, &off.report, r, &on.report).assert_identical();
+    assert_eq!(
+        off.artifacts, on.artifacts,
+        "rendered report artifacts diverged"
+    );
 
-        // And the enabled run did actually record something.
-        assert!(
-            manifest.counters.get("sim.sessions_executed").copied() > Some(0),
-            "metrics-on run recorded no sessions at threads={threads}"
-        );
-    }
+    // And the enabled run did actually record something.
+    assert!(
+        manifest.counters.get("sim.sessions_executed").copied() > Some(0),
+        "metrics-on run recorded no sessions"
+    );
 }
 
 /// A metrics-off run records nothing at all: the disabled recorder is a
@@ -153,7 +156,7 @@ fn disabled_recorder_records_nothing() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     obs::disable();
     obs::reset();
-    let _run = run_pipeline(2, "disabled");
+    let _run = run_pipeline("disabled", no_hook);
     let manifest = obs::manifest("disabled");
     assert!(
         manifest.counters.is_empty(),
@@ -165,15 +168,17 @@ fn disabled_recorder_records_nothing() {
     assert!(manifest.spans.is_empty());
 }
 
-/// The deterministic counters are thread-count invariant: restricted to
-/// the `INVARIANT` subset, the manifests of 1-, 2-, and 8-thread runs are
-/// field-for-field identical (modulo the tool label).
+/// The deterministic counters do not depend on scheduling: restricted to
+/// the `INVARIANT` subset, the manifest of a plain run is field-for-field
+/// identical (modulo the tool label) to that of a run whose per-day hook
+/// sleeps, so the day loop's helper runs ahead of ingest and blocks on the
+/// recycle channel for a free batch buffer.
 #[test]
 fn deterministic_counters_thread_invariant() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let keep = |name: &str| INVARIANT.contains(&name);
 
-    let (base_run, base_manifest) = run_with_metrics(1);
+    let (base_run, base_manifest) = run_with_metrics("base", no_hook);
     let mut base = base_manifest.filtered(keep);
     base.tool = "obs_invariance".to_string();
 
@@ -195,7 +200,7 @@ fn deterministic_counters_thread_invariant() {
     }
     assert_eq!(
         base_manifest.counters.get("sim.days_executed").copied(),
-        Some(u64::from(config(1).window.num_days())),
+        Some(u64::from(config().window.num_days())),
     );
     assert_eq!(
         base_manifest
@@ -215,10 +220,10 @@ fn deterministic_counters_thread_invariant() {
     );
     assert_eq!(base_run.artifacts.len(), 28);
 
-    for threads in [2usize, 8] {
-        let (_, manifest) = run_with_metrics(threads);
-        let mut got = manifest.filtered(keep);
-        got.tool = "obs_invariance".to_string();
-        diff_manifests("threads=1", &base, &format!("threads={threads}"), &got).assert_identical();
-    }
+    let (_, manifest) = run_with_metrics("slow-ingest", |_, _, _| {
+        std::thread::sleep(std::time::Duration::from_millis(20))
+    });
+    let mut got = manifest.filtered(keep);
+    got.tool = "obs_invariance".to_string();
+    diff_manifests("base", &base, "slow ingest", &got).assert_identical();
 }

@@ -4,34 +4,24 @@
 //! shared with `hfarm verify --claims`, so the test suite and the
 //! EXPERIMENTS.md report can never drift apart.
 //!
-//! The fixture runs the canonical full-window simulation exactly twice —
-//! threads = 1 and threads = 8 — and first proves them bit-identical with
-//! the differential oracle, so the claims below are simultaneously a
-//! regression suite for the parallel engine at full scale.
+//! The fixture runs the canonical full-window simulation once, through the
+//! day loop's two-stage pipeline, so the claims below are also a regression
+//! suite for that pipeline over the paper's whole window.
 
 use std::sync::OnceLock;
 
 use honeyfarm::prelude::*;
-use honeyfarm::testkit::{claims, diff_sim_outputs};
+use honeyfarm::testkit::claims;
 
 fn fixture() -> &'static SimOutput {
     static FIXTURE: OnceLock<SimOutput> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let base = SimConfig {
+        Simulation::run(SimConfig {
             seed: 0x0e0e_fa20,
             scale: Scale::of(0.002),
             window: StudyWindow::paper(),
             ..SimConfig::default()
-        };
-        let serial = Simulation::run(base.clone());
-        let parallel = Simulation::run(SimConfig { threads: 8, ..base });
-        let report = diff_sim_outputs("threads=1", &serial, "threads=8", &parallel);
-        assert!(
-            report.is_identical(),
-            "full-window thread differential failed:\n{}",
-            report.render()
-        );
-        serial
+        })
     })
 }
 

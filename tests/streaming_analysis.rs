@@ -5,8 +5,8 @@
 //!
 //! * `Simulation::run_fold` (day-windowed fold, rows retired as days
 //!   complete) against the materialized `Simulation::run` +
-//!   `Aggregates::compute`, across thread counts {1, 2, 8} and scales
-//!   {0.001, 0.01} — aggregates, tags, reports, and the claims table.
+//!   `Aggregates::compute`, at scales {0.001, 0.01} — aggregates, tags,
+//!   reports, and the claims table.
 //! * `FoldOutput::from_snapshot_stream` (chunked snapshot reader feeding
 //!   the fold, many chunks cut mid-day) against materializing the same
 //!   snapshot.
@@ -31,7 +31,7 @@ use honeyfarm::testkit::{
 use proptest::prelude::*;
 
 /// Run one streaming-vs-materialized differential at the given config.
-fn assert_fold_matches(scale: f64, days: u32, threads: usize) {
+fn assert_fold_matches(scale: f64, days: u32) {
     let config = SimConfig {
         seed: 0x57e4,
         scale: Scale::of(scale),
@@ -41,25 +41,22 @@ fn assert_fold_matches(scale: f64, days: u32, threads: usize) {
     let out = Simulation::run(config.clone());
     let agg = Aggregates::compute(&out.dataset);
 
-    let fold = Simulation::run_fold(SimConfig {
-        threads,
-        ..config.clone()
-    });
-    let label = format!("fold threads={threads}");
+    let fold = Simulation::run_fold(config);
+    let label = "fold";
 
     assert!(
         fold.dataset.sessions.is_empty(),
         "fold mode must retire every row"
     );
     assert_eq!(out.n_clients, fold.n_clients, "{label}: n_clients");
-    diff_aggregates("materialized", &agg, &label, &fold.aggregates).assert_identical();
-    diff_tagdbs("materialized", &out.tags, &label, &fold.tags).assert_identical();
+    diff_aggregates("materialized", &agg, label, &fold.aggregates).assert_identical();
+    diff_tagdbs("materialized", &out.tags, label, &fold.tags).assert_identical();
 
     // Reports built from the row-free dataset + folded aggregates must be
     // byte-identical to the materialized pipeline's.
     let report_mat = Report::build_with_tags(&out.dataset, &agg, &out.tags);
     let report_fold = Report::build_with_tags(&fold.dataset, &fold.aggregates, &fold.tags);
-    diff_reports("materialized", &report_mat, &label, &report_fold).assert_identical();
+    diff_reports("materialized", &report_mat, label, &report_fold).assert_identical();
 
     // And the claims context must derive identical headline metrics from
     // both paths. (The full claim-table evaluation indexes absolute paper
@@ -77,16 +74,12 @@ fn assert_fold_matches(scale: f64, days: u32, threads: usize) {
 
 #[test]
 fn fold_matches_materialized_scale_0_001() {
-    for threads in [1usize, 2, 8] {
-        assert_fold_matches(0.001, 20, threads);
-    }
+    assert_fold_matches(0.001, 20);
 }
 
 #[test]
 fn fold_matches_materialized_scale_0_01() {
-    for threads in [1usize, 2, 8] {
-        assert_fold_matches(0.01, 8, threads);
-    }
+    assert_fold_matches(0.01, 8);
 }
 
 /// Streaming a snapshot chunk-by-chunk into the fold must equal
