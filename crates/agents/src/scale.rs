@@ -12,10 +12,8 @@
 //! dimension uses `volume.sqrt()` by default — small runs still show a
 //! long-tailed, hundreds-per-day hash ecosystem.
 
-use serde::{Deserialize, Serialize};
-
 /// Scale factors applied to the paper's absolute volumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Multiplier on session and client volumes (1.0 = the paper's 402 M
     /// sessions; 0.01 = the default benchmark scale, ~4 M sessions).

@@ -6,12 +6,12 @@
 //! one honeypot, ~40% of client IPs are multi-role, the hash-richest
 //! honeypots are early observers, and so on.
 
-use serde::Serialize;
+use hf_obs::json;
 
 use crate::aggregates::{bit_count, Aggregates};
 
 /// Headline scalar findings.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Claims {
     /// Total sessions.
     pub total_sessions: u64,
@@ -174,9 +174,50 @@ impl Claims {
         }
     }
 
-    /// JSON rendering (for EXPERIMENTS.md tooling).
+    /// JSON rendering (for EXPERIMENTS.md tooling): one pretty-printed
+    /// object, fields in declaration order.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("claims serialize")
+        let int = |n: u64| n.to_string();
+        let float = json::float;
+        let fields = [
+            ("total_sessions", int(self.total_sessions)),
+            ("total_clients", int(self.total_clients)),
+            ("total_hashes", int(self.total_hashes)),
+            ("ssh_share", float(self.ssh_share)),
+            ("top10_session_share", float(self.top10_session_share)),
+            ("session_spread", float(self.session_spread)),
+            (
+                "clients_single_honeypot",
+                float(self.clients_single_honeypot),
+            ),
+            ("clients_gt10_honeypots", float(self.clients_gt10_honeypots)),
+            ("clients_gt_half", float(self.clients_gt_half)),
+            ("clients_single_day", float(self.clients_single_day)),
+            ("clients_almost_daily", int(self.clients_almost_daily)),
+            ("multi_role_share", float(self.multi_role_share)),
+            ("hashes_single_honeypot", float(self.hashes_single_honeypot)),
+            ("hashes_gt10_honeypots", float(self.hashes_gt10_honeypots)),
+            ("hashes_gt_half", int(self.hashes_gt_half)),
+            (
+                "top_honeypot_hash_share",
+                float(self.top_honeypot_hash_share),
+            ),
+            ("file_session_share", float(self.file_session_share)),
+            ("multi_file_share", float(self.multi_file_share)),
+            (
+                "hash_top10_equals_session_top10",
+                self.hash_top10_equals_session_top10.to_string(),
+            ),
+            (
+                "hash_rich_are_early_observers",
+                self.hash_rich_are_early_observers.to_string(),
+            ),
+        ];
+        let body: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("  {}: {v}", json::string(k)))
+            .collect();
+        format!("{{\n{}\n}}", body.join(",\n"))
     }
 }
 

@@ -6,10 +6,9 @@
 //! classes (scanning / scouting / intrusion).
 
 use hf_farm::SessionView;
-use serde::{Deserialize, Serialize};
 
 /// The five session categories of Section 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Category {
     /// No credentials ever offered (port scan).
     NoCred,
@@ -77,7 +76,7 @@ impl std::fmt::Display for Category {
 }
 
 /// The paper's three client behaviour classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BehaviorClass {
     /// NO_CRED: checking for open ports.
     Scanning,

@@ -1,10 +1,8 @@
 //! Daily percentile bands: median, IQR, and 5th/95th percentile ranges of a
 //! per-honeypot quantity across time (Figs. 3, 4, 8, 9).
 
-use serde::{Deserialize, Serialize};
-
 /// One day's band values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandPoint {
     /// Day index.
     pub day: u32,
@@ -21,7 +19,7 @@ pub struct BandPoint {
 }
 
 /// A band time-series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BandSeries {
     /// One point per day.
     pub points: Vec<BandPoint>,

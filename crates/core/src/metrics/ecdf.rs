@@ -1,9 +1,7 @@
 //! Empirical cumulative distribution functions (Figs. 7, 12, 13, 22).
 
-use serde::{Deserialize, Serialize};
-
 /// An ECDF over u64 samples, stored as sorted (value, cumulative count).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ecdf {
     /// Distinct sample values, ascending.
     values: Vec<u64>,

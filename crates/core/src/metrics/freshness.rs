@@ -5,10 +5,9 @@
 //! seen in the last 30 days, not seen in the last 7 days.
 
 use hf_simclock::SlidingDayWindow;
-use serde::{Deserialize, Serialize};
 
 /// One day of freshness data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreshnessPoint {
     /// Day index.
     pub day: u32,

@@ -10,10 +10,9 @@
 
 use hf_geo::{country, Asn, CountryId, Ip4, NetworkClass};
 use hf_shell::SystemProfile;
-use serde::{Deserialize, Serialize};
 
 /// One deployed honeypot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HoneypotNode {
     /// Dense index (0..221) used everywhere as the honeypot id.
     pub id: u16,
@@ -123,7 +122,7 @@ pub fn node_ip(id: u16) -> Ip4 {
 }
 
 /// The full deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FarmPlan {
     /// All nodes, indexed by id.
     pub nodes: Vec<HoneypotNode>,

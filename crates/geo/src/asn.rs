@@ -6,15 +6,11 @@
 //! three attributes the paper's analysis actually uses (it explicitly
 //! anonymizes AS identities, reporting only counts and network types).
 
-use serde::{Deserialize, Serialize};
-
 use crate::country::CountryId;
 
 /// Autonomous system number (synthetic, anonymized — matching the paper's
 /// ethics posture of never naming networks).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Asn(pub u32);
 
 impl std::fmt::Display for Asn {
@@ -24,7 +20,7 @@ impl std::fmt::Display for Asn {
 }
 
 /// Coarse network class of an AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NetworkClass {
     /// Eyeball / residential broadband.
     Residential,
@@ -62,7 +58,7 @@ impl NetworkClass {
 }
 
 /// Registry record for one AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsInfo {
     /// The AS number.
     pub asn: Asn,

@@ -5,11 +5,9 @@
 //! the paper reports. Countries are referenced by a dense [`CountryId`] so the
 //! analysis can use arrays instead of string maps.
 
-use serde::{Deserialize, Serialize};
-
 /// Continent, also used as the paper's "region" for regional-diversity
 /// analysis (same country / same continent / different continent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Continent {
     Africa,
     Asia,
@@ -40,9 +38,7 @@ impl std::fmt::Display for Continent {
 }
 
 /// Dense country index into [`CATALOG`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CountryId(pub u16);
 
 /// A catalog entry.

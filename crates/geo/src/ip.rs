@@ -4,12 +4,8 @@
 //! arithmetic on addresses (prefix masking, sequential allocation) and stores
 //! hundreds of thousands of them in columnar form.
 
-use serde::{Deserialize, Serialize};
-
 /// An IPv4 address as a big-endian u32.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ip4(pub u32);
 
 impl Ip4 {

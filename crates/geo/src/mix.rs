@@ -15,12 +15,11 @@
 //! "clients come from everywhere" breadth.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::country::{self, CountryId};
 
 /// A weighted distribution over countries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountryMix {
     /// Country ids, parallel to `cum`.
     ids: Vec<CountryId>,

@@ -6,13 +6,11 @@
 //! sorted by network address; because the allocator only hands out disjoint
 //! prefixes, the predecessor prefix is the unique candidate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::asn::Asn;
 use crate::ip::Ip4;
 
 /// An IPv4 CIDR prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     /// Network address (host bits zero).
     pub net: Ip4,
@@ -78,7 +76,7 @@ impl std::fmt::Display for Prefix {
 }
 
 /// A routing-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Route {
     /// The prefix.
     pub prefix: Prefix,
@@ -87,7 +85,7 @@ pub struct Route {
 }
 
 /// Longest-prefix-match table over disjoint prefixes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PrefixTable {
     /// Routes sorted by network address. Maintained disjoint by `insert`.
     routes: Vec<Route>,

@@ -12,7 +12,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::asn::{AsInfo, Asn, NetworkClass};
 use crate::country::{self, Continent, CountryId};
@@ -21,7 +20,7 @@ use crate::mix::CountryMix;
 use crate::prefix::{Prefix, PrefixTable};
 
 /// Regional relation between a client and a honeypot (Section 7.6 / Fig. 16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RegionRelation {
     /// Same country (and therefore same continent).
     SameCountry,
@@ -43,7 +42,7 @@ impl RegionRelation {
 }
 
 /// Configuration for building a [`World`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Number of client-side ASes to allocate. The paper observes clients from
     /// ~17.7k ASes; the default keeps that breadth even at reduced scale.

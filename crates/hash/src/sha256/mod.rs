@@ -84,21 +84,6 @@ impl Digest {
     }
 }
 
-impl serde::Serialize for Digest {
-    /// Serializes as a 64-char lowercase hex string — the format Cowrie logs
-    /// and the analyses exchange.
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_hex())
-    }
-}
-
-impl serde::Deserialize for Digest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let s = <String as serde::Deserialize>::from_value(v)?;
-        Digest::from_hex(&s).map_err(serde::de::Error::custom)
-    }
-}
-
 impl std::fmt::Debug for Digest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Digest({})", self.to_hex())

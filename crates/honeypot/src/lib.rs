@@ -17,12 +17,10 @@
 
 pub mod artifacts;
 pub mod config;
-pub mod log;
 pub mod record;
 pub mod session;
 
 pub use artifacts::ArtifactStore;
 pub use config::HoneypotConfig;
-pub use log::{CowrieEvent, EventLog};
 pub use record::{EndReason, LoginAttempt, SessionRecord};
 pub use session::{AuthResult, SessionDriver};

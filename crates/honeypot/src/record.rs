@@ -7,11 +7,10 @@ use hf_proto::creds::Credentials;
 use hf_proto::Protocol;
 use hf_shell::CommandRecord;
 use hf_simclock::SimInstant;
-use serde::{Deserialize, Serialize};
 
 /// How a session ended (Section 4: "a session is ended either by a TCP
 /// connection tear down from the client or a timeout by the honeypot").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EndReason {
     /// Client closed the connection.
     ClientClose,
@@ -23,7 +22,7 @@ pub enum EndReason {
 }
 
 /// One login attempt and its outcome.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoginAttempt {
     /// Credentials offered.
     pub creds: Credentials,
@@ -32,7 +31,7 @@ pub struct LoginAttempt {
 }
 
 /// The full summary of one session, as reported to the collector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionRecord {
     /// Index of the honeypot in the farm (0..221).
     pub honeypot: u16,
@@ -136,13 +135,5 @@ mod tests {
             accepted: true,
         });
         assert!(r.login_succeeded());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let r = base_record();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: SessionRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 }

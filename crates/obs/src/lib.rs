@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod span;

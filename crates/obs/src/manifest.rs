@@ -12,17 +12,17 @@
 //! always produces the same bytes, which is what lets the golden tests pin
 //! the schema (with timings zeroed via [`crate::clock::set_zero_clock`]).
 //!
-//! The parser is this crate's own minimal recursive-descent JSON reader —
-//! no dependency on the vendored serde stack, so `hf-obs` stays linkable
-//! from everywhere. It is strict: unknown fields, wrong types, or a schema
-//! version mismatch are errors, making "parses cleanly" a meaningful
-//! oracle (`schema_version` only changes when the layout does; see
-//! EXPERIMENTS.md for the policy).
+//! The parser is the workspace's one JSON reader ([`crate::json`]), so
+//! `hf-obs` stays linkable from everywhere. It is strict: unknown fields,
+//! wrong types, or a schema version mismatch are errors, making "parses
+//! cleanly" a meaningful oracle (`schema_version` only changes when the
+//! layout does; see EXPERIMENTS.md for the policy).
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
+use crate::json::{self, Json};
 use crate::metrics::{Histogram, MetricsSnapshot, SpanStats, N_BUCKETS};
 
 /// Manifest schema identifier.
@@ -55,6 +55,12 @@ impl fmt::Display for ManifestError {
 }
 
 impl std::error::Error for ManifestError {}
+
+impl From<json::Error> for ManifestError {
+    fn from(e: json::Error) -> Self {
+        ManifestError(e.0)
+    }
+}
 
 /// The end-of-run metrics manifest (see module docs for the file layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,14 +132,14 @@ impl RunManifest {
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(4096);
         o.push_str("{\n");
-        o.push_str(&format!("  \"schema\": {},\n", json_str(SCHEMA_NAME)));
+        o.push_str(&format!("  \"schema\": {},\n", json::string(SCHEMA_NAME)));
         o.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        o.push_str(&format!("  \"tool\": {},\n", json_str(&self.tool)));
+        o.push_str(&format!("  \"tool\": {},\n", json::string(&self.tool)));
 
         o.push_str("  \"counters\": {");
         for (i, (k, v)) in self.counters.iter().enumerate() {
             o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str(&format!("    {}: {v}", json_str(k)));
+            o.push_str(&format!("    {}: {v}", json::string(k)));
         }
         o.push_str(if self.counters.is_empty() {
             "},\n"
@@ -144,7 +150,7 @@ impl RunManifest {
         o.push_str("  \"gauges\": {");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str(&format!("    {}: {v}", json_str(k)));
+            o.push_str(&format!("    {}: {v}", json::string(k)));
         }
         o.push_str(if self.gauges.is_empty() {
             "},\n"
@@ -157,7 +163,7 @@ impl RunManifest {
             o.push_str(if i == 0 { "\n" } else { ",\n" });
             o.push_str(&format!(
                 "    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                json_str(k),
+                json::string(k),
                 h.count,
                 h.sum,
                 h.min,
@@ -184,7 +190,7 @@ impl RunManifest {
             o.push_str(if i == 0 { "\n" } else { ",\n" });
             o.push_str(&format!(
                 "    {}: {{\"count\": {}, \"wall_ns\": {}, \"cpu_ns\": {}, \"max_wall_ns\": {}}}",
-                json_str(k),
+                json::string(k),
                 s.count,
                 s.wall_ns,
                 s.cpu_ns,
@@ -463,27 +469,6 @@ fn parse_span(v: &Json) -> Result<SpanStats, ManifestError> {
 
 // ------------------------------------------------------- string escaping --
 
-/// JSON-escape a string (quotes included).
-fn json_str(s: &str) -> String {
-    let mut o = String::with_capacity(s.len() + 2);
-    o.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            '\r' => o.push_str("\\r"),
-            '\t' => o.push_str("\\t"),
-            '\u{08}' => o.push_str("\\b"),
-            '\u{0c}' => o.push_str("\\f"),
-            c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
-            c => o.push(c),
-        }
-    }
-    o.push('"');
-    o
-}
-
 fn tsv_escape(s: &str) -> String {
     let mut o = String::with_capacity(s.len());
     for c in s.chars() {
@@ -520,268 +505,6 @@ fn tsv_unescape(s: &str) -> Result<String, ManifestError> {
         }
     }
     Ok(o)
-}
-
-// ------------------------------------------------------------ mini JSON --
-
-/// Minimal JSON value tree for the manifest parser. Objects keep source
-/// order; the manifest converter enforces uniqueness.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Int(i128),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, ManifestError> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(ManifestError::new(format!(
-                "trailing characters at byte {}",
-                p.pos
-            )));
-        }
-        Ok(v)
-    }
-
-    fn as_object(&self, what: &str) -> Result<&[(String, Json)], ManifestError> {
-        match self {
-            Json::Object(o) => Ok(o),
-            _ => Err(ManifestError::new(format!("{what} must be an object"))),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Json], ManifestError> {
-        match self {
-            Json::Array(a) => Ok(a),
-            _ => Err(ManifestError::new(format!("{what} must be an array"))),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, ManifestError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(ManifestError::new(format!("{what} must be a string"))),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, ManifestError> {
-        match self {
-            Json::Int(n) => u64::try_from(*n)
-                .map_err(|_| ManifestError::new(format!("{what} out of u64 range: {n}"))),
-            _ => Err(ManifestError::new(format!("{what} must be an integer"))),
-        }
-    }
-
-    fn as_i64(&self, what: &str) -> Result<i64, ManifestError> {
-        match self {
-            Json::Int(n) => i64::try_from(*n)
-                .map_err(|_| ManifestError::new(format!("{what} out of i64 range: {n}"))),
-            _ => Err(ManifestError::new(format!("{what} must be an integer"))),
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ManifestError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(ManifestError::new(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ManifestError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => Err(ManifestError::new(format!(
-                "unexpected {:?} at byte {} (manifests hold only objects, arrays, strings, \
-                 and integers)",
-                other.map(|b| b as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ManifestError> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            entries.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(entries));
-                }
-                _ => {
-                    return Err(ManifestError::new(format!(
-                        "expected , or }} at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ManifestError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => {
-                    return Err(ManifestError::new(format!(
-                        "expected , or ] at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ManifestError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ascii");
-        text.parse::<i128>()
-            .map(Json::Int)
-            .map_err(|_| ManifestError::new(format!("bad integer {text:?} at byte {start}")))
-    }
-
-    fn string(&mut self) -> Result<String, ManifestError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Consume one UTF-8 scalar (the input came from &str, so the
-            // bytes are valid; multibyte sequences pass through untouched).
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| ManifestError::new("invalid utf-8 inside string"))?;
-            let Some(c) = rest.chars().next() else {
-                return Err(ManifestError::new("unterminated string"));
-            };
-            self.pos += c.len_utf8();
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| ManifestError::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: the low half must follow.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(ManifestError::new("bad low surrogate"));
-                                }
-                                let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                char::from_u32(cp)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| ManifestError::new("bad \\u escape"))?);
-                        }
-                        other => {
-                            return Err(ManifestError::new(format!(
-                                "bad escape \\{}",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                c if (c as u32) < 0x20 => {
-                    return Err(ManifestError::new("raw control character in string"))
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ManifestError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(ManifestError::new("truncated \\u escape"));
-        }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| ManifestError::new("bad \\u escape"))?;
-        self.pos += 4;
-        u32::from_str_radix(text, 16).map_err(|_| ManifestError::new("bad \\u escape"))
-    }
 }
 
 #[cfg(test)]
@@ -826,6 +549,26 @@ mod tests {
         m.tool = "tool \u{7} with control".into();
         let parsed = RunManifest::parse_json(&m.to_json()).expect("parse");
         assert_eq!(parsed, m);
+    }
+
+    /// The parser is linear in the name length: a 1 MiB counter name parses
+    /// in milliseconds (a parser that rescans the rest of the document per
+    /// character needs minutes for it).
+    #[test]
+    fn a_one_mib_name_parses_in_linear_time() {
+        let mut m = sample();
+        let name = "\u{e9}".repeat(1 << 19);
+        assert_eq!(name.len(), 1 << 20);
+        m.counters.insert(name.clone(), 7);
+        let text = m.to_json();
+        let started = std::time::Instant::now();
+        let parsed = RunManifest::parse_json(&text).expect("parse");
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.counters[&name], 7);
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "parsing a 1 MiB name took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! same rules apply to Telnet. [`AuthPolicy`] encodes that as data so tests
 //! and ablations can vary it.
 
-use serde::{Deserialize, Serialize};
-
 /// A username/password pair offered at login.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Credentials {
     /// Login name.
     pub username: String,
@@ -34,7 +32,7 @@ impl std::fmt::Display for Credentials {
 }
 
 /// Outcome of an authentication attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuthOutcome {
     /// Credentials accepted; the client gets a shell.
     Accepted,
@@ -43,7 +41,7 @@ pub enum AuthOutcome {
 }
 
 /// The honeypot's authentication policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuthPolicy {
     /// The only username that can succeed.
     pub required_username: String,

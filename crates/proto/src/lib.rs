@@ -22,10 +22,8 @@ pub mod creds;
 pub mod ssh_ident;
 pub mod telnet;
 
-use serde::{Deserialize, Serialize};
-
 /// Attack-facing protocol of a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Protocol {
     /// SSH on port 22.
     Ssh,

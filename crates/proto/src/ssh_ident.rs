@@ -8,13 +8,11 @@
 //! other lines before its identification string, and caps the line at 255
 //! bytes including CRLF.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum identification line length including CR LF (RFC 4253 §4.2).
 pub const MAX_IDENT_LEN: usize = 255;
 
 /// A parsed SSH identification string.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SshIdent {
     /// Protocol version, e.g. `"2.0"` (or `"1.99"` for compat servers).
     pub proto_version: String,

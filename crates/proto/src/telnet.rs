@@ -6,9 +6,6 @@
 //! negotiation verbs (WILL/WONT/DO/DONT + option byte), sub-negotiation
 //! framing (SB ... SE), and the escaped literal 0xFF byte.
 
-use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
-
 /// Interpret-As-Command escape byte.
 pub const IAC: u8 = 255;
 /// Option negotiation verbs.
@@ -40,7 +37,7 @@ pub mod option {
 }
 
 /// An event decoded from the Telnet byte stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TelnetEvent {
     /// Plain data bytes (with IAC IAC unescaped to a single 0xFF).
     Data(Vec<u8>),
@@ -163,20 +160,20 @@ impl TelnetDecoder {
 }
 
 /// Encode plain data for the wire, escaping literal 0xFF bytes.
-pub fn encode_data(data: &[u8], out: &mut BytesMut) {
+pub fn encode_data(data: &[u8], out: &mut Vec<u8>) {
     for &b in data {
         if b == IAC {
-            out.put_u8(IAC);
+            out.push(IAC);
         }
-        out.put_u8(b);
+        out.push(b);
     }
 }
 
 /// Encode an option negotiation.
-pub fn encode_negotiate(verb: u8, opt: u8, out: &mut BytesMut) {
-    out.put_u8(IAC);
-    out.put_u8(verb);
-    out.put_u8(opt);
+pub fn encode_negotiate(verb: u8, opt: u8, out: &mut Vec<u8>) {
+    out.push(IAC);
+    out.push(verb);
+    out.push(opt);
 }
 
 /// The refusal verb to answer a peer's negotiation with (the honeypot plays a
@@ -312,7 +309,7 @@ mod tests {
 
     #[test]
     fn encode_escapes_iac() {
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         encode_data(&[1, IAC, 2], &mut out);
         assert_eq!(&out[..], &[1, IAC, IAC, 2]);
     }
@@ -354,7 +351,7 @@ mod tests {
         /// encode_data followed by decode yields the original bytes as Data.
         #[test]
         fn prop_encode_decode_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..200)) {
-            let mut out = BytesMut::new();
+            let mut out = Vec::new();
             encode_data(&data, &mut out);
             let mut d = TelnetDecoder::new();
             let evs = d.feed(&out);

@@ -28,7 +28,6 @@ use std::mem;
 use std::sync::Arc;
 
 use hf_hash::{Digest, Sha256};
-use serde::{Deserialize, Serialize};
 
 use crate::builtins::{self, push_utf8_lossy, PathScratch};
 use crate::lexer::{CmdView, LineBuf, RedirView, Words};
@@ -79,7 +78,7 @@ impl RemoteFetcher for SyntheticFetcher {
 }
 
 /// Whether a file event created a new file or modified an existing one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileOp {
     /// The path did not previously exist.
     Created,
@@ -102,7 +101,7 @@ pub struct FileEvent {
 }
 
 /// One executed command (one simple command of a pipeline).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandRecord {
     /// The command as typed (argv re-joined).
     pub input: String,

@@ -19,10 +19,9 @@
 //!   differential oracle (`tests/fuzz_lexer_equiv.rs` asserts the two agree
 //!   token-for-token on arbitrary byte soup, hostile quoting included).
 //!
-//! The owned [`Statement`]/[`SimpleCommand`] types remain the serde-facing
-//! boundary; [`split_statements`] produces them from a `LineBuf` parse.
-
-use serde::{Deserialize, Serialize};
+//! The owned [`Statement`]/[`SimpleCommand`] types are the form tests and
+//! the reference lexer compare; [`split_statements`] produces them from a
+//! `LineBuf` parse.
 
 /// One token from the lexer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +49,7 @@ pub enum Token {
 }
 
 /// A redirection attached to a simple command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Redirection {
     /// `> target`
     Out(String),
@@ -66,7 +65,7 @@ pub enum Redirection {
 }
 
 /// A simple command: argv plus redirections.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SimpleCommand {
     /// Command name and arguments, in order. May be empty for bare
     /// redirections like `> file`.
@@ -84,7 +83,7 @@ impl SimpleCommand {
 
 /// A statement: one pipeline (possibly a single command) plus the separator
 /// that ended it. `cmd1 | cmd2 && cmd3` produces two statements.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Statement {
     /// The commands in the pipeline, left to right.
     pub pipeline: Vec<SimpleCommand>,
@@ -93,7 +92,7 @@ pub struct Statement {
 }
 
 /// Chaining operator between statements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chain {
     /// `;`, `&`, newline, or end of input.
     Always,
@@ -409,8 +408,8 @@ impl LineBuf {
         StmtView { buf: self, idx }
     }
 
-    /// Materialize the owned form — the serde/compat boundary. This is the
-    /// only allocating consumer of a parse.
+    /// Materialize the owned form (what tests and the reference lexer
+    /// compare). This is the only allocating consumer of a parse.
     pub fn to_statements(&self) -> Vec<Statement> {
         self.statements()
             .map(|s| Statement {
@@ -598,7 +597,7 @@ impl<'a> Words<'a> {
 
 /// Parse an input line into owned statements (pipelines with chaining info).
 ///
-/// Convenience/serde boundary over [`LineBuf`]; hot paths hold a reusable
+/// Convenience wrapper over [`LineBuf`]; hot paths hold a reusable
 /// `LineBuf` instead.
 pub fn split_statements(input: &str) -> Vec<Statement> {
     let mut buf = LineBuf::new();

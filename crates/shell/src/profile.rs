@@ -6,10 +6,8 @@
 //! honeypots with subtly different personalities and lets ablation benches
 //! measure whether that matters.
 
-use serde::{Deserialize, Serialize};
-
 /// Machine identity used to render system-information command output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemProfile {
     /// Hostname, e.g. `svr04`.
     pub hostname: String,

@@ -4,10 +4,8 @@
 //! Hinnant's formulation) so day arithmetic is O(1) and exact across month and
 //! leap-year boundaries.
 
-use serde::{Deserialize, Serialize};
-
 /// A civil (calendar) date.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date {
     /// Gregorian year, e.g. 2022.
     pub year: i32,

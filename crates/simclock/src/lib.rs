@@ -18,16 +18,12 @@ mod window;
 pub use date::Date;
 pub use window::SlidingDayWindow;
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds since the simulation epoch, 2021-12-01T00:00:00Z.
 ///
 /// A plain newtype over `u64`; one tick is one second. Sub-second resolution is
 /// unnecessary: the honeypot logs session start/end at second granularity,
 /// like Cowrie's JSON log.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimInstant(pub u64);
 
 /// Length of a civil day in seconds.
@@ -85,7 +81,7 @@ impl SimInstant {
 }
 
 /// The paper's observation window with day indexing helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StudyWindow {
     /// First day of the window (inclusive).
     pub start: Date,

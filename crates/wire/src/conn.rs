@@ -57,7 +57,6 @@
 
 use std::sync::Arc;
 
-use bytes::BytesMut;
 use hf_geo::Ip4;
 use hf_honeypot::{AuthResult, HoneypotConfig, SessionDriver, SessionRecord};
 use hf_proto::creds::Credentials;
@@ -172,11 +171,11 @@ impl SessionConn {
         let greeting = match params.protocol {
             Protocol::Ssh => server_ident().wire_bytes().to_vec(),
             Protocol::Telnet => {
-                let mut out = BytesMut::new();
+                let mut out = Vec::new();
                 encode_negotiate(telnet::WILL, telnet::option::ECHO, &mut out);
                 encode_negotiate(telnet::WILL, telnet::option::SGA, &mut out);
                 encode_data(format!("\r\n{hostname} login: ").as_bytes(), &mut out);
-                out.to_vec()
+                out
             }
         };
         let proto = match params.protocol {
@@ -367,7 +366,6 @@ impl SessionConn {
             unreachable!("telnet input on ssh state");
         };
         let events = decoder.feed(data);
-        let mut reply = BytesMut::new();
         let mut fault = false;
         let mut line_queue: Vec<String> = Vec::new();
         for ev in events {
@@ -383,17 +381,16 @@ impl SessionConn {
                     }
                     if opt == telnet::option::ECHO || opt == telnet::option::SGA {
                         if verb == telnet::DO {
-                            encode_negotiate(telnet::WILL, opt, &mut reply);
+                            encode_negotiate(telnet::WILL, opt, out);
                         }
                     } else {
-                        encode_negotiate(refusal_for(verb), opt, &mut reply);
+                        encode_negotiate(refusal_for(verb), opt, out);
                     }
                 }
                 TelnetEvent::Data(bytes) => line_queue.extend(self.lines.push(&bytes)),
                 TelnetEvent::Subnegotiation { .. } | TelnetEvent::Command(_) => {}
             }
         }
-        out.extend_from_slice(&reply);
         if fault {
             self.stats.on_telnet_storm();
             self.sync_clock();
@@ -556,11 +553,10 @@ impl SessionConn {
             ProtoState::Telnet { phase, .. } => std::mem::replace(phase, TelnetPhase::Username),
             ProtoState::Ssh { .. } => unreachable!("telnet line on ssh state"),
         };
-        let mut reply = BytesMut::new();
         let mut done = false;
         match current {
             TelnetPhase::Username => {
-                encode_data(b"Password: ", &mut reply);
+                encode_data(b"Password: ", out);
                 self.set_telnet_phase(TelnetPhase::Password { username: line });
             }
             TelnetPhase::Password { username } => {
@@ -570,7 +566,7 @@ impl SessionConn {
                         self.stats.on_auth(true);
                         encode_data(
                             format!("\r\nWelcome to {hostname}\r\nroot@{hostname}:~# ").as_bytes(),
-                            &mut reply,
+                            out,
                         );
                         self.set_telnet_phase(TelnetPhase::Shell);
                     }
@@ -578,13 +574,13 @@ impl SessionConn {
                         self.stats.on_auth(false);
                         encode_data(
                             format!("\r\nLogin incorrect\r\n{hostname} login: ").as_bytes(),
-                            &mut reply,
+                            out,
                         );
                         self.set_telnet_phase(TelnetPhase::Username);
                     }
                     AuthResult::Disconnected => {
                         self.stats.on_auth(false);
-                        encode_data(b"\r\nLogin incorrect\r\n", &mut reply);
+                        encode_data(b"\r\nLogin incorrect\r\n", out);
                         done = true;
                     }
                 }
@@ -593,9 +589,9 @@ impl SessionConn {
                 self.set_telnet_phase(TelnetPhase::Shell);
                 self.stats.on_command();
                 if let Some(output) = self.ensure_driver().run_command(&line, think) {
-                    encode_data(output.replace('\n', "\r\n").as_bytes(), &mut reply);
+                    encode_data(output.replace('\n', "\r\n").as_bytes(), out);
                     if !self.driver.as_ref().is_some_and(|d| d.finished()) {
-                        encode_data(format!("root@{hostname}:~# ").as_bytes(), &mut reply);
+                        encode_data(format!("root@{hostname}:~# ").as_bytes(), out);
                     }
                 }
                 if self.driver.as_ref().is_some_and(|d| d.finished()) {
@@ -603,7 +599,6 @@ impl SessionConn {
                 }
             }
         }
-        out.extend_from_slice(&reply);
         if done {
             return Some(self.finish());
         }

@@ -141,7 +141,9 @@ pub struct FarmOutput {
 impl FarmOutput {
     /// Package the run as an hfstore snapshot (the `hfarm serve` shutdown
     /// artifact). Live runs have no seed or scale; days span the observed
-    /// session starts.
+    /// session starts. Sessions arrive in completion order, which `@hfs
+    /// start` can make go back in time, so the rows are written in start
+    /// order: the order every snapshot fold requires.
     pub fn to_snapshot(&self) -> Snapshot {
         let sessions = &self.dataset.sessions;
         let days = (0..sessions.len())
@@ -157,7 +159,7 @@ impl FarmOutput {
                 n_clients: self.n_clients,
             },
             plan: self.dataset.plan.clone(),
-            sessions: self.dataset.sessions.clone(),
+            sessions: sessions.to_day_ordered(),
             tags: TagDb::new(),
         }
     }

@@ -69,8 +69,8 @@ fn steady_state_shell_pipeline_allocates_nothing() {
         WORKLOAD.len()
     );
 
-    // Drain outside the window: materializing owned SessionEvents is the
-    // serde/record boundary and is allowed to allocate.
+    // Drain outside the window: materializing owned SessionEvents builds
+    // the session record and is allowed to allocate.
     let events = sh.take_events();
     assert!(!events.commands.is_empty());
 }

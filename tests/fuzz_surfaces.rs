@@ -15,6 +15,9 @@
 //! * `@hfs` control directives mixed with login and command lines → a
 //!   virtual-time `SessionConn`, which must never panic and must yield at
 //!   most one record
+//! * JSON-token soup and byte-mutated `metrics.json` renderings → the
+//!   shared reader (`obs::json::Json::parse`) and
+//!   `RunManifest::parse_json`, which must return a value or a typed error
 //!
 //! A checked-in corpus of real Cowrie-style command lines
 //! (`tests/scenarios/corpus_commands.txt`) seeds the shell surfaces with
@@ -24,6 +27,8 @@ use std::sync::{Arc, OnceLock};
 
 use honeyfarm::farm::Snapshot;
 use honeyfarm::geo::Ip4;
+use honeyfarm::obs::json::Json;
+use honeyfarm::obs::{Histogram, MetricsSnapshot, RunManifest, SpanStats};
 use honeyfarm::prelude::*;
 use honeyfarm::proto::ssh_ident::SshIdent;
 use honeyfarm::proto::telnet::{LineAssembler, TelnetDecoder, TelnetEvent};
@@ -64,6 +69,69 @@ fn normalize(events: Vec<TelnetEvent>) -> Vec<TelnetEvent> {
         }
     }
     out
+}
+
+/// A `metrics.json` rendering with every section populated and names that
+/// need escaping, rendered once and mutated per case.
+fn metrics_json() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let mut snap = MetricsSnapshot::default();
+        snap.counters.insert("sim.sessions_executed".into(), 1234);
+        snap.gauges.insert("neg \"quoted\"\tü🦀".into(), -3);
+        let mut h = Histogram::new();
+        for v in [0, 7, 7000] {
+            h.record(v);
+        }
+        snap.histograms.insert("sim.day_sessions".into(), h);
+        let span = SpanStats {
+            count: 4,
+            wall_ns: 400,
+            cpu_ns: 300,
+            max_wall_ns: 150,
+        };
+        snap.spans.insert("sim.day".into(), span);
+        RunManifest::from_snapshot("fuzz", snap).to_json()
+    })
+}
+
+/// The pieces the JSON-soup strategy concatenates: every structural token,
+/// escapes good and bad, surrogate halves, numbers, raw control and
+/// multibyte characters.
+const JSON_TOKENS: [&str; 22] = [
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    "\"k\"",
+    "\\",
+    "\\u",
+    "d83d",
+    "de00",
+    "00e9",
+    "0",
+    "-",
+    "12345678901234567890123456789012345678901",
+    " ",
+    "\n",
+    "é",
+    "\u{1}",
+    "true",
+    "1.5",
+];
+
+/// Both readers over one text: each returns a value or an error that
+/// renders, and never panics.
+fn parse_both(text: &str) {
+    if let Err(e) = Json::parse(text) {
+        assert!(!e.to_string().is_empty());
+    }
+    if let Err(e) = RunManifest::parse_json(text) {
+        assert!(!e.to_string().is_empty());
+    }
 }
 
 fn shell() -> ShellSession {
@@ -246,6 +314,33 @@ proptest! {
         }
     }
 
+    /// The JSON readers are total on arbitrary bytes (read lossily as text)
+    /// and on concatenations of JSON tokens.
+    #[test]
+    fn json_readers_total_on_arbitrary_text(
+        bytes in prop::collection::vec(any::<u8>(), 0..300),
+        tokens in prop::collection::vec(0usize..JSON_TOKENS.len(), 0..64),
+    ) {
+        parse_both(&String::from_utf8_lossy(&bytes));
+        parse_both(&tokens.iter().map(|&t| JSON_TOKENS[t]).collect::<String>());
+    }
+
+    /// … and on `metrics.json` renderings with bytes overwritten and the
+    /// tail cut off.
+    #[test]
+    fn json_readers_total_on_mutated_manifests(
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..8),
+        keep in any::<usize>(),
+    ) {
+        let mut bytes = metrics_json().as_bytes().to_vec();
+        for (at, b) in edits {
+            let at = at % bytes.len();
+            bytes[at] = b;
+        }
+        bytes.truncate(keep % (bytes.len() + 1) + bytes.len() / 2);
+        parse_both(&String::from_utf8_lossy(&bytes));
+    }
+
     /// Every snapshot corruption is rejected with a typed `SnapshotError` —
     /// the loader never panics and never silently accepts damaged bytes.
     #[test]
@@ -262,6 +357,14 @@ proptest! {
             }
         }
     }
+}
+
+/// The unmutated fuzz fixture is a valid manifest, so the mutation suite
+/// starts from text both readers accept.
+#[test]
+fn metrics_json_fixture_parses() {
+    Json::parse(metrics_json()).expect("shared reader");
+    RunManifest::parse_json(metrics_json()).expect("manifest reader");
 }
 
 /// The checked-in Cowrie-style corpus drives every shell surface without

@@ -10,8 +10,9 @@
 
 use std::path::PathBuf;
 
+use honeyfarm::farm::EventLog;
 use honeyfarm::geo::Ip4;
-use honeyfarm::honeypot::EventLog;
+use honeyfarm::obs::json::Json;
 use honeyfarm::prelude::*;
 use honeyfarm::proto::creds::Credentials;
 use honeyfarm::proto::Protocol;
@@ -55,4 +56,35 @@ fn cowrie_event_lines_are_golden_pinned() {
     let mut text = EventLog::render(&sample_record()).join("\n");
     text.push('\n');
     assert_golden(&golden("cowrie_events.jsonl.golden"), &text);
+}
+
+/// Every line parses back with the shared reader and carries the fields
+/// its event kind needs.
+#[test]
+fn cowrie_event_lines_parse_back() {
+    let events: Vec<Json> = EventLog::render(&sample_record())
+        .iter()
+        .map(|l| Json::parse(l).expect("event line is JSON"))
+        .collect();
+    let field = |e: &Json, k: &str| e.get(k).map(|v| v.as_str(k).expect("string").to_string());
+    let ids: Vec<String> = events.iter().filter_map(|e| field(e, "eventid")).collect();
+    assert_eq!(ids.len(), events.len(), "every event has an id");
+    assert_eq!(
+        ids.first().map(String::as_str),
+        Some("cowrie.session.connect")
+    );
+    assert_eq!(
+        ids.last().map(String::as_str),
+        Some("cowrie.session.closed")
+    );
+    for id in ["cowrie.login.failed", "cowrie.command.input"] {
+        assert!(ids.iter().any(|i| i == id), "no {id}");
+    }
+    let by_id = |id: &str| &events[ids.iter().position(|i| i == id).expect(id)];
+    let success = by_id("cowrie.login.success");
+    assert_eq!(field(success, "username").as_deref(), Some("root"));
+    assert_eq!(field(success, "password").as_deref(), Some("1234"));
+    let download = by_id("cowrie.session.file_download");
+    assert_eq!(field(download, "shasum").map(|h| h.len()), Some(64));
+    assert_eq!(field(download, "url").as_deref(), Some("http://h/x"));
 }

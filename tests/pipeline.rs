@@ -190,10 +190,10 @@ fn cowrie_log_renders_for_sampled_sessions() {
                 file_hashes: v.file_hashes().collect(),
                 download_hashes: vec![],
             };
-            let lines = honeyfarm::honeypot::EventLog::render(&rec);
+            let lines = honeyfarm::farm::EventLog::render(&rec);
             assert!(lines.len() >= 2);
             for l in lines {
-                let _: serde_json::Value = serde_json::from_str(&l).expect("valid json");
+                honeyfarm::obs::json::Json::parse(&l).expect("valid json");
             }
             checked += 1;
         }

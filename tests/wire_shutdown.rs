@@ -4,20 +4,35 @@
 //!
 //! The accounting oracle is checked twice: against the farm's own
 //! [`FarmStats`] and against the process-global `hf-obs` counters the wire
-//! layer mirrors into. The obs registry is process-wide, which is why this
-//! file holds exactly one `#[test]`: a sibling test in the same binary
-//! would race the counter values.
+//! layer mirrors into. The obs registry is process-wide, so the tests here
+//! run one at a time (`serial`) and the counting test starts from a clean
+//! registry.
+//!
+//! The drain snapshot must also fold: sessions that arrive out of day
+//! order are written in start order.
 
 use std::io::Write;
+use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use honeyfarm::core::Aggregates;
 use honeyfarm::prelude::*;
-use honeyfarm::wire::{FarmConfig, LiveFarm, Timing};
+use honeyfarm::testkit::{diff_aggregates, diff_features, Scenario};
+use honeyfarm::wire::{run_script, wire_script, FarmConfig, LiveFarm, Timing};
 
 const SESSIONS: u64 = 48;
 
+/// One live farm at a time: a second farm would race the obs counters.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn shutdown_mid_load_loses_no_records() {
+    let _serial = serial();
+    honeyfarm::obs::reset();
     honeyfarm::obs::enable();
     let farm = LiveFarm::start(FarmConfig {
         nodes: 3,
@@ -103,4 +118,60 @@ fn shutdown_mid_load_loses_no_records() {
     assert_eq!(snap.sessions.len(), SESSIONS as usize);
     assert_eq!(snap.meta.n_clients, SESSIONS);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two corpus sessions driven in the wrong day order (day 10, then day 3):
+/// the collector stores them as they arrive, and the drain snapshot still
+/// folds, report and features alike, to what the dataset itself gives.
+#[test]
+fn an_out_of_order_drain_snapshot_folds_like_its_dataset() {
+    let _serial = serial();
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios");
+    let scenarios: Vec<Scenario> = ["mirai_download", "no_cmd_idle"]
+        .iter()
+        .map(|n| Scenario::load(&dir.join(format!("{n}.hfs"))).expect("scenario parses"))
+        .collect();
+    assert!(scenarios[0].start.day() > scenarios[1].start.day());
+    let farm = LiveFarm::start(FarmConfig {
+        nodes: scenarios.iter().map(|sc| sc.honeypot + 1).max().unwrap(),
+        timing: Timing::Virtual,
+        wall_timeout_secs: 60,
+        per_ip_cap: 1 << 30,
+        ..FarmConfig::default()
+    })
+    .expect("farm");
+    for sc in &scenarios {
+        let node = farm.nodes()[sc.honeypot as usize];
+        let addr = match sc.protocol {
+            honeyfarm::proto::Protocol::Ssh => node.ssh,
+            honeyfarm::proto::Protocol::Telnet => node.telnet,
+        };
+        run_script(addr, &wire_script(sc), Duration::from_secs(30)).expect("drive");
+    }
+    let out = farm.shutdown();
+    assert_eq!(out.dataset.len(), 2);
+    assert!(
+        !out.dataset.sessions.is_day_ordered(),
+        "stored as they arrived"
+    );
+
+    let mut bytes = Vec::new();
+    out.to_snapshot().write_to(&mut bytes).expect("encode");
+    let folded = FoldOutput::from_snapshot_stream(bytes.as_slice()).expect("report fold");
+    diff_aggregates(
+        "snapshot fold",
+        &folded.aggregates,
+        "dataset",
+        &Aggregates::compute(&out.dataset),
+    )
+    .assert_identical();
+    let (_, streamed) =
+        honeyfarm::cluster::features_from_snapshot_stream(bytes.as_slice()).expect("feature fold");
+    diff_features(
+        &honeyfarm::cluster::extract(&out.dataset).matrix(),
+        &streamed.matrix(),
+        "dataset",
+        "snapshot fold",
+    )
+    .assert_identical();
 }
