@@ -97,19 +97,31 @@ impl BehaviorClass {
     }
 }
 
-/// Classify one stored session.
-pub fn classify(v: &SessionView<'_>) -> Category {
-    if !v.attempted_login() {
+/// The Fig. 5 flow diagram, the one statement of the taxonomy: were
+/// credentials offered, did a login succeed, were commands run, did one
+/// reference a URI? The first "no" names the leaf; answers after it do not
+/// matter.
+pub const fn taxonomy(credentials: bool, login: bool, commands: bool, uri: bool) -> Category {
+    if !credentials {
         Category::NoCred
-    } else if !v.login_succeeded() {
+    } else if !login {
         Category::FailLog
-    } else if v.n_commands() == 0 {
+    } else if !commands {
         Category::NoCmd
-    } else if !v.has_uri() {
+    } else if !uri {
         Category::Cmd
     } else {
         Category::CmdUri
     }
+}
+
+/// Classify one stored session. Each fact is read only when [`taxonomy`]
+/// asks for it, as the fold calls this once per row.
+pub fn classify(v: &SessionView<'_>) -> Category {
+    let credentials = v.attempted_login();
+    let login = credentials && v.login_succeeded();
+    let commands = login && v.n_commands() != 0;
+    taxonomy(credentials, login, commands, commands && v.has_uri())
 }
 
 #[cfg(test)]
@@ -204,6 +216,15 @@ mod tests {
             accepted: true,
         });
         assert_eq!(classify_record(r), Category::NoCmd);
+    }
+
+    #[test]
+    fn the_leaf_is_the_number_of_leading_yes_answers() {
+        for bits in 0..16u8 {
+            let a = [0, 1, 2, 3].map(|i| bits & (1 << i) != 0);
+            let leading = a.iter().take_while(|&&yes| yes).count();
+            assert_eq!(taxonomy(a[0], a[1], a[2], a[3]).index(), leading, "{a:?}");
+        }
     }
 
     #[test]

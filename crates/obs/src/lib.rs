@@ -1,8 +1,8 @@
 //! # hf-obs — zero-dependency observability for the honeyfarm pipeline
 //!
 //! Counters, gauges, log2 histograms, and span timing for every crate in
-//! the offline workspace, plus the versioned end-of-run manifest
-//! (`metrics.json` + `spans.tsv`). Three design rules, in priority order:
+//! the offline workspace, plus the versioned end-of-run manifest, one
+//! `metrics.json` per run. Three design rules, in priority order:
 //!
 //! 1. **Recording never perturbs the pipeline.** Instrumentation only
 //!    observes: no RNG, no ordering influence, no feedback into any
@@ -52,9 +52,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard};
 
 pub use clock::{set_zero_clock, zero_clock};
-pub use manifest::{
-    ManifestError, RunManifest, METRICS_FILE, SCHEMA_NAME, SCHEMA_VERSION, SPANS_FILE,
-};
+pub use manifest::{ManifestError, RunManifest, METRICS_FILE, SCHEMA_NAME, SCHEMA_VERSION};
 pub use metrics::{Histogram, LocalBuf, MetricsSnapshot, Name, SpanStats, N_BUCKETS};
 pub use span::SpanGuard;
 

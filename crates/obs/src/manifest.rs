@@ -1,25 +1,26 @@
 //! Run manifests: the versioned on-disk form of a metrics snapshot.
 //!
-//! A run that was started with metrics enabled ends by emitting two files
-//! into a manifest directory:
+//! A run that was started with metrics enabled ends by publishing one file
+//! into a manifest directory: `metrics.json`, the full [`RunManifest`] —
+//! schema header, counters, gauges, histograms (sparse log2 buckets), and
+//! aggregated spans. Any other file in the directory is ignored.
 //!
-//! * `metrics.json` — the full [`RunManifest`]: schema header, counters,
-//!   gauges, histograms (sparse log2 buckets), and aggregated spans;
-//! * `spans.tsv` — the span table alone, one row per span name, for
-//!   spreadsheet/cut/awk consumption.
-//!
-//! Both are deterministic renderings of sorted maps: the same snapshot
+//! The file is a deterministic rendering of sorted maps: the same snapshot
 //! always produces the same bytes, which is what lets the golden tests pin
 //! the schema (with timings zeroed via [`crate::clock::set_zero_clock`]).
+//! [`RunManifest::write_dir`] publishes it atomically (temp file, sync,
+//! rename), so the final name never holds a torn manifest.
 //!
 //! The parser is the workspace's one JSON reader ([`crate::json`]), so
-//! `hf-obs` stays linkable from everywhere. It is strict: unknown fields,
-//! wrong types, or a schema version mismatch are errors, making "parses
-//! cleanly" a meaningful oracle (`schema_version` only changes when the
-//! layout does; see EXPERIMENTS.md for the policy).
+//! `hf-obs` stays linkable from everywhere. It is strict: every field must
+//! appear exactly once at every level, and unknown fields, wrong types, or
+//! a schema version mismatch are errors, making "parses cleanly" a
+//! meaningful oracle (`schema_version` only changes when the layout does;
+//! see EXPERIMENTS.md for the policy).
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
 use crate::json::{self, Json};
@@ -32,11 +33,8 @@ pub const SCHEMA_NAME: &str = "hf-obs";
 /// rejects any other version.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Name of the JSON manifest file inside a manifest directory.
+/// Name of the manifest file inside a manifest directory.
 pub const METRICS_FILE: &str = "metrics.json";
-
-/// Name of the span table file inside a manifest directory.
-pub const SPANS_FILE: &str = "spans.tsv";
 
 /// A manifest failed to parse or load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,174 +208,100 @@ impl RunManifest {
     /// Parse a `metrics.json` rendering back (strict; see module docs).
     pub fn parse_json(text: &str) -> Result<RunManifest, ManifestError> {
         let value = Json::parse(text)?;
-        let top = value.as_object("manifest")?;
+        let [schema, version, tool, counters, gauges, histograms, spans] = fields(
+            &value,
+            "manifest",
+            [
+                "schema",
+                "schema_version",
+                "tool",
+                "counters",
+                "gauges",
+                "histograms",
+                "spans",
+            ],
+        )?;
+        let schema = schema.as_str("schema")?;
+        if schema != SCHEMA_NAME {
+            return Err(ManifestError::new(format!(
+                "schema is {schema:?}, expected {SCHEMA_NAME:?}"
+            )));
+        }
+        let version = version.as_u64("schema_version")?;
+        if version != u64::from(SCHEMA_VERSION) {
+            return Err(ManifestError::new(format!(
+                "schema_version {version} unsupported (this build reads {SCHEMA_VERSION})"
+            )));
+        }
         let mut m = RunManifest {
-            schema_version: 0,
-            tool: String::new(),
+            schema_version: SCHEMA_VERSION,
+            tool: tool.as_str("tool")?.to_string(),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             spans: BTreeMap::new(),
         };
-        let mut saw_schema = false;
-        for (key, v) in top {
-            match key.as_str() {
-                "schema" => {
-                    let s = v.as_str("schema")?;
-                    if s != SCHEMA_NAME {
-                        return Err(ManifestError::new(format!(
-                            "schema is {s:?}, expected {SCHEMA_NAME:?}"
-                        )));
-                    }
-                    saw_schema = true;
-                }
-                "schema_version" => {
-                    m.schema_version = v.as_u64("schema_version")? as u32;
-                    if m.schema_version != SCHEMA_VERSION {
-                        return Err(ManifestError::new(format!(
-                            "schema_version {} unsupported (this build reads {})",
-                            m.schema_version, SCHEMA_VERSION
-                        )));
-                    }
-                }
-                "tool" => m.tool = v.as_str("tool")?.to_string(),
-                "counters" => {
-                    for (name, n) in v.as_object("counters")? {
-                        insert_unique(&mut m.counters, name, n.as_u64("counter")?)?;
-                    }
-                }
-                "gauges" => {
-                    for (name, n) in v.as_object("gauges")? {
-                        insert_unique(&mut m.gauges, name, n.as_i64("gauge")?)?;
-                    }
-                }
-                "histograms" => {
-                    for (name, h) in v.as_object("histograms")? {
-                        insert_unique(&mut m.histograms, name, parse_histogram(h)?)?;
-                    }
-                }
-                "spans" => {
-                    for (name, s) in v.as_object("spans")? {
-                        insert_unique(&mut m.spans, name, parse_span(s)?)?;
-                    }
-                }
-                other => {
-                    return Err(ManifestError::new(format!(
-                        "unknown manifest field {other:?}"
-                    )))
-                }
-            }
+        for (name, n) in counters.as_object("counters")? {
+            insert_unique(&mut m.counters, name, n.as_u64("counter")?)?;
         }
-        if !saw_schema {
-            return Err(ManifestError::new("missing schema field"));
+        for (name, n) in gauges.as_object("gauges")? {
+            insert_unique(&mut m.gauges, name, n.as_i64("gauge")?)?;
         }
-        if m.schema_version == 0 {
-            return Err(ManifestError::new("missing schema_version field"));
+        for (name, h) in histograms.as_object("histograms")? {
+            insert_unique(&mut m.histograms, name, parse_histogram(h)?)?;
+        }
+        for (name, s) in spans.as_object("spans")? {
+            insert_unique(&mut m.spans, name, parse_span(s)?)?;
         }
         Ok(m)
     }
 
-    // ------------------------------------------------------------- TSV --
-
-    /// Render `spans.tsv`: a version header, a column header, one
-    /// tab-separated row per span name (sorted). Tabs/newlines/backslashes
-    /// in names are backslash-escaped so the table stays rectangular.
-    pub fn spans_tsv(&self) -> String {
-        let mut o = String::new();
-        o.push_str(&format!("# {SCHEMA_NAME} spans v{SCHEMA_VERSION}\n"));
-        o.push_str("name\tcount\twall_ns\tcpu_ns\tmax_wall_ns\n");
-        for (name, s) in &self.spans {
-            o.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\n",
-                tsv_escape(name),
-                s.count,
-                s.wall_ns,
-                s.cpu_ns,
-                s.max_wall_ns
-            ));
-        }
-        o
-    }
-
-    /// Parse a `spans.tsv` rendering back into a span table.
-    pub fn parse_spans_tsv(text: &str) -> Result<BTreeMap<String, SpanStats>, ManifestError> {
-        let mut lines = text.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| ManifestError::new("empty spans.tsv"))?;
-        let expected = format!("# {SCHEMA_NAME} spans v{SCHEMA_VERSION}");
-        if header != expected {
-            return Err(ManifestError::new(format!(
-                "spans.tsv header {header:?}, expected {expected:?}"
-            )));
-        }
-        match lines.next() {
-            Some("name\tcount\twall_ns\tcpu_ns\tmax_wall_ns") => {}
-            other => {
-                return Err(ManifestError::new(format!(
-                    "spans.tsv column header missing or wrong: {other:?}"
-                )))
-            }
-        }
-        let mut out = BTreeMap::new();
-        for (lineno, line) in lines.enumerate() {
-            let cols: Vec<&str> = line.split('\t').collect();
-            if cols.len() != 5 {
-                return Err(ManifestError::new(format!(
-                    "spans.tsv row {}: {} column(s), expected 5",
-                    lineno + 3,
-                    cols.len()
-                )));
-            }
-            let name = tsv_unescape(cols[0])?;
-            let num = |i: usize, what: &str| -> Result<u64, ManifestError> {
-                cols[i].parse::<u64>().map_err(|_| {
-                    ManifestError::new(format!(
-                        "spans.tsv row {}: bad {what} {:?}",
-                        lineno + 3,
-                        cols[i]
-                    ))
-                })
-            };
-            let stats = SpanStats {
-                count: num(1, "count")?,
-                wall_ns: num(2, "wall_ns")?,
-                cpu_ns: num(3, "cpu_ns")?,
-                max_wall_ns: num(4, "max_wall_ns")?,
-            };
-            if out.insert(name.clone(), stats).is_some() {
-                return Err(ManifestError::new(format!("duplicate span row {name:?}")));
-            }
-        }
-        Ok(out)
-    }
-
     // ------------------------------------------------------------- dir --
 
-    /// Write `metrics.json` + `spans.tsv` into `dir` (created if needed).
+    /// Publish `metrics.json` into `dir` (created if needed): the bytes go
+    /// to a temp file beside it, are synced, and are renamed over the final
+    /// name, so that name never holds a torn manifest.
     pub fn write_dir(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(METRICS_FILE), self.to_json())?;
-        std::fs::write(dir.join(SPANS_FILE), self.spans_tsv())?;
-        Ok(())
+        let tmp = dir.join(format!("{METRICS_FILE}.tmp"));
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(self.to_json().as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, dir.join(METRICS_FILE))
     }
 
-    /// Load and cross-validate a manifest directory: parse both files and
-    /// require the TSV span table to agree with the JSON one.
+    /// Load the manifest in `dir` from its `metrics.json`.
     pub fn load_dir(dir: &Path) -> Result<RunManifest, ManifestError> {
-        let read = |name: &str| {
-            std::fs::read_to_string(dir.join(name))
-                .map_err(|e| ManifestError::new(format!("{}/{name}: {e}", dir.display())))
-        };
-        let manifest = RunManifest::parse_json(&read(METRICS_FILE)?)?;
-        let spans = RunManifest::parse_spans_tsv(&read(SPANS_FILE)?)?;
-        if spans != manifest.spans {
-            return Err(ManifestError::new(
-                "spans.tsv disagrees with the spans section of metrics.json",
-            ));
-        }
-        Ok(manifest)
+        let path = dir.join(METRICS_FILE);
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| ManifestError::new(format!("{}: {e}", path.display())))?;
+        RunManifest::parse_json(&text)
     }
+}
+
+/// The values of an object that holds each of `names` exactly once and no
+/// other key, in `names` order; `what` names the object in the error.
+fn fields<'a, const N: usize>(
+    v: &'a Json,
+    what: &str,
+    names: [&str; N],
+) -> Result<[&'a Json; N], ManifestError> {
+    let mut found = [None; N];
+    for (key, value) in v.as_object(what)? {
+        let Some(i) = names.iter().position(|n| n == key) else {
+            return Err(ManifestError::new(format!("unknown {what} field {key:?}")));
+        };
+        if found[i].replace(value).is_some() {
+            return Err(ManifestError::new(format!("repeated {what} field {key:?}")));
+        }
+    }
+    if let Some(i) = found.iter().position(Option::is_none) {
+        return Err(ManifestError::new(format!(
+            "missing {what} field {:?}",
+            names[i]
+        )));
+    }
+    Ok(found.map(|v| v.expect("every field was found")))
 }
 
 fn filter_map<V: Clone>(
@@ -404,45 +328,38 @@ fn insert_unique<V>(
 }
 
 fn parse_histogram(v: &Json) -> Result<Histogram, ManifestError> {
-    let mut h = Histogram::new();
+    let [count, sum, min, max, buckets] =
+        fields(v, "histogram", ["count", "sum", "min", "max", "buckets"])?;
+    let mut h = Histogram {
+        count: count.as_u64("count")?,
+        sum: sum.as_u64("sum")?,
+        min: min.as_u64("min")?,
+        max: max.as_u64("max")?,
+        buckets: [0; N_BUCKETS],
+    };
     let mut sum_of_buckets = 0u64;
-    for (key, f) in v.as_object("histogram")? {
-        match key.as_str() {
-            "count" => h.count = f.as_u64("count")?,
-            "sum" => h.sum = f.as_u64("sum")?,
-            "min" => h.min = f.as_u64("min")?,
-            "max" => h.max = f.as_u64("max")?,
-            "buckets" => {
-                for pair in f.as_array("buckets")? {
-                    let pair = pair.as_array("bucket pair")?;
-                    if pair.len() != 2 {
-                        return Err(ManifestError::new("bucket pair must be [index, count]"));
-                    }
-                    let idx = pair[0].as_u64("bucket index")? as usize;
-                    let n = pair[1].as_u64("bucket count")?;
-                    if idx >= N_BUCKETS {
-                        return Err(ManifestError::new(format!(
-                            "bucket index {idx} out of range (< {N_BUCKETS})"
-                        )));
-                    }
-                    if h.buckets[idx] != 0 {
-                        return Err(ManifestError::new(format!("duplicate bucket index {idx}")));
-                    }
-                    if n == 0 {
-                        return Err(ManifestError::new(
-                            "explicit zero bucket in sparse encoding",
-                        ));
-                    }
-                    h.buckets[idx] = n;
-                    sum_of_buckets = sum_of_buckets.saturating_add(n);
-                }
-            }
-            other => {
-                return Err(ManifestError::new(format!(
-                    "unknown histogram field {other:?}"
-                )))
-            }
+    for pair in buckets.as_array("buckets")? {
+        let pair = pair.as_array("bucket pair")?;
+        if pair.len() != 2 {
+            return Err(ManifestError::new("bucket pair must be [index, count]"));
         }
+        let idx = pair[0].as_u64("bucket index")? as usize;
+        let n = pair[1].as_u64("bucket count")?;
+        if idx >= N_BUCKETS {
+            return Err(ManifestError::new(format!(
+                "bucket index {idx} out of range (< {N_BUCKETS})"
+            )));
+        }
+        if h.buckets[idx] != 0 {
+            return Err(ManifestError::new(format!("duplicate bucket index {idx}")));
+        }
+        if n == 0 {
+            return Err(ManifestError::new(
+                "explicit zero bucket in sparse encoding",
+            ));
+        }
+        h.buckets[idx] = n;
+        sum_of_buckets = sum_of_buckets.saturating_add(n);
     }
     if sum_of_buckets != h.count {
         return Err(ManifestError::new(format!(
@@ -454,57 +371,14 @@ fn parse_histogram(v: &Json) -> Result<Histogram, ManifestError> {
 }
 
 fn parse_span(v: &Json) -> Result<SpanStats, ManifestError> {
-    let mut s = SpanStats::default();
-    for (key, f) in v.as_object("span")? {
-        match key.as_str() {
-            "count" => s.count = f.as_u64("count")?,
-            "wall_ns" => s.wall_ns = f.as_u64("wall_ns")?,
-            "cpu_ns" => s.cpu_ns = f.as_u64("cpu_ns")?,
-            "max_wall_ns" => s.max_wall_ns = f.as_u64("max_wall_ns")?,
-            other => return Err(ManifestError::new(format!("unknown span field {other:?}"))),
-        }
-    }
-    Ok(s)
-}
-
-// ------------------------------------------------------- string escaping --
-
-fn tsv_escape(s: &str) -> String {
-    let mut o = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => o.push_str("\\\\"),
-            '\t' => o.push_str("\\t"),
-            '\n' => o.push_str("\\n"),
-            '\r' => o.push_str("\\r"),
-            c => o.push(c),
-        }
-    }
-    o
-}
-
-fn tsv_unescape(s: &str) -> Result<String, ManifestError> {
-    let mut o = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            o.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => o.push('\\'),
-            Some('t') => o.push('\t'),
-            Some('n') => o.push('\n'),
-            Some('r') => o.push('\r'),
-            other => {
-                return Err(ManifestError::new(format!(
-                    "bad tsv escape \\{} in {s:?}",
-                    other.map(String::from).unwrap_or_default()
-                )))
-            }
-        }
-    }
-    Ok(o)
+    let [count, wall_ns, cpu_ns, max_wall_ns] =
+        fields(v, "span", ["count", "wall_ns", "cpu_ns", "max_wall_ns"])?;
+    Ok(SpanStats {
+        count: count.as_u64("count")?,
+        wall_ns: wall_ns.as_u64("wall_ns")?,
+        cpu_ns: cpu_ns.as_u64("cpu_ns")?,
+        max_wall_ns: max_wall_ns.as_u64("max_wall_ns")?,
+    })
 }
 
 #[cfg(test)]
@@ -575,67 +449,76 @@ mod tests {
     fn empty_manifest_roundtrips() {
         let m = RunManifest::from_snapshot("empty", MetricsSnapshot::default());
         assert_eq!(RunManifest::parse_json(&m.to_json()).expect("parse"), m);
-        assert_eq!(
-            RunManifest::parse_spans_tsv(&m.spans_tsv()).expect("tsv"),
-            m.spans
-        );
-    }
-
-    #[test]
-    fn spans_tsv_roundtrips() {
-        let mut m = sample();
-        m.spans.insert(
-            "name\twith\ttabs\nand\\newlines".into(),
-            SpanStats {
-                count: 1,
-                wall_ns: 2,
-                cpu_ns: 3,
-                max_wall_ns: 2,
-            },
-        );
-        let parsed = RunManifest::parse_spans_tsv(&m.spans_tsv()).expect("tsv");
-        assert_eq!(parsed, m.spans);
     }
 
     #[test]
     fn parser_rejects_bad_manifests() {
-        for (what, text) in [
-            ("not json", "hello"),
-            (
-                "wrong schema",
-                r#"{"schema": "nope", "schema_version": 1, "tool": "t"}"#,
-            ),
+        // A valid manifest; each row makes one edit to it.
+        const OK: &str = r#"{"schema": "hf-obs", "schema_version": 1, "tool": "t",
+            "counters": {}, "gauges": {},
+            "histograms": {"h": {"count": 1, "sum": 0, "min": 0, "max": 0, "buckets": [[0, 1]]}},
+            "spans": {"s": {"count": 1, "wall_ns": 2, "cpu_ns": 3, "max_wall_ns": 2}}}"#;
+        RunManifest::parse_json(OK).expect("the unedited manifest parses");
+        let histogram = r#"{"count": 1, "sum": 0, "min": 0, "max": 0, "buckets": [[0, 1]]}"#;
+        let span = r#"{"count": 1, "wall_ns": 2, "cpu_ns": 3, "max_wall_ns": 2}"#;
+        for (what, from, to) in [
+            ("not json", OK, "hello"),
+            ("wrong schema", r#""hf-obs""#, r#""nope""#),
             (
                 "wrong version",
-                r#"{"schema": "hf-obs", "schema_version": 99, "tool": "t"}"#,
+                r#""schema_version": 1"#,
+                r#""schema_version": 99"#,
+            ),
+            (
+                "version past u32",
+                r#""schema_version": 1"#,
+                r#""schema_version": 4294967297"#,
             ),
             (
                 "unknown field",
-                r#"{"schema": "hf-obs", "schema_version": 1, "tool": "t", "extra": {}}"#,
+                r#""tool": "t""#,
+                r#""tool": "t", "extra": {}"#,
             ),
-            ("missing schema", r#"{"schema_version": 1, "tool": "t"}"#),
+            ("missing schema", r#""schema": "hf-obs", "#, ""),
+            ("missing tool", r#""tool": "t","#, ""),
+            ("missing counters", r#""counters": {}, "#, ""),
+            (
+                "repeated tool",
+                r#""tool": "t""#,
+                r#""tool": "t", "tool": "u""#,
+            ),
             (
                 "float value",
-                r#"{"schema": "hf-obs", "schema_version": 1, "tool": "t", "counters": {"x": 1.5}}"#,
+                r#""counters": {}"#,
+                r#""counters": {"x": 1.5}"#,
             ),
             (
                 "negative counter",
-                r#"{"schema": "hf-obs", "schema_version": 1, "tool": "t", "counters": {"x": -1}}"#,
+                r#""counters": {}"#,
+                r#""counters": {"x": -1}"#,
             ),
             (
                 "bucket/count mismatch",
-                r#"{"schema": "hf-obs", "schema_version": 1, "tool": "t",
-                   "histograms": {"h": {"count": 2, "sum": 0, "min": 0, "max": 0,
-                                        "buckets": [[0, 1]]}}}"#,
+                r#"{"count": 1, "sum""#,
+                r#"{"count": 2, "sum""#,
             ),
+            ("bucket index out of range", "[[0, 1]]", "[[65, 1]]"),
             (
-                "bucket index out of range",
-                r#"{"schema": "hf-obs", "schema_version": 1, "tool": "t",
-                   "histograms": {"h": {"count": 1, "sum": 0, "min": 0, "max": 0,
-                                        "buckets": [[65, 1]]}}}"#,
+                "repeated histogram count",
+                r#"{"count": 1, "sum""#,
+                r#"{"count": 1, "count": 1, "sum""#,
+            ),
+            ("histogram missing fields", histogram, "{}"),
+            ("span missing fields", span, "{}"),
+            (
+                "repeated span count",
+                r#"{"count": 1, "wall_ns""#,
+                r#"{"count": 1, "count": 1, "wall_ns""#,
             ),
         ] {
-            assert!(RunManifest::parse_json(text).is_err(), "{what} must fail");
+            assert_eq!(OK.matches(from).count(), 1, "{what}: one place to edit");
+            let text = OK.replacen(from, to, 1);
+            assert!(RunManifest::parse_json(&text).is_err(), "{what} must fail");
         }
     }
 
@@ -650,20 +533,49 @@ mod tests {
         assert_eq!(f.spans.len(), 1);
     }
 
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("hf-obs-{name}-{}", std::process::id()))
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn write_and_load_dir() {
-        let dir = std::env::temp_dir().join(format!("hf-obs-test-{}", std::process::id()));
+        let dir = temp_dir("write");
+        std::fs::remove_dir_all(&dir).ok();
         let m = sample();
         m.write_dir(&dir).expect("write");
-        let loaded = RunManifest::load_dir(&dir).expect("load");
-        assert_eq!(loaded, m);
-        // A tampered spans.tsv fails the cross-check.
-        std::fs::write(
-            dir.join(SPANS_FILE),
-            format!("# {SCHEMA_NAME} spans v{SCHEMA_VERSION}\nname\tcount\twall_ns\tcpu_ns\tmax_wall_ns\n"),
-        )
-        .expect("tamper");
-        assert!(RunManifest::load_dir(&dir).is_err());
+        assert_eq!(file_names(&dir), [METRICS_FILE]);
+        assert_eq!(RunManifest::load_dir(&dir).expect("load"), m);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_dir_replaces_a_stale_manifest() {
+        let dir = temp_dir("stale");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        // A torn manifest under the final name and one under the temp name,
+        // as a killed write leaves them, and a span table an older build
+        // wrote beside the manifest.
+        std::fs::write(dir.join(METRICS_FILE), "{\"schema\": \"hf-o").expect("stale");
+        std::fs::write(dir.join(format!("{METRICS_FILE}.tmp")), "{\"sch").expect("stale");
+        std::fs::write(dir.join("extra.tsv"), "stale\n").expect("stale");
+        let m = sample();
+        m.write_dir(&dir).expect("write");
+        assert_eq!(RunManifest::load_dir(&dir).expect("load"), m);
+        assert_eq!(
+            file_names(&dir),
+            ["extra.tsv", METRICS_FILE],
+            "no temp file remains"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,13 @@
 //! Differential oracles: typed, field-level comparison of simulation
 //! outputs.
 //!
-//! The repo has three execution paths that must agree bit-for-bit — the
-//! serial day loop, the sharded parallel engine, and snapshot reload. Each
-//! used to be guarded by a bespoke pile of `assert_eq!`s; this module
-//! replaces them with one reusable comparison that walks every observable
-//! surface of a [`SimOutput`] and reports *which field* of *which row*
-//! diverged, instead of a bare `assertion failed: rows_equal`.
+//! Several pairs of runs must agree bit-for-bit: two runs of one seed, a
+//! plain run and a metrics-on run, a simulation and its snapshot reload,
+//! the simulator and the live wire farm. Each used to be guarded by a
+//! bespoke pile of `assert_eq!`s; this module replaces them with one
+//! reusable comparison that walks every observable surface of a
+//! [`SimOutput`] and reports *which field* of *which row* diverged,
+//! instead of a bare `assertion failed: rows_equal`.
 //!
 //! The oracle is deliberately conservative: it compares rows in order
 //! (plan order is part of the determinism contract), digest universes as

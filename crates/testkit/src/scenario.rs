@@ -42,7 +42,7 @@
 use std::fmt;
 use std::path::Path;
 
-use hf_core::classify::Category;
+use hf_core::classify::{taxonomy, Category};
 use hf_geo::Ip4;
 use hf_honeypot::{HoneypotConfig, SessionDriver, SessionRecord};
 use hf_proto::creds::Credentials;
@@ -61,7 +61,24 @@ pub enum FetcherKind {
 }
 
 impl FetcherKind {
-    fn build(self) -> Box<dyn RemoteFetcher> {
+    /// The name a script gives this kind: the scenario header's `fetcher`
+    /// value and the wire control channel's `@hfs fetcher` argument.
+    pub fn name(self) -> &'static str {
+        match self {
+            FetcherKind::Synthetic => "synthetic",
+            FetcherKind::Null => "null",
+        }
+    }
+
+    /// The kind [`FetcherKind::name`] gives `name`, if any.
+    pub fn from_name(name: &str) -> Option<FetcherKind> {
+        [FetcherKind::Synthetic, FetcherKind::Null]
+            .into_iter()
+            .find(|k| k.name() == name)
+    }
+
+    /// A fresh fetcher of this kind for one session's shell.
+    pub fn build(self) -> Box<dyn RemoteFetcher> {
         match self {
             FetcherKind::Synthetic => Box::new(SyntheticFetcher),
             FetcherKind::Null => Box::new(NullFetcher),
@@ -233,16 +250,12 @@ impl Scenario {
                 }
                 "fetcher" => {
                     header(in_header)?;
-                    sc.fetcher = match rest {
-                        "synthetic" => FetcherKind::Synthetic,
-                        "null" => FetcherKind::Null,
-                        other => {
-                            return Err(syntax(
-                                lineno,
-                                format!("fetcher: expected synthetic|null, got {other:?}"),
-                            ))
-                        }
-                    };
+                    sc.fetcher = FetcherKind::from_name(rest).ok_or_else(|| {
+                        syntax(
+                            lineno,
+                            format!("fetcher: expected synthetic|null, got {rest:?}"),
+                        )
+                    })?;
                 }
                 "honeypot" => {
                     header(in_header)?;
@@ -350,21 +363,16 @@ impl Scenario {
     }
 }
 
-/// Classify a raw session record with the Section 6 taxonomy — the same
-/// decision tree as [`hf_core::classify::classify`], applied before the
-/// record reaches a store.
+/// Classify a raw session record with the Section 6 taxonomy — the
+/// [`taxonomy`] tree that [`hf_core::classify::classify`] applies to stored
+/// rows, applied before the record reaches a store.
 pub fn classify_record(rec: &SessionRecord) -> Category {
-    if !rec.attempted_login() {
-        Category::NoCred
-    } else if !rec.login_succeeded() {
-        Category::FailLog
-    } else if rec.commands.is_empty() {
-        Category::NoCmd
-    } else if rec.uris.is_empty() {
-        Category::Cmd
-    } else {
-        Category::CmdUri
-    }
+    taxonomy(
+        rec.attempted_login(),
+        rec.login_succeeded(),
+        !rec.commands.is_empty(),
+        rec.accessed_uri(),
+    )
 }
 
 /// Render a session record as the canonical line-based event log.

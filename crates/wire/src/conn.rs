@@ -65,8 +65,8 @@ use hf_proto::telnet::{
     self, encode_data, encode_negotiate, refusal_for, LineAssembler, TelnetDecoder, TelnetEvent,
 };
 use hf_proto::Protocol;
-use hf_shell::{NullFetcher, RemoteFetcher, SyntheticFetcher};
 use hf_simclock::{SimInstant, SECS_PER_DAY};
+use hf_testkit::scenario::FetcherKind;
 
 use crate::stats::FarmStats;
 
@@ -85,23 +85,6 @@ pub enum Timing {
     Wall,
     /// Time passes only via `@hfs` control lines (deterministic tests).
     Virtual,
-}
-
-/// Shell fetcher selection, mirroring the scenario header's `fetcher`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum FetcherChoice {
-    #[default]
-    Synthetic,
-    Null,
-}
-
-impl FetcherChoice {
-    fn build(self) -> Box<dyn RemoteFetcher> {
-        match self {
-            FetcherChoice::Synthetic => Box::new(SyntheticFetcher),
-            FetcherChoice::Null => Box::new(NullFetcher),
-        }
-    }
 }
 
 /// Everything a [`SessionConn`] needs at accept time.
@@ -154,7 +137,7 @@ pub struct SessionConn {
     think: u32,
     pending_start: Option<SimInstant>,
     pending_client: Option<(Ip4, u16)>,
-    pending_fetcher: FetcherChoice,
+    pending_fetcher: FetcherKind,
     driver: Option<SessionDriver>,
     driver_start: SimInstant,
     lines: LineAssembler,
@@ -201,7 +184,7 @@ impl SessionConn {
             think: 1,
             pending_start: None,
             pending_client: None,
-            pending_fetcher: FetcherChoice::Synthetic,
+            pending_fetcher: FetcherKind::Synthetic,
             driver: None,
             driver_start: SimInstant::EPOCH,
             lines: LineAssembler::new(),
@@ -451,11 +434,11 @@ impl SessionConn {
                     }
                 }
             }
-            "fetcher" if self.driver.is_none() => match args {
-                "synthetic" => self.pending_fetcher = FetcherChoice::Synthetic,
-                "null" => self.pending_fetcher = FetcherChoice::Null,
-                _ => {}
-            },
+            "fetcher" if self.driver.is_none() => {
+                if let Some(kind) = FetcherKind::from_name(args) {
+                    self.pending_fetcher = kind;
+                }
+            }
             "think" => {
                 if let Ok(n) = args.parse() {
                     self.think = n;

@@ -35,11 +35,7 @@ pub fn wire_script_as(sc: &Scenario, client: Ip4, port: u16) -> String {
         sc.start.secs_of_day()
     ));
     s.push_str(&format!("@hfs client {client} {port}{term}"));
-    let fetcher = match sc.fetcher {
-        hf_testkit::scenario::FetcherKind::Synthetic => "synthetic",
-        hf_testkit::scenario::FetcherKind::Null => "null",
-    };
-    s.push_str(&format!("@hfs fetcher {fetcher}{term}"));
+    s.push_str(&format!("@hfs fetcher {}{term}", sc.fetcher.name()));
     for step in &sc.steps {
         match step {
             Step::Banner(b) => {

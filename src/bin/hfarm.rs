@@ -56,7 +56,7 @@
 //!     table as markdown; it is a usage error without `--claims`.
 //! hfarm metrics DIR
 //!     Parse and summarize a metrics manifest directory previously
-//!     emitted with --metrics (schema check + spans.tsv cross-check).
+//!     emitted with --metrics (strict schema check of its metrics.json).
 //! ```
 //!
 //! A subcommand rejects (exit 2, nothing written) any flag it does not
@@ -64,7 +64,7 @@
 //! window), `--k` and `--nodes` are at least 1, `--scale` is in (0, 1].
 //! Every analysis folds on the calling thread as rows arrive, a day or a
 //! chunk at a time. `--metrics DIR` enables the hf-obs observability layer
-//! for the run and writes `metrics.json` + `spans.tsv` into DIR at exit.
+//! for the run and publishes `metrics.json` into DIR at exit.
 //! Recording never changes any simulation, snapshot, or report byte
 //! (enforced by `tests/obs_invariance.rs`). The synopsis above is checked
 //! against [`FLAGS`] by a unit test.

@@ -2,15 +2,15 @@
 //!
 //! The registry's correctness rests on merge being a commutative monoid
 //! over every metric kind — that is what makes the folded snapshot
-//! independent of flush order, thread interleaving, and shard assignment.
+//! independent of flush order and thread interleaving.
 //! These properties pin it down directly:
 //!
 //! * histogram merge is associative, commutative, and has the empty
 //!   histogram as identity;
 //! * counters saturate instead of wrapping, in any merge order;
 //! * span guards nest and unwind in balance for arbitrary scripts;
-//! * `metrics.json` and `spans.tsv` round-trip arbitrary (hostile) metric
-//!   names and values exactly.
+//! * `metrics.json` round-trips arbitrary (hostile) metric names and values
+//!   exactly.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -19,8 +19,8 @@ use honeyfarm::obs::{self, Histogram, MetricsSnapshot, RunManifest, SpanStats};
 use proptest::prelude::*;
 
 /// Characters metric names are drawn from: everything that stresses the
-/// JSON and TSV escapers — quotes, backslashes, tabs, newlines, control
-/// characters, and non-ASCII.
+/// JSON escaper — quotes, backslashes, tabs, newlines, control characters,
+/// and non-ASCII.
 const NAME_CHARS: &[char] = &[
     'a', 'b', 'z', '0', '9', '.', '_', '-', ' ', '"', '\\', '/', '\t', '\n', '\r', '\u{1}',
     '\u{7f}', 'λ', '√', '🦀',
@@ -144,17 +144,6 @@ proptest! {
         let parsed = RunManifest::parse_json(&m.to_json())
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(parsed, m);
-    }
-
-    /// `spans.tsv` round-trips arbitrary names and timings exactly.
-    #[test]
-    fn spans_tsv_roundtrip(
-        spans in prop::collection::vec((name(), prop::collection::vec((any::<u64>(), any::<u64>()), 1..5)), 0..6,),
-    ) {
-        let m = build_manifest("tsv", &[], &[], &[], &spans);
-        let parsed = RunManifest::parse_spans_tsv(&m.spans_tsv())
-            .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(parsed, m.spans);
     }
 
     /// Span guards stay balanced for arbitrary nesting scripts: depth

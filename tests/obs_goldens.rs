@@ -27,8 +27,8 @@ fn golden(name: &str) -> PathBuf {
 }
 
 /// One deterministic serial pipeline run, recorded under the zero clock,
-/// must reproduce the pinned `metrics.json` and `spans.tsv` exactly —
-/// and survive a disk round-trip unchanged.
+/// must reproduce the pinned `metrics.json` exactly — and survive a disk
+/// round-trip unchanged.
 #[test]
 fn manifest_structure_is_golden_pinned() {
     obs::reset();
@@ -56,7 +56,6 @@ fn manifest_structure_is_golden_pinned() {
     manifest.zero_timings();
 
     assert_golden(&golden("obs_metrics.json.golden"), &manifest.to_json());
-    assert_golden(&golden("obs_spans.tsv.golden"), &manifest.spans_tsv());
 
     // The pinned manifest also survives write_dir → load_dir untouched.
     let manifest_dir = render_dir.join("metrics");
