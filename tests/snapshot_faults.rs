@@ -3,7 +3,9 @@
 //! right typed [`SnapshotError`], never a panic or a silent mis-read.
 
 use honeyfarm::farm::snapshot::{FORMAT_VERSION, MAGIC, SECTIONS};
-use honeyfarm::farm::{FarmPlan, SessionStore, Snapshot, SnapshotError, SnapshotMeta, TagDb};
+use honeyfarm::farm::{
+    FarmPlan, SessionStore, Snapshot, SnapshotError, SnapshotMeta, SnapshotReader, TagDb,
+};
 use honeyfarm::geo::Ip4;
 use honeyfarm::hash::Sha256;
 use honeyfarm::honeypot::{EndReason, LoginAttempt, SessionRecord};
@@ -474,4 +476,93 @@ fn garbage_input_is_bad_magic() {
         Err(SnapshotError::BadMagic { .. }) => {}
         other => panic!("expected BadMagic, got {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------------------
+// List-pool faults: the duplicate and empty-list checks behind the lists
+// section's checksum.
+
+/// Decode the lists payload into its lists, in id order.
+fn decode_lists(payload: &[u8]) -> Vec<Vec<u32>> {
+    let word = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+    let mut off = 4;
+    let lists = (0..word(0))
+        .map(|_| {
+            let len = word(off) as usize;
+            let list = (0..len).map(|k| word(off + 4 + 4 * k)).collect();
+            off += 4 + 4 * len;
+            list
+        })
+        .collect();
+    assert_eq!(off, payload.len(), "list walk must cover the payload");
+    lists
+}
+
+/// The snapshot with its lists section re-encoded after `edit`, with the
+/// section length and checksum re-stamped so the loader reaches the
+/// pool's own validation.
+fn with_lists(edit: impl FnOnce(&mut Vec<Vec<u32>>)) -> Vec<u8> {
+    let bytes = snapshot_bytes();
+    let spans = section_spans(&bytes);
+    let lists_idx = SECTIONS.iter().position(|(_, n)| *n == "lists").unwrap();
+    let (start, len) = spans[lists_idx];
+    let mut lists = decode_lists(&bytes[start..start + len]);
+    edit(&mut lists);
+    let mut payload = (lists.len() as u32).to_le_bytes().to_vec();
+    for list in &lists {
+        payload.extend_from_slice(&(list.len() as u32).to_le_bytes());
+        for v in list {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    let mut out = bytes[..start - 32 - 8].to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&[0; 32]);
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&bytes[start + len..]);
+    restamp(&mut out, start, payload.len());
+    out
+}
+
+/// Both loaders — the materializing read and the streaming open — must
+/// reject `bytes` as a corrupt lists section.
+fn assert_lists_corrupt(bytes: &[u8], what: &str) {
+    match load(bytes) {
+        Err(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "lists", "{what}"),
+        other => panic!("{what}: expected Corrupt lists from read, got {other:?}"),
+    }
+    match SnapshotReader::open(bytes).err() {
+        Some(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "lists", "{what}"),
+        other => panic!("{what}: expected Corrupt lists from open, got {other:?}"),
+    }
+}
+
+#[test]
+fn re_encoded_lists_section_still_loads() {
+    let bytes = with_lists(|_| {});
+    assert_eq!(bytes, snapshot_bytes());
+    assert!(SnapshotReader::open(&bytes[..]).is_ok());
+}
+
+#[test]
+fn repeated_list_is_rejected() {
+    let bytes = with_lists(|lists| {
+        assert!(lists.len() > 3);
+        let last = lists.len() - 1;
+        lists[last] = lists[1].clone();
+    });
+    assert_lists_corrupt(&bytes, "repeated list");
+}
+
+#[test]
+fn non_empty_list_zero_is_rejected() {
+    // A value no other list holds, so only the id-0 rule can fire.
+    let bytes = with_lists(|lists| lists[0] = vec![u32::MAX - 1]);
+    assert_lists_corrupt(&bytes, "non-empty list 0");
+}
+
+#[test]
+fn empty_list_past_id_zero_is_rejected() {
+    let bytes = with_lists(|lists| lists.push(Vec::new()));
+    assert_lists_corrupt(&bytes, "empty list at id > 0");
 }
