@@ -216,8 +216,17 @@ impl Default for ClientAcc {
 
 impl ClientAcc {
     /// Fold one session. Rows must arrive day-ordered (the distinct-day
-    /// count relies on it), exactly like `ClientAgg`.
-    fn ingest(&mut self, plan: &FarmPlan, heads: &HeadMap, v: &SessionView<'_>) {
+    /// count relies on it), exactly like `ClientAgg`. `cmd_lists` holds the
+    /// command-list ids already folded into this client's command, head and
+    /// bigram sets: a list adds the same ids every time, so only its first
+    /// use is read.
+    fn ingest(
+        &mut self,
+        plan: &FarmPlan,
+        heads: &HeadMap,
+        cmd_lists: &mut IdSet,
+        v: &SessionView<'_>,
+    ) {
         let row = v.raw();
         self.sessions += 1;
         self.first_start = self.first_start.min(row.start_secs);
@@ -235,17 +244,20 @@ impl ClientAcc {
             self.login_successes += (packed & 1) as u64;
             self.cred_ids.insert(packed >> 1);
         }
-        let mut prev_head: Option<u32> = None;
-        for &packed in v.command_packed() {
-            self.commands += 1;
-            let cmd_id = packed >> 1;
-            self.cmd_ids.insert(cmd_id);
-            for &h in heads.heads(cmd_id) {
-                self.head_ids.insert(h);
-                if let Some(p) = prev_head {
-                    self.bigrams.insert(((p as u64) << 32) | h as u64);
+        let commands = v.command_packed();
+        self.commands += commands.len() as u64;
+        if !commands.is_empty() && cmd_lists.insert(row.cmd_list_id) {
+            let mut prev_head: Option<u32> = None;
+            for &packed in commands {
+                let cmd_id = packed >> 1;
+                self.cmd_ids.insert(cmd_id);
+                for &h in heads.heads(cmd_id) {
+                    self.head_ids.insert(h);
+                    if let Some(p) = prev_head {
+                        self.bigrams.insert(((p as u64) << 32) | h as u64);
+                    }
+                    prev_head = Some(h);
                 }
-                prev_head = Some(h);
             }
         }
         if v.protocol() == Protocol::Ssh {
@@ -282,7 +294,8 @@ impl ClientAcc {
 /// chunk-at-a-time and day-at-a-time paths.
 #[derive(Default)]
 pub struct FeatureFold {
-    clients: IdMap<ClientAcc>,
+    /// Per client: its accumulator and the command-list ids it has used.
+    clients: IdMap<(ClientAcc, IdSet)>,
 }
 
 impl FeatureFold {
@@ -291,12 +304,13 @@ impl FeatureFold {
         Self::default()
     }
 
-    /// Fold one session into its client's accumulator.
+    /// Fold one session into its client's accumulator. Every row must
+    /// come from one store (or its append-only pools, chunk by chunk), as
+    /// `heads` must: a command-list id is taken to name the same list on
+    /// every row.
     pub fn ingest(&mut self, plan: &FarmPlan, heads: &HeadMap, v: &SessionView<'_>) {
-        self.clients
-            .entry(v.raw().client_ip)
-            .or_default()
-            .ingest(plan, heads, v);
+        let (acc, cmd_lists) = self.clients.entry(v.raw().client_ip).or_default();
+        acc.ingest(plan, heads, cmd_lists, v);
     }
 
     /// Fold a run of day-ordered rows resolved against `store`'s pools (a
@@ -329,7 +343,11 @@ impl FeatureFold {
     /// denominator of the farm-coverage feature.
     pub fn finish(self, n_honeypots: usize) -> ClientFeatures {
         hf_obs::counter!("cluster.clients", self.len() as u64);
-        let mut clients: Vec<(u32, ClientAcc)> = self.clients.into_iter().collect();
+        let mut clients: Vec<(u32, ClientAcc)> = self
+            .clients
+            .into_iter()
+            .map(|(ip, (acc, _))| (ip, acc))
+            .collect();
         clients.sort_unstable_by_key(|&(ip, _)| ip);
         ClientFeatures {
             n_honeypots,

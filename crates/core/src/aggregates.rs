@@ -6,6 +6,12 @@
 //! interned ids, and process day-grouped state (daily unique clients,
 //! freshness, regional diversity) with a flush at each day boundary.
 //!
+//! A row costs one hash lookup, its client's. The client's entry in the
+//! current day's buffer (a `Vec`, not a map) is reached through the slot
+//! index kept in its [`ClientAgg`]. The per-honeypot client and hash sets
+//! are not touched per row: [`StreamingFold::finish`] builds them from the
+//! honeypot bitsets each [`ClientAgg`] and [`HashAgg`] already holds.
+//!
 //! # One fold
 //!
 //! [`StreamingFold`] is the only fold. It takes day-ordered rows in any
@@ -60,6 +66,17 @@ pub fn bit_count(b: &HpBitset) -> u32 {
     b.iter().map(|w| w.count_ones()).sum()
 }
 
+/// Call `f` with the index of every set bit, in ascending order.
+fn for_each_bit(b: &HpBitset, mut f: impl FnMut(usize)) {
+    for (w, &word) in b.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// Per-client accumulated state.
 #[derive(Clone)]
 pub struct ClientAgg {
@@ -82,6 +99,12 @@ pub struct ClientAgg {
     pub hashes: IdSet,
     /// Client country (u16::MAX = unknown).
     pub country: u16,
+    /// Where this client's entry sits in the fold's current-day buffer
+    /// (stale once that day is flushed; the entry's `ip` tells).
+    day_slot: u32,
+    /// Raw AS number of this client's previous row (`u32::MAX` = none), so
+    /// the distinct-AS set is touched only when it changes.
+    last_asn: u32,
 }
 
 impl Default for ClientAgg {
@@ -97,6 +120,8 @@ impl Default for ClientAgg {
             sessions: 0,
             hashes: IdSet::default(),
             country: u16::MAX,
+            day_slot: u32::MAX,
+            last_asn: u32::MAX,
         }
     }
 }
@@ -135,13 +160,17 @@ impl Default for HashAgg {
     }
 }
 
-/// Daily state that flushes at day boundaries.
-#[derive(Default)]
-struct DayState {
-    /// ip → category bitmask seen today.
-    client_cats: IdMap<u8>,
-    /// ip → (overall relation mask, per-category relation masks).
-    client_regions: IdMap<[u8; 6]>,
+/// One client's state for the day being folded, flushed at the day
+/// boundary. The fold keeps one per client seen today, in a `Vec` reached
+/// through [`ClientAgg`]'s slot, so the row's client lookup finds it too.
+struct DayEntry {
+    /// The client, to tell its entry from a stale slot.
+    ip: u32,
+    /// Category bitmask seen today: bits 0..3 the {NO_CRED, FAIL_LOG, CMD}
+    /// combo, bits 3..8 any-category presence.
+    cats: u8,
+    /// Regional relation masks, overall then per category.
+    regions: [u8; 6],
 }
 
 /// Everything computed by the pass.
@@ -275,36 +304,52 @@ impl Aggregates {
         fold.finish()
     }
 
-    fn flush_day(&mut self, day: u32, state: &mut DayState) {
+    fn flush_day(&mut self, day: u32, today: &mut Vec<DayEntry>) {
         let d = day as usize;
         if d >= self.day_unique_ips.len() {
-            state.client_cats.clear();
-            state.client_regions.clear();
+            today.clear();
             return;
         }
-        for (_, mask) in state.client_cats.iter() {
+        for e in today.drain(..) {
             // Per-category daily unique IPs.
             for ci in 0..5 {
-                if mask & (1 << (ci + 3)) != 0 {
+                if e.cats & (1 << (ci + 3)) != 0 {
                     self.day_unique_ips[d][ci] += 1;
                 }
             }
             self.day_unique_ips[d][5] += 1;
             // Combo over {NO_CRED, FAIL_LOG, CMD}.
-            let combo = mask & 0b111;
+            let combo = e.cats & 0b111;
             if combo != 0 {
                 self.day_combo_clients[d][combo as usize] += 1;
             }
-        }
-        for (_, masks) in state.client_regions.iter() {
-            for (slot, &m) in masks.iter().enumerate() {
+            for (slot, &m) in e.regions.iter().enumerate() {
                 if m != 0 {
                     self.day_region_combos[d][slot][m as usize] += 1;
                 }
             }
         }
-        state.client_cats.clear();
-        state.client_regions.clear();
+    }
+
+    /// The per-honeypot client and hash sets, from the honeypot bitsets
+    /// every [`ClientAgg`] and [`HashAgg`] already holds: a honeypot saw a
+    /// client (a hash) exactly when its bit is set there.
+    fn fill_honeypot_sets(&mut self) {
+        for (&ip, c) in &self.clients {
+            for_each_bit(&c.honeypots, |hp| {
+                self.hp_clients[hp].insert(ip);
+            });
+            for (ci, hps) in c.honeypots_by_cat.iter().enumerate() {
+                for_each_bit(hps, |hp| {
+                    self.hp_clients_by_cat[hp][ci].insert(ip);
+                });
+            }
+        }
+        for (hid, h) in self.hashes.iter().enumerate() {
+            for_each_bit(&h.honeypots, |hp| {
+                self.hp_hashes[hp].insert(hid as u32);
+            });
+        }
     }
 
     /// Distinct client count.
@@ -329,7 +374,8 @@ impl Aggregates {
 /// order give the same [`Aggregates`] however they are cut.
 pub struct StreamingFold {
     agg: Aggregates,
-    day_state: DayState,
+    /// One entry per client seen on `current_day`.
+    today: Vec<DayEntry>,
     current_day: u32,
     /// Scratch for per-session hash dedupe.
     session_hashes: Vec<u32>,
@@ -341,7 +387,7 @@ impl StreamingFold {
     pub fn new(n_honeypots: usize) -> Self {
         StreamingFold {
             agg: Aggregates::empty(n_honeypots),
-            day_state: DayState::default(),
+            today: Vec::new(),
             current_day: 0,
             session_hashes: Vec::new(),
             fresh: FreshnessSeries::new(),
@@ -356,7 +402,7 @@ impl StreamingFold {
     pub fn ingest(&mut self, plan: &FarmPlan, v: &SessionView<'_>) {
         let day = v.day();
         if day != self.current_day {
-            self.agg.flush_day(self.current_day, &mut self.day_state);
+            self.agg.flush_day(self.current_day, &mut self.today);
             self.current_day = day;
         }
         if day >= self.agg.n_days {
@@ -396,12 +442,10 @@ impl StreamingFold {
         let dur = (v.duration_secs() as usize).min(600);
         agg.dur_hist[ci][dur] += 1;
 
-        // Per honeypot.
+        // Per honeypot. Its client and hash sets are filled in `finish`.
         agg.hp_sessions[hp as usize] += 1;
-        agg.hp_clients[hp as usize].insert(ip);
-        agg.hp_clients_by_cat[hp as usize][ci].insert(ip);
 
-        // Per client.
+        // Per client: the row's one hash lookup.
         let client = agg.clients.entry(ip).or_default();
         client.sessions += 1;
         client.cats |= 1 << ci;
@@ -421,8 +465,12 @@ impl StreamingFold {
                 client.country = c.0;
             }
         }
-        if let Some(asn) = v.client_asn() {
-            agg.asns.insert(asn.0);
+        let asn = v.raw().client_asn;
+        if asn != client.last_asn {
+            client.last_asn = asn;
+            if let Some(asn) = v.client_asn() {
+                agg.asns.insert(asn.0);
+            }
         }
 
         // Credentials / commands / ssh versions, counted by interned id.
@@ -474,13 +522,9 @@ impl StreamingFold {
                 h.first_honeypot = hp;
                 agg.hp_first_hashes[hp as usize] += 1;
             }
-            agg.hp_hashes[hp as usize].insert(hid);
             self.fresh.observe(hid, day);
         }
-        if !session_hashes.is_empty() {
-            let client = agg.clients.entry(ip).or_default();
-            client.hashes.extend(session_hashes.iter().copied());
-        }
+        client.hashes.extend(session_hashes.iter().copied());
 
         // Daily per-client state.
         let combo_bit = match cat {
@@ -489,11 +533,19 @@ impl StreamingFold {
             Category::Cmd | Category::CmdUri => Some(2),
             Category::NoCmd => None,
         };
-        let entry = self.day_state.client_cats.entry(ip).or_insert(0);
-        if let Some(b) = combo_bit {
-            *entry |= 1 << b;
+        if self.today.get(client.day_slot as usize).map(|e| e.ip) != Some(ip) {
+            client.day_slot = self.today.len() as u32;
+            self.today.push(DayEntry {
+                ip,
+                cats: 0,
+                regions: [0; 6],
+            });
         }
-        *entry |= 1 << (ci + 3); // upper bits: any-category presence
+        let entry = &mut self.today[client.day_slot as usize];
+        if let Some(b) = combo_bit {
+            entry.cats |= 1 << b;
+        }
+        entry.cats |= 1 << (ci + 3); // upper bits: any-category presence
 
         // Regional relation.
         if let Some(cc) = v.client_country() {
@@ -504,9 +556,8 @@ impl StreamingFold {
                 hf_geo::RegionRelation::SameContinent => 2,
                 hf_geo::RegionRelation::DifferentContinent => 4,
             };
-            let masks = self.day_state.client_regions.entry(ip).or_insert([0; 6]);
-            masks[0] |= bit;
-            masks[ci + 1] |= bit;
+            entry.regions[0] |= bit;
+            entry.regions[ci + 1] |= bit;
         }
     }
 
@@ -534,11 +585,12 @@ impl StreamingFold {
     /// Flush the trailing day and return the finished aggregates. A fold
     /// that saw no rows is one empty day wide, not zero.
     pub fn finish(mut self) -> Aggregates {
-        self.agg.flush_day(self.current_day, &mut self.day_state);
+        self.agg.flush_day(self.current_day, &mut self.today);
         let mut agg = self.agg;
         if agg.n_days == 0 {
             agg.grow_days(1);
         }
+        agg.fill_honeypot_sets();
         agg.freshness = self.fresh.finish();
         agg
     }

@@ -5,8 +5,9 @@
 //! default `SipHash` hasher is engineered to resist collision attacks from
 //! adversarial keys, a property these ids cannot exploit: they come out of
 //! our own interning pools and the simulator's address plan, not from
-//! untrusted input. Paying ~20 ns of SipHash per map operation, several
-//! times per row, dominates the whole streaming fold at paper scale.
+//! untrusted input. Paying ~20 ns of SipHash per map operation, once per
+//! row for the client and again per credential, command and hash id,
+//! dominates the whole streaming fold at paper scale.
 //!
 //! [`IdHasher`] replaces it with one 64-bit multiply and an xor-shift:
 //!

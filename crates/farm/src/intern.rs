@@ -154,9 +154,14 @@ impl DigestPool {
 
 /// Deduplicating pool of u32 lists, stored flattened (arena + ranges).
 /// The empty list is always id [`ListPool::EMPTY`], and never hashed.
+///
+/// A pool decoded from a snapshot ([`ListPool::from_parts`]) starts without
+/// its lookup index: readers only resolve ids, so the index is built on the
+/// first [`ListPool::intern`] instead.
 #[derive(Debug, Clone)]
 pub struct ListPool {
-    /// Every non-empty list.
+    /// Every non-empty list, or nothing until the first `intern` after
+    /// `from_parts` (complete exactly when it holds `ranges.len() - 1`).
     by_list: HashMap<Vec<u32>, u32>,
     /// Flattened contents.
     arena: Vec<u32>,
@@ -180,6 +185,18 @@ impl ListPool {
         }
     }
 
+    /// A pool over decoded lists: `ranges[0]` is the empty list and every
+    /// range lies inside `arena`. The lists must be distinct; the snapshot
+    /// loader rejects a file that repeats one before it hands the pool out.
+    pub(crate) fn from_parts(arena: Vec<u32>, ranges: Vec<(u32, u32)>) -> Self {
+        debug_assert_eq!(ranges.first(), Some(&(0, 0)));
+        ListPool {
+            by_list: HashMap::new(),
+            arena,
+            ranges,
+        }
+    }
+
     /// Id of the empty list.
     pub const EMPTY: u32 = 0;
 
@@ -189,6 +206,11 @@ impl ListPool {
     pub fn intern(&mut self, list: &[u32]) -> u32 {
         if list.is_empty() {
             return Self::EMPTY;
+        }
+        if self.by_list.len() + 1 != self.ranges.len() {
+            self.by_list = (1..self.ranges.len() as u32)
+                .map(|id| (self.get(id).to_vec(), id))
+                .collect();
         }
         if let Some(&id) = self.by_list.get(list) {
             return id;

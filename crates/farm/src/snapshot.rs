@@ -58,6 +58,7 @@
 //! variant, verified by the fault-injection suite in
 //! `tests/snapshot_faults.rs`.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -979,6 +980,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Payload bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
@@ -1105,6 +1111,10 @@ fn decode_digest_pool(cur: &mut Cursor<'_>) -> Result<DigestPool, SnapshotError>
     Ok(pool)
 }
 
+/// Decode the lists straight into the pool's arena and ranges. Id 0 must
+/// be the empty list and no list may repeat; repeats are found through a
+/// set of borrowed slices keyed by std's `RandomState`, because these bytes
+/// come from an untrusted file.
 fn decode_list_pool(cur: &mut Cursor<'_>) -> Result<ListPool, SnapshotError> {
     let n = cur.u32()?;
     if n == 0 {
@@ -1113,24 +1123,43 @@ fn decode_list_pool(cur: &mut Cursor<'_>) -> Result<ListPool, SnapshotError> {
             detail: "list pool must contain at least the empty list".into(),
         });
     }
-    let mut pool = ListPool::new(); // pre-interns [] as id 0
-    let mut list = Vec::new();
+    // The payload is one length word per list plus the values, so it
+    // bounds both reserves whatever `n` claims (and sizes a valid arena
+    // exactly).
+    let words = cur.remaining() / 4;
+    let mut ranges = Vec::with_capacity((n as usize).min(words));
+    let mut arena = Vec::with_capacity(words.saturating_sub(n as usize));
     for i in 0..n {
-        let len = cur.u32()? as usize;
-        list.clear();
+        let len = cur.u32()?;
+        if i == 0 && len != 0 {
+            return Err(SnapshotError::Corrupt {
+                section: "lists",
+                detail: "list id 0 must be the empty list".into(),
+            });
+        }
+        if i > 0 && len == 0 {
+            return Err(SnapshotError::Corrupt {
+                section: "lists",
+                detail: format!("duplicate list at id {i}"),
+            });
+        }
+        // In range: the check below keeps every list's end within u32.
+        let offset = arena.len() as u32;
         for _ in 0..len {
-            list.push(cur.u32()?);
+            arena.push(cur.u32()?);
         }
-        if i == 0 {
-            if !list.is_empty() {
-                return Err(SnapshotError::Corrupt {
-                    section: "lists",
-                    detail: "list id 0 must be the empty list".into(),
-                });
-            }
-            continue;
+        if u32::try_from(arena.len()).is_err() {
+            return Err(SnapshotError::Corrupt {
+                section: "lists",
+                detail: format!("list {i} ends past 2^32 pooled values"),
+            });
         }
-        if pool.intern(&list) != i {
+        ranges.push((offset, len));
+    }
+    let pool = ListPool::from_parts(arena, ranges);
+    let mut seen = HashSet::with_capacity(pool.len());
+    for (i, list) in pool.iter().skip(1) {
+        if !seen.insert(list) {
             return Err(SnapshotError::Corrupt {
                 section: "lists",
                 detail: format!("duplicate list at id {i}"),

@@ -396,9 +396,10 @@ impl<'a> SessionView<'a> {
         self.row.login_list_id != ListPool::EMPTY
     }
 
-    /// Did a login succeed?
+    /// Did a login succeed? Reads only the accept bits of the packed ids,
+    /// never the credential strings.
     pub fn login_succeeded(&self) -> bool {
-        self.logins().any(|(_, _, ok)| ok)
+        self.login_packed().iter().any(|&packed| packed & 1 == 1)
     }
 
     /// Commands as (command string, known).
@@ -682,6 +683,45 @@ mod tests {
         );
         assert_eq!(external.login_packed(), s.view(0).login_packed());
         assert_eq!(external.command_packed(), s.view(0).command_packed());
+    }
+
+    #[test]
+    fn login_succeeded_agrees_with_the_decoded_logins() {
+        let attempt = |pass: &str, accepted| LoginAttempt {
+            creds: Credentials::new("root", pass),
+            accepted,
+        };
+        let cases = [
+            ("no attempts", vec![], false),
+            (
+                "failures only",
+                vec![attempt("a", false), attempt("b", false)],
+                false,
+            ),
+            (
+                "success first",
+                vec![attempt("a", true), attempt("b", false)],
+                true,
+            ),
+            (
+                "success last",
+                vec![attempt("a", false), attempt("b", true)],
+                true,
+            ),
+        ];
+        let mut s = SessionStore::new();
+        for (i, (label, logins, want)) in cases.into_iter().enumerate() {
+            let mut rec = record(0, 0, Protocol::Ssh);
+            rec.logins = logins;
+            s.ingest(&rec, None);
+            let v = s.view(i);
+            assert_eq!(v.login_succeeded(), want, "{label}");
+            assert_eq!(
+                v.login_succeeded(),
+                v.logins().any(|(_, _, ok)| ok),
+                "{label}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! 2. Every file `write_dir` leaves is byte-identical to its artifact's
 //!    in-memory `to_tsv`, and the rendered report matches a checked-in
 //!    golden byte-for-byte. Regenerate after an intended change with
-//!    `UPDATE_GOLDENS=1 cargo test --test analysis_parallel`.
+//!    `UPDATE_GOLDENS=1 cargo test --test report_goldens`.
 
 use std::path::PathBuf;
 

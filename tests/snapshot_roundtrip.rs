@@ -5,15 +5,17 @@
 //! `snapshot_faults.rs` (corruption handling).
 
 use honeyfarm::farm::{
-    DigestPool, FarmPlan, SessionStore, Snapshot, SnapshotMeta, StringPool, TagDb,
+    Dataset, DigestPool, FarmPlan, SessionStore, Snapshot, SnapshotMeta, StringPool, TagDb,
 };
 use honeyfarm::geo::Ip4;
 use honeyfarm::hash::Sha256;
+use honeyfarm::honeypot::ArtifactStore;
 use honeyfarm::honeypot::{EndReason, LoginAttempt, SessionRecord};
 use honeyfarm::proto::creds::Credentials;
 use honeyfarm::proto::Protocol;
 use honeyfarm::shell::CommandRecord;
 use honeyfarm::simclock::SimInstant;
+use honeyfarm::testkit::diff_datasets;
 use proptest::prelude::*;
 
 fn arb_record() -> impl Strategy<Value = SessionRecord> {
@@ -184,6 +186,66 @@ proptest! {
         let mut c = Vec::new();
         back.write_to(&mut c).expect("rewrite");
         prop_assert_eq!(&a, &c);
+    }
+}
+
+/// The store as a dataset, its artifacts replayed from its own rows.
+fn dataset(sessions: SessionStore) -> Dataset {
+    let mut artifacts = ArtifactStore::new();
+    for v in sessions.iter() {
+        v.replay_artifacts(&mut artifacts);
+    }
+    Dataset {
+        sessions,
+        artifacts,
+        plan: FarmPlan::paper(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A store read back from a snapshot keeps interning like the one that
+    /// was written: its decoded list pool returns the old id for a list it
+    /// holds and `len()` for a new one, and ingesting more records gives
+    /// the store that was never written at all.
+    #[test]
+    fn prop_read_back_store_keeps_interning(
+        records in prop::collection::vec(arb_record(), 2..40),
+        cut in 1usize..40,
+    ) {
+        let cut = cut.min(records.len() - 1);
+        let (written, later) = records.split_at(cut);
+        let mut bytes = Vec::new();
+        snapshot_of(written).write_to(&mut bytes).expect("write snapshot");
+
+        let mut pool = Snapshot::read_from(&mut bytes.as_slice())
+            .expect("load snapshot")
+            .sessions
+            .lists;
+        let held: Vec<(u32, Vec<u32>)> = pool.iter().map(|(id, l)| (id, l.to_vec())).collect();
+        for (id, list) in &held {
+            prop_assert_eq!(pool.intern(list), *id);
+        }
+        let fresh = vec![u32::MAX - 1; 3];
+        let next = pool.len() as u32;
+        prop_assert_eq!(pool.intern(&fresh), next);
+        prop_assert_eq!(pool.intern(&fresh), next);
+        prop_assert_eq!(pool.get(next), &fresh[..]);
+
+        let mut resumed = Snapshot::read_from(&mut bytes.as_slice()).expect("load snapshot").sessions;
+        let mut never_written = SessionStore::new();
+        for r in written {
+            never_written.ingest(r, None);
+        }
+        for r in later {
+            resumed.ingest(r, None);
+            never_written.ingest(r, None);
+        }
+        let diff = diff_datasets(
+            "resumed", &dataset(resumed), "never written", &dataset(never_written),
+        );
+        prop_assert!(diff.is_identical(), "{}", diff.render());
     }
 }
 
