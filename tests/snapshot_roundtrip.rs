@@ -9,8 +9,7 @@ use honeyfarm::farm::{
 };
 use honeyfarm::geo::Ip4;
 use honeyfarm::hash::Sha256;
-use honeyfarm::honeypot::ArtifactStore;
-use honeyfarm::honeypot::{EndReason, LoginAttempt, SessionRecord};
+use honeyfarm::honeypot::{ArtifactStore, EndReason, LoginAttempt, SessionRecord};
 use honeyfarm::proto::creds::Credentials;
 use honeyfarm::proto::Protocol;
 use honeyfarm::shell::CommandRecord;
@@ -108,6 +107,19 @@ fn pool_strings(p: &StringPool) -> Vec<String> {
     p.iter().map(|(_, s)| s.to_string()).collect()
 }
 
+/// The store as a dataset, its artifacts replayed from its own rows.
+fn dataset(sessions: SessionStore) -> Dataset {
+    let mut artifacts = ArtifactStore::new();
+    for v in sessions.iter() {
+        v.replay_artifacts(&mut artifacts);
+    }
+    Dataset {
+        sessions,
+        artifacts,
+        plan: FarmPlan::paper(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -187,23 +199,6 @@ proptest! {
         back.write_to(&mut c).expect("rewrite");
         prop_assert_eq!(&a, &c);
     }
-}
-
-/// The store as a dataset, its artifacts replayed from its own rows.
-fn dataset(sessions: SessionStore) -> Dataset {
-    let mut artifacts = ArtifactStore::new();
-    for v in sessions.iter() {
-        v.replay_artifacts(&mut artifacts);
-    }
-    Dataset {
-        sessions,
-        artifacts,
-        plan: FarmPlan::paper(),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A store read back from a snapshot keeps interning like the one that
     /// was written: its decoded list pool returns the old id for a list it
