@@ -63,7 +63,6 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
-use std::sync::OnceLock;
 
 use hf_geo::{Asn, CountryId, Ip4, NetworkClass};
 use hf_hash::{Digest, Sha256};
@@ -103,22 +102,6 @@ const _: () = assert!(std::mem::size_of::<Row>() == ROW_BYTES);
 /// Bytes of per-chunk header inside the ROWS payload: u32 row count +
 /// 32-byte chunk digest.
 const CHUNK_HEADER_LEN: usize = 4 + 32;
-
-/// How many chunks the reader and the writer tell [`hf_obs::overlapped`]
-/// about: all of them, or at most one under `HF_SNAPSHOT_NO_OVERLAP=1`,
-/// which keeps the chunk pipeline on its bit-identical serial arm (the
-/// variable is read once, like `HF_HASH_FORCE_SCALAR`).
-fn pipeline_chunks(chunks: usize) -> usize {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    let disabled = *DISABLED.get_or_init(|| {
-        std::env::var_os("HF_SNAPSHOT_NO_OVERLAP").is_some_and(|v| !v.is_empty() && v != "0")
-    });
-    if disabled {
-        chunks.min(1)
-    } else {
-        chunks
-    }
-}
 
 /// Bytes of ROWS-payload prologue: u64 row count + u32 rows-per-chunk +
 /// u32 chunk count.
@@ -737,13 +720,12 @@ impl<R: Read> SnapshotReader<R> {
     /// against the pools. The chunk manifest is verified against the
     /// section checksum after the last chunk.
     ///
-    /// The stream goes through [`hf_obs::overlapped`]: unless
-    /// `HF_SNAPSHOT_NO_OVERLAP` is set (or the file has at most one chunk),
-    /// a helper thread reads and checksums chunk `k + 1` while the calling
-    /// thread decodes, validates, and folds chunk `k` — the read + SHA-256
-    /// side of the stream runs in the shadow of the fold, and results (and
-    /// the *first* error, should one surface) are identical to the serial
-    /// arm's.
+    /// The stream goes through [`hf_obs::overlapped`]: unless the file has
+    /// at most one chunk, a helper thread reads and checksums chunk `k + 1`
+    /// while the calling thread decodes, validates, and folds chunk `k` —
+    /// the read + SHA-256 side of the stream runs in the shadow of the fold,
+    /// and results (and the *first* error, should one surface) are identical
+    /// to the serial arm's.
     pub fn fold_chunks<F>(
         self,
         mut fold: F,
@@ -761,7 +743,7 @@ impl<R: Read> SnapshotReader<R> {
         } = self;
         let mut rows: Vec<Row> = Vec::new();
         hf_obs::overlapped(
-            pipeline_chunks(raw.n_chunks as usize),
+            raw.n_chunks as usize,
             "snapshot.chunk_wait",
             [Vec::new(), Vec::new()],
             |buf| raw.next_raw(buf),
@@ -911,7 +893,7 @@ fn write_rows_section<W: Write>(
     let mut chunks = rows.chunks(rows_per_chunk as usize);
     let mut headers = manifest[ROWS_PROLOGUE_LEN..].chunks_exact(CHUNK_HEADER_LEN);
     hf_obs::overlapped(
-        pipeline_chunks(chunks.len()),
+        chunks.len(),
         "snapshot.chunk_wait",
         [Vec::new(), Vec::new()],
         |buf| {
@@ -1672,8 +1654,8 @@ mod tests {
         let mut bytes = Vec::new();
         snap.write_to_chunked(&mut bytes, 4).expect("write");
         let reader = SnapshotReader::open(bytes.as_slice()).expect("open");
-        // Unless HF_SNAPSHOT_NO_OVERLAP is set this is the overlapped arm,
-        // with chunks still unread when the fold bails at the second one.
+        // More than one chunk selects the overlapped arm, with chunks still
+        // unread when the fold bails at the second one.
         assert!(reader.raw.n_chunks > 2);
         let mut calls = 0u32;
         let err = reader

@@ -21,11 +21,11 @@
 //!   multi-buffer variant used by `digest_many` to hide the `sha256rnds2`
 //!   latency chain across two independent messages.
 //!
-//! The backend is chosen once per process (first hash) and cached. Setting
-//! `HF_HASH_FORCE_SCALAR=1` in the environment forces the unrolled scalar
-//! core even where SHA-NI is available — CI uses this to keep the portable
-//! path exercised on any runner, and it is the escape hatch if a backend is
-//! ever suspect in production.
+//! The CPU picks the backend: CPUID is read once per process (first hash)
+//! and cached, and each [`Sha256`] keeps the core it was built with, so
+//! `update` and `finalize` never consult the dispatcher. Nothing else
+//! selects a core; [`backends`] builds the same hasher on an explicit core
+//! so every core this CPU offers stays testable.
 //!
 //! # Throughput accounting
 //!
@@ -163,18 +163,10 @@ static SHANI_BACKEND: Backend = Backend {
     digest_pair: Some(shani::digest_pair),
 };
 
-/// `HF_HASH_FORCE_SCALAR` (any value other than empty/`0`) pins the portable
-/// scalar core. Read once; the choice is process-wide.
-fn force_scalar() -> bool {
-    matches!(std::env::var("HF_HASH_FORCE_SCALAR"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-fn backend() -> &'static Backend {
+/// The core this CPU runs fastest, by CPUID; read once per process.
+fn detected() -> &'static Backend {
     static CHOICE: OnceLock<&'static Backend> = OnceLock::new();
     CHOICE.get_or_init(|| {
-        if force_scalar() {
-            return &SCALAR_BACKEND;
-        }
         #[cfg(target_arch = "x86_64")]
         if shani::available() {
             return &SHANI_BACKEND;
@@ -186,6 +178,8 @@ fn backend() -> &'static Backend {
 /// Streaming SHA-256 state.
 #[derive(Clone)]
 pub struct Sha256 {
+    /// The compression core every block of this message goes through.
+    backend: &'static Backend,
     state: [u32; 8],
     /// Bytes buffered, always < 64 after `update` returns.
     buf: [u8; 64],
@@ -201,9 +195,15 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Fresh hasher state.
+    /// Fresh hasher state on the core CPUID picked.
     pub fn new() -> Self {
+        Sha256::on(detected())
+    }
+
+    /// Fresh hasher state on an explicit core.
+    fn on(backend: &'static Backend) -> Self {
         Sha256 {
+            backend,
             state: H0,
             buf: [0u8; 64],
             buf_len: 0,
@@ -214,14 +214,18 @@ impl Sha256 {
     /// Name of the compression backend this process dispatches to
     /// (`"sha-ni"` or `"scalar-unrolled"`).
     pub fn backend_name() -> &'static str {
-        backend().name
+        detected().name
     }
 
     /// One-shot convenience: hash `data` in a single call.
     pub fn digest(data: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+        Sha256::new().finalize_with(data)
+    }
+
+    /// Absorb `data` and finalize.
+    fn finalize_with(mut self, data: &[u8]) -> Digest {
+        self.update(data);
+        self.finalize()
     }
 
     /// Hash a batch of independent messages, one digest per message.
@@ -232,10 +236,17 @@ impl Sha256 {
     /// `sha256rnds2` dependency chain — this is the fastest way to checksum
     /// a day's distinct dropper bodies or a snapshot's chunk manifest.
     pub fn digest_many<'a>(bodies: impl IntoIterator<Item = &'a [u8]>, out: &mut Vec<Digest>) {
-        let be = backend();
-        let Some(pair) = be.digest_pair else {
+        Sha256::digest_many_on(detected(), bodies, out);
+    }
+
+    fn digest_many_on<'a>(
+        backend: &'static Backend,
+        bodies: impl IntoIterator<Item = &'a [u8]>,
+        out: &mut Vec<Digest>,
+    ) {
+        let Some(pair) = backend.digest_pair else {
             for body in bodies {
-                out.push(Sha256::digest(body));
+                out.push(Sha256::on(backend).finalize_with(body));
             }
             return;
         };
@@ -256,7 +267,7 @@ impl Sha256 {
         if let Some(last) = pending {
             // Odd tail goes through the ordinary path (which records its own
             // throughput counters in `finalize`).
-            out.push(Sha256::digest(last));
+            out.push(Sha256::on(backend).finalize_with(last));
         }
         if bytes > 0 {
             hf_obs::counter!("hash.bytes", bytes);
@@ -266,7 +277,7 @@ impl Sha256 {
 
     /// Absorb more message bytes.
     pub fn update(&mut self, mut data: &[u8]) {
-        let compress = backend().compress;
+        let compress = self.backend.compress;
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         // Top up a partially filled block first.
         if self.buf_len > 0 {
@@ -296,7 +307,7 @@ impl Sha256 {
 
     /// Apply padding and produce the digest, consuming the state.
     pub fn finalize(mut self) -> Digest {
-        let compress = backend().compress;
+        let compress = self.backend.compress;
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, then the 64-bit big-endian bit length — one
         // or two final blocks depending on how much room the tail leaves.
@@ -322,47 +333,46 @@ impl std::io::Write for Sha256 {
     }
 }
 
-/// One-shot digest through an explicit compress function — the shared driver
-/// behind the per-backend entry points in [`backends`].
-fn digest_with(compress: fn(&mut [u32; 8], &[u8]), data: &[u8]) -> Digest {
-    let mut state = H0;
-    let whole = data.len() / 64 * 64;
-    if whole > 0 {
-        compress(&mut state, &data[..whole]);
-    }
-    let rem = data.len() - whole;
-    let mut tail = [0u8; 128];
-    tail[..rem].copy_from_slice(&data[whole..]);
-    tail[rem] = 0x80;
-    let tail_blocks = if rem >= 56 { 2 } else { 1 };
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    tail[tail_blocks * 64 - 8..tail_blocks * 64].copy_from_slice(&bit_len.to_be_bytes());
-    compress(&mut state, &tail[..tail_blocks * 64]);
-    digest_from_state(&state)
-}
-
 /// Direct per-backend entry points for differential testing and benches.
 ///
-/// Production code should use [`Sha256`], which dispatches automatically;
-/// these bypass dispatch so every backend stays testable on one machine.
+/// Production code should use [`Sha256`], which picks its core by CPUID;
+/// these build the same hasher on an explicit core, so every core this CPU
+/// offers runs the one `update`/`finalize` driver under test.
 pub mod backends {
-    use super::Digest;
+    use super::{Digest, Sha256};
 
-    /// Digest through the schedule-unrolled scalar core, ignoring dispatch.
+    /// A fresh hasher on the schedule-unrolled scalar core.
+    pub fn scalar() -> Sha256 {
+        Sha256::on(&super::SCALAR_BACKEND)
+    }
+
+    /// A fresh hasher on the single-stream SHA-NI core, or `None` when the
+    /// CPU does not expose the SHA extensions.
+    pub fn shani() -> Option<Sha256> {
+        #[cfg(target_arch = "x86_64")]
+        if super::shani::available() {
+            return Some(Sha256::on(&super::SHANI_BACKEND));
+        }
+        None
+    }
+
+    /// Digest through the scalar core, ignoring dispatch.
     pub fn scalar_digest(data: &[u8]) -> Digest {
-        super::digest_with(super::scalar::compress_blocks, data)
+        scalar().finalize_with(data)
+    }
+
+    /// [`Sha256::digest_many`] on the scalar core, which has no pair path.
+    pub fn scalar_digest_many<'a>(
+        bodies: impl IntoIterator<Item = &'a [u8]>,
+        out: &mut Vec<Digest>,
+    ) {
+        Sha256::digest_many_on(&super::SCALAR_BACKEND, bodies, out);
     }
 
     /// Digest through the single-stream SHA-NI core, or `None` when the CPU
     /// does not expose the SHA extensions.
     pub fn shani_digest(data: &[u8]) -> Option<Digest> {
-        #[cfg(target_arch = "x86_64")]
-        if super::shani::available() {
-            return Some(super::digest_with(super::shani::compress_blocks, data));
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = data;
-        None
+        shani().map(|h| h.finalize_with(data))
     }
 
     /// Digest two messages through the two-way interleaved SHA-NI path, or

@@ -39,16 +39,18 @@ pub(super) fn available() -> bool {
 /// Compress a run of whole 64-byte blocks into `state`.
 ///
 /// Panics in debug builds if `data` is not block-aligned. Safe to call only
-/// because the dispatcher guarantees `available()` returned true.
+/// because a hasher reaches this core after `available()` returned true.
 pub(super) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % 64, 0, "whole blocks only");
-    // SAFETY: the dispatcher only selects this backend after `available()`.
+    // SAFETY: this core is reached only after `available()` returned true,
+    // either in `Sha256::new()`'s CPUID pick or in `backends::shani*`.
     unsafe { compress_blocks_ni(state, data) }
 }
 
 /// Hash two independent messages with interleaved compression rounds.
 pub(super) fn digest_pair(a: &[u8], b: &[u8]) -> (Digest, Digest) {
-    // SAFETY: the dispatcher only selects this backend after `available()`.
+    // SAFETY: this core is reached only after `available()` returned true,
+    // either in `Sha256::new()`'s CPUID pick or in `backends::shani*`.
     unsafe { digest_pair_ni(a, b) }
 }
 
@@ -283,7 +285,7 @@ mod tests {
         ] {
             let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
             let want = reference::Sha256::digest(&data);
-            let got = super::super::digest_with(compress_blocks, &data);
+            let got = super::super::backends::shani_digest(&data).expect("available");
             assert_eq!(got, want, "len={len}");
         }
     }

@@ -8,9 +8,10 @@
 //! independent implementation (Python's `hashlib`), so a backend bug can't
 //! hide behind the backend it is compared against.
 //!
-//! The SHA-NI paths are exercised only where the CPU exposes the extension;
-//! CI additionally runs the whole suite with `HF_HASH_FORCE_SCALAR=1` so
-//! the dispatch fallback is covered even on SHA-NI hardware.
+//! The SHA-NI paths are exercised only where the CPU exposes the extension.
+//! The scalar core runs everywhere: the proptests drive the one
+//! `update`/`finalize` driver on every core the CPU offers, and
+//! `digest_many` is also checked on the scalar core, which has no pair path.
 
 use hf_hash::sha256::{backends, reference};
 use hf_hash::{Digest, Sha256};
@@ -261,6 +262,18 @@ fn digest_many_preserves_order_for_every_parity() {
 }
 
 #[test]
+fn digest_many_without_a_pair_path_matches_singles() {
+    for count in 0usize..=5 {
+        let bodies: Vec<Vec<u8>> = (0..count).map(|i| pattern(i, i * 61 + 3)).collect();
+        let mut out = vec![Sha256::digest(b"sentinel")];
+        backends::scalar_digest_many(bodies.iter().map(|b| b.as_slice()), &mut out);
+        let mut want = vec![Sha256::digest(b"sentinel")];
+        want.extend(bodies.iter().map(|b| reference::Sha256::digest(b)));
+        assert_eq!(out, want, "count={count}");
+    }
+}
+
+#[test]
 fn digest_many_appends_after_existing_output() {
     let sentinel = Sha256::digest(b"sentinel");
     let mut out = vec![sentinel];
@@ -271,19 +284,28 @@ fn digest_many_appends_after_existing_output() {
     assert_eq!(out[2], Sha256::digest(b"b"));
 }
 
+/// A fresh hasher on every core this CPU offers: scalar always, SHA-NI
+/// when present. Each runs the same `update`/`finalize` driver.
+fn cores() -> Vec<(&'static str, Sha256)> {
+    let mut cores = vec![("scalar", backends::scalar())];
+    cores.extend(backends::shani().map(|h| ("sha-ni", h)));
+    cores
+}
+
 proptest! {
-    /// Arbitrary messages: all backends agree with the reference hasher.
+    /// Arbitrary messages: every core agrees with the reference hasher.
     #[test]
     fn backends_agree_on_arbitrary_messages(data in proptest::collection::vec(any::<u8>(), 0..1024)) {
         let want = reference::Sha256::digest(&data);
         prop_assert_eq!(Sha256::digest(&data), want);
-        prop_assert_eq!(backends::scalar_digest(&data), want);
-        if let Some(d) = backends::shani_digest(&data) {
-            prop_assert_eq!(d, want);
+        for (name, mut h) in cores() {
+            h.update(&data);
+            prop_assert_eq!((name, h.finalize()), (name, want));
         }
     }
 
-    /// Arbitrary split points: streaming updates match the one-shot digest.
+    /// Arbitrary split points: streaming updates on every core match the
+    /// reference digest.
     #[test]
     fn streaming_matches_one_shot_at_arbitrary_splits(
         data in proptest::collection::vec(any::<u8>(), 0..512),
@@ -291,14 +313,16 @@ proptest! {
     ) {
         let mut splits: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
         splits.sort_unstable();
-        let mut h = Sha256::new();
-        let mut prev = 0;
-        for s in splits {
-            h.update(&data[prev..s]);
-            prev = s;
+        let want = reference::Sha256::digest(&data);
+        for (name, mut h) in cores() {
+            let mut prev = 0;
+            for &s in &splits {
+                h.update(&data[prev..s]);
+                prev = s;
+            }
+            h.update(&data[prev..]);
+            prop_assert_eq!((name, h.finalize()), (name, want));
         }
-        h.update(&data[prev..]);
-        prop_assert_eq!(h.finalize(), Sha256::digest(&data));
     }
 
     /// Arbitrary batches: `digest_many` equals the per-message map.

@@ -210,7 +210,9 @@ pub fn overlapped<B: Send, T: Send, E: Send>(
     }
     std::thread::scope(|s| {
         let (full_tx, full_rx) = mpsc::sync_channel::<Result<(T, B), E>>(OVERLAP_DEPTH);
-        let (free_tx, free_rx) = mpsc::channel::<B>();
+        // Only `OVERLAP_DEPTH` buffers exist, so recycling never blocks, and
+        // the bounded channel's slots are allocated once, not per item.
+        let (free_tx, free_rx) = mpsc::sync_channel::<B>(OVERLAP_DEPTH);
         for buf in bufs {
             let _ = free_tx.send(buf);
         }

@@ -158,7 +158,7 @@ impl FoldOutput {
     /// [`SnapshotError::Corrupt`] rather than silently wrong freshness.
     ///
     /// Chunks are driven through [`hf_farm::SnapshotReader::fold_chunks`],
-    /// so (unless `HF_SNAPSHOT_NO_OVERLAP` is set) the next chunk is read
+    /// so (when the file has more than one chunk) the next chunk is read
     /// and checksummed on a prefetch thread while the current one folds —
     /// the `snapshot.chunk_wait` span records how long the fold actually
     /// waited on bytes.

@@ -47,7 +47,7 @@ use hf_geo::Ip4;
 use hf_honeypot::{HoneypotConfig, SessionDriver, SessionRecord};
 use hf_proto::creds::Credentials;
 use hf_proto::Protocol;
-use hf_shell::{NullFetcher, RemoteFetcher, SyntheticFetcher};
+use hf_shell::{NullFetcher, RemoteFetcher, SyntheticFetcher, SystemProfile};
 use hf_simclock::SimInstant;
 
 /// Which [`RemoteFetcher`] the replayed session's shell gets.
@@ -323,12 +323,13 @@ impl Scenario {
     }
 
     /// Replay the scenario against the paper-configured honeypot, producing
-    /// the finished session record. Steps after the session ends (timeout,
-    /// auth cap, close) are ignored, exactly as a real client's late input
-    /// would be.
+    /// the finished session record. The session runs on node `honeypot`'s
+    /// own machine profile, the config the simulator and the live farm give
+    /// that node. Steps after the session ends (timeout, auth cap, close) are
+    /// ignored, exactly as a real client's late input would be.
     pub fn replay(&self) -> SessionRecord {
         let mut d = SessionDriver::accept(
-            HoneypotConfig::default(),
+            HoneypotConfig::paper(SystemProfile::for_node(self.honeypot as u32)),
             self.honeypot,
             self.protocol,
             self.client,

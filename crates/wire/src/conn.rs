@@ -771,10 +771,12 @@ mod tests {
 
     #[test]
     fn wire_record_matches_simulator_replay() {
-        // The conn, fed a wire script, must reproduce Scenario::replay()'s
-        // record bit for bit — the per-conn version of the conformance suite.
+        // The conn, fed a wire script and its node's own config, must
+        // reproduce Scenario::replay()'s record bit for bit — the per-conn
+        // version of the conformance suite.
         let sc = hf_testkit::Scenario::parse(
             "name unit\n\
+             honeypot 5\n\
              banner SSH-2.0-Go\n\
              think 2\n\
              login root 1234\n\
@@ -788,7 +790,9 @@ mod tests {
         let (mut c, _) = SessionConn::new(ConnParams {
             honeypot: sc.honeypot,
             protocol: sc.protocol,
-            config: Arc::new(HoneypotConfig::default()),
+            config: Arc::new(HoneypotConfig::paper(SystemProfile::for_node(
+                sc.honeypot as u32,
+            ))),
             timing: Timing::Virtual,
             stats: FarmStats::new(),
             peer_ip: Ip4::new(127, 0, 0, 1),

@@ -84,10 +84,6 @@ pub struct FarmConfig {
     pub telnet_port: u16,
     /// Wall-clock or script-driven session timing.
     pub timing: Timing,
-    /// Use the default [`SystemProfile`] on every node instead of the
-    /// per-node profile — required for bit-identical comparison against
-    /// `Scenario::replay()`, which runs `HoneypotConfig::default()`.
-    pub uniform_profile: bool,
     /// Read deadline for [`Timing::Virtual`] connections (a slow-client
     /// guard; wall-timing connections use the honeypot's own limits).
     pub wall_timeout_secs: u32,
@@ -106,7 +102,6 @@ impl Default for FarmConfig {
             ssh_port: 0,
             telnet_port: 0,
             timing: Timing::Wall,
-            uniform_profile: false,
             wall_timeout_secs: 30,
             per_ip_cap: 1024,
             keep_records: false,
@@ -331,7 +326,9 @@ struct Reactor {
     ep: Epoll,
     listeners: Vec<ListenerEntry>,
     config: FarmConfig,
-    configs: HashMap<u16, Arc<HoneypotConfig>>,
+    /// Node `n`'s honeypot config at index `n`, shared with every
+    /// connection the node accepts.
+    configs: Vec<Arc<HoneypotConfig>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u32,
@@ -352,8 +349,10 @@ impl Reactor {
         Reactor {
             ep: Epoll::new().expect("epoll_create1"),
             listeners,
+            configs: (0..config.nodes)
+                .map(|n| Arc::new(HoneypotConfig::paper(SystemProfile::for_node(n as u32))))
+                .collect(),
             config,
-            configs: HashMap::new(),
             conns: Vec::new(),
             free: Vec::new(),
             next_gen: 0,
@@ -362,23 +361,6 @@ impl Reactor {
             stop,
             tx,
         }
-    }
-
-    /// Per-node honeypot config, built once per node on first accept and
-    /// shared with every connection the node accepts.
-    fn node_config(&mut self, honeypot: u16) -> Arc<HoneypotConfig> {
-        let cfg = &self.config;
-        self.configs
-            .entry(honeypot)
-            .or_insert_with(|| {
-                let profile = if cfg.uniform_profile {
-                    SystemProfile::default()
-                } else {
-                    SystemProfile::for_node(honeypot as u32)
-                };
-                Arc::new(HoneypotConfig::paper(profile))
-            })
-            .clone()
     }
 
     fn run(mut self) {
@@ -443,11 +425,10 @@ impl Reactor {
             let _ = sock.set_nodelay(true);
             let honeypot = self.listeners[idx].honeypot;
             let protocol = self.listeners[idx].protocol;
-            let config = self.node_config(honeypot);
             let (sess, greeting) = SessionConn::new(ConnParams {
                 honeypot,
                 protocol,
-                config,
+                config: self.configs[honeypot as usize].clone(),
                 timing: self.config.timing,
                 stats: self.stats.clone(),
                 peer_ip,
@@ -675,7 +656,6 @@ mod tests {
         LiveFarm::start(FarmConfig {
             nodes,
             timing: Timing::Virtual,
-            uniform_profile: true,
             keep_records: true,
             ..FarmConfig::default()
         })

@@ -154,12 +154,10 @@ fn full_driver_stays_within_per_session_budget() {
 }
 
 /// A chunked snapshot whose rows section spans many chunks, for the
-/// streaming-codec budgets below. Overlap is forced off first so both the
-/// reader and writer paths under test are the serial ones — the counting
-/// allocator is per-thread, and the overlapped paths deliberately move
-/// work (and its allocations) onto helper threads.
+/// streaming-codec budgets below. Many chunks select the overlapped arm
+/// that production runs; the counting allocator is per-thread, so the
+/// budgets count the calling thread's side of the pipeline.
 fn chunked_snapshot(rows_per_chunk: u32) -> Vec<u8> {
-    std::env::set_var("HF_SNAPSHOT_NO_OVERLAP", "1");
     let cfg = honeyfarm::sim::SimConfig::test(6);
     let out = honeyfarm::sim::Simulation::run(cfg.clone());
     let snap = out.to_snapshot(&cfg);
@@ -175,8 +173,9 @@ fn chunked_snapshot(rows_per_chunk: u32) -> Vec<u8> {
 /// verifies, decodes and validates reuses it. This is the zero-copy codec
 /// contract: fixed-offset field views over one reused byte buffer, no
 /// per-row or per-field allocation. The count runs from inside the fold
-/// closure, on the serial arm (`chunked_snapshot` turns overlap off), from
-/// the end of the first chunk to the end of the last.
+/// closure, on the overlapped arm, from the end of the first chunk to the
+/// end of the last: decoding, validating, waiting for the prefetch thread
+/// and handing its buffer back allocate nothing on the calling thread.
 #[test]
 fn steady_state_chunk_reads_allocate_nothing() {
     let bytes = chunked_snapshot(64);
@@ -205,7 +204,7 @@ fn steady_state_chunk_reads_allocate_nothing() {
 /// frame, write) reuses its scratch: re-encoding a snapshot allocates far
 /// fewer times than it writes chunks, i.e. nothing on the per-chunk path.
 /// The fixed budget covers the per-call setup — section staging buffers,
-/// the manifest, the encode scratch growing once each.
+/// the manifest, the encode scratch growing once each, the encode thread.
 #[test]
 fn chunked_writer_allocations_do_not_scale_with_chunks() {
     const ROWS_PER_CHUNK: u32 = 64;

@@ -40,8 +40,7 @@ fn fixture() -> &'static SimOutput {
 // ---------------------------------------------------------------------------
 
 /// The fixture in 97-row chunks: many chunks, most ending mid-day, so the
-/// reader's overlapped arm runs (the serial arm under
-/// `HF_SNAPSHOT_NO_OVERLAP`).
+/// reader's overlapped arm runs, as it does on every multi-chunk file.
 fn snapshot_bytes() -> Vec<u8> {
     let mut bytes = Vec::new();
     fixture()

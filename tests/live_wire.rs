@@ -37,13 +37,13 @@ fn corpus() -> Vec<(PathBuf, Scenario)> {
 }
 
 /// A farm sized and configured so the wire path is bit-comparable to
-/// `Scenario::replay()`: script-driven timing, the replay's default system
-/// profile on every node, and one node per scenario honeypot index.
+/// `Scenario::replay()`: script-driven timing and one node per scenario
+/// honeypot index. Each node runs its own machine profile, as the replay of
+/// a scenario pinned to that node does.
 fn conformance_farm(nodes: u16) -> LiveFarm {
     LiveFarm::start(FarmConfig {
         nodes,
         timing: Timing::Virtual,
-        uniform_profile: true,
         keep_records: true,
         wall_timeout_secs: 60,
         per_ip_cap: 1 << 30,
@@ -109,20 +109,37 @@ fn every_scenario_is_bit_identical_over_the_wire() {
 
 /// The loopback mirror of the deployment plan keeps per-node identity: a
 /// scenario pinned to honeypot N comes back with `honeypot == N` because it
-/// really connected to node N's own listener address.
+/// really connected to node N's own listener address, and it ran on node N's
+/// own machine profile — the second session writes `uname -a` and
+/// `/proc/cpuinfo` into files, whose hashes differ between profiles.
 #[test]
 fn node_identity_survives_the_wire() {
     let farm = conformance_farm(8);
-    let sc = Scenario::parse("name pin\nprotocol ssh\nhoneypot 7\nlogin root pw\nclose\n")
-        .expect("scenario");
-    run_script(
-        farm.nodes()[7].ssh,
-        &wire_script(&sc),
-        Duration::from_secs(10),
-    )
-    .expect("drive");
+    let scenarios: Vec<Scenario> = [
+        "name pin\nprotocol ssh\nhoneypot 7\nlogin root pw\nclose\n",
+        "name profile\nprotocol ssh\nhoneypot 7\nlogin root pw\n\
+         cmd uname -a > /tmp/u; cat /proc/cpuinfo > /tmp/c\nclose\n",
+    ]
+    .iter()
+    .map(|text| Scenario::parse(text).expect("scenario"))
+    .collect();
+    for sc in &scenarios {
+        run_script(
+            farm.nodes()[7].ssh,
+            &wire_script(sc),
+            Duration::from_secs(10),
+        )
+        .expect("drive");
+    }
     let out = farm.shutdown();
-    assert_eq!(out.records.len(), 1);
-    assert_eq!(out.records[0].honeypot, 7);
-    assert_eq!(out.records[0], sc.replay());
+    assert_eq!(out.records.len(), scenarios.len());
+    for (rec, sc) in out.records.iter().zip(&scenarios) {
+        assert_eq!(rec.honeypot, 7);
+        assert_eq!(
+            *rec,
+            sc.replay(),
+            "{}: wire record differs from replay",
+            sc.name
+        );
+    }
 }

@@ -85,8 +85,7 @@ fn fold_matches_materialized_scale_0_01() {
 /// Streaming a snapshot chunk-by-chunk into the fold must equal
 /// materializing the whole snapshot and computing over it. 97-row chunks
 /// give the fixture many chunks, most of them ending mid-day, so the
-/// reader's overlapped arm runs (the serial arm under
-/// `HF_SNAPSHOT_NO_OVERLAP`).
+/// reader's overlapped arm runs, as it does on every multi-chunk file.
 #[test]
 fn snapshot_stream_fold_matches_materialized_load() {
     let config = SimConfig::test(10);
