@@ -1,34 +1,25 @@
-//! The live farm: listeners, reactor, and collector pipeline.
+//! The live farm: listeners and one reactor thread that also collects.
 //!
 //! [`LiveFarm::start`] binds one SSH and one telnet listener per virtual
 //! node on mirror loopback addresses (the deployment's `198.x.y.z` node
 //! plan with the first octet swapped to `127`, so every node keeps its own
-//! distinct local IP), then runs two threads:
-//!
-//! * **Reactor** — a single epoll loop owning every socket. Accepts map to
-//!   [`SessionConn`] state machines in a slab; reads, writes, per-IP caps,
-//!   and read deadlines are all driven level-triggered off one `epoll_wait`
-//!   tick. A finished session's record is pushed into the collector channel
-//!   *synchronously*: when the channel (bounded, `CHANNEL_CAPACITY`) is
-//!   full, the reactor blocks — accept/read stop draining their backlogs,
-//!   TCP receive windows fill, and the clients slow down. That stall *is*
-//!   the backpressure mechanism.
-//! * **Collector** — owns the [`Collector`] ingest pipeline. Drains the
-//!   channel, geolocates and stores each record, counts distinct client
-//!   addresses, and finishes into the farm [`Dataset`] when the channel
-//!   disconnects.
+//! distinct local IP), then runs one thread: the reactor, a single epoll
+//! loop owning every socket and the [`Collector`]. Accepts map to
+//! [`SessionConn`] state machines in a slab; reads, writes, per-IP caps,
+//! and read deadlines are all driven level-triggered off one `epoll_wait`
+//! tick. A finished session's record is ingested before its socket closes,
+//! so a client that reads EOF can rely on [`FarmStats::ingested`] counting
+//! it; while the reactor ingests it reads nothing, so TCP slows clients.
 //!
 //! # Shutdown protocol (zero record loss)
 //!
 //! [`LiveFarm::shutdown`] sets a flag the reactor observes within one tick
-//! (≤25 ms). The reactor then: stops accepting (drops every listener),
-//! force-finishes every live connection as a client close (each yields its
-//! record into the channel), closes the sockets, flushes its obs buffers,
-//! and drops the channel sender. The collector sees the disconnect only
-//! after every in-flight record is behind it, finishes the dataset, and
-//! exits. `shutdown` joins both threads and returns the [`FarmOutput`] —
-//! which is why `accepted == ingested + rejected` holds exactly at that
-//! point, with no grace-period heuristics.
+//! (≤25 ms). The reactor then stops accepting (drops every listener),
+//! force-finishes every live connection as a client close (ingesting each
+//! record before closing its socket), flushes its obs buffers, and returns
+//! the finished [`FarmOutput`] to `shutdown` — which is why `accepted ==
+//! ingested + rejected` holds exactly at that point, with no grace-period
+//! heuristics.
 //!
 //! # Accounting invariant
 //!
@@ -38,12 +29,12 @@
 //! error, fault policy, deadline, farm shutdown). [`FarmStats`] counts both
 //! sides; `wire_shutdown.rs` and the loadgen smoke assert the equality.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,10 +56,6 @@ const TICK_MS: i32 = 25;
 const READS_PER_WAKE: u32 = 8;
 /// How long a draining connection may take to flush its final bytes.
 const DRAIN_SECS: u64 = 5;
-
-/// Depth of the bounded collector channel: a full channel blocks the
-/// reactor's send, which is the backpressure.
-const CHANNEL_CAPACITY: usize = 1024;
 
 const LISTENER_FLAG: u64 = 1 << 63;
 
@@ -191,13 +178,11 @@ pub struct LiveFarm {
     nodes: Vec<NodeAddrs>,
     stats: FarmStats,
     stop: Arc<AtomicBool>,
-    reactor: Option<std::thread::JoinHandle<()>>,
-    collector: Option<std::thread::JoinHandle<(Dataset, Vec<SessionRecord>, u64)>>,
+    reactor: Option<std::thread::JoinHandle<FarmOutput>>,
 }
 
 impl LiveFarm {
-    /// Bind every node's listeners and start the reactor + collector
-    /// threads.
+    /// Bind every node's listeners and start the reactor thread.
     pub fn start(config: FarmConfig) -> std::io::Result<LiveFarm> {
         let stats = FarmStats::new();
         let stop = Arc::new(AtomicBool::new(false));
@@ -226,24 +211,12 @@ impl LiveFarm {
             });
         }
 
-        let (tx, rx) = std::sync::mpsc::sync_channel::<SessionRecord>(CHANNEL_CAPACITY);
-
-        let collector = {
-            let stats = stats.clone();
-            let keep = config.keep_records;
-            std::thread::Builder::new()
-                .name("hf-wire-collector".into())
-                .spawn(move || run_collector(rx, stats, keep))?
-        };
         let reactor = {
             let stats = stats.clone();
             let stop = Arc::clone(&stop);
-            let config = config.clone();
             std::thread::Builder::new()
                 .name("hf-wire-reactor".into())
-                .spawn(move || {
-                    Reactor::new(listeners, config, stats, stop, tx).run();
-                })?
+                .spawn(move || Reactor::new(listeners, config, stats, stop).run())?
         };
 
         Ok(LiveFarm {
@@ -251,7 +224,6 @@ impl LiveFarm {
             stats,
             stop,
             reactor: Some(reactor),
-            collector: Some(collector),
         })
     }
 
@@ -265,26 +237,13 @@ impl LiveFarm {
         self.stats.clone()
     }
 
-    /// Graceful drain: stop accepting, finish every open session into the
-    /// collector, and return the completed output. Zero record loss — see
-    /// the module docs for the ordering argument.
+    /// Graceful drain: stop accepting, ingest every open session's record,
+    /// and return the completed output. Zero record loss — see the module
+    /// docs for the ordering argument.
     pub fn shutdown(mut self) -> FarmOutput {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.reactor.take() {
-            h.join().expect("wire reactor panicked");
-        }
-        let (dataset, records, n_clients) = self
-            .collector
-            .take()
-            .expect("shutdown called once")
-            .join()
-            .expect("wire collector panicked");
-        FarmOutput {
-            dataset,
-            records,
-            n_clients,
-            stats: self.stats.clone(),
-        }
+        let reactor = self.reactor.take().expect("shutdown called once");
+        reactor.join().expect("wire reactor panicked")
     }
 }
 
@@ -295,31 +254,7 @@ impl Drop for LiveFarm {
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.collector.take() {
-            let _ = h.join();
-        }
     }
-}
-
-fn run_collector(
-    rx: Receiver<SessionRecord>,
-    stats: FarmStats,
-    keep_records: bool,
-) -> (Dataset, Vec<SessionRecord>, u64) {
-    let world = World::build(0, &WorldConfig::tiny());
-    let mut collector = Collector::new(&world, FarmPlan::paper());
-    let mut clients: HashSet<Ip4> = HashSet::new();
-    let mut records = Vec::new();
-    while let Ok(rec) = rx.recv() {
-        collector.ingest(&rec);
-        clients.insert(rec.client_ip);
-        stats.on_ingest();
-        if keep_records {
-            records.push(rec);
-        }
-    }
-    hf_obs::flush();
-    (collector.finish(), records, clients.len() as u64)
 }
 
 struct Reactor {
@@ -335,7 +270,11 @@ struct Reactor {
     per_ip: HashMap<Ip4, u32>,
     stats: FarmStats,
     stop: Arc<AtomicBool>,
-    tx: SyncSender<SessionRecord>,
+    collector: Collector,
+    /// Distinct client addresses ingested.
+    clients: HashSet<Ip4>,
+    /// Ingested records, kept only under [`FarmConfig::keep_records`].
+    records: Vec<SessionRecord>,
 }
 
 impl Reactor {
@@ -344,8 +283,8 @@ impl Reactor {
         config: FarmConfig,
         stats: FarmStats,
         stop: Arc<AtomicBool>,
-        tx: SyncSender<SessionRecord>,
     ) -> Reactor {
+        let world = World::build(0, &WorldConfig::tiny());
         Reactor {
             ep: Epoll::new().expect("epoll_create1"),
             listeners,
@@ -359,11 +298,13 @@ impl Reactor {
             per_ip: HashMap::new(),
             stats,
             stop,
-            tx,
+            collector: Collector::new(&world, FarmPlan::paper()),
+            clients: HashSet::new(),
+            records: Vec::new(),
         }
     }
 
-    fn run(mut self) {
+    fn run(mut self) -> FarmOutput {
         let _span = hf_obs::span!("wire.reactor");
         for (i, l) in self.listeners.iter().enumerate() {
             self.ep
@@ -388,6 +329,21 @@ impl Reactor {
             self.sweep_deadlines();
         }
         hf_obs::flush();
+        FarmOutput {
+            dataset: self.collector.finish(),
+            records: self.records,
+            n_clients: self.clients.len() as u64,
+            stats: self.stats,
+        }
+    }
+
+    fn ingest(&mut self, rec: SessionRecord) {
+        self.collector.ingest(&rec);
+        self.clients.insert(rec.client_ip);
+        self.stats.on_ingest();
+        if self.config.keep_records {
+            self.records.push(rec);
+        }
     }
 
     fn accept_from(&mut self, idx: usize) {
@@ -407,18 +363,16 @@ impl Reactor {
                     .map(Ip4::from)
                     .unwrap_or(Ip4::new(0, 0, 0, 0)),
             };
-            let open = self.per_ip.entry(peer_ip).or_insert(0);
-            if *open >= self.config.per_ip_cap {
+            if !admit(&mut self.per_ip, peer_ip, self.config.per_ip_cap) {
                 // Documented policy: over-cap connections are closed at
                 // accept and never get a session record.
                 self.stats.on_reject_ip_cap();
                 drop(sock);
                 continue;
             }
-            *open += 1;
             if sock.set_nonblocking(true).is_err() {
                 // Can't drive this socket; treat as a rejection.
-                *self.per_ip.get_mut(&peer_ip).expect("just inserted") -= 1;
+                release(&mut self.per_ip, peer_ip);
                 self.stats.on_reject_ip_cap();
                 continue;
             }
@@ -469,7 +423,7 @@ impl Reactor {
             {
                 // Registration failure is a rejection: close, account.
                 self.stats.conn_closed();
-                *self.per_ip.get_mut(&peer_ip).expect("tracked") -= 1;
+                release(&mut self.per_ip, peer_ip);
                 self.stats.on_reject_ip_cap();
                 self.free.push(slot);
                 continue;
@@ -562,14 +516,12 @@ impl Reactor {
         }
     }
 
-    /// The session produced its record: ship it (blocking = backpressure),
-    /// then either close now or linger to flush the final reply bytes.
+    /// The session produced its record: flush the final reply bytes,
+    /// ingest, then either close now or linger to flush what is left.
     fn finish_conn(&mut self, slot: usize, rec: SessionRecord) {
-        // Blocking send into the bounded channel — the reactor stalls here
-        // when the collector is behind, which is the designed backpressure.
-        let _ = self.tx.send(rec);
+        flush_out(self.conns[slot].as_mut().expect("finishing live conn"));
+        self.ingest(rec);
         let conn = self.conns[slot].as_mut().expect("finishing live conn");
-        flush_out(conn);
         if conn.out_pos >= conn.outbuf.len() {
             self.close(slot);
             return;
@@ -584,9 +536,7 @@ impl Reactor {
     fn close(&mut self, slot: usize) {
         let conn = self.conns[slot].take().expect("closing live conn");
         let _ = self.ep.del(conn.sock.as_raw_fd());
-        if let Some(n) = self.per_ip.get_mut(&conn.peer_ip) {
-            *n = n.saturating_sub(1);
-        }
+        release(&mut self.per_ip, conn.peer_ip);
         self.stats.conn_closed();
         self.free.push(slot);
     }
@@ -609,8 +559,8 @@ impl Reactor {
         }
     }
 
-    /// Shutdown drain: every live session yields its record before the
-    /// channel sender drops.
+    /// Shutdown drain: every live session's record is ingested before its
+    /// socket closes.
     fn drain_all(&mut self) {
         let _span = hf_obs::span!("wire.drain");
         for l in self.listeners.drain(..) {
@@ -622,10 +572,32 @@ impl Reactor {
             };
             if !conn.draining {
                 let rec = conn.sess.on_eof();
-                let _ = self.tx.send(rec);
                 flush_out(conn); // best-effort final bytes
+                self.ingest(rec);
             }
             self.close(slot);
+        }
+    }
+}
+
+/// Count one more open connection from `ip`, unless it already holds
+/// `cap`. Only IPs with open connections have an entry, so the table stays
+/// as small as the set of live peers.
+fn admit(per_ip: &mut HashMap<Ip4, u32>, ip: Ip4, cap: u32) -> bool {
+    let open = per_ip.get(&ip).copied().unwrap_or(0);
+    if open >= cap {
+        return false;
+    }
+    per_ip.insert(ip, open + 1);
+    true
+}
+
+/// Undo one [`admit`]; the entry goes when its count reaches zero.
+fn release(per_ip: &mut HashMap<Ip4, u32>, ip: Ip4) {
+    if let Entry::Occupied(mut open) = per_ip.entry(ip) {
+        *open.get_mut() -= 1;
+        if *open.get() == 0 {
+            open.remove();
         }
     }
 }
@@ -682,6 +654,8 @@ mod tests {
         .expect("session runs");
         let text = String::from_utf8_lossy(&reply);
         assert!(text.contains("AUTH-OK"), "{text}");
+        // Ingested before the socket closed, so before the client saw EOF.
+        assert_eq!(farm.stats().ingested(), 1);
         let out = farm.shutdown();
         assert_eq!(out.records.len(), 1);
         let rec = &out.records[0];
@@ -692,6 +666,20 @@ mod tests {
         assert_eq!(out.dataset.len(), 1);
         assert_eq!(out.n_clients, 1);
         assert!(out.stats.accounting_balanced());
+    }
+
+    #[test]
+    fn per_ip_table_holds_only_live_peers() {
+        let ip = Ip4::new(203, 0, 113, 7);
+        let mut per_ip = HashMap::new();
+        assert!(admit(&mut per_ip, ip, 2));
+        assert!(admit(&mut per_ip, ip, 2));
+        assert!(!admit(&mut per_ip, ip, 2));
+        release(&mut per_ip, ip);
+        release(&mut per_ip, ip);
+        assert!(per_ip.is_empty());
+        assert!(!admit(&mut per_ip, ip, 0));
+        assert!(per_ip.is_empty());
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! vendors nothing) multiplexes every virtual node's SSH and Telnet
 //! listeners, drives each accepted connection through
 //! [`hf_honeypot::SessionDriver`] / the emulated shell / `hf-proto`
-//! negotiation — the exact code path `Scenario::replay` uses — and streams
-//! completed [`hf_farm::SessionRecord`]s into a [`hf_farm::Collector`]
-//! through a bounded channel.
+//! negotiation — the exact code path `Scenario::replay` uses — and ingests
+//! each completed [`hf_farm::SessionRecord`] into its own
+//! [`hf_farm::Collector`] before the socket closes.
 //!
 //! Module map:
 //!
 //! - [`epoll`]: minimal epoll(7) wrapper (raw glibc symbols, no libc crate),
 //! - [`conn`]: per-connection session state machine — telnet/SSH dialogue,
 //!   the `@hfs` in-band control channel, fault policies,
-//! - [`farm`]: the [`LiveFarm`] — listener set, reactor thread, collector
-//!   thread, graceful drain-on-shutdown,
+//! - [`farm`]: the [`LiveFarm`] — listener set, the reactor thread (which
+//!   also collects), graceful drain-on-shutdown,
 //! - [`stats`]: [`FarmStats`] accounting (`accepted == ingested + rejected`),
 //! - [`script`]: `.hfs` [`Scenario`] → client wire bytes,
 //! - [`client`]: blocking one-shot session client for tests and tools,

@@ -2,7 +2,7 @@
 //!
 //! [`FarmStats`] is the farm's own source of truth for the ingest-accounting
 //! invariant (`accepted == ingested + rejected`): plain atomics shared by the
-//! reactor, the collector thread, and whoever owns the [`crate::LiveFarm`]
+//! reactor thread, its connections, and whoever owns the [`crate::LiveFarm`]
 //! handle. Every increment is mirrored into the global `hf-obs` registry
 //! under a `wire.*` name, so a metrics-enabled run exports the same numbers
 //! in its manifest — but tests assert against [`FarmStats`], which is scoped
@@ -52,10 +52,12 @@ impl FarmStats {
         /// TCP connections accepted (including ones later rejected by the
         /// per-IP cap).
         accepted,
-        /// Connections closed at accept time by the per-IP cap; these
-        /// produce no session record.
+        /// Connections closed at accept time, with no session record: over
+        /// the per-IP cap, or a failed registration (`set_nonblocking` or
+        /// `epoll_ctl ADD`).
         rejected_ip_cap,
-        /// Session records ingested by the collector thread.
+        /// Session records ingested, on the reactor thread, each before its
+        /// socket closes.
         ingested,
         /// Sessions ended by the wall-clock read deadline.
         wall_timeouts,

@@ -4,7 +4,7 @@
 //!
 //! This is the proof that `hf-wire` exposes the same honeypot the paper's
 //! pipeline measures: the bytes travel through a real TCP connection, the
-//! epoll reactor, Telnet/SSH framing, and the collector channel — and come
+//! epoll reactor, Telnet/SSH framing, and the reactor's collector — and come
 //! out bit-for-bit equal to the in-process replay under the testkit's
 //! field-level diff oracles.
 
