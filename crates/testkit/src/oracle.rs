@@ -788,9 +788,16 @@ mod tests {
         let b = output(&recs_b, TagDb::new(), 40);
         let d = diff_sim_outputs("x", &a, "y", &b);
         assert!(!d.is_identical());
-        assert!(d.mismatches.len() <= MAX_DETAIL + 2, "{}", d.render());
-        assert!(d.suppressed > 0);
-        assert!(d.render().contains("more"), "{}", d.render());
+        // 40 diverging ports: the first MAX_DETAIL are detailed, the rest
+        // only counted, and the header totals both.
+        assert_eq!(d.mismatches.len(), MAX_DETAIL, "{}", d.render());
+        assert_eq!(d.suppressed, 40 - MAX_DETAIL);
+        let mut want = String::from("x vs y: 40 field-level mismatch(es)");
+        for i in 0..MAX_DETAIL {
+            want.push_str(&format!("\n  rows[{i}].client_port: {i} != {}", i + 1000));
+        }
+        want.push_str("\n  … and 32 more");
+        assert_eq!(d.render(), want);
     }
 
     #[test]
