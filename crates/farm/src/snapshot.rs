@@ -355,9 +355,16 @@ impl Snapshot {
     }
 
     /// Write the snapshot to a file (buffered).
+    ///
+    /// The bytes go to `<path>.tmp` in the same directory, which is renamed
+    /// over `path` once flushed, so a write that is killed or fails never
+    /// leaves a torn snapshot under the final name.
     pub fn write_file<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        let mut w = BufWriter::new(File::create(path)?);
-        self.write_to(&mut w)
+        let path = path.as_ref();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        self.write_to(&mut BufWriter::new(File::create(&tmp)?))?;
+        Ok(std::fs::rename(&tmp, path)?)
     }
 
     /// Read a snapshot from `r`, validating magic, version, section and
@@ -834,36 +841,19 @@ fn encode_row_chunk(rows: &[Row], buf: &mut Vec<u8>) {
 /// exactly the non-row-data payload bytes, and the section header's
 /// checksum is the SHA-256 of this manifest (module docs).
 ///
-/// This pass is hash-bound, so consecutive chunks are encoded into two
-/// ping-pong buffers and digested as a pair through [`Sha256::digest_many`],
-/// which routes to the interleaved two-buffer SHA-NI backend when the CPU
-/// has one — close to twice the single-stream checksum rate.
+/// Each chunk is encoded into one reused buffer and digested in turn.
 fn rows_manifest(rows: &[Row], rows_per_chunk: u32) -> Vec<u8> {
     let n_chunks = rows.len().div_ceil(rows_per_chunk as usize);
     let mut manifest = Vec::with_capacity(ROWS_PROLOGUE_LEN + n_chunks * CHUNK_HEADER_LEN);
     manifest.extend_from_slice(&(rows.len() as u64).to_le_bytes());
     manifest.extend_from_slice(&rows_per_chunk.to_le_bytes());
     manifest.extend_from_slice(&(n_chunks as u32).to_le_bytes());
-    let mut buf_a = Vec::new();
-    let mut buf_b = Vec::new();
-    let mut digests = Vec::with_capacity(2);
-    let mut chunks = rows.chunks(rows_per_chunk as usize);
-    while let Some(a) = chunks.next() {
-        buf_a.clear();
-        encode_row_chunk(a, &mut buf_a);
-        digests.clear();
-        let b = chunks.next();
-        if let Some(b) = b {
-            buf_b.clear();
-            encode_row_chunk(b, &mut buf_b);
-            Sha256::digest_many([buf_a.as_slice(), buf_b.as_slice()], &mut digests);
-        } else {
-            digests.push(Sha256::digest(&buf_a));
-        }
-        for (chunk, digest) in [Some(a), b].into_iter().flatten().zip(&digests) {
-            manifest.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-            manifest.extend_from_slice(&digest.0);
-        }
+    let mut buf = Vec::new();
+    for chunk in rows.chunks(rows_per_chunk as usize) {
+        buf.clear();
+        encode_row_chunk(chunk, &mut buf);
+        manifest.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+        manifest.extend_from_slice(&Sha256::digest(&buf).0);
     }
     manifest
 }
@@ -873,11 +863,10 @@ fn rows_manifest(rows: &[Row], rows_per_chunk: u32) -> Vec<u8> {
 /// manifest, regardless of row count. Returns the payload length.
 ///
 /// The manifest-first Merkle layout means every chunk digest must be known
-/// before any row byte can be written, so checksumming cannot overlap the
-/// write-out of the *same* pass. Instead each pass overlaps with encoding:
-/// the digest pass pairs chunks through the multi-buffer hash backend
-/// ([`rows_manifest`]), and the write pass encodes chunk `k + 1` while
-/// chunk `k` drains to the file ([`hf_obs::overlapped`]).
+/// before any row byte can be written, so the rows are encoded twice: once
+/// to digest each chunk ([`rows_manifest`]), then again to write it, with
+/// chunk `k + 1` encoding while chunk `k` drains to the file
+/// ([`hf_obs::overlapped`]).
 fn write_rows_section<W: Write>(
     w: &mut W,
     id: u32,
@@ -1699,6 +1688,31 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    #[test]
+    fn write_file_replaces_a_torn_snapshot() {
+        let dir = std::env::temp_dir().join(format!("hf-farm-torn-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        // A torn snapshot under the final name and one under the temp name,
+        // as a killed write leaves them.
+        let path = dir.join("run.hfstore");
+        std::fs::write(&path, &MAGIC[..5]).expect("stale");
+        std::fs::write(dir.join("run.hfstore.tmp"), &MAGIC[..3]).expect("stale");
+        let snap = sample_snapshot(50);
+        snap.write_file(&path).expect("write");
+        let mut want = Vec::new();
+        snap.write_to(&mut want).expect("write");
+        assert_eq!(std::fs::read(&path).expect("read"), want);
+        let back = Snapshot::read_file(&path).expect("load");
+        assert_eq!(back.sessions.rows(), snap.sessions.rows());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, ["run.hfstore"], "no temp file remains");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

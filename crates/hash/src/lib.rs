@@ -16,6 +16,8 @@
 //! );
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod fnv;
 pub mod hex;
 pub mod sha256;

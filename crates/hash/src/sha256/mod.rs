@@ -4,9 +4,8 @@
 //! Supports both one-shot ([`Sha256::digest`]) and incremental
 //! ([`Sha256::update`] / [`Sha256::finalize`]) hashing. The incremental path is
 //! what the honeypot's artifact store uses while streaming simulated download
-//! bodies; the one-shot path is used for short shell-generated files; the
-//! batched path ([`Sha256::digest_many`]) hashes a day's distinct dropper
-//! bodies and is where the multi-buffer SIMD win lives.
+//! bodies; the one-shot path is used for short shell-generated files and for
+//! every snapshot section and chunk checksum.
 //!
 //! # Backends
 //!
@@ -17,9 +16,7 @@
 //! - [`scalar`] — a schedule-unrolled scalar core (rotationless round
 //!   formulation, 16-word circular message schedule). The portable fallback.
 //! - `shani` (x86-64 only) — the Intel SHA New Instructions path, selected at
-//!   runtime via `is_x86_feature_detected!`, including a two-way interleaved
-//!   multi-buffer variant used by `digest_many` to hide the `sha256rnds2`
-//!   latency chain across two independent messages.
+//!   runtime via `is_x86_feature_detected!`.
 //!
 //! The CPU picks the backend: CPUID is read once per process (first hash)
 //! and cached, and each [`Sha256`] keeps the core it was built with, so
@@ -111,56 +108,23 @@ pub(crate) fn padded_blocks(len: u64) -> u64 {
     len / 64 + if len % 64 >= 56 { 2 } else { 1 }
 }
 
-/// Materialize block `i` of the padded form of `data` (`n` = `padded_blocks`).
-///
-/// Interior blocks are returned as raw pointers into `data` (no copy); the
-/// final one or two blocks are synthesized into `tmp`. This lets the
-/// multi-buffer SHA-NI path walk two messages of unequal length in lockstep
-/// without ever concatenating or copying the bodies.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-pub(crate) fn padded_block_ptr(data: &[u8], i: u64, n: u64, tmp: &mut [u8; 64]) -> *const u8 {
-    let start = (i * 64) as usize;
-    if start + 64 <= data.len() {
-        return data[start..].as_ptr();
-    }
-    *tmp = [0u8; 64];
-    if start <= data.len() {
-        let tail = &data[start..];
-        tmp[..tail.len()].copy_from_slice(tail);
-        // The 0x80 terminator lands in this block iff the message ends here.
-        tmp[tail.len()] = 0x80;
-    }
-    if i == n - 1 {
-        let bit_len = (data.len() as u64).wrapping_mul(8);
-        tmp[56..].copy_from_slice(&bit_len.to_be_bytes());
-    }
-    tmp.as_ptr()
-}
-
-/// Hash two independent messages with interleaved compression rounds.
-type DigestPairFn = fn(&[u8], &[u8]) -> (Digest, Digest);
-
-/// A selected compression backend: a multi-block compress entry point plus an
-/// optional batched two-message path.
+/// A selected compression backend: its name and multi-block compress entry
+/// point.
 struct Backend {
     name: &'static str,
     /// Compress `data` (length a multiple of 64) into `state`.
     compress: fn(&mut [u32; 8], &[u8]),
-    digest_pair: Option<DigestPairFn>,
 }
 
 static SCALAR_BACKEND: Backend = Backend {
     name: "scalar-unrolled",
     compress: scalar::compress_blocks,
-    digest_pair: None,
 };
 
 #[cfg(target_arch = "x86_64")]
 static SHANI_BACKEND: Backend = Backend {
     name: "sha-ni",
     compress: shani::compress_blocks,
-    digest_pair: Some(shani::digest_pair),
 };
 
 /// The core this CPU runs fastest, by CPUID; read once per process.
@@ -230,49 +194,9 @@ impl Sha256 {
 
     /// Hash a batch of independent messages, one digest per message.
     ///
-    /// Semantically `bodies.map(Sha256::digest)`, and output order always
-    /// matches input order. On SHA-NI hardware consecutive pairs of messages
-    /// are hashed with interleaved compression rounds, hiding the
-    /// `sha256rnds2` dependency chain — this is the fastest way to checksum
-    /// a day's distinct dropper bodies or a snapshot's chunk manifest.
+    /// `bodies.map(Sha256::digest)`, appended to `out` in input order.
     pub fn digest_many<'a>(bodies: impl IntoIterator<Item = &'a [u8]>, out: &mut Vec<Digest>) {
-        Sha256::digest_many_on(detected(), bodies, out);
-    }
-
-    fn digest_many_on<'a>(
-        backend: &'static Backend,
-        bodies: impl IntoIterator<Item = &'a [u8]>,
-        out: &mut Vec<Digest>,
-    ) {
-        let Some(pair) = backend.digest_pair else {
-            for body in bodies {
-                out.push(Sha256::on(backend).finalize_with(body));
-            }
-            return;
-        };
-        let (mut bytes, mut blocks) = (0u64, 0u64);
-        let mut pending: Option<&[u8]> = None;
-        for body in bodies {
-            match pending.take() {
-                None => pending = Some(body),
-                Some(first) => {
-                    let (d0, d1) = pair(first, body);
-                    out.push(d0);
-                    out.push(d1);
-                    bytes += first.len() as u64 + body.len() as u64;
-                    blocks += padded_blocks(first.len() as u64) + padded_blocks(body.len() as u64);
-                }
-            }
-        }
-        if let Some(last) = pending {
-            // Odd tail goes through the ordinary path (which records its own
-            // throughput counters in `finalize`).
-            out.push(Sha256::on(backend).finalize_with(last));
-        }
-        if bytes > 0 {
-            hf_obs::counter!("hash.bytes", bytes);
-            hf_obs::counter!("hash.blocks", blocks);
-        }
+        out.extend(bodies.into_iter().map(Sha256::digest));
     }
 
     /// Absorb more message bytes.
@@ -346,8 +270,8 @@ pub mod backends {
         Sha256::on(&super::SCALAR_BACKEND)
     }
 
-    /// A fresh hasher on the single-stream SHA-NI core, or `None` when the
-    /// CPU does not expose the SHA extensions.
+    /// A fresh hasher on the SHA-NI core, or `None` when the CPU does not
+    /// expose the SHA extensions.
     pub fn shani() -> Option<Sha256> {
         #[cfg(target_arch = "x86_64")]
         if super::shani::available() {
@@ -361,30 +285,10 @@ pub mod backends {
         scalar().finalize_with(data)
     }
 
-    /// [`Sha256::digest_many`] on the scalar core, which has no pair path.
-    pub fn scalar_digest_many<'a>(
-        bodies: impl IntoIterator<Item = &'a [u8]>,
-        out: &mut Vec<Digest>,
-    ) {
-        Sha256::digest_many_on(&super::SCALAR_BACKEND, bodies, out);
-    }
-
-    /// Digest through the single-stream SHA-NI core, or `None` when the CPU
-    /// does not expose the SHA extensions.
+    /// Digest through the SHA-NI core, or `None` when the CPU does not expose
+    /// the SHA extensions.
     pub fn shani_digest(data: &[u8]) -> Option<Digest> {
         shani().map(|h| h.finalize_with(data))
-    }
-
-    /// Digest two messages through the two-way interleaved SHA-NI path, or
-    /// `None` when the CPU does not expose the SHA extensions.
-    pub fn shani_digest_pair(a: &[u8], b: &[u8]) -> Option<(Digest, Digest)> {
-        #[cfg(target_arch = "x86_64")]
-        if super::shani::available() {
-            return Some(super::shani::digest_pair(a, b));
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = (a, b);
-        None
     }
 
     /// Name of the backend the process would dispatch to.

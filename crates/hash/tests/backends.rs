@@ -2,16 +2,15 @@
 //!
 //! The crate ships three compression cores — the spec-shaped reference
 //! hasher, the schedule-unrolled scalar core the dispatcher falls back to,
-//! and the SHA-NI core (single-stream and two-way interleaved) — and every
-//! byte the pipeline persists goes through whichever one dispatch picks.
+//! and the SHA-NI core — and every byte the pipeline persists goes through
+//! whichever one dispatch picks.
 //! This suite pins them to each other and to digests computed by an
 //! independent implementation (Python's `hashlib`), so a backend bug can't
 //! hide behind the backend it is compared against.
 //!
-//! The SHA-NI paths are exercised only where the CPU exposes the extension.
+//! The SHA-NI core is exercised only where the CPU exposes the extension.
 //! The scalar core runs everywhere: the proptests drive the one
-//! `update`/`finalize` driver on every core the CPU offers, and
-//! `digest_many` is also checked on the scalar core, which has no pair path.
+//! `update`/`finalize` driver on every core the CPU offers.
 
 use hf_hash::sha256::{backends, reference};
 use hf_hash::{Digest, Sha256};
@@ -228,48 +227,13 @@ fn padding_edge_lengths_agree_across_backends() {
 }
 
 #[test]
-fn shani_pair_matches_single_stream_at_mixed_lengths() {
-    // The interleaved core keeps two independent states while sharing the
-    // round loop; unequal block counts exercise its tail handling.
-    for (la, lb) in [
-        (0usize, 0usize),
-        (1, 200),
-        (200, 1),
-        (55, 56),
-        (64, 128),
-        (713, 65),
-    ] {
-        let a = pattern(la, la);
-        let b = pattern(lb, lb);
-        let Some((da, db)) = backends::shani_digest_pair(&a, &b) else {
-            return; // no SHA extensions on this machine
-        };
-        assert_eq!(da, reference::Sha256::digest(&a), "a len={la}");
-        assert_eq!(db, reference::Sha256::digest(&b), "b len={lb}");
-    }
-}
-
-#[test]
 fn digest_many_preserves_order_for_every_parity() {
-    // Odd and even counts land on different tail paths of the pair loop.
     for count in 0usize..=7 {
         let bodies: Vec<Vec<u8>> = (0..count).map(|i| pattern(i, i * 53 + 2)).collect();
         let mut batched = Vec::new();
         Sha256::digest_many(bodies.iter().map(|b| b.as_slice()), &mut batched);
         let singles: Vec<Digest> = bodies.iter().map(|b| Sha256::digest(b)).collect();
         assert_eq!(batched, singles, "count={count}");
-    }
-}
-
-#[test]
-fn digest_many_without_a_pair_path_matches_singles() {
-    for count in 0usize..=5 {
-        let bodies: Vec<Vec<u8>> = (0..count).map(|i| pattern(i, i * 61 + 3)).collect();
-        let mut out = vec![Sha256::digest(b"sentinel")];
-        backends::scalar_digest_many(bodies.iter().map(|b| b.as_slice()), &mut out);
-        let mut want = vec![Sha256::digest(b"sentinel")];
-        want.extend(bodies.iter().map(|b| reference::Sha256::digest(b)));
-        assert_eq!(out, want, "count={count}");
     }
 }
 

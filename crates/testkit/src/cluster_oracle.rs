@@ -22,15 +22,11 @@ fn float_field(
     if a.to_bits() == b.to_bits() {
         return;
     }
-    if *budget > 0 {
-        *budget -= 1;
-        report.push(
-            field,
-            format!("{a:?} ({:#x}) != {b:?} ({:#x})", a.to_bits(), b.to_bits()),
-        );
-    } else {
-        report.suppressed += 1;
-    }
+    report.capped(
+        budget,
+        field,
+        format!("{a:?} ({:#x}) != {b:?} ({:#x})", a.to_bits(), b.to_bits()),
+    );
 }
 
 /// Compare two normalized feature matrices bit-for-bit: the client row
@@ -48,15 +44,11 @@ pub fn diff_features(a: &FeatureMatrix, b: &FeatureMatrix, left: &str, right: &s
     let mut budget = MAX_DETAIL;
     for (i, (&ia, &ib)) in a.clients.iter().zip(&b.clients).enumerate() {
         if ia != ib {
-            if budget > 0 {
-                budget -= 1;
-                report.push(
-                    format!("features.clients[{i}]"),
-                    format!("{} != {}", Ip4(ia), Ip4(ib)),
-                );
-            } else {
-                report.suppressed += 1;
-            }
+            report.capped(
+                &mut budget,
+                format!("features.clients[{i}]"),
+                format!("{} != {}", Ip4(ia), Ip4(ib)),
+            );
         }
     }
     if !report.is_identical() {
@@ -125,25 +117,17 @@ pub fn diff_clusters(a: &ClusterOutput, b: &ClusterOutput, left: &str, right: &s
     let mut budget = MAX_DETAIL;
     for (i, (&(ipa, ca), &(ipb, cb))) in a.assignments.iter().zip(&b.assignments).enumerate() {
         if ipa != ipb {
-            if budget > 0 {
-                budget -= 1;
-                report.push(
-                    format!("clusters.assignments[{i}].client"),
-                    format!("{} != {}", Ip4(ipa), Ip4(ipb)),
-                );
-            } else {
-                report.suppressed += 1;
-            }
+            report.capped(
+                &mut budget,
+                format!("clusters.assignments[{i}].client"),
+                format!("{} != {}", Ip4(ipa), Ip4(ipb)),
+            );
         } else if ca != cb {
-            if budget > 0 {
-                budget -= 1;
-                report.push(
-                    format!("assign[{}]", Ip4(ipa)),
-                    format!("cluster {ca} != {cb}"),
-                );
-            } else {
-                report.suppressed += 1;
-            }
+            report.capped(
+                &mut budget,
+                format!("assign[{}]", Ip4(ipa)),
+                format!("cluster {ca} != {cb}"),
+            );
         }
     }
     if a.centroids.len() == b.centroids.len() {

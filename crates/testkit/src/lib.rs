@@ -25,6 +25,7 @@
 //!   tests can pin the hot path's zero-steady-state-allocation discipline.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod alloc;
 pub mod claims;

@@ -69,6 +69,22 @@ impl DiffReport {
         });
     }
 
+    /// Push a mismatch while `budget` lasts; past it, only count it as
+    /// suppressed.
+    pub(crate) fn capped(
+        &mut self,
+        budget: &mut usize,
+        field: impl Into<String>,
+        detail: impl Into<String>,
+    ) {
+        if *budget == 0 {
+            self.suppressed += 1;
+        } else {
+            *budget -= 1;
+            self.push(field, detail);
+        }
+    }
+
     /// Did the two outputs agree on every compared surface?
     pub fn is_identical(&self) -> bool {
         self.mismatches.is_empty() && self.suppressed == 0
@@ -117,15 +133,11 @@ fn diff_row(report: &mut DiffReport, i: usize, a: &Row, b: &Row, budget: &mut us
     macro_rules! field {
         ($name:ident) => {
             if a.$name != b.$name {
-                if *budget > 0 {
-                    *budget -= 1;
-                    report.push(
-                        format!("rows[{i}].{}", stringify!($name)),
-                        format!("{:?} != {:?}", a.$name, b.$name),
-                    );
-                } else {
-                    report.suppressed += 1;
-                }
+                report.capped(
+                    budget,
+                    format!("rows[{i}].{}", stringify!($name)),
+                    format!("{:?} != {:?}", a.$name, b.$name),
+                );
             }
         };
     }
@@ -171,24 +183,22 @@ pub fn diff_datasets(left: &str, a: &Dataset, right: &str, b: &Dataset) -> DiffR
     };
     let (da, db) = (digests(a), digests(b));
     if da != db {
-        let mut shown = 0usize;
+        let mut budget = MAX_DETAIL;
         for d in da.iter().filter(|d| !db.contains(d)) {
-            if shown < MAX_DETAIL {
-                report.push("digests", format!("{} only in {left}", d.short()));
-                shown += 1;
-            } else {
-                report.suppressed += 1;
-            }
+            report.capped(
+                &mut budget,
+                "digests",
+                format!("{} only in {left}", d.short()),
+            );
         }
         for d in db.iter().filter(|d| !da.contains(d)) {
-            if shown < MAX_DETAIL {
-                report.push("digests", format!("{} only in {right}", d.short()));
-                shown += 1;
-            } else {
-                report.suppressed += 1;
-            }
+            report.capped(
+                &mut budget,
+                "digests",
+                format!("{} only in {right}", d.short()),
+            );
         }
-        if shown == 0 {
+        if budget == MAX_DETAIL {
             // Same set cardinality but different multiplicity layout.
             report.push("digests.len", format!("{} != {}", da.len(), db.len()));
         }
@@ -212,15 +222,11 @@ pub fn diff_datasets(left: &str, a: &Dataset, right: &str, b: &Dataset) -> DiffR
                     ("occurrences", ma.occurrences, mb.occurrences),
                 ] {
                     if va != vb {
-                        if budget > 0 {
-                            budget -= 1;
-                            report.push(
-                                format!("artifacts[{}].{name}", d.short()),
-                                format!("{va} != {vb}"),
-                            );
-                        } else {
-                            report.suppressed += 1;
-                        }
+                        report.capped(
+                            &mut budget,
+                            format!("artifacts[{}].{name}", d.short()),
+                            format!("{va} != {vb}"),
+                        );
                     }
                 }
             }
@@ -256,21 +262,17 @@ pub fn diff_tagdbs(left: &str, a: &TagDb, right: &str, b: &TagDb) -> DiffReport 
     for (h, e) in a.iter() {
         let (tag_b, camp_b) = (b.tag(h), b.campaign(h));
         if tag_b != Some(e.tag.as_str()) || camp_b != Some(e.campaign.as_str()) {
-            if budget > 0 {
-                budget -= 1;
-                report.push(
-                    format!("tags[{}]", h.short()),
-                    format!(
-                        "{left}: {}/{} vs {right}: {}/{}",
-                        e.tag,
-                        e.campaign,
-                        tag_b.unwrap_or("<absent>"),
-                        camp_b.unwrap_or("<absent>"),
-                    ),
-                );
-            } else {
-                report.suppressed += 1;
-            }
+            report.capped(
+                &mut budget,
+                format!("tags[{}]", h.short()),
+                format!(
+                    "{left}: {}/{} vs {right}: {}/{}",
+                    e.tag,
+                    e.campaign,
+                    tag_b.unwrap_or("<absent>"),
+                    camp_b.unwrap_or("<absent>"),
+                ),
+            );
         }
     }
     report
@@ -315,12 +317,7 @@ pub fn diff_aggregates(
         ($field:expr, $name:expr) => {
             let (va, vb) = $field;
             if va != vb {
-                if budget > 0 {
-                    budget -= 1;
-                    report.push($name.to_string(), format!("{va:?} != {vb:?}"));
-                } else {
-                    report.suppressed += 1;
-                }
+                report.capped(&mut budget, $name, format!("{va:?} != {vb:?}"));
             }
         };
     }
@@ -332,15 +329,11 @@ pub fn diff_aggregates(
                     format!("{} != {}", $fa.len(), $fb.len()),
                 );
             } else if let Some(i) = $fa.iter().zip($fb.iter()).position(|(x, y)| x != y) {
-                if budget > 0 {
-                    budget -= 1;
-                    report.push(
-                        format!("{}[{i}]", $name),
-                        format!("{:?} != {:?}", $fa[i], $fb[i]),
-                    );
-                } else {
-                    report.suppressed += 1;
-                }
+                report.capped(
+                    &mut budget,
+                    format!("{}[{i}]", $name),
+                    format!("{:?} != {:?}", $fa[i], $fb[i]),
+                );
             }
         };
     }
@@ -390,15 +383,11 @@ pub fn diff_aggregates(
         .enumerate()
     {
         if x != y {
-            if budget > 0 {
-                budget -= 1;
-                report.push(
-                    format!("hp_clients_by_cat[{hp}]"),
-                    "sets differ".to_string(),
-                );
-            } else {
-                report.suppressed += 1;
-            }
+            report.capped(
+                &mut budget,
+                format!("hp_clients_by_cat[{hp}]"),
+                "sets differ",
+            );
         }
     }
 
@@ -411,12 +400,11 @@ pub fn diff_aggregates(
     }
     for (ip, ca) in a.clients.iter() {
         let Some(cb) = b.clients.get(ip) else {
-            if budget > 0 {
-                budget -= 1;
-                report.push(format!("clients[{ip}]"), format!("missing in {right}"));
-            } else {
-                report.suppressed += 1;
-            }
+            report.capped(
+                &mut budget,
+                format!("clients[{ip}]"),
+                format!("missing in {right}"),
+            );
             continue;
         };
         for (name, ok) in [
@@ -435,12 +423,7 @@ pub fn diff_aggregates(
             ("country", ca.country == cb.country),
         ] {
             if !ok {
-                if budget > 0 {
-                    budget -= 1;
-                    report.push(format!("clients[{ip}].{name}"), "differs".to_string());
-                } else {
-                    report.suppressed += 1;
-                }
+                report.capped(&mut budget, format!("clients[{ip}].{name}"), "differs");
             }
         }
     }
@@ -472,12 +455,7 @@ pub fn diff_aggregates(
             ("honeypots", ha.honeypots == hb.honeypots),
         ] {
             if !ok {
-                if budget > 0 {
-                    budget -= 1;
-                    report.push(format!("hashes[{hid}].{name}"), "differs".to_string());
-                } else {
-                    report.suppressed += 1;
-                }
+                report.capped(&mut budget, format!("hashes[{hid}].{name}"), "differs");
             }
         }
     }
@@ -498,7 +476,6 @@ pub fn diff_aggregates(
             ),
         );
     }
-    let _ = budget;
     report
 }
 
@@ -517,11 +494,6 @@ pub fn diff_reports(
         if ta == tb {
             continue;
         }
-        if budget == 0 {
-            report.suppressed += 1;
-            continue;
-        }
-        budget -= 1;
         let line = ta
             .lines()
             .zip(tb.lines())
@@ -534,7 +506,7 @@ pub fn diff_reports(
                     tb.lines().count()
                 )
             });
-        report.push(format!("report.{name}"), line);
+        report.capped(&mut budget, format!("report.{name}"), line);
     }
     report
 }
@@ -648,12 +620,7 @@ fn diff_metric_map<T>(
             (None, Some(_)) => format!("present in {} only", report.right),
             (None, None) => unreachable!("name came from one of the maps"),
         };
-        if *budget == 0 {
-            report.suppressed += 1;
-            continue;
-        }
-        *budget -= 1;
-        report.push(format!("{section}[{name}]"), detail);
+        report.capped(budget, format!("{section}[{name}]"), detail);
     }
 }
 

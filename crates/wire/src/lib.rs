@@ -29,6 +29,8 @@
 //!
 //! [`Scenario`]: hf_testkit::Scenario
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod client;
 pub mod conn;
 pub mod epoll;

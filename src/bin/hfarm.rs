@@ -69,6 +69,8 @@
 //! (enforced by `tests/obs_invariance.rs`). The synopsis above is checked
 //! against [`FLAGS`] by a unit test.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::path::{Path, PathBuf};
 
 use honeyfarm::core::birth::birth_report;

@@ -200,7 +200,7 @@ fn steady_state_chunk_reads_allocate_nothing() {
     );
 }
 
-/// The writer's per-chunk hot loop (encode into ping-pong buffers, digest,
+/// The writer's per-chunk hot loop (encode into a reused buffer, digest,
 /// frame, write) reuses its scratch: re-encoding a snapshot allocates far
 /// fewer times than it writes chunks, i.e. nothing on the per-chunk path.
 /// The fixed budget covers the per-call setup — section staging buffers,
