@@ -840,8 +840,6 @@ fn encode_row_chunk(rows: &[Row], buf: &mut Vec<u8>) {
 /// every per-chunk `[row count ‖ digest]` header, in order. These are
 /// exactly the non-row-data payload bytes, and the section header's
 /// checksum is the SHA-256 of this manifest (module docs).
-///
-/// Each chunk is encoded into one reused buffer and digested in turn.
 fn rows_manifest(rows: &[Row], rows_per_chunk: u32) -> Vec<u8> {
     let n_chunks = rows.len().div_ceil(rows_per_chunk as usize);
     let mut manifest = Vec::with_capacity(ROWS_PROLOGUE_LEN + n_chunks * CHUNK_HEADER_LEN);
