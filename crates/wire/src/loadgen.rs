@@ -15,8 +15,9 @@
 //!   a finished session immediately admits the next. Measures sustained
 //!   session throughput.
 //! * **hold-all** — every session connects and writes its script, then
-//!   *stays open* until all of them are up, and only then do the clients
-//!   half-close and drain. This is the concurrency high-water proof: the
+//!   *stays open* until all of them are up — every script written and every
+//!   greeting read, so the farm has accepted each one — and only then do the
+//!   clients half-close and drain. This is the concurrency high-water proof: the
 //!   farm holds `sessions` live connections simultaneously (visible in its
 //!   `open_peak` stat) before any of them completes.
 //!
@@ -96,6 +97,8 @@ struct CConn {
     pos: usize,
     state: CState,
     last: Instant,
+    /// The server's first byte (its greeting) has arrived.
+    greeted: bool,
 }
 
 /// The synthetic attacker identity of driven session `i`.
@@ -118,6 +121,8 @@ pub fn run(nodes: &[NodeAddrs], scenarios: &[Scenario], cfg: &LoadgenConfig) -> 
     let mut pending: VecDeque<usize> = (0..cfg.sessions).collect();
     let mut active: u64 = 0;
     let mut writing: u64 = 0;
+    // Open sessions that have not yet read their greeting.
+    let mut ungreeted: u64 = 0;
     let mut released = !cfg.hold_all;
     let max_in_flight = if cfg.hold_all {
         cfg.sessions
@@ -163,9 +168,11 @@ pub fn run(nodes: &[NodeAddrs], scenarios: &[Scenario], cfg: &LoadgenConfig) -> 
                 pos: 0,
                 state: CState::Writing,
                 last: Instant::now(),
+                greeted: false,
             };
             active += 1;
             writing += 1;
+            ungreeted += 1;
             report.peak_open = report.peak_open.max(active);
             // Most scripts fit the socket buffer: try inline first.
             let mut done = false;
@@ -173,6 +180,7 @@ pub fn run(nodes: &[NodeAddrs], scenarios: &[Scenario], cfg: &LoadgenConfig) -> 
             if done {
                 // Immediate failure path: count and move on.
                 active -= 1;
+                ungreeted -= 1;
                 report.failed += 1;
                 free.push(slot);
                 continue;
@@ -186,6 +194,7 @@ pub fn run(nodes: &[NodeAddrs], scenarios: &[Scenario], cfg: &LoadgenConfig) -> 
                 .is_err()
             {
                 active -= 1;
+                ungreeted -= 1;
                 report.failed += 1;
                 free.push(slot);
                 continue;
@@ -193,8 +202,9 @@ pub fn run(nodes: &[NodeAddrs], scenarios: &[Scenario], cfg: &LoadgenConfig) -> 
             conns[slot] = Some(conn);
         }
 
-        // Hold-all release: everything is connected and written; let go.
-        if !released && pending.is_empty() && writing == 0 {
+        // Hold-all release: every script is written and every greeting read,
+        // so the farm has accepted every session; let go.
+        if !released && pending.is_empty() && writing == 0 && ungreeted == 0 {
             released = true;
             for conn in conns.iter_mut().flatten() {
                 if matches!(conn.state, CState::Held) {
@@ -243,6 +253,10 @@ pub fn run(nodes: &[NodeAddrs], scenarios: &[Scenario], cfg: &LoadgenConfig) -> 
                         Ok(n) => {
                             report.bytes_in += n as u64;
                             conn.last = Instant::now();
+                            if !conn.greeted {
+                                conn.greeted = true;
+                                ungreeted -= 1;
+                            }
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -262,6 +276,9 @@ pub fn run(nodes: &[NodeAddrs], scenarios: &[Scenario], cfg: &LoadgenConfig) -> 
                 if matches!(conn.state, CState::Writing) {
                     writing -= 1;
                 }
+                if !conn.greeted {
+                    ungreeted -= 1;
+                }
                 let _ = ep.del(conn.sock.as_raw_fd());
                 active -= 1;
                 free.push(slot);
@@ -278,6 +295,9 @@ pub fn run(nodes: &[NodeAddrs], scenarios: &[Scenario], cfg: &LoadgenConfig) -> 
                 let conn = entry.take().expect("checked");
                 if matches!(conn.state, CState::Writing) {
                     writing -= 1;
+                }
+                if !conn.greeted {
+                    ungreeted -= 1;
                 }
                 let _ = ep.del(conn.sock.as_raw_fd());
                 active -= 1;
