@@ -356,6 +356,16 @@ mod tests {
     }
 
     #[test]
+    fn a_distance_tie_goes_to_the_lowest_centroid() {
+        // Seeding picks client 1, then client 0. Client 2 sits exactly
+        // halfway between them, so its first assignment is a tie: it joins
+        // centroid 0 (client 1's) and stays there.
+        let rows = [point(0.0, 0.0), point(1.0, 0.0), point(0.5, 0.0)];
+        let out = cluster(&matrix(&rows), &KMeansConfig { force_k: Some(2) });
+        assert_eq!(out.assignments, vec![(0, 1), (1, 0), (2, 0)]);
+    }
+
+    #[test]
     fn force_k_skips_the_sweep() {
         let rows = vec![point(0.1, 0.1), point(0.9, 0.9), point(0.5, 0.5)];
         let out = cluster(&matrix(&rows), &KMeansConfig { force_k: Some(3) });

@@ -725,60 +725,6 @@ mod tests {
         }
     }
 
-    /// Compare the fields that summarize every group of the struct; the
-    /// full field-by-field oracle lives in hf-testkit.
-    fn assert_agg_eq(a: &Aggregates, b: &Aggregates, label: &str) {
-        assert_eq!(a.total_sessions, b.total_sessions, "{label}: total");
-        assert_eq!(a.day_hp_sessions, b.day_hp_sessions, "{label}: matrix");
-        assert_eq!(a.day_total, b.day_total, "{label}: day_total");
-        assert_eq!(a.day_unique_ips, b.day_unique_ips, "{label}: unique ips");
-        assert_eq!(
-            a.day_combo_clients, b.day_combo_clients,
-            "{label}: combo clients"
-        );
-        assert_eq!(a.cat_totals, b.cat_totals, "{label}: cat totals");
-        assert_eq!(
-            a.hp_first_hashes, b.hp_first_hashes,
-            "{label}: first hashes"
-        );
-        assert_eq!(a.freshness, b.freshness, "{label}: freshness");
-        assert_eq!(a.asns, b.asns, "{label}: asns");
-        assert_eq!(a.n_clients(), b.n_clients(), "{label}: clients");
-        assert_eq!(a.n_hashes(), b.n_hashes(), "{label}: hashes");
-        for (ip, ca) in &a.clients {
-            let cb = &b.clients[ip];
-            assert_eq!(ca.sessions, cb.sessions, "{label}: client {ip} sessions");
-            assert_eq!(ca.days, cb.days, "{label}: client {ip} days");
-            assert_eq!(ca.hashes, cb.hashes, "{label}: client {ip} hashes");
-            assert_eq!(ca.country, cb.country, "{label}: client {ip} country");
-        }
-        for (hid, ha) in a.hashes.iter().enumerate() {
-            let hb = &b.hashes[hid];
-            assert_eq!(ha.sessions, hb.sessions, "{label}: hash {hid} sessions");
-            assert_eq!(ha.first_day, hb.first_day, "{label}: hash {hid} first day");
-            assert_eq!(
-                ha.first_honeypot, hb.first_honeypot,
-                "{label}: hash {hid} first hp"
-            );
-            assert_eq!(ha.days, hb.days, "{label}: hash {hid} days");
-            assert_eq!(ha.clients, hb.clients, "{label}: hash {hid} clients");
-        }
-    }
-
-    #[test]
-    fn streaming_fold_matches_materialized_compute() {
-        let ds = small();
-        let materialized = Aggregates::compute(&ds);
-        // Replay the store row by row through the streaming fold.
-        let mut fold = StreamingFold::new(ds.plan.len());
-        for v in ds.sessions.iter() {
-            fold.ingest(&ds.plan, &v);
-        }
-        let streamed = fold.finish();
-        assert_eq!(streamed.n_days, materialized.n_days);
-        assert_agg_eq(&materialized, &streamed, "streaming");
-    }
-
     #[test]
     fn streaming_fold_empty_matches_empty_compute() {
         let agg = StreamingFold::new(221).finish();

@@ -781,38 +781,6 @@ mod tests {
         assert_outputs_identical("a", &a, "b", &b);
     }
 
-    /// Ingesting one-by-one, as a single batch, or as arbitrarily split
-    /// batches must produce identical datasets (batch boundaries are not
-    /// observable).
-    #[test]
-    fn collector_batch_boundary_invariance() {
-        let recs: Vec<SessionRecord> = (0..17)
-            .map(|i| rec(Ip4::new(2, 2, 2, i as u8), (i % 5) as u32, i))
-            .collect();
-        let world = World::build(1, &WorldConfig::tiny());
-
-        let mut one_by_one = Collector::new(&world, FarmPlan::paper());
-        for r in &recs {
-            one_by_one.ingest(r);
-        }
-        let one_by_one = one_by_one.finish();
-
-        for split in [1usize, 2, 3, 7, 16] {
-            let mut batched = Collector::new(&world, FarmPlan::paper());
-            for chunk in recs.chunks(split) {
-                batched.ingest_batch(chunk);
-            }
-            let batched = batched.finish();
-            diff_datasets(
-                "one-by-one",
-                &one_by_one,
-                &format!("chunks={split}"),
-                &batched,
-            )
-            .assert_identical();
-        }
-    }
-
     /// Merging per-shard tag databases in shard order must equal serial
     /// recording, for any shard-boundary split of the same record stream.
     #[test]

@@ -45,8 +45,8 @@ fn repeat_runs_bit_identical() {
 #[test]
 fn collector_invariant_to_ingest_batching() {
     // Replay a spread of scenarios into session records, then collect them
-    // one-by-one and in uneven chunks; the resulting dataset must be
-    // identical either way.
+    // one `ingest` at a time and in uneven `ingest_batch` chunks; the
+    // resulting dataset must be identical either way.
     use honeyfarm::geo::{World, WorldConfig};
     use honeyfarm::testkit::{diff_datasets, Scenario};
 
@@ -76,7 +76,11 @@ fn collector_invariant_to_ingest_batching() {
         c.finish()
     };
 
-    let one_by_one = collect(&[1]);
+    let mut one_by_one = Collector::new(&world, FarmPlan::paper());
+    for rec in &records {
+        one_by_one.ingest(rec);
+    }
+    let one_by_one = one_by_one.finish();
     let uneven = collect(&[3, 1, 16, 7, 2]);
     let report = diff_datasets("one-by-one", &one_by_one, "uneven", &uneven);
     assert!(report.is_identical(), "{}", report.render());

@@ -306,6 +306,30 @@ fn dangling_list_id_is_rejected() {
     }
 }
 
+/// A resolvable command list whose entry names a command past the pool.
+#[test]
+fn dangling_command_id_is_rejected() {
+    let mut list_id = 0;
+    let mut bytes = with_lists(|lists| {
+        list_id = lists.len() as u32;
+        lists.push(vec![u32::MAX - 1]);
+    });
+    let spans = section_spans(&bytes);
+    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
+    let (start, len) = spans[rows_idx];
+    // cmd_list_id sits at row offset 32.
+    let field = start + ROWS_PROLOGUE + CHUNK_HEADER + 32;
+    bytes[field..field + 4].copy_from_slice(&list_id.to_le_bytes());
+    restamp_rows(&mut bytes, start, len);
+    match load(&bytes) {
+        Err(SnapshotError::DanglingId { kind, id }) => {
+            assert_eq!(kind, "command");
+            assert_eq!(id, (u32::MAX - 1) >> 1);
+        }
+        other => panic!("expected DanglingId, got {other:?}"),
+    }
+}
+
 #[test]
 fn corrupt_row_enum_is_rejected() {
     let mut bytes = snapshot_bytes();

@@ -6,10 +6,11 @@
 //! * `Simulation::run_fold` (day-windowed fold, rows retired as days
 //!   complete) against the materialized `Simulation::run` +
 //!   `Aggregates::compute`, at scales {0.001, 0.01} — aggregates, tags,
-//!   reports, and the claims table.
+//!   reports, the claims table, and the row-free dataset's pools and
+//!   artifact store.
 //! * `FoldOutput::from_snapshot_stream` (chunked snapshot reader feeding
 //!   the fold, many chunks cut mid-day) against materializing the same
-//!   snapshot.
+//!   snapshot, which must itself reproduce the simulated run.
 //! * A proptest that cutting the rows *anywhere* — mid-day included — into
 //!   `StreamingFold::ingest_rows` calls folds to the same state as the
 //!   one-shot `Aggregates::compute`: the property the whole streaming
@@ -26,7 +27,8 @@ use honeyfarm::core::StreamingFold;
 use honeyfarm::geo::{World, WorldConfig};
 use honeyfarm::prelude::*;
 use honeyfarm::testkit::{
-    claims, diff_aggregates, diff_datasets, diff_features, diff_reports, diff_tagdbs, Scenario,
+    claims, diff_aggregates, diff_datasets, diff_features, diff_reports, diff_sim_outputs,
+    diff_tagdbs, Scenario,
 };
 use proptest::prelude::*;
 
@@ -70,6 +72,12 @@ fn assert_fold_matches(scale: f64, days: u32) {
         ctx_fold.claims.to_json(),
         "{label}: derived Claims diverged"
     );
+
+    // Retiring rows day by day keeps the pools, the plan and the artifact
+    // store (first_seen / last_seen / occurrences) of the kept run.
+    let mut rowless = out;
+    rowless.dataset.sessions.retire_rows();
+    diff_datasets("materialized", &rowless.dataset, label, &fold.dataset).assert_identical();
 }
 
 #[test]
@@ -98,6 +106,9 @@ fn snapshot_stream_fold_matches_materialized_load() {
     let materialized = SimOutput::from_snapshot(
         Snapshot::read_from(&mut bytes.as_slice()).expect("materialized load"),
     );
+    // The chunked write→read round trip reproduces the run: rows, digests,
+    // artifacts, tags and the client count.
+    diff_sim_outputs("simulated", &out, "reloaded", &materialized).assert_identical();
     let agg = Aggregates::compute(&materialized.dataset);
 
     let fold = FoldOutput::from_snapshot_stream(bytes.as_slice()).expect("streaming load");
