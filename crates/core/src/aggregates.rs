@@ -140,8 +140,11 @@ pub struct HashAgg {
     pub last_day: u32,
     /// First day observed.
     pub first_day: u32,
-    /// Honeypot that observed it first.
+    /// Honeypot that observed it first: the one whose session started
+    /// earliest, the first folded of those that started in the same second.
     pub first_honeypot: u16,
+    /// Start (secs since epoch) of that first session (`u32::MAX` = none).
+    first_start: u32,
     /// Honeypots that ever observed it.
     pub honeypots: HpBitset,
 }
@@ -155,6 +158,7 @@ impl Default for HashAgg {
             last_day: u32::MAX,
             first_day: u32::MAX,
             first_honeypot: u16::MAX,
+            first_start: u32::MAX,
             honeypots: [0; 4],
         }
     }
@@ -517,8 +521,16 @@ impl StreamingFold {
                 h.days += 1;
                 h.last_day = day;
             }
-            if h.first_day == u32::MAX {
+            // Rows are day-ordered, so only a row of the hash's first day
+            // can start before its first sighting; within that day, row
+            // order is collection order, not start order.
+            let start = v.raw().start_secs;
+            if start < h.first_start {
+                if h.first_honeypot != u16::MAX {
+                    agg.hp_first_hashes[h.first_honeypot as usize] -= 1;
+                }
                 h.first_day = day;
+                h.first_start = start;
                 h.first_honeypot = hp;
                 agg.hp_first_hashes[hp as usize] += 1;
             }
