@@ -154,7 +154,7 @@ impl Ecosystem {
         scale.count(paper::TOTAL_SESSIONS) as f64 * window_frac
     }
 
-    /// [`Self::session_budget_f64`] as a checked integer count — the total
+    /// `Self::session_budget_f64` as a checked integer count — the total
     /// the traffic sources are sized from.
     pub fn session_budget(scale: &Scale, window: &StudyWindow) -> u64 {
         checked_u64(Self::session_budget_f64(scale, window), "session budget")

@@ -154,9 +154,8 @@ pub struct ClientAcc {
     pub honeypots: HpBitset,
     /// Distinct active days.
     pub days: u32,
-    /// Last day counted (`u32::MAX` = none yet) — fold internal, public so
-    /// the differential oracles can compare it.
-    pub last_day: u32,
+    /// Last day counted (`u32::MAX` = none yet).
+    last_day: u32,
     /// Sessions per taxonomy category.
     pub cat_sessions: [u64; 5],
     /// Login attempts / successes.

@@ -24,10 +24,10 @@
 //! hands it each finished day before retiring the rows, and
 //! [`features_from_snapshot_stream`] hands it each verified chunk.
 //! [`extract`] and [`ClusterRun::over`] run the same fold over a
-//! materialized dataset, the reference the differential tests compare
-//! against. `hf-testkit` ships `diff_features` / `diff_clusters`
-//! field-level oracles, and `tests/cluster_goldens.rs` pins the TSV output
-//! byte-for-byte.
+//! materialized dataset. `hf-testkit`'s independent reference recomputes
+//! the 24 features from session records, `diff_clusters` compares two
+//! clusterings field by field, and `tests/cluster_goldens.rs` pins the TSV
+//! output byte-for-byte.
 
 #![warn(missing_docs)]
 

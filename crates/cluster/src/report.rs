@@ -138,12 +138,8 @@ mod tests {
 
     #[test]
     fn tsv_shapes_are_stable() {
-        let acc = ClientAcc {
-            sessions: 4,
-            first_start: 0,
-            last_start: 3000,
-            ..ClientAcc::default()
-        };
+        let mut acc = ClientAcc::default();
+        (acc.sessions, acc.first_start, acc.last_start) = (4, 0, 3000);
         let feats = ClientFeatures {
             n_honeypots: 221,
             clients: vec![(0x0102_0304, acc.clone()), (0x0a00_0001, acc)],

@@ -88,9 +88,8 @@ pub struct ClientAgg {
     pub days: u32,
     pub days_by_cat: [u32; 5],
     /// Last day counted, overall and per category (`u32::MAX` = none yet).
-    /// Fold internals, public so differential oracles can compare them.
-    pub last_day: u32,
-    pub last_day_by_cat: [u32; 5],
+    last_day: u32,
+    last_day_by_cat: [u32; 5],
     /// Categories this client ever appeared in (bitmask by Category index).
     pub cats: u8,
     /// Sessions by this client.
@@ -135,9 +134,8 @@ pub struct HashAgg {
     pub clients: IdSet,
     /// Distinct active days.
     pub days: u32,
-    /// Last day counted (`u32::MAX` = none yet). Fold internal, public for
-    /// the differential oracles.
-    pub last_day: u32,
+    /// Last day counted (`u32::MAX` = none yet).
+    last_day: u32,
     /// First day observed.
     pub first_day: u32,
     /// Honeypot that observed it first: the one whose session started
@@ -605,157 +603,5 @@ impl StreamingFold {
         agg.fill_honeypot_sets();
         agg.freshness = self.fresh.finish();
         agg
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hf_sim::{SimConfig, Simulation};
-
-    fn small() -> Dataset {
-        Simulation::run(SimConfig::test(10)).dataset
-    }
-
-    #[test]
-    fn totals_are_consistent() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        assert_eq!(agg.total_sessions, ds.len() as u64);
-        assert_eq!(agg.cat_totals.iter().sum::<u64>(), agg.total_sessions);
-        assert_eq!(agg.day_total.iter().sum::<u64>(), agg.total_sessions);
-        let matrix_sum: u64 = agg.day_hp_sessions.iter().map(|&c| c as u64).sum();
-        assert_eq!(matrix_sum, agg.total_sessions);
-        for ci in 0..5 {
-            assert_eq!(
-                agg.day_by_cat[ci].iter().sum::<u64>(),
-                agg.cat_totals[ci],
-                "category {ci}"
-            );
-            assert!(agg.cat_ssh[ci] <= agg.cat_totals[ci]);
-        }
-    }
-
-    #[test]
-    fn per_honeypot_sums_match() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        assert_eq!(agg.hp_sessions.iter().sum::<u64>(), agg.total_sessions);
-        // Clients per honeypot never exceed total clients.
-        for set in &agg.hp_clients {
-            assert!(set.len() <= agg.n_clients());
-        }
-    }
-
-    #[test]
-    fn client_aggregates_consistent() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        assert!(agg.n_clients() > 0);
-        let total_client_sessions: u64 = agg.clients.values().map(|c| c.sessions).sum();
-        assert_eq!(total_client_sessions, agg.total_sessions);
-        for c in agg.clients.values() {
-            assert!(bit_count(&c.honeypots) >= 1);
-            assert!(c.days >= 1);
-            assert!(c.cats != 0);
-            // Per-category days never exceed overall days.
-            for ci in 0..5 {
-                assert!(c.days_by_cat[ci] <= c.days);
-                assert!(bit_count(&c.honeypots_by_cat[ci]) <= bit_count(&c.honeypots));
-            }
-        }
-    }
-
-    #[test]
-    fn hash_aggregates_consistent() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        assert!(agg.n_hashes() > 0);
-        for h in agg.hashes.iter().filter(|h| h.sessions > 0) {
-            assert!(!h.clients.is_empty());
-            assert!(h.days >= 1);
-            assert!(h.first_day != u32::MAX);
-            assert!(bit_count(&h.honeypots) >= 1);
-            assert!(h.sessions >= h.days as u64);
-        }
-        // First-hash counters sum to the number of distinct hashes.
-        let first_sum: u32 = agg.hp_first_hashes.iter().sum();
-        assert_eq!(first_sum as usize, agg.n_hashes());
-    }
-
-    #[test]
-    fn daily_unique_ips_bounded() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        for d in 0..agg.n_days as usize {
-            let overall = agg.day_unique_ips[d][5];
-            for ci in 0..5 {
-                assert!(agg.day_unique_ips[d][ci] <= overall);
-            }
-            // Unique IPs never exceed sessions that day.
-            assert!(overall as u64 <= agg.day_total[d]);
-        }
-    }
-
-    #[test]
-    fn freshness_day_one_is_all_fresh() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        let first = agg.freshness.first().expect("some hashes exist");
-        assert_eq!(first.unique, first.fresh_ever);
-    }
-
-    #[test]
-    fn password_counts_only_successful() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        // Every counted credential must be an accepted one: its password is
-        // not "root" and its username is root.
-        for (&cred_id, _) in agg.password_counts.iter() {
-            let key = ds.sessions.creds.get(cred_id);
-            let (user, pass) = key.split_once('\0').unwrap();
-            assert_eq!(user, "root");
-            assert_ne!(pass, "root");
-        }
-    }
-
-    #[test]
-    fn duration_histogram_totals() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        let hist_total: u64 = agg.dur_hist.iter().map(|h| h.iter().sum::<u64>()).sum();
-        assert_eq!(hist_total, agg.total_sessions);
-        // NO_CMD durations concentrate at/above the 180 s timeout.
-        let no_cmd = &agg.dur_hist[Category::NoCmd.index()];
-        let at_timeout: u64 = no_cmd[180..].iter().sum();
-        let total: u64 = no_cmd.iter().sum();
-        if total > 20 {
-            assert!(
-                at_timeout as f64 / total as f64 > 0.7,
-                "{at_timeout}/{total}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_fold_empty_matches_empty_compute() {
-        let agg = StreamingFold::new(221).finish();
-        assert_eq!(agg.n_days, 1);
-        assert_eq!(agg.total_sessions, 0);
-        assert!(agg.freshness.is_empty());
-        assert_eq!(agg.day_total, vec![0]);
-    }
-
-    #[test]
-    fn asns_match_row_derived_set() {
-        let ds = small();
-        let agg = Aggregates::compute(&ds);
-        let from_rows: IdSet = ds
-            .sessions
-            .iter()
-            .filter_map(|v| v.client_asn().map(|a| a.0))
-            .collect();
-        assert!(!agg.asns.is_empty());
-        assert_eq!(agg.asns, from_rows);
     }
 }

@@ -106,7 +106,7 @@ const HOSTS_PER_BLOCK: u32 = 250;
 /// benchmarking range.
 ///
 /// The range spans 512 /24 blocks (198.18.0.0/24 … 198.19.255.0/24); at
-/// [`HOSTS_PER_BLOCK`] hosts per block it addresses 128 000 nodes, covering
+/// `HOSTS_PER_BLOCK` hosts per block it addresses 128 000 nodes, covering
 /// the full `u16` id space. Every octet is derived with checked arithmetic —
 /// the naive `(id / 250) as u8` truncates for ids ≥ 63 750 and silently
 /// hands the same address to multiple nodes.

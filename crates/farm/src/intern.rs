@@ -155,7 +155,7 @@ impl DigestPool {
 /// Deduplicating pool of u32 lists, stored flattened (arena + ranges).
 /// The empty list is always id [`ListPool::EMPTY`], and never hashed.
 ///
-/// A pool decoded from a snapshot ([`ListPool::from_parts`]) starts without
+/// A pool decoded from a snapshot (`ListPool::from_parts`) starts without
 /// its lookup index: readers only resolve ids, so the index is built on the
 /// first [`ListPool::intern`] instead.
 #[derive(Debug, Clone)]

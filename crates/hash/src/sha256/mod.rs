@@ -11,9 +11,9 @@
 //!
 //! Three implementations of the compression function coexist (DESIGN.md §14):
 //!
-//! - [`reference`] — the original straight-line scalar code, kept verbatim as
+//! - [`mod@reference`] — the original straight-line scalar code, kept verbatim as
 //!   the differential-testing oracle. Never dispatched to at runtime.
-//! - [`scalar`] — a schedule-unrolled scalar core (rotationless round
+//! - `scalar` — a schedule-unrolled scalar core (rotationless round
 //!   formulation, 16-word circular message schedule). The portable fallback.
 //! - `shani` (x86-64 only) — the Intel SHA New Instructions path, selected at
 //!   runtime via `is_x86_feature_detected!`.

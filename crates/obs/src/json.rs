@@ -1,7 +1,7 @@
 //! The workspace's one JSON implementation: a string escaper, a float
 //! formatter, and a strict reader.
 //!
-//! Three outputs are JSON: `metrics.json` (see [`crate::manifest`]),
+//! Three outputs are JSON: `metrics.json` (see [`mod@crate::manifest`]),
 //! `claims.json` and the Cowrie-style event lines. Each writer lays out its
 //! own object with [`string`] and [`float`].
 //!

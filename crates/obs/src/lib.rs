@@ -37,7 +37,7 @@
 //!
 //! Worker threads buffer locally and must [`flush`] before they exit
 //! ([`overlapped`], the two-stage pipeline, does it for its helper); the
-//! thread calling [`snapshot`]/[`manifest`] flushes itself automatically.
+//! thread calling [`snapshot`]/[`fn@manifest`] flushes itself automatically.
 
 #![warn(missing_docs)]
 

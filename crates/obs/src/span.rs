@@ -14,7 +14,7 @@ use std::time::Instant;
 use crate::metrics::Name;
 
 /// RAII timer for one execution of a named phase. Create with
-/// [`crate::span`], [`crate::span_owned_with`], or the [`crate::span!`]
+/// [`fn@crate::span`], [`crate::span_owned_with`], or the [`crate::span!`]
 /// macro; the sample is recorded on drop.
 #[must_use = "a span guard measures until it is dropped; binding it to _ drops immediately"]
 #[derive(Debug)]

@@ -12,7 +12,7 @@
 //!   pooled in [`SessionScratch`]),
 //! - pipeline stdin/stdout thread through reused `String` buffers that swap
 //!   rather than reallocate,
-//! - recorded commands and URIs are appended to a span arena ([`EventLog`])
+//! - recorded commands and URIs are appended to a span arena (`EventLog`)
 //!   instead of one `String` per record; [`ShellSession::take_events`]
 //!   materialises the owned [`SessionEvents`] on demand,
 //! - scratch sets recycle across sessions through a thread-local pool, so the
@@ -180,7 +180,7 @@ struct LineScratch {
 /// Reusable per-session scratch. Recycled across sessions through a
 /// thread-local pool so warm sessions never re-grow their buffers.
 ///
-/// Five [`LineScratch`] slots cover the `sh -c` recursion bound: top level is
+/// Five `LineScratch` slots cover the `sh -c` recursion bound: top level is
 /// depth 0 and re-entry is allowed while `depth < 4`, so lines execute at
 /// depths 0..=4.
 #[derive(Debug, Default)]

@@ -15,7 +15,7 @@
 //!   so re-parsing line after line performs **zero heap allocations** once
 //!   the buffers have grown to the session's high-water mark. Consumers walk
 //!   the borrowed views ([`Words`], [`CmdView`], [`StmtView`]).
-//! * [`reference`] — the original allocating lexer, kept verbatim as the
+//! * [`mod@reference`] — the original allocating lexer, kept verbatim as the
 //!   differential oracle (`tests/fuzz_lexer_equiv.rs` asserts the two agree
 //!   token-for-token on arbitrary byte soup, hostile quoting included).
 //!

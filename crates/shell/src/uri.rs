@@ -11,8 +11,8 @@
 //!
 //! Two entry points per shape: the owned [`extract_from_argv`]/[`extract_uris`]
 //! (compat + tests) and the allocation-free forms the interpreter hot path
-//! uses — [`record_from_argv`] appends spans into the session's event arena,
-//! [`primary_uri_into`] computes the lexicographically-first URI (what the
+//! uses — `record_from_argv` appends spans into the session's event arena,
+//! `primary_uri_into` computes the lexicographically-first URI (what the
 //! `tftp`/`ftpget` builtins download) in a reusable buffer.
 
 use std::fmt::Write as _;

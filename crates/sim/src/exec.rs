@@ -78,7 +78,7 @@ fn prepare_lines(lines: &[String]) -> Vec<PreparedLine> {
 }
 
 /// A campaign variant's prepared form: pre-parsed script plus the shared
-/// payload body and its digest (for the per-session [`CampaignFetcher`]).
+/// payload body and its digest (for the per-session `CampaignFetcher`).
 #[derive(Debug)]
 pub struct PreparedScript {
     /// Pre-parsed script lines.

@@ -6,7 +6,7 @@
 //! *recording* — the collector's ingest order and the tag database's
 //! first-wins rule — and both are functions of plan order alone. The day
 //! loop (`crate::runner`) cuts each day's plans into batches, runs each
-//! batch through [`execute_batch`] into a private record vector and tag
+//! batch through `execute_batch` into a private record vector and tag
 //! shard, and ingests the batches in order, so the run equals one serial
 //! pass over the whole window.
 //!

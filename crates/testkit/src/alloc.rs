@@ -2,7 +2,7 @@
 //!
 //! The session hot path (lexer, interpreter, builtins, VFS walk) is designed
 //! to be allocation-free in steady state: all scratch lives in per-session
-//! arenas ([`hf_shell::SessionScratch`]) that are reused across sessions via
+//! arenas ([`hf_shell::interp::SessionScratch`]) that are reused across sessions via
 //! a thread-local pool. That discipline is easy to regress silently — one
 //! `format!` or `to_string()` on the per-command path and every session pays
 //! again. [`CountingAlloc`] makes the budget testable: install it as the

@@ -56,8 +56,9 @@ impl<'a> ClaimCtx<'a> {
         let claims = Claims::compute(&agg);
         // A dataset with aggregated sessions but no rows is the streaming
         // fold: feature extraction needs rows, so the cluster claims are
-        // skipped there (the invariance suite separately proves streaming
-        // feature extraction matches the materialized path bit-for-bit).
+        // skipped there. The streaming feature folds are checked against
+        // the reference on their own (`tests/cluster_invariance.rs`,
+        // `tests/streaming_analysis.rs`).
         let clusters = if dataset.sessions.is_empty() && claims.total_sessions > 0 {
             None
         } else {

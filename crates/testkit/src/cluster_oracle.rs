@@ -1,12 +1,13 @@
-//! Differential oracles for the clustering pipeline.
+//! The run-vs-run oracle for clusterings.
 //!
-//! Same contract as [`crate::oracle`]: compare every observable surface of
-//! two runs field-by-field and name the diverging field, instead of a bare
-//! `assert_eq!` over a thousand floats. Floats are compared *bitwise*
-//! (`f64::to_bits`) — the invariance the cluster subsystem promises is
-//! bit-identity across thread counts and ingest paths, not closeness.
+//! k-means is no definition of the paper's, so the reference
+//! ([`crate::reference`]) stops at the 24 features; two clusterings of the
+//! same features are compared here, field by field, naming the diverging
+//! field instead of a bare `assert_eq!` over a thousand floats. Floats are
+//! compared *bitwise* (`f64::to_bits`): the cluster subsystem promises
+//! bit-identity across ingest paths, not closeness.
 
-use hf_cluster::{ClusterOutput, FeatureMatrix, FEATURE_NAMES, N_FEATURES};
+use hf_cluster::{ClusterOutput, FEATURE_NAMES, N_FEATURES};
 use hf_geo::Ip4;
 
 use crate::oracle::{DiffReport, MAX_DETAIL};
@@ -27,47 +28,6 @@ fn float_field(
         field,
         format!("{a:?} ({:#x}) != {b:?} ({:#x})", a.to_bits(), b.to_bits()),
     );
-}
-
-/// Compare two normalized feature matrices bit-for-bit: the client row
-/// sets, then every named feature cell. Mismatch fields read
-/// `features[1.2.3.4].cmd_vocab`.
-pub fn diff_features(a: &FeatureMatrix, b: &FeatureMatrix, left: &str, right: &str) -> DiffReport {
-    let mut report = DiffReport::new(left, right);
-    if a.len() != b.len() {
-        report.push(
-            "features.clients.len",
-            format!("{} != {}", a.len(), b.len()),
-        );
-        return report;
-    }
-    let mut budget = MAX_DETAIL;
-    for (i, (&ia, &ib)) in a.clients.iter().zip(&b.clients).enumerate() {
-        if ia != ib {
-            report.capped(
-                &mut budget,
-                format!("features.clients[{i}]"),
-                format!("{} != {}", Ip4(ia), Ip4(ib)),
-            );
-        }
-    }
-    if !report.is_identical() {
-        return report; // cell comparison is meaningless on different keys
-    }
-    let mut budget = MAX_DETAIL;
-    for i in 0..a.len() {
-        let (ra, rb) = (a.row(i), b.row(i));
-        for f in 0..N_FEATURES {
-            float_field(
-                &mut report,
-                &mut budget,
-                format!("features[{}].{}", Ip4(a.clients[i]), FEATURE_NAMES[f]),
-                ra[f],
-                rb[f],
-            );
-        }
-    }
-    report
 }
 
 /// Compare two clusterings field-by-field: k, silhouette (bitwise), the
@@ -155,6 +115,7 @@ pub fn diff_clusters(a: &ClusterOutput, b: &ClusterOutput, left: &str, right: &s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hf_cluster::FeatureMatrix;
 
     fn tiny_matrix(vals: &[(u32, f64)]) -> FeatureMatrix {
         let mut data = Vec::new();
@@ -167,27 +128,6 @@ mod tests {
             clients: vals.iter().map(|&(ip, _)| ip).collect(),
             data,
         }
-    }
-
-    #[test]
-    fn identical_matrices_diff_clean() {
-        let m = tiny_matrix(&[(1, 0.25), (2, 0.75)]);
-        let d = diff_features(&m, &m.clone(), "a", "b");
-        assert!(d.is_identical(), "{}", d.render());
-    }
-
-    #[test]
-    fn a_flipped_bit_is_named_by_client_and_feature() {
-        let a = tiny_matrix(&[(0x0102_0304, 0.25), (5, 0.75)]);
-        let mut b = a.clone();
-        b.data[0] = 0.25000000001;
-        let d = diff_features(&a, &b, "threads=1", "threads=8");
-        assert!(!d.is_identical());
-        let rendered = d.render();
-        assert!(
-            rendered.contains("features[1.2.3.4].sessions_log"),
-            "mismatch must name the client and feature:\n{rendered}"
-        );
     }
 
     #[test]

@@ -1,25 +1,47 @@
-//! Differential oracles: typed, field-level comparison of simulation
-//! outputs.
+//! Differential oracles: typed, field-level comparisons that name the
+//! diverging field instead of asserting on an opaque blob.
 //!
-//! Several pairs of runs must agree bit-for-bit: two runs of one seed, a
-//! plain run and a metrics-on run, a simulation and its snapshot reload,
-//! the simulator and the live wire farm. Each used to be guarded by a
-//! bespoke pile of `assert_eq!`s; this module replaces them with one
-//! reusable comparison that walks every observable surface of a
-//! [`SimOutput`] and reports *which field* of *which row* diverged,
-//! instead of a bare `assertion failed: rows_equal`.
+//! Two kinds of comparison live here.
 //!
-//! The oracle is deliberately conservative: it compares rows in order
-//! (plan order is part of the determinism contract), digest universes as
-//! sorted sets (pool intern order is an implementation detail), artifact
-//! metadata per digest, and tag associations per hash.
+//! * **Against the reference.** Every quantity the paper's tables and
+//!   figures read is checked once, against an independent computation:
+//!   [`project`] turns a fold's output (the [`Dataset`]'s pools, the
+//!   [`Aggregates`], the figures built from them, [`Claims`]' F18 factor,
+//!   the birth timeline and the cluster [`FeatureMatrix`]) into the owned
+//!   form of [`crate::reference::Measures`], and [`diff_reference`]
+//!   compares the two field by field. The projection is the only test code
+//!   that resolves interned ids. [`records_of`] rebuilds the records a
+//!   kept run stored, so a simulation can be measured by the reference too.
+//! * **Run against run,** where two runs must agree bit for bit and no
+//!   definition is involved: two runs of one seed, a metrics-off and a
+//!   metrics-on run, a simulation and its snapshot reload, the simulator
+//!   and the live wire farm. [`diff_sim_outputs`] walks every observable
+//!   surface of a [`SimOutput`] — rows in order (plan order is part of the
+//!   determinism contract), digest universes as sorted sets (pool intern
+//!   order is an implementation detail), artifact metadata per digest and
+//!   tag associations per hash — and [`diff_reports`] and
+//!   [`diff_manifests`] do the same for rendered reports and run manifests.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use hf_agents::{Ecosystem, EcosystemConfig};
+use hf_cluster::FeatureMatrix;
+use hf_core::aggregates::HpBitset;
+use hf_core::idhash::{IdMap, IdSet};
+use hf_core::metrics::BandSeries;
+use hf_core::report::figures;
+use hf_core::{birth_report, Aggregates, Claims, FederationReport};
 use hf_farm::store::Row;
-use hf_farm::{Dataset, TagDb};
+use hf_farm::{Dataset, SessionStore, StringPool, TagDb};
+use hf_geo::Ip4;
+use hf_honeypot::{LoginAttempt, SessionRecord};
 use hf_obs::{Histogram, RunManifest};
-use hf_sim::SimOutput;
+use hf_proto::creds::Credentials;
+use hf_shell::CommandRecord;
+use hf_sim::{SimConfig, SimOutput};
+
+use crate::reference::{Birth, ClientMeasures, Federation, HashMeasures, Measures, LEAVES};
 
 /// Cap on per-section mismatch detail; beyond this only a count is kept.
 pub(crate) const MAX_DETAIL: usize = 8;
@@ -46,7 +68,7 @@ pub struct DiffReport {
     pub left: String,
     /// Label of the right-hand run.
     pub right: String,
-    /// Field-level mismatches, up to [`MAX_DETAIL`] per section.
+    /// Field-level mismatches, up to `MAX_DETAIL` per section.
     pub mismatches: Vec<Mismatch>,
     /// Mismatches beyond the per-section detail cap.
     pub suppressed: usize,
@@ -296,190 +318,297 @@ pub fn assert_outputs_identical(left: &str, a: &SimOutput, right: &str, b: &SimO
     diff_sim_outputs(left, a, right, b).assert_identical();
 }
 
-/// Diff two [`Aggregates`] across every public field — the oracle behind
-/// the guarantee that the one analysis fold gives the same result however
-/// its rows arrive: a day at a time from the simulator, a chunk at a time
-/// from a snapshot, or cut anywhere, against `Aggregates::compute`.
-///
-/// Scalars and per-day/per-honeypot vectors are compared elementwise with
-/// the first diverging index named; per-client and per-hash states are
-/// compared entry by entry including the fold-internal `last_day` markers.
-pub fn diff_aggregates(
-    left: &str,
-    a: &hf_core::aggregates::Aggregates,
-    right: &str,
-    b: &hf_core::aggregates::Aggregates,
-) -> DiffReport {
-    let mut report = DiffReport::new(left, right);
-    let mut budget = MAX_DETAIL;
-
-    macro_rules! scalar {
-        ($field:expr, $name:expr) => {
-            let (va, vb) = $field;
-            if va != vb {
-                report.capped(&mut budget, $name, format!("{va:?} != {vb:?}"));
-            }
-        };
-    }
-    macro_rules! seq {
-        ($fa:expr, $fb:expr, $name:expr) => {
-            if $fa.len() != $fb.len() {
-                report.push(
-                    format!("{}.len", $name),
-                    format!("{} != {}", $fa.len(), $fb.len()),
-                );
-            } else if let Some(i) = $fa.iter().zip($fb.iter()).position(|(x, y)| x != y) {
-                report.capped(
-                    &mut budget,
-                    format!("{}[{i}]", $name),
-                    format!("{:?} != {:?}", $fa[i], $fb[i]),
-                );
-            }
-        };
-    }
-
-    scalar!((a.n_days, b.n_days), "n_days");
-    scalar!((a.n_honeypots, b.n_honeypots), "n_honeypots");
-    scalar!((a.total_sessions, b.total_sessions), "total_sessions");
-    scalar!((a.file_sessions, b.file_sessions), "file_sessions");
-    seq!(a.day_hp_sessions, b.day_hp_sessions, "day_hp_sessions");
-    seq!(a.day_total, b.day_total, "day_total");
-    seq!(a.day_unique_ips, b.day_unique_ips, "day_unique_ips");
-    seq!(
-        a.day_combo_clients,
-        b.day_combo_clients,
-        "day_combo_clients"
-    );
-    seq!(
-        a.day_region_combos,
-        b.day_region_combos,
-        "day_region_combos"
-    );
-    scalar!((a.cat_totals, b.cat_totals), "cat_totals");
-    scalar!((a.cat_ssh, b.cat_ssh), "cat_ssh");
-    scalar!((a.cat_end_reasons, b.cat_end_reasons), "cat_end_reasons");
-    seq!(a.hp_sessions, b.hp_sessions, "hp_sessions");
-    seq!(a.hp_clients, b.hp_clients, "hp_clients");
-    seq!(a.hp_hashes, b.hp_hashes, "hp_hashes");
-    seq!(a.hp_first_hashes, b.hp_first_hashes, "hp_first_hashes");
-    seq!(a.freshness, b.freshness, "freshness");
-    for ci in 0..5 {
-        seq!(
-            a.day_hp_by_cat[ci],
-            b.day_hp_by_cat[ci],
-            format!("day_hp_by_cat[{ci}]")
-        );
-        seq!(
-            a.day_by_cat[ci],
-            b.day_by_cat[ci],
-            format!("day_by_cat[{ci}]")
-        );
-        seq!(a.dur_hist[ci], b.dur_hist[ci], format!("dur_hist[{ci}]"));
-    }
-    for (hp, (x, y)) in a
-        .hp_clients_by_cat
+/// The records a store holds, rebuilt from its views in row order: every
+/// field the collector stores, so a kept run's rows can feed
+/// [`Measures::of`] (`tests/store_roundtrip.rs` holds the rebuild
+/// lossless). The geolocation the collector added is dropped; the
+/// reference resolves addresses itself.
+pub fn records_of(store: &SessionStore) -> Vec<SessionRecord> {
+    store
         .iter()
-        .zip(b.hp_clients_by_cat.iter())
-        .enumerate()
-    {
-        if x != y {
-            report.capped(
-                &mut budget,
-                format!("hp_clients_by_cat[{hp}]"),
-                "sets differ",
-            );
-        }
-    }
+        .map(|v| SessionRecord {
+            honeypot: v.honeypot(),
+            protocol: v.protocol(),
+            client_ip: v.client_ip(),
+            client_port: v.raw().client_port,
+            start: v.start(),
+            duration_secs: v.duration_secs(),
+            ended_by: v.ended_by(),
+            ssh_client_version: v.ssh_version().map(str::to_string),
+            logins: v
+                .logins()
+                .map(|(user, pass, accepted)| LoginAttempt {
+                    creds: Credentials::new(user, pass),
+                    accepted,
+                })
+                .collect(),
+            commands: v
+                .commands()
+                .map(|(input, known)| CommandRecord {
+                    input: input.to_string(),
+                    known,
+                })
+                .collect(),
+            uris: v.uris().map(str::to_string).collect(),
+            file_hashes: v.file_hashes().collect(),
+            download_hashes: v
+                .download_hash_ids()
+                .iter()
+                .map(|&id| store.digests.get(id))
+                .collect(),
+        })
+        .collect()
+}
 
-    // Per-client state, including the fold-internal last-day markers.
-    if a.clients.len() != b.clients.len() {
-        report.push(
-            "clients.len",
-            format!("{} != {}", a.clients.len(), b.clients.len()),
-        );
-    }
-    for (ip, ca) in a.clients.iter() {
-        let Some(cb) = b.clients.get(ip) else {
-            report.capped(
-                &mut budget,
-                format!("clients[{ip}]"),
-                format!("missing in {right}"),
-            );
-            continue;
-        };
-        for (name, ok) in [
-            ("honeypots", ca.honeypots == cb.honeypots),
-            (
-                "honeypots_by_cat",
-                ca.honeypots_by_cat == cb.honeypots_by_cat,
-            ),
-            ("days", ca.days == cb.days),
-            ("days_by_cat", ca.days_by_cat == cb.days_by_cat),
-            ("last_day", ca.last_day == cb.last_day),
-            ("last_day_by_cat", ca.last_day_by_cat == cb.last_day_by_cat),
-            ("cats", ca.cats == cb.cats),
-            ("sessions", ca.sessions == cb.sessions),
-            ("hashes", ca.hashes == cb.hashes),
-            ("country", ca.country == cb.country),
-        ] {
-            if !ok {
-                report.capped(&mut budget, format!("clients[{ip}].{name}"), "differs");
-            }
-        }
-    }
+/// The reference's measures of a kept simulation run: its stored records,
+/// with clients resolved in the world its ecosystem built from `config`.
+pub fn measure_run(config: &SimConfig, out: &SimOutput) -> Measures {
+    let world = Ecosystem::new(EcosystemConfig {
+        seed: config.seed,
+        scale: config.scale,
+        window: config.window,
+    })
+    .world;
+    Measures::of(
+        &records_of(&out.dataset.sessions),
+        &world,
+        &out.dataset.plan,
+    )
+}
 
-    // Per-hash state.
-    let live = |v: &[hf_core::aggregates::HashAgg]| v.iter().filter(|h| h.sessions > 0).count();
-    if live(&a.hashes) != live(&b.hashes) {
-        report.push(
-            "hashes.len",
-            format!("{} != {}", live(&a.hashes), live(&b.hashes)),
-        );
-    }
-    for (hid, ha) in a.hashes.iter().enumerate() {
-        let hb = match b.hashes.get(hid) {
-            Some(h) => h,
-            None if ha.sessions == 0 => continue,
-            None => {
-                report.push(format!("hashes[{hid}]"), format!("missing in {right}"));
-                continue;
-            }
-        };
-        for (name, ok) in [
-            ("sessions", ha.sessions == hb.sessions),
-            ("clients", ha.clients == hb.clients),
-            ("days", ha.days == hb.days),
-            ("last_day", ha.last_day == hb.last_day),
-            ("first_day", ha.first_day == hb.first_day),
-            ("first_honeypot", ha.first_honeypot == hb.first_honeypot),
-            ("honeypots", ha.honeypots == hb.honeypots),
-        ] {
-            if !ok {
-                report.capped(&mut budget, format!("hashes[{hid}].{name}"), "differs");
-            }
-        }
-    }
+/// The honeypots set in a farm bitset.
+fn honeypots(bits: &HpBitset) -> BTreeSet<u16> {
+    (0..256u16)
+        .filter(|&i| bits[(i >> 6) as usize] >> (i & 63) & 1 == 1)
+        .collect()
+}
 
-    scalar!((&a.password_counts, &b.password_counts), "password_counts");
-    scalar!((&a.command_counts, &b.command_counts), "command_counts");
-    scalar!(
-        (&a.ssh_version_counts, &b.ssh_version_counts),
-        "ssh_version_counts"
+/// A fold's output in the reference's owned form: every interned id
+/// resolved against `dataset`'s pools, and the figures, the F18 factor and
+/// the birth timeline taken from the library's own builders over `agg`.
+/// `features` is the cluster matrix of the same rows. [`diff_reference`]
+/// compares the result with [`Measures::of`]. `federation` is left empty.
+pub fn project(dataset: &Dataset, agg: &Aggregates, features: &FeatureMatrix) -> Measures {
+    let pools = &dataset.sessions;
+    let digests = |ids: &IdSet| ids.iter().map(|&id| pools.digests.get(id)).collect();
+    let ips = |ids: &IdSet| ids.iter().map(|&ip| Ip4(ip)).collect();
+    let names = |ids: &IdMap<u64>, pool: &StringPool| {
+        ids.iter()
+            .map(|(&id, &n)| (pool.get(id).to_string(), n))
+            .collect()
+    };
+
+    let top5 = figures::top5pct_honeypots(agg);
+    let mut bands = BTreeMap::new();
+    let mut put = |fig: String, series: &BandSeries| {
+        for p in &series.points {
+            let band = [p.p5, p.q25, p.median, p.q75, p.p95];
+            bands.insert((fig.clone(), p.day), band);
+        }
+    };
+    put(
+        "fig3".into(),
+        &figures::fig_bands_with(agg, Some(&top5)).bands,
     );
-    if a.asns != b.asns {
-        report.push(
-            "asns",
-            format!(
-                "ASN sets differ: {} vs {} entries",
-                a.asns.len(),
-                b.asns.len()
-            ),
-        );
+    put("fig4".into(), &figures::fig_bands_with(agg, None).bands);
+    for (fig, sel) in [("fig8", None), ("fig9", Some(&top5[..]))] {
+        for (cat, series) in figures::fig_cat_bands_with(agg, sel).bands {
+            put(format!("{fig}.{}", cat.label()), &series);
+        }
     }
+    let birth = birth_report(agg);
+
+    Measures {
+        n_days: agg.n_days,
+        n_honeypots: agg.n_honeypots,
+        sessions: agg.total_sessions,
+        leaf_sessions: agg.cat_totals,
+        leaf_ssh: agg.cat_ssh,
+        leaf_end_reasons: agg.cat_end_reasons,
+        file_sessions: [
+            agg.file_sessions.0,
+            agg.file_sessions.1,
+            agg.file_sessions.2,
+        ],
+        day_sessions: agg.day_total.clone(),
+        day_leaf_sessions: agg.day_by_cat.clone(),
+        day_hp_sessions: agg.day_hp_sessions.clone(),
+        day_hp_leaf_sessions: agg.day_hp_by_cat.clone(),
+        day_clients: agg.day_unique_ips.clone(),
+        day_combos: agg.day_combo_clients.clone(),
+        day_regions: agg.day_region_combos.clone(),
+        durations: agg.dur_hist.clone(),
+        hp_sessions: agg.hp_sessions.clone(),
+        hp_clients: agg.hp_clients.iter().map(ips).collect(),
+        hp_leaf_clients: agg
+            .hp_clients_by_cat
+            .iter()
+            .map(|by_leaf| by_leaf.each_ref().map(ips))
+            .collect(),
+        hp_hashes: agg.hp_hashes.iter().map(digests).collect(),
+        hp_first_hashes: agg.hp_first_hashes.clone(),
+        top5,
+        bands,
+        clients: agg
+            .clients
+            .iter()
+            .map(|(&ip, c)| {
+                let client = ClientMeasures {
+                    honeypots: honeypots(&c.honeypots),
+                    leaf_honeypots: c.honeypots_by_cat.each_ref().map(honeypots),
+                    days: c.days,
+                    leaf_days: c.days_by_cat,
+                    leaves: (0..5).filter(|l| c.cats >> l & 1 == 1).collect(),
+                    sessions: c.sessions,
+                    hashes: digests(&c.hashes),
+                    country: (c.country != u16::MAX).then_some(c.country),
+                };
+                (Ip4(ip), client)
+            })
+            .collect(),
+        hashes: (agg.hashes.iter().enumerate())
+            .filter(|(_, h)| h.sessions > 0)
+            .map(|(id, h)| {
+                let hash = HashMeasures {
+                    sessions: h.sessions,
+                    clients: ips(&h.clients),
+                    days: h.days,
+                    first_day: h.first_day,
+                    first_honeypot: h.first_honeypot,
+                    honeypots: honeypots(&h.honeypots),
+                };
+                (pools.digests.get(id as u32), hash)
+            })
+            .collect(),
+        passwords: (agg.password_counts.iter())
+            .map(|(&id, &n)| {
+                let (user, pass) = pools.creds.get(id).split_once('\0').expect("user\\0pass");
+                ((user.to_string(), pass.to_string()), n)
+            })
+            .collect(),
+        commands: names(&agg.command_counts, &pools.commands),
+        ssh_versions: names(&agg.ssh_version_counts, &pools.ssh_versions),
+        asns: agg.asns.iter().copied().collect(),
+        freshness: (agg.freshness.iter())
+            .map(|p| [p.day, p.unique, p.fresh_ever, p.fresh_30d, p.fresh_7d])
+            .collect(),
+        f18_share: Claims::compute(agg).top_honeypot_hash_share,
+        birth: Birth {
+            weeks: (birth.weeks.iter())
+                .map(|w| [w.scanning, w.scouting, w.intrusion])
+                .collect(),
+            scouting_rampup_week: birth.scouting_rampup_week,
+            scanning_rampup_week: birth.scanning_rampup_week,
+            final_month_vs_peak: birth.final_month_vs_peak,
+        },
+        federation: None,
+        features: (0..features.len())
+            .map(|i| {
+                let row = features.row(i).try_into().expect("24 features");
+                (Ip4(features.clients[i]), row)
+            })
+            .collect(),
+    }
+}
+
+/// A federation report in the reference's owned form.
+pub fn project_federation(f: &FederationReport) -> Federation {
+    Federation {
+        per_farm: f.per_farm.iter().map(|&(_, n)| n).collect(),
+        union: f.union_coverage,
+        intersection: f.intersection_coverage,
+        coverage_gain: f.coverage_gain,
+        mean_detection_lead_days: f.mean_detection_lead_days,
+        week_early_warnings: f.week_early_warnings,
+    }
+}
+
+/// Report every key of two keyed sequences whose values differ or that
+/// only one side has, the rendered values cut short so each mismatch stays
+/// one line.
+fn diff_keyed<K: Ord + fmt::Debug, V: PartialEq + fmt::Debug>(
+    report: &mut DiffReport,
+    budget: &mut usize,
+    name: &str,
+    reference: impl IntoIterator<Item = (K, V)>,
+    fold: impl IntoIterator<Item = (K, V)>,
+) {
+    let brief = |v: Option<&V>| {
+        let s = v.map_or("missing".to_string(), |v| format!("{v:?}"));
+        match s.char_indices().nth(200) {
+            Some((i, _)) => format!("{}…", &s[..i]),
+            None => s,
+        }
+    };
+    let reference: BTreeMap<K, V> = reference.into_iter().collect();
+    let fold: BTreeMap<K, V> = fold.into_iter().collect();
+    let keys: BTreeSet<&K> = reference.keys().chain(fold.keys()).collect();
+    for k in keys {
+        let (want, got) = (reference.get(k), fold.get(k));
+        if want != got {
+            let detail = format!("{} != {}", brief(want), brief(got));
+            report.capped(budget, format!("{name}[{k:?}]"), detail);
+        }
+    }
+}
+
+/// A whole value, as one keyed entry.
+fn whole<T>(v: &T) -> [((), &T); 1] {
+    [((), v)]
+}
+
+/// A sequence's entries keyed by index.
+fn indexed<T>(v: &[T]) -> impl Iterator<Item = (usize, &T)> {
+    v.iter().enumerate()
+}
+
+/// A per-leaf family of sequences, keyed by (leaf, index).
+fn by_leaf<T>(v: &[Vec<T>; 5]) -> impl Iterator<Item = ((&str, usize), &T)> {
+    (0..5).flat_map(move |l| {
+        v[l].iter()
+            .enumerate()
+            .map(move |(i, x)| ((LEAVES[l], i), x))
+    })
+}
+
+/// Compare the reference's measures with a fold's projection field by
+/// field, naming the diverging key: `clients[Ip4(..)]: … != …`. Values must
+/// be equal, floats included: the reference scales its own counts with the
+/// library's expressions. Only federation's mean lead, a sum over hashes
+/// whose order the library does not fix, is compared to nine decimals.
+pub fn diff_reference(reference: &Measures, fold: &Measures) -> DiffReport {
+    let mut report = DiffReport::new("reference", "fold");
+    let mut budget = MAX_DETAIL;
+    let (r, f) = (reference, fold);
+    macro_rules! compare {
+        ($entries:expr => $($field:ident),*) => {$(
+            if r.$field != f.$field {
+                let (a, b) = ($entries(&r.$field), $entries(&f.$field));
+                diff_keyed(&mut report, &mut budget, stringify!($field), a, b);
+            }
+        )*};
+    }
+    compare!(whole => n_days, n_honeypots, sessions, leaf_sessions, leaf_ssh, leaf_end_reasons);
+    compare!(whole => file_sessions, top5, asns, f18_share, birth);
+    compare!(indexed => day_sessions, day_clients, day_combos, day_regions, day_hp_sessions);
+    compare!(indexed => freshness, hp_sessions, hp_clients, hp_leaf_clients, hp_hashes);
+    compare!(indexed => hp_first_hashes);
+    compare!(by_leaf => day_leaf_sessions, day_hp_leaf_sessions, durations);
+    compare!(BTreeMap::iter => bands, clients, hashes, passwords, commands, ssh_versions);
+    compare!(BTreeMap::iter => features);
+
+    let rounded = |m: &Measures| {
+        m.federation.clone().map(|mut fed| {
+            fed.mean_detection_lead_days = (fed.mean_detection_lead_days * 1e9).round();
+            fed
+        })
+    };
+    let (a, b) = (rounded(r), rounded(f));
+    diff_keyed(&mut report, &mut budget, "federation", whole(&a), whole(&b));
     report
 }
 
-/// Diff two built [`Report`]s artifact by artifact, comparing each one's
+/// Diff two built [`Report`](hf_core::Report)s artifact by artifact, comparing each one's
 /// rendered TSV byte-for-byte and naming the first diverging line.
 pub fn diff_reports(
     left: &str,
@@ -704,43 +833,27 @@ mod tests {
         assert_eq!(d.mismatches.len(), 1, "{rendered}");
     }
 
+    /// A client count, a tag association and an artifact's first sighting
+    /// that differ are each named.
     #[test]
-    fn broken_n_clients_is_named() {
-        let recs = vec![rec(Ip4::new(9, 9, 9, 9), 0, 7)];
-        let a = output(&recs, TagDb::new(), 1);
-        let b = output(&recs, TagDb::new(), 2);
-        let d = diff_sim_outputs("x", &a, "y", &b);
-        assert!(d.render().contains("n_clients"), "{}", d.render());
-    }
-
-    #[test]
-    fn broken_tag_association_is_named() {
-        let recs = vec![rec(Ip4::new(9, 9, 9, 9), 0, 7)];
+    fn broken_run_fields_are_named() {
         let h = Sha256::digest(b"oracle-artifact");
-        let mut ta = TagDb::new();
+        let (mut ta, mut tb) = (TagDb::new(), TagDb::new());
         ta.record(h, "mirai", "H24");
-        let mut tb = TagDb::new();
         tb.record(h, "trojan", "H1");
-        let a = output(&recs, ta, 1);
-        let b = output(&recs, tb, 1);
-        let d = diff_sim_outputs("x", &a, "y", &b);
-        let rendered = d.render();
-        assert!(
-            rendered.contains(&format!("tags[{}]", h.short())),
-            "{rendered}"
-        );
-        assert!(rendered.contains("mirai/H24"), "{rendered}");
-    }
-
-    #[test]
-    fn broken_artifact_first_seen_is_named() {
-        let a = output(&[rec(Ip4::new(1, 1, 1, 1), 5, 1)], TagDb::new(), 1);
-        let b = output(&[rec(Ip4::new(1, 1, 1, 1), 3, 1)], TagDb::new(), 1);
-        // Row start differs AND artifact first_seen differs; both named.
-        let d = diff_sim_outputs("x", &a, "y", &b);
-        let rendered = d.render();
-        assert!(rendered.contains("rows[0].start_secs"), "{rendered}");
-        assert!(rendered.contains("first_seen"), "{rendered}");
+        let a = output(&[rec(Ip4::new(1, 1, 1, 1), 5, 1)], ta, 1);
+        let b = output(&[rec(Ip4::new(1, 1, 1, 1), 3, 1)], tb, 2);
+        let rendered = diff_sim_outputs("x", &a, "y", &b).render();
+        let tag = format!("tags[{}]", h.short());
+        for field in [
+            "n_clients",
+            &tag,
+            "mirai/H24",
+            "rows[0].start_secs",
+            "first_seen",
+        ] {
+            assert!(rendered.contains(field), "{field} not named: {rendered}");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! maps to a typed [`ScenarioError`] with the offending line number.
 
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use hf_core::classify::{taxonomy, Category};
 use hf_geo::Ip4;
@@ -320,6 +320,17 @@ impl Scenario {
     /// Load and parse a scenario file.
     pub fn load(path: &Path) -> Result<Scenario, ScenarioError> {
         Scenario::parse(&std::fs::read_to_string(path)?)
+    }
+
+    /// The `.hfs` files in `dir`, sorted by path.
+    pub fn paths_in(dir: &Path) -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("scenario dir")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "hfs"))
+            .collect();
+        paths.sort();
+        paths
     }
 
     /// Replay the scenario against the paper-configured honeypot, producing

@@ -11,13 +11,21 @@
 //! The panic-freedom suites in `tests/fuzz_surfaces.rs` drive these through
 //! `hf_proto`, `hf_shell`, and `hf_farm::snapshot` entry points.
 
+use std::sync::OnceLock;
+
 use proptest::strategy::Strategy;
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
+use hf_geo::{CountryId, Ip4, World, WorldConfig};
+use hf_hash::Sha256;
+use hf_honeypot::{EndReason, LoginAttempt, SessionRecord};
+use hf_proto::creds::Credentials;
 use hf_proto::telnet::{self, IAC};
+use hf_proto::Protocol;
 use hf_shell::lexer::Chain;
-use hf_shell::{Redirection, Statement};
+use hf_shell::{CommandRecord, Redirection, Statement};
+use hf_simclock::SimInstant;
 
 // ---------------------------------------------------------------------------
 // Telnet negotiation streams
@@ -500,11 +508,135 @@ impl Strategy for SnapshotMutation {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Session records
+
+/// The world [`session_record`] draws its resolvable client addresses from;
+/// collect and measure its records against this one.
+pub fn record_world() -> World {
+    World::build(1, &WorldConfig::tiny())
+}
+
+/// Honeypots, first-sighting-relevant days and artifacts come from small
+/// pools so that clients, hashes and honeypots repeat across sessions and
+/// days. The days cross the 7- and 30-day freshness windows.
+const RECORD_HONEYPOTS: [u16; 6] = [0, 1, 7, 13, 40, 220];
+const RECORD_DAYS: [u32; 8] = [0, 1, 2, 6, 9, 16, 39, 46];
+const RECORD_CREDS: [(&str, &str); 4] = [
+    ("root", "xc3511"),
+    ("root", "root"),
+    ("admin", "admin"),
+    ("root", ""),
+];
+const RECORD_URIS: [&str; 2] = ["http://198.51.100.9/bins/x.arm7", "tftp://198.51.100.9/t"];
+
+/// Eight client addresses: four that [`record_world`] resolves and four
+/// that it does not.
+fn record_clients() -> &'static [Ip4] {
+    static CLIENTS: OnceLock<Vec<Ip4>> = OnceLock::new();
+    CLIENTS.get_or_init(|| {
+        let world = record_world();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut clients: Vec<Ip4> = (0..4)
+            .map(|c| world.random_ip_in_country(CountryId(c), &mut rng))
+            .collect();
+        let unresolved = (0..=255)
+            .map(|host| Ip4::new(203, 0, 113, host))
+            .filter(|&ip| world.locate(ip).is_none());
+        clients.extend(unresolved.take(4));
+        clients
+    })
+}
+
+/// Strategy for whole session records (see [`session_record`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SessionRecords;
+
+/// Strategy for session records as a honeypot reports them. Clients,
+/// honeypots, days and hashes come from small pools, so they repeat; a
+/// session may carry one hash twice (as a file and as a download); command
+/// sessions often run exactly one command; half the clients resolve in
+/// [`record_world`]. Credentials mix a small pool with generated ones, and
+/// command lines come from [`command_line`], so the store's interning sees
+/// arbitrary strings too.
+pub fn session_record() -> SessionRecords {
+    SessionRecords
+}
+
+impl Strategy for SessionRecords {
+    type Value = SessionRecord;
+
+    fn generate(&self, rng: &mut SmallRng) -> SessionRecord {
+        fn pick<T: Copy>(rng: &mut SmallRng, pool: &[T]) -> T {
+            pool[rng.gen_range(0..pool.len())]
+        }
+        let ssh = rng.gen_ratio(1, 2);
+        let logins: Vec<LoginAttempt> = (0..rng.gen_range(0usize..4))
+            .map(|_| {
+                let creds = if rng.gen_ratio(3, 4) {
+                    let (user, pass) = pick(rng, &RECORD_CREDS);
+                    Credentials::new(user, pass)
+                } else {
+                    let pass: String = (0..rng.gen_range(0usize..12))
+                        .map(|_| char::from(rng.gen_range(0x20u8..0x7f)))
+                        .collect();
+                    Credentials::new(&ascii_word(rng, 8), &pass)
+                };
+                LoginAttempt {
+                    creds,
+                    accepted: rng.gen_ratio(1, 2),
+                }
+            })
+            .collect();
+        let n_commands = if logins.iter().any(|l| l.accepted) {
+            pick(rng, &[0usize, 1, 1, 2, 3])
+        } else {
+            0
+        };
+        let commands: Vec<CommandRecord> = (0..n_commands)
+            .map(|_| CommandRecord {
+                input: command_line().generate(rng),
+                known: rng.gen_ratio(3, 4),
+            })
+            .collect();
+        let uris: Vec<String> = (RECORD_URIS.iter())
+            .filter(|_| !commands.is_empty() && rng.gen_ratio(1, 3))
+            .map(|u| u.to_string())
+            .collect();
+        let hash = |rng: &mut SmallRng| Sha256::digest(&[rng.gen_range(0u8..6)]);
+        SessionRecord {
+            honeypot: pick(rng, &RECORD_HONEYPOTS),
+            protocol: if ssh { Protocol::Ssh } else { Protocol::Telnet },
+            client_ip: pick(rng, record_clients()),
+            client_port: rng.gen_range(1u16..u16::MAX),
+            start: SimInstant::from_day_and_secs(
+                pick(rng, &RECORD_DAYS),
+                rng.gen_range(0u32..86_400),
+            ),
+            duration_secs: rng.gen_range(0u32..700),
+            ended_by: pick(
+                rng,
+                &[
+                    EndReason::ClientClose,
+                    EndReason::Timeout,
+                    EndReason::AuthLimit,
+                ],
+            ),
+            ssh_client_version: (ssh && rng.gen_ratio(3, 4))
+                .then(|| pick(rng, &["SSH-2.0-Go", "SSH-2.0-libssh_0.9.6"]).to_string()),
+            logins,
+            commands,
+            uris,
+            file_hashes: (0..rng.gen_range(0usize..4)).map(|_| hash(rng)).collect(),
+            download_hashes: (0..rng.gen_range(0usize..3)).map(|_| hash(rng)).collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hf_shell::split_statements;
-    use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)

@@ -8,7 +8,7 @@
 //! listeners, drives each accepted connection through
 //! [`hf_honeypot::SessionDriver`] / the emulated shell / `hf-proto`
 //! negotiation — the exact code path `Scenario::replay` uses — and ingests
-//! each completed [`hf_farm::SessionRecord`] into its own
+//! each completed [`hf_honeypot::SessionRecord`] into its own
 //! [`hf_farm::Collector`] before the socket closes.
 //!
 //! Module map:

@@ -167,6 +167,27 @@ fn chunked_snapshot(rows_per_chunk: u32) -> Vec<u8> {
     bytes
 }
 
+/// Holds back the first read made off its owner's thread — `fold_chunks`'s
+/// prefetch — so the caller blocks on chunk 1 before the budget window
+/// opens. A thread's first blocking wait on a std channel allocates its
+/// waiter context, and the first wait on each channel grows that channel's
+/// waiter list; later waits allocate nothing.
+struct PrefetchStartsLate<R> {
+    inner: R,
+    owner: std::thread::ThreadId,
+    held: bool,
+}
+
+impl<R: std::io::Read> std::io::Read for PrefetchStartsLate<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if !self.held && std::thread::current().id() != self.owner {
+            self.held = true;
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        self.inner.read(buf)
+    }
+}
+
 /// Steady-state chunk decode allocates nothing: after the first chunk has
 /// grown the reader's scratch (row buffer, raw-chunk buffer — the manifest
 /// is pre-reserved at open), every further chunk `fold_chunks` reads,
@@ -175,11 +196,17 @@ fn chunked_snapshot(rows_per_chunk: u32) -> Vec<u8> {
 /// per-row or per-field allocation. The count runs from inside the fold
 /// closure, on the overlapped arm, from the end of the first chunk to the
 /// end of the last: decoding, validating, waiting for the prefetch thread
-/// and handing its buffer back allocate nothing on the calling thread.
+/// and handing its buffer back allocate nothing on the calling thread,
+/// once it has blocked on the chunk channel before the window opens.
 #[test]
 fn steady_state_chunk_reads_allocate_nothing() {
     let bytes = chunked_snapshot(64);
-    let reader = honeyfarm::farm::SnapshotReader::open(&bytes[..]).expect("open snapshot");
+    let reader = honeyfarm::farm::SnapshotReader::open(PrefetchStartsLate {
+        inner: &bytes[..],
+        owner: std::thread::current().id(),
+        held: false,
+    })
+    .expect("open snapshot");
     let (mut chunks, mut first, mut last) = (0u32, 0u64, 0u64);
     reader
         .fold_chunks(|_, _, _| {

@@ -1,18 +1,18 @@
-//! Differential invariance suite for the attacker-clustering pipeline
-//! (ISSUE 10 tentpole), proven with the testkit's `diff_features` /
-//! `diff_clusters` oracles. Three equivalences, all **bit-for-bit**:
+//! The attacker-clustering pipeline against the independent reference for
+//! the paper's definitions (`hf_testkit::reference`), whose 24 features
+//! are computed from the records alone:
 //!
-//! * Streaming feature extraction from a snapshot
-//!   (`features_from_snapshot_stream`, chunk-at-a-time, rows never
-//!   materialized) against extraction over the materialized dataset.
-//! * Snapshot write→load round-trip: clustering the reloaded dataset
-//!   equals clustering the original.
-//! * A proptest that cutting the rows *anywhere* — mid-day included — into
-//!   `FeatureFold::ingest_rows` calls finishes to the same matrix as the
-//!   one-shot `extract`: the property the whole design rests on.
+//! * streaming feature extraction from a snapshot
+//!   (`features_from_snapshot_stream`, chunk at a time, rows never
+//!   materialized);
+//! * extraction over a snapshot's write → load round trip;
+//! * a proptest that cuts the rows anywhere — mid-day included — into
+//!   `FeatureFold::ingest_rows` calls.
 //!
-//! Plus the pinned edge cases: empty store, single client, all-identical
-//! clients (k collapse), and degenerate columns through the NaN guard.
+//! k-means itself is no definition of the paper's, so its outputs are
+//! compared run against run (`diff_clusters`). Plus the pinned edge cases:
+//! empty store, single client, all-identical clients (k collapse), and
+//! degenerate columns through the NaN guard.
 
 use std::sync::OnceLock;
 
@@ -23,20 +23,34 @@ use honeyfarm::cluster::{
 use honeyfarm::farm::SessionStore;
 use honeyfarm::honeypot::ArtifactStore;
 use honeyfarm::prelude::*;
-use honeyfarm::testkit::{diff_clusters, diff_features, Scenario};
+use honeyfarm::testkit::{
+    diff_clusters, diff_reference, measure_run, project, DiffReport, Measures, Scenario,
+};
 use proptest::prelude::*;
 
 fn fixture_config() -> SimConfig {
     SimConfig::test(16)
 }
 
-fn fixture() -> &'static SimOutput {
-    static OUT: OnceLock<SimOutput> = OnceLock::new();
-    OUT.get_or_init(|| Simulation::run(fixture_config()))
+/// One run, its aggregates and the reference's measures of its records.
+fn fixture() -> &'static (SimOutput, Aggregates, Measures) {
+    static FIXTURE: OnceLock<(SimOutput, Aggregates, Measures)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let out = Simulation::run(fixture_config());
+        let agg = Aggregates::compute(&out.dataset);
+        let measures = measure_run(&fixture_config(), &out);
+        (out, agg, measures)
+    })
+}
+
+/// A feature matrix of the fixture's rows against the reference.
+fn against_reference(features: &FeatureMatrix) -> DiffReport {
+    let (out, agg, want) = fixture();
+    diff_reference(want, &project(&out.dataset, agg, features))
 }
 
 // ---------------------------------------------------------------------------
-// Streaming-vs-materialized and snapshot round-trip
+// Streaming and snapshot round trip
 // ---------------------------------------------------------------------------
 
 /// The fixture in 97-row chunks: many chunks, most ending mid-day, so the
@@ -44,6 +58,7 @@ fn fixture() -> &'static SimOutput {
 fn snapshot_bytes() -> Vec<u8> {
     let mut bytes = Vec::new();
     fixture()
+        .0
         .to_snapshot(&fixture_config())
         .write_to_chunked(&mut bytes, 97)
         .expect("write snapshot");
@@ -52,22 +67,18 @@ fn snapshot_bytes() -> Vec<u8> {
 
 #[test]
 fn streaming_features_match_materialized() {
-    assert!(fixture().dataset.len() > 100, "fixture must be non-trivial");
+    assert!(
+        fixture().0.dataset.len() > 100,
+        "fixture must be non-trivial"
+    );
     let bytes = snapshot_bytes();
-    let materialized = extract(&fixture().dataset);
     let (plan, streamed) =
         features_from_snapshot_stream(bytes.as_slice()).expect("streaming extract");
-    assert_eq!(plan.len(), fixture().dataset.plan.len());
-    diff_features(
-        &materialized.matrix(),
-        &streamed.matrix(),
-        "materialized",
-        "streaming",
-    )
-    .assert_identical();
+    assert_eq!(plan.len(), fixture().0.dataset.plan.len());
+    against_reference(&streamed.matrix()).assert_identical();
 
     let cfg = KMeansConfig::default();
-    let mat_run = ClusterRun::finish(materialized, &cfg);
+    let mat_run = ClusterRun::finish(extract(&fixture().0.dataset), &cfg);
     assert!(mat_run.output.k >= 2, "fixture must actually cluster");
     let stream_run = ClusterRun::finish(streamed, &cfg);
     diff_clusters(
@@ -86,9 +97,9 @@ fn snapshot_roundtrip_clusters_identically() {
         Snapshot::read_from(&mut bytes.as_slice()).expect("snapshot load"),
     );
     let cfg = KMeansConfig::default();
-    let original = ClusterRun::over(&fixture().dataset, 1, &cfg);
+    let original = ClusterRun::over(&fixture().0.dataset, 1, &cfg);
     let roundtrip = ClusterRun::over(&reloaded.dataset, 1, &cfg);
-    diff_features(&original.matrix, &roundtrip.matrix, "original", "roundtrip").assert_identical();
+    against_reference(&roundtrip.matrix).assert_identical();
     diff_clusters(&original.output, &roundtrip.output, "original", "roundtrip").assert_identical();
 }
 
@@ -100,15 +111,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Cut the fixture's rows at arbitrary row indices and fold each piece
-    /// with its own `ingest_rows` call: the finished matrix must be
-    /// bit-identical to the one-shot extraction. Cuts come from every row
-    /// index, so they fall mid-day the way 64 Ki-row snapshot chunk
-    /// boundaries do, and every partition has at least one such cut.
+    /// with its own `ingest_rows` call: the finished matrix matches the
+    /// reference. Cuts come from every row index, so they fall mid-day the
+    /// way 64 Ki-row snapshot chunk boundaries do, and every partition has
+    /// at least one such cut.
     #[test]
     fn any_day_partition_folds_to_the_same_features(
-        mut cuts in prop::collection::vec(1..fixture().dataset.len(), 1..12)
+        mut cuts in prop::collection::vec(1..fixture().0.dataset.len(), 1..12)
     ) {
-        let dataset = &fixture().dataset;
+        let dataset = &fixture().0.dataset;
         let store = &dataset.sessions;
         let rows = store.rows();
         cuts.sort_unstable();
@@ -126,10 +137,8 @@ proptest! {
             fold.ingest_rows(store, &dataset.plan, &heads, &rows[start..end]);
             start = end;
         }
-
-        let partitioned = fold.finish(dataset.plan.len()).matrix();
-        let one_shot = extract(dataset).matrix();
-        diff_features(&one_shot, &partitioned, "one-shot", "partitioned").assert_identical();
+        let diff = against_reference(&fold.finish(dataset.plan.len()).matrix());
+        prop_assert!(diff.is_identical(), "{}", diff.render());
     }
 }
 
@@ -213,7 +222,7 @@ fn matrix_cells_are_finite_unit_interval() {
     assert_eq!(unit01(-3.0), 0.0);
     assert_eq!(unit01(7.5), 1.0);
 
-    let m = extract(&fixture().dataset).matrix();
+    let m = extract(&fixture().0.dataset).matrix();
     assert!(!m.is_empty());
     for i in 0..m.len() {
         for (f, &v) in m.row(i).iter().enumerate() {

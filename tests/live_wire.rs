@@ -20,20 +20,13 @@ use honeyfarm::wire::{run_script, wire_script, FarmConfig, LiveFarm, Timing};
 
 fn corpus() -> Vec<(PathBuf, Scenario)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("scenario dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "hfs"))
-        .collect();
-    paths.sort();
+    let paths = Scenario::paths_in(&dir);
     assert!(!paths.is_empty(), "scenario corpus is empty");
-    paths
-        .into_iter()
-        .map(|p| {
-            let sc = Scenario::load(&p).expect("scenario parses");
-            (p, sc)
-        })
-        .collect()
+    let load = |p: PathBuf| {
+        let sc = Scenario::load(&p).expect("scenario parses");
+        (p, sc)
+    };
+    paths.into_iter().map(load).collect()
 }
 
 /// A farm sized and configured so the wire path is bit-comparable to

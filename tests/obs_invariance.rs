@@ -6,7 +6,8 @@
 //!
 //! 1. **Metrics-off vs metrics-on**: the full pipeline (simulate → snapshot
 //!    encode/decode → aggregates → report) produces bit-identical results
-//!    whether or not recording is enabled.
+//!    whether or not recording is enabled, their aggregates and features
+//!    compared in the reference's projected form.
 //! 2. **Scheduling invariance of the deterministic counters**: the subset
 //!    of metrics that count *work done* (sessions executed and ingested,
 //!    rows written/loaded/folded, artifacts written) must not depend on how
@@ -19,12 +20,13 @@
 
 use std::sync::Mutex;
 
+use honeyfarm::cluster::extract;
 use honeyfarm::core::{Aggregates, Report};
 use honeyfarm::farm::{Row, SessionStore};
 use honeyfarm::obs::{self, RunManifest};
 use honeyfarm::prelude::*;
 use honeyfarm::sim::DayRows;
-use honeyfarm::testkit::{diff_aggregates, diff_manifests, diff_reports, diff_sim_outputs};
+use honeyfarm::testkit::{diff_manifests, diff_reference, diff_reports, diff_sim_outputs, project};
 
 /// Serializes tests within this process: obs state is process-global.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -135,7 +137,13 @@ fn metrics_never_perturb_pipeline_output() {
         "snapshot bytes diverged"
     );
     diff_sim_outputs(l, &off.reloaded, r, &on.reloaded).assert_identical();
-    diff_aggregates(l, &off.agg, r, &on.agg).assert_identical();
+    let measures = |run: &PipelineRun| {
+        let features = extract(&run.out.dataset).matrix();
+        project(&run.out.dataset, &run.agg, &features)
+    };
+    let mut d = diff_reference(&measures(&off), &measures(&on));
+    (d.left, d.right) = (l.to_string(), r.to_string());
+    d.assert_identical();
     diff_reports(l, &off.report, r, &on.report).assert_identical();
     assert_eq!(
         off.artifacts, on.artifacts,

@@ -1,8 +1,9 @@
 //! End-to-end integration: simulate → collect → aggregate → report → claims,
 //! exercising every crate boundary in one flow.
 
-use honeyfarm::core::classify::{classify, Category};
+use honeyfarm::core::classify::Category;
 use honeyfarm::prelude::*;
+use honeyfarm::testkit::records_of;
 
 fn run_small() -> (SimOutput, Aggregates) {
     let out = Simulation::run(SimConfig {
@@ -20,21 +21,10 @@ fn full_pipeline_produces_consistent_report() {
     let (out, agg) = run_small();
     let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);
 
-    // Table 1 shares sum to 1 and match the classifier's direct counts.
+    // Table 1 shares sum to 1. Its counts, like every aggregate below, are
+    // checked against the independent reference in streaming_analysis.
     let share_sum: f64 = report.table1.rows.iter().map(|r| r.share).sum();
     assert!((share_sum - 1.0).abs() < 1e-9);
-    let mut direct = [0u64; 5];
-    for v in out.dataset.sessions.iter() {
-        direct[classify(&v).index()] += 1;
-    }
-    for row in &report.table1.rows {
-        assert_eq!(
-            row.sessions,
-            direct[row.category.index()],
-            "{}",
-            row.category
-        );
-    }
 
     // Flow diagram is monotone.
     let f5 = &report.fig5;
@@ -68,13 +58,6 @@ fn full_pipeline_produces_consistent_report() {
             .unwrap()
     };
     assert!(ecdf(Category::NoCred).median().unwrap() < ecdf(Category::NoCmd).median().unwrap());
-
-    // Daily IP counts: overall >= each category.
-    for row in &report.fig11.daily {
-        for ci in 0..5 {
-            assert!(row[ci] <= row[5]);
-        }
-    }
 }
 
 #[test]
@@ -156,40 +139,9 @@ fn tagdb_covers_every_observed_hash() {
 #[test]
 fn cowrie_log_renders_for_sampled_sessions() {
     let (out, _) = run_small();
-    // Reconstruct a record-like line stream from stored sessions via the
-    // live-log path: take a few intrusion sessions and check they format.
     let mut checked = 0;
-    for v in out.dataset.sessions.iter() {
-        if v.n_commands() > 0 && checked < 5 {
-            // The store is lossy only in that it interned strings; event
-            // rendering needs a SessionRecord, so build a minimal one.
-            let rec = SessionRecord {
-                honeypot: v.honeypot(),
-                protocol: v.protocol(),
-                client_ip: v.client_ip(),
-                client_port: 1,
-                start: v.start(),
-                duration_secs: v.duration_secs(),
-                ended_by: v.ended_by(),
-                ssh_client_version: v.ssh_version().map(|s| s.to_string()),
-                logins: v
-                    .logins()
-                    .map(|(u, p, ok)| honeyfarm::honeypot::LoginAttempt {
-                        creds: honeyfarm::proto::creds::Credentials::new(u, p),
-                        accepted: ok,
-                    })
-                    .collect(),
-                commands: v
-                    .commands()
-                    .map(|(c, known)| honeyfarm::shell::CommandRecord {
-                        input: c.to_string(),
-                        known,
-                    })
-                    .collect(),
-                uris: v.uris().map(|u| u.to_string()).collect(),
-                file_hashes: v.file_hashes().collect(),
-                download_hashes: vec![],
-            };
+    for rec in records_of(&out.dataset.sessions) {
+        if !rec.commands.is_empty() && checked < 5 {
             let lines = honeyfarm::farm::EventLog::render(&rec);
             assert!(lines.len() >= 2);
             for l in lines {

@@ -18,14 +18,7 @@ use honeyfarm::testkit::scenario::classify_record;
 use honeyfarm::testkit::{assert_golden, Scenario};
 
 fn scenario_paths() -> Vec<PathBuf> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("tests/scenarios exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "hfs"))
-        .collect();
-    paths.sort();
-    paths
+    Scenario::paths_in(&PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios"))
 }
 
 /// Each scenario's event log matches its golden (or regenerates it under

@@ -7,78 +7,10 @@
 use honeyfarm::farm::{
     Dataset, DigestPool, FarmPlan, SessionStore, Snapshot, SnapshotMeta, StringPool, TagDb,
 };
-use honeyfarm::geo::Ip4;
 use honeyfarm::hash::Sha256;
-use honeyfarm::honeypot::{ArtifactStore, EndReason, LoginAttempt, SessionRecord};
-use honeyfarm::proto::creds::Credentials;
-use honeyfarm::proto::Protocol;
-use honeyfarm::shell::CommandRecord;
-use honeyfarm::simclock::SimInstant;
-use honeyfarm::testkit::diff_datasets;
+use honeyfarm::honeypot::{ArtifactStore, SessionRecord};
+use honeyfarm::testkit::{diff_datasets, records_of, session_record};
 use proptest::prelude::*;
-
-fn arb_record() -> impl Strategy<Value = SessionRecord> {
-    (
-        0u16..221,
-        prop::bool::ANY,
-        any::<u32>(),
-        1u16..u16::MAX,
-        0u32..486,
-        0u32..86_400,
-        0u32..400,
-        0u8..3,
-        prop::collection::vec(
-            ("[a-z]{1,8}", "[ -~&&[^\\\\]]{0,12}", prop::bool::ANY),
-            0..4,
-        ),
-        prop::collection::vec(("[a-z /.-]{1,24}", prop::bool::ANY), 0..5),
-        prop::collection::vec("[a-z0-9./:-]{5,30}", 0..3),
-        prop::collection::vec(any::<u64>(), 0..4),
-    )
-        .prop_map(
-            |(hp, ssh, ip, port, day, secs, dur, end, logins, cmds, uris, hashes)| {
-                let mut uris: Vec<String> =
-                    uris.into_iter().map(|u| format!("http://{u}")).collect();
-                uris.sort();
-                uris.dedup();
-                SessionRecord {
-                    honeypot: hp,
-                    protocol: if ssh { Protocol::Ssh } else { Protocol::Telnet },
-                    client_ip: Ip4(ip),
-                    client_port: port,
-                    start: SimInstant::from_day_and_secs(day, secs),
-                    duration_secs: dur,
-                    ended_by: match end {
-                        0 => EndReason::ClientClose,
-                        1 => EndReason::Timeout,
-                        _ => EndReason::AuthLimit,
-                    },
-                    ssh_client_version: ssh.then(|| "SSH-2.0-Go".to_string()),
-                    logins: logins
-                        .into_iter()
-                        .map(|(u, p, ok)| LoginAttempt {
-                            creds: Credentials::new(&u, &p),
-                            accepted: ok,
-                        })
-                        .collect(),
-                    commands: cmds
-                        .into_iter()
-                        .map(|(input, known)| CommandRecord { input, known })
-                        .collect(),
-                    uris,
-                    file_hashes: hashes
-                        .iter()
-                        .map(|h| Sha256::digest(&h.to_le_bytes()))
-                        .collect(),
-                    download_hashes: hashes
-                        .iter()
-                        .filter(|h| *h % 3 == 0)
-                        .map(|h| Sha256::digest(&h.to_be_bytes()))
-                        .collect(),
-                }
-            },
-        )
-}
 
 fn snapshot_of(records: &[SessionRecord]) -> Snapshot {
     let mut store = SessionStore::new();
@@ -126,7 +58,7 @@ proptest! {
     /// Arbitrary batches survive ingest → snapshot write → load with
     /// row-for-row and pool-for-pool equality.
     #[test]
-    fn prop_snapshot_roundtrip(records in prop::collection::vec(arb_record(), 1..40)) {
+    fn prop_snapshot_roundtrip(records in prop::collection::vec(session_record(), 1..40)) {
         let snap = snapshot_of(&records);
         let mut bytes = Vec::new();
         snap.write_to(&mut bytes).expect("write snapshot");
@@ -166,28 +98,13 @@ proptest! {
             prop_assert_eq!(back.tags.campaign(h), Some(e.campaign.as_str()));
         }
 
-        // And the full typed view still reads every field (spot checks).
-        for (i, r) in records.iter().enumerate() {
-            let v = back.sessions.view(i);
-            prop_assert_eq!(v.honeypot(), r.honeypot);
-            prop_assert_eq!(v.client_ip(), r.client_ip);
-            prop_assert_eq!(v.start(), r.start);
-            let logins: Vec<(String, String, bool)> = v
-                .logins()
-                .map(|(u, p, ok)| (u.to_string(), p.to_string(), ok))
-                .collect();
-            let want: Vec<(String, String, bool)> = r
-                .logins
-                .iter()
-                .map(|l| (l.creds.username.clone(), l.creds.password.clone(), l.accepted))
-                .collect();
-            prop_assert_eq!(logins, want);
-        }
+        // And the typed views still read every field.
+        prop_assert_eq!(records_of(&back.sessions), records);
     }
 
     /// Writing the same data twice — or a reloaded copy — is byte-identical.
     #[test]
-    fn prop_serialization_deterministic(records in prop::collection::vec(arb_record(), 1..20)) {
+    fn prop_serialization_deterministic(records in prop::collection::vec(session_record(), 1..20)) {
         let snap = snapshot_of(&records);
         let mut a = Vec::new();
         let mut b = Vec::new();
@@ -206,7 +123,7 @@ proptest! {
     /// the store that was never written at all.
     #[test]
     fn prop_read_back_store_keeps_interning(
-        records in prop::collection::vec(arb_record(), 2..40),
+        records in prop::collection::vec(session_record(), 2..40),
         cut in 1usize..40,
     ) {
         let cut = cut.min(records.len() - 1);

@@ -1,149 +1,61 @@
 //! Property tests: the columnar session store is a lossless encoding of
-//! session records (for every field the analyses read).
+//! session records, and every analysis over it agrees with the independent
+//! reference for the paper's definitions (`hf_testkit::reference`).
 
+use honeyfarm::cluster::extract;
+use honeyfarm::core::{federate, FarmSightings};
 use honeyfarm::farm::SessionStore;
-use honeyfarm::geo::Ip4;
-use honeyfarm::hash::Sha256;
-use honeyfarm::honeypot::{EndReason, LoginAttempt, SessionRecord};
-use honeyfarm::proto::creds::Credentials;
-use honeyfarm::proto::Protocol;
-use honeyfarm::shell::CommandRecord;
-use honeyfarm::simclock::SimInstant;
+use honeyfarm::prelude::*;
+use honeyfarm::testkit::reference::{federation, Measures};
+use honeyfarm::testkit::{
+    diff_reference, project, project_federation, record_world, records_of, session_record,
+};
 use proptest::prelude::*;
 
-fn arb_record() -> impl Strategy<Value = SessionRecord> {
-    (
-        0u16..221,
-        prop::bool::ANY,
-        any::<u32>(),
-        1u16..u16::MAX,
-        0u32..486,
-        0u32..86_400,
-        0u32..400,
-        0u8..3,
-        prop::collection::vec(
-            ("[a-z]{1,8}", "[ -~&&[^\\\\]]{0,12}", prop::bool::ANY),
-            0..4,
-        ),
-        prop::collection::vec(("[a-z /.-]{1,24}", prop::bool::ANY), 0..5),
-        prop::collection::vec("[a-z0-9./:-]{5,30}", 0..3),
-        prop::collection::vec(any::<u64>(), 0..4),
-    )
-        .prop_map(
-            |(hp, ssh, ip, port, day, secs, dur, end, logins, cmds, uris, hashes)| {
-                let mut uris: Vec<String> =
-                    uris.into_iter().map(|u| format!("http://{u}")).collect();
-                uris.sort();
-                uris.dedup();
-                SessionRecord {
-                    honeypot: hp,
-                    protocol: if ssh { Protocol::Ssh } else { Protocol::Telnet },
-                    client_ip: Ip4(ip),
-                    client_port: port,
-                    start: SimInstant::from_day_and_secs(day, secs),
-                    duration_secs: dur,
-                    ended_by: match end {
-                        0 => EndReason::ClientClose,
-                        1 => EndReason::Timeout,
-                        _ => EndReason::AuthLimit,
-                    },
-                    ssh_client_version: ssh.then(|| "SSH-2.0-Go".to_string()),
-                    logins: logins
-                        .into_iter()
-                        .map(|(u, p, ok)| LoginAttempt {
-                            creds: Credentials::new(&u, &p),
-                            accepted: ok,
-                        })
-                        .collect(),
-                    commands: cmds
-                        .into_iter()
-                        .map(|(input, known)| CommandRecord { input, known })
-                        .collect(),
-                    uris,
-                    file_hashes: hashes
-                        .iter()
-                        .map(|h| Sha256::digest(&h.to_le_bytes()))
-                        .collect(),
-                    download_hashes: vec![],
-                }
-            },
-        )
+/// Collect `records` in order, as the farm's collector would.
+fn collect(records: &[SessionRecord]) -> Dataset {
+    let mut collector = Collector::new(&record_world(), FarmPlan::paper());
+    collector.ingest_batch(records);
+    collector.finish()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every field the analyses read survives the ingest → view roundtrip.
+    /// Rebuilding records from the store's views gives back every field,
+    /// client ports and download hashes included.
     #[test]
-    fn prop_store_roundtrip(records in prop::collection::vec(arb_record(), 1..40)) {
+    fn prop_store_roundtrip(records in prop::collection::vec(session_record(), 1..40)) {
         let mut store = SessionStore::new();
         for r in &records {
             store.ingest(r, None);
         }
-        prop_assert_eq!(store.len(), records.len());
-        for (i, r) in records.iter().enumerate() {
-            let v = store.view(i);
-            prop_assert_eq!(v.honeypot(), r.honeypot);
-            prop_assert_eq!(v.protocol(), r.protocol);
-            prop_assert_eq!(v.client_ip(), r.client_ip);
-            prop_assert_eq!(v.start(), r.start);
-            prop_assert_eq!(v.duration_secs(), r.duration_secs);
-            prop_assert_eq!(v.ended_by(), r.ended_by);
-            prop_assert_eq!(v.ssh_version().map(|s| s.to_string()), r.ssh_client_version.clone());
-            let logins: Vec<(String, String, bool)> = v
-                .logins()
-                .map(|(u, p, ok)| (u.to_string(), p.to_string(), ok))
-                .collect();
-            let want: Vec<(String, String, bool)> = r
-                .logins
-                .iter()
-                .map(|l| (l.creds.username.clone(), l.creds.password.clone(), l.accepted))
-                .collect();
-            prop_assert_eq!(logins, want);
-            let cmds: Vec<(String, bool)> =
-                v.commands().map(|(c, k)| (c.to_string(), k)).collect();
-            let want: Vec<(String, bool)> =
-                r.commands.iter().map(|c| (c.input.clone(), c.known)).collect();
-            prop_assert_eq!(cmds, want);
-            let uris: Vec<String> = v.uris().map(|u| u.to_string()).collect();
-            prop_assert_eq!(uris, r.uris.clone());
-            let hashes: Vec<_> = v.file_hashes().collect();
-            prop_assert_eq!(hashes, r.file_hashes.clone());
-        }
+        prop_assert_eq!(records_of(&store), records);
     }
 
-    /// Classification is a pure function of the record, stable through the
-    /// store (partition invariant: exactly one category per session).
+    /// Sessions fold into the paper's measures exactly as the reference
+    /// computes them from the records: the Fig. 5 leaves, every aggregate
+    /// a table or figure reads, the F18 factor, the birth timeline and the
+    /// 24 cluster features; and three farms cut from the records federate
+    /// as the reference pools them.
     #[test]
-    fn prop_classification_partitions(records in prop::collection::vec(arb_record(), 1..60)) {
-        use honeyfarm::core::classify::{classify, Category};
-        let mut store = SessionStore::new();
-        for r in &records {
-            store.ingest(r, None);
-        }
-        let mut counts = [0usize; 5];
-        for v in store.iter() {
-            counts[classify(&v).index()] += 1;
-        }
-        prop_assert_eq!(counts.iter().sum::<usize>(), records.len());
-        // Cross-check a few invariants of the taxonomy.
-        for v in store.iter() {
-            match classify(&v) {
-                Category::NoCred => prop_assert!(!v.attempted_login()),
-                Category::FailLog => {
-                    prop_assert!(v.attempted_login());
-                    prop_assert!(!v.login_succeeded());
-                }
-                Category::NoCmd => {
-                    prop_assert!(v.login_succeeded());
-                    prop_assert_eq!(v.n_commands(), 0);
-                }
-                Category::Cmd => {
-                    prop_assert!(v.n_commands() > 0);
-                    prop_assert!(!v.has_uri());
-                }
-                Category::CmdUri => prop_assert!(v.has_uri()),
-            }
-        }
+    fn prop_classification_partitions(records in prop::collection::vec(session_record(), 1..60)) {
+        let dataset = collect(&records);
+        let mut got = project(&dataset, &Aggregates::compute(&dataset), &extract(&dataset).matrix());
+        let mut want = Measures::of(&records, &record_world(), &FarmPlan::paper());
+
+        let farms: Vec<Vec<SessionRecord>> = (0..3)
+            .map(|i| records.iter().filter(|r| r.honeypot % 3 == i).cloned().collect())
+            .collect();
+        let sightings: Vec<FarmSightings> = farms
+            .iter()
+            .map(|farm| FarmSightings::from_dataset("farm", &collect(farm)))
+            .collect();
+        got.federation = Some(project_federation(&federate(&sightings)));
+        let slices: Vec<&[SessionRecord]> = farms.iter().map(Vec::as_slice).collect();
+        want.federation = Some(federation(&slices));
+
+        let diff = diff_reference(&want, &got);
+        prop_assert!(diff.is_identical(), "{}", diff.render());
     }
 }

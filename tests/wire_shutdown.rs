@@ -8,17 +8,21 @@
 //! run one at a time (`serial`) and the counting test starts from a clean
 //! registry.
 //!
-//! The drain snapshot must also fold: sessions that arrive out of day
-//! order are written in start order.
+//! The drained dataset, and the snapshot it writes, must fold to the
+//! independent reference's measures of the records the farm kept
+//! (`hf_testkit::reference`, resolving clients in the live collector's
+//! seed-0 tiny world); sessions that arrive out of day order are written
+//! in start order.
 
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use honeyfarm::core::Aggregates;
+use honeyfarm::cluster::{extract, features_from_snapshot_stream};
+use honeyfarm::geo::{World, WorldConfig};
 use honeyfarm::prelude::*;
-use honeyfarm::testkit::{diff_aggregates, diff_features, Scenario};
+use honeyfarm::testkit::{diff_reference, project, Measures, Scenario};
 use honeyfarm::wire::{run_script, wire_script, FarmConfig, LiveFarm, Timing};
 
 const SESSIONS: u64 = 48;
@@ -96,6 +100,16 @@ fn shutdown_mid_load_loses_no_records() {
     assert_eq!(out.dataset.len(), SESSIONS as usize);
     assert_eq!(out.n_clients, SESSIONS, "distinct @hfs client identities");
     assert_eq!(out.stats.open_now(), 0, "every socket closed by drain");
+    let features = extract(&out.dataset).matrix();
+    diff_reference(
+        &Measures::of(
+            &out.records,
+            &World::build(0, &WorldConfig::tiny()),
+            &out.dataset.plan,
+        ),
+        &project(&out.dataset, &Aggregates::compute(&out.dataset), &features),
+    )
+    .assert_identical();
 
     // Zero loss, obs-counter view (sessions_ingested + sessions_rejected
     // == sessions_driven).
@@ -122,7 +136,8 @@ fn shutdown_mid_load_loses_no_records() {
 
 /// Two corpus sessions driven in the wrong day order (day 10, then day 3):
 /// the collector stores them as they arrive, and the drain snapshot still
-/// folds, report and features alike, to what the dataset itself gives.
+/// folds, report and features alike, to the reference's measures of the
+/// records the farm kept.
 #[test]
 fn an_out_of_order_drain_snapshot_folds_like_its_dataset() {
     let _serial = serial();
@@ -137,6 +152,7 @@ fn an_out_of_order_drain_snapshot_folds_like_its_dataset() {
         timing: Timing::Virtual,
         wall_timeout_secs: 60,
         per_ip_cap: 1 << 30,
+        keep_records: true,
         ..FarmConfig::default()
     })
     .expect("farm");
@@ -158,20 +174,14 @@ fn an_out_of_order_drain_snapshot_folds_like_its_dataset() {
     let mut bytes = Vec::new();
     out.to_snapshot().write_to(&mut bytes).expect("encode");
     let folded = FoldOutput::from_snapshot_stream(bytes.as_slice()).expect("report fold");
-    diff_aggregates(
-        "snapshot fold",
-        &folded.aggregates,
-        "dataset",
-        &Aggregates::compute(&out.dataset),
-    )
-    .assert_identical();
-    let (_, streamed) =
-        honeyfarm::cluster::features_from_snapshot_stream(bytes.as_slice()).expect("feature fold");
-    diff_features(
-        &honeyfarm::cluster::extract(&out.dataset).matrix(),
-        &streamed.matrix(),
-        "dataset",
-        "snapshot fold",
+    let (_, streamed) = features_from_snapshot_stream(bytes.as_slice()).expect("feature fold");
+    diff_reference(
+        &Measures::of(
+            &out.records,
+            &World::build(0, &WorldConfig::tiny()),
+            &out.dataset.plan,
+        ),
+        &project(&folded.dataset, &folded.aggregates, &streamed.matrix()),
     )
     .assert_identical();
 }
