@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hf_farm::FarmPlan;
-use hf_geo::{country, CountryId, Ip4, World};
+use hf_geo::{country, Ip4, World};
 use hf_hash::Digest;
 use hf_honeypot::{EndReason, SessionRecord};
 use hf_proto::Protocol;
@@ -34,7 +34,7 @@ use hf_shell::lexer::reference::split_statements;
 pub const LEAVES: [&str; 5] = ["NO_CRED", "FAIL_LOG", "NO_CMD", "CMD", "CMD+URI"];
 
 /// Fig. 7's duration axis ends here; longer sessions land in the last bin.
-pub const DURATION_CAP_SECS: u32 = 600;
+const DURATION_CAP_SECS: u32 = 600;
 
 /// Everything the reference computes from one set of records. Day ×
 /// honeypot matrices are day-major: cell `day * n_honeypots + honeypot`.
@@ -222,7 +222,7 @@ fn session_hashes(r: &SessionRecord) -> BTreeSet<Digest> {
 /// continent, 2 another continent, `None` when the client does not resolve.
 fn relation(world: &World, plan: &FarmPlan, r: &SessionRecord) -> Option<usize> {
     let client = world.locate(r.client_ip)?.country;
-    let honeypot: CountryId = plan.nodes[r.honeypot as usize].country;
+    let honeypot = plan.nodes[r.honeypot as usize].country;
     Some(if client == honeypot {
         0
     } else if country::get(client).continent == country::get(honeypot).continent {
