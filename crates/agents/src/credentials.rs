@@ -125,7 +125,7 @@ impl CredentialModel {
 
     /// Credentials for a successful login.
     pub fn successful<R: Rng + ?Sized>(&self, rng: &mut R) -> Credentials {
-        Credentials::new("root", self.successful_password(rng))
+        Credentials::from_static("root", self.successful_password(rng))
     }
 
     /// Credentials for a *failed* attempt: either a non-root username, or the
@@ -133,12 +133,12 @@ impl CredentialModel {
     pub fn failed<R: Rng + ?Sized>(&self, rng: &mut R) -> Credentials {
         if rng.gen_ratio(3, 10) {
             // root:root — the only rejected root password.
-            Credentials::new("root", "root")
+            Credentials::from_static("root", "root")
         } else {
             let x = rng.gen_range(0..self.user_total);
             let user = self.user_cum[self.user_cum.partition_point(|&(c, _)| c <= x)].1;
             let pw = self.successful_password(rng);
-            Credentials::new(user, pw)
+            Credentials::from_static(user, pw)
         }
     }
 }

@@ -322,6 +322,7 @@ impl FeatureFold {
         heads: &HeadMap,
         rows: &[Row],
     ) {
+        let _span = hf_obs::span!("cluster.feature_fold");
         for row in rows {
             self.ingest(plan, heads, &store.view_row(row));
         }

@@ -128,8 +128,8 @@ impl EventLog {
                     if l.accepted { "succeeded" } else { "failed" }
                 ),
             );
-            e.username = Some(l.creds.username.clone());
-            e.password = Some(l.creds.password.clone());
+            e.username = Some(l.creds.username.to_string());
+            e.password = Some(l.creds.password.to_string());
             events.push(e);
         }
 

@@ -575,12 +575,14 @@ impl<R: Read> RawChunks<R> {
         buf.clear();
         buf.resize(chunk_rows as usize * ROW_BYTES, 0);
         read_exact(&mut self.r, buf, "rows")?;
+        let verify = hf_obs::span!("hash.verify");
         if Sha256::digest(buf).0 != digest {
             return Err(SnapshotError::ChunkChecksumMismatch {
                 section: "rows",
                 chunk: idx,
             });
         }
+        drop(verify);
         self.manifest.extend_from_slice(&chunk_rows.to_le_bytes());
         self.manifest.extend_from_slice(&digest);
         self.chunks_read += 1;
@@ -755,9 +757,11 @@ impl<R: Read> SnapshotReader<R> {
             [Vec::new(), Vec::new()],
             |buf| raw.next_raw(buf),
             |chunk_rows, buf| {
+                let scan = hf_obs::span!("farm.chunk_scan");
                 rows.clear();
                 decode_row_chunk(buf, chunk_rows as usize, &mut rows)?;
                 validate_rows(&rows, &store, &mut memo)?;
+                drop(scan);
                 fold(&store, &plan, &rows)
             },
         )?;

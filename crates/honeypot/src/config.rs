@@ -3,14 +3,17 @@
 use std::sync::Arc;
 
 use hf_proto::creds::AuthPolicy;
-use hf_shell::SystemProfile;
+use hf_shell::{SystemProfile, Vfs};
 
 /// Configuration of one honeypot instance. All 221 instances in the paper's
 /// farm are "identically configured" — the only thing that varies here is the
 /// presented machine profile (hostname etc.), which does not affect policy.
 ///
-/// Sessions share their node's config and its profile by reference count
-/// (`SessionDriver::accept` takes an `Arc`), so starting one copies nothing.
+/// Sessions share their node's config, its profile and its seeded
+/// filesystem image by reference count (`SessionDriver::accept` takes an
+/// `Arc`), so starting one copies nothing: each shell gets a copy-on-write
+/// view of the image, the per-session copy-on-login filesystem Cowrie gives
+/// each client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HoneypotConfig {
     /// Authentication policy (paper: root / anything-but-"root", 3 attempts).
@@ -23,6 +26,9 @@ pub struct HoneypotConfig {
     pub idle_timeout_secs: u32,
     /// Machine identity shown by the shell.
     pub profile: Arc<SystemProfile>,
+    /// The filesystem every shell on this node starts from, seeded from
+    /// `profile` once, when the config is built.
+    image: Vfs,
 }
 
 impl Default for HoneypotConfig {
@@ -38,8 +44,29 @@ impl HoneypotConfig {
             auth: AuthPolicy::paper(),
             preauth_timeout_secs: 60,
             idle_timeout_secs: 180,
+            image: Vfs::seeded(&profile),
             profile: Arc::new(profile),
         }
+    }
+
+    /// The node's seeded filesystem image.
+    pub fn image(&self) -> &Vfs {
+        &self.image
+    }
+
+    /// The paper's configuration for each of a farm's nodes, which present
+    /// `profiles` in node order. Nodes that present the same profile share
+    /// one config, and so one seeded image.
+    pub fn per_node(profiles: impl IntoIterator<Item = SystemProfile>) -> Vec<Arc<Self>> {
+        let mut configs: Vec<Arc<Self>> = Vec::new();
+        for profile in profiles {
+            let config = match configs.iter().find(|c| *c.profile == profile) {
+                Some(same) => Arc::clone(same),
+                None => Arc::new(Self::paper(profile)),
+            };
+            configs.push(config);
+        }
+        configs
     }
 }
 
@@ -53,5 +80,21 @@ mod tests {
         assert_eq!(c.idle_timeout_secs, 180);
         assert_eq!(c.preauth_timeout_secs, 60);
         assert_eq!(c.auth.max_attempts, 3);
+        assert_eq!(c.image(), &Vfs::seeded(&c.profile));
+    }
+
+    #[test]
+    fn nodes_with_one_profile_share_one_config() {
+        let configs = HoneypotConfig::per_node((0..130).map(SystemProfile::for_node));
+        assert_eq!(configs.len(), 130);
+        for (n, c) in configs.iter().enumerate() {
+            assert_eq!(*c.profile, SystemProfile::for_node(n as u32));
+        }
+        assert!(Arc::ptr_eq(&configs[3], &configs[67]));
+        assert!(!Arc::ptr_eq(&configs[3], &configs[4]));
+        let mut distinct: Vec<*const HoneypotConfig> = configs.iter().map(Arc::as_ptr).collect();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 64, "the profiles cycle every 64 nodes");
     }
 }

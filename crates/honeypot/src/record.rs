@@ -88,6 +88,112 @@ impl SessionRecord {
     }
 }
 
+/// Strings longer than this are freed when a record is reclaimed, not kept:
+/// a kept string keeps its largest capacity, so the cap bounds what each
+/// spare string can hold on to.
+pub const SPARE_STRING_MAX: usize = 256;
+
+/// The buffers of finished records, kept for the next records to reuse.
+///
+/// [`RecordSpares::reclaim`] takes a record apart once its reader is done
+/// with it: each list keeps its capacity, and each string (SSH version,
+/// command inputs, URIs) goes back empty. A
+/// [`SessionDriver`](crate::SessionDriver) given the spares
+/// ([`SessionDriver::with_spares`](crate::SessionDriver::with_spares)) draws
+/// a list only when its record first needs one, and a string each time it
+/// writes one, and allocates only when none is left. A holder that reclaims
+/// one batch of records before producing the next keeps at most the
+/// buffers of its largest batch.
+#[derive(Debug, Default)]
+pub struct RecordSpares {
+    strings: Vec<String>,
+    logins: Vec<Vec<LoginAttempt>>,
+    commands: Vec<Vec<CommandRecord>>,
+    uris: Vec<Vec<String>>,
+    hashes: Vec<Vec<Digest>>,
+}
+
+impl RecordSpares {
+    /// Take `record` apart into the spares.
+    pub fn reclaim(&mut self, record: SessionRecord) {
+        let SessionRecord {
+            ssh_client_version,
+            logins,
+            mut commands,
+            mut uris,
+            file_hashes,
+            download_hashes,
+            ..
+        } = record;
+        self.keep_strings(ssh_client_version);
+        self.keep_strings(commands.drain(..).map(|c| c.input));
+        self.keep_strings(uris.drain(..));
+        keep_list(&mut self.logins, logins);
+        keep_list(&mut self.commands, commands);
+        keep_list(&mut self.uris, uris);
+        keep_list(&mut self.hashes, file_hashes);
+        keep_list(&mut self.hashes, download_hashes);
+    }
+
+    fn keep_strings(&mut self, strings: impl IntoIterator<Item = String>) {
+        for mut s in strings {
+            if s.capacity() > 0 && s.capacity() <= SPARE_STRING_MAX {
+                s.clear();
+                self.strings.push(s);
+            }
+        }
+    }
+
+    /// A string holding `text`, reusing a spare one if any is left.
+    pub(crate) fn string(&mut self, text: &str) -> String {
+        let mut s = self.strings.pop().unwrap_or_default();
+        s.push_str(text);
+        s
+    }
+
+    /// `list`, first given a spare buffer if it has none.
+    pub(crate) fn logins<'a>(
+        &mut self,
+        list: &'a mut Vec<LoginAttempt>,
+    ) -> &'a mut Vec<LoginAttempt> {
+        refill(list, &mut self.logins)
+    }
+
+    /// `list`, first given a spare buffer if it has none.
+    pub(crate) fn commands<'a>(
+        &mut self,
+        list: &'a mut Vec<CommandRecord>,
+    ) -> &'a mut Vec<CommandRecord> {
+        refill(list, &mut self.commands)
+    }
+
+    /// `list`, first given a spare buffer if it has none.
+    pub(crate) fn uris<'a>(&mut self, list: &'a mut Vec<String>) -> &'a mut Vec<String> {
+        refill(list, &mut self.uris)
+    }
+
+    /// `list`, first given a spare buffer if it has none.
+    pub(crate) fn hashes<'a>(&mut self, list: &'a mut Vec<Digest>) -> &'a mut Vec<Digest> {
+        refill(list, &mut self.hashes)
+    }
+}
+
+fn keep_list<T>(spares: &mut Vec<Vec<T>>, mut list: Vec<T>) {
+    if list.capacity() > 0 {
+        list.clear();
+        spares.push(list);
+    }
+}
+
+fn refill<'a, T>(list: &'a mut Vec<T>, spares: &mut Vec<Vec<T>>) -> &'a mut Vec<T> {
+    if list.capacity() == 0 {
+        if let Some(spare) = spares.pop() {
+            *list = spare;
+        }
+    }
+    list
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,11 +12,11 @@ use std::sync::Arc;
 use hf_geo::Ip4;
 use hf_proto::creds::{AuthOutcome, Credentials};
 use hf_proto::Protocol;
-use hf_shell::{LineBuf, QuietExec, RemoteFetcher, SessionEvents, ShellSession};
+use hf_shell::{CommandRecord, LineBuf, QuietExec, RemoteFetcher, ShellSession};
 use hf_simclock::SimInstant;
 
 use crate::config::HoneypotConfig;
-use crate::record::{EndReason, LoginAttempt, SessionRecord};
+use crate::record::{EndReason, LoginAttempt, RecordSpares, SessionRecord};
 
 /// Result of offering credentials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +48,9 @@ pub struct SessionDriver {
     idle_secs: u32,
     shell: Option<ShellSession>,
     record: SessionRecord,
+    /// Buffers the record's lists and strings are drawn from (empty unless
+    /// [`SessionDriver::with_spares`] handed some in).
+    spares: RecordSpares,
     /// Fetcher handed to the shell at login time.
     fetcher: Option<Box<dyn RemoteFetcher>>,
 }
@@ -86,14 +89,24 @@ impl SessionDriver {
             idle_secs: 0,
             shell: None,
             record,
+            spares: RecordSpares::default(),
             fetcher: Some(fetcher),
         }
+    }
+
+    /// Build this session's record out of `spares` where they have a
+    /// buffer, instead of allocating; [`SessionDriver::into_parts`] hands
+    /// them back. The record itself is the same either way.
+    pub fn with_spares(mut self, spares: RecordSpares) -> Self {
+        self.spares = spares;
+        self
     }
 
     /// Record the client's SSH identification string (SSH sessions only).
     pub fn client_banner(&mut self, banner: &str) {
         if self.record.protocol == Protocol::Ssh {
-            self.record.ssh_client_version = Some(banner.trim_end().to_string());
+            let banner = self.spares.string(banner.trim_end());
+            self.record.ssh_client_version = Some(banner);
         }
     }
 
@@ -148,7 +161,7 @@ impl SessionDriver {
             return AuthResult::Rejected; // already logged in; ignore
         }
         let accepted = self.config.auth.check(&creds) == AuthOutcome::Accepted;
-        self.record.logins.push(LoginAttempt { creds, accepted });
+        (self.spares.logins(&mut self.record.logins)).push(LoginAttempt { creds, accepted });
         if accepted {
             // The shell itself is created lazily on the first command: a large
             // share of authenticated sessions never type anything (the paper's
@@ -207,7 +220,12 @@ impl SessionDriver {
     fn shell_mut(&mut self) -> &mut ShellSession {
         if self.shell.is_none() {
             let fetcher = self.fetcher.take().expect("fetcher consumed once");
-            self.shell = Some(ShellSession::new(Arc::clone(&self.config.profile), fetcher));
+            let profile = Arc::clone(&self.config.profile);
+            self.shell = Some(ShellSession::on_image(
+                profile,
+                self.config.image(),
+                fetcher,
+            ));
         }
         self.shell.as_mut().expect("just created")
     }
@@ -234,11 +252,17 @@ impl SessionDriver {
 
     /// Consume the driver, producing the final record (ends the session as a
     /// client close if still alive).
-    pub fn into_record(mut self) -> SessionRecord {
+    pub fn into_record(self) -> SessionRecord {
+        self.into_parts().0
+    }
+
+    /// [`SessionDriver::into_record`], also handing back the spares the
+    /// record was not built from.
+    pub fn into_parts(mut self) -> (SessionRecord, RecordSpares) {
         if !self.finished() {
             self.client_close();
         }
-        self.record
+        (self.record, self.spares)
     }
 
     /// Activity both advances the clock and resets the idle timer.
@@ -257,25 +281,33 @@ impl SessionDriver {
         self.phase = Phase::Done(reason);
     }
 
+    /// Move the shell's events into the record: command inputs and URIs
+    /// are copied out of the shell's arena into spare strings, and the URI
+    /// list stays sorted and free of repeats.
     fn harvest_shell(&mut self) {
-        if let Some(shell) = self.shell.as_mut() {
-            let SessionEvents {
-                commands,
-                file_events,
-                uris,
-                downloads,
-            } = shell.take_events();
-            self.record.commands.extend(commands);
-            self.record
-                .file_hashes
-                .extend(file_events.iter().map(|e| e.sha256));
-            self.record.uris.extend(uris);
-            self.record
-                .download_hashes
-                .extend(downloads.iter().map(|(_, h)| *h));
-            self.record.uris.sort();
-            self.record.uris.dedup();
+        let Some(shell) = self.shell.as_mut() else {
+            return;
+        };
+        let events = shell.events();
+        let (record, spares) = (&mut self.record, &mut self.spares);
+        for (input, known) in events.commands() {
+            let input = spares.string(input);
+            (spares.commands(&mut record.commands)).push(CommandRecord { input, known });
         }
+        for uri in events.uris() {
+            if !record.uris.iter().any(|u| u == uri) {
+                let uri = spares.string(uri);
+                spares.uris(&mut record.uris).push(uri);
+            }
+        }
+        for e in events.file_events() {
+            spares.hashes(&mut record.file_hashes).push(e.sha256);
+        }
+        for (_, h) in events.downloads() {
+            spares.hashes(&mut record.download_hashes).push(*h);
+        }
+        record.uris.sort_unstable();
+        shell.clear_events();
     }
 }
 

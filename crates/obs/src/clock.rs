@@ -29,27 +29,62 @@ pub fn wall_ns_since(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Cumulative CPU time of the calling thread in nanoseconds.
-///
-/// Linux exposes this as the first field of `/proc/thread-self/schedstat`
-/// (time spent on-CPU, in ns). Elsewhere — or when the file is missing,
-/// e.g. under seccomp — this returns 0 and span `cpu_ns` stays 0; the
-/// manifest schema documents the field as best-effort. Always 0 under the
-/// zero clock.
+/// Cumulative CPU time of the calling thread in nanoseconds, read from
+/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`: exact at every read, including
+/// for a thread that is running right now. (Linux's
+/// `/proc/thread-self/schedstat` advances a running thread's time only at
+/// scheduler events, so a busy 1 ms span could read a tenth of that, and
+/// each read costs a file open.) Returns 0 off 64-bit Linux, where span
+/// `cpu_ns` stays 0; the manifest schema documents the field as
+/// best-effort. Always 0 under the zero clock.
 pub fn thread_cpu_ns() -> u64 {
     if zero_clock() {
         return 0;
     }
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(s) = std::fs::read_to_string("/proc/thread-self/schedstat") {
-            if let Some(first) = s.split_whitespace().next() {
-                if let Ok(ns) = first.parse::<u64>() {
-                    return ns;
-                }
-            }
-        }
+    thread_cputime()
+}
+
+/// `struct timespec` on 64-bit Linux, where `time_t` and `long` are both
+/// 64 bits.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+extern "C" {
+    /// POSIX `clock_gettime`, from the C library the standard library
+    /// already links.
+    fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+}
+
+/// Linux's `CLOCK_THREAD_CPUTIME_ID` (`<linux/time.h>`).
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn thread_cputime() -> u64 {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `clock_gettime` writes one `struct timespec` through `tp` and
+    // keeps no reference to it; `ts` is a live, writable `Timespec`, whose
+    // `repr(C)` layout is the kernel's on 64-bit Linux. A clock id the
+    // kernel rejects returns -1 and writes nothing.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    if rc != 0 {
+        return 0;
     }
+    let secs = u64::try_from(ts.tv_sec).unwrap_or(0);
+    let nanos = u64::try_from(ts.tv_nsec).unwrap_or(0);
+    secs.saturating_mul(1_000_000_000).saturating_add(nanos)
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn thread_cputime() -> u64 {
     0
 }
 
@@ -66,5 +101,28 @@ mod tests {
         assert_eq!(thread_cpu_ns(), 0);
         set_zero_clock(false);
         assert!(wall_ns_since(t) > 0);
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn thread_cpu_time_counts_a_running_thread_and_not_a_sleeping_one() {
+        let busy = |ms: u64| {
+            let t = Instant::now();
+            let mut x = 0u64;
+            while t.elapsed() < std::time::Duration::from_millis(ms) {
+                x = std::hint::black_box(x.wrapping_add(1));
+            }
+        };
+        let before = thread_cpu_ns();
+        busy(5);
+        let spun = thread_cpu_ns() - before;
+        // Another process may take the CPU for a while, but a 5 ms spin
+        // runs for most of it, and CPU time never exceeds wall time.
+        assert!(spun >= 1_000_000, "5 ms of spinning read {spun} ns");
+        assert!(spun <= 50_000_000, "5 ms of spinning read {spun} ns");
+        let before = thread_cpu_ns();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let slept = thread_cpu_ns() - before;
+        assert!(slept < 5_000_000, "20 ms of sleep read {slept} ns");
     }
 }

@@ -40,6 +40,7 @@
 //! thread calling [`snapshot`]/[`fn@manifest`] flushes itself automatically.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod clock;
 pub mod json;
@@ -65,7 +66,9 @@ static REGISTRY: Mutex<MetricsSnapshot> = Mutex::new(MetricsSnapshot::new());
 
 thread_local! {
     static LOCAL: RefCell<LocalBuf> = RefCell::new(LocalBuf::default());
-    static SPAN_STACK: RefCell<Vec<Name>> = const { RefCell::new(Vec::new()) };
+    /// The open spans, innermost last, each with the wall time of the
+    /// spans that closed directly inside it so far.
+    static SPAN_STACK: RefCell<Vec<(Name, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 fn registry() -> MutexGuard<'static, MetricsSnapshot> {
@@ -136,7 +139,8 @@ fn span_named(name: impl FnOnce() -> Name) -> SpanGuard {
 pub fn flush() {
     let buf = LOCAL.with(|l| std::mem::take(&mut *l.borrow_mut()));
     if !buf.is_empty() {
-        let buf = buf.into_snapshot();
+        let thread = std::thread::current();
+        let buf = buf.into_snapshot(thread.name().unwrap_or("unnamed"));
         registry().merge(&buf);
     }
 }
@@ -147,22 +151,29 @@ pub fn span_depth() -> usize {
 }
 
 pub(crate) fn stack_push(name: Name) {
-    SPAN_STACK.with(|s| s.borrow_mut().push(name));
+    SPAN_STACK.with(|s| s.borrow_mut().push((name, 0)));
 }
 
-pub(crate) fn stack_pop(name: &Name) {
+/// Close the innermost span, which ran for `wall_ns`: credit that to its
+/// parent's children and return the wall time of its own children.
+pub(crate) fn stack_pop(name: &Name, wall_ns: u64) -> u64 {
     SPAN_STACK.with(|s| {
-        let popped = s.borrow_mut().pop();
+        let mut stack = s.borrow_mut();
+        let popped = stack.pop();
         debug_assert_eq!(
-            popped.as_ref(),
+            popped.as_ref().map(|(n, _)| n),
             Some(name),
             "span guards dropped out of nesting order"
         );
-    });
+        if let Some((_, children)) = stack.last_mut() {
+            *children = children.saturating_add(wall_ns);
+        }
+        popped.map_or(0, |(_, children)| children)
+    })
 }
 
-pub(crate) fn record_span(name: Name, wall_ns: u64, cpu_ns: u64) {
-    LOCAL.with(|l| l.borrow_mut().span_record(name, wall_ns, cpu_ns));
+pub(crate) fn record_span(name: Name, wall_ns: u64, self_ns: u64, cpu_ns: u64) {
+    LOCAL.with(|l| (l.borrow_mut()).span_record(name, wall_ns, self_ns, cpu_ns));
 }
 
 // -------------------------------------------------------------- pipeline --
@@ -179,11 +190,11 @@ const OVERLAP_DEPTH: usize = 2;
 /// 1. With `items <= 1` both closures run on the calling thread over
 ///    `bufs[0]`, alternating, with no spawn. `items` only chooses the arm:
 ///    the number of items `produce` will yield, or any lower bound on it.
-/// 2. Otherwise `produce` runs on one scoped helper thread and the two
-///    buffers rotate through a recycle channel: `consume` hands each one
-///    back and `produce` refills it, so `produce` can free what a buffer
-///    owns on the thread that allocated it. The helper [`flush`]es its
-///    metrics before it exits.
+/// 2. Otherwise `produce` runs on one scoped helper thread, named
+///    `producer`, and the two buffers rotate through a recycle channel:
+///    `consume` hands each one back and `produce` refills it, so `produce`
+///    can reuse or free what a buffer owns on the thread that allocated
+///    it. The helper [`flush`]es its metrics before it exits.
 /// 3. Items are consumed strictly in production order, so `consume` sees
 ///    the same items in the same order on either arm.
 /// 4. The first error wins, whichever closure raises it: it is the error
@@ -216,7 +227,8 @@ pub fn overlapped<B: Send, T: Send, E: Send>(
         for buf in bufs {
             let _ = free_tx.send(buf);
         }
-        let helper = s.spawn(move || {
+        let helper = std::thread::Builder::new().name("producer".into());
+        let helper = helper.spawn_scoped(s, move || {
             // Either channel closing means the consumer stopped: stop too.
             while let Ok(mut buf) = free_rx.recv() {
                 let msg = match produce(&mut buf) {
@@ -231,6 +243,7 @@ pub fn overlapped<B: Send, T: Send, E: Send>(
             }
             flush();
         });
+        let helper = helper.expect("spawn the pipeline's producer thread");
         let result = (|| loop {
             let msg = {
                 let _wait = span(wait_span);
@@ -371,6 +384,55 @@ mod tests {
         assert_eq!(m.spans["unit.phase"].count, 1);
         disable();
         reset();
+    }
+
+    #[test]
+    fn spans_record_self_time_thread_and_cpu_inside_wall() {
+        let _g = LOCK.lock().unwrap();
+        reset();
+        enable();
+        let spin = |ms: u64| {
+            let t = std::time::Instant::now();
+            let mut x = 0u64;
+            while t.elapsed() < std::time::Duration::from_millis(ms) {
+                x = std::hint::black_box(x.wrapping_add(1));
+            }
+        };
+        std::thread::Builder::new()
+            .name("unit-recorder".into())
+            .spawn(move || {
+                {
+                    let _outer = span!("unit.outer");
+                    spin(2);
+                    {
+                        let _inner = span!("unit.inner");
+                        spin(4);
+                    }
+                }
+                flush();
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let m = manifest("unit");
+        disable();
+        reset();
+        let (outer, inner) = (&m.spans["unit.outer"], &m.spans["unit.inner"]);
+        // A busy span's CPU time is positive and inside its wall window.
+        for s in [outer, inner] {
+            assert!(
+                0 < s.cpu_ns && s.cpu_ns <= s.wall_ns,
+                "cpu {} wall {}",
+                s.cpu_ns,
+                s.wall_ns
+            );
+            assert_eq!(s.threads.iter().collect::<Vec<_>>(), ["unit-recorder"]);
+        }
+        // The inner span has no children; the outer one's self time is its
+        // wall minus the inner span's.
+        assert_eq!(inner.self_ns, inner.wall_ns);
+        assert_eq!(outer.self_ns, outer.wall_ns - inner.wall_ns);
+        assert!(outer.self_ns >= 2_000_000, "outer self {}", outer.self_ns);
     }
 
     #[test]

@@ -30,8 +30,9 @@ use crate::metrics::{Histogram, MetricsSnapshot, SpanStats, N_BUCKETS};
 pub const SCHEMA_NAME: &str = "hf-obs";
 
 /// Manifest schema version. Bump only on layout changes; the parser
-/// rejects any other version.
-pub const SCHEMA_VERSION: u32 = 1;
+/// rejects any other version. Version 2 gave each span its self time
+/// (`self_ns`) and the threads that recorded it (`threads`).
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Name of the manifest file inside a manifest directory.
 pub const METRICS_FILE: &str = "metrics.json";
@@ -110,6 +111,7 @@ impl RunManifest {
     pub fn zero_timings(&mut self) {
         for s in self.spans.values_mut() {
             s.wall_ns = 0;
+            s.self_ns = 0;
             s.cpu_ns = 0;
             s.max_wall_ns = 0;
         }
@@ -187,13 +189,21 @@ impl RunManifest {
         for (i, (k, s)) in self.spans.iter().enumerate() {
             o.push_str(if i == 0 { "\n" } else { ",\n" });
             o.push_str(&format!(
-                "    {}: {{\"count\": {}, \"wall_ns\": {}, \"cpu_ns\": {}, \"max_wall_ns\": {}}}",
+                "    {}: {{\"count\": {}, \"wall_ns\": {}, \"self_ns\": {}, \"cpu_ns\": {}, \"max_wall_ns\": {}, \"threads\": [",
                 json::string(k),
                 s.count,
                 s.wall_ns,
+                s.self_ns,
                 s.cpu_ns,
                 s.max_wall_ns
             ));
+            for (i, t) in s.threads.iter().enumerate() {
+                if i > 0 {
+                    o.push_str(", ");
+                }
+                o.push_str(&json::string(t));
+            }
+            o.push_str("]}");
         }
         o.push_str(if self.spans.is_empty() {
             "}\n"
@@ -371,14 +381,33 @@ fn parse_histogram(v: &Json) -> Result<Histogram, ManifestError> {
 }
 
 fn parse_span(v: &Json) -> Result<SpanStats, ManifestError> {
-    let [count, wall_ns, cpu_ns, max_wall_ns] =
-        fields(v, "span", ["count", "wall_ns", "cpu_ns", "max_wall_ns"])?;
-    Ok(SpanStats {
+    let [count, wall_ns, self_ns, cpu_ns, max_wall_ns, threads] = fields(
+        v,
+        "span",
+        [
+            "count",
+            "wall_ns",
+            "self_ns",
+            "cpu_ns",
+            "max_wall_ns",
+            "threads",
+        ],
+    )?;
+    let mut s = SpanStats {
         count: count.as_u64("count")?,
         wall_ns: wall_ns.as_u64("wall_ns")?,
+        self_ns: self_ns.as_u64("self_ns")?,
         cpu_ns: cpu_ns.as_u64("cpu_ns")?,
         max_wall_ns: max_wall_ns.as_u64("max_wall_ns")?,
-    })
+        threads: Default::default(),
+    };
+    for t in threads.as_array("threads")? {
+        let t = t.as_str("thread")?;
+        if !s.threads.insert(t.to_string()) {
+            return Err(ManifestError::new(format!("repeated span thread {t:?}")));
+        }
+    }
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -401,8 +430,10 @@ mod tests {
             SpanStats {
                 count: 4,
                 wall_ns: 400,
+                self_ns: 40,
                 cpu_ns: 300,
                 max_wall_ns: 150,
+                threads: ["main".to_string(), "producer".to_string()].into(),
             },
         );
         RunManifest::from_snapshot("unit test", snap)
@@ -454,24 +485,29 @@ mod tests {
     #[test]
     fn parser_rejects_bad_manifests() {
         // A valid manifest; each row makes one edit to it.
-        const OK: &str = r#"{"schema": "hf-obs", "schema_version": 1, "tool": "t",
+        const OK: &str = r#"{"schema": "hf-obs", "schema_version": 2, "tool": "t",
             "counters": {}, "gauges": {},
             "histograms": {"h": {"count": 1, "sum": 0, "min": 0, "max": 0, "buckets": [[0, 1]]}},
-            "spans": {"s": {"count": 1, "wall_ns": 2, "cpu_ns": 3, "max_wall_ns": 2}}}"#;
+            "spans": {"s": {"count": 1, "wall_ns": 2, "self_ns": 1, "cpu_ns": 3, "max_wall_ns": 2, "threads": ["main"]}}}"#;
         RunManifest::parse_json(OK).expect("the unedited manifest parses");
         let histogram = r#"{"count": 1, "sum": 0, "min": 0, "max": 0, "buckets": [[0, 1]]}"#;
-        let span = r#"{"count": 1, "wall_ns": 2, "cpu_ns": 3, "max_wall_ns": 2}"#;
+        let span = r#"{"count": 1, "wall_ns": 2, "self_ns": 1, "cpu_ns": 3, "max_wall_ns": 2, "threads": ["main"]}"#;
         for (what, from, to) in [
             ("not json", OK, "hello"),
             ("wrong schema", r#""hf-obs""#, r#""nope""#),
             (
                 "wrong version",
-                r#""schema_version": 1"#,
+                r#""schema_version": 2"#,
                 r#""schema_version": 99"#,
             ),
             (
-                "version past u32",
+                "version 1 (spans without self time or threads)",
+                r#""schema_version": 2"#,
                 r#""schema_version": 1"#,
+            ),
+            (
+                "version past u32",
+                r#""schema_version": 2"#,
                 r#""schema_version": 4294967297"#,
             ),
             (
@@ -515,6 +551,9 @@ mod tests {
                 r#"{"count": 1, "wall_ns""#,
                 r#"{"count": 1, "count": 1, "wall_ns""#,
             ),
+            ("span missing self time", r#""self_ns": 1, "#, ""),
+            ("repeated span thread", r#"["main"]"#, r#"["main", "main"]"#),
+            ("span thread not a string", r#"["main"]"#, "[1]"),
         ] {
             assert_eq!(OK.matches(from).count(), 1, "{what}: one place to edit");
             let text = OK.replacen(from, to, 1);

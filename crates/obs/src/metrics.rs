@@ -12,12 +12,13 @@
 //!   gauge reports the high-water mark across all threads that set it);
 //! * histograms: elementwise saturating bucket addition plus min/max
 //!   combine ([`Histogram::merge`]);
-//! * spans: count/total adds plus max combine ([`SpanStats::merge`]).
+//! * spans: count/total adds, max combine and recording-thread union
+//!   ([`SpanStats::merge`]).
 //!
 //! [`merge`]: MetricsSnapshot::merge
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const N_BUCKETS: usize = 65;
@@ -119,25 +120,37 @@ impl Histogram {
     }
 }
 
-/// Aggregated timing of one span name: how often it ran and for how long.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Aggregated timing of one span name: how often it ran, for how long,
+/// how much of that its child spans do not account for, and on which
+/// threads.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanStats {
     /// Completed executions.
     pub count: u64,
     /// Total wall-clock nanoseconds across executions (saturating).
     pub wall_ns: u64,
+    /// Self time: total wall-clock nanoseconds not covered by a child span
+    /// opened inside an execution on the same thread (saturating). A
+    /// parent whose self time is a small share of its wall is accounted
+    /// for by its children.
+    pub self_ns: u64,
     /// Total on-CPU nanoseconds across executions (saturating;
-    /// best-effort — 0 on platforms without a thread CPU clock).
+    /// best-effort — 0 on platforms without a thread CPU clock). Each
+    /// execution's CPU window lies inside its wall window.
     pub cpu_ns: u64,
     /// Longest single execution, wall-clock nanoseconds.
     pub max_wall_ns: u64,
+    /// Names of the threads that recorded it (`unnamed` for a thread
+    /// without one; [`crate::overlapped`]'s helper is `producer`).
+    pub threads: BTreeSet<String>,
 }
 
 impl SpanStats {
     /// Record one completed execution.
-    pub fn record(&mut self, wall_ns: u64, cpu_ns: u64) {
+    pub fn record(&mut self, wall_ns: u64, self_ns: u64, cpu_ns: u64) {
         self.count = self.count.saturating_add(1);
         self.wall_ns = self.wall_ns.saturating_add(wall_ns);
+        self.self_ns = self.self_ns.saturating_add(self_ns);
         self.cpu_ns = self.cpu_ns.saturating_add(cpu_ns);
         self.max_wall_ns = self.max_wall_ns.max(wall_ns);
     }
@@ -146,8 +159,10 @@ impl SpanStats {
     pub fn merge(&mut self, other: &SpanStats) {
         self.count = self.count.saturating_add(other.count);
         self.wall_ns = self.wall_ns.saturating_add(other.wall_ns);
+        self.self_ns = self.self_ns.saturating_add(other.self_ns);
         self.cpu_ns = self.cpu_ns.saturating_add(other.cpu_ns);
         self.max_wall_ns = self.max_wall_ns.max(other.max_wall_ns);
+        self.threads.extend(other.threads.iter().cloned());
     }
 }
 
@@ -181,8 +196,8 @@ impl LocalBuf {
         self.histograms.entry(name).or_default().record(v);
     }
 
-    pub(crate) fn span_record(&mut self, name: Name, wall_ns: u64, cpu_ns: u64) {
-        self.spans.entry(name).or_default().record(wall_ns, cpu_ns);
+    pub(crate) fn span_record(&mut self, name: Name, wall_ns: u64, self_ns: u64, cpu_ns: u64) {
+        (self.spans.entry(name).or_default()).record(wall_ns, self_ns, cpu_ns);
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -193,17 +208,22 @@ impl LocalBuf {
     }
 
     /// The buffer as a name-sorted snapshot, the form the process-wide
-    /// store merges in. Each name appears once in a buffer, so nothing
-    /// combines here.
-    pub(crate) fn into_snapshot(self) -> MetricsSnapshot {
+    /// store merges in, with every span credited to `thread`, the thread
+    /// that recorded the buffer. Each name appears once in a buffer, so
+    /// nothing combines here.
+    pub(crate) fn into_snapshot(self, thread: &str) -> MetricsSnapshot {
         fn owned<V>(m: HashMap<Name, V>) -> BTreeMap<String, V> {
             m.into_iter().map(|(k, v)| (k.into_owned(), v)).collect()
+        }
+        let mut spans = owned(self.spans);
+        for s in spans.values_mut() {
+            s.threads.insert(thread.to_string());
         }
         MetricsSnapshot {
             counters: owned(self.counters),
             gauges: owned(self.gauges),
             histograms: owned(self.histograms),
-            spans: owned(self.spans),
+            spans,
         }
     }
 }
@@ -305,13 +325,13 @@ mod tests {
         // The process-wide store's shape: one snapshot behind one lock, each
         // flushed buffer merged in.
         let reg = std::sync::Mutex::new(MetricsSnapshot::new());
-        let absorb = |buf: LocalBuf| reg.lock().unwrap().merge(&buf.into_snapshot());
+        let absorb = |buf: LocalBuf| reg.lock().unwrap().merge(&buf.into_snapshot("t"));
         let mut buf = LocalBuf::default();
         buf.counter_add(Cow::Borrowed("a"), 2);
         buf.counter_add(Cow::Borrowed("a"), 3);
         buf.gauge_set(Cow::Borrowed("g"), 7);
         buf.observe(Cow::Borrowed("h"), 42);
-        buf.span_record(Cow::Borrowed("s"), 10, 5);
+        buf.span_record(Cow::Borrowed("s"), 10, 4, 5);
         absorb(buf);
         let mut buf2 = LocalBuf::default();
         buf2.counter_add(Cow::Borrowed("a"), 1);
@@ -322,6 +342,8 @@ mod tests {
         assert_eq!(snap.gauges["g"], 7);
         assert_eq!(snap.histograms["h"].count, 1);
         assert_eq!(snap.spans["s"].count, 1);
+        assert_eq!(snap.spans["s"].self_ns, 4);
+        assert_eq!(snap.spans["s"].threads, BTreeSet::from(["t".to_string()]));
         *reg.lock().unwrap() = MetricsSnapshot::new();
         assert!(reg.lock().unwrap().is_empty());
     }

@@ -1,10 +1,15 @@
 //! Span timing: RAII guards measuring wall/CPU time of a named phase.
 //!
 //! A [`SpanGuard`] pushes its name on a thread-local stack at creation and
-//! records a [`crate::metrics::SpanStats`] sample when dropped. The stack
-//! exists purely for observability hygiene: [`crate::span_depth`] lets
-//! tests prove that arbitrary (lexically scoped) nesting always balances
-//! back to zero, and a debug assertion catches out-of-order drops early.
+//! records a [`crate::metrics::SpanStats`] sample when dropped. Each stack
+//! entry sums the wall time of the spans that closed directly inside it,
+//! so a span's self time is its wall minus that sum. The stack also
+//! serves observability hygiene: [`crate::span_depth`] lets tests prove
+//! that arbitrary (lexically scoped) nesting always balances back to zero,
+//! and a debug assertion catches out-of-order drops early.
+//!
+//! The clocks are read so that a span's CPU window lies inside its wall
+//! window: wall then CPU at the start, CPU then wall at the end.
 //!
 //! Guards are inert when recording is disabled — creating one then is two
 //! relaxed atomic loads and no allocation.
@@ -50,10 +55,10 @@ impl Drop for SpanGuard {
         let Some(name) = self.name.take() else {
             return;
         };
-        let wall = crate::clock::wall_ns_since(self.start);
         let cpu = crate::clock::thread_cpu_ns().saturating_sub(self.cpu_start);
-        crate::stack_pop(&name);
-        crate::record_span(name, wall, cpu);
+        let wall = crate::clock::wall_ns_since(self.start);
+        let children = crate::stack_pop(&name, wall);
+        crate::record_span(name, wall, wall.saturating_sub(children), cpu);
     }
 }
 

@@ -6,21 +6,36 @@
 //! same rules apply to Telnet. [`AuthPolicy`] encodes that as data so tests
 //! and ablations can vary it.
 
+use std::borrow::Cow;
+
 /// A username/password pair offered at login.
+///
+/// Each string is a `Cow`: what a client sent over the wire is owned
+/// ([`Credentials::new`]), while a simulated attacker drawing from a static
+/// dictionary borrows it ([`Credentials::from_static`]) and allocates
+/// nothing. Equality, ordering and hashing compare the text either way.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Credentials {
     /// Login name.
-    pub username: String,
+    pub username: Cow<'static, str>,
     /// Password string.
-    pub password: String,
+    pub password: Cow<'static, str>,
 }
 
 impl Credentials {
-    /// Convenience constructor.
+    /// Credentials holding their own copies of `username` and `password`.
     pub fn new(username: &str, password: &str) -> Self {
         Credentials {
-            username: username.to_string(),
-            password: password.to_string(),
+            username: Cow::Owned(username.to_string()),
+            password: Cow::Owned(password.to_string()),
+        }
+    }
+
+    /// Credentials that borrow static strings: no allocation.
+    pub const fn from_static(username: &'static str, password: &'static str) -> Self {
+        Credentials {
+            username: Cow::Borrowed(username),
+            password: Cow::Borrowed(password),
         }
     }
 }
@@ -70,7 +85,7 @@ impl AuthPolicy {
     /// Evaluate one attempt.
     pub fn check(&self, creds: &Credentials) -> AuthOutcome {
         if creds.username == self.required_username
-            && !self.denied_passwords.contains(&creds.password)
+            && !self.denied_passwords.iter().any(|p| *p == creds.password)
         {
             AuthOutcome::Accepted
         } else {
@@ -119,6 +134,22 @@ mod tests {
                 "user {user} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn borrowed_and_owned_credentials_compare_by_text() {
+        let owned = Credentials::new("root", "1234");
+        let borrowed = Credentials::from_static("root", "1234");
+        assert!(matches!(borrowed.password, Cow::Borrowed(_)));
+        assert_eq!(owned, borrowed);
+        assert_eq!(owned.cmp(&borrowed), std::cmp::Ordering::Equal);
+        assert_eq!(owned.to_string(), borrowed.to_string());
+        let p = AuthPolicy::paper();
+        assert_eq!(p.check(&borrowed), AuthOutcome::Accepted);
+        assert_eq!(
+            p.check(&Credentials::from_static("root", "root")),
+            AuthOutcome::Rejected
+        );
     }
 
     #[test]

@@ -145,12 +145,7 @@ pub fn run(
         "head" => head_tail(ctx, args, stdin, true, out, paths),
         "tail" => head_tail(ctx, args, stdin, false, out, paths),
         "grep" => grep(ctx, args, stdin, out, paths),
-        "wc" => {
-            let lines = stdin.lines().count();
-            let words = stdin.split_whitespace().count();
-            let bytes = stdin.len();
-            let _ = writeln!(out, "{lines:>8}{words:>8}{bytes:>8}");
-        }
+        "wc" => wc(args, stdin, out),
         "dd" => dd(ctx, args, stdin, out, paths),
         "df" => out.push_str(
             "Filesystem     1K-blocks    Used Available Use% Mounted on\n/dev/root        7158264 1683176   5103652  25% /\ntmpfs             512000       0    512000   0% /tmp\n",
@@ -403,24 +398,34 @@ fn ls(ctx: &mut Ctx, args: Words<'_>, out: &mut String, paths: &mut PathScratch)
         let _ = writeln!(out, "{target}");
         return;
     }
-    let mut names = ctx.vfs.list(abs).unwrap_or_default();
-    if all {
-        names.insert(0, "..".to_string());
-        names.insert(0, ".".to_string());
-    }
+    let vfs: &Vfs = ctx.vfs;
+    let Ok(entries) = vfs.entries(abs) else {
+        return;
+    };
+    let dots: &[&str] = if all { &[".", ".."] } else { &[] };
+    let names = dots.iter().copied().chain(entries);
     if long {
         for n in names {
             paths.b.clear();
             let _ = write!(paths.b, "{}/{}", abs.trim_end_matches('/'), n);
-            let is_dir = n == "." || n == ".." || ctx.vfs.is_dir(&paths.b);
-            let mode = ctx.vfs.mode(&paths.b).unwrap_or(0o755);
-            let size = ctx.vfs.size(&paths.b).unwrap_or(0);
+            let is_dir = n == "." || n == ".." || vfs.is_dir(&paths.b);
+            let mode = vfs.mode(&paths.b).unwrap_or(0o755);
+            let size = vfs.size(&paths.b).unwrap_or(0);
             out.push(if is_dir { 'd' } else { '-' });
             push_mode(out, mode);
             let _ = writeln!(out, " 1 root root {size:>8} Jan  1 00:00 {n}");
         }
-    } else if !names.is_empty() {
-        let _ = writeln!(out, "{}", names.join("  "));
+    } else {
+        let start = out.len();
+        for n in names {
+            if out.len() > start {
+                out.push_str("  ");
+            }
+            out.push_str(n);
+        }
+        if out.len() > start {
+            out.push('\n');
+        }
     }
 }
 
@@ -622,11 +627,81 @@ fn grep(ctx: &mut Ctx, args: Words<'_>, stdin: &str, out: &mut String, paths: &m
         }
         None => stdin,
     };
-    for line in text.lines() {
-        if line.contains(pattern) != invert {
-            out.push_str(line);
-            out.push('\n');
+    grep_lines(text, pattern, invert, out);
+}
+
+/// Append each line of `text` that contains `pattern` (or, with `invert`,
+/// does not) to `out`, lines as `str::lines` splits them. One searcher
+/// runs over the whole text; each match selects the line holding it, later
+/// matches in that line are skipped, and the lines between matches hold
+/// none. A match that starts inside a line but ends past it (through a
+/// trailing `\r`, or a line break in the pattern) leaves no later match
+/// inside that line either: the pattern has one length. The searcher finds
+/// non-overlapping matches, and only a match that crosses a line break can
+/// hide the first match of the next line, which needs a line break in the
+/// pattern, which no line contains.
+fn grep_lines(text: &str, pattern: &str, invert: bool, out: &mut String) {
+    let mut emit = |line: &str| {
+        out.push_str(line);
+        out.push('\n');
+    };
+    let mut matches = text.match_indices(pattern).map(|(at, _)| at);
+    let mut next_line = 0;
+    while next_line < text.len() {
+        let Some(at) = matches.find(|&at| at >= next_line) else {
+            break;
+        };
+        let start = text[..at].rfind('\n').map_or(0, |i| i + 1).max(next_line);
+        let end = text[at..].find('\n').map_or(text.len(), |i| at + i);
+        let line = match text[start..end].strip_suffix('\r') {
+            Some(stripped) if end < text.len() => stripped,
+            _ => &text[start..end],
+        };
+        if invert {
+            text[next_line..start].lines().for_each(&mut emit);
         }
+        if (at + pattern.len() <= start + line.len()) != invert {
+            emit(line);
+        }
+        next_line = end + 1;
+    }
+    if invert && next_line < text.len() {
+        text[next_line..].lines().for_each(emit);
+    }
+}
+
+/// `wc [-lwc]` over stdin. Without flags it prints lines, words and bytes;
+/// the flags select among them (alone or combined, in that fixed order),
+/// and one selected count prints bare, as busybox does.
+fn wc(args: Words<'_>, stdin: &str, out: &mut String) {
+    let (mut lines, mut words, mut bytes) = (false, false, false);
+    for flags in args.iter().filter_map(|a| a.strip_prefix('-')) {
+        lines |= flags.contains('l');
+        words |= flags.contains('w');
+        bytes |= flags.contains('c');
+    }
+    if !(lines || words || bytes) {
+        (lines, words, bytes) = (true, true, true);
+    }
+    // Only the selected counts are computed. A line is a `\n` or a last
+    // line without one, as `str::lines` counts them.
+    let count_lines = || {
+        let newlines = stdin.bytes().filter(|&b| b == b'\n').count();
+        newlines + usize::from(!stdin.is_empty() && !stdin.ends_with('\n'))
+    };
+    let counts = [
+        lines.then(count_lines),
+        words.then(|| stdin.split_whitespace().count()),
+        bytes.then_some(stdin.len()),
+    ];
+    let mut selected = counts.into_iter().flatten();
+    if usize::from(lines) + usize::from(words) + usize::from(bytes) == 1 {
+        let _ = writeln!(out, "{}", selected.next().unwrap_or(0));
+    } else {
+        for n in selected {
+            let _ = write!(out, "{n:>8}");
+        }
+        out.push('\n');
     }
 }
 
@@ -842,6 +917,7 @@ fn ftpget(ctx: &mut Ctx, argv: Words<'_>, out: &mut String, paths: &mut PathScra
 #[cfg(test)]
 mod tests {
 
+    use super::grep_lines;
     use crate::interp::{ShellSession, SyntheticFetcher};
     use crate::profile::SystemProfile;
 
@@ -947,6 +1023,53 @@ mod tests {
             s.execute("cat /tmp/t | wc").rendered,
             "       4       4      12\n"
         );
+        // Flags select counts; one count prints bare, as busybox does.
+        assert_eq!(s.execute("cat /tmp/t | wc -l").rendered, "4\n");
+        assert_eq!(s.execute("cat /tmp/t | wc -c").rendered, "12\n");
+        assert_eq!(s.execute("cat /tmp/t | wc -w").rendered, "4\n");
+        assert_eq!(
+            s.execute("cat /tmp/t | wc -c -l").rendered,
+            "       4      12\n"
+        );
+        assert_eq!(
+            s.execute("cat /tmp/t | wc -lwc").rendered,
+            "       4       4      12\n"
+        );
+        // H1's probe counts the CPUs of the node's profile.
+        assert_eq!(
+            s.execute("cat /proc/cpuinfo | grep name | wc -l").rendered,
+            format!("{}\n", s.execute("nproc").rendered.trim())
+        );
+        // grep checks each line against one search of its input: matches
+        // at line starts and ends, several per line, across \r\n endings,
+        // and a pattern no line can hold.
+        s.execute("echo -e 'ab\\r\\nxab\\nabab\\nb\\na\\n' > /tmp/g");
+        assert_eq!(s.execute("grep ab /tmp/g").rendered, "ab\nxab\nabab\n");
+        assert_eq!(s.execute("grep -v ab /tmp/g").rendered, "b\na\n\n");
+        assert_eq!(s.execute("grep b /tmp/g").rendered, "ab\nxab\nabab\nb\n");
+        assert_eq!(s.execute("grep '' /tmp/g | wc -l").rendered, "6\n");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// One search over the input selects exactly the lines a per-line
+        /// `contains` selects, over texts and patterns dense in line breaks.
+        #[test]
+        fn grep_lines_match_a_per_line_search(
+            text in "[ab\r\n]{0,24}",
+            pattern in "[ab\r\n]{0,3}",
+            invert in proptest::bool::ANY,
+        ) {
+            let mut got = String::new();
+            grep_lines(&text, &pattern, invert, &mut got);
+            let mut want = String::new();
+            for line in text.lines().filter(|l| l.contains(pattern.as_str()) != invert) {
+                want.push_str(line);
+                want.push('\n');
+            }
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

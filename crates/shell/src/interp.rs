@@ -13,8 +13,9 @@
 //! - pipeline stdin/stdout thread through reused `String` buffers that swap
 //!   rather than reallocate,
 //! - recorded commands and URIs are appended to a span arena (`EventLog`)
-//!   instead of one `String` per record; [`ShellSession::take_events`]
-//!   materialises the owned [`SessionEvents`] on demand,
+//!   instead of one `String` per record; [`ShellSession::events`] reads
+//!   them in place, and [`ShellSession::take_events`] materialises the
+//!   owned [`SessionEvents`] on demand,
 //! - scratch sets recycle across sessions through a thread-local pool, so the
 //!   warm path of `new → execute* → drop` touches the allocator only for
 //!   genuine payload data (file writes, downloads).
@@ -166,6 +167,38 @@ impl EventLog {
     }
 }
 
+/// The events a session has accumulated, borrowed from its arena (see
+/// [`ShellSession::events`]).
+#[derive(Clone, Copy)]
+pub struct EventsView<'a> {
+    log: &'a EventLog,
+}
+
+impl<'a> EventsView<'a> {
+    /// Commands in execution order: the input as typed, and whether it was
+    /// known.
+    pub fn commands(self) -> impl Iterator<Item = (&'a str, bool)> {
+        let text = self.log.text.as_str();
+        (self.log.commands.iter()).map(move |&(s, e, known)| (&text[s as usize..e as usize], known))
+    }
+
+    /// URIs in the order commands referenced them, repeats included.
+    pub fn uris(self) -> impl Iterator<Item = &'a str> {
+        let text = self.log.text.as_str();
+        (self.log.uris.iter()).map(move |&(s, e)| &text[s as usize..e as usize])
+    }
+
+    /// File events in order.
+    pub fn file_events(self) -> &'a [FileEvent] {
+        &self.log.file_events
+    }
+
+    /// Completed downloads in order: (uri, hash of the body).
+    pub fn downloads(self) -> &'a [(String, Digest)] {
+        &self.log.downloads
+    }
+}
+
 /// Per-`sh -c`-depth line state: the parse buffer plus the pipeline's
 /// stdin/stdout threading buffers and the line's rendered output.
 #[derive(Debug, Default)]
@@ -180,14 +213,16 @@ struct LineScratch {
 /// Reusable per-session scratch. Recycled across sessions through a
 /// thread-local pool so warm sessions never re-grow their buffers.
 ///
-/// Five `LineScratch` slots cover the `sh -c` recursion bound: top level is
-/// depth 0 and re-entry is allowed while `depth < 4`, so lines execute at
-/// depths 0..=4.
+/// One `LineScratch` slot per `sh -c` depth reached so far: top level is
+/// depth 0 and re-entry is allowed while `depth < 4`, so at most five. The
+/// slots live on the heap, so a session (and the honeypot driver holding
+/// it) stays small to move.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
-    lines: [LineScratch; 5],
+    lines: Vec<LineScratch>,
     paths: PathScratch,
     spare_events: EventLog,
+    spare_cwd: String,
 }
 
 thread_local! {
@@ -226,15 +261,32 @@ pub struct ShellSession {
 }
 
 impl ShellSession {
-    /// Start a session on a freshly seeded filesystem.
+    /// Start a session on a freshly seeded filesystem. This builds the
+    /// whole image; a honeypot node builds it once and starts each session
+    /// on it with [`ShellSession::on_image`].
     pub fn new(profile: impl Into<Arc<SystemProfile>>, fetcher: Box<dyn RemoteFetcher>) -> Self {
         let profile = profile.into();
-        let vfs = Vfs::seeded_cached(&profile);
+        let image = Vfs::seeded(&profile);
+        Self::on_image(profile, &image, fetcher)
+    }
+
+    /// Start a session on a private copy-on-write view of `image`, the
+    /// node's seeded filesystem: the view costs one reference count, and
+    /// the session's writes never reach `image`. With a warm scratch pool
+    /// on this thread, starting (and dropping) a session allocates nothing.
+    pub fn on_image(
+        profile: Arc<SystemProfile>,
+        image: &Vfs,
+        fetcher: Box<dyn RemoteFetcher>,
+    ) -> Self {
         let mut scratch = scratch_from_pool();
         let events = mem::take(&mut scratch.spare_events);
+        let mut cwd = mem::take(&mut scratch.spare_cwd);
+        cwd.clear();
+        cwd.push_str("/root");
         ShellSession {
-            vfs,
-            cwd: "/root".to_string(),
+            vfs: image.clone(),
+            cwd,
             profile,
             fetcher,
             events,
@@ -264,36 +316,42 @@ impl ShellSession {
         &self.vfs
     }
 
-    /// Take the accumulated events, resetting the log (arena capacity is
-    /// kept, so a pooled session's next run stays allocation-free).
+    /// Take the accumulated events as owned [`SessionEvents`], resetting
+    /// the log (arena capacity is kept). The honeypot reads
+    /// [`ShellSession::events`] instead, which copies nothing.
     pub fn take_events(&mut self) -> SessionEvents {
-        let ev = &mut self.events;
-        let commands = ev
-            .commands
-            .iter()
-            .map(|&(s, e, known)| CommandRecord {
-                input: ev.text[s as usize..e as usize].to_string(),
+        let view = self.events();
+        let commands = view
+            .commands()
+            .map(|(input, known)| CommandRecord {
+                input: input.to_string(),
                 known,
             })
             .collect();
-        let mut uris: Vec<String> = ev
-            .uris
-            .iter()
-            .map(|&(s, e)| ev.text[s as usize..e as usize].to_string())
-            .collect();
+        let mut uris: Vec<String> = view.uris().map(str::to_string).collect();
         uris.sort();
         uris.dedup();
-        let file_events = ev.file_events.drain(..).collect();
-        let downloads = ev.downloads.drain(..).collect();
-        ev.text.clear();
-        ev.commands.clear();
-        ev.uris.clear();
-        SessionEvents {
+        let ev = &mut self.events;
+        let events = SessionEvents {
             commands,
-            file_events,
+            file_events: ev.file_events.drain(..).collect(),
             uris,
-            downloads,
-        }
+            downloads: ev.downloads.drain(..).collect(),
+        };
+        ev.clear();
+        events
+    }
+
+    /// The events accumulated since the last [`ShellSession::clear_events`]
+    /// (or [`ShellSession::take_events`]), borrowed from the session's
+    /// arena.
+    pub fn events(&self) -> EventsView<'_> {
+        EventsView { log: &self.events }
+    }
+
+    /// Forget the accumulated events, keeping the arena's capacity.
+    pub fn clear_events(&mut self) {
+        self.events.clear();
     }
 
     /// Execute one input line (may contain multiple statements), returning
@@ -315,7 +373,7 @@ impl ShellSession {
     /// execute per session).
     pub fn execute_parsed_quiet(&mut self, buf: &LineBuf) -> QuietExec {
         let d = self.depth as usize;
-        let mut ls = mem::take(&mut self.scratch.lines[d]);
+        let mut ls = self.take_line_scratch(d);
         ls.rendered.clear();
         let commands_run = self.run_statements(buf, &mut ls);
         self.scratch.lines[d] = ls;
@@ -329,7 +387,7 @@ impl ShellSession {
     /// rendered output in that slot. Returns the simple-command count.
     fn run_line_at_depth(&mut self, line: &str) -> usize {
         let d = self.depth as usize;
-        let mut ls = mem::take(&mut self.scratch.lines[d]);
+        let mut ls = self.take_line_scratch(d);
         let mut buf = mem::take(&mut ls.buf);
         buf.parse(line);
         ls.rendered.clear();
@@ -337,6 +395,16 @@ impl ShellSession {
         ls.buf = buf;
         self.scratch.lines[d] = ls;
         commands_run
+    }
+
+    /// Take depth `d`'s line scratch out of its slot (the caller puts it
+    /// back), adding the slot the first time this scratch reaches `d`.
+    fn take_line_scratch(&mut self, d: usize) -> LineScratch {
+        let lines = &mut self.scratch.lines;
+        if lines.len() <= d {
+            lines.resize_with(d + 1, LineScratch::default);
+        }
+        mem::take(&mut lines[d])
     }
 
     /// Run all statements of a parsed line. `ls` carries the pipeline
@@ -561,6 +629,7 @@ impl Drop for ShellSession {
         events.clear();
         let mut scratch = mem::take(&mut self.scratch);
         scratch.spare_events = events;
+        scratch.spare_cwd = mem::take(&mut self.cwd);
         scratch_to_pool(scratch);
     }
 }

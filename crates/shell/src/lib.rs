@@ -36,8 +36,8 @@ pub mod uri;
 pub mod vfs;
 
 pub use interp::{
-    CommandRecord, ExecResult, FileEvent, FileOp, NullFetcher, QuietExec, RemoteFetcher,
-    SessionEvents, ShellSession, SyntheticFetcher,
+    CommandRecord, EventsView, ExecResult, FileEvent, FileOp, NullFetcher, QuietExec,
+    RemoteFetcher, SessionEvents, ShellSession, SyntheticFetcher,
 };
 pub use lexer::{
     for_each_command_head, split_statements, LineBuf, Redirection, SimpleCommand, Statement,

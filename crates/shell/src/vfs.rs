@@ -6,14 +6,15 @@
 //! All honeypot sessions share the same initial image but mutate a private
 //! copy, exactly like Cowrie's per-session copy-on-login filesystem.
 //!
-//! The tree is copy-on-write: children are `Arc`-shared, so cloning a `Vfs`
-//! (one per session) only copies the root directory's child map, and the
-//! first mutation along a path copies just that path ([`Arc::make_mut`]).
-//! [`Vfs::seeded_cached`] additionally memoizes the seeded image per
-//! [`SystemProfile`] per thread, since the farm cycles through a small fixed
-//! set of profiles — building the seed image once instead of once per session.
+//! The tree is copy-on-write from the root down: the root and every child
+//! are `Arc`-shared and directory names are `Arc<str>`, so cloning a `Vfs`
+//! (one per session) costs one reference count, a session that only reads
+//! copies nothing, and the first mutation along a path copies just the
+//! directories on that path ([`Arc::make_mut`]), each as a B-tree of shared
+//! names and children. Each honeypot node builds its seeded image once
+//! (`HoneypotConfig` in `hf-honeypot` holds it) and starts every session on
+//! a clone of it.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -22,8 +23,9 @@ use crate::profile::SystemProfile;
 /// Node type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeKind {
-    /// Directory with named children, `Arc`-shared for cheap session clones.
-    Dir(BTreeMap<String, Arc<Node>>),
+    /// Directory with named children; names and children are `Arc`-shared,
+    /// so copying a directory on write copies only its B-tree nodes.
+    Dir(BTreeMap<Arc<str>, Arc<Node>>),
     /// Regular file with content.
     File(Vec<u8>),
 }
@@ -81,10 +83,10 @@ impl std::fmt::Display for VfsError {
 
 impl std::error::Error for VfsError {}
 
-/// The virtual filesystem.
+/// The virtual filesystem. Cloning it shares the whole tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vfs {
-    root: Node,
+    root: Arc<Node>,
 }
 
 /// Normalize a path against a current working directory: makes it absolute and
@@ -126,16 +128,12 @@ pub fn resolve_path_into(cwd: &str, path: &str, out: &mut String) {
     }
 }
 
-thread_local! {
-    /// Per-thread memo of seeded images. The farm derives profiles from a
-    /// small cyclic index, so this stays tiny; linear scan beats hashing.
-    static SEEDED: RefCell<Vec<(SystemProfile, Vfs)>> = const { RefCell::new(Vec::new()) };
-}
-
 impl Vfs {
     /// An empty filesystem (just `/`).
     pub fn empty() -> Self {
-        Vfs { root: Node::dir() }
+        Vfs {
+            root: Arc::new(Node::dir()),
+        }
     }
 
     /// A busybox-style image parameterized by the machine profile.
@@ -220,20 +218,6 @@ impl Vfs {
         fs
     }
 
-    /// [`Vfs::seeded`], memoized per profile per thread. The returned image
-    /// shares all subtrees with the cached copy; mutations copy-on-write.
-    pub fn seeded_cached(profile: &SystemProfile) -> Self {
-        SEEDED.with(|cell| {
-            let mut cache = cell.borrow_mut();
-            if let Some((_, fs)) = cache.iter().find(|(p, _)| p == profile) {
-                return fs.clone();
-            }
-            let fs = Vfs::seeded(profile);
-            cache.push((profile.clone(), fs.clone()));
-            fs
-        })
-    }
-
     fn lookup(&self, abs: &str) -> Option<&Node> {
         let mut cur = &self.root;
         for comp in abs.split('/').filter(|c| !c.is_empty()) {
@@ -246,9 +230,10 @@ impl Vfs {
     }
 
     /// Walk to a node for mutation, copy-on-writing each shared `Arc` along
-    /// the path.
+    /// the path. A path that does not exist copies nothing.
     fn lookup_mut(&mut self, abs: &str) -> Option<&mut Node> {
-        let mut cur = &mut self.root;
+        self.lookup(abs)?;
+        let mut cur = Arc::make_mut(&mut self.root);
         for comp in abs.split('/').filter(|c| !c.is_empty()) {
             match &mut cur.kind {
                 NodeKind::Dir(children) => cur = Arc::make_mut(children.get_mut(comp)?),
@@ -312,7 +297,7 @@ impl Vfs {
                         NodeKind::Dir(_) => Err(VfsError::WrongKind(abs.to_string())),
                     }
                 } else {
-                    children.insert(name.to_string(), Arc::new(Node::file(content, mode)));
+                    children.insert(Arc::from(name), Arc::new(Node::file(content, mode)));
                     Ok(false)
                 }
             }
@@ -334,17 +319,20 @@ impl Vfs {
         self.write_file(abs, content, 0o644)
     }
 
-    /// Create a directory and all parents.
+    /// Create a directory and all parents. A directory that already exists
+    /// is left shared: nothing is copied and no name is allocated.
     pub fn mkdir_p(&mut self, abs: &str) -> Result<(), VfsError> {
-        let mut cur = &mut self.root;
+        if self.is_dir(abs) {
+            return Ok(());
+        }
+        let mut cur = Arc::make_mut(&mut self.root);
         for comp in abs.split('/').filter(|c| !c.is_empty()) {
             match &mut cur.kind {
                 NodeKind::Dir(children) => {
-                    cur = Arc::make_mut(
-                        children
-                            .entry(comp.to_string())
-                            .or_insert_with(|| Arc::new(Node::dir())),
-                    );
+                    if !children.contains_key(comp) {
+                        children.insert(Arc::from(comp), Arc::new(Node::dir()));
+                    }
+                    cur = Arc::make_mut(children.get_mut(comp).expect("just ensured"));
                 }
                 NodeKind::File(_) => return Err(VfsError::WrongKind(abs.to_string())),
             }
@@ -359,6 +347,9 @@ impl Vfs {
     pub fn remove(&mut self, abs: &str) -> Result<(), VfsError> {
         let (parent, name) =
             Self::parent_and_name(abs).ok_or_else(|| VfsError::Exists("/".to_string()))?;
+        if !self.exists(abs) {
+            return Err(VfsError::NotFound(abs.to_string()));
+        }
         match self.lookup_mut(parent) {
             Some(Node {
                 kind: NodeKind::Dir(children),
@@ -395,14 +386,14 @@ impl Vfs {
         })
     }
 
-    /// Sorted child names of a directory.
-    pub fn list(&self, abs: &str) -> Result<Vec<String>, VfsError> {
+    /// Sorted child names of a directory, borrowed from the tree.
+    pub fn entries(&self, abs: &str) -> Result<impl Iterator<Item = &str>, VfsError> {
         match self.lookup(abs) {
             None => Err(VfsError::NotFound(abs.to_string())),
             Some(Node {
                 kind: NodeKind::Dir(children),
                 ..
-            }) => Ok(children.keys().cloned().collect()),
+            }) => Ok(children.keys().map(|k| &**k)),
             Some(_) => Err(VfsError::WrongKind(abs.to_string())),
         }
     }
@@ -467,7 +458,7 @@ mod tests {
         let mut fs = Vfs::empty();
         fs.mkdir_p("/a/b/c").unwrap();
         fs.write_file("/a/b/x", b"", 0o644).unwrap();
-        assert_eq!(fs.list("/a/b").unwrap(), vec!["c", "x"]);
+        assert_eq!(fs.entries("/a/b").unwrap().collect::<Vec<_>>(), ["c", "x"]);
         assert!(fs.is_dir("/a/b/c"));
     }
 
@@ -537,11 +528,26 @@ mod tests {
     }
 
     #[test]
-    fn seeded_cached_matches_seeded() {
-        let p = SystemProfile::for_node(7);
-        assert_eq!(Vfs::seeded_cached(&p), Vfs::seeded(&p));
-        // Second hit comes from the memo and must be identical too.
-        assert_eq!(Vfs::seeded_cached(&p), Vfs::seeded(&p));
+    fn clones_share_every_node_until_a_write_copies_its_path() {
+        let base = Vfs::seeded(&SystemProfile::default());
+        let mut fs = base.clone();
+        // Reads, an existing directory and misses leave the tree shared.
+        assert!(fs.read_file("/proc/cpuinfo").is_ok());
+        fs.mkdir_p("/root").unwrap();
+        assert!(fs.remove("/tmp/missing").is_err());
+        assert!(fs.chmod("/nope/x", 0o777).is_err());
+        assert!(Arc::ptr_eq(&fs.root, &base.root));
+        // A write copies the root and the directories on its path only.
+        fs.write_file("/root/.ssh/authorized_keys", b"k", 0o600)
+            .unwrap();
+        assert!(!Arc::ptr_eq(&fs.root, &base.root));
+        let child = |v: &Vfs, name: &str| match &v.root.kind {
+            NodeKind::Dir(children) => Arc::clone(&children[name]),
+            NodeKind::File(_) => unreachable!("the root is a directory"),
+        };
+        assert!(!Arc::ptr_eq(&child(&fs, "root"), &child(&base, "root")));
+        assert!(Arc::ptr_eq(&child(&fs, "bin"), &child(&base, "bin")));
+        assert!(Arc::ptr_eq(&child(&fs, "proc"), &child(&base, "proc")));
     }
 
     #[test]

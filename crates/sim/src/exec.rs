@@ -8,6 +8,7 @@ use hf_agents::credentials::CredentialModel;
 use hf_agents::{Behavior, ClientPool, SessionPlan};
 use hf_farm::{FarmPlan, TagDb};
 use hf_hash::{Digest, Sha256};
+use hf_honeypot::record::RecordSpares;
 use hf_honeypot::{HoneypotConfig, SessionDriver, SessionRecord};
 use hf_proto::creds::Credentials;
 use hf_proto::ssh_ident::CLIENT_BANNERS;
@@ -121,6 +122,7 @@ impl PreparedScripts {
 
     /// Ensure every script a day's plans will execute is prepared.
     pub fn prepare_day(&mut self, ctx: &ExecCtx<'_>, plans: &[SessionPlan]) {
+        let _span = hf_obs::span!("sim.prepare_day");
         for plan in plans {
             match plan.behavior {
                 Behavior::Script { campaign } => {
@@ -206,25 +208,39 @@ pub struct ExecCtx<'a> {
     pub pool: &'a ClientPool,
 }
 
-/// Build the per-honeypot configs once; sessions share them.
+/// Build the per-honeypot configs once; sessions share them. Nodes that
+/// present the same machine profile share one config, and so one seeded
+/// filesystem image: the farm's 221 nodes cycle through 64 profiles.
 pub fn build_configs(plan: &FarmPlan) -> Vec<Arc<HoneypotConfig>> {
-    plan.nodes
-        .iter()
-        .map(|n| Arc::new(HoneypotConfig::paper(n.profile())))
-        .collect()
+    HoneypotConfig::per_node(plan.nodes.iter().map(|n| n.profile()))
 }
 
 /// Execute a plan with full shell emulation against day-prepared scripts:
-/// the real per-session shell runs (fresh VFS, real events, real timing),
-/// but script lines come pre-parsed from [`PreparedScripts::prepare_day`]
-/// and campaign payload digests are pre-computed. Byte-identical to the
-/// test-only reference `execute_plan` for the same plan; a missing entry is
-/// a pre-pass coverage bug surfaced as a typed [`SimError`].
+/// the real per-session shell runs (a private copy-on-write view of the
+/// node's filesystem, real events, real timing), but script lines come
+/// pre-parsed from [`PreparedScripts::prepare_day`] and campaign payload
+/// digests are pre-computed. Byte-identical to the test-only reference
+/// `execute_plan` for the same plan; a missing entry is a pre-pass coverage
+/// bug surfaced as a typed [`SimError`].
 pub fn execute_plan_full(
     ctx: &ExecCtx<'_>,
     plan: &SessionPlan,
     tags: &mut TagDb,
     prepared: &PreparedScripts,
+) -> Result<SessionRecord, SimError> {
+    execute_plan_reusing(ctx, plan, tags, prepared, &mut RecordSpares::default())
+}
+
+/// [`execute_plan_full`] building the record out of `spares`' buffers
+/// where they have one: the day loop's path, which reclaims each batch's
+/// records into its spares before it produces the next batch. The record
+/// is the one [`execute_plan_full`] returns.
+pub fn execute_plan_reusing(
+    ctx: &ExecCtx<'_>,
+    plan: &SessionPlan,
+    tags: &mut TagDb,
+    prepared: &PreparedScripts,
+    spares: &mut RecordSpares,
 ) -> Result<SessionRecord, SimError> {
     let (lines, fetcher): (&[PreparedLine], Box<dyn RemoteFetcher>) = match plan.behavior {
         Behavior::Script { campaign } => {
@@ -255,7 +271,7 @@ pub fn execute_plan_full(
         ctx,
         plan,
         tags,
-        fetcher,
+        (fetcher, spares),
         lines,
         |driver, line, think_secs| {
             driver
@@ -289,7 +305,7 @@ fn execute_plan(ctx: &ExecCtx<'_>, plan: &SessionPlan, tags: &mut TagDb) -> Sess
         ctx,
         plan,
         tags,
-        fetcher,
+        (fetcher, &mut RecordSpares::default()),
         &lines,
         |driver, line, think_secs| {
             let transfers = transfer_count(line);
@@ -304,12 +320,13 @@ fn execute_plan(ctx: &ExecCtx<'_>, plan: &SessionPlan, tags: &mut TagDb) -> Sess
 /// caller holds it; `run_line` executes one line after `think_secs` and
 /// returns the number of transfers it started, or `None` once the session
 /// has ended. That is the only part [`execute_plan_full`] and its test-only
-/// reference `execute_plan` do differently.
+/// reference `execute_plan` do differently. The record is built out of
+/// `spares`, which get back what it did not use.
 fn run_session<L>(
     ctx: &ExecCtx<'_>,
     plan: &SessionPlan,
     tags: &mut TagDb,
-    fetcher: Box<dyn RemoteFetcher>,
+    (fetcher, spares): (Box<dyn RemoteFetcher>, &mut RecordSpares),
     lines: &[L],
     run_line: impl Fn(&mut SessionDriver, &L, u32) -> Option<u32>,
 ) -> SessionRecord {
@@ -326,7 +343,8 @@ fn run_session<L>(
         rng.gen_range(1024..65_535),
         start,
         fetcher,
-    );
+    )
+    .with_spares(std::mem::take(spares));
 
     if plan.protocol == Protocol::Ssh {
         driver.client_banner(CLIENT_BANNERS[rng.gen_range(0..CLIENT_BANNERS.len())]);
@@ -383,12 +401,15 @@ fn run_session<L>(
                 }
             }
             close_or_idle_out(&mut driver, &mut rng, 20);
-            let record = driver.into_record();
-            tag_hashes(tags, &record, spec.tag.label(), &spec.name);
-            return record;
         }
     }
-    driver.into_record()
+    let (record, unused) = driver.into_parts();
+    *spares = unused;
+    if let Behavior::Script { campaign } = plan.behavior {
+        let spec = ctx.catalog.get(campaign);
+        tag_hashes(tags, &record, spec.tag.label(), &spec.name);
+    }
+    record
 }
 
 /// Recon template selector: the planned variant perturbed by the plan seed.
@@ -424,7 +445,7 @@ fn tag_hashes(tags: &mut TagDb, record: &SessionRecord, tag: &str, campaign: &st
 fn login(
     driver: &mut SessionDriver,
     ctx: &ExecCtx<'_>,
-    fixed_password: Option<&str>,
+    fixed_password: Option<&'static str>,
     rng: &mut SmallRng,
 ) {
     if rng.gen_range(0..100) < 12 {
@@ -432,7 +453,7 @@ fn login(
         driver.offer_credentials(c, rng.gen_range(1..4));
     }
     let creds = match fixed_password {
-        Some(pw) => Credentials::new("root", pw),
+        Some(pw) => Credentials::from_static("root", pw),
         None => ctx.creds.successful(rng),
     };
     driver.offer_credentials(creds, rng.gen_range(1..4));

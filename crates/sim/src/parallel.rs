@@ -6,9 +6,10 @@
 //! *recording* — the collector's ingest order and the tag database's
 //! first-wins rule — and both are functions of plan order alone. The day
 //! loop (`crate::runner`) cuts each day's plans into batches, runs each
-//! batch through `execute_batch` into a private record vector and tag
-//! shard, and ingests the batches in order, so the run equals one serial
-//! pass over the whole window.
+//! batch through `execute_batch` into a `Batch` (a record vector, a tag
+//! shard and the spare buffers of the batch it held before), and ingests
+//! the batches in order, so the run equals one serial pass over the whole
+//! window.
 //!
 //! The module keeps its name, [`DayMode`] and [`execute_day_shards`] only
 //! because code outside the workspace still imports them from here (ROADMAP
@@ -16,10 +17,11 @@
 
 use hf_agents::SessionPlan;
 use hf_farm::TagDb;
+use hf_honeypot::record::RecordSpares;
 use hf_honeypot::SessionRecord;
 
 use crate::error::SimError;
-use crate::exec::{execute_plan_full, ExecCtx, PreparedScripts};
+use crate::exec::{execute_plan_reusing, ExecCtx, PreparedScripts};
 
 /// The day state a day's sessions execute against: full shell emulation
 /// per session, with scripts pre-parsed once per `(campaign, variant)` by
@@ -32,21 +34,47 @@ pub enum DayMode<'a> {
     Full(&'a PreparedScripts),
 }
 
-/// Execute `plans` in order, appending their records to `records` and
-/// tagging their hashes in `tags`. `prepared` must already cover these
-/// plans; a gap surfaces as `Err(SimError)` naming the missing key.
+/// One batch of the day loop: its records in plan order, its tag shard,
+/// and the spare buffers its records are built from.
+#[derive(Default)]
+pub(crate) struct Batch {
+    pub(crate) records: Vec<SessionRecord>,
+    pub(crate) tags: TagDb,
+    spares: RecordSpares,
+}
+
+impl Batch {
+    /// Take the records a consumer is done with apart into the spares, so
+    /// the next batch produced into this one reuses their buffers instead
+    /// of freeing and allocating them again.
+    pub(crate) fn recycle(&mut self) {
+        let _span = hf_obs::span!("sim.recycle");
+        for record in self.records.drain(..) {
+            self.spares.reclaim(record);
+        }
+    }
+}
+
+/// Execute `plans` in order, appending their records to `batch.records`
+/// and tagging their hashes in `batch.tags`. `prepared` must already cover
+/// these plans; a gap surfaces as `Err(SimError)` naming the missing key.
 pub(crate) fn execute_batch(
     ctx: &ExecCtx<'_>,
     plans: &[SessionPlan],
     prepared: &PreparedScripts,
-    (records, tags): &mut (Vec<SessionRecord>, TagDb),
+    batch: &mut Batch,
 ) -> Result<(), SimError> {
     let _span = hf_obs::span!("sim.execute");
+    let Batch {
+        records,
+        tags,
+        spares,
+    } = batch;
     // Exact: the day loop recycles `records`, and amortized doubling would
     // leave each of its two buffers up to twice the largest batch.
     records.reserve_exact(plans.len());
     for plan in plans {
-        records.push(execute_plan_full(ctx, plan, tags, prepared)?);
+        records.push(execute_plan_reusing(ctx, plan, tags, prepared, spares)?);
     }
     Ok(())
 }
@@ -67,16 +95,17 @@ pub fn execute_day_shards(
          pass 1 (ROADMAP 1(b) removes this function)"
     );
     let DayMode::Full(prepared) = mode;
-    let mut shard = (Vec::new(), TagDb::new());
-    execute_batch(ctx, plans, prepared, &mut shard)?;
-    Ok(vec![shard])
+    let mut batch = Batch::default();
+    execute_batch(ctx, plans, prepared, &mut batch)?;
+    Ok(vec![(batch.records, batch.tags)])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::build_configs;
-    use hf_agents::{Ecosystem, EcosystemConfig, Scale};
+    use crate::exec::{build_configs, execute_plan_full};
+    use hf_agents::{Behavior, Ecosystem, EcosystemConfig, Scale};
+    use hf_proto::Protocol;
     use hf_simclock::StudyWindow;
 
     /// Day 0's plans of a tiny ecosystem, its configs, and the day's
@@ -104,19 +133,58 @@ mod tests {
     #[test]
     fn the_shim_returns_the_executors_one_shard() {
         with_day(|ctx, plans, prepared| {
-            let mut batch = (Vec::new(), TagDb::new());
+            let mut batch = Batch::default();
             execute_batch(ctx, plans, prepared, &mut batch).unwrap();
-            assert_eq!(batch.0.len(), plans.len());
+            assert_eq!(batch.records.len(), plans.len());
             let shards = execute_day_shards(ctx, plans, 1, DayMode::Full(prepared)).unwrap();
             let [(records, tags)] = &shards[..] else {
                 panic!("{} shards, not one", shards.len())
             };
-            assert_eq!(records, &batch.0, "records must match in content and order");
-            assert_eq!(tags.len(), batch.1.len());
+            assert_eq!(
+                records, &batch.records,
+                "records must match in content and order"
+            );
+            assert_eq!(tags.len(), batch.tags.len());
             assert!(batch
-                .1
+                .tags
                 .iter()
                 .all(|(h, e)| tags.tag(h) == Some(e.tag.as_str())));
+        });
+    }
+
+    #[test]
+    fn a_recycled_batch_equals_fresh_records_whatever_it_held_before() {
+        with_day(|ctx, plans, prepared| {
+            let scripted: Vec<SessionPlan> = (plans.iter())
+                .filter(|p| matches!(p.behavior, Behavior::Script { .. } | Behavior::Recon { .. }))
+                .copied()
+                .collect();
+            let scans_and_telnet: Vec<SessionPlan> = (plans.iter())
+                .filter(|p| {
+                    p.protocol == Protocol::Telnet || matches!(p.behavior, Behavior::Scan { .. })
+                })
+                .copied()
+                .collect();
+            let reversed: Vec<SessionPlan> = scripted.iter().rev().copied().collect();
+            assert!(scripted.len() > 30 && scans_and_telnet.len() > 30);
+            assert!(scans_and_telnet.iter().any(
+                |p| p.protocol == Protocol::Ssh && matches!(p.behavior, Behavior::Scan { .. })
+            ));
+            // One buffer, recycled between batches as the day loop does: a
+            // script-heavy batch, a scan- and Telnet-heavy one, then the
+            // scripts again in another order, so slots that held SSH
+            // versions, commands, URIs, logins and hashes are rebuilt as
+            // records that have fewer or none, and the other way round.
+            let mut batch = Batch::default();
+            for shape in [&scripted, &scans_and_telnet, &reversed] {
+                batch.recycle();
+                execute_batch(ctx, shape, prepared, &mut batch).unwrap();
+                let mut tags = TagDb::new();
+                let fresh: Vec<SessionRecord> = (shape.iter())
+                    .map(|p| execute_plan_full(ctx, p, &mut tags, prepared).unwrap())
+                    .collect();
+                assert_eq!(batch.records, fresh, "recycled records equal fresh ones");
+            }
         });
     }
 

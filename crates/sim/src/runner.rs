@@ -30,12 +30,12 @@ use hf_farm::{
     Collector, Dataset, DayOrder, FarmPlan, Row, SessionStore, Snapshot, SnapshotError,
     SnapshotMeta, TagDb,
 };
-use hf_honeypot::{ArtifactStore, SessionRecord};
+use hf_honeypot::ArtifactStore;
 use hf_simclock::StudyWindow;
 
 use crate::error::SimError;
 use crate::exec::{build_configs, ExecCtx, PreparedScripts};
-use crate::parallel::execute_batch;
+use crate::parallel::{execute_batch, Batch};
 
 /// Simulation configuration (mirrors [`EcosystemConfig`]).
 #[derive(Debug, Clone)]
@@ -200,11 +200,6 @@ impl FoldOutput {
 /// loop held.
 const BATCH_PLANS: usize = ROWS_PER_CHUNK as usize;
 
-/// One batch: its records in plan order and its tag shard. The buffer
-/// returns to the producer, which frees the records on the thread that
-/// allocated them.
-type Batch = (Vec<SessionRecord>, TagDb);
-
 /// What the day loop does with a finished day's rows once the per-day hook
 /// of [`Simulation::run_days`] has seen them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,6 +262,12 @@ impl Simulation {
     /// day's last batch. Records reach the collector in the serial loop's
     /// order, so the output is identical on either arm; `sim.execute_wait`
     /// records how long ingest waited on execution.
+    ///
+    /// Each of the two batch buffers returns to the producer once ingested.
+    /// The producer takes the ingested records apart into the buffer's
+    /// spares (`sim.recycle`), and the next batch's records are built from
+    /// them, so a warm day loop allocates only for what no earlier record
+    /// of that buffer held.
     pub fn run_days(
         config: SimConfig,
         rows: DayRows,
@@ -332,21 +333,24 @@ impl Simulation {
             "sim.execute_wait",
             [Batch::default(), Batch::default()],
             |batch_out: &mut Batch| {
-                // The records the consumer handed back die here, on the
-                // thread that allocated them.
-                batch_out.0.clear();
                 let start = match next {
                     Some(start) => start,
                     None if day == days => return Ok(None),
                     None => {
                         day_span = Some(hf_obs::span!("sim.day"));
-                        plans = eco.plan_day(day);
+                        plans = {
+                            let _span = hf_obs::span!("agents.plan_day");
+                            eco.plan_day(day)
+                        };
                         hf_obs::counter!("sim.days_executed", 1);
                         hf_obs::counter!("sim.sessions_executed", plans.len() as u64);
                         hf_obs::observe!("sim.day_sessions", plans.len());
                         0
                     }
                 };
+                // The records the consumer handed back are taken apart
+                // here, on the thread that allocated them, inside the day.
+                batch_out.recycle();
                 let ctx = ExecCtx {
                     plan: &eco.plan,
                     configs: &configs,
@@ -371,11 +375,11 @@ impl Simulation {
                 }
                 Ok(Some(day_done))
             },
-            |day_done, (records, batch_tags)| {
+            |day_done, batch| {
                 // Batches arrive in plan order: the serial loop's row order,
                 // and `merge` keeps the first tag of each hash.
-                collector.ingest_batch(records);
-                tags.merge(std::mem::take(batch_tags));
+                collector.ingest_batch(&batch.records);
+                tags.merge(std::mem::take(&mut batch.tags));
                 if day_done {
                     let store = collector.sessions();
                     after_day(store, collector.plan(), &store.rows()[day_start..]);

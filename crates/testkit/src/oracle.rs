@@ -711,15 +711,19 @@ pub fn diff_manifests(left: &str, a: &RunManifest, right: &str, b: &RunManifest)
         |x, y| {
             (x != y).then(|| {
                 format!(
-                    "count/wall/cpu/max {}/{}/{}/{} != {}/{}/{}/{}",
+                    "count/wall/self/cpu/max/threads {}/{}/{}/{}/{}/{:?} != {}/{}/{}/{}/{}/{:?}",
                     x.count,
                     x.wall_ns,
+                    x.self_ns,
                     x.cpu_ns,
                     x.max_wall_ns,
+                    x.threads,
                     y.count,
                     y.wall_ns,
+                    y.self_ns,
                     y.cpu_ns,
-                    y.max_wall_ns
+                    y.max_wall_ns,
+                    y.threads
                 )
             })
         },

@@ -387,7 +387,7 @@ impl Measures {
         // Tables 2 and 3, and the SSH client versions.
         for r in records {
             for l in r.logins.iter().filter(|l| l.accepted) {
-                let key = (l.creds.username.clone(), l.creds.password.clone());
+                let key = (l.creds.username.to_string(), l.creds.password.to_string());
                 *m.passwords.entry(key).or_insert(0) += 1;
             }
             for c in &r.commands {
@@ -608,7 +608,7 @@ fn features(records: &[SessionRecord], world: &World, plan: &FarmPlan) -> BTreeM
             let creds: BTreeSet<(&str, &str)> = sessions
                 .iter()
                 .flat_map(|r| &r.logins)
-                .map(|l| (l.creds.username.as_str(), l.creds.password.as_str()))
+                .map(|l| (&*l.creds.username, &*l.creds.password))
                 .collect();
             let n_commands = sessions.iter().map(|r| r.commands.len()).sum::<usize>() as f64;
             let lines: BTreeSet<&str> = sessions

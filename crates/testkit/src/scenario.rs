@@ -41,13 +41,16 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 use hf_core::classify::{taxonomy, Category};
+use hf_farm::FarmPlan;
 use hf_geo::Ip4;
 use hf_honeypot::{HoneypotConfig, SessionDriver, SessionRecord};
 use hf_proto::creds::Credentials;
 use hf_proto::Protocol;
 use hf_shell::{NullFetcher, RemoteFetcher, SyntheticFetcher, SystemProfile};
+use hf_sim::exec::build_configs;
 use hf_simclock::SimInstant;
 
 /// Which [`RemoteFetcher`] the replayed session's shell gets.
@@ -340,7 +343,7 @@ impl Scenario {
     /// ignored, exactly as a real client's late input would be.
     pub fn replay(&self) -> SessionRecord {
         let mut d = SessionDriver::accept(
-            HoneypotConfig::paper(SystemProfile::for_node(self.honeypot as u32)),
+            node_config(self.honeypot),
             self.honeypot,
             self.protocol,
             self.client,
@@ -372,6 +375,20 @@ impl Scenario {
     /// Replay and render the deterministic event log.
     pub fn event_log(&self) -> String {
         render_event_log(&self.name, &self.replay())
+    }
+}
+
+/// Node `id`'s config, shared by every replay on that node, as the
+/// simulator and the live farm share theirs: the paper deployment's configs
+/// are built once per process, so a replay starts its shell on the node's
+/// seeded image instead of seeding one. An id past the deployment gets a
+/// config of its own, on the same profile the farms would give it.
+fn node_config(id: u16) -> Arc<HoneypotConfig> {
+    static NODES: OnceLock<Vec<Arc<HoneypotConfig>>> = OnceLock::new();
+    let nodes = NODES.get_or_init(|| build_configs(&FarmPlan::paper()));
+    match nodes.get(id as usize) {
+        Some(config) => Arc::clone(config),
+        None => Arc::new(HoneypotConfig::paper(SystemProfile::for_node(id as u32))),
     }
 }
 

@@ -288,9 +288,9 @@ impl Reactor {
         Reactor {
             ep: Epoll::new().expect("epoll_create1"),
             listeners,
-            configs: (0..config.nodes)
-                .map(|n| Arc::new(HoneypotConfig::paper(SystemProfile::for_node(n as u32))))
-                .collect(),
+            configs: HoneypotConfig::per_node(
+                (0..config.nodes).map(|n| SystemProfile::for_node(n as u32)),
+            ),
             config,
             conns: Vec::new(),
             free: Vec::new(),

@@ -540,12 +540,15 @@ fn metrics_summary(dir: &Path) -> ! {
                 );
             }
             for (name, s) in &m.spans {
+                let threads: Vec<&str> = s.threads.iter().map(String::as_str).collect();
                 println!(
-                    "span       {name}: n={} wall={}ms cpu={}ms max={}ms",
+                    "span       {name}: n={} wall={}ms self={}ms cpu={}ms max={}ms threads={}",
                     s.count,
                     s.wall_ns / 1_000_000,
+                    s.self_ns / 1_000_000,
                     s.cpu_ns / 1_000_000,
-                    s.max_wall_ns / 1_000_000
+                    s.max_wall_ns / 1_000_000,
+                    threads.join(",")
                 );
             }
             // Derived figures. Hash throughput divides the global

@@ -87,8 +87,10 @@ fn metrics_json() -> &'static str {
         let span = SpanStats {
             count: 4,
             wall_ns: 400,
+            self_ns: 40,
             cpu_ns: 300,
             max_wall_ns: 150,
+            threads: ["main".to_string(), "producer \"p\"".to_string()].into(),
         };
         snap.spans.insert("sim.day".into(), span);
         RunManifest::from_snapshot("fuzz", snap).to_json()

@@ -107,7 +107,8 @@ proptest! {
                 s.gauges.insert(n.clone(), v as i64);
                 s.histograms.insert(n.clone(), hist(&[v]));
                 let mut sp = SpanStats::default();
-                sp.record(v, v / 2);
+                sp.record(v, v / 3, v / 2);
+                sp.threads.insert(format!("thread-{}", (i as u64 + offset) % 3));
                 s.spans.insert(n.clone(), sp);
             }
             s
@@ -212,8 +213,9 @@ fn build_manifest(
     for (n, execs) in spans {
         let mut s = SpanStats::default();
         for &(wall, cpu) in execs {
-            s.record(wall, cpu);
+            s.record(wall, wall / 2, cpu);
         }
+        s.threads.insert(format!("thread-{}", execs.len() % 3));
         m.spans.insert(n.clone(), s);
     }
     m

@@ -26,11 +26,22 @@ fn golden(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/goldens/{name}"))
 }
 
-/// One deterministic serial pipeline run, recorded under the zero clock,
-/// must reproduce the pinned `metrics.json` exactly — and survive a disk
-/// round-trip unchanged.
+/// One deterministic pipeline run, recorded under the zero clock, must
+/// reproduce the pinned `metrics.json` exactly — and survive a disk
+/// round-trip unchanged. It runs on a thread named `main`, as `hfarm`'s
+/// spans do, so the recording threads in the file do not depend on how the
+/// test harness names its threads.
 #[test]
 fn manifest_structure_is_golden_pinned() {
+    std::thread::Builder::new()
+        .name("main".into())
+        .spawn(record_and_pin)
+        .expect("spawn the recording thread")
+        .join()
+        .expect("the pinned run passes");
+}
+
+fn record_and_pin() {
     obs::reset();
     obs::set_zero_clock(true);
     obs::enable();
