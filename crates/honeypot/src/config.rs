@@ -1,6 +1,6 @@
 //! Honeypot instance configuration.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hf_proto::creds::AuthPolicy;
 use hf_shell::{SystemProfile, Vfs};
@@ -14,7 +14,7 @@ use hf_shell::{SystemProfile, Vfs};
 /// `Arc`), so starting one copies nothing: each shell gets a copy-on-write
 /// view of the image, the per-session copy-on-login filesystem Cowrie gives
 /// each client.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct HoneypotConfig {
     /// Authentication policy (paper: root / anything-but-"root", 3 attempts).
     pub auth: AuthPolicy,
@@ -27,8 +27,9 @@ pub struct HoneypotConfig {
     /// Machine identity shown by the shell.
     pub profile: Arc<SystemProfile>,
     /// The filesystem every shell on this node starts from, seeded from
-    /// `profile` once, when the config is built.
-    image: Vfs,
+    /// `profile` once, when the node's first shell starts: a node no client
+    /// logs in to never builds one.
+    image: OnceLock<Vfs>,
 }
 
 impl Default for HoneypotConfig {
@@ -44,14 +45,14 @@ impl HoneypotConfig {
             auth: AuthPolicy::paper(),
             preauth_timeout_secs: 60,
             idle_timeout_secs: 180,
-            image: Vfs::seeded(&profile),
             profile: Arc::new(profile),
+            image: OnceLock::new(),
         }
     }
 
-    /// The node's seeded filesystem image.
+    /// The node's seeded filesystem image, built on first use.
     pub fn image(&self) -> &Vfs {
-        &self.image
+        self.image.get_or_init(|| Vfs::seeded(&self.profile))
     }
 
     /// The paper's configuration for each of a farm's nodes, which present

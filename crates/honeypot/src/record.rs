@@ -91,7 +91,7 @@ impl SessionRecord {
 /// Strings longer than this are freed when a record is reclaimed, not kept:
 /// a kept string keeps its largest capacity, so the cap bounds what each
 /// spare string can hold on to.
-pub const SPARE_STRING_MAX: usize = 256;
+const SPARE_STRING_MAX: usize = 256;
 
 /// The buffers of finished records, kept for the next records to reuse.
 ///
@@ -103,7 +103,8 @@ pub const SPARE_STRING_MAX: usize = 256;
 /// a list only when its record first needs one, and a string each time it
 /// writes one, and allocates only when none is left. A holder that reclaims
 /// one batch of records before producing the next keeps at most the
-/// buffers of its largest batch.
+/// buffers of its largest batch, and a string longer than 256 bytes is
+/// freed rather than kept.
 #[derive(Debug, Default)]
 pub struct RecordSpares {
     strings: Vec<String>,

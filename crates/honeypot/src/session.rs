@@ -283,30 +283,42 @@ impl SessionDriver {
 
     /// Move the shell's events into the record: command inputs and URIs
     /// are copied out of the shell's arena into spare strings, and the URI
-    /// list stays sorted and free of repeats.
+    /// list stays sorted and free of repeats. Each list is reserved for its
+    /// events before they are added, so a record built without spares gets
+    /// the capacity its events need, not amortized doubling: the live farm
+    /// keeps every record.
     fn harvest_shell(&mut self) {
         let Some(shell) = self.shell.as_mut() else {
             return;
         };
         let events = shell.events();
         let (record, spares) = (&mut self.record, &mut self.spares);
-        for (input, known) in events.commands() {
-            let input = spares.string(input);
-            (spares.commands(&mut record.commands)).push(CommandRecord { input, known });
-        }
-        for uri in events.uris() {
-            if !record.uris.iter().any(|u| u == uri) {
-                let uri = spares.string(uri);
-                spares.uris(&mut record.uris).push(uri);
+        if events.commands().len() > 0 {
+            let list = spares.commands(&mut record.commands);
+            list.reserve(events.commands().len());
+            for (input, known) in events.commands() {
+                let input = spares.string(input);
+                list.push(CommandRecord { input, known });
             }
         }
-        for e in events.file_events() {
-            spares.hashes(&mut record.file_hashes).push(e.sha256);
+        if events.uris().len() > 0 {
+            let list = spares.uris(&mut record.uris);
+            list.reserve(events.uris().len());
+            for uri in events.uris() {
+                if !list.iter().any(|u| u == uri) {
+                    list.push(spares.string(uri));
+                }
+            }
+            list.sort_unstable();
         }
-        for (_, h) in events.downloads() {
-            spares.hashes(&mut record.download_hashes).push(*h);
+        if !events.file_events().is_empty() {
+            let list = spares.hashes(&mut record.file_hashes);
+            list.extend(events.file_events().iter().map(|e| e.sha256));
         }
-        record.uris.sort_unstable();
+        if !events.downloads().is_empty() {
+            let list = spares.hashes(&mut record.download_hashes);
+            list.extend(events.downloads().iter().map(|(_, h)| *h));
+        }
         shell.clear_events();
     }
 }

@@ -352,7 +352,7 @@ mod tests {
     use super::*;
 
     /// The registry is process-global; unit tests touching it serialize.
-    static LOCK: Mutex<()> = Mutex::new(());
+    pub(crate) static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_recording_is_dropped() {

@@ -67,6 +67,8 @@ mod tests {
     #[test]
     fn inert_guard_records_nothing() {
         // Disabled by default: the guard must be inert and depth untouched.
+        // The lock keeps out the tests that turn recording on meanwhile.
+        let _lock = crate::tests::LOCK.lock().unwrap();
         assert!(!crate::enabled());
         let _g = crate::span("never");
         assert_eq!(crate::span_depth(), 0);

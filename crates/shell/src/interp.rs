@@ -177,13 +177,13 @@ pub struct EventsView<'a> {
 impl<'a> EventsView<'a> {
     /// Commands in execution order: the input as typed, and whether it was
     /// known.
-    pub fn commands(self) -> impl Iterator<Item = (&'a str, bool)> {
+    pub fn commands(self) -> impl ExactSizeIterator<Item = (&'a str, bool)> {
         let text = self.log.text.as_str();
         (self.log.commands.iter()).map(move |&(s, e, known)| (&text[s as usize..e as usize], known))
     }
 
     /// URIs in the order commands referenced them, repeats included.
-    pub fn uris(self) -> impl Iterator<Item = &'a str> {
+    pub fn uris(self) -> impl ExactSizeIterator<Item = &'a str> {
         let text = self.log.text.as_str();
         (self.log.uris.iter()).map(move |&(s, e)| &text[s as usize..e as usize])
     }

@@ -115,8 +115,8 @@ fn full_scale_collector_construction_stays_under_64mb() {
 /// per-session allocation budget. What is left is per-session payload
 /// (campaign fetchers, copied-on-write directories and the files a script
 /// writes, a few strings longer than the spares keep) and tag strings; the
-/// budget is what this fixture measures (1.6 per session, against 11.9
-/// before records were recycled) rounded up, so fresh credential strings,
+/// budget is what this fixture measures (1.83 per session; 11.88 when
+/// every record was built fresh) rounded up, so fresh credential strings,
 /// a per-session copy of the node's filesystem or config, per-line parsing
 /// or records that stop reusing their buffers fail it.
 #[test]
