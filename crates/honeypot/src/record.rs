@@ -108,10 +108,10 @@ const SPARE_STRING_MAX: usize = 256;
 #[derive(Debug, Default)]
 pub struct RecordSpares {
     strings: Vec<String>,
-    logins: Vec<Vec<LoginAttempt>>,
-    commands: Vec<Vec<CommandRecord>>,
-    uris: Vec<Vec<String>>,
-    hashes: Vec<Vec<Digest>>,
+    pub(crate) logins: Vec<Vec<LoginAttempt>>,
+    pub(crate) commands: Vec<Vec<CommandRecord>>,
+    pub(crate) uris: Vec<Vec<String>>,
+    pub(crate) hashes: Vec<Vec<Digest>>,
 }
 
 impl RecordSpares {
@@ -151,32 +151,6 @@ impl RecordSpares {
         s.push_str(text);
         s
     }
-
-    /// `list`, first given a spare buffer if it has none.
-    pub(crate) fn logins<'a>(
-        &mut self,
-        list: &'a mut Vec<LoginAttempt>,
-    ) -> &'a mut Vec<LoginAttempt> {
-        refill(list, &mut self.logins)
-    }
-
-    /// `list`, first given a spare buffer if it has none.
-    pub(crate) fn commands<'a>(
-        &mut self,
-        list: &'a mut Vec<CommandRecord>,
-    ) -> &'a mut Vec<CommandRecord> {
-        refill(list, &mut self.commands)
-    }
-
-    /// `list`, first given a spare buffer if it has none.
-    pub(crate) fn uris<'a>(&mut self, list: &'a mut Vec<String>) -> &'a mut Vec<String> {
-        refill(list, &mut self.uris)
-    }
-
-    /// `list`, first given a spare buffer if it has none.
-    pub(crate) fn hashes<'a>(&mut self, list: &'a mut Vec<Digest>) -> &'a mut Vec<Digest> {
-        refill(list, &mut self.hashes)
-    }
 }
 
 fn keep_list<T>(spares: &mut Vec<Vec<T>>, mut list: Vec<T>) {
@@ -186,7 +160,8 @@ fn keep_list<T>(spares: &mut Vec<Vec<T>>, mut list: Vec<T>) {
     }
 }
 
-fn refill<'a, T>(list: &'a mut Vec<T>, spares: &mut Vec<Vec<T>>) -> &'a mut Vec<T> {
+/// `list`, first given one of `spares` if it has no buffer yet.
+pub(crate) fn refill<'a, T>(list: &'a mut Vec<T>, spares: &mut Vec<Vec<T>>) -> &'a mut Vec<T> {
     if list.capacity() == 0 {
         if let Some(spare) = spares.pop() {
             *list = spare;

@@ -16,7 +16,7 @@ use hf_shell::{CommandRecord, LineBuf, QuietExec, RemoteFetcher, ShellSession};
 use hf_simclock::SimInstant;
 
 use crate::config::HoneypotConfig;
-use crate::record::{EndReason, LoginAttempt, RecordSpares, SessionRecord};
+use crate::record::{refill, EndReason, LoginAttempt, RecordSpares, SessionRecord};
 
 /// Result of offering credentials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,7 +161,8 @@ impl SessionDriver {
             return AuthResult::Rejected; // already logged in; ignore
         }
         let accepted = self.config.auth.check(&creds) == AuthOutcome::Accepted;
-        (self.spares.logins(&mut self.record.logins)).push(LoginAttempt { creds, accepted });
+        let logins = refill(&mut self.record.logins, &mut self.spares.logins);
+        logins.push(LoginAttempt { creds, accepted });
         if accepted {
             // The shell itself is created lazily on the first command: a large
             // share of authenticated sessions never type anything (the paper's
@@ -294,7 +295,7 @@ impl SessionDriver {
         let events = shell.events();
         let (record, spares) = (&mut self.record, &mut self.spares);
         if events.commands().len() > 0 {
-            let list = spares.commands(&mut record.commands);
+            let list = refill(&mut record.commands, &mut spares.commands);
             list.reserve(events.commands().len());
             for (input, known) in events.commands() {
                 let input = spares.string(input);
@@ -302,7 +303,7 @@ impl SessionDriver {
             }
         }
         if events.uris().len() > 0 {
-            let list = spares.uris(&mut record.uris);
+            let list = refill(&mut record.uris, &mut spares.uris);
             list.reserve(events.uris().len());
             for uri in events.uris() {
                 if !list.iter().any(|u| u == uri) {
@@ -312,11 +313,11 @@ impl SessionDriver {
             list.sort_unstable();
         }
         if !events.file_events().is_empty() {
-            let list = spares.hashes(&mut record.file_hashes);
+            let list = refill(&mut record.file_hashes, &mut spares.hashes);
             list.extend(events.file_events().iter().map(|e| e.sha256));
         }
         if !events.downloads().is_empty() {
-            let list = spares.hashes(&mut record.download_hashes);
+            let list = refill(&mut record.download_hashes, &mut spares.hashes);
             list.extend(events.downloads().iter().map(|(_, h)| *h));
         }
         shell.clear_events();
