@@ -15,7 +15,7 @@ use crate::plan::SessionPlan;
 use crate::scale::{checked_u32, checked_u64, Scale};
 use crate::sources::{
     BruteforceSource, CampaignPlanner, NoCmdSource, PlanCtx, ReconSource, ScannerSource,
-    SharedPools, TrafficSource,
+    SharedPools,
 };
 
 /// Paper volume constants (scale 1.0).

@@ -48,20 +48,6 @@ impl PlanCtx<'_> {
     }
 }
 
-/// A planning source.
-pub trait TrafficSource {
-    /// Source name (diagnostics).
-    fn name(&self) -> &'static str;
-    /// Emit this day's session plans.
-    fn plan_day(
-        &mut self,
-        day: u32,
-        ctx: &mut PlanCtx<'_>,
-        rng: &mut SmallRng,
-        out: &mut Vec<SessionPlan>,
-    );
-}
-
 /// Common churn-managed client roster.
 ///
 /// Clients join with a heavy-tailed lifetime — most last a single day, a
@@ -190,14 +176,9 @@ impl ScannerSource {
             persistent_target: 120,
         }
     }
-}
 
-impl TrafficSource for ScannerSource {
-    fn name(&self) -> &'static str {
-        "scanner"
-    }
-
-    fn plan_day(
+    /// Emit this day's session plans.
+    pub fn plan_day(
         &mut self,
         day: u32,
         ctx: &mut PlanCtx<'_>,
@@ -346,14 +327,9 @@ impl BruteforceSource {
             spike_honeypots,
         }
     }
-}
 
-impl TrafficSource for BruteforceSource {
-    fn name(&self) -> &'static str {
-        "bruteforce"
-    }
-
-    fn plan_day(
+    /// Emit this day's session plans.
+    pub fn plan_day(
         &mut self,
         day: u32,
         ctx: &mut PlanCtx<'_>,
@@ -482,14 +458,9 @@ impl NoCmdSource {
             clients_at_level1: 0,
         }
     }
-}
 
-impl TrafficSource for NoCmdSource {
-    fn name(&self) -> &'static str {
-        "no-cmd"
-    }
-
-    fn plan_day(
+    /// Emit this day's session plans.
+    pub fn plan_day(
         &mut self,
         day: u32,
         ctx: &mut PlanCtx<'_>,
@@ -640,14 +611,9 @@ impl ReconSource {
             clients_at_level1: 0,
         }
     }
-}
 
-impl TrafficSource for ReconSource {
-    fn name(&self) -> &'static str {
-        "recon"
-    }
-
-    fn plan_day(
+    /// Emit this day's session plans.
+    pub fn plan_day(
         &mut self,
         day: u32,
         ctx: &mut PlanCtx<'_>,

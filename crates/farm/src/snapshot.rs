@@ -5,13 +5,13 @@
 //! the collected [`SessionStore`] + [`TagDb`] + deployment plan once, and
 //! `hfarm report` (or any reanalysis tool) reloads it without re-simulating.
 //!
-//! ## Format (version 2)
+//! ## Format (version 3)
 //!
 //! ```text
 //! [magic "HFSTORE\0" : 8 bytes]
 //! [format version    : u32 LE]
 //! [section count     : u32 LE]
-//! then, for each section in the fixed order below:
+//! then, for each section in the fixed order below except ROWS:
 //! [section id   : u32 LE]
 //! [payload len  : u64 LE]
 //! [SHA-256     : 32 bytes]                     (via hf-hash)
@@ -23,30 +23,28 @@
 //! fixed-width; rows use the same 48-byte layout as the in-memory
 //! [`Row`]. String/digest/list pools are written in insertion order and tag
 //! entries sorted by digest, so snapshots of a deterministic run are
-//! byte-identical across thread counts (see DESIGN.md §5).
+//! byte-identical on every run (see DESIGN.md §5).
 //!
-//! For every section except ROWS, the header's SHA-256 covers the payload
-//! bytes and readers materialize the payload whole. The ROWS section — the
-//! only one that grows with the window (~19 GB at scale 1.0) — is chunked
-//! so both sides stream it in bounded memory:
+//! Every section except ROWS is checksummed whole and materialized whole.
+//! ROWS — the only one that grows with the window (~19 GB at scale 1.0) —
+//! is chunked so both sides stream it in bounded memory, and its checksum
+//! comes after its data, so the writer makes one pass over the rows:
 //!
 //! ```text
-//! ROWS payload := [n_rows        : u64 LE]
-//!                 [rows_per_chunk: u32 LE]     (writer uses ROWS_PER_CHUNK)
-//!                 [n_chunks      : u32 LE]     (= ceil(n_rows / rows_per_chunk))
-//!                 then, per chunk:
-//!                 [chunk rows    : u32 LE]     (rows_per_chunk except the last)
-//!                 [SHA-256 of the chunk's row bytes : 32 bytes]
-//!                 [chunk rows × 48 bytes of row data]
+//! [section id     : u32 LE]
+//! [rows_per_chunk : u32 LE]                     (writer uses ROWS_PER_CHUNK)
+//! then, per chunk (ceil(n_rows / rows_per_chunk) of them):
+//! [SHA-256 of the chunk's row bytes : 32 bytes]
+//! [chunk rows × 48 bytes of row data]           (rows_per_chunk except the last)
+//! [SHA-256 over the chunk digests, in order : 32 bytes]
 //! ```
 //!
-//! The ROWS header checksum covers the *chunk manifest* — the 16-byte
-//! prologue followed by every per-chunk `[rows ‖ digest]` header — not the
-//! row data itself (Merkle style: the manifest authenticates the chunk
-//! digests, each digest authenticates its data). A reader therefore
-//! verifies each chunk the moment it arrives
+//! The row count is META's; the chunk count and each chunk's row count
+//! follow from it and `rows_per_chunk`. Each chunk digest authenticates its
+//! data, and the trailing digest authenticates the chunk digests and their
+//! order. A reader therefore verifies each chunk the moment it arrives
 //! ([`SnapshotError::ChunkChecksumMismatch`] names the failing chunk) and
-//! confirms the manifest after the last one, without ever holding more
+//! confirms the trailer after the last one, without ever holding more
 //! than one chunk; [`SnapshotReader`] is that streaming reader, and
 //! [`Snapshot::read_from`] is a thin materializing wrapper over it.
 //!
@@ -78,10 +76,10 @@ use crate::tags::TagDb;
 pub const MAGIC: [u8; 8] = *b"HFSTORE\0";
 
 /// Current format version. Bump on any layout change; readers reject other
-/// versions with [`SnapshotError::UnsupportedVersion`]. Version 2 chunked
-/// the ROWS section (see the module docs); version-1 files are no longer
-/// readable.
-pub const FORMAT_VERSION: u32 = 2;
+/// versions with [`SnapshotError::UnsupportedVersion`]. Version 3 moved the
+/// ROWS checksum behind the row data (see the module docs); earlier files
+/// are no longer readable.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Rows per chunk the writer emits: 65 536 rows × 48 bytes = 3 MiB of row
 /// data per chunk. Readers accept any `rows_per_chunk` up to
@@ -98,14 +96,6 @@ pub const MAX_ROWS_PER_CHUNK: u32 = 1 << 20;
 /// records (no per-field cursor, no intermediate copies).
 const ROW_BYTES: usize = 48;
 const _: () = assert!(std::mem::size_of::<Row>() == ROW_BYTES);
-
-/// Bytes of per-chunk header inside the ROWS payload: u32 row count +
-/// 32-byte chunk digest.
-const CHUNK_HEADER_LEN: usize = 4 + 32;
-
-/// Bytes of ROWS-payload prologue: u64 row count + u32 rows-per-chunk +
-/// u32 chunk count.
-const ROWS_PROLOGUE_LEN: usize = 8 + 4 + 4;
 
 /// `(section id, section name)` in on-disk order. Section ids are part of
 /// the format; names appear in error messages and tests.
@@ -324,9 +314,10 @@ impl Snapshot {
             if name == "rows" {
                 // The one section that grows with the window: stream it in
                 // bounded chunks instead of building a multi-GB payload.
-                let payload_len = write_rows_section(w, id, s.rows(), rows_per_chunk)?;
-                hf_obs::observe!("snapshot.section_bytes", payload_len);
-                hf_obs::counter!("snapshot.bytes_written", payload_len + 4 + 8 + 32);
+                let len = write_rows_section(w, id, s.rows(), rows_per_chunk)?;
+                hf_obs::observe!("snapshot.section_bytes", len);
+                // Section id, then the rest of the section.
+                hf_obs::counter!("snapshot.bytes_written", len + 4);
                 continue;
             }
             buf.clear();
@@ -468,12 +459,6 @@ impl DayOrder {
     }
 }
 
-/// META plus the row count cross-check it carries.
-struct DecodedMeta {
-    public: SnapshotMeta,
-    n_rows: u64,
-}
-
 /// Read one fully-materialized section in the fixed SECTIONS order and
 /// decode it (including a trailing-bytes check) before moving on.
 fn read_decoded_section<R: Read, T>(
@@ -516,11 +501,11 @@ fn read_decoded_section<R: Read, T>(
 /// ```
 pub struct SnapshotReader<R: Read> {
     /// The stream-position half: underlying reader, chunk cursor, and
-    /// manifest re-accumulation. Split out so the overlapped fold can hand
-    /// it to a prefetch thread while decode/validate stays on the caller's
-    /// thread (see [`SnapshotReader::fold_chunks`]).
+    /// running digest of the chunk digests. Split out so the overlapped
+    /// fold can hand it to a prefetch thread while decode/validate stays on
+    /// the caller's thread (see [`SnapshotReader::fold_chunks`]).
     raw: RawChunks<R>,
-    meta: DecodedMeta,
+    meta: SnapshotMeta,
     plan: FarmPlan,
     /// Pools-only shell; rows stay with the caller.
     store: SessionStore,
@@ -530,48 +515,40 @@ pub struct SnapshotReader<R: Read> {
 }
 
 /// The raw, row-agnostic half of the streaming reader: reads one chunk at
-/// a time from the underlying stream, verifies its checksum, and
-/// re-accumulates the chunk manifest. Owns everything a prefetch thread
-/// needs — and nothing the decode/validate/fold side touches.
+/// a time from the underlying stream, verifies its checksum, and folds its
+/// digest into the running digest the trailer is checked against. Owns
+/// everything a prefetch thread needs — and nothing the decode/validate/fold
+/// side touches.
 struct RawChunks<R: Read> {
     r: R,
-    /// Header checksum of the rows section = SHA-256 of the chunk manifest.
-    rows_checksum: [u8; 32],
-    rows_per_chunk: u32,
-    n_chunks: u32,
+    /// META's row count.
     n_rows: u64,
+    rows_per_chunk: u32,
+    /// `ceil(n_rows / rows_per_chunk)`.
+    n_chunks: u32,
     chunks_read: u32,
-    rows_read: u64,
-    /// Prologue + per-chunk headers, re-accumulated while streaming and
-    /// verified against `rows_checksum` after the last chunk.
-    manifest: Vec<u8>,
+    /// SHA-256 over the chunk digests read so far.
+    digests: Sha256,
 }
 
 impl<R: Read> RawChunks<R> {
     /// Read and checksum-verify the next raw chunk into `buf` (replacing
-    /// its contents), returning its row count — or `None` once every chunk
-    /// has been consumed and the manifest has verified against the section
-    /// checksum.
+    /// its contents), returning its row count — or, once every chunk has
+    /// been consumed, read the trailer, check it against the chunk digests,
+    /// and return `None`.
     fn next_raw(&mut self, buf: &mut Vec<u8>) -> Result<Option<u32>, SnapshotError> {
         if self.chunks_read == self.n_chunks {
-            if Sha256::digest(&self.manifest).0 != self.rows_checksum {
+            let trailer: [u8; 32] = read_array(&mut self.r, "rows")?;
+            if std::mem::take(&mut self.digests).finalize().0 != trailer {
                 return Err(SnapshotError::ChecksumMismatch { section: "rows" });
             }
             return Ok(None);
         }
         let idx = self.chunks_read;
-        let chunk_rows = u32::from_le_bytes(read_array(&mut self.r, "rows")?);
+        // Every chunk is full except the last.
+        let left = self.n_rows - idx as u64 * self.rows_per_chunk as u64;
+        let chunk_rows = left.min(self.rows_per_chunk as u64) as u32;
         let digest: [u8; 32] = read_array(&mut self.r, "rows")?;
-        // Every chunk is full except the last; the expected count is fully
-        // determined by the validated prologue, so a header that disagrees
-        // is structural corruption, not just a checksum problem.
-        let expected = (self.n_rows - self.rows_read).min(self.rows_per_chunk as u64);
-        if chunk_rows as u64 != expected {
-            return Err(SnapshotError::Corrupt {
-                section: "rows",
-                detail: format!("chunk {idx} declares {chunk_rows} rows, expected {expected}"),
-            });
-        }
         buf.clear();
         buf.resize(chunk_rows as usize * ROW_BYTES, 0);
         read_exact(&mut self.r, buf, "rows")?;
@@ -583,10 +560,8 @@ impl<R: Read> RawChunks<R> {
             });
         }
         drop(verify);
-        self.manifest.extend_from_slice(&chunk_rows.to_le_bytes());
-        self.manifest.extend_from_slice(&digest);
+        self.digests.update(&digest);
         self.chunks_read += 1;
-        self.rows_read += chunk_rows as u64;
         Ok(Some(chunk_rows))
     }
 }
@@ -594,8 +569,7 @@ impl<R: Read> RawChunks<R> {
 impl<R: Read> SnapshotReader<R> {
     /// Open a snapshot stream: validate the header, materialize the meta /
     /// plan / pool sections, and position the stream at the first rows
-    /// chunk (validating the rows prologue against the section length and
-    /// the meta row count).
+    /// chunk (validating the declared chunk size).
     pub fn open(mut r: R) -> Result<Self, SnapshotError> {
         let mut magic = [0u8; 8];
         read_exact(&mut r, &mut magic, "header")?;
@@ -620,7 +594,7 @@ impl<R: Read> SnapshotReader<R> {
             });
         }
 
-        let meta = read_decoded_section(&mut r, 0, decode_meta)?;
+        let (meta, n_rows) = read_decoded_section(&mut r, 0, decode_meta)?;
         let plan = read_decoded_section(&mut r, 1, decode_plan)?;
         let creds = read_decoded_section(&mut r, 2, decode_string_pool)?;
         let commands = read_decoded_section(&mut r, 3, decode_string_pool)?;
@@ -629,9 +603,8 @@ impl<R: Read> SnapshotReader<R> {
         let digests = read_decoded_section(&mut r, 6, decode_digest_pool)?;
         let lists = read_decoded_section(&mut r, 7, decode_list_pool)?;
 
-        // Rows section header + prologue. Every prologue field is
-        // cross-checked structurally here; the manifest checksum after the
-        // last chunk then confirms the bytes themselves.
+        // Rows section header. META's row count and the declared chunk
+        // size fix the chunk count and every chunk's row count.
         let (rows_id, _) = SECTIONS[8];
         let found = u32::from_le_bytes(read_array(&mut r, "rows")?);
         if found != rows_id {
@@ -640,66 +613,29 @@ impl<R: Read> SnapshotReader<R> {
                 found,
             });
         }
-        let payload_len = u64::from_le_bytes(read_array(&mut r, "rows")?);
-        let rows_checksum: [u8; 32] = read_array(&mut r, "rows")?;
-        let n_rows = u64::from_le_bytes(read_array(&mut r, "rows")?);
         let rows_per_chunk = u32::from_le_bytes(read_array(&mut r, "rows")?);
-        let n_chunks = u32::from_le_bytes(read_array(&mut r, "rows")?);
         if rows_per_chunk == 0 || rows_per_chunk > MAX_ROWS_PER_CHUNK {
             return Err(SnapshotError::Corrupt {
                 section: "rows",
                 detail: format!("rows_per_chunk {rows_per_chunk} outside 1..={MAX_ROWS_PER_CHUNK}"),
             });
         }
-        let expected_chunks = n_rows.div_ceil(rows_per_chunk as u64);
-        if n_chunks as u64 != expected_chunks {
-            return Err(SnapshotError::Corrupt {
+        let n_chunks = u32::try_from(n_rows.div_ceil(rows_per_chunk as u64)).map_err(|_| {
+            SnapshotError::Corrupt {
                 section: "rows",
-                detail: format!(
-                    "{n_chunks} chunks declared; {n_rows} rows at {rows_per_chunk}/chunk \
-                     need {expected_chunks}"
-                ),
-            });
-        }
-        if meta.n_rows != n_rows {
-            return Err(SnapshotError::Corrupt {
-                section: "rows",
-                detail: format!("meta declares {} rows, prologue {n_rows}", meta.n_rows),
-            });
-        }
-        let expected_len =
-            ROWS_PROLOGUE_LEN as u64 + n_chunks as u64 * CHUNK_HEADER_LEN as u64 + n_rows * 48;
-        if payload_len != expected_len {
-            return Err(SnapshotError::Corrupt {
-                section: "rows",
-                detail: format!(
-                    "payload length {payload_len} disagrees with prologue \
-                     (expected {expected_len})"
-                ),
-            });
-        }
-        // Re-accumulate the manifest as chunks stream by; growth is bounded
-        // by bytes actually read, so a lying n_chunks cannot balloon it.
-        // The reserve is capped for the same reason: n_chunks is a header
-        // field, and the declared chunks need not exist.
-        let mut manifest = Vec::with_capacity(
-            ROWS_PROLOGUE_LEN + (n_chunks as usize).min(1 << 16) * CHUNK_HEADER_LEN,
-        );
-        manifest.extend_from_slice(&n_rows.to_le_bytes());
-        manifest.extend_from_slice(&rows_per_chunk.to_le_bytes());
-        manifest.extend_from_slice(&n_chunks.to_le_bytes());
+                detail: format!("{n_rows} rows at {rows_per_chunk}/chunk exceed 2^32 chunks"),
+            }
+        })?;
 
         let memo = ValidationMemo::new(ssh_versions.len(), lists.len());
         Ok(SnapshotReader {
             raw: RawChunks {
                 r,
-                rows_checksum,
+                n_rows,
                 rows_per_chunk,
                 n_chunks,
-                n_rows,
                 chunks_read: 0,
-                rows_read: 0,
-                manifest,
+                digests: Sha256::new(),
             },
             meta,
             plan,
@@ -726,8 +662,8 @@ impl<R: Read> SnapshotReader<R> {
     /// shell and tags. `fold` receives the pools-only store, the plan, and
     /// one chunk of rows per call, in file order, each fully validated:
     /// chunk checksum, per-row enum bytes, and every interned id resolved
-    /// against the pools. The chunk manifest is verified against the
-    /// section checksum after the last chunk.
+    /// against the pools. The trailer is checked against the chunk digests
+    /// after the last chunk.
     ///
     /// The stream goes through [`hf_obs::overlapped`]: unless the file has
     /// at most one chunk, a helper thread reads and checksums chunk `k + 1`
@@ -766,8 +702,8 @@ impl<R: Read> SnapshotReader<R> {
             },
         )?;
         let tags = read_decoded_section(&mut raw.r, 9, decode_tags)?;
-        hf_obs::counter!("snapshot.rows_loaded", raw.rows_read);
-        Ok((meta.public, plan, store, tags))
+        hf_obs::counter!("snapshot.rows_loaded", raw.n_rows);
+        Ok((meta, plan, store, tags))
     }
 }
 
@@ -840,66 +776,33 @@ fn encode_row_chunk(rows: &[Row], buf: &mut Vec<u8>) {
     }
 }
 
-/// The chunk manifest of a rows section: the 16-byte prologue followed by
-/// every per-chunk `[row count ‖ digest]` header, in order. These are
-/// exactly the non-row-data payload bytes, and the section header's
-/// checksum is the SHA-256 of this manifest (module docs).
-fn rows_manifest(rows: &[Row], rows_per_chunk: u32) -> Vec<u8> {
-    let n_chunks = rows.len().div_ceil(rows_per_chunk as usize);
-    let mut manifest = Vec::with_capacity(ROWS_PROLOGUE_LEN + n_chunks * CHUNK_HEADER_LEN);
-    manifest.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-    manifest.extend_from_slice(&rows_per_chunk.to_le_bytes());
-    manifest.extend_from_slice(&(n_chunks as u32).to_le_bytes());
-    let mut buf = Vec::new();
-    for chunk in rows.chunks(rows_per_chunk as usize) {
-        buf.clear();
-        encode_row_chunk(chunk, &mut buf);
-        manifest.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-        manifest.extend_from_slice(&Sha256::digest(&buf).0);
-    }
-    manifest
-}
-
-/// Write the framed rows section: header, prologue, then one chunk at a
-/// time — peak memory is a couple of encoded chunks (3 MiB each) plus the
-/// manifest, regardless of row count. Returns the payload length.
-///
-/// The manifest-first Merkle layout means every chunk digest must be known
-/// before any row byte can be written, so the rows are encoded twice: once
-/// to digest each chunk ([`rows_manifest`]), then again to write it, with
-/// chunk `k + 1` encoding while chunk `k` drains to the file
-/// ([`hf_obs::overlapped`]).
+/// Write the rows section: id, `rows_per_chunk`, each chunk's digest and
+/// rows, then the digest over the chunk digests. One pass, one thread: each
+/// chunk is encoded into one reused buffer, hashed and written, so peak
+/// memory is one encoded chunk (3 MiB) regardless of row count. Returns the
+/// bytes written after the section id.
 fn write_rows_section<W: Write>(
     w: &mut W,
     id: u32,
     rows: &[Row],
     rows_per_chunk: u32,
 ) -> Result<u64, SnapshotError> {
-    let manifest = rows_manifest(rows, rows_per_chunk);
-    let payload_len = manifest.len() as u64 + rows.len() as u64 * ROW_BYTES as u64;
     w.write_all(&id.to_le_bytes())?;
-    w.write_all(&payload_len.to_le_bytes())?;
-    w.write_all(&Sha256::digest(&manifest).0)?;
-    w.write_all(&manifest[..ROWS_PROLOGUE_LEN])?;
-    let mut chunks = rows.chunks(rows_per_chunk as usize);
-    let mut headers = manifest[ROWS_PROLOGUE_LEN..].chunks_exact(CHUNK_HEADER_LEN);
-    hf_obs::overlapped(
-        chunks.len(),
-        "snapshot.chunk_wait",
-        [Vec::new(), Vec::new()],
-        |buf| {
-            Ok::<_, SnapshotError>(chunks.next().map(|chunk| {
-                buf.clear();
-                encode_row_chunk(chunk, buf);
-            }))
-        },
-        |(), buf| {
-            w.write_all(headers.next().expect("one manifest header per chunk"))?;
-            w.write_all(buf)?;
-            Ok(())
-        },
-    )?;
-    Ok(payload_len)
+    w.write_all(&rows_per_chunk.to_le_bytes())?;
+    let mut digests = Sha256::new();
+    let mut buf = Vec::new();
+    let mut len = 4 + 32;
+    for chunk in rows.chunks(rows_per_chunk as usize) {
+        buf.clear();
+        encode_row_chunk(chunk, &mut buf);
+        let digest = Sha256::digest(&buf).0;
+        digests.update(&digest);
+        w.write_all(&digest)?;
+        w.write_all(&buf)?;
+        len += 32 + buf.len() as u64;
+    }
+    w.write_all(&digests.finalize().0)?;
+    Ok(len)
 }
 
 fn encode_tags(tags: &TagDb, buf: &mut Vec<u8>) {
@@ -1002,23 +905,17 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_meta(cur: &mut Cursor<'_>) -> Result<DecodedMeta, SnapshotError> {
-    let seed = cur.u64()?;
-    let scale_volume = f64::from_bits(cur.u64()?);
-    let scale_hashes = f64::from_bits(cur.u64()?);
-    let days = cur.u32()?;
-    let n_clients = cur.u64()?;
-    let n_rows = cur.u64()?;
-    Ok(DecodedMeta {
-        public: SnapshotMeta {
-            seed,
-            scale_volume,
-            scale_hashes,
-            days,
-            n_clients,
-        },
-        n_rows,
-    })
+/// META: the public run metadata, then the row count the rows section
+/// holds.
+fn decode_meta(cur: &mut Cursor<'_>) -> Result<(SnapshotMeta, u64), SnapshotError> {
+    let meta = SnapshotMeta {
+        seed: cur.u64()?,
+        scale_volume: f64::from_bits(cur.u64()?),
+        scale_hashes: f64::from_bits(cur.u64()?),
+        days: cur.u32()?,
+        n_clients: cur.u64()?,
+    };
+    Ok((meta, cur.u64()?))
 }
 
 fn decode_plan(cur: &mut Cursor<'_>) -> Result<FarmPlan, SnapshotError> {
@@ -1585,9 +1482,9 @@ mod tests {
     #[test]
     fn chunked_writes_roundtrip_at_every_chunk_shape() {
         // Odd and even chunk counts, a non-dividing remainder, and a
-        // single chunk: together they exercise the writer's pairwise
-        // digest batching (with and without an odd tail), the encode-ahead
-        // write pass, and the reader's prefetch thread.
+        // single chunk: together they exercise the short last chunk, the
+        // trailer over one and over many chunk digests, and the reader's
+        // prefetch thread.
         let snap = sample_snapshot(100);
         for rows_per_chunk in [1u32, 3, 7, 50, 100, 1000] {
             let mut bytes = Vec::new();
@@ -1606,8 +1503,8 @@ mod tests {
 
     #[test]
     fn chunked_serialization_is_deterministic() {
-        // The overlapped write pass must emit the same bytes as any other
-        // write of the same data — buffers rotate, output order must not.
+        // Many chunks: the reused encode buffer must leave nothing of one
+        // chunk in the next.
         let snap = sample_snapshot(90);
         let mut a = Vec::new();
         let mut b = Vec::new();
@@ -1718,14 +1615,12 @@ mod tests {
     }
 
     #[test]
-    fn a_failing_writer_is_a_typed_io_error_and_the_encoder_is_joined() {
+    fn a_failing_writer_is_a_typed_io_error() {
         let snap = sample_snapshot(64);
         let mut bytes = Vec::new();
         snap.write_to_chunked(&mut bytes, 4).expect("write");
         // 16 chunks. Cutting the output at every 97th byte lands in each of
-        // them: the writer bails while the encoder is ahead of it, blocked
-        // on a full channel, or already finished. Returning at all means
-        // the encoder was joined.
+        // them and in the sections around them.
         for left in (0..bytes.len()).step_by(97) {
             match snap.write_to_chunked(&mut FailAfter { left }, 4) {
                 Err(SnapshotError::Io(e)) => assert_eq!(e.to_string(), "disk full"),

@@ -145,7 +145,7 @@ pub fn run(
         "head" => head_tail(ctx, args, stdin, true, out, paths),
         "tail" => head_tail(ctx, args, stdin, false, out, paths),
         "grep" => grep(ctx, args, stdin, out, paths),
-        "wc" => wc(args, stdin, out),
+        "wc" => wc(ctx, args, stdin, out, paths),
         "dd" => dd(ctx, args, stdin, out, paths),
         "df" => out.push_str(
             "Filesystem     1K-blocks    Used Available Use% Mounted on\n/dev/root        7158264 1683176   5103652  25% /\ntmpfs             512000       0    512000   0% /tmp\n",
@@ -546,6 +546,42 @@ fn chmod(ctx: &mut Ctx, args: Words<'_>, out: &mut String, paths: &mut PathScrat
     }
 }
 
+/// The text a text tool reads: its file operand's contents, decoded into
+/// `paths.b`, or `stdin` without one. A file that cannot be read prints
+/// `<tool>: <error>` and yields `None`.
+fn operand_text<'a>(
+    ctx: &mut Ctx,
+    tool: &str,
+    file: Option<&str>,
+    stdin: &'a str,
+    out: &mut String,
+    paths: &'a mut PathScratch,
+) -> Option<&'a str> {
+    let Some(f) = file else {
+        return Some(stdin);
+    };
+    resolve_path_into(ctx.cwd, f, &mut paths.a);
+    match ctx.vfs.read_file(&paths.a) {
+        Ok(c) => {
+            paths.b.clear();
+            push_utf8_lossy(&mut paths.b, c);
+            Some(&paths.b)
+        }
+        Err(e) => {
+            let _ = writeln!(out, "{tool}: {e}");
+            None
+        }
+    }
+}
+
+/// Does a short-flag word (`-c`, `-vc`, not `--color`) carry `flag`?
+fn has_flag(args: Words<'_>, flag: char) -> bool {
+    args.iter().any(|a| {
+        a.strip_prefix('-')
+            .is_some_and(|f| !f.starts_with('-') && f.contains(flag))
+    })
+}
+
 fn head_tail(
     ctx: &mut Ctx,
     args: Words<'_>,
@@ -572,66 +608,42 @@ fn head_tail(
             file = Some(a);
         }
     }
-    let text: &str = match file {
-        Some(f) => {
-            resolve_path_into(ctx.cwd, f, &mut paths.a);
-            match ctx.vfs.read_file(&paths.a) {
-                Ok(c) => {
-                    paths.b.clear();
-                    push_utf8_lossy(&mut paths.b, c);
-                    &paths.b
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "head: {e}");
-                    return;
-                }
-            }
-        }
-        None => stdin,
+    let tool = if head { "head" } else { "tail" };
+    let Some(text) = operand_text(ctx, tool, file, stdin, out, paths) else {
+        return;
     };
-    if head {
-        for line in text.lines().take(n) {
-            out.push_str(line);
-            out.push('\n');
-        }
-    } else {
-        let count = text.lines().count();
-        for line in text.lines().skip(count.saturating_sub(n)) {
-            out.push_str(line);
-            out.push('\n');
-        }
+    let count = if head { 0 } else { text.lines().count() };
+    for line in text.lines().skip(count.saturating_sub(n)).take(n) {
+        out.push_str(line);
+        out.push('\n');
     }
 }
 
+/// `grep [-vc] PATTERN [FILE]`: the matching lines (with `-v`, the others),
+/// or with `-c` how many there are.
 fn grep(ctx: &mut Ctx, args: Words<'_>, stdin: &str, out: &mut String, paths: &mut PathScratch) {
     let mut pos = args.iter().filter(|a| !a.starts_with('-'));
     let Some(pattern) = pos.next() else {
         return;
     };
-    let file = pos.next();
-    let invert = args.contains("-v");
-    let text: &str = match file {
-        Some(f) => {
-            resolve_path_into(ctx.cwd, f, &mut paths.a);
-            match ctx.vfs.read_file(&paths.a) {
-                Ok(c) => {
-                    paths.b.clear();
-                    push_utf8_lossy(&mut paths.b, c);
-                    &paths.b
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "grep: {e}");
-                    return;
-                }
-            }
-        }
-        None => stdin,
+    let Some(text) = operand_text(ctx, "grep", pos.next(), stdin, out, paths) else {
+        return;
     };
-    grep_lines(text, pattern, invert, out);
+    let invert = has_flag(args, 'v');
+    if has_flag(args, 'c') {
+        let mut n = 0;
+        grep_lines(text, pattern, invert, |_| n += 1);
+        let _ = writeln!(out, "{n}");
+    } else {
+        grep_lines(text, pattern, invert, |line| {
+            out.push_str(line);
+            out.push('\n');
+        });
+    }
 }
 
-/// Append each line of `text` that contains `pattern` (or, with `invert`,
-/// does not) to `out`, lines as `str::lines` splits them. One searcher
+/// Hand `emit` each line of `text` that contains `pattern` (or, with
+/// `invert`, does not), lines as `str::lines` splits them. One searcher
 /// runs over the whole text; each match selects the line holding it, later
 /// matches in that line are skipped, and the lines between matches hold
 /// none. A match that starts inside a line but ends past it (through a
@@ -640,11 +652,7 @@ fn grep(ctx: &mut Ctx, args: Words<'_>, stdin: &str, out: &mut String, paths: &m
 /// non-overlapping matches, and only a match that crosses a line break can
 /// hide the first match of the next line, which needs a line break in the
 /// pattern, which no line contains.
-fn grep_lines(text: &str, pattern: &str, invert: bool, out: &mut String) {
-    let mut emit = |line: &str| {
-        out.push_str(line);
-        out.push('\n');
-    };
+fn grep_lines<'t>(text: &'t str, pattern: &str, invert: bool, mut emit: impl FnMut(&'t str)) {
     let mut matches = text.match_indices(pattern).map(|(at, _)| at);
     let mut next_line = 0;
     while next_line < text.len() {
@@ -670,39 +678,41 @@ fn grep_lines(text: &str, pattern: &str, invert: bool, out: &mut String) {
     }
 }
 
-/// `wc [-lwc]` over stdin. Without flags it prints lines, words and bytes;
-/// the flags select among them (alone or combined, in that fixed order),
-/// and one selected count prints bare, as busybox does.
-fn wc(args: Words<'_>, stdin: &str, out: &mut String) {
-    let (mut lines, mut words, mut bytes) = (false, false, false);
-    for flags in args.iter().filter_map(|a| a.strip_prefix('-')) {
-        lines |= flags.contains('l');
-        words |= flags.contains('w');
-        bytes |= flags.contains('c');
-    }
+/// `wc [-lwc] [FILE]`. Without flags it prints lines, words and bytes; the
+/// flags select among them (alone or combined, in that fixed order), and
+/// one selected count prints bare, as busybox does. Lines are newline
+/// bytes, as busybox counts them; a file operand's name follows the counts.
+fn wc(ctx: &mut Ctx, args: Words<'_>, stdin: &str, out: &mut String, paths: &mut PathScratch) {
+    let file = args.iter().find(|a| !a.starts_with('-'));
+    let Some(text) = operand_text(ctx, "wc", file, stdin, out, paths) else {
+        return;
+    };
+    let (mut lines, mut words, mut bytes) = (
+        has_flag(args, 'l'),
+        has_flag(args, 'w'),
+        has_flag(args, 'c'),
+    );
     if !(lines || words || bytes) {
         (lines, words, bytes) = (true, true, true);
     }
-    // Only the selected counts are computed. A line is a `\n` or a last
-    // line without one, as `str::lines` counts them.
-    let count_lines = || {
-        let newlines = stdin.bytes().filter(|&b| b == b'\n').count();
-        newlines + usize::from(!stdin.is_empty() && !stdin.ends_with('\n'))
-    };
+    // Only the selected counts are computed.
     let counts = [
-        lines.then(count_lines),
-        words.then(|| stdin.split_whitespace().count()),
-        bytes.then_some(stdin.len()),
+        lines.then(|| text.bytes().filter(|&b| b == b'\n').count()),
+        words.then(|| text.split_whitespace().count()),
+        bytes.then_some(text.len()),
     ];
     let mut selected = counts.into_iter().flatten();
     if usize::from(lines) + usize::from(words) + usize::from(bytes) == 1 {
-        let _ = writeln!(out, "{}", selected.next().unwrap_or(0));
+        let _ = write!(out, "{}", selected.next().unwrap_or(0));
     } else {
         for n in selected {
             let _ = write!(out, "{n:>8}");
         }
-        out.push('\n');
     }
+    if let Some(f) = file {
+        let _ = write!(out, " {f}");
+    }
+    out.push('\n');
 }
 
 fn dd(ctx: &mut Ctx, args: Words<'_>, stdin: &str, out: &mut String, paths: &mut PathScratch) {
@@ -1048,6 +1058,30 @@ mod tests {
         assert_eq!(s.execute("grep -v ab /tmp/g").rendered, "b\na\n\n");
         assert_eq!(s.execute("grep b /tmp/g").rendered, "ab\nxab\nabab\nb\n");
         assert_eq!(s.execute("grep '' /tmp/g | wc -l").rendered, "6\n");
+        // All three read a file operand or stdin; wc names its operand.
+        assert_eq!(s.execute("wc -l /etc/passwd").rendered, "3 /etc/passwd\n");
+        assert_eq!(
+            s.execute("wc /tmp/t").rendered,
+            "       4       4      12 /tmp/t\n"
+        );
+        assert_eq!(s.execute("grep -c root /etc/passwd").rendered, "1\n");
+        assert_eq!(s.execute("cat /tmp/t | grep -vc l2").rendered, "3\n");
+        assert_eq!(s.execute("grep -c nothing /tmp/t").rendered, "0\n");
+        assert_eq!(
+            s.execute("head -1 /etc/passwd").rendered,
+            "root:x:0:0:root:/root:/bin/sh\n"
+        );
+        for tool in ["head", "tail", "grep x", "wc -l"] {
+            let err = s.execute(&format!("{tool} /nope")).rendered;
+            let name = tool.split(' ').next().unwrap();
+            assert!(err.starts_with(&format!("{name}: ")), "{tool}: {err}");
+        }
+        // Lines are newline bytes: an unterminated last line is not one.
+        assert_eq!(s.execute("echo -n a | wc -l").rendered, "0\n");
+        assert_eq!(
+            s.execute("echo -n a | wc").rendered,
+            "       0       1       1\n"
+        );
     }
 
     proptest::proptest! {
@@ -1062,7 +1096,10 @@ mod tests {
             invert in proptest::bool::ANY,
         ) {
             let mut got = String::new();
-            grep_lines(&text, &pattern, invert, &mut got);
+            grep_lines(&text, &pattern, invert, |line| {
+                got.push_str(line);
+                got.push('\n');
+            });
             let mut want = String::new();
             for line in text.lines().filter(|l| l.contains(pattern.as_str()) != invert) {
                 want.push_str(line);

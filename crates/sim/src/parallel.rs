@@ -6,10 +6,10 @@
 //! *recording* — the collector's ingest order and the tag database's
 //! first-wins rule — and both are functions of plan order alone. The day
 //! loop (`crate::runner`) cuts each day's plans into batches, runs each
-//! batch through `execute_batch` into a `Batch` (a record vector, a tag
-//! shard and the spare buffers of the batch it held before), and ingests
-//! the batches in order, so the run equals one serial pass over the whole
-//! window.
+//! batch through `execute_batch` into a `Batch` (a record vector and the
+//! spare buffers of the batch it held before) while tagging into the run's
+//! one `TagDb`, and ingests the batches in order, so the run equals one
+//! serial pass over the whole window.
 //!
 //! The module keeps its name, [`DayMode`] and [`execute_day_shards`] only
 //! because code outside the workspace still imports them from here (ROADMAP
@@ -34,12 +34,11 @@ pub enum DayMode<'a> {
     Full(&'a PreparedScripts),
 }
 
-/// One batch of the day loop: its records in plan order, its tag shard,
-/// and the spare buffers its records are built from.
+/// One batch of the day loop: its records in plan order and the spare
+/// buffers its records are built from.
 #[derive(Default)]
 pub(crate) struct Batch {
     pub(crate) records: Vec<SessionRecord>,
-    pub(crate) tags: TagDb,
     spares: RecordSpares,
 }
 
@@ -56,20 +55,18 @@ impl Batch {
 }
 
 /// Execute `plans` in order, appending their records to `batch.records`
-/// and tagging their hashes in `batch.tags`. `prepared` must already cover
-/// these plans; a gap surfaces as `Err(SimError)` naming the missing key.
+/// and tagging their hashes in `tags` (first association wins, so plan
+/// order decides). `prepared` must already cover these plans; a gap
+/// surfaces as `Err(SimError)` naming the missing key.
 pub(crate) fn execute_batch(
     ctx: &ExecCtx<'_>,
     plans: &[SessionPlan],
     prepared: &PreparedScripts,
     batch: &mut Batch,
+    tags: &mut TagDb,
 ) -> Result<(), SimError> {
     let _span = hf_obs::span!("sim.execute");
-    let Batch {
-        records,
-        tags,
-        spares,
-    } = batch;
+    let Batch { records, spares } = batch;
     // Exact: the day loop recycles `records`, and amortized doubling would
     // leave each of its two buffers up to twice the largest batch.
     records.reserve_exact(plans.len());
@@ -96,8 +93,9 @@ pub fn execute_day_shards(
     );
     let DayMode::Full(prepared) = mode;
     let mut batch = Batch::default();
-    execute_batch(ctx, plans, prepared, &mut batch)?;
-    Ok(vec![(batch.records, batch.tags)])
+    let mut tags = TagDb::new();
+    execute_batch(ctx, plans, prepared, &mut batch, &mut tags)?;
+    Ok(vec![(batch.records, tags)])
 }
 
 #[cfg(test)]
@@ -134,7 +132,8 @@ mod tests {
     fn the_shim_returns_the_executors_one_shard() {
         with_day(|ctx, plans, prepared| {
             let mut batch = Batch::default();
-            execute_batch(ctx, plans, prepared, &mut batch).unwrap();
+            let mut batch_tags = TagDb::new();
+            execute_batch(ctx, plans, prepared, &mut batch, &mut batch_tags).unwrap();
             assert_eq!(batch.records.len(), plans.len());
             let shards = execute_day_shards(ctx, plans, 1, DayMode::Full(prepared)).unwrap();
             let [(records, tags)] = &shards[..] else {
@@ -144,9 +143,8 @@ mod tests {
                 records, &batch.records,
                 "records must match in content and order"
             );
-            assert_eq!(tags.len(), batch.tags.len());
-            assert!(batch
-                .tags
+            assert_eq!(tags.len(), batch_tags.len());
+            assert!(batch_tags
                 .iter()
                 .all(|(h, e)| tags.tag(h) == Some(e.tag.as_str())));
         });
@@ -178,7 +176,7 @@ mod tests {
             let mut batch = Batch::default();
             for shape in [&scripted, &scans_and_telnet, &reversed] {
                 batch.recycle();
-                execute_batch(ctx, shape, prepared, &mut batch).unwrap();
+                execute_batch(ctx, shape, prepared, &mut batch, &mut TagDb::new()).unwrap();
                 let mut tags = TagDb::new();
                 let fresh: Vec<SessionRecord> = (shape.iter())
                     .map(|p| execute_plan_full(ctx, p, &mut tags, prepared).unwrap())

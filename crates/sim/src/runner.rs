@@ -101,16 +101,23 @@ impl SimOutput {
     /// snapshot's metadata so `hfarm report` can label its output.
     pub fn to_snapshot(&self, config: &SimConfig) -> Snapshot {
         Snapshot {
-            meta: SnapshotMeta {
-                seed: config.seed,
-                scale_volume: config.scale.volume,
-                scale_hashes: config.scale.hashes,
-                days: config.window.num_days(),
-                n_clients: self.n_clients as u64,
-            },
+            meta: self.snapshot_meta(config),
             plan: self.dataset.plan.clone(),
             sessions: self.dataset.sessions.clone(),
             tags: self.tags.clone(),
+        }
+    }
+
+    /// The snapshot metadata of this run, produced with `config`: what
+    /// [`SimOutput::to_snapshot`] stores, for a caller that builds the
+    /// [`Snapshot`] from the run's own store instead of a copy.
+    pub fn snapshot_meta(&self, config: &SimConfig) -> SnapshotMeta {
+        SnapshotMeta {
+            seed: config.seed,
+            scale_volume: config.scale.volume,
+            scale_hashes: config.scale.hashes,
+            days: config.window.num_days(),
+            n_clients: self.n_clients as u64,
         }
     }
 
@@ -257,9 +264,9 @@ impl Simulation {
     /// batches of at most 65,536 plans, each from one day. The
     /// producer — a helper thread whenever the window has more than one
     /// day — plans each day, runs its script pre-pass, and executes the
-    /// day's batches one after another in plan order. The calling thread
-    /// ingests each batch's records and tags, then runs the hook after a
-    /// day's last batch. Records reach the collector in the serial loop's
+    /// day's batches one after another in plan order, tagging each hash
+    /// into the run's tag database as it goes. The calling thread ingests
+    /// each batch's records, then runs the hook after a day's last batch. Records reach the collector in the serial loop's
     /// order, so the output is identical on either arm; `sim.execute_wait`
     /// records how long ingest waited on execution.
     ///
@@ -364,7 +371,7 @@ impl Simulation {
                     prepared.prepare_day(&ctx, &plans);
                 }
                 let end = plans.len().min(start + batch);
-                execute_batch(&ctx, &plans[start..end], &prepared, batch_out)?;
+                execute_batch(&ctx, &plans[start..end], &prepared, batch_out, &mut tags)?;
                 let day_done = end == plans.len();
                 if day_done {
                     next = None;
@@ -376,10 +383,8 @@ impl Simulation {
                 Ok(Some(day_done))
             },
             |day_done, batch| {
-                // Batches arrive in plan order: the serial loop's row order,
-                // and `merge` keeps the first tag of each hash.
+                // Batches arrive in plan order: the serial loop's row order.
                 collector.ingest_batch(&batch.records);
-                tags.merge(std::mem::take(&mut batch.tags));
                 if day_done {
                     let store = collector.sessions();
                     after_day(store, collector.plan(), &store.rows()[day_start..]);

@@ -17,6 +17,7 @@ use proptest::strategy::Strategy;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use hf_farm::snapshot::FORMAT_VERSION;
 use hf_geo::{CountryId, Ip4, World, WorldConfig};
 use hf_hash::Sha256;
 use hf_honeypot::{EndReason, LoginAttempt, SessionRecord};
@@ -498,10 +499,14 @@ impl Strategy for SnapshotMutation {
                 idx: rng.gen_range(0u8..8),
             },
             _ => MutOp::BumpVersion {
+                // Any version below 1001 but the one this build reads.
                 version: if rng.gen_ratio(1, 2) {
                     0
                 } else {
-                    rng.gen_range(2u32..1000)
+                    match rng.gen_range(1u32..1000) {
+                        v if v >= FORMAT_VERSION => v + 1,
+                        v => v,
+                    }
                 },
             },
         }

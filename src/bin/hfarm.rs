@@ -411,11 +411,20 @@ fn load(cmd: &str, c: &Common) -> FoldOutput {
         Source::Sim => {
             let config = announce_sim(c, "");
             let mut fold: Option<StreamingFold> = None;
-            let out = Simulation::run_days(config.clone(), DayRows::Keep, |store, plan, rows| {
-                fold.get_or_insert_with(|| StreamingFold::new(plan.len()))
-                    .ingest_rows(store, plan, rows)
-            });
-            write_snapshot(c, &out.to_snapshot(&config));
+            let mut out =
+                Simulation::run_days(config.clone(), DayRows::Keep, |store, plan, rows| {
+                    fold.get_or_insert_with(|| StreamingFold::new(plan.len()))
+                        .ingest_rows(store, plan, rows)
+                });
+            // The store and tags move into the snapshot and back: no copy.
+            let snapshot = Snapshot {
+                meta: out.snapshot_meta(&config),
+                plan: out.dataset.plan.clone(),
+                sessions: std::mem::take(&mut out.dataset.sessions),
+                tags: std::mem::take(&mut out.tags),
+            };
+            write_snapshot(c, &snapshot);
+            (out.dataset.sessions, out.tags) = (snapshot.sessions, snapshot.tags);
             let fold = fold.unwrap_or_else(|| StreamingFold::new(out.dataset.plan.len()));
             FoldOutput {
                 aggregates: fold.finish(),

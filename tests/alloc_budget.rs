@@ -259,9 +259,9 @@ impl<R: std::io::Read> std::io::Read for PrefetchStartsLate<R> {
 }
 
 /// Steady-state chunk decode allocates nothing: after the first chunk has
-/// grown the reader's scratch (row buffer, raw-chunk buffer — the manifest
-/// is pre-reserved at open), every further chunk `fold_chunks` reads,
-/// verifies, decodes and validates reuses it. This is the zero-copy codec
+/// grown the reader's scratch (row buffer, raw-chunk buffer), every
+/// further chunk `fold_chunks` reads, verifies, decodes and validates
+/// reuses it. This is the zero-copy codec
 /// contract: fixed-offset field views over one reused byte buffer, no
 /// per-row or per-field allocation. The count runs from inside the fold
 /// closure, on the overlapped arm, from the end of the first chunk to the
@@ -297,11 +297,11 @@ fn steady_state_chunk_reads_allocate_nothing() {
     );
 }
 
-/// The writer's per-chunk hot loop (encode into a reused buffer, digest,
-/// frame, write) reuses its scratch: re-encoding a snapshot allocates far
-/// fewer times than it writes chunks, i.e. nothing on the per-chunk path.
-/// The fixed budget covers the per-call setup — section staging buffers,
-/// the manifest, the encode scratch growing once each, the encode thread.
+/// The writer's per-chunk loop (encode into a reused buffer, digest,
+/// write) reuses its scratch: re-encoding a snapshot allocates far fewer
+/// times than it writes chunks, i.e. nothing on the per-chunk path. The
+/// fixed budget covers the per-call setup — the section staging buffer and
+/// the encode scratch, each growing a few times.
 #[test]
 fn chunked_writer_allocations_do_not_scale_with_chunks() {
     const ROWS_PER_CHUNK: u32 = 64;

@@ -43,7 +43,9 @@ use honeyfarm::testkit::{
 use honeyfarm::wire::{ConnParams, FarmStats, SessionConn, Timing};
 use proptest::prelude::*;
 
-/// A small but real snapshot, serialized once and mutated per case.
+/// A small but real snapshot, serialized once and mutated per case. Its
+/// rows go in chunks of 16, so mutations land on chunk digests, chunk
+/// boundaries and the trailer as well as on row data.
 fn snapshot_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -51,9 +53,12 @@ fn snapshot_bytes() -> &'static [u8] {
         let out = Simulation::run(cfg.clone());
         let mut v = Vec::new();
         out.to_snapshot(&cfg)
-            .write_to(&mut v)
+            .write_to_chunked(&mut v, 16)
             .expect("write snapshot");
-        assert!(v.len() > 64, "fixture snapshot suspiciously small");
+        assert!(
+            out.dataset.sessions.len() > 16 * 8,
+            "fixture snapshot has too few chunks"
+        );
         v
     })
 }

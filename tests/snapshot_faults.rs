@@ -16,14 +16,16 @@ use honeyfarm::simclock::SimInstant;
 
 /// Header size: magic + version + section count.
 const HEADER: usize = 8 + 4 + 4;
-/// Per-section frame: id (u32) + len (u64) + sha-256 (32 bytes).
+/// Per-section frame of every section but ROWS: id (u32) + len (u64) +
+/// sha-256 (32 bytes).
 const FRAME: usize = 4 + 8 + 32;
-/// Rows-section prologue: n_rows (u64) + rows_per_chunk (u32) + n_chunks (u32).
-const ROWS_PROLOGUE: usize = 8 + 4 + 4;
-/// Per-chunk header: row count (u32) + chunk-data sha-256.
-const CHUNK_HEADER: usize = 4 + 32;
+/// A SHA-256 digest: each chunk opens with one, and one closes ROWS.
+const DIGEST: usize = 32;
 /// Encoded row width.
 const ROW: usize = 48;
+/// Offset of the row count inside the META payload (after seed, two
+/// scales, days and client count).
+const META_N_ROWS: usize = 8 + 8 + 8 + 4 + 8;
 
 fn record(n: u64) -> SessionRecord {
     SessionRecord {
@@ -81,19 +83,44 @@ fn load(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     Snapshot::read_from(&mut &bytes[..])
 }
 
-/// Walk the section frames, returning `(payload_start, payload_len)` per
-/// section in file order.
+fn u32_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("u32 field")) as usize
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("u64 field")) as usize
+}
+
+/// The row count META declares (META is the first section).
+fn meta_rows(bytes: &[u8]) -> usize {
+    u64_at(bytes, HEADER + FRAME + META_N_ROWS)
+}
+
+/// Walk the sections, returning `(start, len)` per section in file order:
+/// the payload behind the frame for framed sections, and for ROWS
+/// everything behind its id (`rows_per_chunk`, the chunks, the trailer).
 fn section_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut off = HEADER;
-    for _ in SECTIONS {
-        let len =
-            u64::from_le_bytes(bytes[off + 4..off + 12].try_into().expect("len field")) as usize;
-        spans.push((off + FRAME, len));
-        off += FRAME + len;
+    for (_, name) in SECTIONS {
+        let span = if name == "rows" {
+            let n_rows = meta_rows(bytes);
+            let n_chunks = n_rows.div_ceil(u32_at(bytes, off + 4));
+            (off + 4, 4 + n_chunks * DIGEST + n_rows * ROW + DIGEST)
+        } else {
+            (off + FRAME, u64_at(bytes, off + 4))
+        };
+        spans.push(span);
+        off = span.0 + span.1;
     }
     assert_eq!(off, bytes.len(), "walk must cover the whole file");
     spans
+}
+
+/// The `(start, len)` of the rows section (see [`section_spans`]).
+fn rows_span(bytes: &[u8]) -> (usize, usize) {
+    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
+    section_spans(bytes)[rows_idx]
 }
 
 /// Re-stamp a section's checksum after deliberately editing its payload
@@ -103,74 +130,69 @@ fn restamp(bytes: &mut [u8], payload_start: usize, payload_len: usize) {
     bytes[payload_start - 32..payload_start].copy_from_slice(&digest.0);
 }
 
-/// Walk a rows payload's chunks, returning each chunk's header offset and
-/// row count.
-fn rows_chunks(bytes: &[u8], start: usize) -> Vec<(usize, usize)> {
-    let n_chunks = u32::from_le_bytes(bytes[start + 12..start + 16].try_into().unwrap()) as usize;
-    let mut chunks = Vec::with_capacity(n_chunks);
-    let mut off = start + ROWS_PROLOGUE;
-    for _ in 0..n_chunks {
-        let rows = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+/// Walk the rows section's chunks, returning each chunk's offset (where its
+/// digest sits) and row count: META's rows cut at `rows_per_chunk`.
+fn rows_chunks(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let (start, _) = rows_span(bytes);
+    let rows_per_chunk = u32_at(bytes, start);
+    let mut chunks = Vec::new();
+    let (mut off, mut left) = (start + 4, meta_rows(bytes));
+    while left > 0 {
+        let rows = left.min(rows_per_chunk);
         chunks.push((off, rows));
-        off += CHUNK_HEADER + rows * ROW;
+        off += DIGEST + rows * ROW;
+        left -= rows;
     }
     chunks
 }
 
+/// Offset of the first row's bytes in the rows section.
+fn first_row(bytes: &[u8]) -> usize {
+    rows_span(bytes).0 + 4 + DIGEST
+}
+
+/// Offset of the rows section's trailer: the digest over the chunk digests.
+fn trailer(bytes: &[u8]) -> usize {
+    let (start, len) = rows_span(bytes);
+    start + len - DIGEST
+}
+
 /// Re-stamp the rows section after deliberately editing chunk data: each
-/// chunk's digest covers its row bytes, and the section checksum covers the
-/// chunk manifest (prologue ‖ per-chunk headers) — both must be recomputed
-/// to reach the semantic row validators underneath.
-fn restamp_rows(bytes: &mut [u8], start: usize, len: usize) {
-    for (off, rows) in rows_chunks(bytes, start) {
-        let data = off + CHUNK_HEADER;
+/// chunk's digest covers its row bytes, and the trailer covers the chunk
+/// digests — both must be recomputed to reach the semantic row validators
+/// underneath.
+fn restamp_rows(bytes: &mut [u8]) {
+    let mut digests = Sha256::new();
+    for (off, rows) in rows_chunks(bytes) {
+        let data = off + DIGEST;
         let digest = Sha256::digest(&bytes[data..data + rows * ROW]);
-        bytes[off + 4..off + CHUNK_HEADER].copy_from_slice(&digest.0);
+        bytes[off..data].copy_from_slice(&digest.0);
+        digests.update(&digest.0);
     }
-    let mut manifest = bytes[start..start + ROWS_PROLOGUE].to_vec();
-    let mut end = start + ROWS_PROLOGUE;
-    for (off, rows) in rows_chunks(bytes, start) {
-        manifest.extend_from_slice(&bytes[off..off + CHUNK_HEADER]);
-        end = off + CHUNK_HEADER + rows * ROW;
-    }
-    assert_eq!(end, start + len, "chunk walk must cover the payload");
-    let digest = Sha256::digest(&manifest);
-    bytes[start - 32..start].copy_from_slice(&digest.0);
+    let at = trailer(bytes);
+    bytes[at..at + DIGEST].copy_from_slice(&digests.finalize().0);
 }
 
 /// Rebuild the rows section with a different `rows_per_chunk`, re-splitting
 /// the same row data into more chunks (the writer always uses the default;
 /// the reader must honor whatever a valid file declares).
 fn rechunk_rows(bytes: &[u8], rows_per_chunk: usize) -> Vec<u8> {
-    let spans = section_spans(bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, len) = spans[rows_idx];
-    let n_rows = u64::from_le_bytes(bytes[start..start + 8].try_into().unwrap()) as usize;
-    let mut data = Vec::with_capacity(n_rows * ROW);
-    for (off, rows) in rows_chunks(bytes, start) {
-        data.extend_from_slice(&bytes[off + CHUNK_HEADER..off + CHUNK_HEADER + rows * ROW]);
+    let (start, len) = rows_span(bytes);
+    let mut data = Vec::with_capacity(meta_rows(bytes) * ROW);
+    for (off, rows) in rows_chunks(bytes) {
+        data.extend_from_slice(&bytes[off + DIGEST..off + DIGEST + rows * ROW]);
     }
-    assert_eq!(data.len(), n_rows * ROW);
+    assert_eq!(data.len(), meta_rows(bytes) * ROW);
 
-    let n_chunks = n_rows.div_ceil(rows_per_chunk);
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(n_rows as u64).to_le_bytes());
-    payload.extend_from_slice(&(rows_per_chunk as u32).to_le_bytes());
-    payload.extend_from_slice(&(n_chunks as u32).to_le_bytes());
+    let mut out = bytes[..start].to_vec();
+    out.extend_from_slice(&(rows_per_chunk as u32).to_le_bytes());
     for chunk in data.chunks(rows_per_chunk * ROW) {
-        payload.extend_from_slice(&((chunk.len() / ROW) as u32).to_le_bytes());
-        payload.extend_from_slice(&Sha256::digest(chunk).0);
-        payload.extend_from_slice(chunk);
+        out.extend_from_slice(&[0; DIGEST]); // stamped below
+        out.extend_from_slice(chunk);
     }
-
-    let mut out = bytes[..start - FRAME].to_vec();
-    out.extend_from_slice(&bytes[start - FRAME..start - FRAME + 4]); // section id
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&[0u8; 32]); // checksum stamped below
-    let new_start = out.len();
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0; DIGEST]);
     out.extend_from_slice(&bytes[start + len..]);
-    restamp_rows(&mut out, new_start, payload.len());
+    restamp_rows(&mut out);
     out
 }
 
@@ -237,9 +259,15 @@ fn truncation_anywhere_is_a_typed_error() {
     // Cut the file at a spread of boundaries: inside the header, inside
     // each section frame, inside each payload, and just before the end.
     let mut cuts = vec![0, 1, HEADER - 1, HEADER, pristine.len() - 1];
-    for &(start, len) in &section_spans(&pristine) {
-        cuts.push(start - FRAME + 2); // mid section-id
-        cuts.push(start - 20); // mid checksum
+    for (&(start, len), (_, name)) in section_spans(&pristine).iter().zip(SECTIONS) {
+        if name == "rows" {
+            cuts.push(start - 2); // mid section-id
+            cuts.push(start + 2); // mid rows_per_chunk
+            cuts.push(start + len - DIGEST / 2); // mid trailer
+        } else {
+            cuts.push(start - FRAME + 2); // mid section-id
+            cuts.push(start - 20); // mid checksum
+        }
         cuts.push(start + len / 2); // mid payload
     }
     for cut in cuts {
@@ -271,16 +299,13 @@ fn unexpected_section_id_is_rejected() {
 #[test]
 fn dangling_ssh_version_id_is_rejected() {
     let mut bytes = snapshot_bytes();
-    let spans = section_spans(&bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, len) = spans[rows_idx];
-    // Rows payload: prologue, then per-chunk [header ‖ 48-byte rows];
+    // Rows section: rows_per_chunk, then per chunk [digest ‖ 48-byte rows];
     // ssh_version_id sits at row offset 24. Point it far past the pool and
-    // re-stamp the chunk + section checksums so only the semantic validator
-    // can object.
-    let field = start + ROWS_PROLOGUE + CHUNK_HEADER + 24;
+    // re-stamp the chunk digest and the trailer so only the semantic
+    // validator can object.
+    let field = first_row(&bytes) + 24;
     bytes[field..field + 4].copy_from_slice(&0x7fff_fff0u32.to_le_bytes());
-    restamp_rows(&mut bytes, start, len);
+    restamp_rows(&mut bytes);
     match load(&bytes) {
         Err(SnapshotError::DanglingId { kind, id }) => {
             assert_eq!(kind, "ssh_version");
@@ -293,13 +318,10 @@ fn dangling_ssh_version_id_is_rejected() {
 #[test]
 fn dangling_list_id_is_rejected() {
     let mut bytes = snapshot_bytes();
-    let spans = section_spans(&bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, len) = spans[rows_idx];
     // login_list_id sits at row offset 28.
-    let field = start + ROWS_PROLOGUE + CHUNK_HEADER + 28;
+    let field = first_row(&bytes) + 28;
     bytes[field..field + 4].copy_from_slice(&0x00ff_ffffu32.to_le_bytes());
-    restamp_rows(&mut bytes, start, len);
+    restamp_rows(&mut bytes);
     match load(&bytes) {
         Err(SnapshotError::DanglingId { kind, .. }) => assert_eq!(kind, "list"),
         other => panic!("expected DanglingId, got {other:?}"),
@@ -314,13 +336,10 @@ fn dangling_command_id_is_rejected() {
         list_id = lists.len() as u32;
         lists.push(vec![u32::MAX - 1]);
     });
-    let spans = section_spans(&bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, len) = spans[rows_idx];
     // cmd_list_id sits at row offset 32.
-    let field = start + ROWS_PROLOGUE + CHUNK_HEADER + 32;
+    let field = first_row(&bytes) + 32;
     bytes[field..field + 4].copy_from_slice(&list_id.to_le_bytes());
-    restamp_rows(&mut bytes, start, len);
+    restamp_rows(&mut bytes);
     match load(&bytes) {
         Err(SnapshotError::DanglingId { kind, id }) => {
             assert_eq!(kind, "command");
@@ -333,12 +352,10 @@ fn dangling_command_id_is_rejected() {
 #[test]
 fn corrupt_row_enum_is_rejected() {
     let mut bytes = snapshot_bytes();
-    let spans = section_spans(&bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, len) = spans[rows_idx];
     // protocol byte sits at row offset 22.
-    bytes[start + ROWS_PROLOGUE + CHUNK_HEADER + 22] = 9;
-    restamp_rows(&mut bytes, start, len);
+    let field = first_row(&bytes) + 22;
+    bytes[field] = 9;
+    restamp_rows(&mut bytes);
     match load(&bytes) {
         Err(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "rows"),
         other => panic!("expected Corrupt, got {other:?}"),
@@ -371,12 +388,9 @@ fn flipped_chunk_data_names_the_chunk() {
     // chunk index is reachable.
     let bytes = rechunk_rows(&snapshot_bytes(), 3);
     load(&bytes).expect("re-chunked snapshot must load");
-    let spans = section_spans(&bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, _) = spans[rows_idx];
-    for (i, &(off, rows)) in rows_chunks(&bytes, start).iter().enumerate() {
+    for (i, &(off, rows)) in rows_chunks(&bytes).iter().enumerate() {
         let mut corrupted = bytes.clone();
-        corrupted[off + CHUNK_HEADER + (rows * ROW) / 2] ^= 0x01;
+        corrupted[off + DIGEST + (rows * ROW) / 2] ^= 0x01;
         match load(&corrupted) {
             Err(SnapshotError::ChunkChecksumMismatch { section, chunk }) => {
                 assert_eq!(section, "rows");
@@ -391,16 +405,13 @@ fn flipped_chunk_data_names_the_chunk() {
 }
 
 /// A flipped byte in a chunk's *stored digest* also fails that chunk's
-/// verification (the manifest checksum would catch it too, but the chunk
-/// check fires first and localizes the damage).
+/// verification (the trailer would catch it too, but the chunk check fires
+/// first and localizes the damage).
 #[test]
 fn flipped_chunk_digest_is_caught() {
     let mut bytes = snapshot_bytes();
-    let spans = section_spans(&bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, _) = spans[rows_idx];
-    let (off, _) = rows_chunks(&bytes, start)[0];
-    bytes[off + 4] ^= 0x80; // first byte of the chunk digest
+    let (off, _) = rows_chunks(&bytes)[0];
+    bytes[off] ^= 0x80; // first byte of the chunk digest
     match load(&bytes) {
         Err(SnapshotError::ChunkChecksumMismatch { section, chunk }) => {
             assert_eq!((section, chunk), ("rows", 0));
@@ -409,18 +420,27 @@ fn flipped_chunk_digest_is_caught() {
     }
 }
 
-/// A lying chunk count no longer adds up against the declared row count and
-/// payload length; the reader rejects it before reading any chunk.
+/// A META row count that disagrees with the rows section misplaces every
+/// chunk boundary after it, so the chunk that straddles the true end fails
+/// its digest.
 #[test]
-fn lying_chunk_count_is_rejected() {
-    let mut bytes = snapshot_bytes();
-    let spans = section_spans(&bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, _) = spans[rows_idx];
-    bytes[start + 12..start + 16].copy_from_slice(&1000u32.to_le_bytes());
-    match load(&bytes) {
-        Err(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "rows"),
-        other => panic!("expected Corrupt, got {other:?}"),
+fn meta_row_count_that_disagrees_with_the_rows_is_rejected() {
+    let pristine = snapshot_bytes();
+    let meta = HEADER + FRAME;
+    let meta_len = u64_at(&pristine, HEADER + 4);
+    for lie in [7u64, 9] {
+        let mut bytes = pristine.clone();
+        let at = meta + META_N_ROWS;
+        bytes[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+        restamp(&mut bytes, meta, meta_len);
+        match load(&bytes) {
+            Err(SnapshotError::ChunkChecksumMismatch { section, chunk }) => {
+                assert_eq!((section, chunk), ("rows", 0), "META claims {lie} rows");
+            }
+            other => {
+                panic!("META claims {lie} rows: expected ChunkChecksumMismatch, got {other:?}")
+            }
+        }
     }
 }
 
@@ -430,10 +450,8 @@ fn lying_chunk_count_is_rejected() {
 fn lying_rows_per_chunk_is_rejected() {
     for lie in [0u32, u32::MAX] {
         let mut bytes = snapshot_bytes();
-        let spans = section_spans(&bytes);
-        let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-        let (start, _) = spans[rows_idx];
-        bytes[start + 8..start + 12].copy_from_slice(&lie.to_le_bytes());
+        let (start, _) = rows_span(&bytes);
+        bytes[start..start + 4].copy_from_slice(&lie.to_le_bytes());
         match load(&bytes) {
             Err(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "rows"),
             other => panic!("rows_per_chunk={lie}: expected Corrupt, got {other:?}"),
@@ -448,14 +466,11 @@ fn lying_rows_per_chunk_is_rejected() {
 #[test]
 fn dangling_id_in_a_later_chunk_is_rejected() {
     let mut bytes = rechunk_rows(&snapshot_bytes(), 3);
-    let spans = section_spans(&bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, len) = spans[rows_idx];
-    let &(off, _) = rows_chunks(&bytes, start).last().unwrap();
+    let &(off, _) = rows_chunks(&bytes).last().unwrap();
     // login_list_id of the final chunk's first row (row offset 28).
-    let field = off + CHUNK_HEADER + 28;
+    let field = off + DIGEST + 28;
     bytes[field..field + 4].copy_from_slice(&0x00ff_fffeu32.to_le_bytes());
-    restamp_rows(&mut bytes, start, len);
+    restamp_rows(&mut bytes);
     match load(&bytes) {
         Err(SnapshotError::DanglingId { kind, id }) => {
             assert_eq!(kind, "list");
@@ -466,22 +481,72 @@ fn dangling_id_in_a_later_chunk_is_rejected() {
 }
 
 /// Truncation exactly at a chunk boundary (a valid prefix of chunks, then
-/// nothing) is a typed truncation error, not a short read of partial data.
+/// nothing) is a typed truncation error, not a short read of partial data —
+/// at every chunk's start, behind its digest, one byte short of its end,
+/// and where the trailer should begin.
 #[test]
 fn truncation_at_chunk_boundary_is_typed() {
     let bytes = rechunk_rows(&snapshot_bytes(), 3);
-    let spans = section_spans(&bytes);
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    let (start, _) = spans[rows_idx];
-    for &(off, rows) in &rows_chunks(&bytes, start)[1..] {
-        // Cut right where this chunk's header should begin, and again right
-        // after its header (header read OK, data missing).
-        for cut in [off, off + CHUNK_HEADER, off + CHUNK_HEADER + rows * ROW - 1] {
-            match load(&bytes[..cut]) {
-                Err(SnapshotError::Truncated { .. }) => {}
-                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-            }
+    let chunks = rows_chunks(&bytes);
+    assert_eq!(chunks.len(), 3);
+    let mut cuts = vec![trailer(&bytes)];
+    for &(off, rows) in &chunks {
+        cuts.extend([off, off + DIGEST, off + DIGEST + rows * ROW - 1]);
+    }
+    for cut in cuts {
+        match load(&bytes[..cut]) {
+            Err(SnapshotError::Truncated { section }) => assert_eq!(section, "rows", "cut {cut}"),
+            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
+    }
+}
+
+/// A file cut anywhere inside the trailer is truncated inside the rows
+/// section, after every chunk has verified.
+#[test]
+fn truncation_at_every_trailer_byte_is_typed() {
+    let bytes = rechunk_rows(&snapshot_bytes(), 3);
+    let at = trailer(&bytes);
+    for cut in at..at + DIGEST {
+        match load(&bytes[..cut]) {
+            Err(SnapshotError::Truncated { section }) => assert_eq!(section, "rows", "cut {cut}"),
+            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+        }
+    }
+}
+
+/// A flipped trailer byte leaves every chunk intact, so the rows section
+/// as a whole is blamed.
+#[test]
+fn flipped_trailer_digest_is_a_rows_checksum_mismatch() {
+    let pristine = rechunk_rows(&snapshot_bytes(), 3);
+    let at = trailer(&pristine);
+    for i in [0, DIGEST / 2, DIGEST - 1] {
+        let mut bytes = pristine.clone();
+        bytes[at + i] ^= 0x10;
+        match load(&bytes) {
+            Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, "rows"),
+            other => panic!("trailer byte {i}: expected ChecksumMismatch, got {other:?}"),
+        }
+    }
+}
+
+/// Two full chunks swapped, each with its own digest, pass every chunk
+/// check; only the trailer, which digests the chunk digests in order,
+/// catches the reordering.
+#[test]
+fn swapped_full_chunks_are_a_rows_checksum_mismatch() {
+    let mut bytes = rechunk_rows(&snapshot_bytes(), 3);
+    let chunks = rows_chunks(&bytes);
+    let ((a, rows_a), (b, rows_b)) = (chunks[0], chunks[1]);
+    assert_eq!((rows_a, rows_b), (3, 3), "two full chunks");
+    let len = DIGEST + rows_a * ROW;
+    let first = bytes[a..a + len].to_vec();
+    bytes.copy_within(b..b + len, a);
+    bytes[b..b + len].copy_from_slice(&first);
+    match load(&bytes) {
+        Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, "rows"),
+        other => panic!("swapped chunks: expected ChecksumMismatch, got {other:?}"),
     }
 }
 
