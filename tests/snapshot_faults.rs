@@ -229,6 +229,20 @@ fn version_mismatch_is_rejected() {
     }
 }
 
+/// A version-2 file (rows checksummed ahead of their data) is refused
+/// before any section is read.
+#[test]
+fn a_version_2_file_is_refused() {
+    let mut bytes = snapshot_bytes();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    match load(&bytes) {
+        Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+            assert_eq!((found, supported), (2, 3));
+        }
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
 #[test]
 fn flipped_byte_in_every_section_is_caught_by_its_checksum() {
     let pristine = snapshot_bytes();
