@@ -791,6 +791,7 @@ fn write_rows_section<W: Write>(
     w.write_all(&rows_per_chunk.to_le_bytes())?;
     let mut digests = Sha256::new();
     let mut buf = Vec::new();
+    // `rows_per_chunk` and the trailer, then each chunk as it is written.
     let mut len = 4 + 32;
     for chunk in rows.chunks(rows_per_chunk as usize) {
         buf.clear();

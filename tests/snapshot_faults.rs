@@ -216,30 +216,20 @@ fn bad_magic_is_rejected() {
     }
 }
 
+/// Any other version is refused before a section is read, version 2 (rows
+/// checksummed ahead of their data) included.
 #[test]
 fn version_mismatch_is_rejected() {
-    let mut bytes = snapshot_bytes();
-    bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-    match load(&bytes) {
-        Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 99);
-            assert_eq!(supported, FORMAT_VERSION);
+    assert_eq!(FORMAT_VERSION, 3);
+    for version in [2u32, 99] {
+        let mut bytes = snapshot_bytes();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        match load(&bytes) {
+            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                assert_eq!((found, supported), (version, 3));
+            }
+            other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
-    }
-}
-
-/// A version-2 file (rows checksummed ahead of their data) is refused
-/// before any section is read.
-#[test]
-fn a_version_2_file_is_refused() {
-    let mut bytes = snapshot_bytes();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    match load(&bytes) {
-        Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-            assert_eq!((found, supported), (2, 3));
-        }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 
@@ -497,31 +487,17 @@ fn dangling_id_in_a_later_chunk_is_rejected() {
 /// Truncation exactly at a chunk boundary (a valid prefix of chunks, then
 /// nothing) is a typed truncation error, not a short read of partial data —
 /// at every chunk's start, behind its digest, one byte short of its end,
-/// and where the trailer should begin.
+/// and at every byte of the trailer.
 #[test]
 fn truncation_at_chunk_boundary_is_typed() {
     let bytes = rechunk_rows(&snapshot_bytes(), 3);
     let chunks = rows_chunks(&bytes);
     assert_eq!(chunks.len(), 3);
-    let mut cuts = vec![trailer(&bytes)];
+    let mut cuts: Vec<usize> = (trailer(&bytes)..trailer(&bytes) + DIGEST).collect();
     for &(off, rows) in &chunks {
         cuts.extend([off, off + DIGEST, off + DIGEST + rows * ROW - 1]);
     }
     for cut in cuts {
-        match load(&bytes[..cut]) {
-            Err(SnapshotError::Truncated { section }) => assert_eq!(section, "rows", "cut {cut}"),
-            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-        }
-    }
-}
-
-/// A file cut anywhere inside the trailer is truncated inside the rows
-/// section, after every chunk has verified.
-#[test]
-fn truncation_at_every_trailer_byte_is_typed() {
-    let bytes = rechunk_rows(&snapshot_bytes(), 3);
-    let at = trailer(&bytes);
-    for cut in at..at + DIGEST {
         match load(&bytes[..cut]) {
             Err(SnapshotError::Truncated { section }) => assert_eq!(section, "rows", "cut {cut}"),
             other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
