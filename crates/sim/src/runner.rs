@@ -266,9 +266,10 @@ impl Simulation {
     /// day — plans each day, runs its script pre-pass, and executes the
     /// day's batches one after another in plan order, tagging each hash
     /// into the run's tag database as it goes. The calling thread ingests
-    /// each batch's records, then runs the hook after a day's last batch. Records reach the collector in the serial loop's
-    /// order, so the output is identical on either arm; `sim.execute_wait`
-    /// records how long ingest waited on execution.
+    /// each batch's records, then runs the hook after a day's last batch.
+    /// Records reach the collector in the serial loop's order, so the
+    /// output is identical on either arm; `sim.execute_wait` records how
+    /// long ingest waited on execution.
     ///
     /// Each of the two batch buffers returns to the producer once ingested.
     /// The producer takes the ingested records apart into the buffer's
