@@ -25,6 +25,7 @@ pub mod collector;
 pub mod deployment;
 pub mod intern;
 pub mod log;
+mod rowcodec;
 pub mod snapshot;
 pub mod store;
 pub mod tags;

@@ -5,7 +5,7 @@
 //! the collected [`SessionStore`] + [`TagDb`] + deployment plan once, and
 //! `hfarm report` (or any reanalysis tool) reloads it without re-simulating.
 //!
-//! ## Format (version 3)
+//! ## Format (version 4)
 //!
 //! ```text
 //! [magic "HFSTORE\0" : 8 bytes]
@@ -19,42 +19,49 @@
 //! ```
 //!
 //! Sections, in order: META, PLAN, CREDS, COMMANDS, URIS, SSH_VERSIONS,
-//! DIGESTS, LISTS, ROWS, TAGS. All integers are little-endian and
-//! fixed-width; rows use the same 48-byte layout as the in-memory
-//! [`Row`]. String/digest/list pools are written in insertion order and tag
-//! entries sorted by digest, so snapshots of a deterministic run are
-//! byte-identical on every run (see DESIGN.md §5).
+//! DIGESTS, LISTS, ROWS, TAGS. Integers outside the rows chunks are
+//! little-endian and fixed-width. String/digest/list pools are written in
+//! insertion order and tag entries sorted by digest, so snapshots of a
+//! deterministic run are byte-identical on every run (see DESIGN.md §5).
 //!
 //! Every section except ROWS is checksummed whole and materialized whole.
-//! ROWS — the only one that grows with the window (~19 GB at scale 1.0) —
-//! is chunked so both sides stream it in bounded memory, and its checksum
-//! comes after its data, so the writer makes one pass over the rows:
+//! ROWS — the only one that grows with the window — is chunked so both
+//! sides stream it in bounded memory, and its checksum comes after its
+//! data, so the writer makes one pass over the rows:
 //!
 //! ```text
 //! [section id     : u32 LE]
 //! [rows_per_chunk : u32 LE]                     (writer uses ROWS_PER_CHUNK)
 //! then, per chunk (ceil(n_rows / rows_per_chunk) of them):
-//! [SHA-256 of the chunk's row bytes : 32 bytes]
-//! [chunk rows × 48 bytes of row data]           (rows_per_chunk except the last)
+//! [SHA-256 of the payload : 32 bytes]
+//! [payload len            : u32 LE]
+//! [payload                : the chunk's rows, column-coded]
 //! [SHA-256 over the chunk digests, in order : 32 bytes]
 //! ```
 //!
+//! A payload holds its rows (`rows_per_chunk` of them, except in the last
+//! chunk) column by column: a dictionary of the chunk's clients, a column
+//! directory, then varint and fixed-width columns. It decodes on its own,
+//! without the chunks before it; the private `rowcodec` module documents
+//! the columns. The on-disk form no longer mirrors the in-memory [`Row`]:
+//! a row takes about 15 bytes instead of 48.
+//!
 //! The row count is META's; the chunk count and each chunk's row count
 //! follow from it and `rows_per_chunk`. Each chunk digest authenticates its
-//! data, and the trailing digest authenticates the chunk digests and their
-//! order. A reader therefore verifies each chunk the moment it arrives
-//! ([`SnapshotError::ChunkChecksumMismatch`] names the failing chunk) and
-//! confirms the trailer after the last one, without ever holding more
-//! than one chunk; [`SnapshotReader`] is that streaming reader, and
+//! payload, and the trailing digest authenticates the chunk digests and
+//! their order. A reader therefore verifies each chunk the moment it
+//! arrives ([`SnapshotError::ChunkChecksumMismatch`] names the failing
+//! chunk) and confirms the trailer after the last one, without ever holding
+//! more than two chunks; [`SnapshotReader`] is that streaming reader, and
 //! [`Snapshot::read_from`] is a thin materializing wrapper over it.
 //!
 //! ## Error handling
 //!
 //! The load path never panics and never `unwrap()`s: a truncated file, bad
-//! magic, unsupported version, section or chunk checksum mismatch, or
-//! dangling interned id each surfaces as a distinct [`SnapshotError`]
-//! variant, verified by the fault-injection suite in
-//! `tests/snapshot_faults.rs`.
+//! magic, unsupported version, section or chunk checksum mismatch, a chunk
+//! payload that does not decode, or a dangling interned id each surfaces as
+//! a distinct [`SnapshotError`] variant, verified by the fault-injection
+//! suite in `tests/snapshot_faults.rs`.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -69,6 +76,7 @@ use hf_honeypot::ArtifactStore;
 use crate::collector::Dataset;
 use crate::deployment::{FarmPlan, HoneypotNode};
 use crate::intern::{DigestPool, ListPool, StringPool, MAX_POOL_LEN, NONE_ID};
+use crate::rowcodec::{self, ChunkEncoder};
 use crate::store::{Row, SessionStore};
 use crate::tags::TagDb;
 
@@ -76,26 +84,21 @@ use crate::tags::TagDb;
 pub const MAGIC: [u8; 8] = *b"HFSTORE\0";
 
 /// Current format version. Bump on any layout change; readers reject other
-/// versions with [`SnapshotError::UnsupportedVersion`]. Version 3 moved the
-/// ROWS checksum behind the row data (see the module docs); earlier files
-/// are no longer readable.
-pub const FORMAT_VERSION: u32 = 3;
+/// versions with [`SnapshotError::UnsupportedVersion`]. Version 4 codes
+/// each rows chunk by column (see the module docs); earlier files are no
+/// longer readable.
+pub const FORMAT_VERSION: u32 = 4;
 
-/// Rows per chunk the writer emits: 65 536 rows × 48 bytes = 3 MiB of row
-/// data per chunk. Readers accept any `rows_per_chunk` up to
+/// Rows per chunk the writer emits: 65 536 rows, about 1 MiB of payload
+/// and 3 MiB of decoded rows. Readers accept any `rows_per_chunk` up to
 /// [`MAX_ROWS_PER_CHUNK`], so this can be retuned without a format bump.
 pub const ROWS_PER_CHUNK: u32 = 1 << 16;
 
-/// Upper bound on a file's declared `rows_per_chunk` (48 MiB of row data):
-/// the streaming reader's per-chunk allocation is bounded by this, so a
-/// hostile prologue cannot force a giant buffer.
+/// Upper bound on a file's declared `rows_per_chunk` (48 MiB of decoded
+/// rows): with the payload bound each chunk's row count implies, it bounds
+/// the streaming reader's per-chunk allocations, so a hostile prologue or
+/// length field cannot force a giant buffer.
 pub const MAX_ROWS_PER_CHUNK: u32 = 1 << 20;
-
-/// Serialized row width. The on-disk layout mirrors the in-memory [`Row`]
-/// field-for-field, so encode/decode are fixed-offset views over 48-byte
-/// records (no per-field cursor, no intermediate copies).
-const ROW_BYTES: usize = 48;
-const _: () = assert!(std::mem::size_of::<Row>() == ROW_BYTES);
 
 /// `(section id, section name)` in on-disk order. Section ids are part of
 /// the format; names appear in error messages and tests.
@@ -502,8 +505,8 @@ fn read_decoded_section<R: Read, T>(
 pub struct SnapshotReader<R: Read> {
     /// The stream-position half: underlying reader, chunk cursor, and
     /// running digest of the chunk digests. Split out so the overlapped
-    /// fold can hand it to a prefetch thread while decode/validate stays on
-    /// the caller's thread (see [`SnapshotReader::fold_chunks`]).
+    /// fold can hand it to a prefetch thread while validation and the fold
+    /// stay on the caller's thread (see [`SnapshotReader::fold_chunks`]).
     raw: RawChunks<R>,
     meta: SnapshotMeta,
     plan: FarmPlan,
@@ -514,11 +517,11 @@ pub struct SnapshotReader<R: Read> {
     memo: ValidationMemo,
 }
 
-/// The raw, row-agnostic half of the streaming reader: reads one chunk at
-/// a time from the underlying stream, verifies its checksum, and folds its
-/// digest into the running digest the trailer is checked against. Owns
-/// everything a prefetch thread needs — and nothing the decode/validate/fold
-/// side touches.
+/// The pool-agnostic half of the streaming reader: reads one chunk at a
+/// time from the underlying stream, verifies its checksum, decodes its
+/// rows, and folds its digest into the running digest the trailer is
+/// checked against. Owns everything a prefetch thread needs — and nothing
+/// the validate/fold side touches.
 struct RawChunks<R: Read> {
     r: R,
     /// META's row count.
@@ -531,12 +534,19 @@ struct RawChunks<R: Read> {
     digests: Sha256,
 }
 
+/// One chunk in flight from the prefetch thread to the fold: its payload as
+/// read, and the rows decoded from it. Both buffers are reused.
+#[derive(Default)]
+struct ChunkBuf {
+    payload: Vec<u8>,
+    rows: Vec<Row>,
+}
+
 impl<R: Read> RawChunks<R> {
-    /// Read and checksum-verify the next raw chunk into `buf` (replacing
-    /// its contents), returning its row count — or, once every chunk has
-    /// been consumed, read the trailer, check it against the chunk digests,
-    /// and return `None`.
-    fn next_raw(&mut self, buf: &mut Vec<u8>) -> Result<Option<u32>, SnapshotError> {
+    /// Read, checksum-verify and decode the next chunk into `buf` — or,
+    /// once every chunk has been consumed, read the trailer, check it
+    /// against the chunk digests, and return `None`.
+    fn next_chunk(&mut self, buf: &mut ChunkBuf) -> Result<Option<()>, SnapshotError> {
         if self.chunks_read == self.n_chunks {
             let trailer: [u8; 32] = read_array(&mut self.r, "rows")?;
             if std::mem::take(&mut self.digests).finalize().0 != trailer {
@@ -547,13 +557,20 @@ impl<R: Read> RawChunks<R> {
         let idx = self.chunks_read;
         // Every chunk is full except the last.
         let left = self.n_rows - idx as u64 * self.rows_per_chunk as u64;
-        let chunk_rows = left.min(self.rows_per_chunk as u64) as u32;
+        let chunk_rows = left.min(self.rows_per_chunk as u64) as usize;
         let digest: [u8; 32] = read_array(&mut self.r, "rows")?;
-        buf.clear();
-        buf.resize(chunk_rows as usize * ROW_BYTES, 0);
-        read_exact(&mut self.r, buf, "rows")?;
+        let len = u32::from_le_bytes(read_array(&mut self.r, "rows")?) as usize;
+        if len > rowcodec::max_payload(chunk_rows) {
+            return Err(SnapshotError::Corrupt {
+                section: "rows",
+                detail: format!("chunk {idx} declares {len} payload bytes for {chunk_rows} rows"),
+            });
+        }
+        buf.payload.clear();
+        buf.payload.resize(len, 0);
+        read_exact(&mut self.r, &mut buf.payload, "rows")?;
         let verify = hf_obs::span!("hash.verify");
-        if Sha256::digest(buf).0 != digest {
+        if Sha256::digest(&buf.payload).0 != digest {
             return Err(SnapshotError::ChunkChecksumMismatch {
                 section: "rows",
                 chunk: idx,
@@ -562,7 +579,9 @@ impl<R: Read> RawChunks<R> {
         drop(verify);
         self.digests.update(&digest);
         self.chunks_read += 1;
-        Ok(Some(chunk_rows))
+        let _scan = hf_obs::span!("farm.chunk_scan");
+        rowcodec::decode_chunk(&buf.payload, chunk_rows, &mut buf.rows)?;
+        Ok(Some(()))
     }
 }
 
@@ -666,11 +685,11 @@ impl<R: Read> SnapshotReader<R> {
     /// after the last chunk.
     ///
     /// The stream goes through [`hf_obs::overlapped`]: unless the file has
-    /// at most one chunk, a helper thread reads and checksums chunk `k + 1`
-    /// while the calling thread decodes, validates, and folds chunk `k` —
-    /// the read + SHA-256 side of the stream runs in the shadow of the fold,
-    /// and results (and the *first* error, should one surface) are identical
-    /// to the serial arm's.
+    /// at most one chunk, a helper thread reads, checksums and decodes chunk
+    /// `k + 1` while the calling thread validates and folds chunk `k` — the
+    /// read, SHA-256 and decode side of the stream runs in the shadow of the
+    /// fold, and results (and the *first* error, should one surface) are
+    /// identical to the serial arm's.
     pub fn fold_chunks<F>(
         self,
         mut fold: F,
@@ -686,19 +705,14 @@ impl<R: Read> SnapshotReader<R> {
             store,
             mut memo,
         } = self;
-        let mut rows: Vec<Row> = Vec::new();
         hf_obs::overlapped(
             raw.n_chunks as usize,
             "snapshot.chunk_wait",
-            [Vec::new(), Vec::new()],
-            |buf| raw.next_raw(buf),
-            |chunk_rows, buf| {
-                let scan = hf_obs::span!("farm.chunk_scan");
-                rows.clear();
-                decode_row_chunk(buf, chunk_rows as usize, &mut rows)?;
-                validate_rows(&rows, &store, &mut memo)?;
-                drop(scan);
-                fold(&store, &plan, &rows)
+            [ChunkBuf::default(), ChunkBuf::default()],
+            |buf| raw.next_chunk(buf),
+            |(), buf| {
+                validate_rows(&buf.rows, &store, &mut memo)?;
+                fold(&store, &plan, &buf.rows)
             },
         )?;
         let tags = read_decoded_section(&mut raw.r, 9, decode_tags)?;
@@ -750,37 +764,11 @@ fn encode_list_pool(pool: &ListPool, buf: &mut Vec<u8>) {
     }
 }
 
-/// Append `rows` to `buf` in the fixed 48-byte on-disk layout: the buffer
-/// is sized once, then filled through fixed-offset slice views over each
-/// record — a flat memcpy-style pass with no per-field growth checks and
-/// no steady-state allocation once the buffer has reached chunk capacity.
-fn encode_row_chunk(rows: &[Row], buf: &mut Vec<u8>) {
-    let start = buf.len();
-    buf.resize(start + rows.len() * ROW_BYTES, 0);
-    for (r, out) in rows.iter().zip(buf[start..].chunks_exact_mut(ROW_BYTES)) {
-        out[0..4].copy_from_slice(&r.start_secs.to_le_bytes());
-        out[4..8].copy_from_slice(&r.duration_secs.to_le_bytes());
-        out[8..10].copy_from_slice(&r.honeypot.to_le_bytes());
-        out[10..12].copy_from_slice(&r.client_port.to_le_bytes());
-        out[12..16].copy_from_slice(&r.client_ip.to_le_bytes());
-        out[16..20].copy_from_slice(&r.client_asn.to_le_bytes());
-        out[20..22].copy_from_slice(&r.client_country.to_le_bytes());
-        out[22] = r.protocol;
-        out[23] = r.end_reason;
-        out[24..28].copy_from_slice(&r.ssh_version_id.to_le_bytes());
-        out[28..32].copy_from_slice(&r.login_list_id.to_le_bytes());
-        out[32..36].copy_from_slice(&r.cmd_list_id.to_le_bytes());
-        out[36..40].copy_from_slice(&r.uri_list_id.to_le_bytes());
-        out[40..44].copy_from_slice(&r.hash_list_id.to_le_bytes());
-        out[44..48].copy_from_slice(&r.dl_list_id.to_le_bytes());
-    }
-}
-
-/// Write the rows section: id, `rows_per_chunk`, each chunk's digest and
-/// rows, then the digest over the chunk digests. One pass, one thread: each
-/// chunk is encoded into one reused buffer, hashed and written, so peak
-/// memory is one encoded chunk (3 MiB) regardless of row count. Returns the
-/// bytes written after the section id.
+/// Write the rows section: id, `rows_per_chunk`, each chunk's digest,
+/// payload length and payload, then the digest over the chunk digests. One
+/// pass, one thread: each chunk is column-coded into reused buffers, hashed
+/// and written, so peak memory is one encoded chunk regardless of row
+/// count. Returns the bytes written after the section id.
 fn write_rows_section<W: Write>(
     w: &mut W,
     id: u32,
@@ -790,17 +778,19 @@ fn write_rows_section<W: Write>(
     w.write_all(&id.to_le_bytes())?;
     w.write_all(&rows_per_chunk.to_le_bytes())?;
     let mut digests = Sha256::new();
-    let mut buf = Vec::new();
+    let (mut encoder, mut buf) = (ChunkEncoder::default(), Vec::new());
     // `rows_per_chunk` and the trailer, then each chunk as it is written.
     let mut len = 4 + 32;
     for chunk in rows.chunks(rows_per_chunk as usize) {
         buf.clear();
-        encode_row_chunk(chunk, &mut buf);
+        encoder.encode(chunk, &mut buf);
         let digest = Sha256::digest(&buf).0;
         digests.update(&digest);
         w.write_all(&digest)?;
+        // In range: a payload is at most `max_payload(MAX_ROWS_PER_CHUNK)`.
+        w.write_all(&(buf.len() as u32).to_le_bytes())?;
         w.write_all(&buf)?;
-        len += 32 + buf.len() as u64;
+        len += 32 + 4 + buf.len() as u64;
     }
     w.write_all(&digests.finalize().0)?;
     Ok(len)
@@ -1038,62 +1028,6 @@ fn decode_list_pool(cur: &mut Cursor<'_>) -> Result<ListPool, SnapshotError> {
         }
     }
     Ok(pool)
-}
-
-/// Decode one checksum-verified chunk of `n` rows (exactly `n ×`
-/// [`ROW_BYTES`] bytes) into `rows`, validating the per-row enum bytes.
-/// Each row is read through fixed-offset views over its 48-byte record —
-/// the mirror of [`encode_row_chunk`], with no per-field cursor.
-fn decode_row_chunk(data: &[u8], n: usize, rows: &mut Vec<Row>) -> Result<(), SnapshotError> {
-    #[inline]
-    fn u16_at(raw: &[u8], at: usize) -> u16 {
-        u16::from_le_bytes(raw[at..at + 2].try_into().expect("len 2"))
-    }
-    #[inline]
-    fn u32_at(raw: &[u8], at: usize) -> u32 {
-        u32::from_le_bytes(raw[at..at + 4].try_into().expect("len 4"))
-    }
-    if data.len() != n * ROW_BYTES {
-        return Err(SnapshotError::Corrupt {
-            section: "rows",
-            detail: format!("chunk holds {} bytes for {n} rows", data.len()),
-        });
-    }
-    rows.reserve(n);
-    for raw in data.chunks_exact(ROW_BYTES) {
-        let protocol = raw[22];
-        let end_reason = raw[23];
-        if protocol > 1 {
-            return Err(SnapshotError::Corrupt {
-                section: "rows",
-                detail: format!("protocol byte {protocol} (0 = SSH, 1 = Telnet)"),
-            });
-        }
-        if end_reason > 2 {
-            return Err(SnapshotError::Corrupt {
-                section: "rows",
-                detail: format!("end_reason byte {end_reason} (0..=2)"),
-            });
-        }
-        rows.push(Row {
-            start_secs: u32_at(raw, 0),
-            duration_secs: u32_at(raw, 4),
-            honeypot: u16_at(raw, 8),
-            client_port: u16_at(raw, 10),
-            client_ip: u32_at(raw, 12),
-            client_asn: u32_at(raw, 16),
-            client_country: u16_at(raw, 20),
-            protocol,
-            end_reason,
-            ssh_version_id: u32_at(raw, 24),
-            login_list_id: u32_at(raw, 28),
-            cmd_list_id: u32_at(raw, 32),
-            uri_list_id: u32_at(raw, 36),
-            hash_list_id: u32_at(raw, 40),
-            dl_list_id: u32_at(raw, 44),
-        });
-    }
-    Ok(())
 }
 
 fn decode_tags(cur: &mut Cursor<'_>) -> Result<TagDb, SnapshotError> {

@@ -16,7 +16,9 @@ use hf_simclock::SimInstant;
 
 use crate::intern::{DigestPool, ListPool, StringPool, NONE_ID};
 
-/// Compact per-session row. Fixed size: exactly 48 bytes.
+/// Compact per-session row. Fixed size: exactly 48 bytes in memory. The
+/// hfstore file codes rows by column instead (about 15 bytes a row; see
+/// `crate::snapshot`), so the on-disk form no longer mirrors this struct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Row {
     /// Session start, seconds since the sim epoch (fits u32 for 486 days).
@@ -51,9 +53,8 @@ pub struct Row {
     pub dl_list_id: u32,
 }
 
-// The memory math in this module's docs and the hfstore on-disk encoding
-// (`snapshot.rs`) both assume this exact size; fail the build if the struct
-// drifts.
+// The memory math in this module's docs assumes this exact size; fail the
+// build if the struct drifts.
 const _: () = assert!(std::mem::size_of::<Row>() == 48);
 
 /// The store: rows + pools.
@@ -147,8 +148,9 @@ impl SessionStore {
 
     /// Replace the (empty) row vector of a pools-only shell — used by the
     /// snapshot loader to materialize a store after streaming the rows
-    /// section chunk by chunk.
-    pub(crate) fn set_rows(&mut self, rows: Vec<Row>) {
+    /// section chunk by chunk. The ids the rows reference are not checked
+    /// here; a snapshot read checks them against the pools.
+    pub fn set_rows(&mut self, rows: Vec<Row>) {
         debug_assert!(self.rows.is_empty(), "set_rows on a non-empty store");
         self.rows = rows;
     }

@@ -19,8 +19,9 @@
 //!   `UPDATE_GOLDENS=1` regeneration.
 //! * [`strategies`] — structured proptest generators: whole session
 //!   records ([`session_record`]), the parsing surfaces (telnet
-//!   negotiation, SSH ident lines, shell command lines, URI payloads) and
-//!   targeted snapshot corruption.
+//!   negotiation, SSH ident lines, shell command lines, URI payloads),
+//!   targeted snapshot corruption, and rows-chunk edits re-stamped to reach
+//!   the column decoder ([`ChunkEdit`], over [`RowsLayout`]).
 //! * [`claims`] — the declarative paper-claims table: every Table/Figure
 //!   tolerance as one [`claims::ClaimSpec`], shared between
 //!   `tests/paper_claims.rs` and `hfarm verify --claims`.
@@ -51,6 +52,7 @@ pub use oracle::{
 pub use reference::Measures;
 pub use scenario::{Scenario, ScenarioError};
 pub use strategies::{
-    command_line, record_world, render_statements, session_record, snapshot_mutation,
-    ssh_ident_line, telnet_stream, uri_command_line, MutOp,
+    chunk_edit, command_line, record_world, render_statements, restamp_rows, session_record,
+    snapshot_mutation, ssh_ident_line, telnet_stream, uri_command_line, ChunkEdit, ChunkSpan,
+    MutOp, RowsLayout,
 };

@@ -11,13 +11,14 @@
 //! The panic-freedom suites in `tests/fuzz_surfaces.rs` drive these through
 //! `hf_proto`, `hf_shell`, and `hf_farm::snapshot` entry points.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use proptest::strategy::Strategy;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use hf_farm::snapshot::FORMAT_VERSION;
+use hf_farm::snapshot::{FORMAT_VERSION, SECTIONS};
 use hf_geo::{CountryId, Ip4, World, WorldConfig};
 use hf_hash::Sha256;
 use hf_honeypot::{EndReason, LoginAttempt, SessionRecord};
@@ -508,6 +509,211 @@ impl Strategy for SnapshotMutation {
                         v => v,
                     }
                 },
+            },
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rows-chunk edits that reach the decoder
+
+/// Where one rows chunk sits in an hfstore file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkSpan {
+    /// Offset of the chunk's digest, where the chunk starts.
+    pub at: usize,
+    /// The payload's byte range (behind the digest and the length word).
+    pub payload: Range<usize>,
+}
+
+/// The frame of an hfstore file's rows section, walked from the file
+/// itself: the section's own bytes after its id, each chunk, and the
+/// trailer. A test helper over well-formed writer output; it panics on a
+/// file it cannot walk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowsLayout {
+    /// Offset of `rows_per_chunk`, just behind the section id.
+    pub start: usize,
+    /// Every chunk, in file order.
+    pub chunks: Vec<ChunkSpan>,
+    /// Offset of the trailer, the digest over the chunk digests.
+    pub trailer: usize,
+}
+
+impl RowsLayout {
+    /// Walk `bytes`: the header, the framed sections before ROWS (META's
+    /// row count fixes the chunk count), then the chunks.
+    pub fn of(bytes: &[u8]) -> RowsLayout {
+        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
+        // Magic, version and section count; then [id][len][digest][payload]
+        // per framed section. META's payload ends with its row count.
+        let mut off = 8 + 4 + 4;
+        let meta_len = u64_at(off + 4) as usize;
+        let n_rows = u64_at(off + 4 + 8 + 32 + meta_len - 8) as usize;
+        for _ in 0..rows_idx {
+            off += 4 + 8 + 32 + u64_at(off + 4) as usize;
+        }
+        let start = off + 4;
+        let rows_per_chunk = u32_at(start) as usize;
+        let mut chunks = Vec::new();
+        let mut at = start + 4;
+        for _ in 0..n_rows.div_ceil(rows_per_chunk) {
+            let payload = at + 32 + 4;
+            let end = payload + u32_at(at + 32) as usize;
+            chunks.push(ChunkSpan {
+                at,
+                payload: payload..end,
+            });
+            at = end;
+        }
+        RowsLayout {
+            start,
+            chunks,
+            trailer: at,
+        }
+    }
+
+    /// One past the trailer: where the section after ROWS starts.
+    pub fn end(&self) -> usize {
+        self.trailer + 32
+    }
+}
+
+/// Recompute every chunk digest and the trailer of `bytes`, so payloads
+/// edited in place (their length words kept true) pass every checksum and
+/// reach the column decoder.
+pub fn restamp_rows(bytes: &mut [u8]) {
+    let layout = RowsLayout::of(bytes);
+    let mut digests = Sha256::new();
+    for chunk in &layout.chunks {
+        let digest = Sha256::digest(&bytes[chunk.payload.clone()]).0;
+        bytes[chunk.at..chunk.at + 32].copy_from_slice(&digest);
+        digests.update(&digest);
+    }
+    bytes[layout.trailer..layout.end()].copy_from_slice(&digests.finalize().0);
+}
+
+/// One edit inside a rows chunk's payload. [`ChunkEdit::apply`] rewrites
+/// the chunk's length word and re-stamps its digest and the trailer, so the
+/// edited bytes pass every checksum and reach the column decoder. The
+/// result may still be a valid file (a changed duration, say): a loader
+/// must end each case in a typed error or a clean load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkEdit {
+    /// XOR one payload byte with a non-zero mask.
+    Flip {
+        /// Raw chunk draw (reduced mod the chunk count).
+        chunk: u64,
+        /// Raw position draw (reduced mod the payload length).
+        pos: u64,
+        /// XOR mask, never zero.
+        mask: u8,
+    },
+    /// Overwrite four payload bytes (a count, a directory entry, a
+    /// dictionary field) with one little-endian word.
+    Word {
+        /// Raw chunk draw.
+        chunk: u64,
+        /// Raw position draw.
+        pos: u64,
+        /// The word written.
+        word: u32,
+    },
+    /// Cut the payload short.
+    Cut {
+        /// Raw chunk draw.
+        chunk: u64,
+        /// Raw length draw (reduced mod the payload length).
+        keep: u64,
+    },
+    /// Insert bytes into the payload.
+    Insert {
+        /// Raw chunk draw.
+        chunk: u64,
+        /// Raw position draw.
+        pos: u64,
+        /// Byte value to insert.
+        byte: u8,
+        /// How many copies, 1..=16.
+        n: u8,
+    },
+}
+
+impl ChunkEdit {
+    /// Apply the edit to a well-formed snapshot with at least one chunk.
+    pub fn apply(self, bytes: &mut Vec<u8>) {
+        let layout = RowsLayout::of(bytes);
+        let n = layout.chunks.len() as u64;
+        let draw = match self {
+            ChunkEdit::Flip { chunk, .. }
+            | ChunkEdit::Word { chunk, .. }
+            | ChunkEdit::Cut { chunk, .. }
+            | ChunkEdit::Insert { chunk, .. } => chunk,
+        };
+        let span = layout.chunks[(draw % n) as usize].clone();
+        let mut payload = bytes[span.payload.clone()].to_vec();
+        let at = |pos: u64| (pos % payload.len().max(1) as u64) as usize;
+        match self {
+            ChunkEdit::Flip { pos, mask, .. } => {
+                let i = at(pos);
+                payload[i] ^= mask;
+            }
+            ChunkEdit::Word { pos, word, .. } => {
+                let i = at(pos).min(payload.len().saturating_sub(4));
+                for (b, w) in payload[i..].iter_mut().zip(word.to_le_bytes()) {
+                    *b = w;
+                }
+            }
+            ChunkEdit::Cut { keep, .. } => payload.truncate(at(keep)),
+            ChunkEdit::Insert { pos, byte, n, .. } => {
+                let i = at(pos);
+                payload.splice(i..i, std::iter::repeat_n(byte, n.max(1) as usize));
+            }
+        }
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        bytes.splice(span.at + 32..span.payload.end, frame);
+        restamp_rows(bytes);
+    }
+}
+
+/// Strategy over [`ChunkEdit`] (see [`chunk_edit`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChunkEdits;
+
+/// Rows-chunk edit strategy, weighted toward byte flips.
+pub fn chunk_edit() -> ChunkEdits {
+    ChunkEdits
+}
+
+impl Strategy for ChunkEdits {
+    type Value = ChunkEdit;
+
+    fn generate(&self, rng: &mut SmallRng) -> ChunkEdit {
+        let (chunk, pos) = (rng.gen(), rng.gen());
+        match rng.gen_range(0u32..8) {
+            0..=3 => ChunkEdit::Flip {
+                chunk,
+                pos,
+                mask: rng.gen_range(1u8..=255),
+            },
+            4 => ChunkEdit::Word {
+                chunk,
+                pos,
+                word: if rng.gen_ratio(1, 2) {
+                    rng.gen()
+                } else {
+                    rng.gen_range(0..300)
+                },
+            },
+            5 => ChunkEdit::Cut { chunk, keep: pos },
+            _ => ChunkEdit::Insert {
+                chunk,
+                pos,
+                byte: rng.gen(),
+                n: rng.gen_range(1u8..=16),
             },
         }
     }

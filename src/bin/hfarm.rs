@@ -659,19 +659,32 @@ fn verify(c: &Common) -> ! {
     );
 
     // 2. Snapshot round-trip: write → load must reproduce the output, and
-    //    writing twice must be byte-identical.
+    //    writing twice must be byte-identical. The run's own store and tags
+    //    move into the snapshot and back, as in `simulate`: no copy. The
+    //    second write is hashed, not kept.
+    let mut first = first;
+    let snapshot = Snapshot {
+        meta: first.snapshot_meta(&base),
+        plan: first.dataset.plan.clone(),
+        sessions: std::mem::take(&mut first.dataset.sessions),
+        tags: std::mem::take(&mut first.tags),
+    };
     let mut bytes = Vec::new();
-    match first.to_snapshot(&base).write_to(&mut bytes) {
+    let written = snapshot.write_to(&mut bytes).map(|()| {
+        let mut again = honeyfarm::hash::Sha256::new();
+        snapshot
+            .write_to(&mut again)
+            .expect("second snapshot write");
+        again.finalize()
+    });
+    (first.dataset.sessions, first.tags) = (snapshot.sessions, snapshot.tags);
+    match written {
         Err(e) => check("snapshot write", Some(format!("  {e}"))),
-        Ok(()) => {
-            let mut again = Vec::new();
-            first
-                .to_snapshot(&base)
-                .write_to(&mut again)
-                .expect("second snapshot write");
+        Ok(again) => {
             check(
                 "snapshot double-write determinism",
-                (bytes != again).then(|| "  two writes of the same run differ".to_string()),
+                (honeyfarm::hash::Sha256::digest(&bytes) != again)
+                    .then(|| "  two writes of the same run differ".to_string()),
             );
             match Snapshot::read_from(&mut &bytes[..]) {
                 Err(e) => check("snapshot load", Some(format!("  {e}"))),

@@ -258,16 +258,15 @@ impl<R: std::io::Read> std::io::Read for PrefetchStartsLate<R> {
     }
 }
 
-/// Steady-state chunk decode allocates nothing: after the first chunk has
-/// grown the reader's scratch (row buffer, raw-chunk buffer), every
+/// Steady-state chunk reads allocate nothing: after the first chunks have
+/// grown the reader's two buffers (payload and decoded rows), every
 /// further chunk `fold_chunks` reads, verifies, decodes and validates
-/// reuses it. This is the zero-copy codec
-/// contract: fixed-offset field views over one reused byte buffer, no
-/// per-row or per-field allocation. The count runs from inside the fold
-/// closure, on the overlapped arm, from the end of the first chunk to the
-/// end of the last: decoding, validating, waiting for the prefetch thread
-/// and handing its buffer back allocate nothing on the calling thread,
-/// once it has blocked on the chunk channel before the window opens.
+/// reuses them, with no per-row or per-field allocation. The count runs
+/// from inside the fold closure, on the overlapped arm, from the end of
+/// the first chunk to the end of the last: validating, waiting for the
+/// prefetch thread (which reads and decodes) and handing its buffer back
+/// allocate nothing on the calling thread, once it has blocked on the
+/// chunk channel before the window opens.
 #[test]
 fn steady_state_chunk_reads_allocate_nothing() {
     let bytes = chunked_snapshot(64);

@@ -12,6 +12,9 @@
 //! * URI-bearing payloads → `extract_uris`
 //! * mutated snapshot bytes → `Snapshot::read_from`, which must reject
 //!   every corruption with a typed `SnapshotError`, never a panic
+//! * edited rows-chunk payloads, re-stamped so they pass every checksum →
+//!   the column decoder behind `Snapshot::read_from`, which must end each
+//!   case in a typed error or a clean load, never a panic
 //! * `@hfs` control directives mixed with login and command lines → a
 //!   virtual-time `SessionConn`, which must never panic and must yield at
 //!   most one record
@@ -25,7 +28,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use honeyfarm::farm::Snapshot;
+use honeyfarm::farm::{Snapshot, SnapshotError};
 use honeyfarm::geo::Ip4;
 use honeyfarm::obs::json::Json;
 use honeyfarm::obs::{Histogram, MetricsSnapshot, RunManifest, SpanStats};
@@ -37,7 +40,7 @@ use honeyfarm::shell::{
     extract_uris, split_statements, ShellSession, SyntheticFetcher, SystemProfile,
 };
 use honeyfarm::testkit::{
-    command_line, render_statements, snapshot_mutation, ssh_ident_line, telnet_stream,
+    chunk_edit, command_line, render_statements, snapshot_mutation, ssh_ident_line, telnet_stream,
     uri_command_line,
 };
 use honeyfarm::wire::{ConnParams, FarmStats, SessionConn, Timing};
@@ -362,6 +365,28 @@ proptest! {
                 // The error is a typed variant with a readable rendering.
                 prop_assert!(!e.to_string().is_empty());
             }
+        }
+    }
+
+    /// An edited chunk payload whose length word, digest and trailer are
+    /// re-stamped passes every checksum, so the column decoder (and the id
+    /// validation behind it) sees it: a typed error or a clean load.
+    #[test]
+    fn restamped_chunk_edits_are_typed_or_load(op in chunk_edit()) {
+        let mut mutated = snapshot_bytes().to_vec();
+        op.apply(&mut mutated);
+        if let Err(e) = Snapshot::read_from(&mut mutated.as_slice()) {
+            prop_assert!(
+                !matches!(
+                    e,
+                    SnapshotError::ChecksumMismatch { .. }
+                        | SnapshotError::ChunkChecksumMismatch { .. }
+                ),
+                "{:?} did not reach the decoder: {}",
+                op,
+                e
+            );
+            prop_assert!(!e.to_string().is_empty());
         }
     }
 }

@@ -2,9 +2,9 @@
 //! sections, plant dangling ids — every corruption must surface as the
 //! right typed [`SnapshotError`], never a panic or a silent mis-read.
 
-use honeyfarm::farm::snapshot::{FORMAT_VERSION, MAGIC, SECTIONS};
+use honeyfarm::farm::snapshot::{FORMAT_VERSION, MAGIC, ROWS_PER_CHUNK, SECTIONS};
 use honeyfarm::farm::{
-    FarmPlan, SessionStore, Snapshot, SnapshotError, SnapshotMeta, SnapshotReader, TagDb,
+    FarmPlan, Row, SessionStore, Snapshot, SnapshotError, SnapshotMeta, SnapshotReader, TagDb,
 };
 use honeyfarm::geo::Ip4;
 use honeyfarm::hash::Sha256;
@@ -13,6 +13,7 @@ use honeyfarm::proto::creds::Credentials;
 use honeyfarm::proto::Protocol;
 use honeyfarm::shell::CommandRecord;
 use honeyfarm::simclock::SimInstant;
+use honeyfarm::testkit::{restamp_rows, RowsLayout};
 
 /// Header size: magic + version + section count.
 const HEADER: usize = 8 + 4 + 4;
@@ -21,8 +22,8 @@ const HEADER: usize = 8 + 4 + 4;
 const FRAME: usize = 4 + 8 + 32;
 /// A SHA-256 digest: each chunk opens with one, and one closes ROWS.
 const DIGEST: usize = 32;
-/// Encoded row width.
-const ROW: usize = 48;
+/// A chunk's frame: its digest, then its payload length (u32).
+const CHUNK_FRAME: usize = DIGEST + 4;
 /// Offset of the row count inside the META payload (after seed, two
 /// scales, days and client count).
 const META_N_ROWS: usize = 8 + 8 + 8 + 4 + 8;
@@ -51,8 +52,8 @@ fn record(n: u64) -> SessionRecord {
     }
 }
 
-/// A small but fully-populated snapshot serialized to bytes.
-fn snapshot_bytes() -> Vec<u8> {
+/// A small but fully-populated snapshot.
+fn snapshot() -> Snapshot {
     let mut store = SessionStore::new();
     let mut tags = TagDb::new();
     for n in 0..8 {
@@ -62,7 +63,7 @@ fn snapshot_bytes() -> Vec<u8> {
         }
         store.ingest(&r, None);
     }
-    let snap = Snapshot {
+    Snapshot {
         meta: SnapshotMeta {
             seed: 1,
             scale_volume: 0.001,
@@ -73,9 +74,26 @@ fn snapshot_bytes() -> Vec<u8> {
         plan: FarmPlan::paper(),
         sessions: store,
         tags,
-    };
+    }
+}
+
+/// The fixture serialized at the writer's default chunk size (one chunk).
+fn snapshot_bytes() -> Vec<u8> {
+    chunked(ROWS_PER_CHUNK, |_| {})
+}
+
+/// The fixture with `edit` applied to its rows, written through the real
+/// writer at `rows_per_chunk`: a faulty row reaches the file exactly as a
+/// buggy or hostile producer would write it.
+fn chunked(rows_per_chunk: u32, edit: impl FnOnce(&mut [Row])) -> Vec<u8> {
+    let mut snap = snapshot();
+    let mut rows = snap.sessions.rows().to_vec();
+    edit(&mut rows);
+    snap.sessions.retire_rows();
+    snap.sessions.set_rows(rows);
     let mut bytes = Vec::new();
-    snap.write_to(&mut bytes).expect("write snapshot");
+    snap.write_to_chunked(&mut bytes, rows_per_chunk)
+        .expect("write snapshot");
     bytes
 }
 
@@ -83,30 +101,20 @@ fn load(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     Snapshot::read_from(&mut &bytes[..])
 }
 
-fn u32_at(bytes: &[u8], at: usize) -> usize {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("u32 field")) as usize
-}
-
 fn u64_at(bytes: &[u8], at: usize) -> usize {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("u64 field")) as usize
-}
-
-/// The row count META declares (META is the first section).
-fn meta_rows(bytes: &[u8]) -> usize {
-    u64_at(bytes, HEADER + FRAME + META_N_ROWS)
 }
 
 /// Walk the sections, returning `(start, len)` per section in file order:
 /// the payload behind the frame for framed sections, and for ROWS
 /// everything behind its id (`rows_per_chunk`, the chunks, the trailer).
 fn section_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let rows = RowsLayout::of(bytes);
     let mut spans = Vec::new();
     let mut off = HEADER;
     for (_, name) in SECTIONS {
         let span = if name == "rows" {
-            let n_rows = meta_rows(bytes);
-            let n_chunks = n_rows.div_ceil(u32_at(bytes, off + 4));
-            (off + 4, 4 + n_chunks * DIGEST + n_rows * ROW + DIGEST)
+            (off + 4, rows.end() - rows.start)
         } else {
             (off + FRAME, u64_at(bytes, off + 4))
         };
@@ -117,83 +125,11 @@ fn section_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     spans
 }
 
-/// The `(start, len)` of the rows section (see [`section_spans`]).
-fn rows_span(bytes: &[u8]) -> (usize, usize) {
-    let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-    section_spans(bytes)[rows_idx]
-}
-
 /// Re-stamp a section's checksum after deliberately editing its payload
 /// (to reach validation layers deeper than the checksum).
 fn restamp(bytes: &mut [u8], payload_start: usize, payload_len: usize) {
     let digest = Sha256::digest(&bytes[payload_start..payload_start + payload_len]);
     bytes[payload_start - 32..payload_start].copy_from_slice(&digest.0);
-}
-
-/// Walk the rows section's chunks, returning each chunk's offset (where its
-/// digest sits) and row count: META's rows cut at `rows_per_chunk`.
-fn rows_chunks(bytes: &[u8]) -> Vec<(usize, usize)> {
-    let (start, _) = rows_span(bytes);
-    let rows_per_chunk = u32_at(bytes, start);
-    let mut chunks = Vec::new();
-    let (mut off, mut left) = (start + 4, meta_rows(bytes));
-    while left > 0 {
-        let rows = left.min(rows_per_chunk);
-        chunks.push((off, rows));
-        off += DIGEST + rows * ROW;
-        left -= rows;
-    }
-    chunks
-}
-
-/// Offset of the first row's bytes in the rows section.
-fn first_row(bytes: &[u8]) -> usize {
-    rows_span(bytes).0 + 4 + DIGEST
-}
-
-/// Offset of the rows section's trailer: the digest over the chunk digests.
-fn trailer(bytes: &[u8]) -> usize {
-    let (start, len) = rows_span(bytes);
-    start + len - DIGEST
-}
-
-/// Re-stamp the rows section after deliberately editing chunk data: each
-/// chunk's digest covers its row bytes, and the trailer covers the chunk
-/// digests — both must be recomputed to reach the semantic row validators
-/// underneath.
-fn restamp_rows(bytes: &mut [u8]) {
-    let mut digests = Sha256::new();
-    for (off, rows) in rows_chunks(bytes) {
-        let data = off + DIGEST;
-        let digest = Sha256::digest(&bytes[data..data + rows * ROW]);
-        bytes[off..data].copy_from_slice(&digest.0);
-        digests.update(&digest.0);
-    }
-    let at = trailer(bytes);
-    bytes[at..at + DIGEST].copy_from_slice(&digests.finalize().0);
-}
-
-/// Rebuild the rows section with a different `rows_per_chunk`, re-splitting
-/// the same row data into more chunks (the writer always uses the default;
-/// the reader must honor whatever a valid file declares).
-fn rechunk_rows(bytes: &[u8], rows_per_chunk: usize) -> Vec<u8> {
-    let (start, len) = rows_span(bytes);
-    let mut data = Vec::with_capacity(meta_rows(bytes) * ROW);
-    for (off, rows) in rows_chunks(bytes) {
-        data.extend_from_slice(&bytes[off + DIGEST..off + DIGEST + rows * ROW]);
-    }
-    assert_eq!(data.len(), meta_rows(bytes) * ROW);
-
-    let mut out = bytes[..start].to_vec();
-    out.extend_from_slice(&(rows_per_chunk as u32).to_le_bytes());
-    for chunk in data.chunks(rows_per_chunk * ROW) {
-        out.extend_from_slice(&[0; DIGEST]); // stamped below
-        out.extend_from_slice(chunk);
-    }
-    out.extend_from_slice(&[0; DIGEST]);
-    out.extend_from_slice(&bytes[start + len..]);
-    restamp_rows(&mut out);
-    out
 }
 
 #[test]
@@ -216,17 +152,18 @@ fn bad_magic_is_rejected() {
     }
 }
 
-/// Any other version is refused before a section is read, version 2 (rows
-/// checksummed ahead of their data) included.
+/// Any other version is refused before a section is read: version 2 (rows
+/// checksummed ahead of their data) and version 3 (fixed 48-byte rows)
+/// included.
 #[test]
 fn version_mismatch_is_rejected() {
-    assert_eq!(FORMAT_VERSION, 3);
-    for version in [2u32, 99] {
+    assert_eq!(FORMAT_VERSION, 4);
+    for version in [2u32, 3, 99] {
         let mut bytes = snapshot_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         match load(&bytes) {
             Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (version, 3));
+                assert_eq!((found, supported), (version, 4));
             }
             other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
         }
@@ -302,14 +239,9 @@ fn unexpected_section_id_is_rejected() {
 
 #[test]
 fn dangling_ssh_version_id_is_rejected() {
-    let mut bytes = snapshot_bytes();
-    // Rows section: rows_per_chunk, then per chunk [digest ‖ 48-byte rows];
-    // ssh_version_id sits at row offset 24. Point it far past the pool and
-    // re-stamp the chunk digest and the trailer so only the semantic
-    // validator can object.
-    let field = first_row(&bytes) + 24;
-    bytes[field..field + 4].copy_from_slice(&0x7fff_fff0u32.to_le_bytes());
-    restamp_rows(&mut bytes);
+    // Point the first row's ssh_version_id far past the pool. The writer
+    // stamps every checksum, so only the semantic validator can object.
+    let bytes = chunked(ROWS_PER_CHUNK, |rows| rows[0].ssh_version_id = 0x7fff_fff0);
     match load(&bytes) {
         Err(SnapshotError::DanglingId { kind, id }) => {
             assert_eq!(kind, "ssh_version");
@@ -321,11 +253,7 @@ fn dangling_ssh_version_id_is_rejected() {
 
 #[test]
 fn dangling_list_id_is_rejected() {
-    let mut bytes = snapshot_bytes();
-    // login_list_id sits at row offset 28.
-    let field = first_row(&bytes) + 28;
-    bytes[field..field + 4].copy_from_slice(&0x00ff_ffffu32.to_le_bytes());
-    restamp_rows(&mut bytes);
+    let bytes = chunked(ROWS_PER_CHUNK, |rows| rows[0].login_list_id = 0x00ff_ffff);
     match load(&bytes) {
         Err(SnapshotError::DanglingId { kind, .. }) => assert_eq!(kind, "list"),
         other => panic!("expected DanglingId, got {other:?}"),
@@ -335,15 +263,12 @@ fn dangling_list_id_is_rejected() {
 /// A resolvable command list whose entry names a command past the pool.
 #[test]
 fn dangling_command_id_is_rejected() {
-    let mut list_id = 0;
-    let mut bytes = with_lists(|lists| {
-        list_id = lists.len() as u32;
+    let list_id = snapshot().sessions.lists.len() as u32;
+    let bytes = chunked(ROWS_PER_CHUNK, |rows| rows[0].cmd_list_id = list_id);
+    let bytes = with_lists(&bytes, |lists| {
+        assert_eq!(lists.len() as u32, list_id);
         lists.push(vec![u32::MAX - 1]);
     });
-    // cmd_list_id sits at row offset 32.
-    let field = first_row(&bytes) + 32;
-    bytes[field..field + 4].copy_from_slice(&list_id.to_le_bytes());
-    restamp_rows(&mut bytes);
     match load(&bytes) {
         Err(SnapshotError::DanglingId { kind, id }) => {
             assert_eq!(kind, "command");
@@ -353,16 +278,22 @@ fn dangling_command_id_is_rejected() {
     }
 }
 
+/// An out-of-range protocol or end reason, written by the real writer, is
+/// refused by the reader.
 #[test]
 fn corrupt_row_enum_is_rejected() {
-    let mut bytes = snapshot_bytes();
-    // protocol byte sits at row offset 22.
-    let field = first_row(&bytes) + 22;
-    bytes[field] = 9;
-    restamp_rows(&mut bytes);
-    match load(&bytes) {
-        Err(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "rows"),
-        other => panic!("expected Corrupt, got {other:?}"),
+    let faults: [fn(&mut Row); 4] = [
+        |r| r.protocol = 9,
+        |r| r.protocol = 2,
+        |r| r.end_reason = 3,
+        |r| r.end_reason = 200,
+    ];
+    for (i, fault) in faults.into_iter().enumerate() {
+        let bytes = chunked(ROWS_PER_CHUNK, |rows| fault(&mut rows[5]));
+        match load(&bytes) {
+            Err(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "rows"),
+            other => panic!("fault {i}: expected Corrupt, got {other:?}"),
+        }
     }
 }
 
@@ -385,16 +316,16 @@ fn lying_interior_length_is_rejected() {
 // ---------------------------------------------------------------------------
 // Chunk-granular faults in the streaming rows section.
 
-/// A flipped byte inside chunk data is blamed on that exact chunk.
+/// A flipped byte inside a chunk's payload is blamed on that exact chunk.
 #[test]
 fn flipped_chunk_data_names_the_chunk() {
-    // Re-chunk to 3 rows/chunk (8 rows → chunks of 3, 3, 2) so a non-zero
-    // chunk index is reachable.
-    let bytes = rechunk_rows(&snapshot_bytes(), 3);
-    load(&bytes).expect("re-chunked snapshot must load");
-    for (i, &(off, rows)) in rows_chunks(&bytes).iter().enumerate() {
+    // 3 rows/chunk: 8 rows → chunks of 3, 3, 2, so a non-zero chunk index
+    // is reachable.
+    let bytes = chunked(3, |_| {});
+    load(&bytes).expect("a many-chunk snapshot must load");
+    for (i, chunk) in RowsLayout::of(&bytes).chunks.iter().enumerate() {
         let mut corrupted = bytes.clone();
-        corrupted[off + DIGEST + (rows * ROW) / 2] ^= 0x01;
+        corrupted[(chunk.payload.start + chunk.payload.end) / 2] ^= 0x01;
         match load(&corrupted) {
             Err(SnapshotError::ChunkChecksumMismatch { section, chunk }) => {
                 assert_eq!(section, "rows");
@@ -414,8 +345,8 @@ fn flipped_chunk_data_names_the_chunk() {
 #[test]
 fn flipped_chunk_digest_is_caught() {
     let mut bytes = snapshot_bytes();
-    let (off, _) = rows_chunks(&bytes)[0];
-    bytes[off] ^= 0x80; // first byte of the chunk digest
+    let at = RowsLayout::of(&bytes).chunks[0].at;
+    bytes[at] ^= 0x80; // first byte of the chunk digest
     match load(&bytes) {
         Err(SnapshotError::ChunkChecksumMismatch { section, chunk }) => {
             assert_eq!((section, chunk), ("rows", 0));
@@ -424,9 +355,9 @@ fn flipped_chunk_digest_is_caught() {
     }
 }
 
-/// A META row count that disagrees with the rows section misplaces every
-/// chunk boundary after it, so the chunk that straddles the true end fails
-/// its digest.
+/// A META row count that disagrees with the rows section gives the chunk
+/// that holds the true end the wrong row count: its payload passes its
+/// digest but does not decode as that many rows.
 #[test]
 fn meta_row_count_that_disagrees_with_the_rows_is_rejected() {
     let pristine = snapshot_bytes();
@@ -438,12 +369,10 @@ fn meta_row_count_that_disagrees_with_the_rows_is_rejected() {
         bytes[at..at + 8].copy_from_slice(&lie.to_le_bytes());
         restamp(&mut bytes, meta, meta_len);
         match load(&bytes) {
-            Err(SnapshotError::ChunkChecksumMismatch { section, chunk }) => {
-                assert_eq!((section, chunk), ("rows", 0), "META claims {lie} rows");
+            Err(SnapshotError::Corrupt { section, .. }) => {
+                assert_eq!(section, "rows", "META claims {lie} rows");
             }
-            other => {
-                panic!("META claims {lie} rows: expected ChunkChecksumMismatch, got {other:?}")
-            }
+            other => panic!("META claims {lie} rows: expected Corrupt, got {other:?}"),
         }
     }
 }
@@ -454,11 +383,33 @@ fn meta_row_count_that_disagrees_with_the_rows_is_rejected() {
 fn lying_rows_per_chunk_is_rejected() {
     for lie in [0u32, u32::MAX] {
         let mut bytes = snapshot_bytes();
-        let (start, _) = rows_span(&bytes);
+        let start = RowsLayout::of(&bytes).start;
         bytes[start..start + 4].copy_from_slice(&lie.to_le_bytes());
         match load(&bytes) {
             Err(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "rows"),
             other => panic!("rows_per_chunk={lie}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+/// A chunk payload length above what its row count can need is refused
+/// before any of it is read, so no length word can size a buffer.
+#[test]
+fn lying_chunk_payload_length_is_rejected() {
+    let pristine = chunked(3, |_| {});
+    for chunk in [0, 2] {
+        let mut bytes = pristine.clone();
+        let at = RowsLayout::of(&bytes).chunks[chunk].at + DIGEST;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        match load(&bytes) {
+            Err(SnapshotError::Corrupt { section, detail }) => {
+                assert_eq!(section, "rows");
+                assert!(
+                    detail.contains(&format!("chunk {chunk} declares")),
+                    "{detail}"
+                );
+            }
+            other => panic!("chunk {chunk}: expected Corrupt, got {other:?}"),
         }
     }
 }
@@ -469,12 +420,8 @@ fn lying_rows_per_chunk_is_rejected() {
 /// order after the clean chunks before it.
 #[test]
 fn dangling_id_in_a_later_chunk_is_rejected() {
-    let mut bytes = rechunk_rows(&snapshot_bytes(), 3);
-    let &(off, _) = rows_chunks(&bytes).last().unwrap();
-    // login_list_id of the final chunk's first row (row offset 28).
-    let field = off + DIGEST + 28;
-    bytes[field..field + 4].copy_from_slice(&0x00ff_fffeu32.to_le_bytes());
-    restamp_rows(&mut bytes);
+    // Row 6 opens the last of the chunks 3, 3, 2.
+    let bytes = chunked(3, |rows| rows[6].login_list_id = 0x00ff_fffe);
     match load(&bytes) {
         Err(SnapshotError::DanglingId { kind, id }) => {
             assert_eq!(kind, "list");
@@ -486,16 +433,18 @@ fn dangling_id_in_a_later_chunk_is_rejected() {
 
 /// Truncation exactly at a chunk boundary (a valid prefix of chunks, then
 /// nothing) is a typed truncation error, not a short read of partial data —
-/// at every chunk's start, behind its digest, one byte short of its end,
-/// and at every byte of the trailer.
+/// at every chunk's start, inside and behind its frame, one byte short of
+/// its end, and at every byte of the trailer.
 #[test]
 fn truncation_at_chunk_boundary_is_typed() {
-    let bytes = rechunk_rows(&snapshot_bytes(), 3);
-    let chunks = rows_chunks(&bytes);
-    assert_eq!(chunks.len(), 3);
-    let mut cuts: Vec<usize> = (trailer(&bytes)..trailer(&bytes) + DIGEST).collect();
-    for &(off, rows) in &chunks {
-        cuts.extend([off, off + DIGEST, off + DIGEST + rows * ROW - 1]);
+    let bytes = chunked(3, |_| {});
+    let layout = RowsLayout::of(&bytes);
+    assert_eq!(layout.chunks.len(), 3);
+    let mut cuts: Vec<usize> = (layout.trailer..layout.end()).collect();
+    for chunk in &layout.chunks {
+        let at = chunk.at;
+        cuts.extend([at, at + DIGEST, at + DIGEST + 2, at + CHUNK_FRAME]);
+        cuts.push(chunk.payload.end - 1);
     }
     for cut in cuts {
         match load(&bytes[..cut]) {
@@ -509,8 +458,8 @@ fn truncation_at_chunk_boundary_is_typed() {
 /// as a whole is blamed.
 #[test]
 fn flipped_trailer_digest_is_a_rows_checksum_mismatch() {
-    let pristine = rechunk_rows(&snapshot_bytes(), 3);
-    let at = trailer(&pristine);
+    let pristine = chunked(3, |_| {});
+    let at = RowsLayout::of(&pristine).trailer;
     for i in [0, DIGEST / 2, DIGEST - 1] {
         let mut bytes = pristine.clone();
         bytes[at + i] ^= 0x10;
@@ -521,22 +470,46 @@ fn flipped_trailer_digest_is_a_rows_checksum_mismatch() {
     }
 }
 
-/// Two full chunks swapped, each with its own digest, pass every chunk
-/// check; only the trailer, which digests the chunk digests in order,
-/// catches the reordering.
+/// Two full chunks swapped, each with its own digest and length, pass every
+/// chunk check and decode on their own; only the trailer, which digests the
+/// chunk digests in order, catches the reordering.
 #[test]
 fn swapped_full_chunks_are_a_rows_checksum_mismatch() {
-    let mut bytes = rechunk_rows(&snapshot_bytes(), 3);
-    let chunks = rows_chunks(&bytes);
-    let ((a, rows_a), (b, rows_b)) = (chunks[0], chunks[1]);
-    assert_eq!((rows_a, rows_b), (3, 3), "two full chunks");
-    let len = DIGEST + rows_a * ROW;
-    let first = bytes[a..a + len].to_vec();
-    bytes.copy_within(b..b + len, a);
-    bytes[b..b + len].copy_from_slice(&first);
+    let pristine = chunked(3, |_| {});
+    let layout = RowsLayout::of(&pristine);
+    let (a, b) = (&layout.chunks[0], &layout.chunks[1]);
+    assert_eq!(a.payload.end, b.at, "adjacent chunks");
+    let mut bytes = pristine[..a.at].to_vec();
+    bytes.extend_from_slice(&pristine[b.at..b.payload.end]);
+    bytes.extend_from_slice(&pristine[a.at..a.payload.end]);
+    bytes.extend_from_slice(&pristine[b.payload.end..]);
     match load(&bytes) {
         Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, "rows"),
         other => panic!("swapped chunks: expected ChecksumMismatch, got {other:?}"),
+    }
+}
+
+/// A payload edited in place and re-stamped passes every checksum and
+/// reaches the column decoder, which refuses a client index outside the
+/// chunk's dictionary.
+#[test]
+fn restamped_client_index_past_the_dictionary_is_dangling() {
+    let mut bytes = snapshot_bytes();
+    let payload = RowsLayout::of(&bytes).chunks[0].payload.clone();
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    // [client count][10-byte clients][12 column lengths][columns]: the
+    // client column is the fifth, and its first value is row 0's index.
+    let clients = word(payload.start);
+    let dir = payload.start + 4 + 10 * clients;
+    let client_col = dir + 4 * 12 + (0..4).map(|i| word(dir + 4 * i)).sum::<usize>();
+    assert_eq!(bytes[client_col], 0, "row 0 uses the first client");
+    bytes[client_col] = clients as u8;
+    restamp_rows(&mut bytes);
+    match load(&bytes) {
+        Err(SnapshotError::DanglingId { kind, id }) => {
+            assert_eq!((kind, id as usize), ("client", clients));
+        }
+        other => panic!("expected DanglingId, got {other:?}"),
     }
 }
 
@@ -577,12 +550,11 @@ fn decode_lists(payload: &[u8]) -> Vec<Vec<u32>> {
     lists
 }
 
-/// The snapshot with its lists section re-encoded after `edit`, with the
+/// `bytes` with its lists section re-encoded after `edit`, with the
 /// section length and checksum re-stamped so the loader reaches the
 /// pool's own validation.
-fn with_lists(edit: impl FnOnce(&mut Vec<Vec<u32>>)) -> Vec<u8> {
-    let bytes = snapshot_bytes();
-    let spans = section_spans(&bytes);
+fn with_lists(bytes: &[u8], edit: impl FnOnce(&mut Vec<Vec<u32>>)) -> Vec<u8> {
+    let spans = section_spans(bytes);
     let lists_idx = SECTIONS.iter().position(|(_, n)| *n == "lists").unwrap();
     let (start, len) = spans[lists_idx];
     let mut lists = decode_lists(&bytes[start..start + len]);
@@ -618,14 +590,14 @@ fn assert_lists_corrupt(bytes: &[u8], what: &str) {
 
 #[test]
 fn re_encoded_lists_section_still_loads() {
-    let bytes = with_lists(|_| {});
+    let bytes = with_lists(&snapshot_bytes(), |_| {});
     assert_eq!(bytes, snapshot_bytes());
     assert!(SnapshotReader::open(&bytes[..]).is_ok());
 }
 
 #[test]
 fn repeated_list_is_rejected() {
-    let bytes = with_lists(|lists| {
+    let bytes = with_lists(&snapshot_bytes(), |lists| {
         assert!(lists.len() > 3);
         let last = lists.len() - 1;
         lists[last] = lists[1].clone();
@@ -636,12 +608,12 @@ fn repeated_list_is_rejected() {
 #[test]
 fn non_empty_list_zero_is_rejected() {
     // A value no other list holds, so only the id-0 rule can fire.
-    let bytes = with_lists(|lists| lists[0] = vec![u32::MAX - 1]);
+    let bytes = with_lists(&snapshot_bytes(), |lists| lists[0] = vec![u32::MAX - 1]);
     assert_lists_corrupt(&bytes, "non-empty list 0");
 }
 
 #[test]
 fn empty_list_past_id_zero_is_rejected() {
-    let bytes = with_lists(|lists| lists.push(Vec::new()));
+    let bytes = with_lists(&snapshot_bytes(), |lists| lists.push(Vec::new()));
     assert_lists_corrupt(&bytes, "empty list at id > 0");
 }
