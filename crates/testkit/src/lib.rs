@@ -53,6 +53,6 @@ pub use reference::Measures;
 pub use scenario::{Scenario, ScenarioError};
 pub use strategies::{
     chunk_edit, command_line, record_world, render_statements, restamp_rows, session_record,
-    snapshot_mutation, ssh_ident_line, telnet_stream, uri_command_line, ChunkEdit, ChunkSpan,
-    MutOp, RowsLayout,
+    snapshot_mutation, ssh_ident_line, telnet_stream, uri_command_line, ChunkEdit, MutOp,
+    RowsLayout,
 };
