@@ -138,13 +138,12 @@ impl ChunkEncoder {
         recent.clear();
         recent.resize(1 << RECENT_BITS, EMPTY);
         dict.clear();
-        dict.reserve(rows.len() * CLIENT_BYTES);
+        // Room for three bytes a varint (ids below 2^21), so a column
+        // rarely grows; the dictionary and its index grow to the few
+        // hundred clients a chunk has, not to its row count.
         for (i, col) in cols.iter_mut().enumerate() {
             col.clear();
-            let width = FIXED
-                .iter()
-                .find(|(c, _)| *c == i)
-                .map_or(VARINT_MAX, |&(_, w)| w);
+            let width = FIXED.iter().find(|(c, _)| *c == i).map_or(3, |&(_, w)| w);
             col.reserve(rows.len() * width);
         }
         let [start, duration, honeypot, port, client, kind, ssh, login, cmd, uri, hash, dl] = cols;
