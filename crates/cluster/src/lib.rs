@@ -44,7 +44,7 @@ pub use report::{assignments_tsv, summary_text, summary_tsv};
 
 use std::io::Read;
 
-use hf_farm::{DayOrder, FarmPlan, SnapshotError, SnapshotReader};
+use hf_farm::{FarmPlan, SnapshotError, SnapshotReader};
 
 /// A complete clustering run: the integer accumulators, the normalized
 /// matrix, and the k-means output. Bundles what the CLI, the claims table,
@@ -83,9 +83,10 @@ impl ClusterRun {
 }
 
 /// Streaming feature extraction: read an hfstore snapshot chunk-at-a-time
-/// and fold every row without ever materializing the row section. Rows
-/// must be day-ordered (snapshot writers emit them that way); a violation
-/// surfaces as a `Corrupt` error, mirroring the aggregates stream fold.
+/// and fold every row without ever materializing the row section. The
+/// reader checks every row against the snapshot's row contract (day order
+/// included) before the fold sees it, so a faulty file surfaces as a typed
+/// [`SnapshotError`].
 /// Returns the deployment plan alongside the finished features.
 pub fn features_from_snapshot_stream<R: Read + Send>(
     r: R,
@@ -94,11 +95,7 @@ pub fn features_from_snapshot_stream<R: Read + Send>(
     let reader = SnapshotReader::open(r)?;
     let mut heads = HeadMap::new();
     let mut fold = FeatureFold::new();
-    let mut order = DayOrder::new("streaming feature extraction");
     let (_meta, plan, _sessions, _tags) = reader.fold_chunks(|store, plan, rows| {
-        for row in rows {
-            order.check(store.view_row(row).day())?;
-        }
         heads.sync(&store.commands);
         fold.ingest_rows(store, plan, &heads, rows);
         Ok(())

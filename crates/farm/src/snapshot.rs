@@ -55,13 +55,27 @@
 //! more than two chunks; [`SnapshotReader`] is that streaming reader, and
 //! [`Snapshot::read_from`] is a thin materializing wrapper over it.
 //!
+//! ## The row contract
+//!
+//! A checksum only proves that the bytes are the ones their writer wrote,
+//! so every row is checked once more, on the reader's prefetch thread right
+//! after its chunk decodes: its SSH version and list ids resolve in their
+//! pools, its honeypot is in the plan, its client country is unknown
+//! (`u16::MAX`) or in the `hf_geo` catalog, and its day is not earlier than
+//! the previous row's, across chunks too. [`SnapshotReader::open`] takes
+//! the bounds from the sections before the rows, and the plan section
+//! refuses a node country outside the catalog. The writer emits rows in day
+//! order ([`SessionStore::day_ordered_rows`]).
+//!
 //! ## Error handling
 //!
 //! The load path never panics and never `unwrap()`s: a truncated file, bad
 //! magic, unsupported version, section or chunk checksum mismatch, a chunk
-//! payload that does not decode, or a dangling interned id each surfaces as
-//! a distinct [`SnapshotError`] variant, verified by the fault-injection
-//! suite in `tests/snapshot_faults.rs`.
+//! payload that does not decode, or a row that breaks the row contract each
+//! surfaces as a typed [`SnapshotError`] (a dangling id as
+//! [`SnapshotError::DanglingId`], the other rules as
+//! [`SnapshotError::Corrupt`]), verified by the fault-injection suite in
+//! `tests/snapshot_faults.rs`.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -69,7 +83,7 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use hf_geo::{Asn, CountryId, Ip4, NetworkClass};
+use hf_geo::{country, Asn, CountryId, Ip4, NetworkClass};
 use hf_hash::{Digest, Sha256};
 use hf_honeypot::ArtifactStore;
 
@@ -269,7 +283,9 @@ impl From<io::Error> for SnapshotError {
 }
 
 impl Snapshot {
-    /// Write the snapshot to `w` in hfstore format.
+    /// Write the snapshot to `w` in hfstore format. The rows go out in
+    /// [`SessionStore::day_ordered_rows`] order, the order the reader
+    /// requires; a store that is already day-ordered is written as stored.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), SnapshotError> {
         self.write_to_chunked(w, ROWS_PER_CHUNK)
     }
@@ -317,7 +333,7 @@ impl Snapshot {
             if name == "rows" {
                 // The one section that grows with the window: stream it in
                 // bounded chunks instead of building a multi-GB payload.
-                let len = write_rows_section(w, id, s.rows(), rows_per_chunk)?;
+                let len = write_rows_section(w, id, &s.day_ordered_rows(), rows_per_chunk)?;
                 hf_obs::observe!("snapshot.section_bytes", len);
                 // Section id, then the rest of the section.
                 hf_obs::counter!("snapshot.bytes_written", len + 4);
@@ -362,7 +378,7 @@ impl Snapshot {
     }
 
     /// Read a snapshot from `r`, validating magic, version, section and
-    /// chunk checksums, and every interned id a row references.
+    /// chunk checksums, and every row against the row contract.
     ///
     /// A materializing wrapper over [`SnapshotReader`]: rows accumulate
     /// into one `Vec`, so memory grows with the file. Analyses that only
@@ -427,41 +443,6 @@ impl Snapshot {
     }
 }
 
-/// The "rows must be day-ordered" rule of every incremental consumer of
-/// [`SnapshotReader::fold_chunks`]: a day-windowed fold cannot go back a
-/// day, so a row that precedes its predecessor's day is reported as
-/// [`SnapshotError::Corrupt`] instead of being folded into wrong results.
-/// Every runner-produced snapshot is day-ordered.
-pub struct DayOrder {
-    consumer: &'static str,
-    last_day: u32,
-}
-
-impl DayOrder {
-    /// A guard whose error names `consumer` (e.g. `"streaming fold"`).
-    pub fn new(consumer: &'static str) -> Self {
-        DayOrder {
-            consumer,
-            last_day: 0,
-        }
-    }
-
-    /// Admit the next row's day, or refuse it if it goes backwards.
-    pub fn check(&mut self, day: u32) -> Result<(), SnapshotError> {
-        if day < self.last_day {
-            return Err(SnapshotError::Corrupt {
-                section: "rows",
-                detail: format!(
-                    "{} requires day-ordered rows; a day-{day} row follows day {}",
-                    self.consumer, self.last_day
-                ),
-            });
-        }
-        self.last_day = day;
-        Ok(())
-    }
-}
-
 /// Read one fully-materialized section in the fixed SECTIONS order and
 /// decode it (including a trailing-bytes check) before moving on.
 fn read_decoded_section<R: Read, T>(
@@ -485,9 +466,10 @@ fn read_decoded_section<R: Read, T>(
 /// back the pools-only [`SessionStore`] shell. Peak memory is the pools
 /// plus two chunks — never the whole rows section.
 ///
-/// Rows handed to the fold are already fully validated (chunk checksum,
-/// enum bytes, interned ids against the pools), so
-/// [`SessionStore::view_row`] against the store it is handed is safe:
+/// Rows handed to the fold already keep the row contract (chunk checksum,
+/// enum bytes, interned ids against the pools, honeypot against the plan,
+/// country against the catalog, day order), so [`SessionStore::view_row`]
+/// against the store it is handed is safe:
 ///
 /// ```no_run
 /// # fn main() -> Result<(), hf_farm::SnapshotError> {
@@ -503,25 +485,22 @@ fn read_decoded_section<R: Read, T>(
 /// # Ok(()) }
 /// ```
 pub struct SnapshotReader<R: Read> {
-    /// The stream-position half: underlying reader, chunk cursor, and
-    /// running digest of the chunk digests. Split out so the overlapped
-    /// fold can hand it to a prefetch thread while validation and the fold
-    /// stay on the caller's thread (see [`SnapshotReader::fold_chunks`]).
+    /// The stream half: underlying reader, chunk cursor, running digest of
+    /// the chunk digests, and the row contract. Split out so the overlapped
+    /// fold can hand it to a prefetch thread while the fold stays on the
+    /// caller's thread (see [`SnapshotReader::fold_chunks`]).
     raw: RawChunks<R>,
     meta: SnapshotMeta,
     plan: FarmPlan,
     /// Pools-only shell; rows stay with the caller.
     store: SessionStore,
-    /// Already-validated interned ids, so repeated list references cost a
-    /// bit test instead of a pool walk.
-    memo: ValidationMemo,
 }
 
-/// The pool-agnostic half of the streaming reader: reads one chunk at a
-/// time from the underlying stream, verifies its checksum, decodes its
-/// rows, and folds its digest into the running digest the trailer is
-/// checked against. Owns everything a prefetch thread needs — and nothing
-/// the validate/fold side touches.
+/// The stream half of the reader: reads one chunk at a time from the
+/// underlying stream, verifies its checksum, decodes its rows, checks them
+/// against the row contract, and folds its digest into the running digest
+/// the trailer is checked against. Owns everything a prefetch thread needs
+/// and nothing the fold touches.
 struct RawChunks<R: Read> {
     r: R,
     /// META's row count.
@@ -532,6 +511,7 @@ struct RawChunks<R: Read> {
     chunks_read: u32,
     /// SHA-256 over the chunk digests read so far.
     digests: Sha256,
+    contract: RowContract,
 }
 
 /// One chunk in flight from the prefetch thread to the fold: its payload as
@@ -543,10 +523,15 @@ struct ChunkBuf {
 }
 
 impl<R: Read> RawChunks<R> {
-    /// Read, checksum-verify and decode the next chunk into `buf` — or,
-    /// once every chunk has been consumed, read the trailer, check it
-    /// against the chunk digests, and return `None`.
-    fn next_chunk(&mut self, buf: &mut ChunkBuf) -> Result<Option<()>, SnapshotError> {
+    /// Read, checksum-verify, decode and check the next chunk into `buf` —
+    /// or, once every chunk has been consumed, read the trailer, check it
+    /// against the chunk digests, and return `None`. `store` holds the
+    /// pools, walked only to name a dangling id.
+    fn next_chunk(
+        &mut self,
+        buf: &mut ChunkBuf,
+        store: &SessionStore,
+    ) -> Result<Option<()>, SnapshotError> {
         if self.chunks_read == self.n_chunks {
             let trailer: [u8; 32] = read_array(&mut self.r, "rows")?;
             if std::mem::take(&mut self.digests).finalize().0 != trailer {
@@ -581,6 +566,7 @@ impl<R: Read> RawChunks<R> {
         self.chunks_read += 1;
         let _scan = hf_obs::span!("farm.chunk_scan");
         rowcodec::decode_chunk(&buf.payload, chunk_rows, &mut buf.rows)?;
+        self.contract.check(&buf.rows, store)?;
         Ok(Some(()))
     }
 }
@@ -646,7 +632,15 @@ impl<R: Read> SnapshotReader<R> {
             }
         })?;
 
-        let memo = ValidationMemo::new(ssh_versions.len(), lists.len());
+        let store = SessionStore::from_parts(
+            Vec::new(),
+            creds,
+            commands,
+            uris,
+            ssh_versions,
+            digests,
+            lists,
+        );
         Ok(SnapshotReader {
             raw: RawChunks {
                 r,
@@ -655,19 +649,11 @@ impl<R: Read> SnapshotReader<R> {
                 n_chunks,
                 chunks_read: 0,
                 digests: Sha256::new(),
+                contract: RowContract::new(&store, &plan),
             },
             meta,
             plan,
-            store: SessionStore::from_parts(
-                Vec::new(),
-                creds,
-                commands,
-                uris,
-                ssh_versions,
-                digests,
-                lists,
-            ),
-            memo,
+            store,
         })
     }
 
@@ -679,17 +665,19 @@ impl<R: Read> SnapshotReader<R> {
     /// Consume the reader, driving `fold` over every rows chunk, then read
     /// the tags section and return the metadata, plan, pools-only store
     /// shell and tags. `fold` receives the pools-only store, the plan, and
-    /// one chunk of rows per call, in file order, each fully validated:
-    /// chunk checksum, per-row enum bytes, and every interned id resolved
-    /// against the pools. The trailer is checked against the chunk digests
-    /// after the last chunk.
+    /// one chunk of rows per call, in file order, each checked: chunk
+    /// checksum, per-row enum bytes, and the row contract (every interned
+    /// id resolves in its pool, the honeypot is in the plan, the client
+    /// country is unknown or in the catalog, and no row's day precedes the
+    /// day of the row before it, in this chunk or the last). The trailer is
+    /// checked against the chunk digests after the last chunk.
     ///
     /// The stream goes through [`hf_obs::overlapped`]: unless the file has
-    /// at most one chunk, a helper thread reads, checksums and decodes chunk
-    /// `k + 1` while the calling thread validates and folds chunk `k` — the
-    /// read, SHA-256 and decode side of the stream runs in the shadow of the
-    /// fold, and results (and the *first* error, should one surface) are
-    /// identical to the serial arm's.
+    /// at most one chunk, a helper thread reads, checksums, decodes and
+    /// checks chunk `k + 1` while the calling thread folds chunk `k` — the
+    /// whole read side of the stream runs in the shadow of the fold, and
+    /// results (and the *first* error, should one surface) are identical to
+    /// the serial arm's.
     pub fn fold_chunks<F>(
         self,
         mut fold: F,
@@ -703,17 +691,13 @@ impl<R: Read> SnapshotReader<R> {
             meta,
             plan,
             store,
-            mut memo,
         } = self;
         hf_obs::overlapped(
             raw.n_chunks as usize,
             "snapshot.chunk_wait",
             [ChunkBuf::default(), ChunkBuf::default()],
-            |buf| raw.next_chunk(buf),
-            |(), buf| {
-                validate_rows(&buf.rows, &store, &mut memo)?;
-                fold(&store, &plan, &buf.rows)
-            },
+            |buf| raw.next_chunk(buf, &store),
+            |(), buf| fold(&store, &plan, &buf.rows),
         )?;
         let tags = read_decoded_section(&mut raw.r, 9, decode_tags)?;
         hf_obs::counter!("snapshot.rows_loaded", raw.n_rows);
@@ -922,6 +906,16 @@ fn decode_plan(cur: &mut Cursor<'_>) -> Result<FarmPlan, SnapshotError> {
         }
         let ip = Ip4(cur.u32()?);
         let country = CountryId(cur.u16()?);
+        if country.0 as usize >= country::count() {
+            return Err(SnapshotError::Corrupt {
+                section: "plan",
+                detail: format!(
+                    "node {i} names country {}; the catalog has {}",
+                    country.0,
+                    country::count()
+                ),
+            });
+        }
         let asn = Asn(cur.u32()?);
         let class_byte = cur.u8()?;
         let class =
@@ -1050,125 +1044,115 @@ fn decode_tags(cur: &mut Cursor<'_>) -> Result<TagDb, SnapshotError> {
     Ok(tags)
 }
 
-/// A plain `Vec<u64>` bitmap keyed by interned id. Ids beyond the domain
-/// (i.e. dangling) fall outside the words and always test false — they are
-/// never memoized, so the pool lookup still runs and reports them.
-struct BitSet {
-    words: Vec<u64>,
+/// Role bits of `RowContract::list_roles`, one per pool a list's entries
+/// can point into. Login and command entries pack a flag in bit 0, so they
+/// resolve through `>> 1`.
+const CRED: u8 = 1;
+const COMMAND: u8 = 2;
+const URI: u8 = 4;
+const DIGEST: u8 = 8;
+
+/// What a valid row is (the module docs' row contract), decided once by
+/// [`SnapshotReader::open`] and checked on every decoded chunk by
+/// `RawChunks::next_chunk`.
+struct RowContract {
+    /// SSH version pool length.
+    ssh_versions: u32,
+    /// Per list id, the role bits of the pools all its entries resolve in.
+    list_roles: Vec<u8>,
+    /// `plan.len()`: every row's honeypot is below it.
+    honeypots: usize,
+    /// The day of the last row checked, in this chunk or an earlier one.
+    last_day: u32,
 }
 
-impl BitSet {
-    fn for_ids(n: usize) -> BitSet {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
+impl RowContract {
+    fn new(s: &SessionStore, plan: &FarmPlan) -> RowContract {
+        // An entry resolves when it is below its pool's length, so a list's
+        // largest entry decides all its roles.
+        let fits = |v: u32, len: usize, role: u8| if (v as usize) < len { role } else { 0 };
+        let list_roles = (s.lists.iter())
+            .map(|(_, list)| match list.iter().max() {
+                None => CRED | COMMAND | URI | DIGEST,
+                Some(&max) => {
+                    fits(max >> 1, s.creds.len(), CRED)
+                        | fits(max >> 1, s.commands.len(), COMMAND)
+                        | fits(max, s.uris.len(), URI)
+                        | fits(max, s.digests.len(), DIGEST)
+                }
+            })
+            .collect();
+        RowContract {
+            ssh_versions: s.ssh_versions.len() as u32,
+            list_roles,
+            honeypots: plan.len(),
+            last_day: 0,
         }
     }
 
-    /// Test the bit for `id`, setting it as a side effect; returns the
-    /// previous value.
-    fn test_and_set(&mut self, id: u32) -> bool {
-        match self.words.get_mut(id as usize / 64) {
-            Some(w) => {
-                let mask = 1u64 << (id % 64);
-                let seen = *w & mask != 0;
-                *w |= mask;
-                seen
+    /// Check one chunk's rows in file order: the first row that breaks the
+    /// contract is the error. `s` holds the pools, walked only to name a
+    /// dangling id.
+    fn check(&mut self, rows: &[Row], s: &SessionStore) -> Result<(), SnapshotError> {
+        let list_roles = &self.list_roles;
+        let roles = |id: u32| list_roles.get(id as usize).copied().unwrap_or(0);
+        let corrupt = |detail| SnapshotError::Corrupt {
+            section: "rows",
+            detail,
+        };
+        for row in rows {
+            let ids_resolve = (row.ssh_version_id == NONE_ID
+                || row.ssh_version_id < self.ssh_versions)
+                && roles(row.login_list_id) & CRED != 0
+                && roles(row.cmd_list_id) & COMMAND != 0
+                && roles(row.uri_list_id) & URI != 0
+                && roles(row.hash_list_id) & roles(row.dl_list_id) & DIGEST != 0;
+            if !ids_resolve {
+                dangling_id(row, s)?;
             }
-            None => false,
+            if row.honeypot as usize >= self.honeypots {
+                return Err(corrupt(format!(
+                    "a row names honeypot {}; the plan has {}",
+                    row.honeypot, self.honeypots
+                )));
+            }
+            if row.client_country != u16::MAX && row.client_country as usize >= country::count() {
+                return Err(corrupt(format!(
+                    "a row names country {}; the catalog has {}",
+                    row.client_country,
+                    country::count()
+                )));
+            }
+            let day = row.start_secs / 86_400;
+            if day < self.last_day {
+                return Err(corrupt(format!(
+                    "rows must be day-ordered; a day-{day} row follows day {}",
+                    self.last_day
+                )));
+            }
+            self.last_day = day;
         }
+        Ok(())
     }
 }
 
-/// Memo of interned ids [`validate_rows`] has already walked. Rows repeat
-/// list ids constantly (every failed-login session in a campaign shares a
-/// handful of credential lists), so each distinct (role, id) pair is
-/// validated once and afterwards answered with a bit test — amortized O(1)
-/// per row instead of a pool walk per row. Sized to the pools at
-/// [`SnapshotReader::open`]; zero allocations while streaming.
-struct ValidationMemo {
-    ssh: BitSet,
-    login: BitSet,
-    cmd: BitSet,
-    uri: BitSet,
-    /// Hash and download lists resolve against the same digest pool, so
-    /// one memo serves both roles.
-    digest: BitSet,
-}
-
-impl ValidationMemo {
-    fn new(n_ssh_versions: usize, n_lists: usize) -> ValidationMemo {
-        ValidationMemo {
-            ssh: BitSet::for_ids(n_ssh_versions),
-            login: BitSet::for_ids(n_lists),
-            cmd: BitSet::for_ids(n_lists),
-            uri: BitSet::for_ids(n_lists),
-            digest: BitSet::for_ids(n_lists),
-        }
-    }
-}
-
-/// Check that every pool id a row references resolves — the "dangling
-/// intern id" class of corruption a checksum cannot catch (a consistent
-/// snapshot re-encoded with a hostile tool, or a bug in a foreign writer).
-/// `memo` carries the already-validated ids across chunks.
-fn validate_rows(
-    rows: &[Row],
-    store: &SessionStore,
-    memo: &mut ValidationMemo,
-) -> Result<(), SnapshotError> {
+/// The error path of [`RowContract::check`]: walk a row's ids in field
+/// order and name the first one its pools do not hold.
+fn dangling_id(row: &Row, s: &SessionStore) -> Result<(), SnapshotError> {
     let dangling = |kind, id| SnapshotError::DanglingId { kind, id };
-    for row in rows {
-        if row.ssh_version_id != NONE_ID
-            && !memo.ssh.test_and_set(row.ssh_version_id)
-            && store.ssh_versions.try_get(row.ssh_version_id).is_none()
-        {
-            return Err(dangling("ssh_version", row.ssh_version_id));
-        }
-        if !memo.login.test_and_set(row.login_list_id) {
-            let list = store
-                .lists
-                .try_get(row.login_list_id)
-                .ok_or_else(|| dangling("list", row.login_list_id))?;
-            for &packed in list {
-                if store.creds.try_get(packed >> 1).is_none() {
-                    return Err(dangling("cred", packed >> 1));
-                }
-            }
-        }
-        if !memo.cmd.test_and_set(row.cmd_list_id) {
-            let list = store
-                .lists
-                .try_get(row.cmd_list_id)
-                .ok_or_else(|| dangling("list", row.cmd_list_id))?;
-            for &packed in list {
-                if store.commands.try_get(packed >> 1).is_none() {
-                    return Err(dangling("command", packed >> 1));
-                }
-            }
-        }
-        if !memo.uri.test_and_set(row.uri_list_id) {
-            let list = store
-                .lists
-                .try_get(row.uri_list_id)
-                .ok_or_else(|| dangling("list", row.uri_list_id))?;
-            for &id in list {
-                if store.uris.try_get(id).is_none() {
-                    return Err(dangling("uri", id));
-                }
-            }
-        }
-        for list_id in [row.hash_list_id, row.dl_list_id] {
-            if !memo.digest.test_and_set(list_id) {
-                let list = store
-                    .lists
-                    .try_get(list_id)
-                    .ok_or_else(|| dangling("list", list_id))?;
-                for &id in list {
-                    if store.digests.try_get(id).is_none() {
-                        return Err(dangling("digest", id));
-                    }
-                }
-            }
+    if row.ssh_version_id != NONE_ID && s.ssh_versions.try_get(row.ssh_version_id).is_none() {
+        return Err(dangling("ssh_version", row.ssh_version_id));
+    }
+    for (list_id, kind, shift, len) in [
+        (row.login_list_id, "cred", 1, s.creds.len()),
+        (row.cmd_list_id, "command", 1, s.commands.len()),
+        (row.uri_list_id, "uri", 0, s.uris.len()),
+        (row.hash_list_id, "digest", 0, s.digests.len()),
+        (row.dl_list_id, "digest", 0, s.digests.len()),
+    ] {
+        let list = (s.lists.try_get(list_id)).ok_or_else(|| dangling("list", list_id))?;
+        if let Some(&v) = list.iter().find(|&&v| (v >> shift) as usize >= len) {
+            return Err(dangling(kind, v >> shift));
         }
     }
     Ok(())
@@ -1312,7 +1296,7 @@ mod tests {
         let back = roundtrip(&snap);
         assert_eq!(back.meta, snap.meta);
         assert_eq!(back.plan, snap.plan);
-        assert_eq!(back.sessions.rows(), snap.sessions.rows());
+        assert_eq!(back.sessions.rows(), &*snap.sessions.day_ordered_rows());
         let strings = |p: &StringPool| p.iter().map(|(_, s)| s.to_string()).collect::<Vec<_>>();
         assert_eq!(strings(&back.sessions.creds), strings(&snap.sessions.creds));
         assert_eq!(
@@ -1394,19 +1378,6 @@ mod tests {
     }
 
     #[test]
-    fn day_order_refuses_a_backward_day_and_names_the_consumer() {
-        let mut order = DayOrder::new("streaming fold");
-        for day in [0, 3, 3] {
-            order.check(day).expect("non-decreasing days pass");
-        }
-        let err = order.check(2).expect_err("day 2 after day 3").to_string();
-        assert!(
-            err.contains("streaming fold requires day-ordered rows; a day-2 row follows day 3"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn write_rejects_nothing_at_normal_sizes() {
         let snap = sample_snapshot(10);
         let mut out = Vec::new();
@@ -1428,7 +1399,7 @@ mod tests {
             let back = Snapshot::read_from(&mut bytes.as_slice()).expect("read back");
             assert_eq!(
                 back.sessions.rows(),
-                snap.sessions.rows(),
+                &*snap.sessions.day_ordered_rows(),
                 "rows_per_chunk={rows_per_chunk}"
             );
             assert_eq!(back.tags.len(), snap.tags.len());
@@ -1465,7 +1436,7 @@ mod tests {
                 Ok(())
             })
             .expect("fold");
-        assert_eq!(seen, snap.sessions.rows());
+        assert_eq!(seen, &*snap.sessions.day_ordered_rows());
         assert_eq!(meta, snap.meta);
         assert!(store.is_empty(), "fold hands rows only to the callback");
         assert_eq!(tags.len(), snap.tags.len());
@@ -1540,7 +1511,7 @@ mod tests {
         snap.write_to(&mut want).expect("write");
         assert_eq!(std::fs::read(&path).expect("read"), want);
         let back = Snapshot::read_file(&path).expect("load");
-        assert_eq!(back.sessions.rows(), snap.sessions.rows());
+        assert_eq!(back.sessions.rows(), &*snap.sessions.day_ordered_rows());
         let names: Vec<_> = std::fs::read_dir(&dir)
             .expect("list")
             .map(|e| e.expect("entry").file_name())

@@ -222,19 +222,11 @@ pub fn build_configs(plan: &FarmPlan) -> Vec<Arc<HoneypotConfig>> {
 /// digests are pre-computed. Byte-identical to the test-only reference
 /// `execute_plan` for the same plan; a missing entry is a pre-pass coverage
 /// bug surfaced as a typed [`SimError`].
-pub fn execute_plan_full(
-    ctx: &ExecCtx<'_>,
-    plan: &SessionPlan,
-    tags: &mut TagDb,
-    prepared: &PreparedScripts,
-) -> Result<SessionRecord, SimError> {
-    execute_plan_reusing(ctx, plan, tags, prepared, &mut RecordSpares::default())
-}
-
-/// [`execute_plan_full`] building the record out of `spares`' buffers
-/// where they have one: the day loop's path, which reclaims each batch's
-/// records into its spares before it produces the next batch. The record
-/// is the one [`execute_plan_full`] returns.
+///
+/// The record is built out of `spares`' buffers where they have one: the
+/// day loop reclaims each batch's records into its spares before it
+/// produces the next batch. With `RecordSpares::default()` every buffer is
+/// fresh, and the record is the same.
 pub fn execute_plan_reusing(
     ctx: &ExecCtx<'_>,
     plan: &SessionPlan,
@@ -283,7 +275,7 @@ pub fn execute_plan_reusing(
 
 /// Execute a single plan, returning the finished record and tagging any
 /// produced hashes in `tags`. The reference line executor, kept only for
-/// the tests that hold [`execute_plan_full`] to it: every script line is
+/// the tests that hold [`execute_plan_reusing`] to it: every script line is
 /// lexed and rendered as the session types it, transfers are counted on the
 /// fly, and the campaign payload is hashed per session.
 #[cfg(test)]
@@ -319,7 +311,7 @@ fn execute_plan(ctx: &ExecCtx<'_>, plan: &SessionPlan, tags: &mut TagDb) -> Sess
 /// `Recon`/`Script` plan types (empty otherwise) in whatever form the
 /// caller holds it; `run_line` executes one line after `think_secs` and
 /// returns the number of transfers it started, or `None` once the session
-/// has ended. That is the only part [`execute_plan_full`] and its test-only
+/// has ended. That is the only part [`execute_plan_reusing`] and its test-only
 /// reference `execute_plan` do differently. The record is built out of
 /// `spares`, which get back what it did not use.
 fn run_session<L>(
@@ -726,7 +718,16 @@ mod tests {
         let mut full_tags = TagDb::new();
         let full: Vec<_> = plans
             .iter()
-            .map(|p| execute_plan_full(&c, p, &mut full_tags, &prepared).unwrap())
+            .map(|p| {
+                execute_plan_reusing(
+                    &c,
+                    p,
+                    &mut full_tags,
+                    &prepared,
+                    &mut RecordSpares::default(),
+                )
+                .unwrap()
+            })
             .collect();
 
         assert_eq!(reference, full);
@@ -743,11 +744,12 @@ mod tests {
         let h1 = f.eco.catalog.by_name("H1").unwrap().id;
         let empty = PreparedScripts::new();
         let mut tags = TagDb::new();
-        let err = execute_plan_full(
+        let err = execute_plan_reusing(
             &c,
             &plan_with(Behavior::Script { campaign: h1 }, Protocol::Ssh),
             &mut tags,
             &empty,
+            &mut RecordSpares::default(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -755,11 +757,12 @@ mod tests {
             crate::error::SimError::MissingPreparedScript { campaign, .. } if campaign == h1.0
         ));
 
-        let err = execute_plan_full(
+        let err = execute_plan_reusing(
             &c,
             &plan_with(Behavior::Recon { variant: 3 }, Protocol::Ssh),
             &mut tags,
             &empty,
+            &mut RecordSpares::default(),
         )
         .unwrap_err();
         assert!(matches!(

@@ -18,6 +18,6 @@ pub mod parallel;
 pub mod runner;
 
 pub use error::SimError;
-pub use exec::{execute_plan_full, ExecCtx, PreparedScripts};
+pub use exec::{ExecCtx, PreparedScripts};
 pub use parallel::DayMode;
 pub use runner::{DayRows, FoldOutput, SimConfig, SimOutput, Simulation};

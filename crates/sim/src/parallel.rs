@@ -1,7 +1,7 @@
 //! Batch execution: one serial executor runs a batch of plans in plan order.
 //!
 //! The simulation's unit of work is one planned session: given the immutable
-//! [`ExecCtx`] and a [`SessionPlan`], `execute_plan_full` derives everything
+//! [`ExecCtx`] and a [`SessionPlan`], `execute_plan_reusing` derives everything
 //! else from the plan's own seed. The only cross-session state is
 //! *recording* — the collector's ingest order and the tag database's
 //! first-wins rule — and both are functions of plan order alone. The day
@@ -101,7 +101,7 @@ pub fn execute_day_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{build_configs, execute_plan_full};
+    use crate::exec::build_configs;
     use hf_agents::{Behavior, Ecosystem, EcosystemConfig, Scale};
     use hf_proto::Protocol;
     use hf_simclock::StudyWindow;
@@ -179,7 +179,16 @@ mod tests {
                 execute_batch(ctx, shape, prepared, &mut batch, &mut TagDb::new()).unwrap();
                 let mut tags = TagDb::new();
                 let fresh: Vec<SessionRecord> = (shape.iter())
-                    .map(|p| execute_plan_full(ctx, p, &mut tags, prepared).unwrap())
+                    .map(|p| {
+                        execute_plan_reusing(
+                            ctx,
+                            p,
+                            &mut tags,
+                            prepared,
+                            &mut RecordSpares::default(),
+                        )
+                        .unwrap()
+                    })
                     .collect();
                 assert_eq!(batch.records, fresh, "recycled records equal fresh ones");
             }

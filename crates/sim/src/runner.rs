@@ -27,8 +27,7 @@ use hf_agents::{Ecosystem, EcosystemConfig, Scale, SessionPlan};
 use hf_core::{Aggregates, StreamingFold};
 use hf_farm::snapshot::ROWS_PER_CHUNK;
 use hf_farm::{
-    Collector, Dataset, DayOrder, FarmPlan, Row, SessionStore, Snapshot, SnapshotError,
-    SnapshotMeta, TagDb,
+    Collector, Dataset, FarmPlan, Row, SessionStore, Snapshot, SnapshotError, SnapshotMeta, TagDb,
 };
 use hf_honeypot::ArtifactStore;
 use hf_simclock::StudyWindow;
@@ -160,9 +159,10 @@ impl FoldOutput {
     /// matches a materialized [`SimOutput::from_snapshot`] load of the same
     /// bytes.
     ///
-    /// The incremental freshness series requires day-ordered rows (which
-    /// every runner-produced snapshot has); an unordered store surfaces as
-    /// [`SnapshotError::Corrupt`] rather than silently wrong freshness.
+    /// The reader checks every row against the snapshot's row contract
+    /// (pool ids, honeypot, country, day order) before the fold sees it, so
+    /// a faulty file surfaces as a typed [`SnapshotError`], never a panic
+    /// or silently wrong freshness.
     ///
     /// Chunks are driven through [`hf_farm::SnapshotReader::fold_chunks`],
     /// so (when the file has more than one chunk) the next chunk is read
@@ -177,12 +177,9 @@ impl FoldOutput {
         let reader = hf_farm::SnapshotReader::open(r)?;
         let mut fold = StreamingFold::new(reader.plan().len());
         let mut artifacts = ArtifactStore::new();
-        let mut order = DayOrder::new("streaming fold");
         let (meta, plan, sessions, tags) = reader.fold_chunks(|store, plan, rows| {
             for row in rows {
-                let v = store.view_row(row);
-                order.check(v.day())?;
-                v.replay_artifacts(&mut artifacts);
+                store.view_row(row).replay_artifacts(&mut artifacts);
             }
             fold.ingest_rows(store, plan, rows);
             Ok(())

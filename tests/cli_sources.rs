@@ -159,6 +159,38 @@ fn claims_and_birth_print_the_materialized_reference() {
     }
 }
 
+/// A snapshot whose checksums hold but whose row names honeypot 500 of 221
+/// is refused by `report` and `cluster` alike: exit 1 with one `error …`
+/// line naming the fault, never a panic.
+#[test]
+fn a_row_past_the_plan_exits_1_from_report_and_cluster() {
+    use honeyfarm::prelude::*;
+
+    let dir = workdir("row_past_plan");
+    let config = SimConfig::test(2);
+    let mut snap = Simulation::run(config.clone()).to_snapshot(&config);
+    let mut rows = snap.sessions.rows().to_vec();
+    rows[0].honeypot = 500;
+    snap.sessions.retire_rows();
+    snap.sessions.set_rows(rows);
+    let file = dir.join("run.hfstore");
+    snap.write_file(&file).expect("write snapshot");
+
+    for cmd in ["report", "cluster"] {
+        let out = hfarm(&[cmd], &[("--snapshot", &file), ("--out", &dir.join(cmd))]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "hfarm {cmd}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "hfarm {cmd}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error ")).collect();
+        assert_eq!(errors.len(), 1, "hfarm {cmd}: {stderr}");
+        assert!(
+            errors[0].contains("honeypot 500; the plan has 221"),
+            "hfarm {cmd}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// A path that cannot be written is found only after the analysis has run:
 /// exit 1 with one `error …` line naming the path, never a panic.
 #[test]

@@ -13,8 +13,10 @@
 //! * mutated snapshot bytes → `Snapshot::read_from`, which must reject
 //!   every corruption with a typed `SnapshotError`, never a panic
 //! * edited rows-chunk payloads, re-stamped so they pass every checksum →
-//!   the column decoder behind `Snapshot::read_from`, which must end each
-//!   case in a typed error or a clean load, never a panic
+//!   the column decoder and row contract behind `Snapshot::read_from`,
+//!   which must end each case in a typed error or a clean load, never a
+//!   panic; a file that loads then goes through both stream folds and
+//!   `Report::build_with_tags`
 //! * `@hfs` control directives mixed with login and command lines → a
 //!   virtual-time `SessionConn`, which must never panic and must yield at
 //!   most one record
@@ -28,6 +30,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use honeyfarm::cluster::features_from_snapshot_stream;
 use honeyfarm::farm::{Snapshot, SnapshotError};
 use honeyfarm::geo::Ip4;
 use honeyfarm::obs::json::Json;
@@ -369,24 +372,37 @@ proptest! {
     }
 
     /// An edited chunk payload whose length word, digest and trailer are
-    /// re-stamped passes every checksum, so the column decoder (and the id
-    /// validation behind it) sees it: a typed error or a clean load.
+    /// re-stamped passes every checksum, so the column decoder (and the row
+    /// contract behind it) sees it: a typed error or a clean load. A file
+    /// that loads must also fold — the report's fold, the report built on
+    /// it, and the cluster features' fold — without a panic or an error.
     #[test]
     fn restamped_chunk_edits_are_typed_or_load(op in chunk_edit()) {
         let mut mutated = snapshot_bytes().to_vec();
         op.apply(&mut mutated);
-        if let Err(e) = Snapshot::read_from(&mut mutated.as_slice()) {
-            prop_assert!(
-                !matches!(
-                    e,
-                    SnapshotError::ChecksumMismatch { .. }
-                        | SnapshotError::ChunkChecksumMismatch { .. }
-                ),
-                "{:?} did not reach the decoder: {}",
-                op,
-                e
-            );
-            prop_assert!(!e.to_string().is_empty());
+        match Snapshot::read_from(&mut mutated.as_slice()) {
+            Err(e) => {
+                prop_assert!(
+                    !matches!(
+                        e,
+                        SnapshotError::ChecksumMismatch { .. }
+                            | SnapshotError::ChunkChecksumMismatch { .. }
+                    ),
+                    "{:?} did not reach the decoder: {}",
+                    op,
+                    e
+                );
+                prop_assert!(!e.to_string().is_empty());
+            }
+            Ok(_) => {
+                let fold = FoldOutput::from_snapshot_stream(mutated.as_slice());
+                prop_assert!(fold.is_ok(), "{:?} loads, but the report fold refuses it", op);
+                if let Ok(fold) = fold {
+                    Report::build_with_tags(&fold.dataset, &fold.aggregates, &fold.tags);
+                }
+                let features = features_from_snapshot_stream(mutated.as_slice());
+                prop_assert!(features.is_ok(), "{:?} loads, but the feature fold refuses it", op);
+            }
         }
     }
 }

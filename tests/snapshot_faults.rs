@@ -2,16 +2,18 @@
 //! sections, plant dangling ids — every corruption must surface as the
 //! right typed [`SnapshotError`], never a panic or a silent mis-read.
 
+use honeyfarm::cluster::features_from_snapshot_stream;
 use honeyfarm::farm::snapshot::{FORMAT_VERSION, MAGIC, ROWS_PER_CHUNK, SECTIONS};
 use honeyfarm::farm::{
     FarmPlan, Row, SessionStore, Snapshot, SnapshotError, SnapshotMeta, SnapshotReader, TagDb,
 };
-use honeyfarm::geo::Ip4;
+use honeyfarm::geo::{country, CountryId, Ip4};
 use honeyfarm::hash::Sha256;
 use honeyfarm::honeypot::{EndReason, LoginAttempt, SessionRecord};
 use honeyfarm::proto::creds::Credentials;
 use honeyfarm::proto::Protocol;
 use honeyfarm::shell::CommandRecord;
+use honeyfarm::sim::FoldOutput;
 use honeyfarm::simclock::SimInstant;
 use honeyfarm::testkit::{restamp_rows, RowsLayout};
 
@@ -99,6 +101,29 @@ fn chunked(rows_per_chunk: u32, edit: impl FnOnce(&mut [Row])) -> Vec<u8> {
 
 fn load(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     Snapshot::read_from(&mut &bytes[..])
+}
+
+/// Every reader of a faulty `bytes` — the materializing load and both
+/// stream folds (the report's and the cluster features') — must refuse it
+/// as a `Corrupt` `section` whose detail names `what`, never panic.
+fn assert_corrupt_everywhere(bytes: &[u8], section: &str, what: &str) {
+    let refusals = [
+        ("read_from", load(bytes).err()),
+        ("report fold", FoldOutput::from_snapshot_stream(bytes).err()),
+        ("feature fold", features_from_snapshot_stream(bytes).err()),
+    ];
+    for (reader, err) in refusals {
+        match err {
+            Some(SnapshotError::Corrupt {
+                section: found,
+                detail,
+            }) => {
+                assert_eq!(found, section, "{reader}: {detail}");
+                assert!(detail.contains(what), "{reader}: {detail}");
+            }
+            other => panic!("{reader}: expected Corrupt {section} naming {what:?}, got {other:?}"),
+        }
+    }
 }
 
 fn u64_at(bytes: &[u8], at: usize) -> usize {
@@ -414,13 +439,13 @@ fn lying_chunk_payload_length_is_rejected() {
     }
 }
 
-/// A dangling id planted in the *last* chunk is still caught: the reader's
-/// per-(role, id) validation memo only skips ids that already validated in
-/// earlier chunks, and the prefetching fold delivers the error in chunk
-/// order after the clean chunks before it.
+/// A dangling id planted in the *last* chunk is still caught, and the
+/// prefetching fold delivers the error in chunk order after the clean
+/// chunks before it.
 #[test]
 fn dangling_id_in_a_later_chunk_is_rejected() {
-    // Row 6 opens the last of the chunks 3, 3, 2.
+    // Row 6 (day 6) is the writer's last row, in the last of the chunks
+    // 3, 3, 2.
     let bytes = chunked(3, |rows| rows[6].login_list_id = 0x00ff_fffe);
     match load(&bytes) {
         Err(SnapshotError::DanglingId { kind, id }) => {
@@ -470,23 +495,79 @@ fn flipped_trailer_digest_is_a_rows_checksum_mismatch() {
     }
 }
 
-/// Two full chunks swapped, each with its own digest and length, pass every
-/// chunk check and decode on their own; only the trailer, which digests the
-/// chunk digests in order, catches the reordering.
-#[test]
-fn swapped_full_chunks_are_a_rows_checksum_mismatch() {
-    let pristine = chunked(3, |_| {});
-    let layout = RowsLayout::of(&pristine);
+/// `pristine` with its first two chunks (full and adjacent) swapped whole,
+/// each with its own digest and length.
+fn swap_first_chunks(pristine: &[u8]) -> Vec<u8> {
+    let layout = RowsLayout::of(pristine);
     let (a, b) = (&layout.chunks[0], &layout.chunks[1]);
     assert_eq!(a.payload.end, b.at, "adjacent chunks");
     let mut bytes = pristine[..a.at].to_vec();
     bytes.extend_from_slice(&pristine[b.at..b.payload.end]);
     bytes.extend_from_slice(&pristine[a.at..a.payload.end]);
     bytes.extend_from_slice(&pristine[b.payload.end..]);
+    bytes
+}
+
+/// Two full chunks swapped, each with its own digest and length, pass every
+/// chunk check and decode on their own; only the trailer, which digests the
+/// chunk digests in order, catches the reordering. Every row is moved to
+/// day 0 first, so the swap keeps the rows day-ordered and the row
+/// contract passes them.
+#[test]
+fn swapped_full_chunks_are_a_rows_checksum_mismatch() {
+    let bytes = swap_first_chunks(&chunked(3, |rows| {
+        rows.iter_mut().for_each(|r| r.start_secs %= 86_400)
+    }));
     match load(&bytes) {
         Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, "rows"),
         other => panic!("swapped chunks: expected ChecksumMismatch, got {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------------------
+// The row contract: rules a checksum cannot enforce, each written by the
+// real writer (or re-stamped), refused by every reader before a fold.
+
+/// A row whose honeypot is not in the plan would index past the fold's
+/// per-honeypot tables.
+#[test]
+fn row_honeypot_past_the_plan_is_rejected() {
+    for honeypot in [500, 221] {
+        let bytes = chunked(ROWS_PER_CHUNK, |rows| rows[0].honeypot = honeypot);
+        let what = format!("honeypot {honeypot}; the plan has 221");
+        assert_corrupt_everywhere(&bytes, "rows", &what);
+    }
+}
+
+/// A client country past the catalog is refused; `u16::MAX` (unknown, as
+/// every fixture row has it) is not.
+#[test]
+fn row_country_past_the_catalog_is_rejected() {
+    load(&snapshot_bytes()).expect("unknown countries load");
+    for id in [900, country::count() as u16] {
+        let bytes = chunked(ROWS_PER_CHUNK, |rows| rows[3].client_country = id);
+        assert_corrupt_everywhere(&bytes, "rows", &format!("country {id}; the catalog"));
+    }
+}
+
+#[test]
+fn plan_node_country_past_the_catalog_is_rejected() {
+    let mut snap = snapshot();
+    snap.plan.nodes[7].country = CountryId(900);
+    let mut bytes = Vec::new();
+    snap.write_to(&mut bytes).expect("write snapshot");
+    assert_corrupt_everywhere(&bytes, "plan", "node 7 names country 900");
+}
+
+/// Two full chunks swapped and re-stamped pass every checksum, and each
+/// is day-ordered on its own: only the day of the first row of the second
+/// chunk, earlier than the last row of the first, breaks the contract.
+#[test]
+fn backward_day_across_a_chunk_boundary_is_rejected() {
+    let mut bytes = swap_first_chunks(&chunked(3, |_| {}));
+    restamp_rows(&mut bytes);
+    // Days 0 0 1 | 2 3 4 | 5 6 in writer order, now 2 3 4 | 0 0 1 | 5 6.
+    assert_corrupt_everywhere(&bytes, "rows", "a day-0 row follows day 4");
 }
 
 /// A payload edited in place and re-stamped passes every checksum and

@@ -39,6 +39,15 @@ fn pool_strings(p: &StringPool) -> Vec<String> {
     p.iter().map(|(_, s)| s.to_string()).collect()
 }
 
+/// `store` with its rows in the day order the snapshot writer emits.
+fn day_ordered(store: &SessionStore) -> SessionStore {
+    let rows = store.day_ordered_rows().into_owned();
+    let mut ordered = store.clone();
+    ordered.retire_rows();
+    ordered.set_rows(rows);
+    ordered
+}
+
 /// The store as a dataset, its artifacts replayed from its own rows.
 fn dataset(sessions: SessionStore) -> Dataset {
     let mut artifacts = ArtifactStore::new();
@@ -56,7 +65,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary batches survive ingest → snapshot write → load with
-    /// row-for-row and pool-for-pool equality.
+    /// row-for-row (in day order) and pool-for-pool equality.
     #[test]
     fn prop_snapshot_roundtrip(records in prop::collection::vec(session_record(), 1..40)) {
         let snap = snapshot_of(&records);
@@ -69,7 +78,8 @@ proptest! {
 
         // Row-for-row.
         prop_assert_eq!(back.sessions.len(), records.len());
-        prop_assert_eq!(back.sessions.rows(), snap.sessions.rows());
+        let ordered = day_ordered(&snap.sessions);
+        prop_assert_eq!(back.sessions.rows(), ordered.rows());
 
         // Pool-for-pool, in insertion order.
         prop_assert_eq!(pool_strings(&back.sessions.creds), pool_strings(&snap.sessions.creds));
@@ -99,7 +109,7 @@ proptest! {
         }
 
         // And the typed views still read every field.
-        prop_assert_eq!(records_of(&back.sessions), records);
+        prop_assert_eq!(records_of(&back.sessions), records_of(&ordered));
     }
 
     /// Writing the same data twice — or a reloaded copy — is byte-identical.
@@ -120,7 +130,8 @@ proptest! {
     /// A store read back from a snapshot keeps interning like the one that
     /// was written: its decoded list pool returns the old id for a list it
     /// holds and `len()` for a new one, and ingesting more records gives
-    /// the store that was never written at all.
+    /// the store that was never written at all (its written rows put in
+    /// the day order the writer emits).
     #[test]
     fn prop_read_back_store_keeps_interning(
         records in prop::collection::vec(session_record(), 2..40),
@@ -150,6 +161,7 @@ proptest! {
         for r in written {
             never_written.ingest(r, None);
         }
+        never_written = day_ordered(&never_written);
         for r in later {
             resumed.ingest(r, None);
             never_written.ingest(r, None);
