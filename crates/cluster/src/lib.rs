@@ -42,7 +42,7 @@ pub use features::{
 pub use kmeans::{cluster, silhouette, ClusterOutput, KMeansConfig};
 pub use report::{assignments_tsv, summary_text, summary_tsv};
 
-use std::io::Read;
+use std::io::{Read, Seek};
 
 use hf_farm::{FarmPlan, SnapshotError, SnapshotReader};
 
@@ -88,7 +88,7 @@ impl ClusterRun {
 /// included) before the fold sees it, so a faulty file surfaces as a typed
 /// [`SnapshotError`].
 /// Returns the deployment plan alongside the finished features.
-pub fn features_from_snapshot_stream<R: Read + Send>(
+pub fn features_from_snapshot_stream<R: Read + Seek + Send>(
     r: R,
 ) -> Result<(FarmPlan, ClientFeatures), SnapshotError> {
     let _span = hf_obs::span!("cluster.stream_extract");

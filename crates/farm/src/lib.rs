@@ -34,6 +34,6 @@ pub use collector::{Collector, Dataset};
 pub use deployment::{FarmPlan, HoneypotNode};
 pub use intern::{DigestPool, ListPool, StringPool};
 pub use log::{CowrieEvent, EventLog};
-pub use snapshot::{Snapshot, SnapshotError, SnapshotMeta, SnapshotReader};
+pub use snapshot::{Snapshot, SnapshotError, SnapshotMeta, SnapshotReader, SnapshotWriter};
 pub use store::{Row, SessionStore, SessionView};
 pub use tags::{TagDb, TagEntry};

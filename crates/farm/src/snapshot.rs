@@ -5,29 +5,33 @@
 //! the collected [`SessionStore`] + [`TagDb`] + deployment plan once, and
 //! `hfarm report` (or any reanalysis tool) reloads it without re-simulating.
 //!
-//! ## Format (version 4)
+//! ## Format (version 5)
 //!
 //! ```text
 //! [magic "HFSTORE\0" : 8 bytes]
 //! [format version    : u32 LE]
 //! [section count     : u32 LE]
-//! then, for each section in the fixed order below except ROWS:
+//! then ROWS (below), then for each section in the fixed order below:
 //! [section id   : u32 LE]
 //! [payload len  : u64 LE]
 //! [SHA-256     : 32 bytes]                     (via hf-hash)
 //! [payload      : len bytes]
+//! then the footer:
+//! [offset of META    : u64 LE]
+//! [magic "HFSTORE\0" : 8 bytes]
 //! ```
 //!
-//! Sections, in order: META, PLAN, CREDS, COMMANDS, URIS, SSH_VERSIONS,
-//! DIGESTS, LISTS, ROWS, TAGS. Integers outside the rows chunks are
+//! Sections, in order: ROWS, META, PLAN, CREDS, COMMANDS, URIS,
+//! SSH_VERSIONS, DIGESTS, LISTS, TAGS. Integers outside the rows chunks are
 //! little-endian and fixed-width. String/digest/list pools are written in
 //! insertion order and tag entries sorted by digest, so snapshots of a
 //! deterministic run are byte-identical on every run (see DESIGN.md §5).
 //!
-//! Every section except ROWS is checksummed whole and materialized whole.
-//! ROWS — the only one that grows with the window — is chunked so both
-//! sides stream it in bounded memory, and its checksum comes after its
-//! data, so the writer makes one pass over the rows:
+//! ROWS — the only section that grows with the window — comes first, so
+//! [`SnapshotWriter`] appends rows as they are produced and writes the
+//! pools, which cover every row, once the rows are done. Every other
+//! section is checksummed and materialized whole. ROWS is chunked so both
+//! sides stream it in bounded memory, and its checksum follows its data:
 //!
 //! ```text
 //! [section id     : u32 LE]
@@ -46,14 +50,18 @@
 //! the columns. The on-disk form no longer mirrors the in-memory [`Row`]:
 //! a row takes about 15 bytes instead of 48.
 //!
-//! The row count is META's; the chunk count and each chunk's row count
-//! follow from it and `rows_per_chunk`. Each chunk digest authenticates its
-//! payload, and the trailing digest authenticates the chunk digests and
-//! their order. A reader therefore verifies each chunk the moment it
-//! arrives ([`SnapshotError::ChunkChecksumMismatch`] names the failing
-//! chunk) and confirms the trailer after the last one, without ever holding
-//! more than two chunks; [`SnapshotReader`] is that streaming reader, and
-//! [`Snapshot::read_from`] is a thin materializing wrapper over it.
+//! A reader needs the pools before the rows, so [`SnapshotReader::open`]
+//! seeks to the footer, decodes META through TAGS (which must end at the
+//! footer), then seeks back to the rows, which must end at META. The row
+//! count is META's; the chunk count and each chunk's row count follow from
+//! it and `rows_per_chunk`. Each chunk digest authenticates its payload,
+//! and the trailing digest the chunk digests and their order, so the
+//! reader verifies each chunk as it arrives
+//! ([`SnapshotError::ChunkChecksumMismatch`] names it) and the trailer
+//! after the last, never holding more than two chunks;
+//! [`Snapshot::read_from`] is a materializing wrapper over it. A file whose
+//! last eight bytes are not the magic has lost its footer:
+//! [`SnapshotError::Truncated`] in the `footer` section.
 //!
 //! ## The row contract
 //!
@@ -61,27 +69,28 @@
 //! so every row is checked once more, on the reader's prefetch thread right
 //! after its chunk decodes: its SSH version and list ids resolve in their
 //! pools, its honeypot is in the plan, its client country is unknown
-//! (`u16::MAX`) or in the `hf_geo` catalog, and its day is not earlier than
-//! the previous row's, across chunks too. [`SnapshotReader::open`] takes
-//! the bounds from the sections before the rows, and the plan section
-//! refuses a node country outside the catalog. The writer emits rows in day
-//! order ([`SessionStore::day_ordered_rows`]).
+//! (`u16::MAX`) or in the `hf_geo` catalog, its day is below META's `days`,
+//! and its day is not earlier than the previous row's, across chunks too.
+//! [`SnapshotReader::open`] takes the bounds from the sections it decodes
+//! before the rows, and the plan section refuses a node country outside the
+//! catalog. The writer emits rows in the order they are pushed;
+//! [`Snapshot::write_to`] pushes [`SessionStore::day_ordered_rows`].
 //!
 //! ## Error handling
 //!
 //! The load path never panics and never `unwrap()`s: a truncated file, bad
-//! magic, unsupported version, section or chunk checksum mismatch, a chunk
-//! payload that does not decode, or a row that breaks the row contract each
-//! surfaces as a typed [`SnapshotError`] (a dangling id as
-//! [`SnapshotError::DanglingId`], the other rules as
-//! [`SnapshotError::Corrupt`]), verified by the fault-injection suite in
-//! `tests/snapshot_faults.rs`.
+//! magic, unsupported version, a footer that points outside the file,
+//! section or chunk checksum mismatch, a chunk payload that does not
+//! decode, or a row that breaks the row contract each surfaces as a typed
+//! [`SnapshotError`] (a dangling id as [`SnapshotError::DanglingId`], the
+//! other rules as [`SnapshotError::Corrupt`]), verified by the
+//! fault-injection suite in `tests/snapshot_faults.rs`.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Take, Write};
+use std::path::{Path, PathBuf};
 
 use hf_geo::{country, Asn, CountryId, Ip4, NetworkClass};
 use hf_hash::{Digest, Sha256};
@@ -98,10 +107,10 @@ use crate::tags::TagDb;
 pub const MAGIC: [u8; 8] = *b"HFSTORE\0";
 
 /// Current format version. Bump on any layout change; readers reject other
-/// versions with [`SnapshotError::UnsupportedVersion`]. Version 4 codes
-/// each rows chunk by column (see the module docs); earlier files are no
-/// longer readable.
-pub const FORMAT_VERSION: u32 = 4;
+/// versions with [`SnapshotError::UnsupportedVersion`]. Version 5 puts the
+/// rows first and the pools after them (see the module docs); earlier files
+/// are no longer readable.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Rows per chunk the writer emits: 65 536 rows, about 1 MiB of payload
 /// and 3 MiB of decoded rows. Readers accept any `rows_per_chunk` up to
@@ -117,6 +126,7 @@ pub const MAX_ROWS_PER_CHUNK: u32 = 1 << 20;
 /// `(section id, section name)` in on-disk order. Section ids are part of
 /// the format; names appear in error messages and tests.
 pub const SECTIONS: [(u32, &str); 10] = [
+    (9, "rows"),
     (1, "meta"),
     (2, "plan"),
     (3, "creds"),
@@ -125,9 +135,16 @@ pub const SECTIONS: [(u32, &str); 10] = [
     (6, "ssh_versions"),
     (7, "digests"),
     (8, "lists"),
-    (9, "rows"),
     (10, "tags"),
 ];
+
+/// Bytes of the file header: magic, version and section count.
+const HEADER: u64 = 8 + 4 + 4;
+/// Bytes of the footer: META's offset, then the magic.
+const FOOTER: u64 = 8 + 8;
+/// The fewest bytes a rows section takes: its id, `rows_per_chunk` and the
+/// trailer, with no chunk.
+const EMPTY_ROWS: u64 = 4 + 4 + 32;
 
 /// Run-level metadata stored in the META section.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,7 +194,8 @@ pub enum SnapshotError {
     /// The file ended before the named section was complete.
     Truncated {
         /// Section being read when the data ran out ("header" for the
-        /// file header).
+        /// file header, "footer" for a file whose last 16 bytes are not a
+        /// footer).
         section: &'static str,
     },
     /// A section's payload does not hash to its stored checksum.
@@ -283,9 +301,10 @@ impl From<io::Error> for SnapshotError {
 }
 
 impl Snapshot {
-    /// Write the snapshot to `w` in hfstore format. The rows go out in
-    /// [`SessionStore::day_ordered_rows`] order, the order the reader
-    /// requires; a store that is already day-ordered is written as stored.
+    /// Write the snapshot to `w` in hfstore format through a
+    /// [`SnapshotWriter`], its rows in [`SessionStore::day_ordered_rows`]
+    /// order, the order the reader requires; a store that is already
+    /// day-ordered is written as stored, encoded straight from its rows.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), SnapshotError> {
         self.write_to_chunked(w, ROWS_PER_CHUNK)
     }
@@ -300,90 +319,36 @@ impl Snapshot {
         w: &mut W,
         rows_per_chunk: u32,
     ) -> Result<(), SnapshotError> {
-        assert!(
-            (1..=MAX_ROWS_PER_CHUNK).contains(&rows_per_chunk),
-            "rows_per_chunk {rows_per_chunk} outside 1..={MAX_ROWS_PER_CHUNK}"
-        );
-        let s = &self.sessions;
-        for (pool, len) in [
-            ("creds", s.creds.len()),
-            ("commands", s.commands.len()),
-            ("uris", s.uris.len()),
-            ("ssh_versions", s.ssh_versions.len()),
-            ("digests", s.digests.len()),
-            ("lists", s.lists.len()),
-        ] {
-            if len > MAX_POOL_LEN {
-                return Err(SnapshotError::PoolOverflow { pool, len });
-            }
-        }
-
-        let _span = hf_obs::span!("snapshot.write");
-        hf_obs::counter!("snapshot.rows_written", s.len() as u64);
-
-        w.write_all(&MAGIC)?;
-        w.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        w.write_all(&(SECTIONS.len() as u32).to_le_bytes())?;
-        // File preamble: magic + u32 version + u32 section count.
-        hf_obs::counter!("snapshot.bytes_written", (MAGIC.len() + 4 + 4) as u64);
-
-        let mut buf = Vec::new();
-        for (id, name) in SECTIONS {
-            let _sec = hf_obs::span_owned_with(|| format!("snapshot.write.{name}"));
-            if name == "rows" {
-                // The one section that grows with the window: stream it in
-                // bounded chunks instead of building a multi-GB payload.
-                let len = write_rows_section(w, id, &s.day_ordered_rows(), rows_per_chunk)?;
-                hf_obs::observe!("snapshot.section_bytes", len);
-                // Section id, then the rest of the section.
-                hf_obs::counter!("snapshot.bytes_written", len + 4);
-                continue;
-            }
-            buf.clear();
-            match name {
-                "meta" => self.encode_meta(&mut buf),
-                "plan" => encode_plan(&self.plan, &mut buf),
-                "creds" => encode_string_pool(&s.creds, &mut buf),
-                "commands" => encode_string_pool(&s.commands, &mut buf),
-                "uris" => encode_string_pool(&s.uris, &mut buf),
-                "ssh_versions" => encode_string_pool(&s.ssh_versions, &mut buf),
-                "digests" => encode_digest_pool(&s.digests, &mut buf),
-                "lists" => encode_list_pool(&s.lists, &mut buf),
-                "tags" => encode_tags(&self.tags, &mut buf),
-                _ => unreachable!("section table is exhaustive"),
-            }
-            hf_obs::observe!("snapshot.section_bytes", buf.len());
-            // Section header: u32 id + u64 length + 32-byte checksum.
-            hf_obs::counter!("snapshot.bytes_written", (buf.len() + 4 + 8 + 32) as u64);
-            w.write_all(&id.to_le_bytes())?;
-            w.write_all(&(buf.len() as u64).to_le_bytes())?;
-            w.write_all(&Sha256::digest(&buf).0)?;
-            w.write_all(&buf)?;
-        }
-        w.flush()?;
-        Ok(())
+        self.write_with(SnapshotWriter::new(w, rows_per_chunk, None)?)
     }
 
-    /// Write the snapshot to a file (buffered).
-    ///
-    /// The bytes go to `<path>.tmp` in the same directory, which is renamed
-    /// over `path` once flushed, so a write that is killed or fails never
+    /// Write the snapshot to a file (buffered) through
+    /// [`SnapshotWriter::create`], so a write that is killed or fails never
     /// leaves a torn snapshot under the final name.
     pub fn write_file<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        self.write_to(&mut BufWriter::new(File::create(&tmp)?))?;
-        Ok(std::fs::rename(&tmp, path)?)
+        self.write_with(SnapshotWriter::create(path)?)
     }
 
-    /// Read a snapshot from `r`, validating magic, version, section and
-    /// chunk checksums, and every row against the row contract.
+    /// Every chunk, the partial last one too, is encoded straight from the
+    /// store's rows: the whole set is at hand, so no row waits in the
+    /// writer's tail as a push would leave it.
+    fn write_with<W: Write>(&self, mut writer: SnapshotWriter<W>) -> Result<(), SnapshotError> {
+        {
+            let _rows = hf_obs::span!("snapshot.write.rows");
+            for chunk in self.sessions.day_ordered_rows().chunks(writer.rows_per_chunk) {
+                writer.write_chunk(chunk)?;
+            }
+        }
+        writer.finish(&self.meta, &self.plan, &self.sessions, &self.tags)
+    }
+
+    /// Read a snapshot from `r`, validating magic, version, footer, section
+    /// and chunk checksums, and every row against the row contract.
     ///
     /// A materializing wrapper over [`SnapshotReader`]: rows accumulate
     /// into one `Vec`, so memory grows with the file. Analyses that only
     /// need a fold over the rows should drive [`SnapshotReader`] directly.
-    pub fn read_from<R: Read + Send>(r: &mut R) -> Result<Snapshot, SnapshotError> {
+    pub fn read_from<R: Read + Seek + Send>(r: &mut R) -> Result<Snapshot, SnapshotError> {
         let _span = hf_obs::span!("snapshot.load");
         let reader = SnapshotReader::open(r)?;
         // Grown chunk by chunk: the declared row count is untrusted until
@@ -432,14 +397,199 @@ impl Snapshot {
             self.meta,
         )
     }
+}
 
-    fn encode_meta(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.meta.seed.to_le_bytes());
-        buf.extend_from_slice(&self.meta.scale_volume.to_bits().to_le_bytes());
-        buf.extend_from_slice(&self.meta.scale_hashes.to_bits().to_le_bytes());
-        buf.extend_from_slice(&self.meta.days.to_le_bytes());
-        buf.extend_from_slice(&self.meta.n_clients.to_le_bytes());
-        buf.extend_from_slice(&(self.sessions.len() as u64).to_le_bytes());
+/// The one hfstore writer: rows as they come, then the sections that
+/// describe them. [`SnapshotWriter::push`] appends rows in the order the
+/// reader requires (day order), encoding each full chunk straight from the
+/// caller's slice and holding back only a partial chunk's rows;
+/// [`SnapshotWriter::finish`] writes the last chunk, the rows trailer,
+/// META through TAGS and the footer. Peak memory is one chunk, whatever the
+/// row count, so a run can persist its rows as it retires them.
+pub struct SnapshotWriter<W: Write = BufWriter<File>> {
+    w: W,
+    /// `(<path>.tmp, path)` for a writer from [`SnapshotWriter::create`]:
+    /// `finish` renames the one over the other.
+    rename: Option<(PathBuf, PathBuf)>,
+    rows_per_chunk: usize,
+    /// The rows of the partial chunk the last push left, copied.
+    tail: Vec<Row>,
+    encoder: ChunkEncoder,
+    payload: Vec<u8>,
+    /// SHA-256 over the chunk digests written so far.
+    digests: Sha256,
+    rows: u64,
+    /// Bytes written so far: the offset of the next one.
+    offset: u64,
+}
+
+impl SnapshotWriter {
+    /// Start a snapshot at `path`. The bytes go to `<path>.tmp` in the same
+    /// directory, which [`SnapshotWriter::finish`] renames over `path` once
+    /// flushed, so a write that is killed or fails never leaves a torn
+    /// snapshot under the final name.
+    pub fn create<P: AsRef<Path>>(path: P) -> Result<SnapshotWriter, SnapshotError> {
+        let path = path.as_ref().to_owned();
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let w = BufWriter::new(File::create(&tmp)?);
+        SnapshotWriter::new(w, ROWS_PER_CHUNK, Some((tmp.into(), path)))
+    }
+}
+
+impl<W: Write> SnapshotWriter<W> {
+    /// Write the header and open the rows section.
+    fn new(
+        mut w: W,
+        rows_per_chunk: u32,
+        rename: Option<(PathBuf, PathBuf)>,
+    ) -> Result<Self, SnapshotError> {
+        assert!(
+            (1..=MAX_ROWS_PER_CHUNK).contains(&rows_per_chunk),
+            "rows_per_chunk {rows_per_chunk} outside 1..={MAX_ROWS_PER_CHUNK}"
+        );
+        w.write_all(&MAGIC)?;
+        w.write_all(&FORMAT_VERSION.to_le_bytes())?;
+        w.write_all(&(SECTIONS.len() as u32).to_le_bytes())?;
+        w.write_all(&SECTIONS[0].0.to_le_bytes())?;
+        w.write_all(&rows_per_chunk.to_le_bytes())?;
+        Ok(SnapshotWriter {
+            w,
+            rename,
+            rows_per_chunk: rows_per_chunk as usize,
+            tail: Vec::new(),
+            encoder: ChunkEncoder::default(),
+            payload: Vec::new(),
+            digests: Sha256::new(),
+            rows: 0,
+            // The header, the rows section id and `rows_per_chunk`.
+            offset: HEADER + 4 + 4,
+        })
+    }
+
+    /// Append `rows`, which follow every row pushed before them in day
+    /// order. Each chunk they fill is encoded and written now; the rows of
+    /// a partial last chunk wait for the next push or for `finish`.
+    pub fn push(&mut self, mut rows: &[Row]) -> Result<(), SnapshotError> {
+        let _span = hf_obs::span!("snapshot.write.rows");
+        if !self.tail.is_empty() {
+            let fill = rows.len().min(self.rows_per_chunk - self.tail.len());
+            self.tail.extend_from_slice(&rows[..fill]);
+            rows = &rows[fill..];
+            if self.tail.len() < self.rows_per_chunk {
+                return Ok(());
+            }
+            self.write_tail()?;
+        }
+        let mut chunks = rows.chunks_exact(self.rows_per_chunk);
+        for chunk in &mut chunks {
+            self.write_chunk(chunk)?;
+        }
+        self.tail.extend_from_slice(chunks.remainder());
+        Ok(())
+    }
+
+    /// Write the held-back rows as one chunk.
+    fn write_tail(&mut self) -> Result<(), SnapshotError> {
+        let tail = std::mem::take(&mut self.tail);
+        self.write_chunk(&tail)?;
+        self.tail = tail;
+        self.tail.clear();
+        Ok(())
+    }
+
+    /// Column-code `rows` into the reused payload buffer, then write its
+    /// digest, length and bytes.
+    fn write_chunk(&mut self, rows: &[Row]) -> Result<(), SnapshotError> {
+        self.payload.clear();
+        self.encoder.encode(rows, &mut self.payload);
+        let digest = Sha256::digest(&self.payload).0;
+        self.digests.update(&digest);
+        self.w.write_all(&digest)?;
+        // In range: a payload is at most `max_payload(MAX_ROWS_PER_CHUNK)`.
+        self.w
+            .write_all(&(self.payload.len() as u32).to_le_bytes())?;
+        self.w.write_all(&self.payload)?;
+        self.offset += 32 + 4 + self.payload.len() as u64;
+        self.rows += rows.len() as u64;
+        Ok(())
+    }
+
+    /// Close the rows section (its last chunk and trailer), then write
+    /// META — `meta` and the number of rows pushed — PLAN, `store`'s
+    /// pools, which must resolve every pushed row, TAGS and the footer.
+    /// The rows of `store` itself are not written: push them first. A
+    /// writer from [`SnapshotWriter::create`] then renames its file into
+    /// place.
+    pub fn finish(
+        mut self,
+        meta: &SnapshotMeta,
+        plan: &FarmPlan,
+        store: &SessionStore,
+        tags: &TagDb,
+    ) -> Result<(), SnapshotError> {
+        let s = store;
+        for (pool, len) in [
+            ("creds", s.creds.len()),
+            ("commands", s.commands.len()),
+            ("uris", s.uris.len()),
+            ("ssh_versions", s.ssh_versions.len()),
+            ("digests", s.digests.len()),
+            ("lists", s.lists.len()),
+        ] {
+            if len > MAX_POOL_LEN {
+                return Err(SnapshotError::PoolOverflow { pool, len });
+            }
+        }
+
+        let _span = hf_obs::span!("snapshot.write");
+        {
+            let _rows = hf_obs::span!("snapshot.write.rows");
+            if !self.tail.is_empty() {
+                self.write_tail()?;
+            }
+            self.w
+                .write_all(&std::mem::take(&mut self.digests).finalize().0)?;
+            self.offset += 32;
+        }
+        // The rows section, after its id.
+        hf_obs::observe!("snapshot.section_bytes", self.offset - HEADER - 4);
+
+        let meta_at = self.offset;
+        let mut buf = Vec::new();
+        for (id, name) in &SECTIONS[1..] {
+            let _sec = hf_obs::span_owned_with(|| format!("snapshot.write.{name}"));
+            buf.clear();
+            match *name {
+                "meta" => encode_meta(meta, self.rows, &mut buf),
+                "plan" => encode_plan(plan, &mut buf),
+                "creds" => encode_string_pool(&s.creds, &mut buf),
+                "commands" => encode_string_pool(&s.commands, &mut buf),
+                "uris" => encode_string_pool(&s.uris, &mut buf),
+                "ssh_versions" => encode_string_pool(&s.ssh_versions, &mut buf),
+                "digests" => encode_digest_pool(&s.digests, &mut buf),
+                "lists" => encode_list_pool(&s.lists, &mut buf),
+                "tags" => encode_tags(tags, &mut buf),
+                _ => unreachable!("section table is exhaustive"),
+            }
+            hf_obs::observe!("snapshot.section_bytes", buf.len());
+            // Section header: u32 id + u64 length + 32-byte checksum.
+            self.offset += (4 + 8 + 32 + buf.len()) as u64;
+            self.w.write_all(&id.to_le_bytes())?;
+            self.w.write_all(&(buf.len() as u64).to_le_bytes())?;
+            self.w.write_all(&Sha256::digest(&buf).0)?;
+            self.w.write_all(&buf)?;
+        }
+        self.w.write_all(&meta_at.to_le_bytes())?;
+        self.w.write_all(&MAGIC)?;
+        self.w.flush()?;
+        hf_obs::counter!("snapshot.rows_written", self.rows);
+        hf_obs::counter!("snapshot.bytes_written", self.offset + FOOTER);
+        if let Some((tmp, path)) = self.rename {
+            drop(self.w);
+            std::fs::rename(tmp, path)?;
+        }
+        Ok(())
     }
 }
 
@@ -460,20 +610,20 @@ fn read_decoded_section<R: Read, T>(
 }
 
 /// Streaming hfstore reader: the small, row-count-independent sections
-/// (meta, plan, pools) are materialized by [`SnapshotReader::open`]; the
-/// rows section is then folded one verified chunk at a time by
-/// [`SnapshotReader::fold_chunks`], which reads the tags last and hands
-/// back the pools-only [`SessionStore`] shell. Peak memory is the pools
-/// plus two chunks — never the whole rows section.
+/// (meta, plan, pools, tags) are materialized by [`SnapshotReader::open`];
+/// the rows section is then folded one verified chunk at a time by
+/// [`SnapshotReader::fold_chunks`], which hands back the pools-only
+/// [`SessionStore`] shell. Peak memory is the pools plus two chunks —
+/// never the whole rows section.
 ///
 /// Rows handed to the fold already keep the row contract (chunk checksum,
 /// enum bytes, interned ids against the pools, honeypot against the plan,
-/// country against the catalog, day order), so [`SessionStore::view_row`]
-/// against the store it is handed is safe:
+/// country against the catalog, day against META's window, day order), so
+/// [`SessionStore::view_row`] against the store it is handed is safe:
 ///
 /// ```no_run
 /// # fn main() -> Result<(), hf_farm::SnapshotError> {
-/// # let file = std::io::empty();
+/// # let file = std::io::Cursor::new(Vec::new());
 /// let reader = hf_farm::SnapshotReader::open(file)?;
 /// let (meta, plan, shell, tags) = reader.fold_chunks(|store, _plan, rows| {
 ///     for row in rows {
@@ -485,15 +635,17 @@ fn read_decoded_section<R: Read, T>(
 /// # Ok(()) }
 /// ```
 pub struct SnapshotReader<R: Read> {
-    /// The stream half: underlying reader, chunk cursor, running digest of
-    /// the chunk digests, and the row contract. Split out so the overlapped
-    /// fold can hand it to a prefetch thread while the fold stays on the
-    /// caller's thread (see [`SnapshotReader::fold_chunks`]).
+    /// The stream half: the rows section of the underlying reader, chunk
+    /// cursor, running digest of the chunk digests, and the row contract.
+    /// Split out so the overlapped fold can hand it to a prefetch thread
+    /// while the fold stays on the caller's thread (see
+    /// [`SnapshotReader::fold_chunks`]).
     raw: RawChunks<R>,
     meta: SnapshotMeta,
     plan: FarmPlan,
     /// Pools-only shell; rows stay with the caller.
     store: SessionStore,
+    tags: TagDb,
 }
 
 /// The stream half of the reader: reads one chunk at a time from the
@@ -502,7 +654,8 @@ pub struct SnapshotReader<R: Read> {
 /// the trailer is checked against. Owns everything a prefetch thread needs
 /// and nothing the fold touches.
 struct RawChunks<R: Read> {
-    r: R,
+    /// The rows section after `rows_per_chunk`, bounded by META's offset.
+    r: Take<R>,
     /// META's row count.
     n_rows: u64,
     rows_per_chunk: u32,
@@ -525,8 +678,9 @@ struct ChunkBuf {
 impl<R: Read> RawChunks<R> {
     /// Read, checksum-verify, decode and check the next chunk into `buf` —
     /// or, once every chunk has been consumed, read the trailer, check it
-    /// against the chunk digests, and return `None`. `store` holds the
-    /// pools, walked only to name a dangling id.
+    /// against the chunk digests and check that the rows end at META, and
+    /// return `None`. `store` holds the pools, walked only to name a
+    /// dangling id.
     fn next_chunk(
         &mut self,
         buf: &mut ChunkBuf,
@@ -536,6 +690,12 @@ impl<R: Read> RawChunks<R> {
             let trailer: [u8; 32] = read_array(&mut self.r, "rows")?;
             if std::mem::take(&mut self.digests).finalize().0 != trailer {
                 return Err(SnapshotError::ChecksumMismatch { section: "rows" });
+            }
+            if self.r.limit() != 0 {
+                return Err(SnapshotError::Corrupt {
+                    section: "rows",
+                    detail: format!("the rows end {} bytes before META", self.r.limit()),
+                });
             }
             return Ok(None);
         }
@@ -571,10 +731,11 @@ impl<R: Read> RawChunks<R> {
     }
 }
 
-impl<R: Read> SnapshotReader<R> {
-    /// Open a snapshot stream: validate the header, materialize the meta /
-    /// plan / pool sections, and position the stream at the first rows
-    /// chunk (validating the declared chunk size).
+impl<R: Read + Seek + Send> SnapshotReader<R> {
+    /// Open a snapshot: validate the header, seek to the footer, materialize
+    /// the meta / plan / pool / tags sections it points at, then seek back
+    /// and position the stream at the first rows chunk (validating the
+    /// declared chunk size). The seeks are the only ones the reader makes.
     pub fn open(mut r: R) -> Result<Self, SnapshotError> {
         let mut magic = [0u8; 8];
         read_exact(&mut r, &mut magic, "header")?;
@@ -599,18 +760,51 @@ impl<R: Read> SnapshotReader<R> {
             });
         }
 
-        let (meta, n_rows) = read_decoded_section(&mut r, 0, decode_meta)?;
-        let plan = read_decoded_section(&mut r, 1, decode_plan)?;
-        let creds = read_decoded_section(&mut r, 2, decode_string_pool)?;
-        let commands = read_decoded_section(&mut r, 3, decode_string_pool)?;
-        let uris = read_decoded_section(&mut r, 4, decode_string_pool)?;
-        let ssh_versions = read_decoded_section(&mut r, 5, decode_string_pool)?;
-        let digests = read_decoded_section(&mut r, 6, decode_digest_pool)?;
-        let lists = read_decoded_section(&mut r, 7, decode_list_pool)?;
+        // The footer: where META starts. A file without one was cut short.
+        let end = r.seek(SeekFrom::End(0))?;
+        let truncated = SnapshotError::Truncated { section: "footer" };
+        let Some(footer_at) = end.checked_sub(FOOTER).filter(|&at| at >= HEADER) else {
+            return Err(truncated);
+        };
+        r.seek(SeekFrom::Start(footer_at))?;
+        let meta_at = u64::from_le_bytes(read_array(&mut r, "footer")?);
+        if read_array::<_, 8>(&mut r, "footer")? != MAGIC {
+            return Err(truncated);
+        }
+        if !(HEADER + EMPTY_ROWS..=footer_at).contains(&meta_at) {
+            return Err(SnapshotError::Corrupt {
+                section: "footer",
+                detail: format!(
+                    "META offset {meta_at} outside {}..={footer_at}",
+                    HEADER + EMPTY_ROWS
+                ),
+            });
+        }
 
-        // Rows section header. META's row count and the declared chunk
-        // size fix the chunk count and every chunk's row count.
-        let (rows_id, _) = SECTIONS[8];
+        r.seek(SeekFrom::Start(meta_at))?;
+        let mut sections = (&mut r).take(footer_at - meta_at);
+        let (meta, n_rows) = read_decoded_section(&mut sections, 1, decode_meta)?;
+        let plan = read_decoded_section(&mut sections, 2, decode_plan)?;
+        let creds = read_decoded_section(&mut sections, 3, decode_string_pool)?;
+        let commands = read_decoded_section(&mut sections, 4, decode_string_pool)?;
+        let uris = read_decoded_section(&mut sections, 5, decode_string_pool)?;
+        let ssh_versions = read_decoded_section(&mut sections, 6, decode_string_pool)?;
+        let digests = read_decoded_section(&mut sections, 7, decode_digest_pool)?;
+        let lists = read_decoded_section(&mut sections, 8, decode_list_pool)?;
+        let tags = read_decoded_section(&mut sections, 9, decode_tags)?;
+        if sections.limit() != 0 {
+            return Err(SnapshotError::Corrupt {
+                section: "footer",
+                detail: format!("{} bytes between the tags and the footer", sections.limit()),
+            });
+        }
+
+        // Rows section header, bounded by META's offset. META's row count
+        // and the declared chunk size fix the chunk count and every chunk's
+        // row count.
+        r.seek(SeekFrom::Start(HEADER))?;
+        let mut r = r.take(meta_at - HEADER);
+        let (rows_id, _) = SECTIONS[0];
         let found = u32::from_le_bytes(read_array(&mut r, "rows")?);
         if found != rows_id {
             return Err(SnapshotError::UnexpectedSection {
@@ -649,11 +843,12 @@ impl<R: Read> SnapshotReader<R> {
                 n_chunks,
                 chunks_read: 0,
                 digests: Sha256::new(),
-                contract: RowContract::new(&store, &plan),
+                contract: RowContract::new(&store, &plan, meta.days),
             },
             meta,
             plan,
             store,
+            tags,
         })
     }
 
@@ -662,15 +857,16 @@ impl<R: Read> SnapshotReader<R> {
         &self.plan
     }
 
-    /// Consume the reader, driving `fold` over every rows chunk, then read
-    /// the tags section and return the metadata, plan, pools-only store
-    /// shell and tags. `fold` receives the pools-only store, the plan, and
-    /// one chunk of rows per call, in file order, each checked: chunk
-    /// checksum, per-row enum bytes, and the row contract (every interned
-    /// id resolves in its pool, the honeypot is in the plan, the client
-    /// country is unknown or in the catalog, and no row's day precedes the
-    /// day of the row before it, in this chunk or the last). The trailer is
-    /// checked against the chunk digests after the last chunk.
+    /// Consume the reader, driving `fold` over every rows chunk, and return
+    /// the metadata, plan, pools-only store shell and tags. `fold` receives
+    /// the pools-only store, the plan, and one chunk of rows per call, in
+    /// file order, each checked: chunk checksum, per-row enum bytes, and
+    /// the row contract (every interned id resolves in its pool, the
+    /// honeypot is in the plan, the client country is unknown or in the
+    /// catalog, the day is below META's `days`, and no row's day precedes
+    /// the day of the row before it, in this chunk or the last). The
+    /// trailer is checked against the chunk digests after the last chunk,
+    /// and the rows must end exactly where META starts.
     ///
     /// The stream goes through [`hf_obs::overlapped`]: unless the file has
     /// at most one chunk, a helper thread reads, checksums, decodes and
@@ -683,7 +879,6 @@ impl<R: Read> SnapshotReader<R> {
         mut fold: F,
     ) -> Result<(SnapshotMeta, FarmPlan, SessionStore, TagDb), SnapshotError>
     where
-        R: Send,
         F: FnMut(&SessionStore, &FarmPlan, &[Row]) -> Result<(), SnapshotError>,
     {
         let SnapshotReader {
@@ -691,6 +886,7 @@ impl<R: Read> SnapshotReader<R> {
             meta,
             plan,
             store,
+            tags,
         } = self;
         hf_obs::overlapped(
             raw.n_chunks as usize,
@@ -699,7 +895,6 @@ impl<R: Read> SnapshotReader<R> {
             |buf| raw.next_chunk(buf, &store),
             |(), buf| fold(&store, &plan, &buf.rows),
         )?;
-        let tags = read_decoded_section(&mut raw.r, 9, decode_tags)?;
         hf_obs::counter!("snapshot.rows_loaded", raw.n_rows);
         Ok((meta, plan, store, tags))
     }
@@ -707,6 +902,17 @@ impl<R: Read> SnapshotReader<R> {
 
 // ---------------------------------------------------------------------------
 // Section encoders. All integers little-endian; lengths precede payloads.
+
+/// META: the public run metadata, then the row count the rows section
+/// holds.
+fn encode_meta(meta: &SnapshotMeta, n_rows: u64, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&meta.seed.to_le_bytes());
+    buf.extend_from_slice(&meta.scale_volume.to_bits().to_le_bytes());
+    buf.extend_from_slice(&meta.scale_hashes.to_bits().to_le_bytes());
+    buf.extend_from_slice(&meta.days.to_le_bytes());
+    buf.extend_from_slice(&meta.n_clients.to_le_bytes());
+    buf.extend_from_slice(&n_rows.to_le_bytes());
+}
 
 fn encode_plan(plan: &FarmPlan, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&(plan.nodes.len() as u32).to_le_bytes());
@@ -746,38 +952,6 @@ fn encode_list_pool(pool: &ListPool, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&v.to_le_bytes());
         }
     }
-}
-
-/// Write the rows section: id, `rows_per_chunk`, each chunk's digest,
-/// payload length and payload, then the digest over the chunk digests. One
-/// pass, one thread: each chunk is column-coded into reused buffers, hashed
-/// and written, so peak memory is one encoded chunk regardless of row
-/// count. Returns the bytes written after the section id.
-fn write_rows_section<W: Write>(
-    w: &mut W,
-    id: u32,
-    rows: &[Row],
-    rows_per_chunk: u32,
-) -> Result<u64, SnapshotError> {
-    w.write_all(&id.to_le_bytes())?;
-    w.write_all(&rows_per_chunk.to_le_bytes())?;
-    let mut digests = Sha256::new();
-    let (mut encoder, mut buf) = (ChunkEncoder::default(), Vec::new());
-    // `rows_per_chunk` and the trailer, then each chunk as it is written.
-    let mut len = 4 + 32;
-    for chunk in rows.chunks(rows_per_chunk as usize) {
-        buf.clear();
-        encoder.encode(chunk, &mut buf);
-        let digest = Sha256::digest(&buf).0;
-        digests.update(&digest);
-        w.write_all(&digest)?;
-        // In range: a payload is at most `max_payload(MAX_ROWS_PER_CHUNK)`.
-        w.write_all(&(buf.len() as u32).to_le_bytes())?;
-        w.write_all(&buf)?;
-        len += 32 + 4 + buf.len() as u64;
-    }
-    w.write_all(&digests.finalize().0)?;
-    Ok(len)
 }
 
 fn encode_tags(tags: &TagDb, buf: &mut Vec<u8>) {
@@ -1062,12 +1236,14 @@ struct RowContract {
     list_roles: Vec<u8>,
     /// `plan.len()`: every row's honeypot is below it.
     honeypots: usize,
+    /// META's `days`: every row's day is below it.
+    days: u32,
     /// The day of the last row checked, in this chunk or an earlier one.
     last_day: u32,
 }
 
 impl RowContract {
-    fn new(s: &SessionStore, plan: &FarmPlan) -> RowContract {
+    fn new(s: &SessionStore, plan: &FarmPlan, days: u32) -> RowContract {
         // An entry resolves when it is below its pool's length, so a list's
         // largest entry decides all its roles.
         let fits = |v: u32, len: usize, role: u8| if (v as usize) < len { role } else { 0 };
@@ -1086,6 +1262,7 @@ impl RowContract {
             ssh_versions: s.ssh_versions.len() as u32,
             list_roles,
             honeypots: plan.len(),
+            days,
             last_day: 0,
         }
     }
@@ -1128,6 +1305,12 @@ impl RowContract {
                 return Err(corrupt(format!(
                     "rows must be day-ordered; a day-{day} row follows day {}",
                     self.last_day
+                )));
+            }
+            if day >= self.days {
+                return Err(corrupt(format!(
+                    "a row starts on day {day}; META states {} days",
+                    self.days
                 )));
             }
             self.last_day = day;
@@ -1287,7 +1470,7 @@ mod tests {
     fn roundtrip(snap: &Snapshot) -> Snapshot {
         let mut bytes = Vec::new();
         snap.write_to(&mut bytes).expect("write");
-        Snapshot::read_from(&mut bytes.as_slice()).expect("read back")
+        Snapshot::read_from(&mut io::Cursor::new(&bytes)).expect("read back")
     }
 
     #[test]
@@ -1396,7 +1579,7 @@ mod tests {
             let mut bytes = Vec::new();
             snap.write_to_chunked(&mut bytes, rows_per_chunk)
                 .expect("write");
-            let back = Snapshot::read_from(&mut bytes.as_slice()).expect("read back");
+            let back = Snapshot::read_from(&mut io::Cursor::new(&bytes)).expect("read back");
             assert_eq!(
                 back.sessions.rows(),
                 &*snap.sessions.day_ordered_rows(),
@@ -1424,7 +1607,7 @@ mod tests {
         let snap = sample_snapshot(64);
         let mut bytes = Vec::new();
         snap.write_to_chunked(&mut bytes, 5).expect("write");
-        let reader = SnapshotReader::open(bytes.as_slice()).expect("open");
+        let reader = SnapshotReader::open(io::Cursor::new(&bytes)).expect("open");
         let mut seen = Vec::new();
         let (meta, _plan, store, tags) = reader
             .fold_chunks(|store, _, rows| {
@@ -1447,7 +1630,7 @@ mod tests {
         let snap = sample_snapshot(64);
         let mut bytes = Vec::new();
         snap.write_to_chunked(&mut bytes, 4).expect("write");
-        let reader = SnapshotReader::open(bytes.as_slice()).expect("open");
+        let reader = SnapshotReader::open(io::Cursor::new(&bytes)).expect("open");
         // More than one chunk selects the overlapped arm, with chunks still
         // unread when the fold bails at the second one.
         assert!(reader.raw.n_chunks > 2);
@@ -1473,6 +1656,34 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         }
         assert_eq!(calls, 2, "the fold must stop at the first error");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+        /// The writer's chunks do not depend on how its rows arrive: any
+        /// partition of a store's rows, pushed piece by piece, gives the
+        /// bytes of one push at every chunk size.
+        #[test]
+        fn pushing_any_partition_gives_the_bytes_of_one_push(
+            cuts in proptest::collection::vec(0usize..=100, 0..12),
+            shape in 0usize..6,
+        ) {
+            let rows_per_chunk = [1u32, 3, 7, 64, 100, 1000][shape];
+            let snap = sample_snapshot(100);
+            let rows = snap.sessions.day_ordered_rows();
+            let mut whole = Vec::new();
+            snap.write_to_chunked(&mut whole, rows_per_chunk).expect("write");
+            let mut cuts = cuts;
+            cuts.extend([0, rows.len()]);
+            cuts.sort_unstable();
+            let mut pieces = Vec::new();
+            let mut writer = SnapshotWriter::new(&mut pieces, rows_per_chunk, None).expect("header");
+            for cut in cuts.windows(2) {
+                writer.push(&rows[cut[0]..cut[1]]).expect("push");
+            }
+            writer.finish(&snap.meta, &snap.plan, &snap.sessions, &snap.tags).expect("finish");
+            proptest::prop_assert!(pieces == whole, "pieces {:?} at {rows_per_chunk} rows/chunk", cuts);
+        }
     }
 
     /// Accepts `left` bytes, then fails every write.

@@ -20,4 +20,4 @@ pub mod runner;
 pub use error::SimError;
 pub use exec::{ExecCtx, PreparedScripts};
 pub use parallel::DayMode;
-pub use runner::{DayRows, FoldOutput, SimConfig, SimOutput, Simulation};
+pub use runner::{FoldOutput, SimConfig, SimOutput, Simulation};

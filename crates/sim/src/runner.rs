@@ -3,25 +3,21 @@
 //! One day loop, one per-day hook. [`Simulation::run_days`] hands the hook
 //! the rows of each finished day — `FnMut(&SessionStore, &FarmPlan, &[Row])`,
 //! the shape [`hf_farm::SnapshotReader::fold_chunks`] hands a chunk in — and
-//! then keeps or retires them as its [`DayRows`] argument says:
+//! then retires them, so peak RSS is bounded by the largest single day plus
+//! the interning pools, independent of window length.
+//! [`Simulation::run_fold`] is that loop with a [`StreamingFold`] hook.
+//! [`Aggregates::compute`] runs the same fold over a whole materialized
+//! store in one call, and where the rows are cut never reaches the result,
+//! so the two are bit-identical (proven by `tests/streaming_analysis.rs`).
 //!
-//! - **Rows kept** ([`Simulation::run`]: a no-op hook): every session row
-//!   accumulates in the collector's [`hf_farm::SessionStore`]. Memory grows
-//!   with the window (~19 GB of rows at scale 1.0); only a run that persists
-//!   its rows as a snapshot needs this.
-//! - **Rows retired** ([`Simulation::run_fold`]: a [`StreamingFold`] hook):
-//!   each day is folded and then dropped, so peak RSS is bounded by the
-//!   largest single day plus the interning pools, independent of window
-//!   length. [`Aggregates::compute`] runs the same fold over a whole
-//!   materialized store in one call, and where the rows are cut never
-//!   reaches the result, so the two are bit-identical (proven by
-//!   `tests/streaming_analysis.rs`).
-//!
-//! Any fold that takes rows a day at a time rides the same hook: `hfarm
-//! simulate` folds a [`StreamingFold`] while keeping rows for its snapshot,
-//! and `hfarm cluster` folds per-client features while retiring them.
+//! Any consumer that takes rows a day at a time rides the same hook: `hfarm
+//! simulate` folds a [`StreamingFold`] and pushes each day into an
+//! [`hf_farm::SnapshotWriter`], and `hfarm cluster` folds per-client
+//! features. Only [`Simulation::run`] keeps every row, for the callers that
+//! want a whole materialized run; its memory grows with the window (~19 GB
+//! of rows at scale 1.0).
 
-use std::io::Read;
+use std::io::{Read, Seek};
 
 use hf_agents::{Ecosystem, EcosystemConfig, Scale, SessionPlan};
 use hf_core::{Aggregates, StreamingFold};
@@ -169,7 +165,7 @@ impl FoldOutput {
     /// and checksummed on a prefetch thread while the current one folds —
     /// the `snapshot.chunk_wait` span records how long the fold actually
     /// waited on bytes.
-    pub fn from_snapshot_stream<R: Read + Send>(r: R) -> Result<FoldOutput, SnapshotError> {
+    pub fn from_snapshot_stream<R: Read + Seek + Send>(r: R) -> Result<FoldOutput, SnapshotError> {
         // Umbrella span: the whole verify → decode → replay → fold pass,
         // so `hfarm metrics` has an end-to-end wall to derive global hash
         // throughput against (the per-phase spans nest under it).
@@ -204,10 +200,10 @@ impl FoldOutput {
 /// loop held.
 const BATCH_PLANS: usize = ROWS_PER_CHUNK as usize;
 
-/// What the day loop does with a finished day's rows once the per-day hook
-/// of [`Simulation::run_days`] has seen them.
+/// What the day loop does with a finished day's rows once its per-day hook
+/// has seen them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DayRows {
+enum DayRows {
     /// Keep them: the output dataset holds every row of the window.
     Keep,
     /// Retire them: the output dataset is rowless (its pools, artifacts and
@@ -223,7 +219,7 @@ impl Simulation {
     /// (a `prepare_day` bug) panics with the typed [`SimError`] naming the
     /// missing key.
     pub fn run(config: SimConfig) -> SimOutput {
-        Self::run_days(config, DayRows::Keep, |_, _, _| {})
+        Self::run_loop(&config, BATCH_PLANS, true, DayRows::Keep, &mut |_, _, _| {})
     }
 
     /// Out-of-core form of [`Simulation::run`]: fold each finished day into
@@ -235,7 +231,7 @@ impl Simulation {
     /// bugs like [`Simulation::run`].
     pub fn run_fold(config: SimConfig) -> FoldOutput {
         let mut fold: Option<StreamingFold> = None;
-        let out = Self::run_days(config, DayRows::Retire, |store, plan, rows| {
+        let out = Self::run_days(config, |store, plan, rows| {
             fold.get_or_insert_with(|| StreamingFold::new(plan.len()))
                 .ingest_rows(store, plan, rows)
         });
@@ -252,10 +248,10 @@ impl Simulation {
 
     /// Run the full window and hand `after_day` the rows of each finished
     /// day — exactly that day's rows, in collector order, resolved against
-    /// the store's pools — then keep or retire them as `rows` says. With
-    /// [`DayRows::Retire`], peak RSS is sampled once per day into the
-    /// `process.peak_rss_kb` gauge. Panics on internal coverage bugs like
-    /// [`Simulation::run`].
+    /// the store's pools — then retire them: the output dataset is rowless
+    /// (its pools, artifacts and plan still cover the whole run). Peak RSS
+    /// is sampled once per day into the `process.peak_rss_kb` gauge. Panics
+    /// on internal coverage bugs like [`Simulation::run`].
     ///
     /// The day loop is a two-stage [`hf_obs::overlapped`] pipeline over
     /// batches of at most 65,536 plans, each from one day. The
@@ -275,29 +271,21 @@ impl Simulation {
     /// of that buffer held.
     pub fn run_days(
         config: SimConfig,
-        rows: DayRows,
         mut after_day: impl FnMut(&SessionStore, &FarmPlan, &[Row]),
     ) -> SimOutput {
-        let (collector, tags, n_clients) =
-            Self::run_loop(&config, BATCH_PLANS, true, rows, &mut after_day)
-                .unwrap_or_else(|e| panic!("simulation failed: {e}"));
-        SimOutput {
-            dataset: collector.finish(),
-            tags,
-            n_clients,
-        }
+        Self::run_loop(&config, BATCH_PLANS, true, DayRows::Retire, &mut after_day)
     }
 
-    /// The day loop of [`Simulation::run_days`] over batches of at most
-    /// `batch` plans. `overlap: false` keeps both stages on the calling
-    /// thread.
+    /// The day loop of [`Simulation::run_days`] (rows retired) and
+    /// [`Simulation::run`] (rows kept) over batches of at most `batch`
+    /// plans. `overlap: false` keeps both stages on the calling thread.
     fn run_loop(
         config: &SimConfig,
         batch: usize,
         overlap: bool,
         rows: DayRows,
         after_day: &mut dyn FnMut(&SessionStore, &FarmPlan, &[Row]),
-    ) -> Result<(Collector, TagDb, usize), SimError> {
+    ) -> SimOutput {
         assert!(
             !config.use_script_cache,
             "SimConfig::use_script_cache is no longer an option: the script cache \
@@ -396,8 +384,13 @@ impl Simulation {
                 }
                 Ok(())
             },
-        )?;
-        Ok((collector, tags, eco.n_clients()))
+        )
+        .unwrap_or_else(|e: SimError| panic!("simulation failed: {e}"));
+        SimOutput {
+            dataset: collector.finish(),
+            tags,
+            n_clients: eco.n_clients(),
+        }
     }
 }
 
@@ -413,24 +406,21 @@ mod tests {
         let config = SimConfig::test(8);
         let mut slices = Vec::new();
         let mut days = Vec::new();
-        let (collector, tags, n_clients) =
-            Simulation::run_loop(&config, batch, overlap, rows, &mut |store, _, day_rows| {
-                let day = store.view_row(&day_rows[0]).day();
-                assert!(
-                    day_rows.iter().all(|r| store.view_row(r).day() == day),
-                    "a slice holds exactly one day"
-                );
-                days.push(day);
-                slices.push(day_rows.to_vec());
-            })
-            .expect("day loop");
+        let out = Simulation::run_loop(&config, batch, overlap, rows, &mut |store, _, day_rows| {
+            let day = store.view_row(&day_rows[0]).day();
+            assert!(
+                day_rows.iter().all(|r| store.view_row(r).day() == day),
+                "a slice holds exactly one day"
+            );
+            days.push(day);
+            slices.push(day_rows.to_vec());
+        });
         assert_eq!(days, (0..8).collect::<Vec<_>>(), "days arrive in order");
-        let dataset = collector.finish();
         match rows {
-            DayRows::Keep => assert_eq!(dataset.sessions.rows(), slices.concat(), "rows kept"),
-            DayRows::Retire => assert!(dataset.sessions.is_empty(), "rows retired"),
+            DayRows::Keep => assert_eq!(out.dataset.sessions.rows(), slices.concat(), "rows kept"),
+            DayRows::Retire => assert!(out.dataset.sessions.is_empty(), "rows retired"),
         }
-        (dataset, tags, n_clients, slices)
+        (out.dataset, out.tags, out.n_clients, slices)
     }
 
     fn assert_same_arm(a: &Arm, b: &Arm, what: &str) {

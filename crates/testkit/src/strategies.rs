@@ -18,7 +18,7 @@ use proptest::strategy::Strategy;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use hf_farm::snapshot::{FORMAT_VERSION, SECTIONS};
+use hf_farm::snapshot::FORMAT_VERSION;
 use hf_geo::{CountryId, Ip4, World, WorldConfig};
 use hf_hash::Sha256;
 use hf_honeypot::{EndReason, LoginAttempt, SessionRecord};
@@ -398,8 +398,6 @@ pub enum MutOp {
         len: u8,
     },
     /// Insert garbage bytes mid-stream, shifting everything after them.
-    /// (Appending *past* the final section is deliberately not a corruption:
-    /// the streaming loader consumes exactly one snapshot from a reader.)
     Insert {
         /// Raw position draw (reduced mod len, so always before the end).
         pos: u64,
@@ -417,6 +415,13 @@ pub enum MutOp {
     BumpVersion {
         /// The bogus version.
         version: u32,
+    },
+    /// Point the footer's META offset (the last 16 bytes' first 8)
+    /// somewhere else.
+    RepointMeta {
+        /// Raw offset draw (reduced mod len + 64, so it can point past the
+        /// end).
+        at: u64,
     },
 }
 
@@ -463,6 +468,16 @@ impl MutOp {
                     bytes[8..12].copy_from_slice(&version.to_le_bytes());
                 }
             }
+            MutOp::RepointMeta { at } => {
+                let Some(footer) = bytes.len().checked_sub(16) else {
+                    bytes[0] ^= 0xA5;
+                    return;
+                };
+                let old = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap());
+                let at = at % (bytes.len() as u64 + 64);
+                let at = if at == old { at + 1 } else { at };
+                bytes[footer..footer + 8].copy_from_slice(&at.to_le_bytes());
+            }
         }
     }
 }
@@ -481,7 +496,7 @@ impl Strategy for SnapshotMutation {
     type Value = MutOp;
 
     fn generate(&self, rng: &mut SmallRng) -> MutOp {
-        match rng.gen_range(0u32..10) {
+        match rng.gen_range(0u32..11) {
             0..=3 => MutOp::FlipByte {
                 pos: rng.gen(),
                 mask: rng.gen_range(1u8..=255),
@@ -499,6 +514,7 @@ impl Strategy for SnapshotMutation {
             8 => MutOp::CorruptMagic {
                 idx: rng.gen_range(0u8..8),
             },
+            9 => MutOp::RepointMeta { at: rng.gen() },
             _ => MutOp::BumpVersion {
                 // Any version below 1001 but the one this build reads.
                 version: if rng.gen_ratio(1, 2) {
@@ -541,21 +557,18 @@ pub struct RowsLayout {
 }
 
 impl RowsLayout {
-    /// Walk `bytes`: the header, the framed sections before ROWS (META's
-    /// row count fixes the chunk count), then the chunks.
+    /// Walk `bytes`: the header and the rows section id, then the chunks.
+    /// META, where the footer says it starts, fixes the chunk count with
+    /// its row count.
     pub fn of(bytes: &[u8]) -> RowsLayout {
         let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let rows_idx = SECTIONS.iter().position(|(_, n)| *n == "rows").unwrap();
-        // Magic, version and section count; then [id][len][digest][payload]
-        // per framed section. META's payload ends with its row count.
-        let mut off = 8 + 4 + 4;
-        let meta_len = u64_at(off + 4) as usize;
-        let n_rows = u64_at(off + 4 + 8 + 32 + meta_len - 8) as usize;
-        for _ in 0..rows_idx {
-            off += 4 + 8 + 32 + u64_at(off + 4) as usize;
-        }
-        let start = off + 4;
+        // Magic, version and section count, then the rows section's id.
+        let start = 8 + 4 + 4 + 4;
+        // META's `[id][len][digest][payload]`; its payload ends with the
+        // row count.
+        let meta = meta_offset(bytes);
+        let meta_len = u64_at(bytes, meta + 4) as usize;
+        let n_rows = u64_at(bytes, meta + 4 + 8 + 32 + meta_len - 8) as usize;
         let rows_per_chunk = u32_at(start) as usize;
         let mut chunks = Vec::new();
         let mut at = start + 4;
@@ -575,10 +588,19 @@ impl RowsLayout {
         }
     }
 
-    /// One past the trailer: where the section after ROWS starts.
+    /// One past the trailer: where META starts in a well-formed file.
     pub fn end(&self) -> usize {
         self.trailer + 32
     }
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// The META offset the footer of `bytes` states.
+fn meta_offset(bytes: &[u8]) -> usize {
+    u64_at(bytes, bytes.len() - 16) as usize
 }
 
 /// Recompute every chunk digest and the trailer of `bytes`, so payloads
@@ -642,7 +664,8 @@ pub enum ChunkEdit {
 }
 
 impl ChunkEdit {
-    /// Apply the edit to a well-formed snapshot with at least one chunk.
+    /// Apply the edit to a well-formed snapshot with at least one chunk,
+    /// moving the footer's META offset with the chunk's new length.
     pub fn apply(self, bytes: &mut Vec<u8>) {
         let layout = RowsLayout::of(bytes);
         let n = layout.chunks.len() as u64;
@@ -674,7 +697,12 @@ impl ChunkEdit {
         }
         let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
         frame.extend_from_slice(&payload);
+        let (meta, len) = (meta_offset(bytes), bytes.len());
         bytes.splice(span.at + 32..span.payload.end, frame);
+        // META moved with the rows' end: point the footer at it.
+        let footer = bytes.len() - 16;
+        let meta = (meta + bytes.len() - len) as u64;
+        bytes[footer..footer + 8].copy_from_slice(&meta.to_le_bytes());
         restamp_rows(bytes);
     }
 }

@@ -2,14 +2,13 @@
 //!
 //! ```text
 //! hfarm simulate [--scale F] [--days N] [--seed S] [--out DIR] [--snapshot FILE]
-//!                [--fold] [--metrics DIR]
+//!                [--metrics DIR]
 //!     Simulate the study window, write every table/figure + claims, and
 //!     persist the collected run as an hfstore snapshot. Each finished day
-//!     is folded into the aggregates as the loop runs; the rows are kept
-//!     only for the snapshot. With `--fold`, they are retired as well, so
-//!     peak memory is bounded by one day's traffic instead of the whole
-//!     window (no snapshot is written, so `--fold --snapshot FILE` is a
-//!     usage error; the report is identical either way).
+//!     is folded into the aggregates and appended to the snapshot as the
+//!     loop runs, then retired, so peak memory is bounded by one day's
+//!     traffic instead of the whole window. The snapshot file is created
+//!     before the run starts.
 //! hfarm report   [--out DIR] [--snapshot FILE] [--metrics DIR]
 //!     Run the full report pipeline over a snapshot without re-simulating,
 //!     folding its rows chunk by chunk as they are read (one serial fold,
@@ -29,7 +28,7 @@
 //!     `--days` and `--seed` shape the live sim; each is a usage error with
 //!     `--snapshot`.
 //! hfarm claims   [--scale F] [--days N] [--seed S]
-//!     Print the headline findings only (out-of-core, like `simulate --fold`).
+//!     Print the headline findings only (out-of-core, like `simulate`).
 //! hfarm birth    [--scale F] [--days N] [--seed S]
 //!     Print the farm-discovery timeline (Section 9; out-of-core likewise).
 //! hfarm serve    [--snapshot FILE] [--nodes N] [--metrics DIR] [--ssh-port P]
@@ -75,8 +74,8 @@ use std::path::{Path, PathBuf};
 
 use honeyfarm::core::birth::birth_report;
 use honeyfarm::core::StreamingFold;
+use honeyfarm::farm::SnapshotWriter;
 use honeyfarm::prelude::*;
-use honeyfarm::sim::DayRows;
 
 #[derive(Default)]
 struct Common {
@@ -88,7 +87,6 @@ struct Common {
     nodes: u16,
     claims: bool,
     md: bool,
-    fold: bool,
     scenarios: Option<PathBuf>,
     metrics: Option<PathBuf>,
     /// The flags named on the command line (defaults are not in it).
@@ -127,7 +125,7 @@ const SIMS: &[&str] = &["simulate", "cluster", "claims", "birth", "verify"];
 /// Every flag, stated once: parsing, defaults, per-subcommand rejection,
 /// range validation and the usage text all derive from this table.
 #[rustfmt::skip]
-const FLAGS: [Flag; 21] = [
+const FLAGS: [Flag; 20] = [
     Flag { name: "--scale", arg: "F", default: Some("0.005"), cmds: SIMS,
            set: |c, v| scale(v).map(|x| c.scale = x) },
     Flag { name: "--days", arg: "N", default: Some("486"), cmds: SIMS,
@@ -147,8 +145,6 @@ const FLAGS: [Flag; 21] = [
            set: |c, _| store(&mut c.claims, true) },
     Flag { name: "--md", arg: "", default: None, cmds: &["verify"],
            set: |c, _| store(&mut c.md, true) },
-    Flag { name: "--fold", arg: "", default: None, cmds: &["simulate"],
-           set: |c, _| store(&mut c.fold, true) },
     Flag { name: "--scenarios", arg: "DIR", default: None, cmds: &["loadgen", "verify"],
            set: |c, v| store(&mut c.scenarios, Some(v.into())) },
     Flag { name: "--metrics", arg: "DIR", default: None,
@@ -315,13 +311,11 @@ fn sim_config(c: &Common) -> SimConfig {
 }
 
 /// Where a command's sessions come from. Every analysis folds its rows as
-/// they arrive; the simulator keeps them only for `simulate` to write its
-/// snapshot. Every command that analyses a run picks its source here, so
-/// flag conflicts are rejected in one place.
+/// they arrive and never holds them all. Every command that analyses a run
+/// picks its source here, so flag conflicts are rejected in one place.
 enum Source {
-    /// Simulate, folding each day's rows and keeping them for the snapshot.
-    Sim,
-    /// Simulate out-of-core, folding and retiring each day's rows.
+    /// Simulate out-of-core, folding and retiring each day's rows
+    /// (`simulate` also appends them to its snapshot first).
     SimFold,
     /// Fold the `--snapshot` file chunk by chunk, never holding all rows.
     SnapshotStream,
@@ -329,11 +323,6 @@ enum Source {
 
 fn source(cmd: &str, c: &Common) -> Source {
     match cmd {
-        "simulate" if c.fold && c.given("--snapshot") => usage(
-            cmd,
-            "--fold retires rows day by day and writes no snapshot: drop --snapshot or --fold",
-        ),
-        "simulate" if !c.fold => Source::Sim,
         "cluster" if !c.given("--snapshot") => Source::SimFold,
         "cluster" => match c.first_given(&["--scale", "--days", "--seed"]) {
             Some(name) => usage(
@@ -367,16 +356,51 @@ fn fail(doing: impl std::fmt::Display, e: impl std::fmt::Display) -> ! {
     std::process::exit(1)
 }
 
-/// Write `snap` to the `--snapshot` file, creating its directory.
-fn write_snapshot(c: &Common, snap: &Snapshot) {
+/// Create the `--snapshot` file's directory.
+fn snapshot_dir(c: &Common) {
     if let Some(dir) = c.snapshot.parent() {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| fail(format_args!("creating {}", dir.display()), e));
     }
-    if let Err(e) = snap.write_file(&c.snapshot) {
-        fail("writing snapshot", e);
-    }
+}
+
+/// Writing the `--snapshot` file failed: one line naming it, exit 1.
+fn snapshot_failed(c: &Common, e: SnapshotError) -> ! {
+    fail(format_args!("writing {}", c.snapshot.display()), e)
+}
+
+/// Write `snap` to the `--snapshot` file, creating its directory.
+fn write_snapshot(c: &Common, snap: &Snapshot) {
+    snapshot_dir(c);
+    snap.write_file(&c.snapshot)
+        .unwrap_or_else(|e| snapshot_failed(c, e));
     eprintln!("snapshot written to {}", c.snapshot.display());
+}
+
+/// `simulate`'s run: fold each finished day, append it to the `--snapshot`
+/// file, then retire it. The file (and its directory) is created before
+/// the run starts, so an unwritable path fails before anything simulates.
+fn simulate(c: &Common) -> FoldOutput {
+    snapshot_dir(c);
+    let mut writer = SnapshotWriter::create(&c.snapshot).unwrap_or_else(|e| snapshot_failed(c, e));
+    let config = announce_sim(c, "");
+    let mut fold: Option<StreamingFold> = None;
+    let out = Simulation::run_days(config.clone(), |store, plan, rows| {
+        fold.get_or_insert_with(|| StreamingFold::new(plan.len()))
+            .ingest_rows(store, plan, rows);
+        writer.push(rows).unwrap_or_else(|e| snapshot_failed(c, e));
+    });
+    let meta = out.snapshot_meta(&config);
+    (writer.finish(&meta, &out.dataset.plan, &out.dataset.sessions, &out.tags))
+        .unwrap_or_else(|e| snapshot_failed(c, e));
+    eprintln!("snapshot written to {}", c.snapshot.display());
+    let fold = fold.unwrap_or_else(|| StreamingFold::new(out.dataset.plan.len()));
+    FoldOutput {
+        aggregates: fold.finish(),
+        dataset: out.dataset,
+        tags: out.tags,
+        n_clients: out.n_clients,
+    }
 }
 
 /// Write one file into the `--out` directory, creating the directory.
@@ -402,37 +426,12 @@ fn report_peak_rss() {
 
 /// The one loader behind `simulate`, `report`, `claims` and `birth`: run or
 /// read `cmd`'s [`Source`] and return the run together with its aggregates,
-/// which every source folds with the same [`StreamingFold`]. The dataset
-/// keeps its rows for `simulate`, which persists them, and is rowless
-/// otherwise; nothing downstream reads rows, which is why all three yield
+/// which every source folds with the same [`StreamingFold`]. The dataset is
+/// rowless: nothing downstream reads rows, which is why every source yields
 /// byte-identical reports from identical data.
 fn load(cmd: &str, c: &Common) -> FoldOutput {
     let run = match source(cmd, c) {
-        Source::Sim => {
-            let config = announce_sim(c, "");
-            let mut fold: Option<StreamingFold> = None;
-            let mut out =
-                Simulation::run_days(config.clone(), DayRows::Keep, |store, plan, rows| {
-                    fold.get_or_insert_with(|| StreamingFold::new(plan.len()))
-                        .ingest_rows(store, plan, rows)
-                });
-            // The store and tags move into the snapshot and back: no copy.
-            let snapshot = Snapshot {
-                meta: out.snapshot_meta(&config),
-                plan: out.dataset.plan.clone(),
-                sessions: std::mem::take(&mut out.dataset.sessions),
-                tags: std::mem::take(&mut out.tags),
-            };
-            write_snapshot(c, &snapshot);
-            (out.dataset.sessions, out.tags) = (snapshot.sessions, snapshot.tags);
-            let fold = fold.unwrap_or_else(|| StreamingFold::new(out.dataset.plan.len()));
-            FoldOutput {
-                aggregates: fold.finish(),
-                dataset: out.dataset,
-                tags: out.tags,
-                n_clients: out.n_clients,
-            }
-        }
+        Source::SimFold if cmd == "simulate" => simulate(c),
         Source::SimFold => Simulation::run_fold(announce_sim(c, ", out-of-core fold")),
         Source::SnapshotStream => FoldOutput::from_snapshot_stream(open_snapshot_stream(c))
             .unwrap_or_else(|e| fail("streaming snapshot", e)),
@@ -478,7 +477,7 @@ fn cluster_cmd(c: &Common) {
             let mut heads = cluster::HeadMap::new();
             let mut fold = cluster::FeatureFold::new();
             let config = announce_sim(c, ", out-of-core fold");
-            let out = Simulation::run_days(config, DayRows::Retire, |store, plan, rows| {
+            let out = Simulation::run_days(config, |store, plan, rows| {
                 heads.sync(&store.commands);
                 fold.ingest_rows(store, plan, &heads, rows);
             });
@@ -660,8 +659,8 @@ fn verify(c: &Common) -> ! {
 
     // 2. Snapshot round-trip: write → load must reproduce the output, and
     //    writing twice must be byte-identical. The run's own store and tags
-    //    move into the snapshot and back, as in `simulate`: no copy. The
-    //    second write is hashed, not kept.
+    //    move into the snapshot and back: no copy. The second write is
+    //    hashed, not kept.
     let mut first = first;
     let snapshot = Snapshot {
         meta: first.snapshot_meta(&base),
@@ -686,7 +685,7 @@ fn verify(c: &Common) -> ! {
                 (honeyfarm::hash::Sha256::digest(&bytes) != again)
                     .then(|| "  two writes of the same run differ".to_string()),
             );
-            match Snapshot::read_from(&mut &bytes[..]) {
+            match Snapshot::read_from(&mut std::io::Cursor::new(&bytes)) {
                 Err(e) => check("snapshot load", Some(format!("  {e}"))),
                 Ok(snap) => {
                     let reloaded = SimOutput::from_snapshot(snap);

@@ -12,6 +12,7 @@
 //! parallel doesn't perturb the windows.
 
 use std::collections::BTreeMap;
+use std::io::Cursor;
 use std::sync::Arc;
 
 use honeyfarm::agents::{Behavior, Ecosystem, EcosystemConfig, Scale};
@@ -258,6 +259,12 @@ impl<R: std::io::Read> std::io::Read for PrefetchStartsLate<R> {
     }
 }
 
+impl<R: std::io::Seek> std::io::Seek for PrefetchStartsLate<R> {
+    fn seek(&mut self, pos: std::io::SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
 /// Steady-state chunk reads allocate nothing: after the first chunks have
 /// grown the reader's two buffers (payload and decoded rows), every
 /// further chunk `fold_chunks` reads, verifies, decodes and validates
@@ -271,7 +278,7 @@ impl<R: std::io::Read> std::io::Read for PrefetchStartsLate<R> {
 fn steady_state_chunk_reads_allocate_nothing() {
     let bytes = chunked_snapshot(64);
     let reader = honeyfarm::farm::SnapshotReader::open(PrefetchStartsLate {
-        inner: &bytes[..],
+        inner: Cursor::new(&bytes[..]),
         owner: std::thread::current().id(),
         held: false,
     })
@@ -305,7 +312,7 @@ fn steady_state_chunk_reads_allocate_nothing() {
 fn chunked_writer_allocations_do_not_scale_with_chunks() {
     const ROWS_PER_CHUNK: u32 = 64;
     let bytes = chunked_snapshot(ROWS_PER_CHUNK);
-    let snap = honeyfarm::farm::Snapshot::read_from(&mut &bytes[..]).expect("reload");
+    let snap = honeyfarm::farm::Snapshot::read_from(&mut Cursor::new(&bytes)).expect("reload");
     let n_chunks = (snap.sessions.rows().len() as u32).div_ceil(ROWS_PER_CHUNK);
     assert!(n_chunks > 10, "want a many-chunk snapshot, got {n_chunks}");
 

@@ -64,17 +64,21 @@ fn assert_same_files(a: &Path, b: &Path) {
 
 /// The library's materialized reference for `RUN`: `Simulation::run`, then
 /// `Aggregates::compute` for the report and `claims.json`, and
-/// `ClusterRun::over` for the two cluster tables.
-fn write_reference(report_dir: &Path, cluster_dir: &Path) {
+/// `ClusterRun::over` for the two cluster tables. Returns the bytes of the
+/// run's snapshot, `to_snapshot` written with `write_to`.
+fn write_reference(report_dir: &Path, cluster_dir: &Path) -> Vec<u8> {
     use honeyfarm::cluster;
     use honeyfarm::prelude::*;
 
-    let out = Simulation::run(SimConfig {
+    let config = SimConfig {
         seed: 42,
         scale: Scale::of(0.001),
         window: StudyWindow::first_days(5),
         ..SimConfig::default()
-    });
+    };
+    let out = Simulation::run(config.clone());
+    let mut snapshot = Vec::new();
+    (out.to_snapshot(&config).write_to(&mut snapshot)).expect("reference snapshot");
     let agg = Aggregates::compute(&out.dataset);
     Report::build_with_tags(&out.dataset, &agg, &out.tags)
         .write_dir(report_dir)
@@ -96,23 +100,26 @@ fn write_reference(report_dir: &Path, cluster_dir: &Path) {
     for (name, tsv) in tables {
         std::fs::write(cluster_dir.join(name), tsv).expect("reference cluster table");
     }
+    snapshot
 }
 
 #[test]
 fn every_source_writes_the_same_report_and_clusters() {
     let dir = workdir("sources");
     let at = |name: &str| dir.join(name);
-    write_reference(&at("ref_report"), &at("ref_cluster"));
+    let reference = write_reference(&at("ref_report"), &at("ref_cluster"));
 
+    // `simulate` streams its snapshot day by day; the file is the library's
+    // whole-run write, byte for byte.
     let snap = at("run.hfstore");
     let sim_args = [&["simulate"][..], &RUN].concat();
     ok(&sim_args, &[("--out", &at("sim")), ("--snapshot", &snap)]);
-    ok(
-        &[&sim_args[..], &["--fold"]].concat(),
-        &[("--out", &at("fold"))],
+    assert!(
+        std::fs::read(&snap).expect("read snapshot") == reference,
+        "simulate's snapshot differs from to_snapshot().write_to()"
     );
     ok(&["report"], &[("--out", &at("rep")), ("--snapshot", &snap)]);
-    for report in ["sim", "fold", "rep"] {
+    for report in ["sim", "rep"] {
         assert_same_files(&at("ref_report"), &at(report));
     }
 
@@ -191,8 +198,10 @@ fn a_row_past_the_plan_exits_1_from_report_and_cluster() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// A path that cannot be written is found only after the analysis has run:
-/// exit 1 with one `error …` line naming the path, never a panic.
+/// A path that cannot be written is refused with exit 1 and one `error …`
+/// line naming the path, never a panic. `report` and `cluster` find an
+/// unwritable `--out` only after the analysis has run; `simulate` creates
+/// its `--snapshot` before it simulates, so it fails first.
 #[test]
 fn unwritable_output_paths_exit_1_without_a_panic() {
     let dir = workdir("unwritable");
@@ -251,12 +260,6 @@ fn flags_that_name_no_source_exit_2_and_write_nothing() {
         assert!(!snap.exists(), "hfarm {args:?} wrote a snapshot");
     };
 
-    // `--fold` never writes a snapshot, so it must not accept a path for one.
-    rejected(
-        &[&["simulate", "--fold"][..], &RUN].concat(),
-        &[("--out", &out_dir), ("--snapshot", &snap)],
-        "writes no snapshot",
-    );
     rejected(
         &[&["simulate", "--no-such-flag"][..], &RUN].concat(),
         &[("--out", &out_dir)],
@@ -278,7 +281,7 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
     let dir = workdir("table");
     let out_dir = dir.join("out");
     let snap = dir.join("never.hfstore");
-    let cases: [(&[&str], &str); 29] = [
+    let cases: [(&[&str], &str); 30] = [
         (&["simulate", "--days", "0"], "--days"),
         (&["simulate", "--days", "487"], "--days"),
         (&["simulate", "--scale", "0"], "--scale"),
@@ -292,7 +295,8 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
             &["report", "--scale", "0.001"],
             "report does not read --scale",
         ),
-        (&["report", "--fold"], "report does not read --fold"),
+        (&["simulate", "--fold"], "unknown flag --fold"),
+        (&["report", "--fold"], "unknown flag --fold"),
         (&["report", "--threads", "2"], "unknown flag --threads"),
         (&["report", "--streaming"], "unknown flag --streaming"),
         (&["cluster", "--streaming"], "unknown flag --streaming"),
@@ -302,7 +306,7 @@ fn out_of_range_values_and_unread_flags_exit_2_and_write_nothing() {
         (&["birth", "--fast"], "unknown flag --fast"),
         (&["verify", "--fast"], "unknown flag --fast"),
         (&["simulate", "--k", "3"], "simulate does not read --k"),
-        (&["cluster", "--fold"], "cluster does not read --fold"),
+        (&["cluster", "--fold"], "unknown flag --fold"),
         // Below, `cluster` is also handed `--snapshot`: a file is no sim.
         (
             &["cluster", "--scale", "0.001"],

@@ -14,6 +14,7 @@
 //! empty store, single client, all-identical clients (k collapse), and
 //! degenerate columns through the NaN guard.
 
+use std::io::Cursor;
 use std::sync::OnceLock;
 
 use honeyfarm::cluster::{
@@ -73,7 +74,7 @@ fn streaming_features_match_materialized() {
     );
     let bytes = snapshot_bytes();
     let (plan, streamed) =
-        features_from_snapshot_stream(bytes.as_slice()).expect("streaming extract");
+        features_from_snapshot_stream(Cursor::new(&bytes)).expect("streaming extract");
     assert_eq!(plan.len(), fixture().0.dataset.plan.len());
     against_reference(&streamed.matrix()).assert_identical();
 
@@ -94,7 +95,7 @@ fn streaming_features_match_materialized() {
 fn snapshot_roundtrip_clusters_identically() {
     let bytes = snapshot_bytes();
     let reloaded = SimOutput::from_snapshot(
-        Snapshot::read_from(&mut bytes.as_slice()).expect("snapshot load"),
+        Snapshot::read_from(&mut Cursor::new(&bytes)).expect("snapshot load"),
     );
     let cfg = KMeansConfig::default();
     let original = ClusterRun::over(&fixture().0.dataset, 1, &cfg);

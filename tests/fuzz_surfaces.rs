@@ -28,6 +28,7 @@
 //! (`tests/scenarios/corpus_commands.txt`) seeds the shell surfaces with
 //! known-interesting inputs on top of the generated ones.
 
+use std::io::Cursor;
 use std::sync::{Arc, OnceLock};
 
 use honeyfarm::cluster::features_from_snapshot_stream;
@@ -362,7 +363,7 @@ proptest! {
         let mut mutated = original.to_vec();
         op.apply(&mut mutated);
         prop_assert!(mutated != original, "mutation {:?} was a no-op", op);
-        match Snapshot::read_from(&mut mutated.as_slice()) {
+        match Snapshot::read_from(&mut Cursor::new(&mutated)) {
             Ok(_) => prop_assert!(false, "corrupted snapshot accepted after {:?}", op),
             Err(e) => {
                 // The error is a typed variant with a readable rendering.
@@ -380,7 +381,7 @@ proptest! {
     fn restamped_chunk_edits_are_typed_or_load(op in chunk_edit()) {
         let mut mutated = snapshot_bytes().to_vec();
         op.apply(&mut mutated);
-        match Snapshot::read_from(&mut mutated.as_slice()) {
+        match Snapshot::read_from(&mut Cursor::new(&mutated)) {
             Err(e) => {
                 prop_assert!(
                     !matches!(
@@ -395,12 +396,12 @@ proptest! {
                 prop_assert!(!e.to_string().is_empty());
             }
             Ok(_) => {
-                let fold = FoldOutput::from_snapshot_stream(mutated.as_slice());
+                let fold = FoldOutput::from_snapshot_stream(Cursor::new(&mutated));
                 prop_assert!(fold.is_ok(), "{:?} loads, but the report fold refuses it", op);
                 if let Ok(fold) = fold {
                     Report::build_with_tags(&fold.dataset, &fold.aggregates, &fold.tags);
                 }
-                let features = features_from_snapshot_stream(mutated.as_slice());
+                let features = features_from_snapshot_stream(Cursor::new(&mutated));
                 prop_assert!(features.is_ok(), "{:?} loads, but the feature fold refuses it", op);
             }
         }

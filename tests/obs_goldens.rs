@@ -15,6 +15,7 @@
 //! UPDATE_GOLDENS=1 cargo test --test obs_goldens
 //! ```
 
+use std::io::Cursor;
 use std::path::PathBuf;
 
 use honeyfarm::core::{Aggregates, Report};
@@ -53,7 +54,7 @@ fn record_and_pin() {
         .write_to(&mut snapshot_bytes)
         .expect("snapshot encode");
     let _reloaded = SimOutput::from_snapshot(
-        Snapshot::read_from(&mut &snapshot_bytes[..]).expect("snapshot decode"),
+        Snapshot::read_from(&mut Cursor::new(&snapshot_bytes)).expect("snapshot decode"),
     );
     let agg = Aggregates::compute(&out.dataset);
     let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);

@@ -18,6 +18,7 @@
 //! The obs registry is process-global, so every test serializes on one
 //! mutex and starts from `obs::reset()`.
 
+use std::io::Cursor;
 use std::sync::Mutex;
 
 use honeyfarm::cluster::extract;
@@ -25,7 +26,6 @@ use honeyfarm::core::{Aggregates, Report};
 use honeyfarm::farm::{Row, SessionStore};
 use honeyfarm::obs::{self, RunManifest};
 use honeyfarm::prelude::*;
-use honeyfarm::sim::DayRows;
 use honeyfarm::testkit::{diff_manifests, diff_reference, diff_reports, diff_sim_outputs, project};
 
 /// Serializes tests within this process: obs state is process-global.
@@ -65,21 +65,27 @@ struct PipelineRun {
     artifacts: std::collections::BTreeMap<String, Vec<u8>>,
 }
 
-/// Simulate with `after_day` as the day loop's hook, encode + decode the
-/// snapshot, aggregate, build the report, and render it. `label` keeps the
-/// scratch render directories of concurrent test processes apart.
+/// Simulate with `after_day` as the day loop's hook, keeping every day's
+/// rows as the hook sees them, encode + decode the snapshot, aggregate,
+/// build the report, and render it. `label` keeps the scratch render
+/// directories of concurrent test processes apart.
 fn run_pipeline(
     label: &str,
-    after_day: impl FnMut(&SessionStore, &FarmPlan, &[Row]),
+    mut after_day: impl FnMut(&SessionStore, &FarmPlan, &[Row]),
 ) -> PipelineRun {
     let cfg = config();
-    let out = Simulation::run_days(cfg.clone(), DayRows::Keep, after_day);
+    let mut rows = Vec::new();
+    let mut out = Simulation::run_days(cfg.clone(), |store, plan, day| {
+        after_day(store, plan, day);
+        rows.extend_from_slice(day);
+    });
+    out.dataset.sessions.set_rows(rows);
     let mut snapshot_bytes = Vec::new();
     out.to_snapshot(&cfg)
         .write_to(&mut snapshot_bytes)
         .expect("snapshot encode");
     let reloaded = SimOutput::from_snapshot(
-        Snapshot::read_from(&mut &snapshot_bytes[..]).expect("snapshot decode"),
+        Snapshot::read_from(&mut Cursor::new(&snapshot_bytes)).expect("snapshot decode"),
     );
     let agg = Aggregates::compute(&out.dataset);
     let report = Report::build_with_tags(&out.dataset, &agg, &out.tags);

@@ -2,6 +2,8 @@
 //! sections, plant dangling ids — every corruption must surface as the
 //! right typed [`SnapshotError`], never a panic or a silent mis-read.
 
+use std::io::Cursor;
+
 use honeyfarm::cluster::features_from_snapshot_stream;
 use honeyfarm::farm::snapshot::{FORMAT_VERSION, MAGIC, ROWS_PER_CHUNK, SECTIONS};
 use honeyfarm::farm::{
@@ -19,6 +21,8 @@ use honeyfarm::testkit::{restamp_rows, RowsLayout};
 
 /// Header size: magic + version + section count.
 const HEADER: usize = 8 + 4 + 4;
+/// Footer size: META's offset (u64) + magic.
+const FOOTER: usize = 8 + 8;
 /// Per-section frame of every section but ROWS: id (u32) + len (u64) +
 /// sha-256 (32 bytes).
 const FRAME: usize = 4 + 8 + 32;
@@ -100,7 +104,7 @@ fn chunked(rows_per_chunk: u32, edit: impl FnOnce(&mut [Row])) -> Vec<u8> {
 }
 
 fn load(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    Snapshot::read_from(&mut &bytes[..])
+    Snapshot::read_from(&mut Cursor::new(bytes))
 }
 
 /// Every reader of a faulty `bytes` — the materializing load and both
@@ -109,8 +113,14 @@ fn load(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 fn assert_corrupt_everywhere(bytes: &[u8], section: &str, what: &str) {
     let refusals = [
         ("read_from", load(bytes).err()),
-        ("report fold", FoldOutput::from_snapshot_stream(bytes).err()),
-        ("feature fold", features_from_snapshot_stream(bytes).err()),
+        (
+            "report fold",
+            FoldOutput::from_snapshot_stream(Cursor::new(bytes)).err(),
+        ),
+        (
+            "feature fold",
+            features_from_snapshot_stream(Cursor::new(bytes)).err(),
+        ),
     ];
     for (reader, err) in refusals {
         match err {
@@ -130,11 +140,29 @@ fn u64_at(bytes: &[u8], at: usize) -> usize {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("u64 field")) as usize
 }
 
+/// Where META starts: the offset the footer states.
+fn meta_offset(bytes: &[u8]) -> usize {
+    u64_at(bytes, bytes.len() - FOOTER)
+}
+
+/// `bytes` with the footer's META offset set to `at`.
+fn with_meta_offset(bytes: &[u8], at: u64) -> Vec<u8> {
+    let mut bytes = bytes.to_vec();
+    let footer = bytes.len() - FOOTER;
+    bytes[footer..footer + 8].copy_from_slice(&at.to_le_bytes());
+    bytes
+}
+
 /// Walk the sections, returning `(start, len)` per section in file order:
 /// the payload behind the frame for framed sections, and for ROWS
 /// everything behind its id (`rows_per_chunk`, the chunks, the trailer).
 fn section_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     let rows = RowsLayout::of(bytes);
+    assert_eq!(
+        rows.end(),
+        meta_offset(bytes),
+        "the rows end where META starts"
+    );
     let mut spans = Vec::new();
     let mut off = HEADER;
     for (_, name) in SECTIONS {
@@ -146,7 +174,7 @@ fn section_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
         spans.push(span);
         off = span.0 + span.1;
     }
-    assert_eq!(off, bytes.len(), "walk must cover the whole file");
+    assert_eq!(off + FOOTER, bytes.len(), "walk must cover the whole file");
     spans
 }
 
@@ -178,17 +206,17 @@ fn bad_magic_is_rejected() {
 }
 
 /// Any other version is refused before a section is read: version 2 (rows
-/// checksummed ahead of their data) and version 3 (fixed 48-byte rows)
-/// included.
+/// checksummed ahead of their data), version 3 (fixed 48-byte rows) and
+/// version 4 (pools before the rows) included.
 #[test]
 fn version_mismatch_is_rejected() {
-    assert_eq!(FORMAT_VERSION, 4);
-    for version in [2u32, 3, 99] {
+    assert_eq!(FORMAT_VERSION, 5);
+    for version in [2u32, 3, 4, 99] {
         let mut bytes = snapshot_bytes();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         match load(&bytes) {
             Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (version, 4));
+                assert_eq!((found, supported), (version, 5));
             }
             other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
         }
@@ -223,8 +251,10 @@ fn flipped_byte_in_every_section_is_caught_by_its_checksum() {
 fn truncation_anywhere_is_a_typed_error() {
     let pristine = snapshot_bytes();
     // Cut the file at a spread of boundaries: inside the header, inside
-    // each section frame, inside each payload, and just before the end.
-    let mut cuts = vec![0, 1, HEADER - 1, HEADER, pristine.len() - 1];
+    // each section frame, inside each payload, inside the footer, and just
+    // before the end. Every cut past the header loses the footer.
+    let end = pristine.len();
+    let mut cuts = vec![0, 1, HEADER - 1, HEADER, end - FOOTER, end - 8, end - 1];
     for (&(start, len), (_, name)) in section_spans(&pristine).iter().zip(SECTIONS) {
         if name == "rows" {
             cuts.push(start - 2); // mid section-id
@@ -250,15 +280,18 @@ fn truncation_anywhere_is_a_typed_error() {
 
 #[test]
 fn unexpected_section_id_is_rejected() {
-    let mut bytes = snapshot_bytes();
-    // Overwrite the first section's id (META = 1) with a stranger.
-    bytes[HEADER..HEADER + 4].copy_from_slice(&42u32.to_le_bytes());
-    match load(&bytes) {
-        Err(SnapshotError::UnexpectedSection { expected, found }) => {
-            assert_eq!(expected, 1);
-            assert_eq!(found, 42);
+    // Overwrite the id of the first section (ROWS = 9) and of the section
+    // the footer points at (META = 1) with a stranger.
+    let pristine = snapshot_bytes();
+    for (at, id) in [(HEADER, 9), (meta_offset(&pristine), 1)] {
+        let mut bytes = pristine.clone();
+        bytes[at..at + 4].copy_from_slice(&42u32.to_le_bytes());
+        match load(&bytes) {
+            Err(SnapshotError::UnexpectedSection { expected, found }) => {
+                assert_eq!((expected, found), (id, 42));
+            }
+            other => panic!("id at {at}: expected UnexpectedSection, got {other:?}"),
         }
-        other => panic!("expected UnexpectedSection, got {other:?}"),
     }
 }
 
@@ -386,8 +419,8 @@ fn flipped_chunk_digest_is_caught() {
 #[test]
 fn meta_row_count_that_disagrees_with_the_rows_is_rejected() {
     let pristine = snapshot_bytes();
-    let meta = HEADER + FRAME;
-    let meta_len = u64_at(&pristine, HEADER + 4);
+    let meta = meta_offset(&pristine) + FRAME;
+    let meta_len = u64_at(&pristine, meta_offset(&pristine) + 4);
     for lie in [7u64, 9] {
         let mut bytes = pristine.clone();
         let at = meta + META_N_ROWS;
@@ -459,7 +492,8 @@ fn dangling_id_in_a_later_chunk_is_rejected() {
 /// Truncation exactly at a chunk boundary (a valid prefix of chunks, then
 /// nothing) is a typed truncation error, not a short read of partial data —
 /// at every chunk's start, inside and behind its frame, one byte short of
-/// its end, and at every byte of the trailer.
+/// its end, and at every byte of the trailer. The cut loses the footer,
+/// which the reader reads before any chunk.
 #[test]
 fn truncation_at_chunk_boundary_is_typed() {
     let bytes = chunked(3, |_| {});
@@ -473,7 +507,9 @@ fn truncation_at_chunk_boundary_is_typed() {
     }
     for cut in cuts {
         match load(&bytes[..cut]) {
-            Err(SnapshotError::Truncated { section }) => assert_eq!(section, "rows", "cut {cut}"),
+            Err(SnapshotError::Truncated { section }) => {
+                assert_eq!(section, "footer", "cut {cut}")
+            }
             other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
     }
@@ -570,6 +606,20 @@ fn backward_day_across_a_chunk_boundary_is_rejected() {
     assert_corrupt_everywhere(&bytes, "rows", "a day-0 row follows day 4");
 }
 
+/// A row on a day past META's window would grow every per-day table of the
+/// folds to that day: one edited row of a 7-day snapshot on day 49,710,
+/// the last day a `u32` start can name, is refused, as is the first day
+/// past the window. The writer puts the edited row last, so day order
+/// holds.
+#[test]
+fn row_day_past_the_meta_window_is_rejected() {
+    for day in [7u32, 49_710] {
+        let bytes = chunked(ROWS_PER_CHUNK, |rows| rows[2].start_secs = day * 86_400);
+        let what = format!("a row starts on day {day}; META states 7 days");
+        assert_corrupt_everywhere(&bytes, "rows", &what);
+    }
+}
+
 /// A payload edited in place and re-stamped passes every checksum and
 /// reaches the column decoder, which refuses a client index outside the
 /// chunk's dictionary.
@@ -608,6 +658,125 @@ fn garbage_input_is_bad_magic() {
     match load(&garbage) {
         Err(SnapshotError::BadMagic { .. }) => {}
         other => panic!("expected BadMagic, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Footer faults: the reader finds META through the footer, so every way the
+// footer can lie is typed before a row is read.
+
+/// A footer that is missing, cut short, or whose magic is not the magic
+/// means the file lost its end.
+#[test]
+fn a_missing_short_or_unmagic_footer_is_truncated() {
+    let pristine = snapshot_bytes();
+    let end = pristine.len();
+    let mut unmagic = pristine.clone();
+    unmagic[end - 3] ^= 0x20;
+    let cases = [
+        ("missing", pristine[..end - FOOTER].to_vec()),
+        ("short", pristine[..end - 5].to_vec()),
+        ("bad magic", unmagic),
+        ("header only", pristine[..HEADER].to_vec()),
+    ];
+    for (what, bytes) in cases {
+        match load(&bytes) {
+            Err(SnapshotError::Truncated { section }) => assert_eq!(section, "footer", "{what}"),
+            other => panic!("{what} footer: expected Truncated footer, got {other:?}"),
+        }
+    }
+}
+
+/// A META offset past the end of the sections, or inside the header or
+/// the rows section's fixed frame, is refused before anything is read
+/// there.
+#[test]
+fn a_meta_offset_outside_the_file_is_corrupt_footer() {
+    let pristine = snapshot_bytes();
+    let footer = (pristine.len() - FOOTER) as u64;
+    for at in [
+        footer + 1,
+        pristine.len() as u64,
+        u64::MAX,
+        0,
+        HEADER as u64 + 8,
+    ] {
+        match load(&with_meta_offset(&pristine, at)) {
+            Err(SnapshotError::Corrupt { section, detail }) => {
+                assert_eq!(section, "footer", "offset {at}");
+                assert!(
+                    detail.contains(&format!("META offset {at} outside")),
+                    "{detail}"
+                );
+            }
+            other => panic!("META offset {at}: expected Corrupt footer, got {other:?}"),
+        }
+    }
+}
+
+/// A META offset inside the chunks (past the smallest rows section, which
+/// the first chunk starts inside) finds no META there.
+#[test]
+fn a_meta_offset_inside_the_rows_finds_no_meta() {
+    let pristine = chunked(3, |_| {});
+    for chunk in RowsLayout::of(&pristine).chunks.into_iter().skip(1) {
+        match load(&with_meta_offset(&pristine, chunk.at as u64)) {
+            Err(SnapshotError::UnexpectedSection { expected, .. }) => assert_eq!(expected, 1),
+            other => panic!(
+                "META offset {}: expected UnexpectedSection, got {other:?}",
+                chunk.at
+            ),
+        }
+    }
+}
+
+/// The rows section must end exactly at META's offset: bytes between the
+/// trailer and META, or a trailer that runs past META, are refused.
+#[test]
+fn rows_that_end_before_or_after_meta_are_rejected() {
+    let pristine = chunked(3, |_| {});
+    let meta = meta_offset(&pristine);
+    // Four stray bytes before META, the footer moved with it.
+    let mut gap = pristine[..meta].to_vec();
+    gap.extend_from_slice(&[0; 4]);
+    gap.extend_from_slice(&pristine[meta..]);
+    match load(&with_meta_offset(&gap, meta as u64 + 4)) {
+        Err(SnapshotError::Corrupt { section, detail }) => {
+            assert_eq!(section, "rows");
+            assert!(
+                detail.contains("the rows end 4 bytes before META"),
+                "{detail}"
+            );
+        }
+        other => panic!("gap before META: expected Corrupt rows, got {other:?}"),
+    }
+    // The trailer dropped, so the reader wants 32 bytes past META.
+    let trailer = RowsLayout::of(&pristine).trailer;
+    let mut short = pristine[..trailer].to_vec();
+    short.extend_from_slice(&pristine[meta..]);
+    match load(&with_meta_offset(&short, trailer as u64)) {
+        Err(SnapshotError::Truncated { section }) => assert_eq!(section, "rows"),
+        other => panic!("rows past META: expected Truncated rows, got {other:?}"),
+    }
+}
+
+/// The tags section must end where the footer starts.
+#[test]
+fn bytes_between_the_tags_and_the_footer_are_rejected() {
+    let pristine = snapshot_bytes();
+    let footer = pristine.len() - FOOTER;
+    let mut bytes = pristine[..footer].to_vec();
+    bytes.extend_from_slice(&[0xA5; 5]);
+    bytes.extend_from_slice(&pristine[footer..]);
+    match load(&bytes) {
+        Err(SnapshotError::Corrupt { section, detail }) => {
+            assert_eq!(section, "footer");
+            assert!(
+                detail.contains("5 bytes between the tags and the footer"),
+                "{detail}"
+            );
+        }
+        other => panic!("expected Corrupt footer, got {other:?}"),
     }
 }
 
@@ -663,7 +832,7 @@ fn assert_lists_corrupt(bytes: &[u8], what: &str) {
         Err(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "lists", "{what}"),
         other => panic!("{what}: expected Corrupt lists from read, got {other:?}"),
     }
-    match SnapshotReader::open(bytes).err() {
+    match SnapshotReader::open(Cursor::new(bytes)).err() {
         Some(SnapshotError::Corrupt { section, .. }) => assert_eq!(section, "lists", "{what}"),
         other => panic!("{what}: expected Corrupt lists from open, got {other:?}"),
     }
@@ -673,7 +842,7 @@ fn assert_lists_corrupt(bytes: &[u8], what: &str) {
 fn re_encoded_lists_section_still_loads() {
     let bytes = with_lists(&snapshot_bytes(), |_| {});
     assert_eq!(bytes, snapshot_bytes());
-    assert!(SnapshotReader::open(&bytes[..]).is_ok());
+    assert!(SnapshotReader::open(Cursor::new(&bytes)).is_ok());
 }
 
 #[test]

@@ -11,6 +11,7 @@ use honeyfarm::hash::Sha256;
 use honeyfarm::honeypot::{ArtifactStore, SessionRecord};
 use honeyfarm::testkit::{diff_datasets, records_of, session_record};
 use proptest::prelude::*;
+use std::io::Cursor;
 
 fn snapshot_of(records: &[SessionRecord]) -> Snapshot {
     let mut store = SessionStore::new();
@@ -71,7 +72,7 @@ proptest! {
         let snap = snapshot_of(&records);
         let mut bytes = Vec::new();
         snap.write_to(&mut bytes).expect("write snapshot");
-        let back = Snapshot::read_from(&mut bytes.as_slice()).expect("load snapshot");
+        let back = Snapshot::read_from(&mut Cursor::new(&bytes)).expect("load snapshot");
 
         prop_assert_eq!(back.meta, snap.meta);
         prop_assert_eq!(&back.plan, &snap.plan);
@@ -121,7 +122,7 @@ proptest! {
         snap.write_to(&mut a).expect("write a");
         snap.write_to(&mut b).expect("write b");
         prop_assert_eq!(&a, &b);
-        let back = Snapshot::read_from(&mut a.as_slice()).expect("load");
+        let back = Snapshot::read_from(&mut Cursor::new(&a)).expect("load");
         let mut c = Vec::new();
         back.write_to(&mut c).expect("rewrite");
         prop_assert_eq!(&a, &c);
@@ -142,7 +143,7 @@ proptest! {
         let mut bytes = Vec::new();
         snapshot_of(written).write_to(&mut bytes).expect("write snapshot");
 
-        let mut pool = Snapshot::read_from(&mut bytes.as_slice())
+        let mut pool = Snapshot::read_from(&mut Cursor::new(&bytes))
             .expect("load snapshot")
             .sessions
             .lists;
@@ -156,7 +157,7 @@ proptest! {
         prop_assert_eq!(pool.intern(&fresh), next);
         prop_assert_eq!(pool.get(next), &fresh[..]);
 
-        let mut resumed = Snapshot::read_from(&mut bytes.as_slice()).expect("load snapshot").sessions;
+        let mut resumed = Snapshot::read_from(&mut Cursor::new(&bytes)).expect("load snapshot").sessions;
         let mut never_written = SessionStore::new();
         for r in written {
             never_written.ingest(r, None);

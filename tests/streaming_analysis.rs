@@ -13,6 +13,7 @@
 //! Run against run stays only where no definition is involved: a row-free
 //! fold keeps its run's pools, plan and artifacts; a reload reproduces it.
 
+use std::io::Cursor;
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -80,12 +81,12 @@ fn snapshot_stream_fold_matches_materialized_load() {
         .expect("write snapshot");
 
     let materialized = SimOutput::from_snapshot(
-        Snapshot::read_from(&mut bytes.as_slice()).expect("materialized load"),
+        Snapshot::read_from(&mut Cursor::new(&bytes)).expect("materialized load"),
     );
     diff_sim_outputs("simulated", &out, "reloaded", &materialized).assert_identical();
 
-    let fold = FoldOutput::from_snapshot_stream(bytes.as_slice()).expect("streaming load");
-    let (_, features) = features_from_snapshot_stream(bytes.as_slice()).expect("feature fold");
+    let fold = FoldOutput::from_snapshot_stream(Cursor::new(&bytes)).expect("streaming load");
+    let (_, features) = features_from_snapshot_stream(Cursor::new(&bytes)).expect("feature fold");
     assert_eq!(out.n_clients, fold.n_clients);
     diff_tagdbs("simulated", &out.tags, "streamed", &fold.tags).assert_identical();
     diff_reference(

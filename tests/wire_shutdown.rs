@@ -14,6 +14,7 @@
 //! seed-0 tiny world); sessions that arrive out of day order are written
 //! in start order.
 
+use std::io::Cursor;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -173,8 +174,8 @@ fn an_out_of_order_drain_snapshot_folds_like_its_dataset() {
 
     let mut bytes = Vec::new();
     out.to_snapshot().write_to(&mut bytes).expect("encode");
-    let folded = FoldOutput::from_snapshot_stream(bytes.as_slice()).expect("report fold");
-    let (_, streamed) = features_from_snapshot_stream(bytes.as_slice()).expect("feature fold");
+    let folded = FoldOutput::from_snapshot_stream(Cursor::new(&bytes)).expect("report fold");
+    let (_, streamed) = features_from_snapshot_stream(Cursor::new(&bytes)).expect("feature fold");
     diff_reference(
         &Measures::of(
             &out.records,
